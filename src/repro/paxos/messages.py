@@ -43,8 +43,9 @@ __all__ = [
 def _batch_wire_size(batch: Optional[Batch]) -> int:
     if batch is None:
         return 1
-    # ``payload_bytes`` is precomputed at Batch construction.
-    return 16 + 16 * len(batch.tokens) + batch.payload_bytes
+    # Both counts are plain attributes (precomputed at construction or
+    # read from the wire header): sizing never parses a decoded batch.
+    return 16 + 16 * batch.token_count + batch.payload_bytes
 
 
 class Propose(FastMessage):
@@ -143,7 +144,7 @@ class RingAccept(FastMessage):
     def wire_size(self) -> int:
         batch = self.batch   # never None on the ring path
         return (
-            WIRE_HEADER_BYTES + 36 + 16 * len(batch.tokens)
+            WIRE_HEADER_BYTES + 36 + 16 * batch.token_count
             + batch.payload_bytes
         )
 
@@ -162,7 +163,7 @@ class Decision(FastMessage):
     def wire_size(self) -> int:
         batch = self.batch   # never None in a decision
         return (
-            WIRE_HEADER_BYTES + 24 + 16 * len(batch.tokens)
+            WIRE_HEADER_BYTES + 24 + 16 * batch.token_count
             + batch.payload_bytes
         )
 

@@ -30,6 +30,7 @@ __all__ = [
     "SubscribeMsg",
     "Token",
     "UnsubscribeMsg",
+    "WireBatch",
     "fresh_value_id",
     "token_positions",
 ]
@@ -144,16 +145,22 @@ Token = Union[AppValue, SkipToken, SubscribeMsg, UnsubscribeMsg, PrepareMsg]
 class Batch:
     """The value decided by one consensus instance.
 
-    Hand-written for construction speed; ``payload_bytes`` is derived
-    from ``tokens`` once here instead of being re-summed on every
-    wire-size computation.  Immutable by convention; equality, hash and
-    repr go by ``tokens`` alone.
+    Hand-written for construction speed; ``token_count`` and
+    ``payload_bytes`` are derived from ``tokens`` once here instead of
+    being recomputed on every wire-size computation.  Immutable by
+    convention; equality, hash and repr go by ``tokens`` alone.
+
+    ``_wire`` caches the serialised form (header + token body, see
+    ``runtime/codec.py``): the live codec fills it on the first encode
+    so a batch fanned out to N acceptors and M learners is serialised
+    once.  It stays unset on the simulator, which never serialises.
     """
 
-    __slots__ = ("tokens", "payload_bytes")
+    __slots__ = ("tokens", "token_count", "payload_bytes", "_wire")
 
     def __init__(self, tokens: tuple = (), payload_bytes: int = -1):
         self.tokens = tokens
+        self.token_count = len(tokens)
         if payload_bytes < 0:
             payload_bytes = sum(
                 t.size for t in tokens if isinstance(t, AppValue)
@@ -170,12 +177,54 @@ class Batch:
         return f"Batch(tokens={self.tokens!r})"
 
     def __eq__(self, other: Any) -> Any:
-        if other.__class__ is not Batch:
+        if not isinstance(other, Batch):
             return NotImplemented
         return self.tokens == other.tokens
 
     def __hash__(self) -> int:
         return hash(self.tokens)
+
+
+_tokens_slot = Batch.tokens   # the slot descriptor WireBatch.tokens shadows
+
+
+class WireBatch(Batch):
+    """A :class:`Batch` as the live codec decodes it: serialised tokens.
+
+    Acceptors, the coordinator and every forward only need the counts in
+    the batch header and the bytes themselves, so the decoder hands out
+    this form: ``token_count``, ``payload_bytes``, ``positions()`` and
+    re-encoding (a copy of ``_wire``) never look inside the body.  The
+    first read of ``tokens`` -- by the learner that delivers them --
+    parses the body and keeps the result in the base class's slot.
+    """
+
+    __slots__ = ("_positions",)
+
+    def __init__(
+        self, wire: bytes, token_count: int, payload_bytes: int,
+        positions: int,
+    ):
+        self._wire = wire
+        self.token_count = token_count
+        self.payload_bytes = payload_bytes
+        self._positions = positions
+
+    @property
+    def tokens(self) -> tuple:
+        try:
+            return _tokens_slot.__get__(self)
+        except AttributeError:
+            # Deferred import: the codec registers this module's classes
+            # when it is imported.
+            from ..runtime import codec
+
+            tokens = codec.decode_batch_tokens(self._wire, self.token_count)
+            _tokens_slot.__set__(self, tokens)
+            return tokens
+
+    def positions(self) -> int:
+        return self._positions
 
 
 def token_positions(tokens) -> int:

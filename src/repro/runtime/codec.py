@@ -32,6 +32,35 @@ The body is a tagged, recursive value encoding (none/bool/int/float/
 str/bytes/tuple/list/dict/frozenset plus registered objects by id with
 their fields in declaration order).
 
+A ``Batch`` nested in a message is the one value that is not encoded
+field by field.  It goes on the wire as an opaque, length-delimited
+token body behind a fixed header::
+
+    [13 u8][token_count u32][payload_bytes u64][positions u64]
+    [body_len u32]  <body: token_count encoded tokens>
+
+and the contract is *serialise once, parse once per learner*:
+
+* the first encode of a tokens-backed ``Batch`` serialises header and
+  body with :func:`encode_batch_wire` and memoises the bytes on the
+  object, so every further frame carrying it (``Phase2a`` to each
+  acceptor, ``Decision`` to each learner) is a copy;
+* the decoder checks the header against the frame and returns a
+  ``WireBatch`` holding an owned copy of those bytes.  Its
+  ``wire_size()`` inputs (``token_count``, ``payload_bytes``) and
+  ``positions()`` come from the header, and encoding it again is a copy
+  too -- an acceptor accepts, logs and forwards a batch, and an
+  acceptor log answers ``Phase1b`` / ``RecoverReply``, without ever
+  building a token object;
+* the body is parsed by :func:`decode_batch_tokens` on the first read
+  of ``batch.tokens``, i.e. at the learner that delivers them.  Damage
+  inside a body therefore surfaces there, still as :class:`CodecError`.
+
+A ``Batch`` in the older object form (type id 25 with ``tokens`` and
+``payload_bytes`` fields, which is also how a *top-level* ``Batch``
+frame is laid out) still decodes through the registry, to a plain
+``Batch``; the encoder no longer emits it for nested batches.
+
 Padding: each message models its own wire size (``wire_size()``) and
 the simulator's bandwidth accounting is calibrated against it.  When
 the compact encoding comes out *smaller* than the modeled size, the
@@ -70,9 +99,12 @@ __all__ = [
     "SUPPORTED_WIRE_VERSIONS",
     "WIRE_VERSION",
     "decode",
+    "decode_batch_tokens",
     "decode_with_context",
     "encode",
+    "encode_batch_wire",
     "encode_into",
+    "peek_type",
     "register",
     "registered_classes",
 ]
@@ -98,11 +130,14 @@ _T_DICT = 9
 _T_OBJ = 10
 _T_FROZENSET = 11
 _T_BIGINT = 12
+_T_BATCH = 13
 
 _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
+# tag, token_count, payload_bytes, positions, body_len
+_BATCH_HEADER = struct.Struct("!BIQQI")
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -232,6 +267,15 @@ def _encode_value(value: Any, out: bytearray) -> None:
             _encode_value(key, out)
             _encode_value(val, out)
         return
+    if cls is _WireBatch or cls is _Batch:
+        try:
+            out += value._wire
+        except AttributeError:
+            # First encode of a tokens-backed batch: memoise, so the
+            # other frames that carry it copy instead of re-serialising.
+            wire = value._wire = encode_batch_wire(value)
+            out += wire
+        return
     spec = _BY_CLASS.get(cls)
     if spec is None:
         raise CodecError(f"cannot encode unregistered type {cls.__name__}")
@@ -239,6 +283,22 @@ def _encode_value(value: Any, out: bytearray) -> None:
     out += _U16.pack(spec.type_id)
     for name in spec.fields:
         _encode_value(getattr(value, name), out)
+
+
+def encode_batch_wire(batch: Any) -> bytes:
+    """Serialise a batch's header and tokens: the one place a batch's
+    tokens are turned into bytes (see the module docstring)."""
+    out = bytearray(_BATCH_HEADER.size)
+    for token in batch.tokens:
+        _encode_value(token, out)
+    try:
+        _BATCH_HEADER.pack_into(
+            out, 0, _T_BATCH, batch.token_count, batch.payload_bytes,
+            batch.positions(), len(out) - _BATCH_HEADER.size,
+        )
+    except struct.error as exc:
+        raise CodecError(f"batch header field out of range: {exc}") from exc
+    return bytes(out)
 
 
 _HEADER_PLACEHOLDER = bytes(_HEADER.size)
@@ -274,7 +334,7 @@ def encode_into(
         )
         ctx_start = len(out)
         out += _U32_PLACEHOLDER
-        _encode_value(dict(trace_context), out)
+        _encode_value(trace_context, out)
         _U32.pack_into(out, ctx_start, len(out) - ctx_start - _U32.size)
     modeled = getattr(message, "wire_size", None)
     if modeled is not None:
@@ -348,6 +408,18 @@ def _decode_value(buf: _Buffer, pos: int) -> tuple[Any, int]:
             val, pos = _decode_value(buf, pos)
             out[key] = val
         return out, pos
+    if tag == _T_BATCH:
+        start = pos - 1
+        _tag, count, payload_bytes, positions, body_len = (
+            _BATCH_HEADER.unpack_from(buf, start)
+        )
+        end = start + _BATCH_HEADER.size + body_len
+        # Every token takes at least its tag byte.
+        if end > len(buf) or count > body_len:
+            raise CodecError("corrupt batch header")
+        return _WireBatch(
+            bytes(buf[start:end]), count, payload_bytes, positions
+        ), end
     if tag == _T_OBJ:
         (type_id,) = _U16.unpack_from(buf, pos)
         pos += 2
@@ -363,6 +435,53 @@ def _decode_value(buf: _Buffer, pos: int) -> tuple[Any, int]:
         pos += 4
         return int.from_bytes(buf[pos:pos + n], "big", signed=True), pos + n
     raise CodecError(f"unknown value tag {tag}")
+
+
+# What parsing damaged bytes can raise besides CodecError.  struct.error
+# / IndexError: truncation mid-field; ValueError covers
+# UnicodeDecodeError from corrupt string bytes and a registered class's
+# own constructor validation rejecting garbage field values.  All of it
+# is one condition to the caller: bytes that cannot be trusted.
+_CORRUPT = (struct.error, IndexError, ValueError, TypeError, OverflowError)
+
+
+def decode_batch_tokens(wire: bytes, count: int) -> tuple:
+    """Parse the ``count`` tokens of a batch's wire form (header
+    included, as :func:`encode_batch_wire` produced it).
+
+    ``WireBatch.tokens`` calls this once, on first access.  A body that
+    does not hold exactly ``count`` well-formed tokens raises
+    :class:`CodecError`.
+    """
+    pos = _BATCH_HEADER.size
+    tokens = []
+    try:
+        for _ in range(count):
+            token, pos = _decode_value(wire, pos)
+            tokens.append(token)
+    except CodecError:
+        raise
+    except _CORRUPT as exc:
+        raise CodecError(f"corrupt batch body: {exc!r}") from exc
+    if pos != len(wire):
+        raise CodecError(
+            f"batch body length mismatch: consumed "
+            f"{pos - _BATCH_HEADER.size}, declared "
+            f"{len(wire) - _BATCH_HEADER.size}"
+        )
+    return tuple(tokens)
+
+
+def peek_type(frame: _Buffer) -> str:
+    """Class name of the message in ``frame``, read from the header
+    alone (for a receiver that drops the frame without decoding it)."""
+    if len(frame) < _HEADER.size:
+        raise CodecError(f"frame too short ({len(frame)} bytes)")
+    _version, type_id, _body_len = _HEADER.unpack_from(frame, 0)
+    spec = _BY_ID.get(type_id)
+    if spec is None:
+        raise CodecError(f"unknown type id {type_id}")
+    return spec.cls.__name__
 
 
 def decode_with_context(frame: _Buffer) -> tuple[Any, Optional[dict]]:
@@ -381,13 +500,7 @@ def decode_with_context(frame: _Buffer) -> tuple[Any, Optional[dict]]:
         return _decode_frame(frame)
     except CodecError:
         raise
-    except (struct.error, IndexError, ValueError, TypeError,
-            OverflowError) as exc:
-        # struct.error / IndexError: truncation mid-field; ValueError
-        # covers UnicodeDecodeError from corrupt string bytes and a
-        # registered class's own constructor validation rejecting
-        # garbage field values.  All of it is one condition to the
-        # caller: a frame that cannot be trusted.
+    except _CORRUPT as exc:
         raise CodecError(f"corrupt frame: {exc!r}") from exc
 
 
@@ -447,7 +560,13 @@ def decode(frame: _Buffer) -> Any:
 # Ids are part of the wire format: never renumber, never reuse.  New
 # classes take fresh ids at the end of their block.
 
+_Batch: type
+_WireBatch: type
+
+
 def _register_all() -> None:
+    global _Batch, _WireBatch
+
     from ..coordination import registry as reg
     from ..kvstore import commands as kvc
     from ..kvstore.partitioning import Partition, PartitionMap
@@ -474,7 +593,10 @@ def _register_all() -> None:
     register(pt.SubscribeMsg, 22)
     register(pt.UnsubscribeMsg, 23)
     register(pt.PrepareMsg, 24)
+    # The object form of a batch: what a top-level Batch frame uses and
+    # what old peers nest.  Nested batches are emitted as _T_BATCH.
     register(pt.Batch, 25, fields=("tokens", "payload_bytes"))
+    _Batch, _WireBatch = pt.Batch, pt.WireBatch
 
     # Key/value store commands and replies: 30-44
     register(kvc.PutCmd, 30)

@@ -117,6 +117,9 @@ class _PeerLink:
         self.dst = dst
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_frames)
         self.scratch = bytearray()   # per-link encode scratch (send path)
+        # src name -> packed [u16 src_len][src][u16 dst_len][dst]: the
+        # same bytes for every message a sender puts on this link.
+        self.name_headers: dict[str, bytes] = {}
         self.unreachable = False
         self._failures = 0           # consecutive failed connect attempts
         self._revive = asyncio.Event()
@@ -252,6 +255,7 @@ class TcpTransport:
     ):
         decode_with_context = None
         encode_into = None
+        peek_type = None
         if encode is None or decode is None:
             from . import codec
 
@@ -261,6 +265,7 @@ class TcpTransport:
             if decode is None:
                 decode = codec.decode
                 decode_with_context = codec.decode_with_context
+                peek_type = codec.peek_type
         self.env = kernel
         self._encode = encode
         # Zero-copy fast paths, only wired when the default codec is in
@@ -269,6 +274,7 @@ class TcpTransport:
         self._encode_into = encode_into
         self._decode = decode
         self._decode_with_context = decode_with_context
+        self._peek_type = peek_type
         self.node = node
         self._bind_host = bind_host
         self._bind_port = bind_port
@@ -536,6 +542,23 @@ class TcpTransport:
                 type=type(payload).__name__, reason=reason,
             )
 
+    def _trace_inbound_drop(
+        self, src: str, dst: str, inner: bytes, pos: int, reason: str
+    ) -> None:
+        """``net.drop`` for a received frame that is discarded undecoded:
+        the trace wants only the type name, which the codec header (at
+        ``inner[pos:]``) carries."""
+        tracer = self._net_tracer
+        if tracer is not None:
+            if self._peek_type is not None:
+                type_name = self._peek_type(memoryview(inner)[pos:])
+            else:
+                type_name = type(self._decode(inner[pos:])).__name__
+            tracer.emit(
+                "net.drop", self.env.now, src=src, dst=dst,
+                type=type_name, reason=reason,
+            )
+
     def send(self, src: str, dst: str, payload: Any, size: int = 128) -> None:
         """Fire-and-forget: enqueue one framed message to ``dst``."""
         if size < 0:
@@ -587,8 +610,14 @@ class TcpTransport:
             self.dropped_unreachable += 1
             self._trace_drop(src, dst, payload, "peer_unreachable")
             return
-        src_raw = src.encode("utf-8")
-        dst_raw = dst.encode("utf-8")
+        names = link.name_headers.get(src)
+        if names is None:
+            src_raw = src.encode("utf-8")
+            dst_raw = dst.encode("utf-8")
+            names = link.name_headers[src] = (
+                _U16.pack(len(src_raw)) + src_raw
+                + _U16.pack(len(dst_raw)) + dst_raw
+            )
         if self._encode_into is not None:
             # Zero-copy encode: build the outer frame in the link's
             # reusable scratch (length patched once known), then
@@ -599,10 +628,7 @@ class TcpTransport:
             scratch.clear()
             scratch += _LEN_PLACEHOLDER
             scratch += _SENT_AT.pack(self.env._now)
-            scratch += _U16.pack(len(src_raw))
-            scratch += src_raw
-            scratch += _U16.pack(len(dst_raw))
-            scratch += dst_raw
+            scratch += names
             self._encode_into(payload, scratch, context)
             _LEN.pack_into(scratch, 0, len(scratch) - _LEN.size)
             frame = bytes(scratch)
@@ -611,12 +637,7 @@ class TcpTransport:
                 body = self._encode(payload, trace_context=context)
             else:
                 body = self._encode(payload)
-            inner = (
-                _SENT_AT.pack(self.env._now)
-                + _U16.pack(len(src_raw)) + src_raw
-                + _U16.pack(len(dst_raw)) + dst_raw
-                + body
-            )
+            inner = _SENT_AT.pack(self.env._now) + names + body
             frame = _LEN.pack(len(inner)) + inner
         try:
             link.queue.put_nowait((self.env._now, msg_id, frame))
@@ -673,6 +694,19 @@ class TcpTransport:
         pos += 2
         dst = inner[pos:pos + dst_len].decode("utf-8")
         pos += dst_len
+        # Frames that will be discarded are discarded undecoded.
+        if src in self._blocked:
+            # Inbound half of a partition: frames already in flight (or
+            # sent before the remote side learned of the cut) die here.
+            self.messages_dropped += 1
+            self.dropped_partition += 1
+            self._trace_inbound_drop(src, dst, inner, pos, "partition")
+            return
+        receiver = self._hosts.get(dst)
+        if receiver is None or receiver.crashed:
+            self.messages_dropped += 1
+            self._trace_inbound_drop(src, dst, inner, pos, "dst_crashed")
+            return
         context = None
         if self._decode_with_context is not None:
             # Zero-copy decode: the codec parses straight out of the
@@ -684,13 +718,6 @@ class TcpTransport:
             )
         else:
             payload = self._decode(inner[pos:])
-        if src in self._blocked:
-            # Inbound half of a partition: frames already in flight (or
-            # sent before the remote side learned of the cut) die here.
-            self.messages_dropped += 1
-            self.dropped_partition += 1
-            self._trace_drop(src, dst, payload, "partition")
-            return
         if context is not None and context.get("msg_id") is not None:
             tracer = self._tracer
             if tracer is not None:
@@ -707,11 +734,6 @@ class TcpTransport:
                     dst=dst, origin=context.get("origin"),
                     msg_id=context["msg_id"], origin_ts=context.get("ts"),
                 )
-        receiver = self._hosts.get(dst)
-        if receiver is None or receiver.crashed:
-            self.messages_dropped += 1
-            self._trace_drop(src, dst, payload, "dst_crashed")
-            return
         now = self.env._now
         self.messages_delivered += 1
         self.bytes_delivered += frame_bytes

@@ -6,12 +6,13 @@ from repro.paxos.acceptor import AcceptorCore
 from repro.paxos.messages import (
     Decision,
     Phase1a,
+    Phase1b,
     Phase2a,
     RecoverRequest,
     RingAccept,
     Trim,
 )
-from repro.paxos.types import AppValue, Batch
+from repro.paxos.types import AppValue, Batch, SkipToken, WireBatch
 
 
 def batch(tag):
@@ -162,3 +163,109 @@ def test_trim_stops_at_undecided_instance():
     # Only the decided prefix [0] may go; instance 1 must survive.
     assert acceptor.log.trimmed_below == 1
     assert acceptor.log.get(1) is not None
+
+
+# -- wire-backed batches in the log (live backend) ----------------------
+#
+# On the live backend every batch an acceptor sees was decoded from a
+# frame, so its log holds serialised tokens.  Accepting, forwarding,
+# promising, recovery and trimming must work off the batch header and
+# the bytes alone.
+
+def _over_the_wire(message):
+    from repro.runtime import codec
+
+    return codec.decode(codec.encode(message))
+
+
+@pytest.fixture
+def no_token_parse(monkeypatch):
+    from repro.runtime import codec
+
+    def refuse(wire, count):
+        raise AssertionError("an acceptor parsed a batch's tokens")
+
+    monkeypatch.setattr(codec, "decode_batch_tokens", refuse)
+
+
+def _mixed(tag):
+    return Batch(tokens=(AppValue(payload=tag, size=40), SkipToken(7)))
+
+
+def test_wire_backed_ring_accept_is_logged_and_forwarded_unparsed(
+    no_token_parse,
+):
+    acceptor = AcceptorCore("a2", "S1", ring=("a1", "a2", "a3"))
+    msg = _over_the_wire(RingAccept("S1", 0, 0, _mixed("v"), accepted_by=1))
+    assert type(msg.batch) is WireBatch
+    (dst, forwarded), = acceptor.on_ring_accept(msg, "a1")
+    assert dst == "a3"
+    assert forwarded.batch is msg.batch
+    assert forwarded.wire_size() == msg.wire_size()
+    assert acceptor.log.get(0).value is msg.batch
+    # Forwarding re-encodes the held bytes.
+    assert type(_over_the_wire(forwarded).batch) is WireBatch
+
+
+def test_phase1b_reports_wire_backed_batches_unparsed(no_token_parse):
+    acceptor = make_acceptor()
+    originals = {i: _mixed(i) for i in range(3)}
+    for i, original in originals.items():
+        acceptor.on_phase2a(
+            _over_the_wire(Phase2a("S1", 4, i, original)), "c"
+        )
+    (_dst, reply), = acceptor.on_phase1a(
+        Phase1a(stream="S1", ballot=7, from_instance=1), "c2"
+    )
+    assert [(i, vrnd) for i, vrnd, _b in reply.accepted] == [(1, 4), (2, 4)]
+    assert reply.wire_size() == Phase1b(
+        stream="S1", ballot=7, acceptor="a1",
+        accepted=tuple((i, 4, originals[i]) for i in (1, 2)),
+    ).wire_size()
+    received = _over_the_wire(reply)
+    assert all(type(b) is WireBatch for _i, _r, b in received.accepted)
+
+
+def test_phase1b_batches_parse_back_to_the_originals_at_the_coordinator():
+    acceptor = make_acceptor()
+    original = _mixed("x")
+    acceptor.on_phase2a(_over_the_wire(Phase2a("S1", 4, 0, original)), "c")
+    (_dst, reply), = acceptor.on_phase1a(
+        Phase1a(stream="S1", ballot=7, from_instance=0), "c2"
+    )
+    ((_i, _vrnd, reported),) = _over_the_wire(reply).accepted
+    assert reported == original
+    assert reported.tokens == original.tokens
+
+
+def test_recovery_serves_wire_backed_batches_unparsed(no_token_parse):
+    acceptor = make_acceptor()
+    for i in range(4):
+        acceptor.on_decision(
+            _over_the_wire(Decision("S1", i, _mixed(i))), "c"
+        )
+    (_dst, reply), = acceptor.on_recover_request(
+        RecoverRequest(stream="S1", from_instance=1), "learner"
+    )
+    assert [i for i, _b in reply.decided] == [1, 2, 3]
+    assert reply.wire_size() > 0
+    received = _over_the_wire(reply)
+    assert [b.positions() for _i, b in received.decided] == [8, 8, 8]
+
+
+def test_trim_counts_positions_of_wire_backed_batches_unparsed(
+    no_token_parse,
+):
+    acceptor = make_acceptor()
+    for i in range(4):
+        acceptor.on_decision(
+            _over_the_wire(Decision("S1", i, _mixed(i))), "c"
+        )
+    acceptor.on_trim(Trim(stream="S1", below=3), "c")
+    assert acceptor.log.trimmed_below == 3
+    assert acceptor.positions_trimmed == 3 * 8     # 1 value + 7 skipped each
+    (_dst, reply), = acceptor.on_recover_request(
+        RecoverRequest(stream="S1", from_instance=0), "learner"
+    )
+    assert reply.base_position == 24
+    assert [i for i, _b in reply.decided] == [3]

@@ -58,6 +58,7 @@ from repro.paxos.types import (
     SkipToken,
     SubscribeMsg,
     UnsubscribeMsg,
+    WireBatch,
 )
 from repro.runtime import codec
 
@@ -141,7 +142,11 @@ def _field_names(cls):
     fast = getattr(cls, "_FIELDS", ())
     if fast:
         return tuple(fast)
-    return tuple(getattr(cls, "__slots__", ()))
+    # Private slots are caches (Batch._wire), unset until first use.
+    return tuple(
+        slot for slot in getattr(cls, "__slots__", ())
+        if not slot.startswith("_")
+    )
 
 
 def test_corpus_covers_every_registered_class():
@@ -344,6 +349,23 @@ def test_decoded_strings_are_real_str_not_views():
 
 # -- robustness fuzz: truncation and corruption (PR 8) ------------------
 
+def _force_batches(message):
+    """Parse every batch body a decoded message carries.
+
+    Frame decode checks a batch's header against the frame and leaves
+    the body opaque; damage inside it surfaces on the first read of
+    ``tokens`` -- as CodecError too, which is what the fuzz tests pin.
+    """
+    carried = [getattr(message, "batch", None)]
+    for entry in getattr(message, "accepted", ()) or ():
+        carried.append(entry[-1])
+    for entry in getattr(message, "decided", ()) or ():
+        carried.append(entry[-1])
+    for batch in carried:
+        if isinstance(batch, Batch):
+            batch.tokens
+
+
 @pytest.mark.parametrize(
     "cls", codec.registered_classes(), ids=lambda c: c.__name__
 )
@@ -355,7 +377,7 @@ def test_truncation_fuzz_raises_codec_error_only(cls):
     step = 1 if len(frame) <= 256 else 7
     for cut in range(0, len(frame), step):
         try:
-            codec.decode_with_context(frame[:cut])
+            _force_batches(codec.decode_with_context(frame[:cut])[0])
         except codec.CodecError:
             pass
 
@@ -375,6 +397,177 @@ def test_corruption_fuzz_raises_codec_error_only(cls):
         corrupt = bytearray(frame)
         corrupt[pos] ^= rng.randrange(1, 256)
         try:
-            codec.decode_with_context(bytes(corrupt))
+            _force_batches(codec.decode_with_context(bytes(corrupt))[0])
         except codec.CodecError:
             pass
+
+
+# -- opaque batch bodies: serialise once, parse once per learner ---------
+
+_KV_BATCH = Batch((
+    AppValue(PutCmd(key="k1", value="v", value_size=512, client="c1",
+                    cmd_id=5), size=512, msg_id=300, sender="c1"),
+    AppValue(TxnCmd(ops=(("k1", "put", "v"), ("k2", "read", None)),
+                    client="c1", cmd_id=6), size=64, msg_id=301),
+    AppValue(MapChangeCmd(new_map=_PMAP, cmd_id=7), size=256, msg_id=302),
+))
+
+BATCH_SHAPES = {
+    "empty": Batch(()),
+    "pure_skip": Batch((SkipToken(5), SkipToken(1 << 40))),
+    "control": Batch((
+        _value(), SkipToken(3), SubscribeMsg("g1", "s2", 44),
+        UnsubscribeMsg("g1", "s1", 45), PrepareMsg("g2", "s2", 46),
+    )),
+    "bytes_8k": Batch(tuple(
+        AppValue(bytes([i]) * 8192, size=8192, msg_id=200 + i, sender="c1")
+        for i in range(3)
+    )),
+    "kvstore": _KV_BATCH,
+    "explicit_payload_bytes": Batch((_value(),), payload_bytes=4096),
+}
+
+
+@pytest.fixture
+def token_parses(monkeypatch):
+    """Calls of the codec's token-materialise helper, by batch wire."""
+    calls = []
+    real = codec.decode_batch_tokens
+
+    def counting(wire, count):
+        calls.append(wire)
+        return real(wire, count)
+
+    monkeypatch.setattr(codec, "decode_batch_tokens", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
+def test_batch_shapes_round_trip_wire_backed(shape, token_parses):
+    original = BATCH_SHAPES[shape]
+    carriers = (
+        RingAccept("s1", 3, 7, original, accepted_by=1),
+        Decision("s1", 7, original),
+        Phase2a("s1", 3, 7, original),
+    )
+    for carrier in carriers:
+        decoded = codec.decode(codec.encode(carrier))
+        batch = decoded.batch
+        assert type(batch) is WireBatch
+        # Everything an acceptor or a forward needs comes off the
+        # header: no token is built.
+        assert decoded.wire_size() == carrier.wire_size()
+        assert batch.token_count == len(original.tokens)
+        assert batch.payload_bytes == original.payload_bytes
+        assert batch.positions() == original.positions()
+        assert codec.encode(decoded) == codec.encode(carrier)
+        assert token_parses == []
+        # The learner's first read parses, once.
+        assert batch.tokens == original.tokens
+        assert batch.tokens is batch.tokens
+        assert len(token_parses) == 1
+        assert batch.is_pure_skip() == original.is_pure_skip()
+        assert batch == original and original == batch
+        assert hash(batch) == hash(original)
+        assert batch == codec.decode(codec.encode(carrier)).batch
+        assert repr(batch) == repr(original)
+        del token_parses[:]
+
+
+def test_tokens_backed_batch_is_serialised_once(monkeypatch):
+    # Classic dissemination sends one batch in Phase2a to each acceptor
+    # and in a Decision to each learner: the first encode memoises.
+    encodes = []
+    real = codec.encode_batch_wire
+
+    def counting(batch):
+        encodes.append(batch)
+        return real(batch)
+
+    monkeypatch.setattr(codec, "encode_batch_wire", counting)
+    batch = _batch(3)
+    frames = [codec.encode(Phase2a("s1", 3, 7, batch)) for _ in range(3)]
+    frames += [codec.encode(Decision("s1", 7, batch)) for _ in range(2)]
+    assert encodes == [batch]
+    assert len(set(frames[:3])) == 1 and len(set(frames[3:])) == 1
+    assert codec.decode(frames[-1]).batch == batch
+    # A batch that is only ever passed as an object (the simulator)
+    # never grows a serialised form.
+    with pytest.raises(AttributeError):
+        _batch(3)._wire
+
+
+def test_old_object_form_batch_still_decodes():
+    # Peers from before the opaque body nested a batch as a registered
+    # object (type id 25: tokens, payload_bytes).  The registry still
+    # reads that, into a plain tokens-backed Batch.
+    import struct
+
+    batch = _batch(2)
+    body = bytearray()
+    for value in ("s1", 7):
+        codec._encode_value(value, body)
+    body.append(codec._T_OBJ)
+    body += struct.pack("!H", 25)
+    codec._encode_value(batch.tokens, body)
+    codec._encode_value(batch.payload_bytes, body)
+    frame = struct.pack("!BHI", codec.WIRE_VERSION, 7, len(body)) + body
+    decoded = codec.decode(bytes(frame))
+    assert type(decoded) is Decision
+    assert type(decoded.batch) is Batch
+    assert decoded.batch == batch
+    assert decoded.batch.payload_bytes == batch.payload_bytes
+
+
+def test_batch_header_is_checked_at_frame_decode():
+    import struct
+
+    frame = bytearray(codec.encode(Decision("s1", 7, _batch(2))))
+    start = bytes(frame).index(bytes([codec._T_BATCH]), 7)
+    header = struct.Struct("!BIQQI")
+    tag, count, payload, positions, body_len = header.unpack_from(frame, start)
+    for damaged in (
+        (tag, count, payload, positions, body_len + 10_000),   # past frame
+        (tag, body_len + 1, payload, positions, body_len),     # count > bytes
+    ):
+        corrupt = bytearray(frame)
+        header.pack_into(corrupt, start, *damaged)
+        with pytest.raises(codec.CodecError):
+            codec.decode(bytes(corrupt))
+
+
+def test_damage_inside_a_batch_body_is_a_codec_error_at_materialisation():
+    import struct
+
+    frame = bytearray(codec.encode(Decision("s1", 7, _batch(2))))
+    start = bytes(frame).index(bytes([codec._T_BATCH]), 7)
+    first_token = start + struct.calcsize("!BIQQI")
+    assert frame[first_token] == codec._T_OBJ
+    frame[first_token] = 0xEE                  # no such value tag
+    decoded = codec.decode(bytes(frame))       # header intact: decodes
+    assert decoded.batch.token_count == 2
+    with pytest.raises(codec.CodecError):
+        decoded.batch.tokens
+    # A count that disagrees with the body: trailing bytes are an error.
+    frame = bytearray(codec.encode(Decision("s1", 7, _batch(2))))
+    struct.pack_into("!I", frame, start + 1, 1)
+    with pytest.raises(codec.CodecError):
+        codec.decode(bytes(frame)).batch.tokens
+
+
+def test_peek_type_reads_the_header_only():
+    frame = codec.encode(Decision("s1", 7, _batch(2)))
+    assert codec.peek_type(frame) == "Decision"
+    assert codec.peek_type(memoryview(frame)[:7]) == "Decision"
+    traced = codec.encode(Heartbeat(nonce=1), trace_context={"origin": "n1"})
+    assert codec.peek_type(traced) == "Heartbeat"
+    with pytest.raises(codec.CodecError):
+        codec.peek_type(frame[:6])
+    with pytest.raises(codec.CodecError):
+        codec.peek_type(b"\x01\xff\xff\x00\x00\x00\x00")
+
+
+def test_batch_header_field_out_of_range_is_a_codec_error():
+    oversized = Batch((_value(),), payload_bytes=1 << 70)
+    with pytest.raises(codec.CodecError):
+        codec.encode(Decision("s1", 7, oversized))

@@ -1,0 +1,134 @@
+"""A batch is serialised once and parsed once per learner.
+
+Counts, not timings: a live cluster orders a few hundred values while
+the codec's two batch helpers -- ``encode_batch_wire`` (tokens ->
+bytes) and ``decode_batch_tokens`` (bytes -> tokens) -- are counted from
+outside, each call attributed to the actor whose ``dispatch`` was
+running.  The contract of ``runtime/codec.py``:
+
+* every batch the coordinator forms is serialised exactly once, however
+  many frames carry it (one ``RingAccept`` on the ring; ``Phase2a`` to
+  each acceptor plus a ``Decision`` to each learner and acceptor in
+  classic mode);
+* every learner parses each instance it delivers exactly once, so
+  parses == replicas x decided instances;
+* acceptors and the coordinator never parse: they order, log and
+  forward bytes.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import collections
+
+import pytest
+
+from repro.multicast.replica import MulticastReplica
+from repro.paxos.acceptor import AcceptorActor
+from repro.paxos.coordinator import CoordinatorActor
+from repro.runtime import codec
+from repro.runtime.supervisor import LiveCluster, LiveConfig
+
+REPLICAS = 3
+VALUES = 300
+
+
+def _count_batch_helpers(monkeypatch):
+    """Patch the codec helpers and the three actors' dispatch; must run
+    before the cluster is built (actors bind dispatch at construction)."""
+    running: list[str] = []                 # role of the dispatching actor
+    parses = collections.Counter()          # role -> token-body parses
+    encoded: list = []                      # batches serialised, in order
+
+    def attributed(cls, role):
+        dispatch = cls.dispatch
+
+        def traced(self, payload, src):
+            running.append(role)
+            try:
+                return dispatch(self, payload, src)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(cls, "dispatch", traced)
+
+    attributed(AcceptorActor, "acceptor")
+    attributed(CoordinatorActor, "coordinator")
+    attributed(MulticastReplica, "replica")
+
+    real_parse = codec.decode_batch_tokens
+    real_encode = codec.encode_batch_wire
+
+    def counting_parse(wire, count):
+        parses[running[-1] if running else "outside"] += 1
+        return real_parse(wire, count)
+
+    def counting_encode(batch):
+        encoded.append(batch)       # keeps the batch alive: ids stay unique
+        return real_encode(batch)
+
+    monkeypatch.setattr(codec, "decode_batch_tokens", counting_parse)
+    monkeypatch.setattr(codec, "encode_batch_wire", counting_encode)
+    return parses, encoded
+
+
+async def _order_values(dissemination: str):
+    cluster = LiveCluster(LiveConfig(
+        streams=1, replicas=REPLICAS, rate=2000.0, drain_timeout=30.0,
+        dissemination=dissemination,
+    ))
+    delivered = collections.Counter()
+    for name, replica in cluster.replicas.items():
+        replica.add_delivery_observer(
+            lambda _value, _stream, _position, name=name:
+            delivered.update([name])
+        )
+    await cluster.start()
+    try:
+        for start in range(0, VALUES, 50):      # bursts: multi-value batches
+            for index in range(start, start + 50):
+                cluster.client.multicast("s1", f"v{index}", 64)
+            await asyncio.sleep(0.02)
+        deadline = asyncio.get_running_loop().time() + 30.0
+        while (min(delivered[name] for name in cluster.replicas) < VALUES
+               and asyncio.get_running_loop().time() < deadline):
+            await asyncio.sleep(0.01)
+        assert await cluster.drain(30.0)
+    finally:
+        await cluster.stop()
+    assert all(delivered[name] == VALUES for name in cluster.replicas)
+    return cluster
+
+
+@pytest.mark.parametrize("dissemination", ["ring", "classic"])
+def test_one_serialisation_per_batch_one_parse_per_learner(
+    monkeypatch, dissemination
+):
+    parses, encoded = _count_batch_helpers(monkeypatch)
+    cluster = asyncio.run(
+        asyncio.wait_for(_order_values(dissemination), timeout=120)
+    )
+    coordinator = cluster.directory["s1"].coordinator
+
+    # One serialisation per batch formed, whatever the fan-out.
+    assert len(encoded) == coordinator.next_instance
+    assert len({id(batch) for batch in encoded}) == len(encoded)
+    assert sum(batch.token_count for batch in encoded) > VALUES  # + skips
+
+    # One parse per learner per instance it delivered: with R learners
+    # that all caught up, R x decided instances.
+    learned = {
+        name: replica.learners["s1"].delivered_instances
+        for name, replica in cluster.replicas.items()
+    }
+    assert min(learned.values()) > 0
+    assert parses["replica"] == sum(learned.values())
+    assert max(learned.values()) <= len(coordinator.decided_instances)
+    assert (
+        REPLICAS * min(learned.values())
+        <= parses["replica"]
+        <= REPLICAS * len(coordinator.decided_instances)
+    )
+
+    # Acceptors and the coordinator move bytes.
+    assert set(parses) == {"replica"}, parses

@@ -164,3 +164,79 @@ def test_partition_drops_outbound_and_inbound():
         await right.stop()
 
     run(main())
+
+
+def test_discarded_inbound_frames_are_never_decoded(monkeypatch):
+    # A frame from a partitioned peer, or to a crashed host, is dropped
+    # on its envelope alone; the ``net.drop`` trace reads the type name
+    # from the codec header.  The transport binds the codec functions
+    # when it is built, so count before building it.
+    from repro.obs.trace import Tracer
+    from repro.runtime import codec
+
+    decoded = []
+    real_decode = codec.decode_with_context
+
+    def counting_decode(frame):
+        message, context = real_decode(frame)
+        decoded.append(type(message).__name__)
+        return message, context
+
+    monkeypatch.setattr(codec, "decode_with_context", counting_decode)
+
+    class _ListSink:
+        def __init__(self):
+            self.events = []
+
+        def record(self, event):
+            self.events.append(event)
+
+        def close(self):
+            pass
+
+    async def main():
+        sink = _ListSink()
+        kernel = AsyncioKernel(
+            tracer=Tracer(sinks=[sink], categories=frozenset({"net"}))
+        )
+        left = TcpTransport(kernel)
+        right = TcpTransport(kernel)
+        pinger = Pinger(kernel, left, "a")
+        ponger = Ponger(kernel, right, "b")
+        await left.start()
+        await right.start()
+        left.register_address("b", right.address)
+        right.register_address("a", left.address)
+        pinger.start()
+        ponger.start()
+        pinger.send("b", Heartbeat(nonce=1))
+        assert await eventually(lambda: ponger.seen == [1])
+        assert decoded.count("Heartbeat") == 1
+
+        right.set_partition(["a"])
+        for nonce in (2, 3):
+            pinger.send("b", Heartbeat(nonce=nonce))
+        assert await eventually(
+            lambda: right.counters()["dropped_partition"] == 2
+        )
+        right.set_partition(["a"], blocked=False)
+        ponger.crash()
+        pinger.send("b", Heartbeat(nonce=4))
+        assert await eventually(lambda: right.messages_dropped == 3)
+
+        assert decoded.count("Heartbeat") == 1
+        assert ponger.seen == [1]
+        drops = [
+            (e["type"], e["reason"])
+            for e in sink.events if e["kind"] == "net.drop"
+        ]
+        assert drops == [
+            ("Heartbeat", "partition"),
+            ("Heartbeat", "partition"),
+            ("Heartbeat", "dst_crashed"),
+        ]
+        pinger.stop()
+        await left.stop()
+        await right.stop()
+
+    run(main())
