@@ -85,6 +85,19 @@ _NOISY_CATEGORIES = frozenset({"net", "sim", "dispatch"})
 ALL_CATEGORIES = DEFAULT_CATEGORIES | _NOISY_CATEGORIES
 
 
+class _KindCategories(dict):
+    """``kind -> kind's prefix before the first dot``, computed once per
+    kind: ``emit`` runs for every event of the always-on flight recorder,
+    and kinds are a small fixed vocabulary (``obs/schema.py``)."""
+
+    def __missing__(self, kind: str) -> str:
+        category = self[kind] = kind.partition(".")[0]
+        return category
+
+
+_CATEGORY_OF = _KindCategories()
+
+
 class ListSink:
     """Collects events into an in-memory list (tests, small runs)."""
 
@@ -182,7 +195,7 @@ class Tracer:
         ``cat`` defaults to the ``kind`` prefix before the first dot.
         Fields must be JSON-serialisable (strings, numbers, lists).
         """
-        category = cat if cat is not None else kind.partition(".")[0]
+        category = cat if cat is not None else _CATEGORY_OF[kind]
         if category not in self.categories:
             return
         event = {"ts": at, "seq": next(self._seq), "kind": kind, "cat": category}

@@ -12,7 +12,13 @@ Wire framing (outer; the codec frame has its own versioned header)::
     [u32 frame_len] [f64 sent_at] [u16 src_len][src] [u16 dst_len][dst]
     [codec frame]
 
-``frame_len`` counts everything after itself.
+``frame_len`` counts everything after itself.  Bytes that do not parse
+-- a ``frame_len`` above ``_MAX_FRAME_BYTES``, a damaged envelope, a
+codec frame the codec rejects -- are the sender's fault, not the
+listener's: the frame is counted (``dropped_malformed``), traced
+(``net.drop``, ``reason="malformed"``) and *that connection* is closed,
+since nothing after a bad length prefix can be re-synchronised.  Every
+other connection, and the listener, carry on.
 
 Per-peer connection management: one :class:`_PeerLink` per destination
 name, with
@@ -78,6 +84,12 @@ _BACKOFF_CAP = 1.0
 # at most one burst).
 _MAX_BURST_FRAMES = 128
 _MAX_BURST_BYTES = 1 << 20
+
+# Largest inbound frame a listener will buffer.  Far above anything the
+# protocol sends (a full adaptive batch of 8 KiB values is ~2 MiB, a
+# recovery reply a few of those); a length prefix beyond it is garbage,
+# and reading it would buffer up to 4 GiB before the codec ever saw it.
+_MAX_FRAME_BYTES = 64 << 20
 
 _LEN_PLACEHOLDER = bytes(_LEN.size)
 
@@ -275,6 +287,12 @@ class TcpTransport:
         self._decode = decode
         self._decode_with_context = decode_with_context
         self._peek_type = peek_type
+        # What parsing an inbound frame raises when the bytes are bad:
+        # the envelope's own struct / utf-8 reads, and the default
+        # codec's one typed error.
+        self._malformed: tuple = (struct.error, UnicodeDecodeError)
+        if decode_with_context is not None:
+            self._malformed += (codec.CodecError,)
         self.node = node
         self._bind_host = bind_host
         self._bind_port = bind_port
@@ -318,6 +336,7 @@ class TcpTransport:
         self.dropped_backpressure = 0
         self.dropped_unreachable = 0
         self.dropped_partition = 0
+        self.dropped_malformed = 0
         self.peers_parked = 0
         self.reconnect_attempts = 0
         self.peak_send_queue = 0
@@ -523,6 +542,7 @@ class TcpTransport:
             "dropped_backpressure": self.dropped_backpressure,
             "dropped_unreachable": self.dropped_unreachable,
             "dropped_partition": self.dropped_partition,
+            "dropped_malformed": self.dropped_malformed,
             "peers_parked": self.peers_parked,
             "peers_unreachable": len(self._unreachable),
             "reconnect_attempts": self.reconnect_attempts,
@@ -550,10 +570,13 @@ class TcpTransport:
         ``inner[pos:]``) carries."""
         tracer = self._net_tracer
         if tracer is not None:
-            if self._peek_type is not None:
-                type_name = self._peek_type(memoryview(inner)[pos:])
-            else:
-                type_name = type(self._decode(inner[pos:])).__name__
+            try:
+                if self._peek_type is not None:
+                    type_name = self._peek_type(memoryview(inner)[pos:])
+                else:
+                    type_name = type(self._decode(inner[pos:])).__name__
+            except self._malformed:
+                type_name = "unknown"   # dropped and counted already
             tracer.emit(
                 "net.drop", self.env.now, src=src, dst=dst,
                 type=type_name, reason=reason,
@@ -675,13 +698,37 @@ class TcpTransport:
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
                 (frame_len,) = _LEN.unpack(header)
+                if frame_len > _MAX_FRAME_BYTES:
+                    self._drop_malformed(
+                        writer, f"frame_len {frame_len} > {_MAX_FRAME_BYTES}"
+                    )
+                    return
                 try:
                     inner = await reader.readexactly(frame_len)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
-                self._deliver_frame(inner, frame_len + _LEN.size)
+                try:
+                    self._deliver_frame(inner, frame_len + _LEN.size)
+                except self._malformed as exc:
+                    self._drop_malformed(writer, repr(exc))
+                    return
         finally:
             writer.close()
+
+    def _drop_malformed(self, writer: asyncio.StreamWriter, error: str) -> None:
+        """An inbound frame did not parse; the caller closes the
+        connection it came in on."""
+        self.messages_dropped += 1
+        self.dropped_malformed += 1
+        tracer = self._net_tracer
+        if tracer is not None:
+            peer = writer.get_extra_info("peername")
+            tracer.emit(
+                "net.drop", self.env.now,
+                src=("%s:%s" % peer[:2]) if peer else "unknown",
+                dst=self.node or "", type="unknown", reason="malformed",
+                error=error,
+            )
 
     def _deliver_frame(self, inner: bytes, frame_bytes: int) -> None:
         (sent_at,) = _SENT_AT.unpack_from(inner, 0)

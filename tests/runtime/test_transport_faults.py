@@ -6,7 +6,8 @@ die for good (kill -9) and return on a *different* port.  These tests
 pin the new behaviour: a link parks as unreachable after a bounded
 number of failed connects, drops its backlog visibly, revives on
 ``register_address``, and ``set_partition`` drops traffic in both
-directions without touching connection state.
+directions without touching connection state.  And a connection that
+sends bytes which do not parse is closed and counted, alone.
 """
 
 from __future__ import annotations
@@ -238,5 +239,108 @@ def test_discarded_inbound_frames_are_never_decoded(monkeypatch):
         pinger.stop()
         await left.stop()
         await right.stop()
+
+    run(main())
+
+
+def test_malformed_frames_close_their_connection_only():
+    # Garbage on one connection, a 4 GiB length prefix on another: each
+    # is counted, traced and closed; the listener stays up and the
+    # well-formed peer next to them keeps delivering.
+    import struct
+
+    from repro.obs.schema import validate_event
+    from repro.obs.trace import ListSink, Tracer
+    from repro.runtime import codec, transport as transport_module
+
+    async def closed_by_peer(reader):
+        return await asyncio.wait_for(reader.read(), timeout=5) == b""
+
+    async def main():
+        sink = ListSink()
+        kernel = AsyncioKernel(
+            tracer=Tracer(sinks=[sink], categories=frozenset({"net"}))
+        )
+        left = TcpTransport(kernel)
+        right = TcpTransport(kernel, node="n-right")
+        pinger = Pinger(kernel, left, "a")
+        ponger = Ponger(kernel, right, "b")
+        await left.start()
+        await right.start()
+        left.register_address("b", right.address)
+        right.register_address("a", left.address)
+        pinger.start()
+        ponger.start()
+        pinger.send("b", Heartbeat(nonce=1))
+        assert await eventually(lambda: pinger.acks == [1])
+
+        envelope = (
+            struct.pack("!d", 0.0)
+            + struct.pack("!H", 1) + b"a" + struct.pack("!H", 1) + b"b"
+        )
+        good_body = codec.encode(Heartbeat(nonce=5))
+        bad_frames = {
+            "codec body": envelope + b"\xff" * 32,
+            "truncated codec body": envelope + good_body[:9],
+            "envelope too short": b"\x00" * 5,
+            "name not utf-8": (
+                struct.pack("!d", 0.0) + struct.pack("!H", 2) + b"\xff\xfe"
+                + struct.pack("!H", 1) + b"b" + good_body
+            ),
+        }
+        expected = 0
+        for label, inner in bad_frames.items():
+            reader, writer = await asyncio.open_connection(*right.address)
+            # A well-formed frame first: it is delivered, the bad one
+            # behind it on the same connection is what closes it.
+            good = envelope + codec.encode(Heartbeat(nonce=100 + expected))
+            writer.write(struct.pack("!I", len(good)) + good)
+            writer.write(struct.pack("!I", len(inner)) + inner)
+            await writer.drain()
+            assert await closed_by_peer(reader), label
+            writer.close()
+            expected += 1
+            assert right.counters()["dropped_malformed"] == expected, label
+            assert 100 + expected - 1 in ponger.seen, label
+
+        # An oversized length prefix is refused before anything is read.
+        reader, writer = await asyncio.open_connection(*right.address)
+        writer.write(struct.pack("!I", transport_module._MAX_FRAME_BYTES + 1))
+        writer.write(b"\x00" * 64)
+        await writer.drain()
+        assert await closed_by_peer(reader)
+        writer.close()
+        expected += 1
+        counters = right.counters()
+        assert counters["dropped_malformed"] == expected
+        assert counters["messages_dropped"] == expected
+
+        # The largest accepted length is still just a length: the
+        # connection waits for the bytes instead of being refused.
+        reader, writer = await asyncio.open_connection(*right.address)
+        writer.write(struct.pack("!I", transport_module._MAX_FRAME_BYTES))
+        await writer.drain()
+        await asyncio.sleep(0.05)
+        assert right.counters()["dropped_malformed"] == expected
+        writer.close()
+
+        # The listener and the established link are unaffected.
+        pinger.send("b", Heartbeat(nonce=2))
+        assert await eventually(lambda: 2 in pinger.acks)
+        assert left.counters()["dropped_malformed"] == 0
+
+        drops = [e for e in sink.events if e["kind"] == "net.drop"]
+        assert len(drops) == expected
+        for event in drops:
+            validate_event(event)
+        assert {e["reason"] for e in drops} == {"malformed"}
+        assert {e["dst"] for e in drops} == {"n-right"}
+        assert all(e["src"].startswith("127.0.0.1:") for e in drops)
+        assert "frame_len" in drops[-1]["error"]
+        pinger.stop()
+        ponger.stop()
+        await left.stop()
+        await right.stop()
+        assert kernel.failures == []
 
     run(main())
