@@ -234,8 +234,17 @@ class ElasticMerger:
 
     # -- driving -------------------------------------------------------------
 
-    def notify(self, stream: str = "") -> None:
-        """Tokens were appended to a stream's log: resume merging."""
+    def notify(self, stream: str) -> None:
+        """Tokens were appended to ``stream``'s log: resume merging if
+        that can make progress.  Outside a subscription the merge only
+        ever waits on the stream whose round-robin turn it is, so news
+        from any other stream cannot move it."""
+        if (
+            self._pending is None
+            and self.sigma
+            and stream != self.sigma[self._rr]
+        ):
+            return
         self.pump()
 
     def pump(self) -> None:

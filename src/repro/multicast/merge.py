@@ -92,8 +92,12 @@ class StaticMerger:
     def positions(self) -> dict[str, int]:
         return {name: c.position for name, c in self._cursors.items()}
 
-    def notify(self, stream: str = "") -> None:
-        """New tokens are available; drain as far as possible."""
+    def notify(self, stream: str) -> None:
+        """New tokens are available on ``stream``; drain as far as
+        possible.  The merge only ever waits on the stream whose
+        round-robin turn it is: news from any other cannot move it."""
+        if stream != self.sigma[self._rr]:
+            return
         self.pump()
 
     def pump(self) -> None:

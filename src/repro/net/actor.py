@@ -103,12 +103,9 @@ class Actor:
     def send_all(self, dsts: list[str], payload: Message) -> None:
         if self.host.crashed:
             return
-        # One wire-size computation for the whole fan-out.
-        size = payload.wire_size()
-        net_send = self.network.send
-        name = self.name
-        for dst in dsts:
-            net_send(name, dst, payload, size)
+        # One wire-size computation -- and, on a transport that
+        # serialises, one encode -- for the whole fan-out.
+        self.network.broadcast(self.name, dsts, payload, payload.wire_size())
 
     # -- dispatch ------------------------------------------------------
 

@@ -280,13 +280,10 @@ class AcceptorActor(Actor):
                     instance=message.instance,
                     batch=message.batch,
                 )
-                if not self.host.crashed:
-                    size = decision.wire_size()
-                    net_send = self.network.send
-                    name = self.name
-                    for target in self.decision_targets:
-                        if target != name:
-                            net_send(name, target, decision, size)
+                name = self.name
+                self.send_all(
+                    [t for t in self.decision_targets if t != name], decision
+                )
             else:
                 self.send(dst, message)
 

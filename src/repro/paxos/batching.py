@@ -125,5 +125,9 @@ class AdaptiveBatchPolicy:
     def linger_s(self) -> float:
         """How long a not-yet-full batch may be held open for arrivals
         to join it.  Zero when idle (latency first), approaching
-        ``max_linger_s`` under pressure (throughput first)."""
+        ``max_linger_s`` under pressure (throughput first).  A queue of
+        one is not pressure: a lone value's linger would be below any
+        real timer's resolution and only cost it a timer wakeup."""
+        if self._level <= 1.0:
+            return 0.0
         return self.max_linger_s * self._saturation()

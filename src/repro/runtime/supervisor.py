@@ -431,11 +431,12 @@ class LiveCluster:
                 if node.telemetry is None and node.profiler is not None:
                     node.profiler.write_collapsed(self._profile_path(node.name))
         if self._scrape_task is not None:
-            self._scrape_task.cancel()
-            try:
-                await self._scrape_task
-            except asyncio.CancelledError:
-                pass
+            # Cancel until it sticks: before Python 3.12, wait_for (in
+            # http_get_json) swallows a cancellation that lands just as
+            # its fetch completes, and the loop would scrape on forever.
+            while not self._scrape_task.done():
+                self._scrape_task.cancel()
+                await asyncio.wait({self._scrape_task}, timeout=0.1)
             self._scrape_task = None
         self.client.stop()
         for replica in self.replicas.values():

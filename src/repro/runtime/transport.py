@@ -20,52 +20,39 @@ listener's: the frame is counted (``dropped_malformed``), traced
 since nothing after a bad length prefix can be re-synchronised.  Every
 other connection, and the listener, carry on.
 
-Per-peer connection management: one :class:`_PeerLink` per destination
-name, with
+The datapath is callbacks on the event loop -- no task, queue or stream
+object between ``send`` and the socket, or between the socket and the
+receiving host's inbox (docs/RUNTIME.md section 3 has the contracts):
 
-* a bounded send queue -- ``send`` is fire-and-forget; when the queue
-  is full the message is *dropped* (and counted), exactly like a
-  saturated kernel socket buffer under a fire-and-forget datagram
-  model.  Loss is repaired by the protocol's retransmission, never by
-  the transport;
-* a writer task that *coalesces*: it drains the backlog into a burst
-  (capped by ``_MAX_BURST_FRAMES`` / ``_MAX_BURST_BYTES``), joins the
-  frames into one immutable ``bytes`` and pays a single
-  ``writer.write()`` + ``writer.drain()`` for the whole burst -- one
-  syscall and one backpressure round-trip amortised over up to 128
-  frames instead of each frame paying its own.  The join is a fresh
-  ``bytes`` object every attempt because the event loop (uvloop in
-  particular) may keep a reference to a written buffer until the write
-  completes -- a reused mutable scratch must never be handed to
-  ``write()``;
-* reconnect-with-backoff (50 ms doubling to 1 s) when the peer is not
-  yet listening or the connection drops; the burst being written when
-  a connection dies is retried on the next connection *in full* -- the
-  unsent tail is kept, not just the first frame;
-* a *reachability cap*: after ``unreachable_after`` consecutive failed
-  connect attempts to a known address, the link parks as unreachable
-  instead of retrying forever -- its backlog is dropped (counted as
-  ``dropped_unreachable``), new sends drop immediately, and the peer
-  name is surfaced via :meth:`TcpTransport.unreachable_peers`.  A
-  fresh :meth:`TcpTransport.register_address` for that peer (how a
-  supervisor announces a restarted worker's new port) revives the
-  link; the in-flight burst held across the outage is still retried
-  in full;
-* ``transport.queue_wait`` attribution is recorded when a frame leaves
-  the queue for a burst, exactly as it was for per-frame writes.
+* one outbound :class:`_Connection` per peer *address*, shared by every
+  destination name behind it; a name with no address yet waits on an
+  address-less connection until ``register_address`` moves it;
+* ``send`` appends the frame and arms one ``call_soon(flush)`` per loop
+  turn; the flush is one ``transport.write()`` of everything queued in
+  that turn, held back between ``pause_writing`` / ``resume_writing``.
+  Beyond ``send_queue_frames`` pending frames per destination *name*
+  the message is dropped and counted, like a saturated kernel buffer
+  under a datagram model: loss is repaired by the protocol's
+  retransmission, never by the transport;
+* reconnect with backoff (50 ms doubling to 1 s), pending frames leave
+  in order on the next connection; after ``unreachable_after`` failed
+  connects the connection *parks* -- backlog and new sends dropped
+  (``dropped_unreachable``) -- until ``register_address`` revives it;
+* an accepted connection (:class:`_Inbound`) carves every complete
+  frame out of the chunk ``data_received`` hands it.
 
-Encoding reuses a per-link ``bytearray`` scratch (outer framing + the
-codec's :func:`~repro.runtime.codec.encode_into`) snapshotted to
-``bytes`` once per message; decoding hands the codec a ``memoryview``
-into the receive buffer (see the zero-copy contract in
-``runtime/codec.py`` and docs/PERFORMANCE.md).
+Encoding reuses one ``bytearray`` scratch (outer framing + the codec's
+:func:`~repro.runtime.codec.encode_into`) snapshotted to ``bytes`` once
+per message; ``broadcast`` encodes the codec frame once per fan-out.
+Decoding hands the codec a ``memoryview`` into the received frame (the
+zero-copy contract: ``runtime/codec.py``, docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .asyncio_kernel import AsyncioKernel, LiveStore
 from .kernel import Envelope
@@ -79,12 +66,6 @@ _U16 = struct.Struct("!H")
 _BACKOFF_INITIAL = 0.05
 _BACKOFF_CAP = 1.0
 
-# Coalescing caps: bound the memory a single joined write may pin and
-# keep reconnect retransmission amortised (a lost connection re-sends
-# at most one burst).
-_MAX_BURST_FRAMES = 128
-_MAX_BURST_BYTES = 1 << 20
-
 # Largest inbound frame a listener will buffer.  Far above anything the
 # protocol sends (a full adaptive batch of 8 KiB values is ~2 MiB, a
 # recovery reply a few of those); a length prefix beyond it is garbage,
@@ -92,6 +73,19 @@ _MAX_BURST_BYTES = 1 << 20
 _MAX_FRAME_BYTES = 64 << 20
 
 _LEN_PLACEHOLDER = bytes(_LEN.size)
+
+_Address = tuple[str, int]
+
+# Zeroed at construction, reported by ``counters()``.  The names mirror
+# :class:`repro.sim.network.Network` so invariant checkers and reports
+# read either backend unchanged; the tail is live-only.
+_COUNTERS = (
+    "messages_sent", "messages_delivered", "messages_dropped",
+    "bytes_delivered", "dropped_on_crash", "dropped_backpressure",
+    "dropped_unreachable", "dropped_partition", "dropped_malformed",
+    "peers_parked", "reconnect_attempts", "peak_send_queue",
+    "frames_coalesced", "writer_flushes", "bytes_written",
+)
 
 
 class LiveHost:
@@ -121,138 +115,178 @@ class LiveHost:
         return f"<LiveHost {self.name} ({state})>"
 
 
-class _PeerLink:
-    """Outbound connection to one destination name."""
+class _Connection(asyncio.Protocol):
+    """Outbound connection to one peer address, shared by every
+    destination name behind it.  ``address`` None holds the frames of
+    names no address is known for yet and never dials."""
 
-    def __init__(self, transport: "TcpTransport", dst: str, queue_frames: int):
-        self.transport = transport
-        self.dst = dst
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_frames)
-        self.scratch = bytearray()   # per-link encode scratch (send path)
-        # src name -> packed [u16 src_len][src][u16 dst_len][dst]: the
-        # same bytes for every message a sender puts on this link.
-        self.name_headers: dict[str, bytes] = {}
+    def __init__(self, owner: "TcpTransport", address: Optional[_Address]):
+        self.owner = owner
+        self.address = address
+        # (dst, enqueued_at, msg_id, frame), oldest first, and how many
+        # of them each destination name has.
+        self.pending: list[tuple] = []
+        self.depths: dict[str, int] = {}
+        self.transport: Optional[asyncio.Transport] = None
+        self.paused = False
+        self.flush_armed = False
         self.unreachable = False
-        self._failures = 0           # consecutive failed connect attempts
-        self._revive = asyncio.Event()
-        self.task = asyncio.ensure_future(self._run())
         self.connects = 0
+        self._failures = 0           # consecutive failed connect attempts
+        self._connecting: Optional[asyncio.Task] = None
 
-    def revive(self) -> None:
-        """Wake a parked link (a new address was registered)."""
-        self._revive.set()
+    def flush(self) -> None:
+        """Write everything pending as one buffer -- or, without a
+        socket, make sure one is being dialled."""
+        self.flush_armed = False
+        transport = self.transport
+        if transport is None:
+            self._dial()
+            return
+        pending = self.pending
+        # A closing socket would swallow the bytes: keep them for the
+        # reconnect that connection_lost starts.
+        if self.paused or not pending or transport.is_closing():
+            return
+        self.pending = []
+        self.depths.clear()
+        owner = self.owner
+        if owner._track_queue_wait:
+            for dst, enqueued_at, msg_id, _frame in pending:
+                if msg_id is not None:
+                    owner._note_queue_wait(dst, msg_id, enqueued_at)
+        frames = [entry[3] for entry in pending]
+        # The join allocates fresh immutable bytes on purpose: the loop
+        # may hold the buffer until the write lands (uvloop does).
+        data = frames[0] if len(frames) == 1 else b"".join(frames)
+        transport.write(data)
+        owner.writer_flushes += 1
+        owner.frames_coalesced += len(frames)
+        owner.bytes_written += len(data)
+        if owner._m_writer_flushes is not None:
+            owner._m_writer_flushes.record()
+            owner._m_frames_coalesced.record(len(frames))
+            owner._m_bytes_per_write.record(float(len(data)))
 
-    async def _connect(self) -> tuple:
+    def _dial(self) -> None:
+        if not (self.address is None or self.unreachable
+                or self._connecting is not None):
+            self._connecting = asyncio.ensure_future(self._connect())
+
+    async def _connect(self) -> None:
+        owner = self.owner
         backoff = _BACKOFF_INITIAL
-        while True:
-            address = self.transport._addresses.get(self.dst)
-            if address is not None:
-                reconnecting = self.connects > 0
-                try:
-                    reader, writer = await asyncio.open_connection(*address)
-                    self.connects += 1
-                    self._failures = 0
-                    if reconnecting:
-                        self.transport._count_reconnect()
-                    return reader, writer
-                except OSError:
-                    self.transport._count_reconnect()
-                    self._failures += 1
-                    if self._failures >= self.transport._unreachable_after:
-                        # The peer has a known address but nothing is
-                        # listening there: park instead of retrying
-                        # forever.  A register_address for this peer
-                        # (e.g. the restarted worker's new port)
-                        # revives us; until then the backlog is dead
-                        # weight and is dropped.
-                        await self._park()
-                        backoff = _BACKOFF_INITIAL
-                        continue
-            # No address yet is *not* a failure: deployments create
-            # links before the supervisor distributes the address map.
-            await asyncio.sleep(backoff)
-            backoff = min(backoff * 2, _BACKOFF_CAP)
-
-    async def _park(self) -> None:
-        self.unreachable = True
-        self._revive.clear()
-        dropped = 0
-        while True:
-            try:
-                self.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            dropped += 1
-        self.transport._note_unreachable(self.dst, parked=True,
-                                         dropped=dropped)
-        await self._revive.wait()
-        self.unreachable = False
-        self._failures = 0
-        self.transport._note_unreachable(self.dst, parked=False)
-
-    async def _run(self) -> None:
-        writer = None
-        # Frames pulled off the queue but not yet confirmed written.  On
-        # a connection error the WHOLE list is retried on the next
-        # connection: a burst interrupted mid-write must re-send its
-        # unsent tail, not just its first frame.
-        pending: list[bytes] = []
-        pending_bytes = 0
-        queue = self.queue
-        note_dequeue = self.transport._note_dequeue
         try:
             while True:
-                if not pending:
-                    enqueued_at, msg_id, frame = await queue.get()
-                    note_dequeue(self.dst, msg_id, enqueued_at)
-                    pending.append(frame)
-                    pending_bytes = len(frame)
-                    # Coalesce: opportunistically drain the backlog that
-                    # built up while the last burst was writing.
-                    while (len(pending) < _MAX_BURST_FRAMES
-                           and pending_bytes < _MAX_BURST_BYTES):
-                        try:
-                            enqueued_at, msg_id, frame = queue.get_nowait()
-                        except asyncio.QueueEmpty:
-                            break
-                        note_dequeue(self.dst, msg_id, enqueued_at)
-                        pending.append(frame)
-                        pending_bytes += len(frame)
-                if writer is None:
-                    _reader, writer = await self._connect()
                 try:
-                    # One write + one drain for the whole burst.  The
-                    # join allocates fresh immutable bytes on purpose:
-                    # the loop may hold the buffer until the write
-                    # lands (uvloop does), so no scratch reuse here.
-                    writer.write(
-                        pending[0] if len(pending) == 1
-                        else b"".join(pending)
+                    await owner._loop.create_connection(
+                        lambda: self, *self.address
                     )
-                    # Backpressure: wait for the socket buffer to drain
-                    # before pulling the next burst off the queue.
-                    await writer.drain()
-                    self.transport._note_flush(len(pending), pending_bytes)
-                    pending.clear()
-                    pending_bytes = 0
-                except (ConnectionError, OSError):
-                    writer = None   # reconnect and retry the whole burst
-        except asyncio.CancelledError:
-            pass
+                    return
+                except OSError:
+                    owner._count_reconnect()
+                    self._failures += 1
+                    if self._failures >= owner._unreachable_after:
+                        # A known address with nothing listening there:
+                        # park instead of retrying forever.
+                        owner._note_reachability(self, parked=True)
+                        return
+                    await asyncio.sleep(backoff)
+                    backoff = min(backoff * 2, _BACKOFF_CAP)
         finally:
-            if writer is not None:
-                writer.close()
+            self._connecting = None
 
     def close(self) -> None:
-        self.task.cancel()
+        self.address = None   # never dials again
+        self.pending.clear()
+        if self._connecting is not None:
+            self._connecting.cancel()
+        if self.transport is not None:
+            self.transport.close()
+
+    # -- asyncio.Protocol ---------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._failures = 0
+        self.connects += 1
+        if self.connects > 1:
+            self.owner._count_reconnect()
+        self.flush()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.transport = None
+        self.paused = False
+        if self.pending:
+            self._dial()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.flush()
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: frames are parsed where they arrive."""
+
+    def __init__(self, owner: "TcpTransport"):
+        self.owner = owner
+        self.transport: Optional[asyncio.Transport] = None
+        # An incomplete frame waits here: the chunks received so far,
+        # their total size, and the size that completes its length
+        # prefix or, once that is known, the frame.
+        self._chunks: list[bytes] = []
+        self._have = 0
+        self._need = 0
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.owner._inbound.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.owner._inbound.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        chunks = self._chunks
+        if chunks:
+            chunks.append(data)
+            self._have += len(data)
+            if self._have < self._need:
+                return
+            data = b"".join(chunks)
+            chunks.clear()
+        owner = self.owner
+        end = len(data)
+        pos = 0
+        need = _LEN.size
+        while end - pos >= _LEN.size:
+            (frame_len,) = _LEN.unpack_from(data, pos)
+            if frame_len > _MAX_FRAME_BYTES:
+                owner._drop_malformed(
+                    self.transport, f"frame_len {frame_len} > {_MAX_FRAME_BYTES}"
+                )
+                return
+            need = _LEN.size + frame_len
+            if end - pos < need:
+                break
+            start = pos + _LEN.size
+            pos += need
+            need = _LEN.size
+            try:
+                owner._deliver_frame(data[start:pos], frame_len + _LEN.size)
+            except owner._malformed as exc:
+                owner._drop_malformed(self.transport, repr(exc))
+                return
+        if pos < end:
+            chunks.append(data[pos:] if pos else data)
+            self._have = end - pos
+            self._need = need
 
 
 class TcpTransport:
-    """Transport over localhost TCP with per-peer links.
-
-    Counter names mirror :class:`repro.sim.network.Network` so
-    invariant checkers and reports read either backend unchanged.
-    """
+    """Transport over localhost TCP, one connection per peer address."""
 
     def __init__(
         self,
@@ -260,39 +294,23 @@ class TcpTransport:
         bind_host: str = "127.0.0.1",
         bind_port: int = 0,
         send_queue_frames: int = 1024,
-        encode: Optional[Callable[..., bytes]] = None,
-        decode: Optional[Callable[[bytes], Any]] = None,
         node: Optional[str] = None,
         unreachable_after: int = 30,
     ):
-        decode_with_context = None
-        encode_into = None
-        peek_type = None
-        if encode is None or decode is None:
-            from . import codec
+        from . import codec
 
-            if encode is None:
-                encode = codec.encode
-                encode_into = codec.encode_into
-            if decode is None:
-                decode = codec.decode
-                decode_with_context = codec.decode_with_context
-                peek_type = codec.peek_type
         self.env = kernel
-        self._encode = encode
-        # Zero-copy fast paths, only wired when the default codec is in
-        # play: scratch-append encode and memoryview-accepting decode.
-        # A custom codec keeps the copying bytes-in/bytes-out contract.
-        self._encode_into = encode_into
-        self._decode = decode
-        self._decode_with_context = decode_with_context
-        self._peek_type = peek_type
+        self._loop = kernel._loop
+        # The codec's zero-copy entry points, bound here (not at import)
+        # so whoever wraps the codec module first is what runs:
+        # scratch-append encode and memoryview-accepting decode.
+        self._encode_into = codec.encode_into
+        self._decode_with_context = codec.decode_with_context
+        self._peek_type = codec.peek_type
         # What parsing an inbound frame raises when the bytes are bad:
-        # the envelope's own struct / utf-8 reads, and the default
-        # codec's one typed error.
-        self._malformed: tuple = (struct.error, UnicodeDecodeError)
-        if decode_with_context is not None:
-            self._malformed += (codec.CodecError,)
+        # the envelope's own struct / utf-8 reads, and the codec's one
+        # typed error.
+        self._malformed = (struct.error, UnicodeDecodeError, codec.CodecError)
         self.node = node
         self._bind_host = bind_host
         self._bind_port = bind_port
@@ -301,19 +319,27 @@ class TcpTransport:
         # dst name -> (ip, port).  All local hosts map to this
         # transport's own listener; a multi-process deployment injects
         # remote entries here.
-        self._addresses: dict[str, tuple[str, int]] = {}
-        self._links: dict[str, _PeerLink] = {}
+        self._addresses: dict[str, _Address] = {}
+        # address -> outbound connection (None keys the holding
+        # connection of names without an address), and which of them
+        # each destination name sent to so far goes out on.
+        self._connections: dict[Optional[_Address], _Connection] = {}
+        self._routes: dict[str, _Connection] = {}
+        # (src, dst) -> packed [u16 src_len][src][u16 dst_len][dst]: the
+        # same bytes for every message of that pair.
+        self._name_headers: dict[tuple[str, str], bytes] = {}
+        self._inbound: set[_Inbound] = set()
+        self._scratch = bytearray()   # encode scratch (send path)
         if unreachable_after < 1:
             raise ValueError("unreachable_after must be >= 1")
         self._unreachable_after = unreachable_after
-        self._unreachable: set[str] = set()
         # Peer names this node is partitioned from (chaos injection):
         # outbound sends to and inbound frames from a blocked peer are
         # dropped at the socket boundary, the live analogue of the sim
         # fault layer's network partition.
         self._blocked: set[str] = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        self.address: Optional[tuple[str, int]] = None
+        self.address: Optional[_Address] = None
         tracer = kernel.tracer
         self._tracer = tracer
         self._net_tracer = (
@@ -321,63 +347,35 @@ class TcpTransport:
         )
         # Trace-context propagation rides on *any* installed tracer
         # (not just the net firehose): the whole point is that another
-        # node can correlate the lifecycle, and the default codec must
-        # be in play for the versioned context field to exist.
-        self._propagate_context = (
-            tracer is not None and decode_with_context is not None
-        )
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.messages_duplicated = 0
-        self.messages_reordered = 0
-        self.bytes_delivered = 0
-        self.dropped_on_crash = 0
-        self.dropped_backpressure = 0
-        self.dropped_unreachable = 0
-        self.dropped_partition = 0
-        self.dropped_malformed = 0
-        self.peers_parked = 0
-        self.reconnect_attempts = 0
-        self.peak_send_queue = 0
-        self.frames_coalesced = 0
-        self.writer_flushes = 0
-        self.bytes_written = 0
+        # node can correlate the lifecycle.
+        self._propagate_context = tracer is not None
+        for name in _COUNTERS:
+            setattr(self, name, 0)
+        # Network has these too; TCP neither duplicates nor reorders.
+        self.messages_duplicated = self.messages_reordered = 0
         # Registry instruments (None when no registry is installed):
         # the same numbers as the attributes above, but scrapeable via
         # the node's /metrics endpoint and `--metrics-out` dumps.
         metrics = kernel.metrics
         actor = node if node is not None else "transport"
-        if metrics is not None:
-            self._m_reconnects = metrics.counter(actor, "transport_reconnects")
-            self._m_drop_crash = metrics.counter(
-                actor, "transport_dropped_on_crash"
-            )
-            self._m_drop_backpressure = metrics.counter(
-                actor, "transport_dropped_backpressure"
-            )
-            self._m_queue_depth = metrics.gauge(
-                actor, "transport_send_queue_depth"
-            )
-            self._m_queue_wait = metrics.histogram(actor, "queue_wait_ms")
-            self._m_frames_coalesced = metrics.counter(
-                actor, "transport_frames_coalesced"
-            )
-            self._m_writer_flushes = metrics.counter(
-                actor, "transport_writer_flushes"
-            )
-            self._m_bytes_per_write = metrics.histogram(
-                actor, "bytes_per_write"
-            )
-        else:
-            self._m_reconnects = None
-            self._m_drop_crash = None
-            self._m_drop_backpressure = None
-            self._m_queue_depth = None
-            self._m_queue_wait = None
-            self._m_frames_coalesced = None
-            self._m_writer_flushes = None
-            self._m_bytes_per_write = None
+
+        def instrument(kind: str, name: str) -> Any:
+            if metrics is None:
+                return None
+            return getattr(metrics, kind)(actor, name)
+
+        self._m_reconnects = instrument("counter", "transport_reconnects")
+        self._m_drop_crash = instrument("counter", "transport_dropped_on_crash")
+        self._m_drop_backpressure = instrument(
+            "counter", "transport_dropped_backpressure"
+        )
+        self._m_queue_depth = instrument("gauge", "transport_send_queue_depth")
+        self._m_queue_wait = instrument("histogram", "queue_wait_ms")
+        self._m_frames_coalesced = instrument(
+            "counter", "transport_frames_coalesced"
+        )
+        self._m_writer_flushes = instrument("counter", "transport_writer_flushes")
+        self._m_bytes_per_write = instrument("histogram", "bytes_per_write")
         # Queue-wait attribution (the queue-vs-wire split of the latency
         # budget) needs the msg_id extracted even when context
         # propagation is off; only bother when someone is listening.
@@ -390,46 +388,36 @@ class TcpTransport:
         if self._m_reconnects is not None:
             self._m_reconnects.record()
 
-    def _note_unreachable(self, dst: str, parked: bool,
-                          dropped: int = 0) -> None:
-        """A peer link parked as unreachable (or revived)."""
-        if parked:
-            self._unreachable.add(dst)
-            self.peers_parked += 1
-            self.messages_dropped += dropped
-            self.dropped_unreachable += dropped
-        else:
-            self._unreachable.discard(dst)
+    def _note_reachability(self, conn: _Connection, parked: bool) -> None:
+        """A connection parked as unreachable (its backlog dies with
+        it) or was revived: accounted and traced per destination name
+        behind its address."""
+        conn.unreachable = parked
+        conn._failures = 0
+        conn.pending.clear()
+        depths, conn.depths = conn.depths, {}
         tracer = self._tracer
-        if tracer is not None:
-            tracer.emit(
-                "transport.peer_unreachable" if parked
-                else "transport.peer_revived",
-                self.env._now, dst=dst, dropped=dropped,
-            )
+        for dst, route in self._routes.items():
+            if route is not conn:
+                continue
+            dropped = depths.get(dst, 0)
+            if parked:
+                self.peers_parked += 1
+                self.messages_dropped += dropped
+                self.dropped_unreachable += dropped
+            if tracer is not None:
+                tracer.emit(
+                    "transport.peer_unreachable" if parked
+                    else "transport.peer_revived",
+                    self.env._now, dst=dst, dropped=dropped,
+                )
 
-    def _note_flush(self, frames: int, nbytes: int) -> None:
-        """One coalesced burst was written and drained successfully."""
-        self.writer_flushes += 1
-        self.frames_coalesced += frames
-        self.bytes_written += nbytes
-        if self._m_writer_flushes is not None:
-            self._m_writer_flushes.record()
-        if self._m_frames_coalesced is not None:
-            self._m_frames_coalesced.record(frames)
-        if self._m_bytes_per_write is not None:
-            self._m_bytes_per_write.record(float(nbytes))
-
-    def _note_dequeue(
-        self, dst: str, msg_id: Optional[int], enqueued_at: float
-    ) -> None:
-        """A frame left its per-peer send queue: record how long it sat
-        there (the queue half of the latency budget's queue-vs-wire
-        transport split).  Only msg_id-bearing payloads are traced so
+    def _note_queue_wait(self, dst: str, msg_id: int, since: float) -> None:
+        """A ``msg_id`` frame left the pending list for the socket:
+        record how long it sat there (the queue half of the latency
+        budget's queue-vs-wire split).  Only msg_id-bearing payloads, so
         the volume stays at value-message scale, like ``net.context``."""
-        if msg_id is None:
-            return
-        wait = self.env._now - enqueued_at
+        wait = self.env._now - since
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
@@ -441,29 +429,35 @@ class TcpTransport:
 
     # -- lifecycle ----------------------------------------------------
 
-    async def start(self) -> tuple[str, int]:
+    async def start(self) -> _Address:
         """Bind the listener; register all local hosts at its address."""
         if self._server is not None:
             raise RuntimeError("transport already started")
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._bind_host, self._bind_port
+        self._server = await self._loop.create_server(
+            lambda: _Inbound(self), self._bind_host, self._bind_port
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
         for name in self._hosts:
-            self._addresses.setdefault(name, self.address)
+            if name not in self._addresses:
+                self.register_address(name, self.address)
         return self.address
 
     async def stop(self) -> None:
-        for link in self._links.values():
-            link.close()
-        await asyncio.gather(
-            *(link.task for link in self._links.values()),
-            return_exceptions=True,
-        )
-        self._links.clear()
+        connections = self._connections.values()
+        dialling = [c._connecting for c in connections if c._connecting]
+        for conn in connections:
+            conn.close()
+        await asyncio.gather(*dialling, return_exceptions=True)
+        self._connections.clear()
+        self._routes.clear()
         if self._server is not None:
             self._server.close()
+            # Accepted connections are ours to close: waiting for the
+            # remote ends to hang up first (Python >= 3.12's
+            # wait_closed does) would make shutdown depend on them.
+            for inbound in list(self._inbound):
+                inbound.transport.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -472,8 +466,8 @@ class TcpTransport:
     def add_host(self, name: str) -> LiveHost:
         if name not in self._hosts:
             self._hosts[name] = LiveHost(self.env, name)
-            if self.address is not None:
-                self._addresses.setdefault(name, self.address)
+            if self.address is not None and name not in self._addresses:
+                self.register_address(name, self.address)
         return self._hosts[name]
 
     def host(self, name: str) -> LiveHost:
@@ -485,16 +479,35 @@ class TcpTransport:
     def hosts(self) -> list[str]:
         return sorted(self._hosts)
 
-    def register_address(self, name: str, address: tuple[str, int]) -> None:
+    def register_address(self, name: str, address: _Address) -> None:
         """Map a (possibly remote) host name to its listener address.
 
-        Re-registering a peer that was parked as unreachable revives
-        its link: this is how a restarted worker's fresh listener port
-        is announced."""
+        Frames already queued for ``name`` move to the connection of
+        the new address.  Re-registering a peer whose connection parked
+        as unreachable revives it: this is how a restarted worker's
+        fresh listener port is announced."""
         self._addresses[name] = address
-        link = self._links.get(name)
-        if link is not None and link.unreachable:
-            link.revive()
+        conn = self._connections.get(address)
+        if conn is not None and conn.unreachable:
+            self._note_reachability(conn, parked=False)
+        if name in self._routes:
+            self._route(name)
+
+    def _route(self, dst: str) -> _Connection:
+        """Bind ``dst`` to the connection of its current address, taking
+        its queued frames along."""
+        address = self._addresses.get(dst)
+        conn = self._connections.get(address)
+        if conn is None:
+            conn = self._connections[address] = _Connection(self, address)
+        old = self._routes.get(dst, conn)
+        self._routes[dst] = conn
+        if old is not conn and dst in old.depths:
+            conn.depths[dst] = old.depths.pop(dst)
+            conn.pending += [e for e in old.pending if e[0] == dst]
+            old.pending = [e for e in old.pending if e[0] != dst]
+            conn.flush()
+        return conn
 
     # -- fault injection (deployment chaos plane) ---------------------
 
@@ -522,39 +535,35 @@ class TcpTransport:
         return sorted(self._blocked)
 
     def unreachable_peers(self) -> list[str]:
-        """Peers whose links are currently parked (reconnect cap hit)."""
-        return sorted(self._unreachable)
+        """Peers whose connection is currently parked (reconnect cap hit)."""
+        return sorted(
+            dst for dst, conn in self._routes.items() if conn.unreachable
+        )
 
     # -- introspection (health endpoint / reports) --------------------
 
     def queue_depths(self) -> dict[str, int]:
-        """Current send-queue depth per destination link."""
-        return {dst: link.queue.qsize() for dst, link in self._links.items()}
+        """Frames pending per destination name."""
+        return {
+            dst: conn.depths.get(dst, 0) for dst, conn in self._routes.items()
+        }
 
     def counters(self) -> dict[str, int]:
         """The Network-compatible counter set plus live-only extras."""
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_dropped": self.messages_dropped,
-            "bytes_delivered": self.bytes_delivered,
-            "dropped_on_crash": self.dropped_on_crash,
-            "dropped_backpressure": self.dropped_backpressure,
-            "dropped_unreachable": self.dropped_unreachable,
-            "dropped_partition": self.dropped_partition,
-            "dropped_malformed": self.dropped_malformed,
-            "peers_parked": self.peers_parked,
-            "peers_unreachable": len(self._unreachable),
-            "reconnect_attempts": self.reconnect_attempts,
-            "peak_send_queue": self.peak_send_queue,
-            "frames_coalesced": self.frames_coalesced,
-            "writer_flushes": self.writer_flushes,
-            "bytes_written": self.bytes_written,
-        }
+        counters = {name: getattr(self, name) for name in _COUNTERS}
+        counters["peers_unreachable"] = len(self.unreachable_peers())
+        return counters
 
     # -- sending ------------------------------------------------------
 
-    def _trace_drop(self, src: str, dst: str, payload: Any, reason: str) -> None:
+    def _drop(
+        self, src: str, dst: str, payload: Any, reason: str,
+        instrument: Any = None,
+    ) -> None:
+        """An outbound message dies here (the caller counts why)."""
+        self.messages_dropped += 1
+        if instrument is not None:
+            instrument.record()
         tracer = self._net_tracer
         if tracer is not None:
             tracer.emit(
@@ -571,10 +580,7 @@ class TcpTransport:
         tracer = self._net_tracer
         if tracer is not None:
             try:
-                if self._peek_type is not None:
-                    type_name = self._peek_type(memoryview(inner)[pos:])
-                else:
-                    type_name = type(self._decode(inner[pos:])).__name__
+                type_name = self._peek_type(memoryview(inner)[pos:])
             except self._malformed:
                 type_name = "unknown"   # dropped and counted already
             tracer.emit(
@@ -582,23 +588,25 @@ class TcpTransport:
                 type=type_name, reason=reason,
             )
 
-    def send(self, src: str, dst: str, payload: Any, size: int = 128) -> None:
-        """Fire-and-forget: enqueue one framed message to ``dst``."""
+    def send(
+        self, src: str, dst: str, payload: Any, size: int = 128,
+        *, _encoded: Optional[tuple[Optional[int], bytes]] = None,
+    ) -> None:
+        """Fire-and-forget: queue one framed message to ``dst``.
+
+        ``_encoded`` is :meth:`broadcast`'s ``(msg_id, codec frame)``,
+        encoded once for the whole fan-out."""
         if size < 0:
             raise ValueError("size must be non-negative")
         self.messages_sent += 1
         sender = self._hosts.get(src)
         if sender is not None and sender.crashed:
-            self.messages_dropped += 1
             self.dropped_on_crash += 1
-            if self._m_drop_crash is not None:
-                self._m_drop_crash.record()
-            self._trace_drop(src, dst, payload, "src_crashed")
+            self._drop(src, dst, payload, "src_crashed", self._m_drop_crash)
             return
         if dst in self._blocked:
-            self.messages_dropped += 1
             self.dropped_partition += 1
-            self._trace_drop(src, dst, payload, "partition")
+            self._drop(src, dst, payload, "partition")
             return
         tracer = self._net_tracer
         if tracer is not None:
@@ -606,6 +614,71 @@ class TcpTransport:
                 "net.send", self.env.now, src=src, dst=dst,
                 type=type(payload).__name__, size=size,
             )
+        conn = self._routes.get(dst)
+        if conn is None:
+            conn = self._route(dst)
+        if conn.unreachable:
+            # The connection hit its reconnect cap and parked; queueing
+            # more would only grow a backlog for a peer that is not
+            # coming back on this address.
+            self.dropped_unreachable += 1
+            self._drop(src, dst, payload, "peer_unreachable")
+            return
+        depth = conn.depths.get(dst, 0) + 1
+        if depth > self._send_queue_frames:
+            # Bounded fire-and-forget backlog: drop under sustained
+            # backpressure, like a full kernel buffer.  The protocol's
+            # retransmission repairs the loss.
+            self.dropped_backpressure += 1
+            self._drop(
+                src, dst, payload, "backpressure", self._m_drop_backpressure
+            )
+            return
+        names = self._name_headers.get((src, dst))
+        if names is None:
+            src_raw = src.encode("utf-8")
+            dst_raw = dst.encode("utf-8")
+            names = self._name_headers[src, dst] = (
+                _U16.pack(len(src_raw)) + src_raw
+                + _U16.pack(len(dst_raw)) + dst_raw
+            )
+        now = self.env._now
+        if _encoded is None:
+            # Zero-copy encode: build the outer frame in the reusable
+            # scratch (length patched once known), then snapshot to
+            # immutable bytes -- the only allocation per message, and
+            # required before queueing: the loop (uvloop in particular)
+            # may hold a written buffer until the write lands.
+            msg_id, context = self._correlate(src, payload, now)
+            scratch = self._scratch
+            scratch.clear()
+            scratch += _LEN_PLACEHOLDER
+            scratch += _SENT_AT.pack(now)
+            scratch += names
+            self._encode_into(payload, scratch, context)
+            _LEN.pack_into(scratch, 0, len(scratch) - _LEN.size)
+            frame = bytes(scratch)
+        else:
+            msg_id, body = _encoded
+            frame = b"".join((
+                _LEN.pack(_SENT_AT.size + len(names) + len(body)),
+                _SENT_AT.pack(now), names, body,
+            ))
+        conn.depths[dst] = depth
+        conn.pending.append((dst, now, msg_id, frame))
+        if not conn.flush_armed:
+            conn.flush_armed = True
+            self._loop.call_soon(conn.flush)
+        if depth > self.peak_send_queue:
+            self.peak_send_queue = depth
+        if self._m_queue_depth is not None:
+            self._m_queue_depth.record(depth)
+
+    def _correlate(
+        self, src: str, payload: Any, now: float
+    ) -> tuple[Optional[int], Optional[dict]]:
+        """The ``msg_id`` a frame is attributed to and the trace context
+        that travels with it (either may be None)."""
         msg_id = None
         if self._track_queue_wait:
             # Correlate by message id when the payload carries one --
@@ -617,118 +690,45 @@ class TcpTransport:
                 )
         context: Optional[dict] = None
         if self._propagate_context:
-            context = {"origin": self.node or src, "ts": self.env._now}
+            context = {"origin": self.node or src, "ts": now}
             if msg_id is not None:
                 context["msg_id"] = msg_id
-        link = self._links.get(dst)
-        if link is None:
-            link = self._links[dst] = _PeerLink(
-                self, dst, self._send_queue_frames
-            )
-        if link.unreachable:
-            # The link hit its reconnect cap and parked; queueing more
-            # would only grow a backlog for a peer that is not coming
-            # back on this address.
-            self.messages_dropped += 1
-            self.dropped_unreachable += 1
-            self._trace_drop(src, dst, payload, "peer_unreachable")
-            return
-        names = link.name_headers.get(src)
-        if names is None:
-            src_raw = src.encode("utf-8")
-            dst_raw = dst.encode("utf-8")
-            names = link.name_headers[src] = (
-                _U16.pack(len(src_raw)) + src_raw
-                + _U16.pack(len(dst_raw)) + dst_raw
-            )
-        if self._encode_into is not None:
-            # Zero-copy encode: build the outer frame in the link's
-            # reusable scratch (length patched once known), then
-            # snapshot to immutable bytes -- the only allocation per
-            # message, and required before queueing (writers must never
-            # see a mutable buffer; see the module docstring).
-            scratch = link.scratch
-            scratch.clear()
-            scratch += _LEN_PLACEHOLDER
-            scratch += _SENT_AT.pack(self.env._now)
-            scratch += names
-            self._encode_into(payload, scratch, context)
-            _LEN.pack_into(scratch, 0, len(scratch) - _LEN.size)
-            frame = bytes(scratch)
-        else:
-            if context is not None:
-                body = self._encode(payload, trace_context=context)
-            else:
-                body = self._encode(payload)
-            inner = _SENT_AT.pack(self.env._now) + names + body
-            frame = _LEN.pack(len(inner)) + inner
-        try:
-            link.queue.put_nowait((self.env._now, msg_id, frame))
-        except asyncio.QueueFull:
-            # Bounded fire-and-forget queue: drop under sustained
-            # backpressure, like a full kernel buffer.  The protocol's
-            # retransmission repairs the loss.
-            self.messages_dropped += 1
-            self.dropped_backpressure += 1
-            if self._m_drop_backpressure is not None:
-                self._m_drop_backpressure.record()
-            self._trace_drop(src, dst, payload, "backpressure")
-            return
-        depth = link.queue.qsize()
-        if depth > self.peak_send_queue:
-            self.peak_send_queue = depth
-        if self._m_queue_depth is not None:
-            self._m_queue_depth.record(depth)
+        return msg_id, context
 
     def broadcast(
         self, src: str, dsts: list[str], payload: Any, size: int = 128
     ) -> None:
+        """Unicast ``payload`` to every destination in ``dsts``: the
+        codec frame and trace context are encoded once, each copy gets
+        its own name header and enters through :meth:`send`."""
+        encoded = None
+        if len(dsts) > 1:
+            msg_id, context = self._correlate(src, payload, self.env._now)
+            scratch = self._scratch
+            scratch.clear()
+            self._encode_into(payload, scratch, context)
+            encoded = msg_id, bytes(scratch)
         for dst in dsts:
-            self.send(src, dst, payload, size)
+            self.send(src, dst, payload, size, _encoded=encoded)
 
     # -- receiving ----------------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(_LEN.size)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return
-                (frame_len,) = _LEN.unpack(header)
-                if frame_len > _MAX_FRAME_BYTES:
-                    self._drop_malformed(
-                        writer, f"frame_len {frame_len} > {_MAX_FRAME_BYTES}"
-                    )
-                    return
-                try:
-                    inner = await reader.readexactly(frame_len)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return
-                try:
-                    self._deliver_frame(inner, frame_len + _LEN.size)
-                except self._malformed as exc:
-                    self._drop_malformed(writer, repr(exc))
-                    return
-        finally:
-            writer.close()
-
-    def _drop_malformed(self, writer: asyncio.StreamWriter, error: str) -> None:
-        """An inbound frame did not parse; the caller closes the
-        connection it came in on."""
+    def _drop_malformed(self, transport: asyncio.Transport, error: str) -> None:
+        """An inbound frame did not parse: nothing after it can be
+        re-synchronised, so its connection -- and only that one -- is
+        closed."""
         self.messages_dropped += 1
         self.dropped_malformed += 1
         tracer = self._net_tracer
         if tracer is not None:
-            peer = writer.get_extra_info("peername")
+            peer = transport.get_extra_info("peername")
             tracer.emit(
                 "net.drop", self.env.now,
                 src=("%s:%s" % peer[:2]) if peer else "unknown",
                 dst=self.node or "", type="unknown", reason="malformed",
                 error=error,
             )
+        transport.close()
 
     def _deliver_frame(self, inner: bytes, frame_bytes: int) -> None:
         (sent_at,) = _SENT_AT.unpack_from(inner, 0)
@@ -754,17 +754,11 @@ class TcpTransport:
             self.messages_dropped += 1
             self._trace_inbound_drop(src, dst, inner, pos, "dst_crashed")
             return
-        context = None
-        if self._decode_with_context is not None:
-            # Zero-copy decode: the codec parses straight out of the
-            # receive buffer through a memoryview -- no body copy.
-            # Decoded messages own their leaves (codec contract), so
-            # `inner` is free as soon as this returns.
-            payload, context = self._decode_with_context(
-                memoryview(inner)[pos:]
-            )
-        else:
-            payload = self._decode(inner[pos:])
+        # Zero-copy decode: the codec parses straight out of the received
+        # frame through a memoryview -- no body copy.  Decoded messages
+        # own their leaves (codec contract), so `inner` is free as soon
+        # as this returns.
+        payload, context = self._decode_with_context(memoryview(inner)[pos:])
         if context is not None and context.get("msg_id") is not None:
             tracer = self._tracer
             if tracer is not None:

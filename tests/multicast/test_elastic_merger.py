@@ -383,3 +383,43 @@ def test_no_head_of_line_tracking_without_env():
     merger.bootstrap({"S1": s1})
     merger.pump()               # blocked immediately
     assert merger._blocked_since is None   # gate off: nothing tracked
+
+
+def test_notify_pumps_only_for_the_stream_the_merge_is_blocked_on():
+    """News from a stream whose turn it is not cannot move the merge:
+    notify() leaves the cursors alone and does not even pump.  A pending
+    subscription scans a stream outside sigma, so then every notify pumps."""
+    s1, s2, s3 = TokenLog(), TokenLog(), TokenLog()
+    h = Harness("G", ["S1", "S2"], {"S1": s1, "S2": s2, "S3": s3})
+    pumps = []
+    pump = h.merger.pump
+    h.merger.pump = lambda: (pumps.append(h.merger.next_stream), pump())
+
+    s1.append(value("a0"))
+    h.merger.notify("S1")
+    assert h.payloads == ["a0"] and h.merger.next_stream == "S2"
+    # Blocked on S2: a token on S1 steps nothing.
+    s1.append(value("a1"))
+    before = h.merger.positions()
+    h.merger.notify("S1")
+    assert pumps == ["S1"]
+    assert h.merger.positions() == before
+    assert h.payloads == ["a0"]
+    # The token S2 was waiting for releases both.
+    s2.append(value("b0"))
+    h.merger.notify("S2")
+    assert pumps == ["S1", "S2"]
+    assert h.payloads == ["a0", "b0", "a1"]
+
+    # Subscribing: the request is consumed from S1, the scan then waits
+    # on S3 -- which is not in sigma -- so its news must pump.
+    sub = SubscribeMsg(group="G", stream="S3")
+    s1.append(sub)
+    s2.append(SkipToken(count=3))
+    h.merger.notify("S2")
+    assert h.merger.pending_subscription == "S3"
+    s3.append(SkipToken(count=2))
+    s3.append(sub)
+    h.merger.notify("S3")
+    assert h.merger.pending_subscription is None
+    assert h.merger.subscriptions == ("S1", "S2", "S3")

@@ -86,3 +86,15 @@ def test_per_stream_delivery_counters():
     logs["S2"].append(SkipToken(count=1))
     merger.pump()
     assert merger.delivered_per_stream == {"S1": 1, "S2": 0}
+
+
+def test_notify_pumps_only_for_the_stream_the_merge_is_blocked_on():
+    logs, merger, delivered = make(["S1", "S2"])
+    logs["S1"].append(value("a0"))
+    merger.notify("S1")
+    logs["S1"].append(value("a1"))
+    merger.notify("S1")   # the turn is S2's: nothing can move
+    assert merger.positions == {"S1": 1, "S2": 0}
+    logs["S2"].append(value("b0"))
+    merger.notify("S2")
+    assert [v for v, _s, _p in delivered] == ["a0", "b0", "a1"]

@@ -56,6 +56,30 @@ def test_target_and_linger_always_bounded(depths, dt):
         now += dt
 
 
+@given(
+    depth_a=st.integers(min_value=0, max_value=100_000),
+    depth_b=st.integers(min_value=0, max_value=100_000),
+)
+def test_linger_monotone_in_queue_depth(depth_a, depth_b):
+    lo, hi = sorted((depth_a, depth_b))
+    p_lo, p_hi = _policy(), _policy()
+    p_lo.observe(lo, now=1.0)
+    p_hi.observe(hi, now=1.0)
+    assert p_lo.linger_s() <= p_hi.linger_s()
+
+
+def test_a_lone_value_does_not_linger():
+    # A queue of one is not pressure: its linger would be tens of
+    # microseconds, below any real timer's resolution, and arm one
+    # timer per value in the sparse regime for nothing.
+    policy = _policy()
+    policy.observe(1, now=0.0)
+    assert policy.linger_s() == 0.0
+    assert policy.target_tokens() >= policy.floor
+    policy.observe(2, now=0.0)
+    assert 0.0 < policy.linger_s() <= policy.max_linger_s
+
+
 @given(depth=st.integers(min_value=1, max_value=1_000_000))
 @settings(max_examples=50)
 def test_decays_to_floor_when_idle(depth):

@@ -344,3 +344,102 @@ def test_malformed_frames_close_their_connection_only():
         assert kernel.failures == []
 
     run(main())
+
+
+def _frame(src: str, dst: str, message) -> bytes:
+    import struct
+
+    from repro.runtime import codec
+
+    inner = (
+        struct.pack("!d", 0.0)
+        + struct.pack("!H", len(src)) + src.encode()
+        + struct.pack("!H", len(dst)) + dst.encode()
+        + codec.encode(message)
+    )
+    return struct.pack("!I", len(inner)) + inner
+
+
+class _FakeSocket:
+    """What an accepted connection's protocol needs of its transport."""
+
+    def __init__(self):
+        self.closed = 0
+
+    def close(self):
+        self.closed += 1
+
+    def get_extra_info(self, name):
+        return ("127.0.0.1", 9)
+
+
+def test_frames_rechunked_at_every_byte_boundary_decode_the_same():
+    # data_received sees whatever the kernel hands it: every split of a
+    # burst into two chunks, and the burst one byte at a time, must
+    # decode to the same messages in the same order.
+    from repro.runtime.transport import _Inbound
+
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel)
+        inbox = transport.add_host("b").inbox
+        burst = b"".join(
+            _frame("a", "b", Heartbeat(nonce=nonce)) for nonce in range(4)
+        )
+
+        def feed(chunks):
+            seen = len(inbox)
+            inbound = _Inbound(transport)
+            inbound.connection_made(_FakeSocket())
+            for chunk in chunks:
+                inbound.data_received(chunk)
+            assert not inbound._chunks
+            inbound.connection_lost(None)
+            return [e.payload.nonce for e in inbox.items[seen:]]
+
+        assert feed([burst]) == [0, 1, 2, 3]
+        for cut in range(1, len(burst)):
+            assert feed([burst[:cut], burst[cut:]]) == [0, 1, 2, 3], cut
+        assert feed([burst[i:i + 1] for i in range(len(burst))]) == [
+            0, 1, 2, 3
+        ]
+        assert transport.messages_delivered == 4 * (len(burst) + 1)
+        assert transport.messages_dropped == 0
+
+    run(main())
+
+
+def test_malformed_frame_mid_chunk_delivers_what_preceded_it():
+    # One chunk: good, good, garbage, good.  The two frames before the
+    # garbage are delivered, the garbage is counted once and closes this
+    # connection, the frame behind it is never looked at.
+    import struct
+
+    from repro.runtime.transport import _Inbound
+
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel)
+        inbox = transport.add_host("b").inbox
+        garbage = struct.pack("!I", 24) + b"\xff" * 24
+        chunk = (
+            _frame("a", "b", Heartbeat(nonce=1))
+            + _frame("a", "b", Heartbeat(nonce=2))
+            + garbage
+            + _frame("a", "b", Heartbeat(nonce=3))
+        )
+        socket_ = _FakeSocket()
+        inbound = _Inbound(transport)
+        inbound.connection_made(socket_)
+        bystander = _Inbound(transport)
+        bystander.connection_made(_FakeSocket())
+        inbound.data_received(chunk)
+        assert [e.payload.nonce for e in inbox.items] == [1, 2]
+        assert transport.counters()["dropped_malformed"] == 1
+        assert transport.counters()["messages_dropped"] == 1
+        assert socket_.closed == 1
+        assert bystander.transport.closed == 0
+        bystander.data_received(_frame("a", "b", Heartbeat(nonce=4)))
+        assert [e.payload.nonce for e in inbox.items] == [1, 2, 4]
+
+    run(main())
