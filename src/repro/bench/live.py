@@ -227,6 +227,7 @@ def bench_live_cluster(
     datapath's capacity.  Ends with a drain + replica-agreement check,
     so a fast-but-wrong datapath cannot pass.
     """
+    from ..runtime.node import percentile
     from ..runtime.supervisor import LiveCluster, LiveConfig
 
     warmup = (0.5 if quick else 1.0) if warmup is None else warmup
@@ -271,18 +272,7 @@ def bench_live_cluster(
             t1 = time.perf_counter()
             after = slowest_delivered()
             agreed = await cluster.drain(config.drain_timeout)
-            latencies = sorted(cluster.latencies_ms)
-
-            def pct(p: float) -> Optional[float]:
-                if not latencies:
-                    return None
-                rank = max(
-                    0,
-                    min(len(latencies) - 1,
-                        round(p / 100 * len(latencies)) - 1),
-                )
-                return latencies[rank]
-
+            latencies = cluster.latencies_ms
             counters: dict = {}
             for node in cluster.nodes:
                 for key, value in node.transport.counters().items():
@@ -296,8 +286,8 @@ def bench_live_cluster(
                 "submitted": sequence,
                 "delivered_in_window": measured,
                 "values_per_s": measured / (t1 - t0),
-                "latency_p50_ms": pct(50),
-                "latency_p99_ms": pct(99),
+                "latency_p50_ms": percentile(latencies, 50),
+                "latency_p99_ms": percentile(latencies, 99),
                 "agreed": agreed,
                 "transport": counters,
             }

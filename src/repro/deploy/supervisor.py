@@ -41,7 +41,11 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..runtime.telemetry import aggregate_dumps, estimate_offset
+from ..runtime.telemetry import (
+    CLOCK_SYNC_SAMPLES,
+    aggregate_dumps,
+    estimate_offset,
+)
 from .control import ControlClient, ControlError
 from .topology import TopologySpec, load_address_file
 from .worker import trace_node_name
@@ -52,6 +56,8 @@ MANIFEST_FORMAT = "repro-deploy-manifest/1"
 
 _READY_POLL = 0.05
 _DRAIN_POLL = 0.3
+_SPAWN_TIMEOUT = 20.0       # wall seconds to a worker's ready file
+_WATCH_INTERVAL = 0.3       # online certifier poll period (wall s)
 
 
 @dataclass
@@ -62,11 +68,8 @@ class DeployConfig:
     run_dir: str
     scenario: str = "baseline"
     address_file: Optional[str] = None   # remote workers instead of children
-    clock_sync_samples: int = 5
-    spawn_timeout: float = 20.0          # wall seconds to a worker's ready file
     verbose: bool = False
     watch: bool = True                   # live online certifier over the run
-    watch_interval: float = 0.3          # certifier poll period (wall s)
 
 
 @dataclass
@@ -176,9 +179,7 @@ class DeploySupervisor:
             )
         finally:
             log_handle.close()     # the child holds its own descriptor
-        deadline = (
-            asyncio.get_running_loop().time() + self.config.spawn_timeout
-        )
+        deadline = asyncio.get_running_loop().time() + _SPAWN_TIMEOUT
         while not os.path.exists(ready_path):
             if handle.proc.poll() is not None:
                 raise RuntimeError(
@@ -189,7 +190,7 @@ class DeploySupervisor:
                 handle.proc.kill()
                 raise RuntimeError(
                     f"worker {name} did not become ready within "
-                    f"{self.config.spawn_timeout}s (see {handle.log_path})"
+                    f"{_SPAWN_TIMEOUT}s (see {handle.log_path})"
                 )
             await asyncio.sleep(_READY_POLL)
         with open(ready_path, "r", encoding="utf-8") as fh:
@@ -275,7 +276,7 @@ class DeploySupervisor:
                 continue
             samples = []
             try:
-                for _ in range(max(1, self.config.clock_sync_samples)):
+                for _ in range(CLOCK_SYNC_SAMPLES):
                     t0 = (await reference.call("clock"))["now"]
                     remote = (await handle.call("clock"))["now"]
                     t3 = (await reference.call("clock"))["now"]
@@ -444,7 +445,7 @@ class DeploySupervisor:
             for alert in tick["cleared"]:
                 self.log(f"alert cleared {alert.detector}"
                          f"{'/' + alert.key if alert.key else ''}")
-            await asyncio.sleep(self.config.watch_interval)
+            await asyncio.sleep(_WATCH_INTERVAL)
 
     async def flush_traces(self) -> None:
         """Ask every surviving worker to flush its buffered trace lines

@@ -228,8 +228,8 @@ def build_topology(
     """The default deployment layout.
 
     Streams, replicas and the client are placed round-robin across the
-    nodes, mirroring :class:`repro.runtime.supervisor.LiveCluster`:
-    with the 3-node default, n1 hosts s1 + r1 + the client, n2 hosts
+    nodes (:class:`repro.runtime.supervisor.LiveCluster` places its
+    in-process nodes with this same function): with the 3-node default, n1 hosts s1 + r1 + the client, n2 hosts
     s2 + r2, and n3 hosts only r3 (the canonical kill-9 victim -- no
     acceptor state dies with it).
 

@@ -1,23 +1,25 @@
 """One deployment node as a real OS process: ``python -m repro worker``.
 
-A worker hydrates *its* slice of the cluster from the JSON topology
-spec (``--spec`` + ``--node``): the stream deployments it owns, its
-replicas, the client when placed here, and one
-:class:`~repro.deploy.agent.DeployAgent` -- all on a private
-:class:`~repro.runtime.asyncio_kernel.AsyncioKernel` (its own clock
-domain, optionally skewed per the spec) and
-:class:`~repro.runtime.transport.TcpTransport` listener.  Remote peers
-are joined through the transport's existing ``register_address`` hook;
-the supervisor distributes the address map over the control RPC, which
-is also how a restarted worker's fresh port propagates.
+A worker is one :class:`~repro.runtime.node.LiveNode` -- the same
+assembly ``repro live`` runs N of in one process -- hydrated from *its*
+slice of the JSON topology spec (``--spec`` + ``--node``), plus what
+only a process of its own needs: a
+:class:`~repro.deploy.agent.DeployAgent` and
+:class:`~repro.deploy.agent.RemoteStreamDeployment` stubs standing in
+the stream directory for the streams other workers host, the control
+RPC whose ops are thin calls onto the node, the ready file and SIGTERM.
+Remote peers are joined through the transport's ``register_address``
+hook; the supervisor distributes the address map over the control RPC,
+which is also how a restarted worker's fresh port propagates.
 
-Per-node telemetry is the same plane ``repro live`` serves: a
-node-stamped JSONL trace in the run directory, a metrics registry, and
-the HTTP ``/metrics`` / ``/health`` / ``/clock`` / ``/profile``
-endpoints.  The worker attaches an :class:`InvariantSuite` over its
-local replicas and checks it continuously; a violation dumps the
-flight-recorder ring next to the traces (and only then -- a clean
-kill-9 drill produces no dump).
+Per-node telemetry is therefore the very plane ``repro live`` serves:
+a node-stamped JSONL trace in the run directory, a metrics registry
+(client latency and event-loop lag included), and the HTTP
+``/metrics`` / ``/health`` / ``/clock`` / ``/profile`` endpoints.  The
+worker attaches an :class:`InvariantSuite` over its local replicas and
+checks it continuously; a violation dumps the flight-recorder ring
+next to the traces (and only then -- a clean kill-9 drill produces no
+dump).
 
 Restart semantics: a respawned worker is a *new incarnation* -- fresh
 kernel clock, fresh trace file (``<node>-r<k>.trace.jsonl``) and a
@@ -30,21 +32,17 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import os
 import signal
 from typing import Any, Optional
 
 from ..faults.invariants import InvariantSuite, InvariantViolation
-from ..multicast.api import MulticastClient
-from ..multicast.replica import MulticastReplica
-from ..multicast.stream import StreamDeployment
-from ..runtime.asyncio_kernel import AsyncioKernel
-from ..runtime.telemetry import NodeTelemetry
-from ..runtime.transport import TcpTransport
+from ..runtime.node import LiveNode, percentile
 from .agent import DeployAgent, RemoteStreamDeployment
 from .control import ControlServer
-from .topology import NodeSpec, TopologySpec
+from .topology import TopologySpec
 
 __all__ = ["DeployWorker", "worker_main"]
 
@@ -57,7 +55,7 @@ def trace_node_name(node: str, incarnation: int) -> str:
 
 
 class DeployWorker:
-    """Everything one worker process runs; driven over the control RPC."""
+    """One :class:`LiveNode` as a process, driven over the control RPC."""
 
     def __init__(
         self,
@@ -70,123 +68,65 @@ class DeployWorker:
         transport_host: str = "127.0.0.1",
     ):
         self.spec = spec
-        self.node: NodeSpec = spec.node(node)
         self.run_dir = run_dir
         self.incarnation = incarnation
         self.trace_node = trace_node_name(node, incarnation)
         os.makedirs(run_dir, exist_ok=True)
-        self.telemetry = NodeTelemetry(
-            self.trace_node,
-            trace_path=os.path.join(run_dir, f"{self.trace_node}.trace.jsonl"),
-            profile_interval=spec.profile_interval,
-        )
-        if spec.profile:
-            self.telemetry.profile_path = os.path.join(
-                run_dir, f"{self.trace_node}.stacks.txt"
-            )
-        self.kernel = AsyncioKernel(
-            tracer=self.telemetry.tracer,
-            metrics=self.telemetry.registry,
-            clock_offset=self.node.clock_offset,
-        )
-        self.transport = TcpTransport(
-            self.kernel,
+        # The full stream directory: the node adds the deployments it
+        # hosts, remote stubs stand in for everything else.  Every
+        # worker sees every stream, so a replica can attach any of them.
+        directory: dict[str, Any] = {}
+        self.node = LiveNode.from_spec(
+            spec, node, directory,
             bind_host=transport_host,
-            node=self.trace_node,
-            unreachable_after=spec.unreachable_after,
+            trace_node=self.trace_node,
+            telemetry_dir=run_dir,
+            profile_path=(
+                os.path.join(run_dir, f"{self.trace_node}.stacks.txt")
+                if spec.profile else None
+            ),
         )
-        self.agent = DeployAgent(self.kernel, self.transport, self.node.name)
-        # The full stream directory: real deployments for streams this
-        # node hosts, remote stubs for everything else.  Every worker
-        # sees every stream, so a replica can attach any of them.
-        self.directory: dict[str, Any] = {}
+        assert self.node.telemetry is not None
+        self.telemetry = self.node.telemetry
+        self.agent = DeployAgent(self.node.kernel, self.node.transport, node)
         for stream in spec.streams:
-            owner = spec.owner_of(stream)
-            config = spec.stream_config(stream)
-            if owner == self.node.name:
-                deployment = StreamDeployment(
-                    self.kernel, self.transport, config
+            if stream in self.node.deployments:
+                self.agent.register_local(
+                    stream, self.node.deployments[stream]
                 )
-                self.directory[stream] = deployment
-                self.agent.register_local(stream, deployment)
             else:
-                self.directory[stream] = RemoteStreamDeployment(
-                    config, self.agent, owner
+                directory[stream] = RemoteStreamDeployment(
+                    spec.stream_config(stream), self.agent,
+                    spec.owner_of(stream),
                 )
-        self.replicas: dict[str, MulticastReplica] = {}
-        for name in self.node.replicas:
-            replica = MulticastReplica(
-                self.kernel, self.transport, name, group=spec.group,
-                directory=self.directory,
-            )
-            replica.add_delivery_observer(self._latency_tap)
-            self.replicas[name] = replica
-        self.invariants = InvariantSuite(self.replicas) if self.replicas else None
-        self.client: Optional[MulticastClient] = None
-        if self.node.client:
-            self.client = MulticastClient(
-                self.kernel, self.transport, "client", self.directory
-            )
+        self.invariants = (
+            InvariantSuite(self.node.replicas) if self.node.replicas else None
+        )
+        self.node.invariants = self.invariants
         self.control = ControlServer(self._handle, bind_host=control_host,
                                      bind_port=control_port)
         self._started = False
         self._stop = asyncio.Event()
         self._workload_task: Optional[asyncio.Task] = None
         self._invariant_task: Optional[asyncio.Task] = None
-        self._active_streams: list[str] = list(spec.initial_streams)
-        self._submit_at: dict[int, float] = {}
-        self.latencies_ms: list[float] = []
-        self.submitted = 0
-        self.workload_done = False
         self.violations: list[str] = []
         self.flight_dumps: list[str] = []
 
-    # -- taps ---------------------------------------------------------
-
-    def _latency_tap(self, value: Any, stream: str, position: int) -> None:
-        sent = self._submit_at.get(value.msg_id)
-        if sent is not None:
-            self.latencies_ms.append(
-                1000.0 * (self.kernel._loop.time() - sent)
-            )
-
-    def _health(self) -> dict:
-        health: dict = {
+    def _identity(self) -> dict:
+        """Which process, which lifetime: on ready, hello and status."""
+        return {
             "node": self.node.name,
             "trace_node": self.trace_node,
+            "incarnation": self.incarnation,
             "pid": os.getpid(),
-            "now": self.kernel._now,
-            "streams": {},
-            "replicas": {},
-            "transport": {
-                "queue_depths": self.transport.queue_depths(),
-                "counters": self.transport.counters(),
-            },
         }
-        for stream, deployment in self.directory.items():
-            if isinstance(deployment, StreamDeployment):
-                coordinator = deployment.coordinator
-                health["streams"][stream] = {
-                    "next_instance": coordinator.next_instance,
-                    "positions_decided": coordinator.positions_decided,
-                    "leading": coordinator.leading,
-                }
-        for name, replica in self.replicas.items():
-            log = (
-                self.invariants.logs.get(name)
-                if self.invariants is not None else None
-            )
-            health["replicas"][name] = {
-                "subscriptions": list(replica.subscriptions),
-                "positions": dict(replica.merger.positions()),
-                "delivered": len(log.records) if log is not None else 0,
-                "pending_subscription": (
-                    replica.merger.pending_subscription is not None
-                ),
-            }
-        if self.client is not None:
-            health["client"] = {"submitted": self.submitted}
-        return health
+
+    def _health(self) -> dict:
+        return {
+            **self.node.health(),
+            "trace_node": self.trace_node,
+            "pid": os.getpid(),
+        }
 
     # -- control ops --------------------------------------------------
 
@@ -198,43 +138,32 @@ class DeployWorker:
         return await handler(request)
 
     async def _op_ping(self, request: dict) -> dict:
-        return {"node": self.node.name, "now": self.kernel._now}
+        return {"node": self.node.name, "now": self.node.kernel._now}
 
-    async def _op_clock(self, request: dict) -> dict:
-        return {"node": self.node.name, "now": self.kernel._now}
+    _op_clock = _op_ping
 
     async def _op_hello(self, request: dict) -> dict:
         return {
-            "node": self.node.name,
-            "trace_node": self.trace_node,
-            "incarnation": self.incarnation,
-            "pid": os.getpid(),
-            "transport": list(self.transport.address or ()),
-            "control": list(self.control.address or ()),
-            "telemetry": list(self.telemetry.server.address or ())
-            if self.telemetry.server is not None else None,
-            "hosts": self.transport.hosts(),
+            **self._identity(),
+            **self._addresses(),
+            "hosts": self.node.transport.hosts(),
             "trace": self.telemetry.trace_path,
             "started": self._started,
         }
 
     async def _op_register(self, request: dict) -> dict:
         for name, address in request.get("addresses", {}).items():
-            self.transport.register_address(name, (address[0], int(address[1])))
+            self.node.transport.register_address(
+                name, (address[0], int(address[1]))
+            )
         return {"registered": len(request.get("addresses", {}))}
 
     async def _op_start(self, request: dict) -> dict:
         if self._started:
             return {"already": True}
         self._started = True
-        for deployment in self.directory.values():
-            if isinstance(deployment, StreamDeployment):
-                deployment.start()
         self.agent.start()
-        for replica in self.replicas.values():
-            replica.bootstrap(list(self.spec.initial_streams))
-        if self.client is not None:
-            self.client.start()
+        self.node.start()
         if self.invariants is not None:
             self._invariant_task = asyncio.ensure_future(
                 self._invariant_loop()
@@ -242,100 +171,73 @@ class DeployWorker:
         return {"already": False}
 
     async def _op_workload(self, request: dict) -> dict:
-        if self.client is None:
-            raise ValueError(f"node {self.node.name} hosts no client")
+        self.node.require_client()
         if self._workload_task is not None and not self._workload_task.done():
             raise ValueError("workload already running")
         workload = self.spec.workload
         duration = float(request.get("duration", workload.duration))
         rate = float(request.get("rate", workload.rate))
-        burst = int(request.get("burst", workload.burst))
-        payload_size = int(
-            request.get("payload_size", workload.payload_size)
-        )
-        streams = request.get("streams")
-        if streams:
-            self._active_streams = list(streams)
-        self.workload_done = False
-        self._workload_task = asyncio.ensure_future(
-            self._workload(duration, rate, burst, payload_size)
-        )
+        if request.get("streams"):
+            self.node.active_streams[:] = request["streams"]
+        self._workload_task = asyncio.ensure_future(self.node.workload(
+            duration, rate,
+            burst=int(request.get("burst", workload.burst)),
+            payload_size=int(
+                request.get("payload_size", workload.payload_size)
+            ),
+        ))
         return {"duration": duration, "rate": rate}
 
     async def _op_activate(self, request: dict) -> dict:
         streams = list(request.get("streams", ()))
         if not streams:
             raise ValueError("activate needs a non-empty stream list")
-        self._active_streams[:] = streams
+        self.node.active_streams[:] = streams
         return {"active": streams}
 
     async def _op_subscribe(self, request: dict) -> dict:
-        if self.client is None:
-            raise ValueError(f"node {self.node.name} hosts no client")
-        request_id = self.client.subscribe_msg(
-            self.spec.group, request["stream"], via_stream=request["via"]
-        )
-        return {"request_id": request_id}
+        return {"request_id": self.node.subscribe_msg(
+            request["stream"], via=request["via"]
+        )}
 
     async def _op_unsubscribe(self, request: dict) -> dict:
-        if self.client is None:
-            raise ValueError(f"node {self.node.name} hosts no client")
-        request_id = self.client.unsubscribe_msg(
+        request_id = self.node.require_client().unsubscribe_msg(
             self.spec.group, request["stream"],
             via_stream=request.get("via"),
         )
         return {"request_id": request_id}
 
     async def _op_status(self, request: dict) -> dict:
-        latencies = sorted(self.latencies_ms)
-
-        def pct(p: float) -> Optional[float]:
-            if not latencies:
-                return None
-            rank = max(0, min(len(latencies) - 1,
-                              round(p / 100 * len(latencies)) - 1))
-            return latencies[rank]
-
+        node = self.node
+        task = self._workload_task
         return {
-            "node": self.node.name,
-            "trace_node": self.trace_node,
-            "incarnation": self.incarnation,
-            "pid": os.getpid(),
+            **self._identity(),
             "started": self._started,
-            "submitted": self.submitted,
-            "workload_done": self.workload_done,
-            "active_streams": list(self._active_streams),
-            "latency_p50_ms": pct(50),
-            "latency_p99_ms": pct(99),
+            "submitted": node.submitted,
+            "workload_done": task is not None and task.done(),
+            "active_streams": list(node.active_streams),
+            "latency_p50_ms": percentile(node.latencies_ms, 50),
+            "latency_p99_ms": percentile(node.latencies_ms, 99),
             "replicas": {
                 name: {
-                    "delivered": len(log.records),
-                    "subscriptions": list(
-                        self.replicas[name].subscriptions
-                    ),
-                    "pending_subscription": (
-                        self.replicas[name].merger.pending_subscription
-                        is not None
-                    ),
+                    **state,
                     "merge_points": {
                         str(request_id): list(point)
                         for request_id, point in
-                        self.replicas[name].merger.stats.merge_points.items()
+                        node.replicas[name].merger.stats.merge_points.items()
                     },
                 }
-                for name, log in (
-                    self.invariants.logs if self.invariants else {}
-                ).items()
+                for name, state in node.replica_states().items()
             },
             "invariant_checks": (
                 self.invariants.checks_run if self.invariants else 0
             ),
             "violations": list(self.violations),
             "kernel_failures": [
-                repr(failure) for failure in self.kernel.failures
+                repr(failure) for failure in node.kernel.failures
             ],
-            "transport": self.transport.counters(),
-            "unreachable_peers": self.transport.unreachable_peers(),
+            "transport": node.transport.counters(),
+            "unreachable_peers": node.transport.unreachable_peers(),
             "agent": {
                 "pending_joins": self.agent.pending_joins,
                 "joins_failed": self.agent.joins_failed,
@@ -343,48 +245,51 @@ class DeployWorker:
         }
 
     async def _op_sequences(self, request: dict) -> dict:
+        logs = self.invariants.logs if self.invariants is not None else {}
         return {
             "sequences": {
                 name: [list(entry) for entry in log.sequence()]
-                for name, log in (
-                    self.invariants.logs if self.invariants else {}
-                ).items()
+                for name, log in logs.items()
             }
         }
 
     async def _op_partition(self, request: dict) -> dict:
         peers = list(request.get("peers", ()))
         blocked = bool(request.get("blocked", True))
-        self.transport.set_partition(peers, blocked=blocked)
-        return {"partitioned": self.transport.partitioned_peers()}
+        self.node.transport.set_partition(peers, blocked=blocked)
+        return {"partitioned": self.node.transport.partitioned_peers()}
 
     async def _op_skew(self, request: dict) -> dict:
         # Shift this kernel's clock forward by delta seconds, the live
         # analogue of the PR 1 clock-skew fault (AsyncioKernel derives
         # `now` from `_t0`, so one adjustment skews everything).
         delta = float(request["delta"])
-        self.kernel._t0 -= delta
-        return {"now": self.kernel._now}
+        self.node.kernel._t0 -= delta
+        return {"now": self.node.kernel._now}
 
     async def _op_clock_mark(self, request: dict) -> dict:
         self.telemetry.tracer.emit(
-            "meta.clock", self.kernel._now, cat="meta",
+            "meta.clock", self.node.kernel._now, cat="meta",
             ref=request["ref"], offset=float(request["offset"]),
             rtt=float(request.get("rtt", 0.0)),
         )
         return {}
 
-    async def _op_flight_dump(self, request: dict) -> dict:
+    def _dump_flight(self, message: str) -> dict:
         path = os.path.join(
             self.run_dir, f"{self.trace_node}.flight.jsonl"
         )
         events = self.telemetry.dump_flight(path, header={
-            "message": request.get("label", "requested by supervisor"),
-            "ts": self.kernel._now,
+            "message": message, "ts": self.node.kernel._now,
         })
         if path not in self.flight_dumps:
             self.flight_dumps.append(path)
         return {"path": path, "events": events}
+
+    async def _op_flight_dump(self, request: dict) -> dict:
+        return self._dump_flight(
+            request.get("label", "requested by supervisor")
+        )
 
     async def _op_metrics(self, request: dict) -> dict:
         return {"dump": self.telemetry.registry.dump()}
@@ -405,58 +310,21 @@ class DeployWorker:
 
     # -- background loops ---------------------------------------------
 
-    async def _workload(self, duration: float, rate: float, burst: int,
-                        payload_size: int) -> None:
-        assert self.client is not None
-        loop = self.kernel._loop
-        interval = burst / rate if rate > 0 else duration
-        end = loop.time() + duration
-        sequence = 0
-        try:
-            while loop.time() < end:
-                for _ in range(burst):
-                    stream = self._active_streams[
-                        sequence % len(self._active_streams)
-                    ]
-                    value = self.client.multicast(
-                        stream, payload=f"m{sequence}", size=payload_size
-                    )
-                    self._submit_at[value.msg_id] = loop.time()
-                    self.submitted += 1
-                    sequence += 1
-                await asyncio.sleep(interval)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self.workload_done = True
-
     async def _invariant_loop(self) -> None:
         assert self.invariants is not None
-        try:
-            while True:
-                await asyncio.sleep(_INVARIANT_INTERVAL)
-                try:
-                    self.invariants.check()
-                except InvariantViolation as violation:
-                    self.violations.append(str(violation))
-                    path = os.path.join(
-                        self.run_dir, f"{self.trace_node}.flight.jsonl"
-                    )
-                    self.telemetry.dump_flight(path, header={
-                        "message": str(violation),
-                        "ts": self.kernel._now,
-                    })
-                    self.flight_dumps.append(path)
-                    return      # first violation is terminal; keep the dump
-        except asyncio.CancelledError:
-            pass
+        while True:
+            await asyncio.sleep(_INVARIANT_INTERVAL)
+            try:
+                self.invariants.check()
+            except InvariantViolation as violation:
+                self.violations.append(str(violation))
+                self._dump_flight(str(violation))
+                return      # first violation is terminal; keep the dump
 
     # -- lifecycle ----------------------------------------------------
 
     async def run(self, ready_file: Optional[str] = None) -> None:
-        await self.transport.start()
-        self.telemetry.bind(self.kernel, self._health)
-        await self.telemetry.start_server()
+        await self.node.listen(health=self._health)
         await self.control.start()
         if ready_file is not None:
             self._write_ready(ready_file)
@@ -465,20 +333,19 @@ class DeployWorker:
         finally:
             await self._teardown()
 
-    def _write_ready(self, path: str) -> None:
-        payload = {
-            "node": self.node.name,
-            "trace_node": self.trace_node,
-            "incarnation": self.incarnation,
-            "pid": os.getpid(),
+    def _addresses(self) -> dict:
+        return {
             "control": list(self.control.address or ()),
-            "transport": list(self.transport.address or ()),
-            "telemetry": list(self.telemetry.server.address or ())
-            if self.telemetry.server is not None else None,
+            "transport": list(self.node.transport.address or ()),
+            "telemetry": (
+                list(self.node.endpoint) if self.node.endpoint else None
+            ),
         }
+
+    def _write_ready(self, path: str) -> None:
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            json.dump({**self._identity(), **self._addresses()}, handle)
             handle.write("\n")
         os.replace(tmp, path)     # atomic: the supervisor polls for it
 
@@ -486,26 +353,11 @@ class DeployWorker:
         for task in (self._workload_task, self._invariant_task):
             if task is not None:
                 task.cancel()
-                try:
+                with contextlib.suppress(asyncio.CancelledError):
                     await task
-                except asyncio.CancelledError:
-                    pass
-        if self.client is not None and self.client.running:
-            self.client.stop()
-        for replica in self.replicas.values():
-            for core in list(replica.learners.values()):
-                core.stop()
-            if replica.running:
-                replica.stop()
-        for deployment in self.directory.values():
-            if isinstance(deployment, StreamDeployment):
-                deployment.stop()
-        if self.agent.running or self.agent._retry_task is not None:
-            self.agent.stop()
-        await asyncio.sleep(0)          # let interrupted tasks unwind
-        await self.transport.stop()
+        self.agent.stop()
+        await self.node.close()         # flushes the trace + profile
         await self.control.stop()
-        await self.telemetry.stop()     # flushes the trace + profile
 
 
 async def _amain(args: argparse.Namespace) -> int:

@@ -10,8 +10,9 @@ chain (``elastic.decision`` -> ``control.subscribe`` ->
 The controller is backend-agnostic: on the simulator it runs as an
 ``env.process`` generator (deterministic -- the acceptance criterion
 "same seed, same decision timeline" holds because every input is
-virtual-time driven); live it runs as the supervisor's asyncio task
-polling the HTTP telemetry endpoints.
+virtual-time driven); live, ``repro live --autoscale`` ticks it from an
+asyncio task with snapshots of the HTTP telemetry endpoints (or the
+installed registry) and an executor over the pre-deployed spare streams.
 """
 
 from __future__ import annotations
@@ -105,14 +106,16 @@ class ElasticityController:
         """Turn an abstract proposal into a concrete, named action.
 
         Returns None when the proposal cannot be realised (e.g. a
-        replace targeting a stream that was already retired)."""
+        replace targeting a stream that was already retired, or no
+        stream left to grow onto)."""
         if not snapshot.streams:
             return None
+        stream = self.executor.next_stream_name()
+        if stream is None:
+            return None         # nowhere to grow: every stream is in use
         via = snapshot.streams[0]
         if proposal.kind == "subscribe":
-            return SubscribeStream(
-                stream=self.executor.next_stream_name(), via=via
-            )
+            return SubscribeStream(stream=stream, via=via)
         if proposal.kind == "split":
             hot = proposal.stream
             if hot is None or hot not in snapshot.streams:
@@ -122,9 +125,7 @@ class ElasticityController:
             shard = self.router.pick_split(hot, snapshot.shard_rate)
             if shard is None:
                 return None
-            return SplitShard(
-                shard=shard, stream=self.executor.next_stream_name(), via=via,
-            )
+            return SplitShard(shard=shard, stream=stream, via=via)
         if proposal.kind == "replace":
             old = proposal.stream
             if old is None or old not in snapshot.streams:
@@ -132,9 +133,7 @@ class ElasticityController:
             carrier = next(
                 (s for s in snapshot.streams if s != old), old
             )
-            return ReplaceStream(
-                old=old, stream=self.executor.next_stream_name(), via=carrier,
-            )
+            return ReplaceStream(old=old, stream=stream, via=carrier)
         return None
 
     # -- sim loop -----------------------------------------------------

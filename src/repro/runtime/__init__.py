@@ -15,8 +15,10 @@ actors over real asyncio TCP sockets on localhost:
   event-loop implementation of the kernel interface;
 * :mod:`repro.runtime.transport` -- :class:`TcpTransport`,
   length-prefixed TCP with per-peer reconnect and backpressure;
-* :mod:`repro.runtime.supervisor` -- :class:`LiveCluster` and
-  :func:`run_live`, the ``python -m repro live`` entry point;
+* :mod:`repro.runtime.node` -- :class:`LiveNode`, the one assembly of
+  a live node, shared by ``repro live`` and ``repro worker``;
+* :mod:`repro.runtime.supervisor` -- :class:`LiveCluster` (N nodes on
+  one loop) and :func:`run_live`, the ``python -m repro live`` entry;
 * :mod:`repro.runtime.telemetry` -- per-node tracer/metrics/HTTP
   endpoint assembly (:class:`NodeTelemetry`) for the live telemetry
   plane;
@@ -66,7 +68,7 @@ _LAZY = {
     "TcpTransport": ("repro.runtime.transport", "TcpTransport"),
     "LiveCluster": ("repro.runtime.supervisor", "LiveCluster"),
     "LiveConfig": ("repro.runtime.supervisor", "LiveConfig"),
-    "LiveNode": ("repro.runtime.supervisor", "LiveNode"),
+    "LiveNode": ("repro.runtime.node", "LiveNode"),
     "LiveReport": ("repro.runtime.supervisor", "LiveReport"),
     "run_live": ("repro.runtime.supervisor", "run_live"),
     "NodeTelemetry": ("repro.runtime.telemetry", "NodeTelemetry"),

@@ -1,0 +1,326 @@
+"""One live node: a clock domain, a listener and the roles placed on it.
+
+A *node* is what the paper calls a machine: it hosts some streams (a
+coordinator and an acceptor ring each), some replicas and possibly the
+client.  :class:`LiveNode` is the single place such a node is assembled
+for the live backend -- :class:`AsyncioKernel`, :class:`TcpTransport`,
+the optional :class:`~repro.runtime.telemetry.NodeTelemetry`, the
+protocol actors, the client-latency tap, the event-loop-lag probe, the
+paced client workload and the ``/health`` snapshot -- together with the
+order they come up and go down in: :meth:`~LiveNode.listen` ->
+:meth:`~LiveNode.start` -> :meth:`~LiveNode.stop_actors` ->
+:meth:`~LiveNode.close`.
+
+Both deployment shapes hydrate it from the same placement
+(:meth:`LiveNode.from_spec`): ``repro live`` runs N nodes on one event
+loop (:class:`repro.runtime.supervisor.LiveCluster`), ``repro worker``
+one node per OS process (:class:`repro.deploy.worker.DeployWorker`).
+The stream ``directory`` is the *caller's*: a node adds the deployments
+it hosts and resolves every other stream through it, so the caller
+decides what a remote stream is (the same object in-process, a
+:class:`~repro.deploy.agent.RemoteStreamDeployment` across processes).
+"""
+
+from __future__ import annotations
+
+import asyncio
+import os
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+
+from ..multicast.api import MulticastClient
+from ..multicast.replica import MulticastReplica
+from ..multicast.stream import StreamDeployment
+from ..paxos.config import StreamConfig
+from ..paxos.types import AppValue
+from .asyncio_kernel import AsyncioKernel
+from .profiling import LoopLagProbe, StackSampler
+from .telemetry import NodeTelemetry
+from .transport import TcpTransport
+
+if TYPE_CHECKING:
+    from ..deploy.topology import TopologySpec
+
+__all__ = ["LiveNode", "percentile"]
+
+
+def percentile(values: Sequence[float], pct: float) -> Optional[float]:
+    """Nearest-rank percentile of latency samples; None without any."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = max(0, min(len(ordered) - 1, round(pct / 100 * len(ordered)) - 1))
+    return ordered[rank]
+
+
+class LiveNode:
+    """Kernel + transport (+ telemetry) and every actor placed here."""
+
+    def __init__(
+        self,
+        name: str,
+        directory: dict[str, Any],
+        streams: Sequence[StreamConfig] = (),
+        replicas: Sequence[str] = (),
+        client: bool = False,
+        group: str = "g1",
+        initial_streams: Sequence[str] = ("s1",),
+        clock_offset: float = 0.0,
+        unreachable_after: int = 30,
+        bind_host: str = "127.0.0.1",
+        trace_node: Optional[str] = None,
+        tracer: Any = None,
+        telemetry_dir: Optional[str] = None,
+        profile_path: Optional[str] = None,
+        profile_interval: float = 0.02,
+    ):
+        self.name = name
+        # Tracer / transport identity: differs from the placement name
+        # only for a restarted worker (one id per incarnation).
+        self.trace_node = trace_node if trace_node is not None else name
+        self.group = group
+        self.initial_streams = tuple(initial_streams)
+        self.telemetry: Optional[NodeTelemetry] = None
+        # The stack sampler runs for the node's whole life when
+        # ``profile_path`` is set; it is the telemetry plane's when
+        # there is one (shared with the /profile routes).
+        self.profile_path = profile_path
+        self.profiler: Optional[StackSampler] = None
+        # Without telemetry the kernel gets no ``metrics`` argument: its
+        # default is what adopts a process-wide registry if installed.
+        observers: dict[str, Any] = {} if tracer is None else {"tracer": tracer}
+        if telemetry_dir is not None:
+            self.telemetry = NodeTelemetry(
+                self.trace_node,
+                trace_path=os.path.join(
+                    telemetry_dir, f"{self.trace_node}.trace.jsonl"
+                ),
+                profile_interval=profile_interval,
+            )
+            self.telemetry.profile_path = profile_path
+            self.profiler = self.telemetry.profiler
+            observers = {
+                "tracer": self.telemetry.tracer,
+                "metrics": self.telemetry.registry,
+            }
+        elif profile_path is not None:
+            self.profiler = StackSampler(interval=profile_interval)
+        self.kernel = AsyncioKernel(clock_offset=clock_offset, **observers)
+        self._loop = self.kernel._loop
+        self.transport = TcpTransport(
+            self.kernel,
+            bind_host=bind_host,
+            node=self.trace_node,
+            unreachable_after=unreachable_after,
+        )
+        self.endpoint: Optional[tuple[str, int]] = None
+        self.deployments: dict[str, StreamDeployment] = {}
+        for config in streams:
+            self.deployments[config.name] = directory[config.name] = (
+                StreamDeployment(self.kernel, self.transport, config)
+            )
+        self.replicas: dict[str, MulticastReplica] = {}
+        for replica_name in replicas:
+            replica = MulticastReplica(
+                self.kernel, self.transport, replica_name, group=group,
+                directory=directory,
+            )
+            replica.add_delivery_observer(self._latency_tap)
+            self.replicas[replica_name] = replica
+        self.client: Optional[MulticastClient] = None
+        if client:
+            self.client = MulticastClient(
+                self.kernel, self.transport, "client", directory
+            )
+        # The caller attaches the invariant suite watching these
+        # replicas (one per process); /health reads deliveries off it.
+        self.invariants: Any = None
+        self.active_streams: list[str] = list(self.initial_streams)
+        self.submit_at: dict[int, float] = {}
+        self.latencies_ms: list[float] = []
+        self.submitted = 0
+        self._lag_probe: Optional[LoopLagProbe] = None
+
+    @classmethod
+    def from_spec(
+        cls, spec: "TopologySpec", name: str, directory: dict, **kwargs: Any
+    ) -> "LiveNode":
+        """The node ``name`` of ``spec``: everything placement decides
+        is read off the spec, ``kwargs`` carry what only the caller
+        knows (tracer, telemetry directory, bind host, ...)."""
+        placed = spec.node(name)
+        return cls(
+            name, directory,
+            streams=[spec.stream_config(s) for s in placed.streams],
+            replicas=placed.replicas, client=placed.client,
+            group=spec.group, initial_streams=spec.initial_streams,
+            clock_offset=placed.clock_offset,
+            unreachable_after=spec.unreachable_after,
+            profile_interval=spec.profile_interval,
+            **kwargs,
+        )
+
+    def __repr__(self) -> str:
+        return f"<LiveNode {self.name}>"
+
+    # -- lifecycle ----------------------------------------------------
+
+    async def listen(self, health: Optional[Callable[[], dict]] = None) -> None:
+        """Open the listener socket and, with telemetry, the HTTP
+        endpoint (serving ``health`` -- by default :meth:`health`)."""
+        await self.transport.start()
+        if self.telemetry is not None:
+            self.telemetry.bind(self.kernel, health or self.health)
+            self.endpoint = await self.telemetry.start_server()
+
+    def start(self) -> None:
+        """Start the probes and every actor placed here; peers'
+        addresses must be registered by now."""
+        if self.profiler is not None and self.profile_path is not None:
+            self.profiler.start()
+        # The loop-lag probe rides on whatever registry the kernel has
+        # (the node's with telemetry, else a process-wide one); without
+        # any there is nowhere to export, so skip.
+        if self.kernel.metrics is not None:
+            self._lag_probe = LoopLagProbe(
+                self.kernel, self.kernel.metrics, actor=self.name
+            )
+            self._lag_probe.start()
+        for deployment in self.deployments.values():
+            deployment.start()
+        for replica in self.replicas.values():
+            replica.bootstrap(list(self.initial_streams))
+        if self.client is not None:
+            self.client.start()
+
+    def stop_actors(self) -> None:
+        """Stop probes and actors, sockets stay open; idempotent."""
+        if self._lag_probe is not None:
+            self._lag_probe.stop()
+            self._lag_probe = None
+        if self.profiler is not None and self.profiler.running:
+            self.profiler.stop()
+        if self.client is not None:
+            self.client.stop()
+        for replica in self.replicas.values():
+            for core in list(replica.learners.values()):
+                core.stop()
+            replica.stop()
+        for deployment in self.deployments.values():
+            deployment.stop()
+
+    async def close(self) -> None:
+        """Stop the actors, close the sockets, flush trace + profile."""
+        self.stop_actors()
+        await asyncio.sleep(0)      # let interrupted tasks unwind
+        await self.transport.stop()
+        if self.telemetry is not None:
+            await self.telemetry.stop()     # writes profile_path too
+        elif self.profiler is not None and self.profile_path is not None:
+            self.profiler.write_collapsed(self.profile_path)
+
+    # -- observation --------------------------------------------------
+
+    def _latency_tap(self, value: AppValue, stream: str, position: int) -> None:
+        sent = self.submit_at.get(value.msg_id)
+        if sent is not None:
+            latency_ms = 1000.0 * (self._loop.time() - sent)
+            self.latencies_ms.append(latency_ms)
+            metrics = self.kernel.metrics
+            if metrics is not None:
+                metrics.histogram("client", "latency_ms").record(latency_ms)
+
+    def health(self) -> dict:
+        """The ``/health`` snapshot: what runs here and how far it got."""
+        health: dict = {
+            "node": self.name,
+            "now": self.kernel._now,
+            "streams": {},
+            "replicas": self.replica_states(),
+            "transport": {
+                "queue_depths": self.transport.queue_depths(),
+                "counters": self.transport.counters(),
+            },
+        }
+        for stream, deployment in self.deployments.items():
+            coordinator = deployment.coordinator
+            health["streams"][stream] = {
+                "next_instance": coordinator.next_instance,
+                "positions_decided": coordinator.positions_decided,
+                "leading": coordinator.leading,
+            }
+        if self.client is not None:
+            health["client"] = {"submitted": self.submitted}
+        return health
+
+    def replica_states(self) -> dict:
+        """Per replica: Σ, merge cursors and deliveries so far (counted
+        by the attached invariant suite)."""
+        logs = self.invariants.logs if self.invariants is not None else {}
+        return {
+            name: {
+                "subscriptions": list(replica.subscriptions),
+                "positions": dict(replica.merger.positions()),
+                "delivered": len(logs[name].records) if name in logs else 0,
+                "pending_subscription": (
+                    replica.merger.pending_subscription is not None
+                ),
+            }
+            for name, replica in self.replicas.items()
+        }
+
+    # -- workload -----------------------------------------------------
+
+    def require_client(self) -> MulticastClient:
+        if self.client is None:
+            raise ValueError(f"node {self.name} hosts no client")
+        return self.client
+
+    def multicast(self, stream: str, payload: Any, size: int) -> AppValue:
+        """Submit one value through this node's client, timed by the
+        latency tap when a local replica delivers it."""
+        value = self.require_client().multicast(
+            stream, payload=payload, size=size
+        )
+        self.submit_at[value.msg_id] = self._loop.time()
+        self.submitted += 1
+        return value
+
+    def subscribe_msg(self, stream: str, via: Optional[str] = None) -> int:
+        """Ask the group to subscribe to ``stream`` at runtime, ordered
+        through ``via`` (default: the first initial stream); returns
+        the request id the ``control.subscribe`` trace event carries."""
+        return self.require_client().subscribe_msg(
+            self.group, stream, via_stream=via or self.initial_streams[0]
+        )
+
+    async def workload(
+        self,
+        duration: float,
+        rate: float,
+        burst: int = 1,
+        payload_size: int = 64,
+        rate_end: Optional[float] = None,
+    ) -> None:
+        """Submit ``rate`` values/s (ramping linearly to ``rate_end``)
+        for ``duration`` wall seconds, round robin over
+        :attr:`active_streams` -- read per value, so a stream appended
+        mid-run takes traffic from the next value on.  Submissions go
+        out ``burst`` at a time: above a few thousand values/s one
+        sleep per message can't keep up (timer granularity)."""
+        loop = self._loop
+        start = loop.time()
+        end = start + duration
+        sequence = 0
+        while loop.time() < end:
+            for _ in range(burst):
+                streams = self.active_streams
+                self.multicast(
+                    streams[sequence % len(streams)], f"m{sequence}",
+                    payload_size,
+                )
+                sequence += 1
+            now_rate = rate
+            if rate_end is not None:
+                elapsed = min(1.0, (loop.time() - start) / duration)
+                now_rate = rate + elapsed * (rate_end - rate)
+            await asyncio.sleep(burst / now_rate if now_rate > 0 else duration)

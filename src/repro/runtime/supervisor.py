@@ -14,13 +14,15 @@ guarantees on the live backend:
 Nodes
 -----
 With ``nodes > 1`` the cluster is partitioned into that many *nodes*:
-each node owns its own :class:`AsyncioKernel` (its own clock domain)
-and :class:`TcpTransport` (its own listener socket), and stream
-deployments / replicas are placed round-robin across them.  All nodes
-still run on one asyncio loop in this process, but every cross-node
-message is codec-serialized and travels socket-to-socket between two
-different listeners -- the same failure surface as two processes,
-minus the fork.
+each is a :class:`~repro.runtime.node.LiveNode` -- its own
+:class:`AsyncioKernel` (clock domain) and :class:`TcpTransport`
+(listener socket) -- hydrated from the same placement ``repro deploy``
+hands its worker processes (:func:`repro.deploy.topology
+.build_topology`: streams, replicas and the client round-robin).  All
+nodes still run on one asyncio loop in this process, but every
+cross-node message is codec-serialized and travels socket-to-socket
+between two different listeners -- the same failure surface as two
+processes, minus the fork.
 
 Telemetry
 ---------
@@ -47,35 +49,33 @@ replica agreement, not a particular sequence.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..deploy.topology import build_topology
 from ..faults.invariants import InvariantSuite, InvariantViolation
-from ..multicast.api import MulticastClient
 from ..multicast.replica import MulticastReplica
-from ..multicast.stream import StreamDeployment
 from ..obs.recorder import FlightRecorder
-from ..obs.trace import Tracer, current_tracer
-from ..paxos.config import StreamConfig
+from ..obs.trace import Tracer, current_metrics, current_tracer
 from ..paxos.skip import DEFAULT_LAMBDA
-from .asyncio_kernel import AsyncioKernel
-from .profiling import LoopLagProbe, StackSampler
-from .telemetry import NodeTelemetry, aggregate_dumps, estimate_offset, http_get_json
-from .transport import TcpTransport
+from .node import LiveNode, percentile
+from .telemetry import (
+    CLOCK_SYNC_SAMPLES,
+    aggregate_dumps,
+    estimate_offset,
+    http_get_json,
+)
 
 __all__ = ["LiveCluster", "LiveConfig", "LiveNode", "LiveReport", "run_live"]
 
-
-def _percentile(values: list, pct: float) -> float:
-    """Nearest-rank percentile (mirrors ``repro.sim.monitor.percentile``
-    without importing the sim package into the runtime layer)."""
-    if not values:
-        raise ValueError("no samples")
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, round(pct / 100 * len(ordered)) - 1))
-    return ordered[rank]
+_SUBSCRIBE_AFTER = 0.3          # scripted subscribe: fraction of the run
+# The live autoscaler's control loop (docs/ELASTICITY.md, "Live mode").
+_AUTOSCALE_INTERVAL = 0.25      # controller polling period (s)
+_AUTOSCALE_SUSTAIN = 2          # consecutive breaches to fire
+_AUTOSCALE_COOLDOWN = 1.5       # seconds between reconfigurations
 
 
 @dataclass
@@ -88,24 +88,19 @@ class LiveConfig:
     duration: float = 5.0           # workload wall seconds
     rate: float = 200.0             # client multicasts per second
     payload_size: int = 64          # modeled payload bytes per value
-    subscribe_after: float = 0.3    # runtime subscribe at this fraction
     drain_timeout: float = 10.0     # wall seconds to reach agreement
     metrics_out: Optional[str] = None
     nodes: int = 1                  # clock/transport domains to partition into
     telemetry_dir: Optional[str] = None   # per-node traces + HTTP endpoints
     clock_skew: float = 0.0         # artificial skew between node clocks (s)
     scrape_interval: float = 0.5    # supervisor /health polling period
-    clock_sync_samples: int = 5     # /clock round trips per node
     # Closed-loop elasticity (docs/ELASTICITY.md, "Live mode"): instead
-    # of the scripted subscribe at ``subscribe_after``, an autoscaler
-    # task polls the telemetry plane and runtime-subscribes the spare
-    # streams when the decide-rate ceiling is breached.
+    # of the scripted subscribe, the elasticity controller polls the
+    # signal plane and runtime-subscribes the spare streams when the
+    # decide-rate ceiling is breached.
     autoscale: bool = False
     rate_ramp: Optional[float] = None     # ramp client rate to this value
     autoscale_ceiling: float = 150.0      # decided values/s per stream
-    autoscale_interval: float = 0.25      # controller polling period (s)
-    autoscale_sustain: int = 2            # consecutive breaches to fire
-    autoscale_cooldown: float = 1.5       # seconds between reconfigs
     # Always-on profiling (docs/OBSERVABILITY.md): with profile_dir set,
     # every node runs a background stack sampler for the whole run and
     # writes flamegraph-collapsed stacks to DIR/<node>.stacks.txt.
@@ -137,8 +132,6 @@ class LiveConfig:
             raise ValueError("need at least one replica")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if not 0.0 < self.subscribe_after < 1.0:
-            raise ValueError("subscribe_after must be a fraction in (0, 1)")
         if self.nodes < 1:
             raise ValueError("need at least one node")
         if self.clock_skew < 0:
@@ -147,8 +140,6 @@ class LiveConfig:
             raise ValueError("rate_ramp must be positive")
         if self.autoscale_ceiling <= 0:
             raise ValueError("autoscale_ceiling must be positive")
-        if self.autoscale_interval <= 0:
-            raise ValueError("autoscale_interval must be positive")
         if self.dissemination not in ("ring", "classic"):
             raise ValueError(
                 f"dissemination must be 'ring' or 'classic', "
@@ -225,41 +216,15 @@ class LiveReport:
         )
 
 
-class LiveNode:
-    """One clock/transport domain: kernel + transport (+ telemetry)."""
-
-    def __init__(
-        self,
-        name: str,
-        kernel: AsyncioKernel,
-        transport: TcpTransport,
-        telemetry: Optional[NodeTelemetry] = None,
-        profiler: Optional[StackSampler] = None,
-    ):
-        self.name = name
-        self.kernel = kernel
-        self.transport = transport
-        self.telemetry = telemetry
-        # The node's stack sampler: the telemetry plane's when there is
-        # one (shared with the /profile routes), standalone otherwise.
-        self.profiler = profiler
-        self.endpoint: Optional[tuple[str, int]] = None
-
-    def __repr__(self) -> str:
-        return f"<LiveNode {self.name}>"
-
-
 class LiveCluster:
-    """One in-process live deployment: nodes, streams, replicas, client
-    -- plus the telemetry plane and the taps the report is built from."""
+    """One in-process live deployment: N :class:`LiveNode` on one event
+    loop -- plus what only the single process has: the shared tracer
+    and flight recorder of an untelemetried run, the endpoints file,
+    HTTP clock sync, the ``/health`` scrape loop and the report."""
 
     def __init__(self, config: LiveConfig):
         self.config = config
         self.telemetry_enabled = config.telemetry_dir is not None
-        self.profile_enabled = config.profile_dir is not None
-        if self.profile_enabled:
-            os.makedirs(config.profile_dir, exist_ok=True)
-        self.nodes: list[LiveNode] = []
         self.recorder: Optional[FlightRecorder] = None
         shared_tracer: Optional[Tracer] = None
         if self.telemetry_enabled:
@@ -276,160 +241,86 @@ class LiveCluster:
                 shared_tracer = external
             else:
                 shared_tracer = Tracer(sinks=[self.recorder])
-        for index in range(config.nodes):
-            name = f"n{index + 1}"
-            skew = index * config.clock_skew
-            profiler: Optional[StackSampler] = None
-            if self.telemetry_enabled:
-                telemetry = NodeTelemetry(
-                    name,
-                    trace_path=os.path.join(
-                        config.telemetry_dir, f"{name}.trace.jsonl"
-                    ),
-                    profile_interval=config.profile_interval,
+        # The placement `repro deploy` gives its workers: node i's clock
+        # runs ``i * clock_skew`` ahead, λ follows the peak offered rate.
+        self.spec = build_topology(
+            nodes=config.nodes, streams=config.streams,
+            replicas=config.replicas,
+            clock_offsets={
+                f"n{index + 1}": index * config.clock_skew
+                for index in range(config.nodes)
+            },
+            lam=config.effective_lam(),
+            acceptors_per_stream=config.acceptors_per_stream,
+            dissemination=config.dissemination,
+            adaptive_batching=config.adaptive_batching,
+            profile_interval=config.profile_interval,
+        )
+        # node -> collapsed-stacks file (empty unless profiling is on).
+        self.profile_files: dict[str, str] = {}
+        if config.profile_dir is not None:
+            os.makedirs(config.profile_dir, exist_ok=True)
+            self.profile_files = {
+                placed.name: os.path.join(
+                    config.profile_dir, f"{placed.name}.stacks.txt"
                 )
-                kernel = AsyncioKernel(
-                    tracer=telemetry.tracer,
-                    metrics=telemetry.registry,
-                    clock_offset=skew,
-                )
-                profiler = telemetry.profiler
-                if self.profile_enabled:
-                    telemetry.profile_path = self._profile_path(name)
-            else:
-                telemetry = None
-                kernel = AsyncioKernel(tracer=shared_tracer, clock_offset=skew)
-                if self.profile_enabled:
-                    profiler = StackSampler(interval=config.profile_interval)
-            transport = TcpTransport(kernel, node=name)
-            self.nodes.append(
-                LiveNode(name, kernel, transport, telemetry, profiler)
+                for placed in self.spec.nodes
+            }
+        # One directory for the whole process, in s1..sN order: every
+        # node adds the deployments it hosts and sees all the others.
+        self.directory: dict = dict.fromkeys(self.spec.streams)
+        self.nodes: list[LiveNode] = [
+            LiveNode.from_spec(
+                self.spec, placed.name, self.directory,
+                tracer=shared_tracer,
+                telemetry_dir=config.telemetry_dir,
+                profile_path=self.profile_files.get(placed.name),
             )
-        self._lag_probes: list[LoopLagProbe] = []
+            for placed in self.spec.nodes
+        ]
         self.kernel = self.nodes[0].kernel       # reference clock domain
         self._loop = self.kernel._loop
-        self.node_of: dict[str, str] = {}        # actor/stream -> node name
-
-        def node_for(index: int) -> LiveNode:
-            return self.nodes[index % len(self.nodes)]
-
-        self.directory: dict[str, StreamDeployment] = {}
-        for index in range(config.streams):
-            node = node_for(index)
-            name = f"s{index + 1}"
-            stream_config = StreamConfig(
-                name=name,
-                acceptors=tuple(
-                    f"{name}/acceptor-{j + 1}"
-                    for j in range(config.acceptors_per_stream)
-                ),
-                ring_mode=(config.dissemination == "ring"),
-                adaptive_batching=config.adaptive_batching,
-                lam=config.effective_lam(),
-            )
-            self.directory[name] = StreamDeployment(
-                node.kernel, node.transport, stream_config
-            )
-            self.node_of[name] = node.name
-        self.replicas: dict[str, MulticastReplica] = {}
-        self._submit_at: dict[int, float] = {}
-        self.latencies_ms: list[float] = []
-        for index in range(config.replicas):
-            node = node_for(index)
-            name = f"r{index + 1}"
-            replica = MulticastReplica(
-                node.kernel, node.transport, name, group="g1",
-                directory=self.directory,
-            )
-            replica.add_delivery_observer(self._latency_tap)
-            self.replicas[name] = replica
-            self.node_of[name] = node.name
+        placed: dict[str, MulticastReplica] = {}
+        for node in self.nodes:
+            placed.update(node.replicas)
+        self.replicas = {
+            f"r{index + 1}": placed[f"r{index + 1}"]
+            for index in range(config.replicas)
+        }
+        # One suite over every replica of the process: agreement is a
+        # cross-replica property, and /health reads deliveries off it.
         self.invariants = InvariantSuite(self.replicas)
-        client_node = self.nodes[0]
-        self.client = MulticastClient(
-            client_node.kernel, client_node.transport, "client", self.directory
+        for node in self.nodes:
+            node.invariants = self.invariants
+        self.client_node = next(
+            node for node in self.nodes if node.client is not None
         )
-        self.node_of["client"] = client_node.name
-        self.submitted = 0
+        self.client = self.client_node.client
+        # Submit -> deliver latency of every value delivered by a
+        # replica on the client's node (one sample per such replica).
+        self.latencies_ms = self.client_node.latencies_ms
         self.clock_offsets: dict[str, float] = {}
         self.scrape_count = 0
-        self.last_health: dict[str, dict] = {}
         self._scrape_task: Optional[asyncio.Task] = None
-        self.last_subscribe_request_id: Optional[int] = None
-        self._signal_totals: dict[str, float] = {}
-        self._signal_at: Optional[float] = None
-
-    def _latency_tap(self, value, stream, position) -> None:
-        sent = self._submit_at.get(value.msg_id)
-        if sent is not None:
-            latency_ms = 1000.0 * (self._loop.time() - sent)
-            self.latencies_ms.append(latency_ms)
-            metrics = self.kernel.metrics
-            if metrics is not None:
-                metrics.histogram("client", "latency_ms").record(latency_ms)
 
     # -- lifecycle ----------------------------------------------------
 
     async def start(self) -> None:
         for node in self.nodes:
-            await node.transport.start()
+            await node.listen()
         # Every node learns where every other node's hosts listen, so a
         # cross-node send dials the owning node's socket.
-        for a in self.nodes:
-            for b in self.nodes:
-                if a is b:
-                    continue
-                for hostname in b.transport.hosts():
-                    a.transport.register_address(hostname, b.transport.address)
+        for a, b in itertools.permutations(self.nodes, 2):
+            for hostname in b.transport.hosts():
+                a.transport.register_address(hostname, b.transport.address)
         if self.telemetry_enabled:
-            for node in self.nodes:
-                node.telemetry.bind(node.kernel, self._health_fn(node))
-                node.endpoint = await node.telemetry.start_server()
             self._write_endpoints_file()
             await self._sync_clocks()
             self._scrape_task = asyncio.ensure_future(self._scrape_loop())
-        if self.profile_enabled:
-            for node in self.nodes:
-                if node.profiler is not None:
-                    node.profiler.start()
-        # Event-loop-lag probes ride on whatever registry each kernel
-        # has (per-node with telemetry, the process-wide one otherwise);
-        # without any registry there is nowhere to export, so skip.
         for node in self.nodes:
-            if node.kernel.metrics is not None:
-                probe = LoopLagProbe(
-                    node.kernel, node.kernel.metrics, actor=node.name
-                )
-                probe.start()
-                self._lag_probes.append(probe)
-        for deployment in self.directory.values():
-            deployment.start()
-        for replica in self.replicas.values():
-            replica.bootstrap(["s1"])
-        self.client.start()
-
-    def _profile_path(self, node_name: str) -> str:
-        return os.path.join(self.config.profile_dir, f"{node_name}.stacks.txt")
-
-    def profile_paths(self) -> dict[str, str]:
-        """node -> collapsed-stacks file (empty unless profiling is on)."""
-        if not self.profile_enabled:
-            return {}
-        return {node.name: self._profile_path(node.name) for node in self.nodes}
+            node.start()
 
     async def stop(self) -> None:
-        for probe in self._lag_probes:
-            probe.stop()
-        self._lag_probes = []
-        for node in self.nodes:
-            if node.profiler is not None and node.profiler.running:
-                node.profiler.stop()
-        if self.profile_enabled:
-            # Telemetry nodes write their stacks in NodeTelemetry.stop()
-            # (profile_path is set); bare nodes are written here.
-            for node in self.nodes:
-                if node.telemetry is None and node.profiler is not None:
-                    node.profiler.write_collapsed(self._profile_path(node.name))
         if self._scrape_task is not None:
             # Cancel until it sticks: before Python 3.12, wait_for (in
             # http_get_json) swallows a cancellation that lands just as
@@ -438,60 +329,14 @@ class LiveCluster:
                 self._scrape_task.cancel()
                 await asyncio.wait({self._scrape_task}, timeout=0.1)
             self._scrape_task = None
-        self.client.stop()
-        for replica in self.replicas.values():
-            for core in list(replica.learners.values()):
-                core.stop()
-            replica.stop()
-        for deployment in self.directory.values():
-            deployment.stop()
-        await asyncio.sleep(0)      # let interrupted tasks unwind
+        # Every actor stops before the first socket closes, so no node
+        # dials a listener that is already gone.
         for node in self.nodes:
-            await node.transport.stop()
+            node.stop_actors()
         for node in self.nodes:
-            if node.telemetry is not None:
-                await node.telemetry.stop()
+            await node.close()
 
     # -- telemetry plane ----------------------------------------------
-
-    def _health_fn(self, node: LiveNode):
-        def snapshot() -> dict:
-            health: dict = {
-                "node": node.name,
-                "now": node.kernel._now,
-                "streams": {},
-                "replicas": {},
-                "transport": {
-                    "queue_depths": node.transport.queue_depths(),
-                    "counters": node.transport.counters(),
-                },
-            }
-            for stream, deployment in self.directory.items():
-                if self.node_of[stream] != node.name:
-                    continue
-                coordinator = deployment.coordinator
-                health["streams"][stream] = {
-                    "next_instance": coordinator.next_instance,
-                    "positions_decided": coordinator.positions_decided,
-                    "leading": coordinator.leading,
-                }
-            for name, replica in self.replicas.items():
-                if self.node_of[name] != node.name:
-                    continue
-                log = self.invariants.logs.get(name)
-                health["replicas"][name] = {
-                    "subscriptions": list(replica.subscriptions),
-                    "positions": dict(replica.merger.positions()),
-                    "delivered": len(log.records) if log is not None else 0,
-                    "pending_subscription": (
-                        replica.merger.pending_subscription is not None
-                    ),
-                }
-            if self.node_of.get("client") == node.name:
-                health["client"] = {"submitted": self.submitted}
-            return health
-
-        return snapshot
 
     def _write_endpoints_file(self) -> None:
         path = os.path.join(self.config.telemetry_dir, "endpoints.json")
@@ -525,7 +370,7 @@ class LiveCluster:
         for node in self.nodes[1:]:
             samples = []
             try:
-                for _ in range(max(1, self.config.clock_sync_samples)):
+                for _ in range(CLOCK_SYNC_SAMPLES):
                     t0 = reference.kernel._now
                     data = await http_get_json(*node.endpoint, "/clock")
                     t3 = reference.kernel._now
@@ -540,16 +385,14 @@ class LiveCluster:
             )
 
     async def _scrape_loop(self) -> None:
-        """Poll every node's /health endpoint; the latest snapshot per
-        node is kept for the report and surfaced to `repro top`."""
+        """Poll every node's /health endpoint: each scrape has the
+        node's watchdog evaluate itself (alerts land in its trace)."""
         while True:
             for node in self.nodes:
                 if node.endpoint is None:
                     continue
                 try:
-                    self.last_health[node.name] = await http_get_json(
-                        *node.endpoint, "/health"
-                    )
+                    await http_get_json(*node.endpoint, "/health")
                     self.scrape_count += 1
                 except Exception:
                     pass       # endpoint briefly busy; next tick retries
@@ -604,22 +447,21 @@ class LiveCluster:
     # -- workload -----------------------------------------------------
 
     def multicast(self, stream: str, sequence: int) -> None:
-        value = self.client.multicast(
-            stream, payload=f"m{sequence}", size=self.config.payload_size
+        self.client_node.multicast(
+            stream, f"m{sequence}", self.config.payload_size
         )
-        self._submit_at[value.msg_id] = self._loop.time()
-        self.submitted += 1
 
     async def subscribe(self, new_stream: str, timeout: float) -> bool:
         """Runtime-subscribe the group to ``new_stream``; True once
         every replica's dMerge has switched."""
-        self.last_subscribe_request_id = self.client.subscribe_msg(
-            "g1", new_stream, via_stream="s1"
-        )
+        self.client_node.subscribe_msg(new_stream)
+        return await self.wait_subscribed(new_stream, timeout)
+
+    async def wait_subscribed(self, stream: str, timeout: float) -> bool:
         deadline = self._loop.time() + timeout
         while self._loop.time() < deadline:
             if all(
-                new_stream in replica.subscriptions
+                stream in replica.subscriptions
                 for replica in self.replicas.values()
             ):
                 return True
@@ -627,48 +469,6 @@ class LiveCluster:
         return False
 
     # -- observation --------------------------------------------------
-
-    def introspect_snapshot(self):
-        """A signal snapshot from in-process state -- the autoscaler's
-        fallback when no telemetry endpoints are being served."""
-        from ..elasticity.signals import SignalSnapshot
-
-        now = self._loop.time()
-        dt = None if self._signal_at is None else now - self._signal_at
-        self._signal_at = now
-        # Nodes may share one process-wide registry (no-telemetry runs):
-        # dedupe by identity before summing per-stream counters.
-        registries = {
-            id(node.kernel.metrics): node.kernel.metrics
-            for node in self.nodes
-            if node.kernel.metrics is not None
-        }
-        totals: dict[str, float] = {}
-        for registry in registries.values():
-            for (actor, name), counter in registry.counters().items():
-                if name == "values_decided" and "/" in actor:
-                    stream = actor.split("/", 1)[0]
-                    totals[stream] = totals.get(stream, 0.0) + counter.total
-        decide_rate: dict[str, float] = {}
-        for stream, total in totals.items():
-            last = self._signal_totals.get(stream, total)
-            self._signal_totals[stream] = total
-            if dt is not None and dt > 0:
-                decide_rate[stream] = (total - last) / dt
-        replicas = list(self.replicas.values())
-        committed = tuple(
-            s for s in replicas[0].subscriptions
-            if all(s in r.subscriptions for r in replicas[1:])
-        ) if replicas else ()
-        return SignalSnapshot(
-            at=now,
-            streams=committed,
-            provisioned=tuple(sorted(self.directory)),
-            pending_subscription=any(
-                r.merger.pending_subscription is not None for r in replicas
-            ),
-            decide_rate=decide_rate,
-        )
 
     def sequences(self) -> dict[str, list]:
         return {
@@ -687,171 +487,144 @@ class LiveCluster:
         """Wait until every replica delivered the identical non-empty
         sequence (retransmission heals stragglers)."""
         deadline = self._loop.time() + timeout
-        while self._loop.time() < deadline:
+        while True:
             sequences = list(self.sequences().values())
             first = sequences[0]
             if first and all(sequence == first for sequence in sequences):
                 return True
+            if self._loop.time() >= deadline:
+                return False
             await asyncio.sleep(0.1)
-        sequences = list(self.sequences().values())
-        return bool(sequences[0]) and all(
-            sequence == sequences[0] for sequence in sequences
-        )
 
 
-async def _autoscale_loop(
-    cluster: LiveCluster,
-    config: LiveConfig,
-    active_streams: list[str],
-    state: dict,
-    until: float,
-) -> None:
-    """The live closed loop: poll the telemetry plane, evaluate the
-    decide-rate policy, and runtime-subscribe spare streams while the
-    workload keeps flowing (docs/ELASTICITY.md, "Live mode").
+class _SpareStreams:
+    """The live controller's executor.  Spare streams are deployed from
+    the start, so growing the group is a ``subscribe_msg`` -- and
+    routing client traffic to the stream once its subscription is in
+    the committed set, never before."""
 
-    Signals come from the per-node HTTP endpoints when telemetry is on
-    (the production shape), falling back to in-process introspection
-    otherwise.  Imports stay inside the function: the runtime layer
-    must not pull the simulator in at module scope.
-    """
+    def __init__(self, cluster: LiveCluster):
+        self.streams = cluster.directory
+        self.node = cluster.client_node
+        self.pending: list[str] = []    # requested, not yet committed
+
+    def next_stream_name(self) -> Optional[str]:
+        taken = {*self.node.active_streams, *self.pending}
+        return next((s for s in self.streams if s not in taken), None)
+
+    def execute(self, action) -> int:
+        self.pending.append(action.stream)
+        return self.node.subscribe_msg(action.stream, via=action.via)
+
+    def poll(self, snapshot) -> None:
+        for stream in [s for s in self.pending if s in snapshot.streams]:
+            self.pending.remove(stream)
+            self.node.active_streams.append(stream)
+
+
+def _autoscaler(cluster: LiveCluster):
+    """The :class:`repro.elasticity.ElasticityController` of a live run
+    (docs/ELASTICITY.md, "Live mode"): the decide-rate ceiling over the
+    per-node HTTP endpoints when telemetry is on (the production
+    shape), over the installed registry otherwise -- sampled on the
+    reference kernel's clock, so ``elastic.*`` events stay in their
+    node's clock domain.  Imports stay inside the function: the runtime
+    layer must not pull the simulator in at module scope."""
+    from ..elasticity.controller import ElasticityController
     from ..elasticity.policy import DecideRateCeiling, PolicyEngine
-    from ..elasticity.signals import HttpSignalSource
+    from ..elasticity.signals import HttpSignalSource, SimSignalSource
 
-    loop = cluster._loop
-    start = loop.time()
+    kernel = cluster.kernel
+    if cluster.telemetry_enabled:
+        source = HttpSignalSource(
+            {node.name: node.endpoint for node in cluster.nodes},
+            clock=lambda: kernel.now,
+        )
+    else:
+        source = SimSignalSource(
+            kernel, kernel.metrics, cluster.replicas, cluster.directory
+        )
     # No max_streams cap: live runs pre-provision their spare streams
     # (the engine's provisioned-count cap would see them all deployed
-    # from t=0); running out of spares ends the loop below instead.
+    # from t=0); running out of spares makes plan() return None instead.
     engine = PolicyEngine(
-        (DecideRateCeiling(ceiling=config.autoscale_ceiling),),
-        sustain=config.autoscale_sustain,
-        cooldown=config.autoscale_cooldown,
+        (DecideRateCeiling(ceiling=cluster.config.autoscale_ceiling),),
+        sustain=_AUTOSCALE_SUSTAIN,
+        cooldown=_AUTOSCALE_COOLDOWN,
     )
-    state["engine"] = engine
-    source = (
-        HttpSignalSource(
-            {node.name: node.endpoint for node in cluster.nodes},
-            clock=loop.time,
-        )
-        if cluster.telemetry_enabled else None
+    return ElasticityController(
+        source, engine, _SpareStreams(cluster),
+        interval=_AUTOSCALE_INTERVAL, tracer=kernel.tracer,
     )
-    tracer = cluster.kernel.tracer
+
+
+async def _autoscale_loop(controller, until: float) -> None:
+    """Tick the controller while the workload flows; the HTTP source
+    samples asynchronously, the registry one inline."""
+    loop = asyncio.get_running_loop()
     while loop.time() < until:
-        await asyncio.sleep(config.autoscale_interval)
-        if source is not None:
-            snapshot = await source.sample()
-        else:
-            snapshot = cluster.introspect_snapshot()
-        if tracer is not None:
-            tracer.emit(
-                "elastic.poll", cluster.kernel._now, controller="autoscaler",
-                streams=list(snapshot.streams),
-                total_rate=round(snapshot.total_rate, 3),
-                pending=snapshot.pending_subscription,
-            )
-        for proposal in engine.observe(snapshot):
-            spare = [
-                s for s in sorted(cluster.directory)
-                if s not in active_streams
-            ]
-            if not spare:
-                return
-            target = spare[0]
-            state["requested"] += 1
-            state["events"].append(
-                f"t+{loop.time() - start:.2f}s subscribe {target}: "
-                f"{proposal.reason}"
-            )
-            if tracer is not None:
-                tracer.emit(
-                    "elastic.decision", cluster.kernel._now,
-                    controller="autoscaler", rule=proposal.rule,
-                    action=proposal.kind, mode="enforce",
-                    reason=proposal.reason,
-                )
-            done = await cluster.subscribe(
-                target, timeout=config.drain_timeout
-            )
-            if tracer is not None:
-                tracer.emit(
-                    "elastic.action", cluster.kernel._now,
-                    controller="autoscaler", action=proposal.kind,
-                    stream=target,
-                    request_id=cluster.last_subscribe_request_id,
-                )
-            if done:
-                state["completed"] += 1
-                active_streams.append(target)
+        await asyncio.sleep(controller.interval)
+        snapshot = controller.source.sample()
+        if asyncio.iscoroutine(snapshot):
+            snapshot = await snapshot
+        controller.tick(snapshot)
 
 
 async def _run(config: LiveConfig) -> LiveReport:
+    blind = config.telemetry_dir is None and current_metrics() is None
+    if config.autoscale and blind:
+        raise ValueError(
+            "autoscale has no signal to poll: pass telemetry_dir or "
+            "install a metrics registry (repro.obs.trace.installed)"
+        )
     cluster = LiveCluster(config)
     loop = cluster._loop
     try:
         await cluster.start()
-
-        subscribes_requested = config.streams - 1
-        subscribes_completed = 0
-        active_streams = ["s1"]
-        # Submissions go out ``burst`` at a time: above a few thousand
-        # values/s one sleep per message can't keep up (timer
-        # granularity), so the sleep cost is amortised over the burst.
-        interval = (
-            config.burst / config.rate if config.rate > 0 else config.duration
-        )
-        subscribe_at = loop.time() + config.subscribe_after * config.duration
-        workload_end = loop.time() + config.duration
-        sequence = 0
-        subscribed = subscribes_requested == 0
-        autoscale_state: dict = {"requested": 0, "completed": 0, "events": []}
-        autoscaler: Optional[asyncio.Task] = None
-        if config.autoscale:
-            # The controller owns reconfiguration: the scripted
-            # subscribe is disabled, subscriptions happen only when the
-            # policy engine decides they should.
-            subscribed = True
-            autoscaler = asyncio.ensure_future(
-                _autoscale_loop(
-                    cluster, config, active_streams, autoscale_state,
-                    workload_end,
-                )
-            )
-        while loop.time() < workload_end:
-            for _ in range(config.burst):
-                cluster.multicast(
-                    active_streams[sequence % len(active_streams)], sequence
-                )
-                sequence += 1
-            if not subscribed and loop.time() >= subscribe_at:
+        client = cluster.client_node
+        active = client.active_streams
+        spare = [s for s in cluster.directory if s not in active]
+        subscribes_requested = len(spare)
+        autoscale_events: list[str] = []
+        started = cluster.kernel.now
+        workload = asyncio.ensure_future(client.workload(
+            config.duration, config.rate, config.burst, config.payload_size,
+            rate_end=config.rate_ramp,
+        ))
+        try:
+            if config.autoscale:
+                # The controller owns reconfiguration: no scripted
+                # subscribe, streams join only when the policy engine
+                # decides they should.
+                controller = _autoscaler(cluster)
+                await _autoscale_loop(controller, loop.time() + config.duration)
+                await workload
+                subscribes_requested = len(controller.executed)
+                reasons = {
+                    record.at: record.proposal.reason
+                    for record in controller.engine.fired()
+                }
+                autoscale_events = [
+                    f"t+{at - started:.2f}s subscribe {action.stream}: "
+                    f"{reasons[at]}"
+                    for at, action, _ in controller.executed
+                ]
+                # A subscribe still in flight gets its chance to commit.
+                for stream in controller.executor.pending:
+                    if await cluster.wait_subscribed(stream, config.drain_timeout):
+                        active.append(stream)
+            else:
                 # Subscribe to every further stream while the workload
-                # keeps flowing on s1 (the paper's online reconfig).
-                subscribed = True
-                for index in range(1, config.streams):
-                    done = await cluster.subscribe(
-                        f"s{index + 1}", timeout=config.drain_timeout
-                    )
-                    if done:
-                        subscribes_completed += 1
-                        active_streams.append(f"s{index + 1}")
-            if config.rate_ramp is not None:
-                frac = min(1.0, max(
-                    0.0,
-                    1.0 - (workload_end - loop.time()) / config.duration,
-                ))
-                rate = config.rate + frac * (config.rate_ramp - config.rate)
-                interval = (
-                    config.burst / rate if rate > 0 else config.duration
-                )
-            await asyncio.sleep(interval)
-        if autoscaler is not None:
-            autoscaler.cancel()
-            try:
-                await autoscaler
-            except asyncio.CancelledError:
-                pass
-            subscribes_requested = autoscale_state["requested"]
-            subscribes_completed = autoscale_state["completed"]
+                # keeps flowing (the paper's online reconfiguration).
+                if spare:
+                    await asyncio.sleep(_SUBSCRIBE_AFTER * config.duration)
+                for stream in spare:
+                    if await cluster.subscribe(stream, config.drain_timeout):
+                        active.append(stream)
+                await workload
+        finally:
+            workload.cancel()
+        subscribes_completed = len(active) - len(cluster.spec.initial_streams)
 
         agreed = await cluster.drain(config.drain_timeout)
 
@@ -873,19 +646,15 @@ async def _run(config: LiveConfig) -> LiveReport:
         transport_counters: dict[str, int] = {}
         for node in cluster.nodes:
             for name, value in node.transport.counters().items():
-                if name == "peak_send_queue":
-                    transport_counters[name] = max(
-                        transport_counters.get(name, 0), value
-                    )
-                else:
-                    transport_counters[name] = (
-                        transport_counters.get(name, 0) + value
-                    )
+                combine = max if name == "peak_send_queue" else sum
+                transport_counters[name] = combine(
+                    (transport_counters.get(name, 0), value)
+                )
         report = LiveReport(
             streams=config.streams,
             replicas=config.replicas,
             duration=config.duration,
-            submitted=cluster.submitted,
+            submitted=client.submitted,
             delivered_per_replica=delivered,
             sequences_identical=agreed,
             subscribes_completed=subscribes_completed,
@@ -894,12 +663,8 @@ async def _run(config: LiveConfig) -> LiveReport:
             violations=violations,
             kernel_failures=cluster.kernel_failures(),
             throughput=min(delivered.values(), default=0) / config.duration,
-            latency_p50_ms=(
-                _percentile(latencies, 50) if latencies else None
-            ),
-            latency_p99_ms=(
-                _percentile(latencies, 99) if latencies else None
-            ),
+            latency_p50_ms=percentile(latencies, 50),
+            latency_p99_ms=percentile(latencies, 99),
             transport_counters=transport_counters,
             nodes=config.nodes,
             node_traces={
@@ -917,8 +682,8 @@ async def _run(config: LiveConfig) -> LiveReport:
             flight_dumps=flight_dumps,
             scrapes=cluster.scrape_count,
             autoscale=config.autoscale,
-            autoscale_events=list(autoscale_state["events"]),
-            profile_files=cluster.profile_paths(),
+            autoscale_events=autoscale_events,
+            profile_files=cluster.profile_files,
             dissemination=config.dissemination,
             event_loop=(
                 f"{type(loop).__module__}.{type(loop).__name__}"

@@ -51,6 +51,7 @@ from ..obs.watch import Watchdog, default_node_detectors, sample_from_health
 from .profiling import StackSampler
 
 __all__ = [
+    "CLOCK_SYNC_SAMPLES",
     "NodeTelemetry",
     "TelemetryServer",
     "aggregate_dumps",
@@ -115,6 +116,9 @@ def prometheus_text(dump: dict, node: Optional[str] = None) -> str:
                     f"{metric}{labels(entry['actor'], extra)} {value:g}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+CLOCK_SYNC_SAMPLES = 5      # round trips per node a supervisor estimates from
 
 
 def estimate_offset(

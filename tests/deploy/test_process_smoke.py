@@ -65,7 +65,17 @@ def test_three_process_baseline_agrees(tmp_path):
         for trace in entry["trace_files"]:
             assert os.path.exists(trace)
     assert os.path.exists(os.path.join(report.run_dir, "topology.json"))
-    assert os.path.exists(os.path.join(report.run_dir, "metrics.json"))
+    # A worker is the same node `repro live` runs: it exports the
+    # client's latency and its own event-loop lag, aggregated under
+    # node-prefixed actors.
+    with open(os.path.join(report.run_dir, "metrics.json")) as fh:
+        histograms = {
+            (entry["actor"], entry["name"]): entry["n"]
+            for entry in json.load(fh)["histograms"]
+        }
+    assert histograms["n1/client", "latency_ms"] > 0
+    for node in manifest["nodes"]:
+        assert histograms[f"{node}/{node}", "loop_lag_ms"] > 0
     # The manifest embeds the exact spec the workers hydrated from.
     assert manifest["format"] == "repro-deploy-manifest/1"
     assert manifest["spec"]["format"] == "repro-deploy-spec/1"

@@ -68,6 +68,33 @@ def test_protocol_layer_has_no_module_level_sim_import():
     assert not offenders, "\n".join(offenders)
 
 
+def test_live_nodes_are_assembled_in_one_place():
+    # One way to stand up a live node: the in-process cluster and the
+    # worker process both go through repro.runtime.node, so neither may
+    # construct a kernel, a transport or a protocol actor of its own.
+    assembled = {
+        "AsyncioKernel", "TcpTransport", "StreamDeployment",
+        "MulticastReplica", "MulticastClient",
+    }
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for package in ("runtime", "deploy"):
+        for path in sorted((root / package).rglob("*.py")):
+            if path == root / "runtime" / "node.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in assembled:
+                    offenders.append(
+                        f"{path.relative_to(root.parent)}:{node.lineno} "
+                        f"constructs {name}"
+                    )
+    assert not offenders, "\n".join(offenders)
+
+
 def test_runtime_package_imports_without_sim():
     # Importing the runtime package must not drag the simulator in:
     # a live deployment should never pay for (or depend on) sim code

@@ -118,6 +118,44 @@ def test_two_node_cluster_with_telemetry(tmp_path):
     )
 
 
+def _submits_inside_subscribe_window(telemetry_dir, rate):
+    """(submits, expected) between the scripted ``control.subscribe``
+    and the last replica's ``merge.subscribe.commit`` of that request."""
+    report = run_live(LiveConfig(
+        streams=2, replicas=2, duration=1.5, rate=rate, burst=2,
+        drain_timeout=20.0, telemetry_dir=str(telemetry_dir),
+    ))
+    assert report.ok, report.summary()
+    with open(report.node_traces["n1"]) as handle:
+        events = [json.loads(line) for line in handle if line.strip()]
+    request = next(e for e in events if e["kind"] == "control.subscribe")
+    opened = request["ts"]
+    closed = max(
+        e["ts"] for e in events
+        if e["kind"] == "merge.subscribe.commit"
+        and e["request_id"] == request["request_id"]
+    )
+    submits = sum(
+        1 for e in events
+        if e["kind"] == "client.submit" and opened < e["ts"] < closed
+    )
+    return submits, rate * (closed - opened)
+
+
+def test_scripted_subscribe_happens_under_traffic(tmp_path):
+    """The "subscription under traffic" run must keep submitting while
+    it subscribes: the workload is a task of its own, not a loop that
+    awaits the subscribe inline."""
+    rate = 1000.0
+    submits, expected = _submits_inside_subscribe_window(tmp_path / "a", rate)
+    if not (expected >= 10 and submits >= 1):
+        submits, expected = _submits_inside_subscribe_window(   # noisy CI
+            tmp_path / "b", rate
+        )
+    assert expected >= 10, "window too short to tell; raise the rate"
+    assert submits >= 1, f"0 of ~{expected:.0f} expected submits in window"
+
+
 def test_untelemetried_cluster_still_carries_flight_recorder(tmp_path):
     """Satellite: even without --telemetry-dir a live cluster keeps a
     causal ring buffer and can dump it next to --metrics-out."""
