@@ -39,7 +39,7 @@ import signal
 from typing import Any, Optional
 
 from ..faults.invariants import InvariantSuite, InvariantViolation
-from ..runtime.node import LiveNode, percentile
+from ..runtime.node import CollectorPolicy, LiveNode, percentile
 from .agent import DeployAgent, RemoteStreamDeployment
 from .control import ControlServer
 from .topology import TopologySpec
@@ -106,6 +106,7 @@ class DeployWorker:
         self.control = ControlServer(self._handle, bind_host=control_host,
                                      bind_port=control_port)
         self._started = False
+        self._collector = CollectorPolicy()
         self._stop = asyncio.Event()
         self._workload_task: Optional[asyncio.Task] = None
         self._invariant_task: Optional[asyncio.Task] = None
@@ -164,6 +165,7 @@ class DeployWorker:
         self._started = True
         self.agent.start()
         self.node.start()
+        self._collector.apply()
         if self.invariants is not None:
             self._invariant_task = asyncio.ensure_future(
                 self._invariant_loop()
@@ -350,6 +352,7 @@ class DeployWorker:
         os.replace(tmp, path)     # atomic: the supervisor polls for it
 
     async def _teardown(self) -> None:
+        self._collector.restore()
         for task in (self._workload_task, self._invariant_task):
             if task is not None:
                 task.cancel()

@@ -32,8 +32,7 @@ still caught.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from ..multicast.replica import MulticastReplica
 
@@ -56,9 +55,14 @@ class InvariantViolation(AssertionError):
     msg_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One delivery observed at one replica."""
+class DeliveryRecord(NamedTuple):
+    """One delivery observed at one replica.
+
+    A ``NamedTuple`` like :class:`repro.runtime.kernel.Envelope`: one is
+    built per delivery per replica, and tuple construction happens in C
+    while the frozen dataclass protocol pays a guarded
+    ``object.__setattr__`` per field.
+    """
 
     stream: str
     position: int

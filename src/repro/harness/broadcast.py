@@ -158,9 +158,9 @@ class BroadcastClient(Actor):
                     coordinator = self.directory[target].config.coordinator
                     if tracer is not None:
                         tracer.emit(
-                            "client.submit", self.env._now, client=self.name,
-                            stream=target, msg_id=value.msg_id,
-                            size=self.value_size,
+                            "client.submit", self.env._now,
+                            (self.name, target, value.msg_id,
+                             self.value_size),
                         )
                     self.send(coordinator, Propose(stream=target, token=value))
                     expiry = env.timeout(self.timeout)

@@ -62,8 +62,8 @@ class MulticastClient(Actor):
         tracer = self.env.tracer
         if tracer is not None:
             tracer.emit(
-                "client.submit", self.env.now, client=self.name,
-                stream=stream, msg_id=value.msg_id, size=size,
+                "client.submit", self.env.now,
+                (self.name, stream, value.msg_id, size),
             )
         self.send(self._coordinator_of(stream), Propose(stream=stream, token=value))
         return value

@@ -275,8 +275,33 @@ class ElasticMerger:
             return False
         if self._blocked_since is not None:
             self._note_unblocked()
+        if (
+            len(self.sigma) > 1
+            and isinstance(token, SkipToken)
+            and self._skip_rounds()
+        ):
+            return True
         self._rr = (self._rr + 1) % len(self.sigma)
         self._consume(stream, cursor, token, deliver=True)
+        return True
+
+    def _skip_rounds(self) -> bool:
+        """Every stream of Σ sits inside a skip: consume, in one step,
+        as many whole round-robin rounds as the shortest of those runs
+        has positions.  Such rounds deliver nothing and meet no control
+        token, and each ends with the turn where it began -- so cursors
+        and turn come out exactly as one position per turn leaves them.
+        False (nothing consumed) when any stream is on anything else."""
+        cursors = self._cursors
+        rounds = 0
+        for stream in self.sigma:
+            run = cursors[stream].skip_run()
+            if run == 0:
+                return False
+            if rounds == 0 or run < rounds:
+                rounds = run
+        for stream in self.sigma:
+            cursors[stream].position += rounds
         return True
 
     def _consume(

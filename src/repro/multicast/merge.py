@@ -68,6 +68,13 @@ class StreamCursor:
         """End position (exclusive) of the token under the cursor."""
         return self.log.start_of(self.index_hint) + token.positions()
 
+    def skip_run(self) -> int:
+        """Positions left in the :class:`SkipToken` under the cursor; 0
+        when it sits on any other token or past the decided prefix."""
+        if isinstance(self.peek(), SkipToken):
+            return self._cache_end - self.position
+        return 0
+
 
 class StaticMerger:
     """Deterministic round-robin merge over a fixed set of streams."""

@@ -76,9 +76,8 @@ class MulticastReplica(Actor):
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
-                "replica.deliver", self.env.now, replica=self.name,
-                group=self.group, stream=stream, position=position,
-                msg_id=value.msg_id,
+                "replica.deliver", self.env.now,
+                (self.name, self.group, stream, position, value.msg_id),
             )
         metrics = self._metrics
         if metrics is not None:

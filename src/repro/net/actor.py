@@ -6,6 +6,12 @@ dispatches each payload to ``on_<MessageClassName>`` methods, e.g. a
 message types raise -- a replica silently ignoring a message it should
 handle is a bug, not a feature.
 
+:meth:`Actor.receive` is the one way a message reaches an actor.  The
+receive loop calls it per envelope; a transport that already runs on
+the actor's thread (the live TCP transport, in its receive callback)
+calls it directly while the loop is parked on an empty inbox, and
+reports a handler that raised through :meth:`Actor.abort`.
+
 Actors code against the :class:`repro.runtime.kernel.Kernel` and
 :class:`repro.runtime.kernel.Transport` interfaces only; the same actor
 runs unchanged on the discrete-event simulator and on the live asyncio
@@ -33,6 +39,11 @@ def _handler_name(payload: Any) -> str:
     return "on_" + _CAMEL_RE.sub("_", type(payload).__name__).lower()
 
 
+def _raise(failure: Exception):
+    raise failure
+    yield   # a generator: the kernel runs it as a process
+
+
 class Actor:
     """A named protocol participant attached to a transport host."""
 
@@ -47,6 +58,12 @@ class Actor:
         # loop parked on the replaced inbox forever.
         self.host.actor = self
         self._loop: Optional[ProcessHandle] = None
+        # env.tracer is fixed for the environment's lifetime, so the
+        # per-message guard is resolved once.
+        tracer = env.tracer
+        self._dispatch_tracer = (
+            tracer if tracer is not None and tracer.wants_dispatch else None
+        )
         # Per-message-class handler methods, resolved lazily: the regex
         # camel-case split and getattr are too slow for the dispatch
         # hot path.
@@ -110,39 +127,47 @@ class Actor:
     # -- dispatch ------------------------------------------------------
 
     def _receive_loop(self):
-        # env.tracer / env.metrics are fixed for the environment's
-        # lifetime, so hoist the per-message guards out of the loop.
-        tracer = self.env.tracer
-        if tracer is not None and not tracer.wants_dispatch:
-            tracer = None
+        # The inbox is stable for the lifetime of one loop instance: a
+        # crash interrupts the loop and recovery starts a fresh
+        # generator against the replacement inbox.
+        inbox = self.host.inbox
+        get = inbox.get
+        receive = self.receive
+        # env.metrics is fixed for the environment's lifetime.  Where the
+        # transport calls receive() itself the inbox is not the queue,
+        # and its depth is not worth exporting.
         metrics = self.env.metrics
-        # The inbox and dispatch method are stable for the lifetime of
-        # one loop instance: a crash interrupts the loop and recovery
-        # starts a fresh generator against the replacement inbox.
-        get = self.host.inbox.get
-        dispatch = self.dispatch
-        if tracer is None and metrics is None:
-            while True:
-                try:
-                    envelope = yield get()
-                except Interrupt:
-                    return
-                dispatch(envelope.payload, envelope.src)
+        if self.network.dispatches_inline:
+            metrics = None
         while True:
             try:
                 envelope = yield get()
             except Interrupt:
                 return
-            if tracer is not None:
-                tracer.emit(
-                    "actor.dispatch", self.env._now, name=self.name,
-                    src=envelope.src, type=type(envelope.payload).__name__,
-                )
             if metrics is not None:
-                metrics.gauge(self.name, "inbox_depth").record(
-                    len(self.host.inbox)
-                )
-            dispatch(envelope.payload, envelope.src)
+                metrics.gauge(self.name, "inbox_depth").record(len(inbox))
+            receive(envelope.payload, envelope.src)
+
+    def receive(self, payload: Any, src: str) -> None:
+        """Handle one received message: the single entry point, from
+        the receive loop and from a transport that dispatches in its
+        own receive callback."""
+        tracer = self._dispatch_tracer
+        if tracer is not None:
+            tracer.emit(
+                "actor.dispatch", self.env._now, name=self.name, src=src,
+                type=type(payload).__name__,
+            )
+        self.dispatch(payload, src)
+
+    def abort(self, failure: Exception) -> None:
+        """A handler raised outside the receive loop (a transport called
+        :meth:`receive` directly): what the loop dying of ``failure``
+        would have meant.  The loop stops -- it alone, whatever else a
+        subclass runs carries on -- and a process fails with ``failure``
+        and nobody waiting on it, which is how a kernel is told."""
+        Actor.stop(self)
+        self.env.process(_raise(failure))
 
     def dispatch(self, payload: Any, src: str) -> None:
         """Route ``payload`` to the matching ``on_*`` handler."""

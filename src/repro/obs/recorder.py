@@ -6,6 +6,14 @@ scenario runner dumps the buffer to a JSONL file, so every ``INVARIANT
 VIOLATION`` ships with the causal history that led up to it -- which
 message was submitted where, how it was ordered, and who delivered it.
 
+It is always on in live runs, so what it costs per event is what it
+costs per delivered value: the per-value kinds arrive as ``(ts, seq,
+kind, *values)`` records (``FIXED_SHAPE`` in :mod:`repro.obs.schema`)
+and stay that way in the ring -- one small tuple of scalars the
+collector stops tracking, no dict -- until :meth:`~FlightRecorder.events`,
+:meth:`~FlightRecorder.causal_history` or :meth:`~FlightRecorder.dump`
+reads them.  Every other kind arrives as the dict it always was.
+
 :meth:`FlightRecorder.causal_history` filters the buffer down to the
 events that mention one message id (``msg_id`` field, ``msg_ids`` batch
 lists, or ``request_id`` for control messages), reconstructing that
@@ -17,7 +25,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Optional
+from typing import Optional, Union
+
+from .schema import materialise
 
 __all__ = ["FlightRecorder"]
 
@@ -25,14 +35,20 @@ __all__ = ["FlightRecorder"]
 class FlightRecorder:
     """Ring-buffer trace sink with JSONL dump support."""
 
+    # Tracer protocol: fixed-shape events come as records, and the
+    # tracer this sink is added to sets ``node`` (what it stamps on
+    # every event, or None) for materialising them.
+    takes_records = True
+    node: Optional[str] = None
+
     def __init__(self, capacity: int = 100_000):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._buffer: deque[dict] = deque(maxlen=capacity)
+        self._buffer: deque[Union[dict, tuple]] = deque(maxlen=capacity)
         self.recorded = 0          # lifetime count (>= len(buffer))
 
-    def record(self, event: dict) -> None:
+    def record(self, event: Union[dict, tuple]) -> None:
         self.recorded += 1
         self._buffer.append(event)
 
@@ -46,7 +62,11 @@ class FlightRecorder:
 
     def events(self) -> list[dict]:
         """Snapshot of the buffered events, oldest first."""
-        return list(self._buffer)
+        node = self.node
+        return [
+            event if event.__class__ is dict else materialise(event, node)
+            for event in self._buffer
+        ]
 
     def clear(self) -> None:
         self._buffer.clear()
@@ -62,7 +82,7 @@ class FlightRecorder:
 
     def causal_history(self, msg_id: int) -> list[dict]:
         """Every buffered event that mentions ``msg_id``, oldest first."""
-        return [e for e in self._buffer if self._mentions(e, msg_id)]
+        return [e for e in self.events() if self._mentions(e, msg_id)]
 
     # -- dumping ---------------------------------------------------------
 

@@ -14,9 +14,17 @@ smoke test runs against the output of ``python -m repro trace``.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
-__all__ = ["EVENT_SCHEMA", "SchemaError", "validate_event", "validate_file"]
+__all__ = [
+    "EVENT_SCHEMA",
+    "FIXED_SHAPE",
+    "FixedShape",
+    "SchemaError",
+    "materialise",
+    "validate_event",
+    "validate_file",
+]
 
 
 class SchemaError(ValueError):
@@ -109,6 +117,51 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
 }
 
 _ENVELOPE = ("ts", "seq", "kind", "cat")
+
+
+class FixedShape(NamedTuple):
+    """How one per-value kind travels as a record instead of a dict."""
+
+    cat: str
+    fields: tuple[str, ...]             # payload field names, emit order
+    optional: frozenset = frozenset()   # left out of the event when None
+
+
+# The kinds emitted once or more per delivered value.  Their call sites
+# pass ``Tracer.emit(kind, at, values)`` one positional tuple in the
+# order of ``fields`` and the flight recorder keeps the record ``(ts,
+# seq, kind, *values)`` as is; :func:`materialise` builds the event dict
+# -- same keys, same order as the keyword form of ``emit`` would -- when
+# somebody reads it.  ``fields`` starts with the kind's required fields
+# (tests/obs/test_schema.py holds the two declarations together).
+FIXED_SHAPE: dict[str, FixedShape] = {
+    "client.submit": FixedShape(
+        "client", ("client", "stream", "msg_id", "size")),
+    "coord.propose": FixedShape(
+        "coord", ("coordinator", "stream", "type", "msg_id", "request_id"),
+        optional=frozenset({"msg_id", "request_id"})),
+    "transport.queue_wait": FixedShape(
+        "transport", ("dst", "msg_id", "wait")),
+    "net.context": FixedShape(
+        "meta", ("src", "dst", "origin", "msg_id", "origin_ts")),
+    "replica.deliver": FixedShape(
+        "replica", ("replica", "group", "stream", "position", "msg_id")),
+}
+
+
+def materialise(record: tuple, node: Optional[str] = None) -> dict:
+    """The event dict of one ``(ts, seq, kind, *values)`` record, as a
+    tracer stamping ``node`` emits it."""
+    ts, seq, kind = record[:3]
+    shape = FIXED_SHAPE[kind]
+    event = {"ts": ts, "seq": seq, "kind": kind, "cat": shape.cat}
+    if node is not None:
+        event["node"] = node
+    optional = shape.optional
+    for name, value in zip(shape.fields, record[3:]):
+        if value is not None or name not in optional:
+            event[name] = value
+    return event
 
 
 def validate_event(event: dict) -> None:

@@ -20,6 +20,13 @@ fanned out to the attached sinks (an in-memory list, a JSONL file, the
 flight recorder's ring buffer, or a streaming consumer such as the
 :class:`repro.obs.spans.LifecycleIndex`).
 
+The few kinds emitted per delivered value (``FIXED_SHAPE`` in
+:mod:`repro.obs.schema`) are emitted as ``tracer.emit(kind, at,
+values)``, one positional tuple: a sink that ``takes_records`` (the
+flight recorder) keeps the record ``(ts, seq, kind, *values)`` and
+builds the dict when it is read, every other sink gets the same dict as
+ever, built once per event.
+
 Installation
 ------------
 A tracer is installed process-wide with :func:`install` /
@@ -44,6 +51,8 @@ import contextlib
 import itertools
 import json
 from typing import Any, Callable, Iterable, Optional
+
+from .schema import FIXED_SHAPE, materialise
 
 __all__ = [
     "ALL_CATEGORIES",
@@ -141,7 +150,11 @@ class Tracer:
     ----------
     sinks:
         Objects with a ``record(event: dict)`` method.  A plain callable
-        is also accepted.
+        is also accepted.  A sink whose ``takes_records`` attribute is
+        true is handed fixed-shape events as ``(ts, seq, kind,
+        *values)`` records through the same method, and is told this
+        tracer's ``node`` (its ``node`` attribute) so it can materialise
+        them.
     categories:
         Set of category names to capture; defaults to
         :data:`DEFAULT_CATEGORIES`.  Use :data:`ALL_CATEGORIES` to
@@ -166,14 +179,21 @@ class Tracer:
         node: Optional[str] = None,
         clock: str = "virtual",
     ):
-        self._sinks: list[Callable[[dict], None]] = []
+        # Sinks by what they take of a fixed-shape event: the record,
+        # or the dict every sink takes of any other event.
+        self._record_sinks: list[Callable[[Any], None]] = []
+        self._dict_sinks: list[Callable[[dict], None]] = []
         self._sink_objs: list[Any] = []
+        self.node = node
         for sink in sinks:
             self.add_sink(sink)
-        self.node = node
         self.clock = clock
         self.categories = frozenset(
             categories if categories is not None else DEFAULT_CATEGORIES
+        )
+        self._fixed_kinds = frozenset(
+            kind for kind, shape in FIXED_SHAPE.items()
+            if shape.cat in self.categories
         )
         # Cached membership tests for the hottest guard sites.
         self.wants_net = "net" in self.categories
@@ -184,17 +204,49 @@ class Tracer:
 
     def add_sink(self, sink: Any) -> None:
         self._sink_objs.append(sink)
-        self._sinks.append(sink.record if hasattr(sink, "record") else sink)
+        record = sink.record if hasattr(sink, "record") else sink
+        if getattr(sink, "takes_records", False):
+            sink.node = self.node
+            self._record_sinks.append(record)
+        else:
+            self._dict_sinks.append(record)
 
     def wants(self, category: str) -> bool:
         return category in self.categories
 
-    def emit(self, kind: str, at: float, cat: Optional[str] = None, **fields) -> None:
+    def emit(
+        self,
+        kind: str,
+        at: float,
+        values: Optional[tuple] = None,
+        cat: Optional[str] = None,
+        **fields,
+    ) -> None:
         """Record one event at virtual time ``at``.
 
-        ``cat`` defaults to the ``kind`` prefix before the first dot.
+        Either keyword ``fields`` (``cat`` defaults to the ``kind``
+        prefix before the first dot), or -- for a ``FIXED_SHAPE`` kind
+        -- ``values``, the payload as one tuple in the declared order.
         Fields must be JSON-serialisable (strings, numbers, lists).
         """
+        if values is not None:
+            if kind not in self._fixed_kinds:
+                if kind not in FIXED_SHAPE:     # filtered out is fine
+                    raise KeyError(f"no FIXED_SHAPE declared for {kind!r}")
+                return
+            # Flat, not nested: a tuple of scalars leaves the collector's
+            # lists at the first pass that sees it, a tuple holding a
+            # tuple only at the second (docs/RUNTIME.md, "Collector
+            # policy").
+            record = (at, next(self._seq), kind) + values
+            self.emitted += 1
+            for sink in self._record_sinks:
+                sink(record)
+            if self._dict_sinks:
+                event = materialise(record, self.node)
+                for sink in self._dict_sinks:
+                    sink(event)
+            return
         category = cat if cat is not None else _CATEGORY_OF[kind]
         if category not in self.categories:
             return
@@ -203,7 +255,9 @@ class Tracer:
             event["node"] = self.node
         event.update(fields)
         self.emitted += 1
-        for sink in self._sinks:
+        for sink in self._record_sinks:
+            sink(event)
+        for sink in self._dict_sinks:
             sink(event)
 
     def close(self) -> None:

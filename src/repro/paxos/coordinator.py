@@ -234,18 +234,13 @@ class CoordinatorActor(Actor):
         self.positions_proposed += token.positions()
         tracer = self._tracer
         if tracer is not None:
-            fields = {
-                "coordinator": self.name,
-                "stream": self.stream,
-                "type": type(token).__name__,
-            }
-            msg_id = getattr(token, "msg_id", None)
-            if msg_id is not None:
-                fields["msg_id"] = msg_id
-            request_id = getattr(token, "request_id", None)
-            if request_id is not None:
-                fields["request_id"] = request_id
-            tracer.emit("coord.propose", self.env._now, **fields)
+            # msg_id / request_id are left out of the event when None.
+            tracer.emit(
+                "coord.propose", self.env._now,
+                (self.name, self.stream, type(token).__name__,
+                 getattr(token, "msg_id", None),
+                 getattr(token, "request_id", None)),
+            )
         if self._pending_since is not None:
             self._pending_since.append(self.env._now)
         if not self.pending:

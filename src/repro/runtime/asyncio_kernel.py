@@ -283,9 +283,22 @@ class LiveStore:
     def items(self) -> tuple:
         return tuple(self._items)
 
+    @property
+    def waiting(self) -> bool:
+        """True while a consumer is parked in ``get()``: the store is
+        empty and whatever it held has been handled.  A getter nobody
+        waits on any more (its process was interrupted away) is
+        discarded here instead of swallowing the next item."""
+        getters = self._getters
+        while getters:
+            if getters[0].callbacks:
+                return True
+            getters.popleft()
+        return False
+
     def put(self, item: Any) -> LiveEvent:
         event = LiveEvent(self.env)
-        if self._getters:
+        if self.waiting:
             self._getters.popleft().succeed(item)
             event.succeed()
         elif self.capacity is None or len(self._items) < self.capacity:
@@ -296,7 +309,7 @@ class LiveStore:
         return event
 
     def put_nowait(self, item: Any) -> None:
-        if self._getters:
+        if self.waiting:
             self._getters.popleft().succeed(item)
             return
         if self.capacity is not None and len(self._items) >= self.capacity:

@@ -190,7 +190,16 @@ class HostLike(Protocol):
 
 @runtime_checkable
 class Transport(Protocol):
-    """Named hosts plus datagram-style, fire-and-forget delivery."""
+    """Named hosts plus datagram-style, fire-and-forget delivery.
+
+    ``dispatches_inline`` says how a delivery reaches the receiving
+    actor: False, always through its host's inbox (the simulator); True,
+    by calling ``actor.receive`` from the transport's own receive
+    callback whenever the actor's loop is parked on an empty inbox (the
+    live TCP transport), the inbox holding only what arrives otherwise.
+    """
+
+    dispatches_inline: bool
 
     def add_host(self, name: str) -> Any: ...
 

@@ -61,7 +61,7 @@ from ..multicast.replica import MulticastReplica
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import Tracer, current_metrics, current_tracer
 from ..paxos.skip import DEFAULT_LAMBDA
-from .node import LiveNode, percentile
+from .node import CollectorPolicy, LiveNode, percentile
 from .telemetry import (
     CLOCK_SYNC_SAMPLES,
     aggregate_dumps,
@@ -302,6 +302,7 @@ class LiveCluster:
         self.clock_offsets: dict[str, float] = {}
         self.scrape_count = 0
         self._scrape_task: Optional[asyncio.Task] = None
+        self._collector = CollectorPolicy()
 
     # -- lifecycle ----------------------------------------------------
 
@@ -319,8 +320,10 @@ class LiveCluster:
             self._scrape_task = asyncio.ensure_future(self._scrape_loop())
         for node in self.nodes:
             node.start()
+        self._collector.apply()
 
     async def stop(self) -> None:
+        self._collector.restore()
         if self._scrape_task is not None:
             # Cancel until it sticks: before Python 3.12, wait_for (in
             # http_get_json) swallows a cancellation that lands just as

@@ -22,7 +22,7 @@ other connection, and the listener, carry on.
 
 The datapath is callbacks on the event loop -- no task, queue or stream
 object between ``send`` and the socket, or between the socket and the
-receiving host's inbox (docs/RUNTIME.md section 3 has the contracts):
+receiving actor's handler (docs/RUNTIME.md section 3 has the contracts):
 
 * one outbound :class:`_Connection` per peer *address*, shared by every
   destination name behind it; a name with no address yet waits on an
@@ -39,7 +39,13 @@ receiving host's inbox (docs/RUNTIME.md section 3 has the contracts):
   connects the connection *parks* -- backlog and new sends dropped
   (``dropped_unreachable``) -- until ``register_address`` revives it;
 * an accepted connection (:class:`_Inbound`) carves every complete
-  frame out of the chunk ``data_received`` hands it.
+  frame out of the chunk ``data_received`` hands it, and each decoded
+  payload goes to the destination actor's ``receive`` right there.  A
+  frame queues in the host's inbox only while that actor's receive loop
+  is not parked on an empty inbox (no actor, not started, stopped, or
+  still draining what queued before); the loop drains those first, so
+  per-host order holds.  A handler that raises kills its actor's loop
+  (``kernel.failures``), never the connection.
 
 Encoding reuses one ``bytearray`` scratch (outer framing + the codec's
 :func:`~repro.runtime.codec.encode_into`) snapshotted to ``bytes`` once
@@ -89,7 +95,11 @@ _COUNTERS = (
 
 
 class LiveHost:
-    """A named node bound to the live kernel (sim ``Host`` mirror)."""
+    """A named node bound to the live kernel (sim ``Host`` mirror).
+
+    ``inbox`` holds only the frames that arrived while ``actor``'s
+    receive loop was not parked on it; the rest went straight to
+    ``actor.receive`` (:meth:`TcpTransport._deliver_frame`)."""
 
     __slots__ = ("env", "name", "inbox", "crashed", "incarnation", "actor")
 
@@ -288,6 +298,8 @@ class _Inbound(asyncio.Protocol):
 class TcpTransport:
     """Transport over localhost TCP, one connection per peer address."""
 
+    dispatches_inline = True
+
     def __init__(
         self,
         kernel: AsyncioKernel,
@@ -421,8 +433,7 @@ class TcpTransport:
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
-                "transport.queue_wait", self.env._now, dst=dst,
-                msg_id=msg_id, wait=wait,
+                "transport.queue_wait", self.env._now, (dst, msg_id, wait)
             )
         if self._m_queue_wait is not None:
             self._m_queue_wait.record(1000.0 * wait)
@@ -771,24 +782,37 @@ class TcpTransport:
                 # for msg_id-bearing payloads so the volume stays at
                 # value-message scale.
                 tracer.emit(
-                    "net.context", self.env._now, cat="meta", src=src,
-                    dst=dst, origin=context.get("origin"),
-                    msg_id=context["msg_id"], origin_ts=context.get("ts"),
+                    "net.context", self.env._now,
+                    (src, dst, context.get("origin"), context["msg_id"],
+                     context.get("ts")),
                 )
         now = self.env._now
         self.messages_delivered += 1
         self.bytes_delivered += frame_bytes
-        envelope = Envelope(
-            src=src, dst=dst, payload=payload, size=frame_bytes,
-            sent_at=sent_at, delivered_at=now,
-            dst_incarnation=receiver.incarnation, duplicated=False,
-        )
-        receiver.inbox.put_nowait(envelope)
+        inbox = receiver.inbox
+        actor = receiver.actor
+        # With the actor's loop parked on an empty inbox, everything
+        # that came before has been handled: handle this one here.
+        # Otherwise it queues behind what the loop has yet to drain.
+        inline = actor is not None and inbox.waiting
+        if not inline:
+            inbox.put_nowait(Envelope(
+                src=src, dst=dst, payload=payload, size=frame_bytes,
+                sent_at=sent_at, delivered_at=now,
+                dst_incarnation=receiver.incarnation, duplicated=False,
+            ))
         tracer = self._net_tracer
         if tracer is not None:
             tracer.emit(
                 "net.deliver", now, src=src, dst=dst,
                 type=type(payload).__name__,
                 latency=now - sent_at,
-                inbox_depth=len(receiver.inbox),
+                inbox_depth=len(inbox),
             )
+        if inline:
+            try:
+                actor.receive(payload, src)
+            except Exception as failure:
+                # The handler's fault, not the frame's or the peer's:
+                # its actor dies of it, the connection carries on.
+                actor.abort(failure)

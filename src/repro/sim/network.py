@@ -172,6 +172,9 @@ class _Route:
 class Network:
     """Routes messages between hosts with latency/bandwidth/loss models."""
 
+    # Every delivery goes through the receiving host's inbox.
+    dispatches_inline = False
+
     def __init__(
         self,
         env: Environment,

@@ -56,3 +56,31 @@ def test_untraced_cluster_has_no_tracer_overhead_hooks():
     cluster.env.call_at(0.05, cluster.client.multicast, "S1", ("p", 0))
     cluster.run(until=1.0)
     assert len(cluster.delivered["G1/r1"]) == 1
+
+
+def test_repro_trace_jsonl_of_a_pinned_seed_is_byte_identical(tmp_path):
+    # The trace file is an interface (audit, merge, stats read it):
+    # how events travel inside the tracer -- dicts, or fixed-shape
+    # records materialised for the JSONL sink -- must not show in it.
+    # Pinned at the commit before records existed.  A fresh process:
+    # msg_ids come from a process-global counter.
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    out = tmp_path / "t.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    subprocess.run(
+        [sys.executable, "-m", "repro", "trace", "fig3", "--duration", "1",
+         "--seed", "11", "--out", str(out)],
+        check=True, env=env, capture_output=True, timeout=120,
+    )
+    data = out.read_bytes()
+    assert data.count(b"\n") == 8485
+    assert hashlib.sha256(data).hexdigest() == (
+        "f183309bac95e50e20fd616ba7c1b33e02ffad4c6e2160d7c1203a1f3623e140"
+    )

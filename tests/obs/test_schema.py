@@ -120,3 +120,28 @@ def test_validate_file_reads_paths(tmp_path):
         '"action":"crash r1"}\n'
     )
     assert validate_file(str(path)) == 1
+
+
+def test_fixed_shape_declarations_match_the_schema():
+    # A fixed-shape kind is declared twice: its required fields in
+    # EVENT_SCHEMA, its full emit order in FIXED_SHAPE.  The second must
+    # start with the first, only fields beyond them may be optional, and
+    # the category must be one a tracer can be asked for.
+    from repro.obs import ALL_CATEGORIES
+    from repro.obs.schema import FIXED_SHAPE, materialise
+
+    assert set(FIXED_SHAPE) == {
+        "client.submit", "coord.propose", "transport.queue_wait",
+        "net.context", "replica.deliver",
+    }
+    for kind, shape in FIXED_SHAPE.items():
+        required = EVENT_SCHEMA[kind]
+        assert shape.fields[:len(required)] == required, kind
+        assert len(set(shape.fields)) == len(shape.fields), kind
+        assert shape.optional <= set(shape.fields[len(required):]), kind
+        assert shape.cat in ALL_CATEGORIES, kind
+        # All optional fields absent is still a valid event.
+        validate_event(materialise((0.0, 0, kind) + tuple(
+            None if name in shape.optional else 1 for name in shape.fields
+        )))
+    assert FIXED_SHAPE["net.context"].cat == "meta"

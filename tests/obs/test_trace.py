@@ -144,3 +144,81 @@ def test_sim_tracer_events_unchanged_without_node():
                 msg_id=1, size=64)
     assert tracer.node is None and tracer.clock == "virtual"
     assert "node" not in sink.events[0]
+
+
+# -- fixed-shape kinds: one positional tuple in, the same event out ------------
+
+# One set of values per declared field, and for coord.propose every
+# combination of its two optional ids a token can have.
+_SAMPLE = {
+    "client": "client", "stream": "s1", "msg_id": 7, "size": 64,
+    "coordinator": "s1/coord", "type": "AppValue", "request_id": 9,
+    "dst": "s1/a1", "wait": 0.00025, "src": "client", "origin": "n1",
+    "origin_ts": 1.25, "replica": "r1", "group": "g1", "position": 41,
+}
+
+
+def _fixed_cases():
+    from repro.obs.schema import FIXED_SHAPE
+
+    for kind, shape in FIXED_SHAPE.items():
+        absent = [frozenset()]
+        for name in sorted(shape.optional):
+            absent += [gone | {name} for gone in absent]
+        for gone in absent:
+            yield kind, shape, tuple(
+                None if name in gone else _SAMPLE[name]
+                for name in shape.fields
+            )
+
+
+def test_fixed_shape_events_equal_what_the_keyword_path_builds():
+    from repro.obs import FlightRecorder, validate_event
+
+    cases = list(_fixed_cases())
+    assert len(cases) == 4 + 4      # coord.propose: with/without each id
+    for node in (None, "n2"):
+        by_tuple, by_keyword = ListSink(), ListSink()
+        recorder = FlightRecorder()
+        fixed = Tracer(
+            sinks=[recorder, by_tuple], categories=ALL_CATEGORIES, node=node
+        )
+        keyword = Tracer(
+            sinks=[by_keyword], categories=ALL_CATEGORIES, node=node
+        )
+        for at, (kind, shape, values) in enumerate(cases):
+            fixed.emit(kind, float(at), values)
+            keyword.emit(kind, float(at), cat=shape.cat, **{
+                name: value for name, value in zip(shape.fields, values)
+                if value is not None
+            })
+        assert fixed.emitted == keyword.emitted == len(cases)
+        # The ring kept the records; whoever needs a dict got one at once.
+        assert all(entry.__class__ is tuple for entry in recorder._buffer)
+        for materialised in (by_tuple.events, recorder.events()):
+            # Key for key, in order: the JSONL line is the same bytes.
+            assert [list(e.items()) for e in materialised] == [
+                list(e.items()) for e in by_keyword.events
+            ]
+            assert [json.dumps(e) for e in materialised] == [
+                json.dumps(e) for e in by_keyword.events
+            ]
+        for event in recorder.events():
+            validate_event(event)
+            assert event.get("node") == node
+
+
+def test_fixed_shape_emit_honours_the_category_filter():
+    import pytest
+
+    sink = ListSink()
+    tracer = Tracer(sinks=[sink], categories={"client"})
+    tracer.emit("replica.deliver", 0.0, ("r1", "g1", "s1", 0, 1))
+    tracer.emit("net.context", 0.0, ("a", "b", "n1", 1, 0.5))   # cat "meta"
+    tracer.emit("client.submit", 1.0, ("client", "s1", 1, 64))
+    assert [(e["seq"], e["kind"]) for e in sink.events] == [
+        (0, "client.submit")
+    ]
+    # Filtered out is silent; a kind nobody declared a shape for is a bug.
+    with pytest.raises(KeyError):
+        tracer.emit("client.ack", 2.0, ("client", 1, 0.2))

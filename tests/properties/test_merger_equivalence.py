@@ -79,3 +79,97 @@ def test_incremental_and_bulk_static_merge_agree(tokens_by_stream):
                 logs_inc[name].append(pending[name].pop(0))
                 merger_inc.pump()
     assert inc == bulk
+
+
+# -- run-length skip consumption == one position per turn ---------------------
+
+
+class OnePositionMerger(ElasticMerger):
+    """The reference: every skip position is its own round-robin turn."""
+
+    def _skip_rounds(self):
+        return False
+
+
+_STREAMS = ("S1", "S2", "S3", "S4")
+
+
+@st.composite
+def merge_scripts(draw):
+    """``(initial Σ, [(stream, token), ...])``: tokens in the order they
+    are appended to their streams' logs, any stream at any time -- so
+    streams run ahead of and fall behind each other (a blocked turn) --
+    with long skips, values, and control messages for this group and
+    another: prepare, unsubscribe, and subscribe, whose second copy
+    lands in the new stream a few appends later."""
+    from repro.paxos.types import PrepareMsg, SubscribeMsg, UnsubscribeMsg
+
+    initial = _STREAMS[: draw(st.integers(1, 3))]
+    script, twins = [], []          # twins: (due index, stream, token)
+    request_ids = iter(range(1000, 2000))
+    for index in range(draw(st.integers(0, 60))):
+        stream = draw(st.sampled_from(_STREAMS))
+        kind = draw(st.sampled_from(
+            ["skip"] * 6 + ["value"] * 3
+            + ["subscribe", "unsubscribe", "prepare"]
+        ))
+        if kind == "skip":
+            token = SkipToken(count=draw(st.integers(1, 40)))
+        elif kind == "value":
+            token = AppValue(payload=(stream, index), size=4, msg_id=index)
+        else:
+            group = draw(st.sampled_from(["G", "G", "G", "H"]))
+            target = draw(st.sampled_from(_STREAMS))
+            cls = {"subscribe": SubscribeMsg, "unsubscribe": UnsubscribeMsg,
+                   "prepare": PrepareMsg}[kind]
+            token = cls(group=group, stream=target,
+                        request_id=next(request_ids))
+            if kind == "subscribe" and target != stream:
+                twins.append(
+                    (index + draw(st.integers(0, 6)), target, token)
+                )
+        script.append((stream, token))
+        for twin in [t for t in twins if t[0] <= index]:
+            twins.remove(twin)
+            script.append(twin[1:])
+    script.extend(twin[1:] for twin in twins)
+    return initial, script
+
+
+def _merger_state(merger, delivered):
+    return (
+        list(delivered), merger.positions(), merger.next_stream,
+        merger.subscriptions, merger.pending_subscription,
+        dict(merger.stats.merge_points), merger.stats.discarded,
+    )
+
+
+@given(script=merge_scripts())
+@settings(max_examples=300, deadline=None)
+def test_run_length_skips_equal_one_position_per_turn(script):
+    initial, appends = script
+    runs = []
+    for cls in (ElasticMerger, OnePositionMerger):
+        logs = {name: TokenLog() for name in _STREAMS}
+        delivered = []
+        merger = cls(
+            group="G",
+            deliver=lambda v, s, p, out=delivered: out.append((v.payload, s, p)),
+            stream_provider=logs.__getitem__,
+        )
+        merger.bootstrap({name: logs[name] for name in initial})
+        states = []
+        for stream, token in appends:
+            logs[stream].append(token)
+            try:
+                # What the replica does per learned batch -- and a full
+                # pump, which must find nothing more to do than that.
+                merger.notify(stream)
+                states.append(_merger_state(merger, delivered))
+                merger.pump()
+            except RuntimeError as error:   # unsubscribed its last stream
+                states.append(str(error))
+                break
+            states.append(_merger_state(merger, delivered))
+        runs.append(states)
+    assert runs[0] == runs[1]

@@ -180,6 +180,85 @@ def test_untelemetried_cluster_still_carries_flight_recorder(tmp_path):
     asyncio.run(asyncio.wait_for(main(), timeout=15))
 
 
+def test_flight_ring_of_records_reads_back_as_the_ring_of_dicts_did(tmp_path):
+    """A recorded live run, read every way the ring is read: the ring
+    holds the per-value kinds as records, and ``events()``,
+    ``causal_history()``, ``dump()`` and ``LifecycleIndex.from_recorder``
+    return what a ring of the event dicts themselves (the recorder as
+    it was: fed here from a dict sink riding on the same tracer)
+    returns.  The run also brackets the collector policy."""
+    import gc
+
+    from repro.obs import (
+        FlightRecorder, ListSink, Tracer, installed, validate_event,
+    )
+    from repro.obs.schema import FIXED_SHAPE
+
+    async def main():
+        found = (gc.get_threshold(), gc.get_freeze_count())
+        as_dicts = ListSink()
+        with installed(tracer=Tracer(sinks=[as_dicts])):
+            cluster = LiveCluster(LiveConfig(streams=1, replicas=2))
+        try:
+            await cluster.start()
+            # While the datapath runs: set-up heap frozen, generations
+            # resized (docs/RUNTIME.md, "Collector policy").
+            assert gc.get_freeze_count() > found[1]
+            assert gc.get_threshold() != found[0]
+            values = [
+                cluster.client_node.multicast("s1", f"m{i}", 64)
+                for i in range(40)
+            ]
+            assert await cluster.drain(20.0)
+            while min(len(s) for s in cluster.sequences().values()) < 40:
+                await asyncio.sleep(0.01)
+        finally:
+            await cluster.stop()
+        assert (gc.get_threshold(), gc.get_freeze_count()) == found
+        await cluster.stop()            # idempotent, and still as found
+        assert (gc.get_threshold(), gc.get_freeze_count()) == found
+        assert cluster.kernel_failures() == []
+        return cluster.recorder, as_dicts.events, values[17].msg_id
+
+    recorder, events, msg_id = asyncio.run(
+        asyncio.wait_for(main(), timeout=60)
+    )
+    before = FlightRecorder()
+    for event in events:
+        before.record(event)
+
+    # Every per-value kind went into the ring as a record, nothing else.
+    assert {
+        entry[2] for entry in recorder._buffer if entry.__class__ is tuple
+    } == set(FIXED_SHAPE)
+    assert not any(
+        entry["kind"] in FIXED_SHAPE
+        for entry in recorder._buffer if entry.__class__ is dict
+    )
+    assert [list(e.items()) for e in recorder.events()] == [
+        list(e.items()) for e in before.events()
+    ]
+    for event in recorder.events():
+        validate_event(event)
+    history = recorder.causal_history(msg_id)
+    assert history == before.causal_history(msg_id)
+    assert {"client.submit", "coord.propose", "replica.deliver"} <= {
+        e["kind"] for e in history
+    }
+    header = {"message": "forced", "ts": 1.0, "msg_id": msg_id}
+    paths = [str(tmp_path / name) for name in ("after.jsonl", "before.jsonl")]
+    assert recorder.dump(paths[0], header=header) == len(events)
+    before.dump(paths[1], header=header)
+    with open(paths[0], "rb") as after, open(paths[1], "rb") as reference:
+        assert after.read() == reference.read()
+    index = LifecycleIndex.from_recorder(recorder)
+    reference = LifecycleIndex.from_recorder(before)
+    assert index.events_seen == reference.events_seen == len(events)
+    assert index.stage_samples() == reference.stage_samples()
+    assert index.coverage() == reference.coverage()
+    assert len(index.delivered_messages()) == 40
+
+
 def test_console_render_is_pure():
     from repro.runtime.console import render
 

@@ -10,6 +10,8 @@ from repro.paxos.messages import Heartbeat, HeartbeatAck
 from repro.runtime.asyncio_kernel import AsyncioKernel
 from repro.runtime.transport import TcpTransport
 
+from .test_transport_faults import _FakeSocket, _frame
+
 
 def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=15))
@@ -483,5 +485,121 @@ def test_stop_closes_the_connections_it_accepted():
         # The sender saw the hang-up; it did not cause it.
         assert await eventually(lambda: conn.transport is None)
         await sender.stop()
+
+    run(main())
+
+
+# -- direct dispatch: frames handled in the receive callback ------------------
+
+def _inbound(transport):
+    from repro.runtime.transport import _Inbound
+
+    inbound = _Inbound(transport)
+    inbound.connection_made(_FakeSocket())
+    return inbound
+
+
+async def _turns(count=3):
+    for _ in range(count):
+        await asyncio.sleep(0)
+
+
+def test_a_running_actor_handles_frames_inside_the_receive_callback():
+    # With its loop parked on an empty inbox the actor's handler runs
+    # before data_received returns: nothing is queued, no loop turn is
+    # waited for -- with a dispatch tracer and a registry installed as
+    # much as with neither.
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import ALL_CATEGORIES, ListSink, Tracer
+
+    async def main(observed):
+        sink = ListSink()
+        observers = {"tracer": None, "metrics": None}
+        if observed:
+            observers = {
+                "tracer": Tracer(sinks=[sink], categories=ALL_CATEGORIES),
+                "metrics": MetricsRegistry(),
+            }
+        kernel = AsyncioKernel(**observers)
+        transport = TcpTransport(kernel)
+        sink_actor = Sink(kernel, transport, "b")
+        sink_actor.start()
+        await _turns()          # the loop reaches its first get()
+        inbound = _inbound(transport)
+        inbound.data_received(
+            _frame("a", "b", Heartbeat(nonce=1))
+            + _frame("a", "b", Heartbeat(nonce=2))
+        )
+        assert sink_actor.seen == [1, 2]
+        assert len(sink_actor.host.inbox) == 0
+        assert transport.messages_delivered == 2
+        if observed:
+            kinds = [
+                e["kind"] for e in sink.events if e["kind"] != "live.process"
+            ]
+            assert kinds == ["net.deliver", "actor.dispatch"] * 2
+            assert [e["inbox_depth"] for e in sink.events
+                    if e["kind"] == "net.deliver"] == [0, 0]
+            # The live inbox is not a queue: its depth is not exported.
+            gauges = {g["name"] for g in kernel.metrics.dump()["gauges"]}
+            assert "inbox_depth" not in gauges
+        sink_actor.stop()
+
+    run(main(observed=False))
+    run(main(observed=True))
+
+
+def test_frames_queued_before_start_are_handled_before_later_ones():
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel)
+        sink = Sink(kernel, transport, "b")
+        inbound = _inbound(transport)
+        inbound.data_received(
+            _frame("a", "b", Heartbeat(nonce=1))
+            + _frame("a", "b", Heartbeat(nonce=2))
+        )
+        assert sink.seen == []
+        assert [e.payload.nonce for e in sink.host.inbox.items] == [1, 2]
+        sink.start()
+        # Arrives while the loop still drains: must queue behind 1 and 2.
+        inbound.data_received(_frame("a", "b", Heartbeat(nonce=3)))
+        assert sink.seen == []
+        assert await eventually(lambda: len(sink.seen) == 3)
+        assert sink.seen == [1, 2, 3]
+        await _turns()          # the loop parks again
+        inbound.data_received(_frame("a", "b", Heartbeat(nonce=4)))
+        assert sink.seen == [1, 2, 3, 4]
+        assert len(sink.host.inbox) == 0
+        sink.stop()
+
+    run(main())
+
+
+def test_a_stopped_actor_queues_and_a_restart_drains_in_order():
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel)
+        sink = Sink(kernel, transport, "b")
+        sink.start()
+        await _turns()
+        inbound = _inbound(transport)
+        inbound.data_received(_frame("a", "b", Heartbeat(nonce=1)))
+        assert sink.seen == [1]
+        sink.stop()             # stopped, not crashed: the host is up
+        inbound.data_received(
+            _frame("a", "b", Heartbeat(nonce=2))
+            + _frame("a", "b", Heartbeat(nonce=3))
+        )
+        await _turns()
+        assert sink.seen == [1]
+        assert [e.payload.nonce for e in sink.host.inbox.items] == [2, 3]
+        assert transport.messages_dropped == 0
+        sink.start()
+        inbound.data_received(_frame("a", "b", Heartbeat(nonce=4)))
+        assert await eventually(lambda: len(sink.seen) == 4)
+        assert sink.seen == [1, 2, 3, 4]
+        assert not kernel.failures
+        sink.stop()
 
     run(main())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 
 from repro.net.actor import Actor
 from repro.paxos.messages import Heartbeat, HeartbeatAck
@@ -441,5 +442,130 @@ def test_malformed_frame_mid_chunk_delivers_what_preceded_it():
         assert bystander.transport.closed == 0
         bystander.data_received(_frame("a", "b", Heartbeat(nonce=4)))
         assert [e.payload.nonce for e in inbox.items] == [1, 2, 4]
+
+    run(main())
+
+
+# -- direct dispatch: what a failing or crashing handler takes with it --------
+
+
+class Sink(Actor):
+    def __init__(self, env, network, name):
+        super().__init__(env, network, name)
+        self.seen = []
+
+    def on_heartbeat(self, msg, src):
+        self.seen.append(msg.nonce)
+
+
+class Faulty(Sink):
+    """Raises on nonce 13, crashes its own host on nonce 99."""
+
+    def on_heartbeat(self, msg, src):
+        super().on_heartbeat(msg, src)
+        if msg.nonce == 13:
+            raise struct.error("handler bug")   # looks like a bad frame
+        if msg.nonce == 99:
+            self.crash()
+
+
+def test_a_handler_that_raises_kills_its_actor_not_the_connection():
+    # The handler runs inside asyncio's data_received: its exception
+    # must end up where a dead receive loop's does (kernel.failures,
+    # on_failure), stop that actor only, and never reach asyncio -- not
+    # as a fatal protocol error, and not as a malformed frame even when
+    # it is of a type parsing raises.
+    async def main():
+        loop = asyncio.get_running_loop()
+        loop_errors = []
+        loop.set_exception_handler(
+            lambda _loop, context: loop_errors.append(context)
+        )
+        kernel = AsyncioKernel()
+        fired = []
+        kernel.on_failure = fired.append
+        sender = TcpTransport(kernel)
+        receiver = TcpTransport(kernel)
+        faulty = Faulty(kernel, receiver, "b")
+        bystander = Sink(kernel, receiver, "c")
+        await sender.start()
+        await receiver.start()
+        for name in ("b", "c"):
+            sender.register_address(name, receiver.address)
+        faulty.start()
+        bystander.start()
+        sender.send("a", "b", Heartbeat(nonce=1), 56)
+        sender.send("a", "c", Heartbeat(nonce=1), 56)
+        assert await eventually(
+            lambda: faulty.seen == [1] and bystander.seen == [1]
+        )
+        # One write, one chunk: the failure is in the middle of it.
+        for dst, nonce in (("b", 13), ("c", 2), ("b", 14), ("c", 3)):
+            sender.send("a", dst, Heartbeat(nonce=nonce), 56)
+        assert await eventually(lambda: bystander.seen == [1, 2, 3])
+        assert await eventually(lambda: len(kernel.failures) == 1)
+        assert isinstance(kernel.failures[0], struct.error)
+        assert fired == kernel.failures
+        assert not faulty.running and bystander.running
+        # What arrives for the dead actor waits, as behind a dead loop.
+        assert faulty.seen == [1, 13]
+        assert [e.payload.nonce for e in faulty.host.inbox.items] == [14]
+        # Same connection, still open, nothing counted against the peer.
+        assert len(receiver._inbound) == 1
+        assert sender._routes["b"].connects == 1
+        assert receiver.counters()["dropped_malformed"] == 0
+        assert receiver.messages_dropped == 0
+        assert loop_errors == []
+        bystander.stop()
+        await sender.stop()
+        await receiver.stop()
+
+    run(main())
+
+
+def test_a_handler_that_crashes_its_host_mid_chunk_drops_the_rest_for_it():
+    from repro.obs.trace import ListSink, Tracer
+    from repro.runtime.transport import _Inbound
+
+    async def main():
+        sink = ListSink()
+        kernel = AsyncioKernel(
+            tracer=Tracer(sinks=[sink], categories=frozenset({"net"}))
+        )
+        transport = TcpTransport(kernel)
+        faulty = Faulty(kernel, transport, "b")
+        bystander = Sink(kernel, transport, "c")
+        faulty.start()
+        bystander.start()
+        for _ in range(3):
+            await asyncio.sleep(0)      # both loops reach their get()
+        inbound = _Inbound(transport)
+        inbound.connection_made(_FakeSocket())
+        inbound.data_received(b"".join(
+            _frame("a", dst, Heartbeat(nonce=nonce))
+            for dst, nonce in (
+                ("b", 1), ("b", 99), ("c", 1), ("b", 2), ("b", 3), ("c", 2),
+            )
+        ))
+        assert faulty.seen == [1, 99]
+        assert bystander.seen == [1, 2]
+        assert faulty.crashed and not faulty.running
+        assert transport.messages_delivered == 4
+        assert transport.messages_dropped == 2
+        drops = [
+            (e["dst"], e["reason"])
+            for e in sink.events if e["kind"] == "net.drop"
+        ]
+        assert drops == [("b", "dst_crashed")] * 2
+        assert len(faulty.host.inbox) == 0
+        # Recovery starts a fresh loop on a fresh inbox.
+        faulty.recover()
+        for _ in range(3):
+            await asyncio.sleep(0)
+        inbound.data_received(_frame("a", "b", Heartbeat(nonce=4)))
+        assert faulty.seen == [1, 99, 4]
+        assert not kernel.failures
+        faulty.stop()
+        bystander.stop()
 
     run(main())
