@@ -234,6 +234,9 @@ class DeployWorker:
             "invariant_checks": (
                 self.invariants.checks_run if self.invariants else 0
             ),
+            "records_checked": (
+                self.invariants.spec.folded if self.invariants else 0
+            ),
             "violations": list(self.violations),
             "kernel_failures": [
                 repr(failure) for failure in node.kernel.failures

@@ -11,9 +11,8 @@ package turns that claim into a continuously checked property:
 * :mod:`repro.faults.orchestrator` -- executes a schedule against the
   simulated network and its hosts/actors in virtual time;
 * :mod:`repro.faults.invariants` -- taps replica delivery logs and
-  asserts the paper's safety properties (uniform agreement, acyclic
-  total order across groups, gap-free per-stream delivery, merge-point
-  consistency) throughout a run;
+  folds them into :mod:`repro.spec`, the one statement of the paper's
+  safety properties, throughout a run;
 * :mod:`repro.faults.scenarios` / :mod:`repro.faults.runner` -- named,
   reproducible scenarios wired into :mod:`repro.harness.cluster`, also
   reachable as ``python -m repro faults run <scenario>``.

@@ -1,32 +1,19 @@
-"""Always-on safety invariant checkers for fault-injection runs.
+"""Always-on safety invariant checking for in-process clusters.
 
-The checkers tap every replica's delivery stream (via
+:class:`InvariantSuite` taps every replica's delivery stream (via
 :meth:`repro.multicast.replica.MulticastReplica.add_delivery_observer`)
-and assert, continuously during a run and again at its end, the safety
-properties Elastic Paxos promises under crashes, partitions, loss,
-duplication and reordering (§II, Fig. 2 of the paper):
-
-* **stream agreement** -- a stream position carries the same value at
-  every replica that delivers it, across all groups (uniform agreement
-  at the stream level);
-* **prefix consistency** -- two replicas of the same group deliver
-  identical sequences up to the shorter one (uniform agreement at the
-  group level: nobody delivers something the others never will);
-* **gap-free monotone delivery** -- per replica and stream, delivered
-  positions strictly increase; a recovered replica resumes exactly at
-  its checkpoint cursor, so replay never skips or repeats a position;
-* **acyclic order** -- the union of all groups' delivery orders is
-  acyclic (Fig. 2): two groups sharing streams never disagree on the
-  relative order of messages they both deliver;
-* **merge-point consistency** -- all replicas of a group that commit
-  the same subscription request compute the identical merge point.
+and, whenever :meth:`~InvariantSuite.check` is called -- on a timer
+during a run and once at its end -- folds what was delivered since the
+last call into a :class:`repro.spec.SafetySpec`.  The properties are
+stated there and nowhere else; this module is their in-process
+front-end (``repro.obs.audit`` is the trace-file one).
 
 Crash-recovery semantics: a replica recovering from a checkpoint
 legitimately *replays* deliveries made after that checkpoint.  The
 scenario runner therefore marks the log at checkpoint time and rewinds
-it on recovery; the ``(stream, position) -> value`` map survives the
-rewind, so a replay that diverges from what was originally delivered is
-still caught.
+it on recovery, which the suite reports to the spec as a ``recover``
+event; what the replica delivered before the crash stays remembered
+there, so a replay that diverges from it is still caught.
 """
 
 from __future__ import annotations
@@ -35,6 +22,7 @@ import hashlib
 from typing import Mapping, NamedTuple, Optional
 
 from ..multicast.replica import MulticastReplica
+from ..spec import PROPERTIES, SafetySpec, Violation
 
 __all__ = [
     "DeliveryLog",
@@ -50,9 +38,12 @@ class InvariantViolation(AssertionError):
     ``msg_id`` carries the violating message (or request) id when the
     broken property points at one -- the flight recorder uses it to
     extract that message's causal history from the dump.
+    ``violations`` is everything the raising check proved; the
+    exception's message is the first one's.
     """
 
     msg_id: Optional[int] = None
+    violations: tuple[Violation, ...] = ()
 
 
 class DeliveryRecord(NamedTuple):
@@ -61,7 +52,8 @@ class DeliveryRecord(NamedTuple):
     A ``NamedTuple`` like :class:`repro.runtime.kernel.Envelope`: one is
     built per delivery per replica, and tuple construction happens in C
     while the frozen dataclass protocol pays a guarded
-    ``object.__setattr__`` per field.
+    ``object.__setattr__`` per field.  It starts ``(stream, position,
+    msg_id)``, the shape :meth:`repro.spec.SafetySpec.fold` reads.
     """
 
     stream: str
@@ -77,16 +69,15 @@ class DeliveryLog:
     ``records`` is the replica's current canonical delivery sequence.
     ``mark()`` snapshots its length (taken alongside each checkpoint);
     ``rewind(mark)`` truncates back to it when the replica recovers from
-    that checkpoint and is about to replay the suffix.  The
-    position->value memory is deliberately *not* rewound: replay must
-    reproduce the original assignment.
+    that checkpoint and is about to replay the suffix.  ``folded`` is
+    how many of the records the suite has folded into its spec.
     """
 
     def __init__(self, replica: str, group: str):
         self.replica = replica
         self.group = group
         self.records: list[DeliveryRecord] = []
-        self.position_values: dict[tuple[str, int], int] = {}
+        self.folded = 0
         self.rewinds = 0
 
     def append(self, record: DeliveryRecord) -> None:
@@ -121,24 +112,23 @@ class InvariantSuite:
     """Attaches to a cluster's replicas and checks all invariants.
 
     ``check()`` raises :class:`InvariantViolation` on the first broken
-    property; it is cheap enough to run periodically (the scenario
-    runner calls it on a timer, so a violation surfaces at the virtual
-    time it happens, not at the end of the run).
+    property.  It costs what was delivered since the previous call, so
+    it runs periodically (the scenario runner and the deploy worker call
+    it on a timer: a violation surfaces when it happens, not at the end
+    of the run).  Memory: the delivery logs, kept whole for
+    ``sequence()`` and the digests, plus the spec's maps over them.
     """
 
     def __init__(self, replicas: Mapping[str, MulticastReplica]):
         self.replicas = dict(replicas)
         self.logs: dict[str, DeliveryLog] = {}
         self.groups: dict[str, list[str]] = {}
-        # replica -> request_id -> (stream, merge point), accumulated
-        # across merger incarnations (recovery replaces the merger).
-        self._merge_points: dict[str, dict[int, tuple[str, int]]] = {}
+        self.spec = SafetySpec()
         self.checks_run = 0
         for name in sorted(self.replicas):
             replica = self.replicas[name]
             log = DeliveryLog(name, replica.group)
             self.logs[name] = log
-            self._merge_points[name] = {}
             self.groups.setdefault(replica.group, []).append(name)
             replica.add_delivery_observer(self._observer(log))
 
@@ -166,7 +156,13 @@ class InvariantSuite:
 
     def rewind(self, replica: str, mark: int) -> None:
         """Roll the log back to ``mark`` (recovery will replay from it)."""
-        self.logs[replica].rewind(mark)
+        log = self.logs[replica]
+        log.rewind(mark)
+        if mark < log.folded:
+            log.folded = mark
+            self.spec.recover(
+                replica, mark, {r.stream: r.position for r in log.records}
+            )
 
     # -- the invariants -------------------------------------------------
 
@@ -193,147 +189,31 @@ class InvariantSuite:
         return exc
 
     def check(self) -> None:
-        """Assert every invariant against the current logs."""
+        """Fold everything new into the spec; raise what that proves."""
         self.checks_run += 1
-        self._check_monotone_gap_free()
-        self._check_stream_agreement()
-        self._check_prefix_consistency()
-        self._check_acyclic_order()
-        self._check_merge_points()
-
-    def _check_monotone_gap_free(self) -> None:
+        spec = self.spec
+        found: list[Violation] = []
+        at = 0.0
         for name, log in self.logs.items():
-            last: dict[str, int] = {}
-            for record in log.records:
-                prev = last.get(record.stream)
-                if prev is not None and record.position <= prev:
-                    raise self._violation(
-                        f"{name}: delivery positions of {record.stream} not "
-                        f"strictly increasing ({record.position} after {prev})",
-                        msg_id=record.msg_id,
-                    )
-                last[record.stream] = record.position
-
-    def _check_stream_agreement(self) -> None:
-        # Across *all* replicas of all groups: one position, one value.
-        # Survives rewinds via the per-log position memory.
-        global_values: dict[tuple[str, int], tuple[str, int]] = {}
-        for name, log in self.logs.items():
-            for record in log.records:
-                key = (record.stream, record.position)
-                remembered = log.position_values.get(key)
-                if remembered is not None and remembered != record.msg_id:
-                    raise self._violation(
-                        f"{name}: replay diverged at {key}: value "
-                        f"{record.msg_id} vs originally {remembered}",
-                        msg_id=record.msg_id,
-                    )
-                log.position_values[key] = record.msg_id
-                seen = global_values.get(key)
-                if seen is None:
-                    global_values[key] = (name, record.msg_id)
-                elif seen[1] != record.msg_id:
-                    raise self._violation(
-                        f"stream agreement broken at {key}: {name} delivered "
-                        f"value {record.msg_id}, {seen[0]} delivered {seen[1]}",
-                        msg_id=record.msg_id,
-                    )
-
-    def _check_prefix_consistency(self) -> None:
-        for group, members in self.groups.items():
-            if len(members) < 2:
-                continue
-            sequences = {name: self.logs[name].sequence() for name in members}
-            reference = max(members, key=lambda n: len(sequences[n]))
-            ref_seq = sequences[reference]
-            for name in members:
-                if name == reference:
-                    continue
-                seq = sequences[name]
-                if seq != ref_seq[: len(seq)]:
-                    divergence = next(
-                        i for i, (a, b) in enumerate(zip(seq, ref_seq))
-                        if a != b
-                    )
-                    raise self._violation(
-                        f"group {group}: {name} diverges from {reference} at "
-                        f"delivery #{divergence}: "
-                        f"{seq[divergence]} vs {ref_seq[divergence]}",
-                        msg_id=seq[divergence][2],
-                    )
-
-    def _check_acyclic_order(self) -> None:
-        """The union of the groups' total orders must be acyclic (Fig. 2).
-
-        Each group contributes the chain of its (longest) delivery
-        sequence; a cycle in the union would mean two groups deliver a
-        shared pair of messages in opposite relative order.
-        """
-        edges: dict[int, set[int]] = {}
-        for group, members in self.groups.items():
-            reference = max(members, key=lambda n: len(self.logs[n].records))
-            records = self.logs[reference].records
-            for before, after in zip(records, records[1:]):
-                edges.setdefault(before.msg_id, set()).add(after.msg_id)
-        # Iterative three-colour DFS for a cycle.
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour: dict[int, int] = {}
-        for root in edges:
-            if colour.get(root, WHITE) != WHITE:
-                continue
-            stack: list[tuple[int, Optional[object]]] = [(root, None)]
-            while stack:
-                node, iterator = stack.pop()
-                if iterator is None:
-                    if colour.get(node, WHITE) == BLACK:
-                        continue
-                    colour[node] = GREY
-                    iterator = iter(edges.get(node, ()))
-                advanced = False
-                for succ in iterator:
-                    state = colour.get(succ, WHITE)
-                    if state == GREY:
-                        raise self._violation(
-                            f"acyclic order broken: delivery-order cycle "
-                            f"through message {succ}",
-                            msg_id=succ,
-                        )
-                    if state == WHITE:
-                        stack.append((node, iterator))
-                        stack.append((succ, None))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[node] = BLACK
-
-    def _check_merge_points(self) -> None:
-        # Fold the current merger incarnation's records into the
-        # accumulator, then compare across the group's replicas.
-        for name, replica in self.replicas.items():
-            accumulated = self._merge_points[name]
+            replica = self.replicas[name]
+            at = replica.env.now
+            records = log.records
+            if log.folded < len(records):
+                found += spec.fold(
+                    name, log.group, records[log.folded:], at
+                )
+                log.folded = len(records)
+            # The current merger incarnation's commits; the spec keeps
+            # the first report of each across recoveries.
             for request_id, point in replica.merger.stats.merge_points.items():
-                prior = accumulated.get(request_id)
-                if prior is not None and prior != point:
-                    raise self._violation(
-                        f"{name}: recovery recomputed merge point of request "
-                        f"{request_id} as {point}, originally {prior}",
-                        msg_id=request_id,
-                    )
-                accumulated[request_id] = point
-        for group, members in self.groups.items():
-            agreed: dict[int, tuple[str, tuple[str, int]]] = {}
-            for name in members:
-                for request_id, point in self._merge_points[name].items():
-                    seen = agreed.get(request_id)
-                    if seen is None:
-                        agreed[request_id] = (name, point)
-                    elif seen[1] != point:
-                        raise self._violation(
-                            f"group {group}: merge point of request "
-                            f"{request_id} differs: {name} computed {point}, "
-                            f"{seen[0]} computed {seen[1]}",
-                            msg_id=request_id,
-                        )
+                found += spec.merge_point(
+                    name, log.group, request_id, point, at
+                )
+        found += spec.check_acyclic(at)
+        if found:
+            exc = self._violation(found[0].message, found[0].msg_id)
+            exc.violations = tuple(found)
+            raise exc
 
     # -- convergence (liveness; checked only at the end of a run) -------
 
@@ -372,8 +252,7 @@ class InvariantSuite:
     def report(self) -> str:
         lines = [
             f"invariant checks run : {self.checks_run}",
-            "invariants           : stream-agreement, prefix-consistency, "
-            "gap-free, acyclic-order, merge-points -- all OK",
+            f"invariants           : {', '.join(PROPERTIES)} -- all OK",
         ]
         for group in sorted(self.groups):
             members = self.groups[group]

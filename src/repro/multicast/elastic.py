@@ -462,8 +462,14 @@ class ElasticMerger:
             waited=self.now() - pending.started_at,
         )
         self.on_subscription_change("subscribe", pending.stream)
-        if self._deferred:
-            self._begin_subscription(self._deferred.pop(0))
+        while self._deferred:
+            msg = self._deferred.pop(0)
+            # Σ is a set: a retry (fresh request id) deferred behind the
+            # subscription that just put its stream into Σ has nothing
+            # left to do.
+            if msg.stream not in self.sigma:
+                self._begin_subscription(msg)
+                break
 
     # -- unsubscribe -------------------------------------------------------------
 

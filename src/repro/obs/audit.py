@@ -22,23 +22,16 @@ Three layers:
     per-node events.
 
 :class:`SafetyCertifier`
-    Consumes the event stream and maintains just enough state to check,
-    online and cross-node:
-
-    * **stream agreement** -- every ``(stream, position)`` carries one
-      msg_id, across all replicas of all nodes;
-    * **prefix agreement / uniform order** -- each replication group's
-      delivery sequences are prefixes of one canonical sequence;
-    * **no lost or duplicated deliveries** -- per (incarnation,
-      replica, stream) positions are strictly increasing and gap-free;
-    * **acyclic order** -- the union of the groups' canonical
-      sequences stays a DAG (:meth:`check_acyclic`);
-    * **merge-point consistency** -- every replica committing a
-      reconfiguration reports the same merge point per request;
-    * **reconfiguration liveness** -- a requested subscribe/split/
-      replace must commit within a bound (surfaced through
-      :meth:`watch_sample` as a pending age, alerted by the watchdog --
-      a liveness miss is an alert, not a safety violation).
+    Maps ``replica.deliver`` and ``merge.subscribe.commit`` events onto
+    a :class:`repro.spec.SafetySpec` -- the one statement of the safety
+    properties, shared with the in-process suite, so a live tail, a
+    post-hoc ``repro watch <finished run>`` and the workers' own checks
+    all run the same reducer -- and keeps beside it what is not a safety
+    property: per-stream propose/decide accounting, delivery watermarks
+    and **reconfiguration liveness** (a requested subscribe/split/
+    replace must commit within a bound; surfaced through
+    :meth:`watch_sample` as a pending age, alerted by the watchdog -- a
+    liveness miss is an alert, not a safety violation).
 
     Timestamps are aligned into the reference clock domain using the
     recorded ``meta.clock`` offsets, exactly like
@@ -47,18 +40,15 @@ Three layers:
     measure runs on (so post-hoc certification of a finished run sees
     the same ages a live tail did).
 
-    State is bounded: :meth:`compact` (called automatically every
-    ``compact_every`` observed events) retires the oldest per-position
-    entries beyond ``compact_limit`` per stream/group.  Deliveries
-    below the compaction floor are still checked for per-replica
-    monotonicity, just no longer cross-checked value-by-value -- the
-    documented memory/coverage tradeoff for day-long runs.
+    State is bounded: the spec retires its oldest per-position entries
+    beyond ``compact_limit`` per stream/group (the documented memory/
+    coverage tradeoff for day-long runs, see :mod:`repro.spec`).
 
 A kill -9'd worker restarts as a *new incarnation* with a fresh trace
-node id (``n3-r1``) and replays its deliveries from position 1; the
-certifier keys replica identity as ``(trace_node, replica)``, so the
-replay is a new observer agreeing with the canonical sequence, not a
-duplicate delivery.
+node id (``n3-r1``) and replays its deliveries from the start; the
+certifier names observers ``trace_node/replica``, so the replay is a
+new observer agreeing with the canonical sequence, not a duplicate
+delivery.
 """
 
 from __future__ import annotations
@@ -67,6 +57,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
+
+from ..spec import SafetySpec, Violation
 
 __all__ = [
     "AuditViolation",
@@ -184,51 +176,35 @@ class TraceDirectorySource:
 
 # -- certifier ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditViolation:
-    """One safety-property violation the certifier proved from events."""
+class AuditViolation(Violation):
+    """A :class:`repro.spec.Violation` as alert logs and manifests
+    carry it (``at`` is aligned trace time; the observer is the
+    ``trace_node/replica`` under ``"replica"``)."""
 
-    property: str                  # e.g. "stream-agreement"
-    message: str
-    at: float = 0.0                # aligned trace time it was detected
-    stream: Optional[str] = None
-    position: Optional[int] = None
-    msg_id: Optional[Any] = None
-    replica: Optional[str] = None  # "trace_node/replica"
+    __slots__ = ()
 
     def to_json(self) -> dict:
         payload = {"property": self.property, "message": self.message,
                    "at": self.at}
-        for key in ("stream", "position", "msg_id", "replica"):
-            value = getattr(self, key)
+        for key, value in (("stream", self.stream),
+                           ("position", self.position),
+                           ("msg_id", self.msg_id),
+                           ("replica", self.observer)):
             if value is not None:
                 payload[key] = value
         return payload
 
 
-class _ReplicaState:
-    """One observer: a replica inside one worker incarnation."""
-
-    __slots__ = ("key", "group", "group_index", "positions", "last_at")
-
-    def __init__(self, key: str, group: str):
-        self.key = key
-        self.group = group
-        self.group_index = 0                 # next index into the canon
-        self.positions: dict[str, int] = {}  # stream -> last position
-        self.last_at = 0.0
-
-
 class _StreamState:
+    """Per-stream accounting that is not a safety property."""
+
     __slots__ = (
-        "values", "floor", "high", "delivered", "proposes",
+        "high", "delivered", "proposes",
         "decided", "pending_proposes", "first_pending_at",
         "last_decide_at", "last_propose_at",
     )
 
     def __init__(self) -> None:
-        self.values: dict[int, Any] = {}     # position -> msg_id
-        self.floor = 1                       # positions below: compacted
         self.high = 0                        # max position delivered
         self.delivered = 0
         self.proposes = 0
@@ -239,17 +215,6 @@ class _StreamState:
         self.last_propose_at: Optional[float] = None
 
 
-class _GroupState:
-    __slots__ = ("canon", "base", "unverified")
-
-    def __init__(self) -> None:
-        # canon[i - base] = (stream, position, msg_id): the group's
-        # canonical delivery sequence, as first observed.
-        self.canon: list[tuple] = []
-        self.base = 0
-        self.unverified = 0                  # deliveries below base
-
-
 @dataclass
 class _Reconfig:
     kind: str                                # subscribe / unsubscribe
@@ -257,7 +222,6 @@ class _Reconfig:
     requested_at: float
     begins: set = field(default_factory=set)
     commits: set = field(default_factory=set)
-    merge_points: dict = field(default_factory=dict)
 
     @property
     def committed(self) -> bool:
@@ -267,18 +231,11 @@ class _Reconfig:
 class SafetyCertifier:
     """Streaming checker of the paper's safety properties (module doc)."""
 
-    def __init__(
-        self,
-        compact_limit: int = 100_000,
-        compact_every: int = 50_000,
-    ):
-        self.compact_limit = compact_limit
-        self.compact_every = compact_every
+    def __init__(self, compact_limit: int = 100_000):
+        self.spec = SafetySpec(bound=compact_limit)
         self.offsets: dict[str, float] = {}        # node -> clock offset
         self.clock_rtts: dict[str, float] = {}
-        self.replicas: dict[str, _ReplicaState] = {}
         self.streams: dict[str, _StreamState] = {}
-        self.groups: dict[str, _GroupState] = {}
         self.reconfigs: dict[Any, _Reconfig] = {}
         self.violations: list[AuditViolation] = []
         self.worker_violations: list[str] = []     # invariant.* from nodes
@@ -287,8 +244,7 @@ class SafetyCertifier:
         self.submitted = 0
         self.last_submit_at: Optional[float] = None
         self.acyclic_checks = 0
-        self._since_compact = 0
-        self._retired: dict[str, set] = {}         # stream -> replica keys
+        self._retired: dict[str, set] = {}         # stream -> observers
 
     # -- helpers ------------------------------------------------------
 
@@ -298,22 +254,10 @@ class SafetyCertifier:
             state = self.streams[name] = _StreamState()
         return state
 
-    def _group(self, name: str) -> _GroupState:
-        state = self.groups.get(name)
-        if state is None:
-            state = self.groups[name] = _GroupState()
-        return state
-
-    def _replica(self, key: str, group: str) -> _ReplicaState:
-        state = self.replicas.get(key)
-        if state is None:
-            state = self.replicas[key] = _ReplicaState(key, group)
-        return state
-
-    def _violate(self, violation: AuditViolation,
-                 out: list[AuditViolation]) -> None:
-        self.violations.append(violation)
-        out.append(violation)
+    def _proved(self, found: Iterable[Violation]) -> list[AuditViolation]:
+        fresh = [AuditViolation(*violation) for violation in found]
+        self.violations.extend(fresh)
+        return fresh
 
     # -- ingest -------------------------------------------------------
 
@@ -326,10 +270,8 @@ class SafetyCertifier:
     def observe(self, event: dict) -> list[AuditViolation]:
         """Feed one trace event; returns any *new* violations."""
         self.events += 1
-        self._since_compact += 1
         kind = event.get("kind")
         node = str(event.get("node", ""))
-        fresh: list[AuditViolation] = []
 
         if kind == "meta.clock":
             target = str(event.get("node", node))
@@ -337,14 +279,14 @@ class SafetyCertifier:
             rtt = event.get("rtt")
             if rtt is not None:
                 self.clock_rtts[target] = float(rtt)
-            return fresh
+            return []
 
         at = float(event.get("ts", 0.0)) - self.offsets.get(node, 0.0)
         if at > self.now:
             self.now = at
 
         if kind == "replica.deliver":
-            self._observe_deliver(event, node, at, fresh)
+            return self._observe_deliver(event, node, at)
         elif kind == "coord.decide":
             state = self._stream(str(event.get("stream", "")))
             # ``positions`` is an int count live (batch.positions());
@@ -380,7 +322,7 @@ class SafetyCertifier:
             reconfig = self._reconfig_for(event, at)
             reconfig.begins.add(self._observer_key(event, node))
         elif kind == "merge.subscribe.commit":
-            self._observe_commit(event, node, at, fresh)
+            return self._observe_commit(event, node, at)
         elif kind == "merge.unsubscribe":
             reconfig = self._reconfig_for(event, at)
             key = self._observer_key(event, node)
@@ -395,11 +337,7 @@ class SafetyCertifier:
             self.worker_violations.append(
                 f"{node}: {event.get('message', kind)}"
             )
-
-        if (self.compact_every and
-                self._since_compact >= self.compact_every):
-            self.compact()
-        return fresh
+        return []
 
     def _observer_key(self, event: dict, node: str) -> str:
         return f"{node}/{event.get('replica', '')}"
@@ -416,178 +354,45 @@ class SafetyCertifier:
             )
         return reconfig
 
-    def _observe_deliver(self, event: dict, node: str, at: float,
-                         fresh: list[AuditViolation]) -> None:
+    def _observe_deliver(self, event: dict, node: str,
+                         at: float) -> list[AuditViolation]:
         stream = str(event.get("stream", ""))
-        group = str(event.get("group", ""))
         position = int(event.get("position", 0))
-        msg_id = event.get("msg_id")
         key = self._observer_key(event, node)
-        replica = self._replica(key, group)
-        replica.last_at = at
-
-        # No duplicate / regressed delivery within one observer.
-        previous = replica.positions.get(stream)
-        if previous is not None and position <= previous:
-            self._violate(AuditViolation(
-                property="duplicate-delivery",
-                message=(
-                    f"{key} delivered {stream}@{position} after "
-                    f"already reaching position {previous}"
-                ),
-                at=at, stream=stream, position=position,
-                msg_id=msg_id, replica=key,
-            ), fresh)
-            return
-        replica.positions[stream] = position
-        retired = self._retired.get(stream)
-        if retired is not None:
-            retired.discard(key)     # delivering again: not retired
-
-        # Stream agreement: one msg_id per (stream, position), ever.
         state = self._stream(stream)
         state.delivered += 1
         if position > state.high:
             state.high = position
-        if position >= state.floor:
-            seen = state.values.get(position)
-            if seen is None:
-                state.values[position] = msg_id
-            elif seen != msg_id:
-                self._violate(AuditViolation(
-                    property="stream-agreement",
-                    message=(
-                        f"{stream}@{position}: {key} delivered "
-                        f"msg {msg_id}, another replica delivered "
-                        f"msg {seen}"
-                    ),
-                    at=at, stream=stream, position=position,
-                    msg_id=msg_id, replica=key,
-                ), fresh)
+        retired = self._retired.get(stream)
+        if retired is not None:
+            retired.discard(key)     # delivering again: not retired
+        return self._proved(self.spec.deliver(
+            key, str(event.get("group", "")), stream, position,
+            event.get("msg_id"), at,
+        ))
 
-        # Prefix agreement: the observer's next delivery must extend or
-        # match the group's canonical sequence.
-        group_state = self._group(group)
-        index = replica.group_index
-        replica.group_index += 1
-        entry = (stream, position, msg_id)
-        if index < group_state.base:
-            group_state.unverified += 1
-            return
-        slot = index - group_state.base
-        if slot < len(group_state.canon):
-            expected = group_state.canon[slot]
-            if expected != entry:
-                self._violate(AuditViolation(
-                    property="prefix-agreement",
-                    message=(
-                        f"group {group} index {index}: {key} delivered "
-                        f"{stream}@{position} msg {msg_id}, canonical "
-                        f"order has {expected[0]}@{expected[1]} "
-                        f"msg {expected[2]}"
-                    ),
-                    at=at, stream=stream, position=position,
-                    msg_id=msg_id, replica=key,
-                ), fresh)
-        else:
-            # First observer to reach this index extends the canon.
-            group_state.canon.append(entry)
-
-    def _observe_commit(self, event: dict, node: str, at: float,
-                        fresh: list[AuditViolation]) -> None:
+    def _observe_commit(self, event: dict, node: str,
+                        at: float) -> list[AuditViolation]:
         reconfig = self._reconfig_for(event, at)
         key = self._observer_key(event, node)
         reconfig.begins.add(key)
         reconfig.commits.add(key)
         merge_point = event.get("merge_point")
-        request_id = event.get("request_id")
         if merge_point is None:
-            return
-        for other_key, other_point in reconfig.merge_points.items():
-            if other_point != merge_point:
-                self._violate(AuditViolation(
-                    property="merge-point",
-                    message=(
-                        f"request {request_id}: {key} committed at merge "
-                        f"point {merge_point}, {other_key} at "
-                        f"{other_point}"
-                    ),
-                    at=at, stream=reconfig.stream, replica=key,
-                ), fresh)
-                break
-        reconfig.merge_points[key] = merge_point
-
-    # -- global checks ------------------------------------------------
+            return []
+        return self._proved(
+            violation._replace(stream=reconfig.stream)
+            for violation in self.spec.merge_point(
+                key, str(event.get("group", "")), event.get("request_id"),
+                merge_point, at,
+            )
+        )
 
     def check_acyclic(self) -> list[AuditViolation]:
-        """Uniform acyclic order: the union of the groups' canonical
-        sequences, read as msg-follows-msg edges, must stay a DAG.
-        Runs over the retained (non-compacted) canon."""
+        """Uniform acyclic order across groups, over the spec's retained
+        canonical sequences (the search itself runs only when one grew)."""
         self.acyclic_checks += 1
-        edges: dict[Any, set] = {}
-        for group_state in self.groups.values():
-            canon = group_state.canon
-            for i in range(1, len(canon)):
-                earlier, later = canon[i - 1][2], canon[i][2]
-                if earlier != later:
-                    edges.setdefault(earlier, set()).add(later)
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour: dict[Any, int] = {}
-        fresh: list[AuditViolation] = []
-        for root in edges:
-            if colour.get(root, WHITE) != WHITE:
-                continue
-            stack = [(root, iter(edges.get(root, ())))]
-            colour[root] = GREY
-            while stack:
-                vertex, children = stack[-1]
-                advanced = False
-                for child in children:
-                    state = colour.get(child, WHITE)
-                    if state == GREY:
-                        self._violate(AuditViolation(
-                            property="acyclic-order",
-                            message=(
-                                f"delivery order cycle: msg {child} both "
-                                f"precedes and follows msg {vertex} "
-                                f"across groups"
-                            ),
-                            at=self.now, msg_id=child,
-                        ), fresh)
-                        return fresh
-                    if state == WHITE:
-                        colour[child] = GREY
-                        stack.append((child, iter(edges.get(child, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[vertex] = BLACK
-                    stack.pop()
-        return fresh
-
-    # -- memory bound -------------------------------------------------
-
-    def compact(self) -> int:
-        """Retire the oldest per-position state beyond ``compact_limit``
-        entries per stream / group; returns entries dropped."""
-        self._since_compact = 0
-        dropped = 0
-        for state in self.streams.values():
-            excess = len(state.values) - self.compact_limit
-            if excess > 0:
-                for position in sorted(state.values)[:excess]:
-                    del state.values[position]
-                    dropped += 1
-                state.floor = min(state.values) if state.values else (
-                    state.high + 1
-                )
-        for group_state in self.groups.values():
-            excess = len(group_state.canon) - self.compact_limit
-            if excess > 0:
-                del group_state.canon[:excess]
-                group_state.base += excess
-                dropped += excess
-        return dropped
+        return self._proved(self.spec.check_acyclic(self.now))
 
     # -- snapshots ----------------------------------------------------
 
@@ -601,9 +406,9 @@ class SafetyCertifier:
         """
         marks: dict[str, dict] = {}
         lows: dict[str, int] = {}
-        for replica in self.replicas.values():
-            for stream, position in replica.positions.items():
-                if replica.key in self._retired.get(stream, ()):
+        for key, observer in self.spec.observers.items():
+            for stream, position in observer.positions.items():
+                if key in self._retired.get(stream, ()):
                     continue
                 if stream not in lows or position < lows[stream]:
                     lows[stream] = position
@@ -655,8 +460,8 @@ class SafetyCertifier:
         return {
             "events": self.events,
             "now": self.now,
-            "replicas": len(self.replicas),
-            "groups": len(self.groups),
+            "replicas": len(self.spec.observers),
+            "groups": len(self.spec.groups),
             "streams": sorted(self.streams),
             "delivered": sum(s.delivered for s in self.streams.values()),
             "watermarks": self.watermarks(),

@@ -567,7 +567,7 @@ class TraceWatch:
                 raised.extend(tick_raised)
                 cleared.extend(tick_cleared)
         if (self.certifier.now - self._last_acyclic >= self.acyclic_every
-                and len(self.certifier.groups) > 0):
+                and len(self.certifier.spec.groups) > 0):
             self._last_acyclic = self.certifier.now
             violations.extend(self.certifier.check_acyclic())
         sample = self.certifier.watch_sample()

@@ -9,11 +9,12 @@ failing (the same policy as the single-process live smoke).
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 
 from repro.deploy.chaos import SCENARIOS, run_deploy
-from repro.deploy.supervisor import DeployConfig
+from repro.deploy.supervisor import DeployConfig, DeploySupervisor
 from repro.deploy.topology import build_topology
 
 
@@ -81,6 +82,47 @@ def test_three_process_baseline_agrees(tmp_path):
     assert manifest["spec"]["format"] == "repro-deploy-spec/1"
     with open(os.path.join(report.run_dir, "topology.json")) as fh:
         assert json.load(fh) == manifest["spec"]
+
+
+async def _checked_vs_delivered(config: DeployConfig) -> dict:
+    """A baseline run, then per worker ``(invariant_checks,
+    records_checked, deliveries at its replicas)`` once the traffic has
+    drained and the workers' 0.25 s checkers have had two more turns."""
+    sup = DeploySupervisor(config)
+    try:
+        await sup.start_workers()
+        await sup.wire()
+        await SCENARIOS["baseline"].drive(sup)
+        drained, detail = await sup.drain()
+        assert drained, detail
+        await asyncio.sleep(0.6)
+        tallies = {}
+        for name, handle in sup.workers.items():
+            status = await handle.call("status")
+            assert status["violations"] == []
+            tallies[name] = (
+                status["invariant_checks"], status["records_checked"],
+                sum(r["delivered"] for r in status["replicas"].values()),
+            )
+        return tallies
+    finally:
+        await sup.stop_all()
+
+
+def test_worker_checker_folds_each_delivery_exactly_once(tmp_path):
+    # The in-worker invariant loop is incremental: however many times
+    # it ran, every delivery went through the spec once -- a check costs
+    # what was delivered since the last one, not the run so far.
+    spec = SCENARIOS["baseline"].build_spec(
+        nodes=3, streams=2, replicas=3, duration=1.5, rate=80.0, burst=1
+    )
+    config = DeployConfig(spec=spec, run_dir=str(tmp_path / "run"),
+                          scenario="baseline", watch=False)
+    tallies = asyncio.run(_checked_vs_delivered(config))
+    assert len(tallies) == 3
+    for name, (checks, checked, delivered) in tallies.items():
+        assert checks > 1 and delivered > 0, (name, checks, delivered)
+        assert checked == delivered, (name, checks, checked, delivered)
 
 
 def test_kill9_restart_reconverges(tmp_path):

@@ -45,8 +45,8 @@ def test_violation_dump_contains_causal_history(tmp_path, monkeypatch):
 
     def sabotage():
         # Replay an already-delivered record: its position is no longer
-        # strictly increasing, so the next periodic check raises the
-        # gap-free-monotone invariant against a *real* message whose
+        # strictly increasing, so the next periodic check raises
+        # ``duplicate-delivery`` against a *real* message whose
         # whole lifecycle sits in the flight recorder.
         log = runner.suite.logs["G1/r1"]
         assert log.records, "no deliveries before the sabotage point"

@@ -1,8 +1,12 @@
-"""The invariant checkers must catch seeded violations.
+"""The in-process front-end of the safety spec: what it raises, what
+it remembers across a rewind, and what a check costs.
 
 These tests drive :class:`repro.faults.invariants.InvariantSuite`
 through stub replicas so each safety property can be broken in
-isolation and shown to raise :class:`InvariantViolation`.
+isolation and shown to raise :class:`InvariantViolation`.  Which
+histories break which property is ``tests/test_spec.py``'s table (these
+histories are rows of it); here the subject is the suite: the exception,
+its message and ids, the log bookkeeping, the fold counts.
 """
 
 import types
@@ -106,8 +110,12 @@ def test_divergent_replay_detected_across_rewind():
     suite.rewind("r1", 0)
     rs["r1"].deliver(1, "S1", 0)
     rs["r1"].deliver(9, "S1", 1)       # replay diverges
-    with pytest.raises(InvariantViolation, match="replay diverged"):
+    with pytest.raises(InvariantViolation, match="stream agreement") as info:
         suite.check()
+    assert info.value.msg_id == 9
+    assert [v.property for v in info.value.violations] == [
+        "stream-agreement", "prefix-agreement"
+    ]
     assert mark == 2
     assert suite.logs["r1"].rewinds == 1
 
@@ -129,3 +137,62 @@ def test_convergence_failure_reported():
     suite.check()                      # prefix-consistent (r2 is behind) ...
     with pytest.raises(InvariantViolation, match="did not converge"):
         suite.assert_converged()       # ... but not converged
+
+
+# -- a check costs what was delivered since the last one ----------------
+
+def _folded_everything(suite):
+    return suite.spec.folded == sum(
+        len(log.records) for log in suite.logs.values()
+    )
+
+
+def test_check_folds_each_delivery_once():
+    suite, rs = make_suite(r1=StubReplica("G1"), r2=StubReplica("G1"),
+                           r3=StubReplica("G2"))
+    position = 0
+    for burst in (5, 0, 3, 1):
+        for _ in range(burst):
+            for r in rs.values():
+                r.deliver(100 + position, "S1", position)
+            position += 1
+        suite.check()
+        assert _folded_everything(suite) and suite.spec.folded == 3 * position
+
+
+def test_check_with_nothing_new_folds_nothing_and_searches_no_cycle():
+    suite, rs = make_suite(r1=StubReplica("G1"), r2=StubReplica("G2"))
+    for r in rs.values():
+        r.deliver(1, "S1", 0)
+        r.deliver(2, "S2", 0)
+    suite.check()
+    assert (suite.spec.folded, suite.spec.cycle_searches) == (4, 1)
+    suite.check()
+    suite.check()
+    assert (suite.spec.folded, suite.spec.cycle_searches) == (4, 1)
+    assert suite.checks_run == 3
+
+
+def test_rewind_above_the_cursor_folds_nothing_twice():
+    suite, rs = make_suite(r1=StubReplica("G1"))
+    rs["r1"].deliver(1, "S1", 0)
+    suite.check()
+    rs["r1"].deliver(2, "S1", 1)
+    mark = suite.mark("r1")
+    rs["r1"].deliver(3, "S1", 2)       # never checked before the crash
+    suite.rewind("r1", mark)
+    rs["r1"].deliver(3, "S1", 2)
+    suite.check()
+    assert _folded_everything(suite) and suite.spec.folded == 3
+
+
+def test_rewind_below_the_cursor_refolds_only_the_replay():
+    suite, rs = make_suite(r1=StubReplica("G1"))
+    for position in range(4):
+        rs["r1"].deliver(position, "S1", position)
+    suite.check()
+    suite.rewind("r1", 1)
+    for position in range(1, 4):
+        rs["r1"].deliver(position, "S1", position)
+    suite.check()
+    assert suite.spec.folded == 4 + 3

@@ -142,3 +142,61 @@ def test_positions_reported_to_deliver_are_monotonic_per_stream():
     for stream, seen in positions.items():
         assert seen == sorted(seen)
         assert len(set(seen)) == len(seen)
+
+
+def test_retried_subscribe_deferred_behind_the_first_does_not_double_sigma():
+    """Σ is a set.  G's subscribe to S2 is retried under a fresh request
+    id while the first is still aligning; the retry is deferred and,
+    once the first commits, has nothing left to do.  It used to commit
+    too: Σ = (S1, S2, S2), a second merge point, two S2 turns per round
+    -- G then ordered 205 before 100 where H, subscribed once over the
+    same logs, ordered 100 before 205 (Fig. 2's cycle)."""
+    from repro.spec import SafetySpec
+
+    logs = {"S1": TokenLog(), "S2": TokenLog()}
+    delivered = {"G": [], "H": []}
+    mergers = {}
+    for group, out in delivered.items():
+        mergers[group] = ElasticMerger(
+            group=group,
+            deliver=lambda v, s, p, out=out: out.append((s, p, v.msg_id)),
+            stream_provider=logs.__getitem__,
+        )
+        mergers[group].bootstrap({"S1": logs["S1"]})
+    first, retry = (
+        SubscribeMsg(group="G", stream="S2", request_id=request_id)
+        for request_id in (1, 2)
+    )
+    once = SubscribeMsg(group="H", stream="S2", request_id=3)
+    script = [
+        ("S2", SkipToken(count=5)),
+        ("S1", first), ("S1", retry), ("S1", once),
+        ("S1", SkipToken(count=10)),
+        ("S2", first), ("S2", retry), ("S2", once),
+    ]
+    for i in range(6):
+        script.append(("S1", AppValue(payload=("S1", i), msg_id=100 + i)))
+        script.append(("S2", AppValue(payload=("S2", i), msg_id=200 + i)))
+    script += [("S1", SkipToken(count=20)), ("S2", SkipToken(count=20))]
+    for stream, token in script:
+        logs[stream].append(token)
+        for merger in mergers.values():
+            merger.pump()
+
+    assert mergers["G"].subscriptions == ("S1", "S2")
+    assert list(mergers["G"].stats.merge_points) == [1]
+    assert delivered["G"] == delivered["H"]
+    assert len(delivered["G"]) == 12
+    spec = SafetySpec()
+    for group, deliveries in delivered.items():
+        assert spec.fold(group, group, deliveries) == []
+    assert spec.check_acyclic() == []
+    # Leaving S2 again finds one cursor to delete, not a second copy
+    # of S2 still taking turns (the KeyError that killed the loop).
+    after = value("after")
+    logs["S1"].append(UnsubscribeMsg(group="G", stream="S2"))
+    logs["S1"].append(after)
+    logs["S2"].append(SkipToken(count=30))
+    mergers["G"].pump()
+    assert mergers["G"].subscriptions == ("S1",)
+    assert delivered["G"][-1][2] == after.msg_id

@@ -42,7 +42,10 @@ def test_coordinator_crash_at_merge_point_fails_over():
         )
     # The subscription committed with one agreed merge point per replica
     # (cross-replica equality is the merge-points invariant itself).
-    merge_points = runner.suite._merge_points
+    merge_points = {
+        name: runner.cluster.replicas[name].merger.stats.merge_points
+        for name in ("G1/r1", "G1/r2")
+    }
     assert merge_points["G1/r1"]
     assert merge_points["G1/r1"] == merge_points["G1/r2"]
 

@@ -3,8 +3,9 @@
 The ``chaos`` scenario throws seeded crashes (with checkpoint
 recovery), partitions, loss, delay spikes, duplication and reordering
 at a 2-group x 3-stream cluster while subscriptions churn; the
-invariant suite (stream agreement, prefix consistency, gap-free
-delivery, acyclic order, merge points) runs throughout.  Here that
+invariant suite (every property of ``repro.spec``: stream and prefix
+agreement, strictly increasing positions, integrity, acyclic order,
+merge points) runs throughout.  Here that
 scenario is swept over many seeds, plus determinism regressions:
 identical seed => bit-identical schedule and bit-identical delivery
 logs.

@@ -5,12 +5,18 @@ Multi-Ring Paxos's static merge; hypothesis checks the two produce
 identical delivery sequences for arbitrary token content.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.multicast.elastic import ElasticMerger
 from repro.multicast.merge import StaticMerger
 from repro.multicast.stream import TokenLog
-from repro.paxos.types import AppValue, SkipToken
+from repro.paxos.types import (
+    AppValue,
+    PrepareMsg,
+    SkipToken,
+    SubscribeMsg,
+    UnsubscribeMsg,
+)
 
 
 @st.composite
@@ -102,8 +108,6 @@ def merge_scripts(draw):
     with long skips, values, and control messages for this group and
     another: prepare, unsubscribe, and subscribe, whose second copy
     lands in the new stream a few appends later."""
-    from repro.paxos.types import PrepareMsg, SubscribeMsg, UnsubscribeMsg
-
     initial = _STREAMS[: draw(st.integers(1, 3))]
     script, twins = [], []          # twins: (due index, stream, token)
     request_ids = iter(range(1000, 2000))
@@ -137,6 +141,8 @@ def merge_scripts(draw):
 
 
 def _merger_state(merger, delivered):
+    sigma = merger.subscriptions
+    assert len(set(sigma)) == len(sigma), f"Σ is a set, got {sigma}"
     return (
         list(delivered), merger.positions(), merger.next_stream,
         merger.subscriptions, merger.pending_subscription,
@@ -144,7 +150,21 @@ def _merger_state(merger, delivered):
     )
 
 
+# A retry of a subscribe (fresh request id) deferred behind the first,
+# still-aligning one: once put S2 into Σ twice (a second merge point,
+# two turns per round, a KeyError after the next unsubscribe).
+_FIRST, _RETRY = (
+    SubscribeMsg(group="G", stream="S2", request_id=request_id)
+    for request_id in (1, 2)
+)
+
+
 @given(script=merge_scripts())
+@example(script=(("S1",), [
+    ("S2", SkipToken(count=5)),
+    ("S1", _FIRST), ("S1", _RETRY), ("S1", SkipToken(count=10)),
+    ("S2", _FIRST), ("S2", _RETRY),
+]))
 @settings(max_examples=300, deadline=None)
 def test_run_length_skips_equal_one_position_per_turn(script):
     initial, appends = script

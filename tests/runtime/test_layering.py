@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import repro
 
@@ -109,3 +110,68 @@ def test_runtime_package_imports_without_sim():
         "decode",
         "run_live",
     }
+
+
+# -- one statement of the safety properties (repro.spec) ----------------
+
+def _sources():
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+
+def test_spec_is_a_leaf_module():
+    # The executable specification depends on nothing it specifies.
+    tree = dict(_sources())["spec.py"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module == "typing", ast.dump(node)
+        elif isinstance(node, ast.Import):
+            raise AssertionError(f"spec.py imports {ast.dump(node)}")
+
+
+def test_property_names_are_spelled_in_one_module():
+    # A second module that spells a property name is a second place
+    # that decides what the property means.  (Docstrings may talk about
+    # the properties; code and report strings may not name them.)
+    from repro.spec import PROPERTIES
+
+    offenders = []
+    for name, tree in _sources():
+        if name == "spec.py":
+            continue
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings):
+                words = set(re.findall(r"[a-z]+(?:-[a-z]+)*", node.value))
+                for hit in words.intersection(PROPERTIES):
+                    offenders.append(f"{name}:{node.lineno} spells {hit!r}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_front_ends_state_no_property_of_their_own():
+    # A front-end maps its input onto the spec's events; a
+    # `_check_<property>` pass or a cycle search of its own would be a
+    # second statement of a property.
+    offenders = []
+    for name, tree in _sources():
+        if not name.startswith(("faults/", "obs/")):
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_check_")
+                    and node.name != "_check_loop"):     # the check *timer*
+                offenders.append(f"{name}:{node.lineno} defines {node.name}")
+            if (isinstance(node, ast.Name)
+                    and node.id.upper() in ("WHITE", "GREY", "GRAY", "BLACK",
+                                            "COLOUR", "COLOR")):
+                offenders.append(f"{name}:{node.lineno} colours a search")
+    assert not offenders, "\n".join(offenders)
