@@ -3,10 +3,11 @@
 ``python -m repro deploy`` runs the live cluster as **real OS
 processes**: a supervisor (:mod:`repro.deploy.supervisor`) spawns one
 worker process per node (``python -m repro worker``, see
-:mod:`repro.deploy.worker`), coordinates readiness / start / workload /
-drain / stop over a small length-prefixed control RPC
-(:mod:`repro.deploy.control`), and collects every node's trace,
-metrics and profile files into one run directory.  The chaos layer
+:mod:`repro.deploy.worker`), hands the run driver
+(:mod:`repro.runtime.driver`) one small length-prefixed control RPC
+connection per worker (:mod:`repro.deploy.control`) to wire / drive /
+drain / judge them over, and collects every node's trace, metrics and
+profile files into one run directory.  The chaos layer
 (:mod:`repro.deploy.chaos`) ports the PR 1 fault scenarios to this
 backend: ``kill -9`` with supervised restart, socket-level partitions,
 and clock-skew injection -- see docs/DEPLOY.md.

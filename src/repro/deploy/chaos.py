@@ -20,10 +20,11 @@ Fig. 3-style workload through :class:`~repro.deploy.supervisor
   power-cycle the node hosting s1's coordinator/acceptors while
   traffic rides s2 untouched.
 
-Acceptance everywhere is *replica agreement across surviving
-processes*; worker-side invariant suites watch continuously, and
-flight-recorder dumps are written only when an invariant actually
-fires or replicas disagree -- a clean drill leaves no dumps.
+Acceptance everywhere is the run driver's verdict
+(:func:`repro.runtime.driver.verdict`) over the surviving processes;
+worker-side invariant suites watch continuously, and flight-recorder
+dumps are written only when a run actually fails -- a clean drill
+leaves no dumps.
 """
 
 from __future__ import annotations
@@ -48,52 +49,29 @@ def _replica_only_node(spec: TopologySpec) -> Optional[str]:
     return None
 
 
-async def _standard_workload(sup: DeploySupervisor) -> None:
-    """Workload on the initial stream with the runtime subscribe to the
-    next stream partway through -- the deployment mirror of the live
-    single-process run."""
-    spec = sup.spec
-    workload = spec.workload
-    await sup.start_workload()
-    extra = [s for s in spec.streams if s not in spec.initial_streams]
-    if extra:
-        await asyncio.sleep(workload.subscribe_after * workload.duration)
-        via = spec.initial_streams[0]
-        await sup.subscribe(extra[0], via=via)
-        await sup.wait_subscribed(extra[0], timeout=workload.drain_timeout)
-        await sup.activate(list(spec.initial_streams) + [extra[0]])
-    await sup.wait_workload(workload.duration + workload.drain_timeout)
-
-
 # -- scenario drivers --------------------------------------------------
+# Each drives the run driver's workload script (workload on the initial
+# stream, the runtime subscribes ``subscribe_after`` of the way in, wait
+# for the last submission) and injects its fault around it.
 
 async def _drive_baseline(sup: DeploySupervisor) -> dict:
-    await _standard_workload(sup)
+    await sup.driver.run_workload()
     return {}
 
 
 async def _drive_kill9(sup: DeploySupervisor) -> dict:
-    spec = sup.spec
-    workload = spec.workload
-    victim = _replica_only_node(spec)
+    driver = sup.driver
+    workload = sup.spec.workload
+    victim = _replica_only_node(sup.spec)
     if victim is None:
         raise RuntimeError("kill9 needs a replica-only node to murder")
-    await sup.start_workload()
-    extra = [s for s in spec.streams if s not in spec.initial_streams]
-    if extra:
-        await asyncio.sleep(
-            workload.subscribe_after * workload.duration
-        )
-        await sup.subscribe(extra[0], via=spec.initial_streams[0])
-        await sup.wait_subscribed(extra[0], timeout=workload.drain_timeout)
-        await sup.activate(list(spec.initial_streams) + [extra[0]])
-        await asyncio.sleep(0.1 * workload.duration)
-    else:
-        await asyncio.sleep(0.4 * workload.duration)
+    await driver.start_workload()
+    await driver.subscribe_spares(workload.subscribe_after * workload.duration)
+    await asyncio.sleep(0.1 * workload.duration)
     killed_pid = await sup.kill9(victim)
     await asyncio.sleep(1.0)            # traffic continues over the corpse
     await sup.restart(victim)
-    await sup.wait_workload(workload.duration + workload.drain_timeout)
+    await driver.wait_workload()
     return {"chaos": {
         "fault": "kill9", "victim": victim, "killed_pid": killed_pid,
         "restarted_pid": sup.workers[victim].pids[-1],
@@ -101,48 +79,39 @@ async def _drive_kill9(sup: DeploySupervisor) -> dict:
 
 
 async def _drive_partition(sup: DeploySupervisor) -> dict:
-    spec = sup.spec
-    workload = spec.workload
-    victim = _replica_only_node(spec)
+    driver = sup.driver
+    workload = sup.spec.workload
+    victim = _replica_only_node(sup.spec)
     if victim is None:
         raise RuntimeError("partition needs a replica-only node to isolate")
-    await sup.start_workload()
+    await driver.start_workload()
     await asyncio.sleep(0.2 * workload.duration)
     await sup.set_partition(victim, blocked=True)
     await asyncio.sleep(0.3 * workload.duration)
     await sup.set_partition(victim, blocked=False)
     # Subscribe only after the heal: the isolated replica first repairs
     # its gap, then rides through the merge point like everyone else.
-    extra = [s for s in spec.streams if s not in spec.initial_streams]
-    if extra:
-        await asyncio.sleep(0.1 * workload.duration)
-        await sup.subscribe(extra[0], via=spec.initial_streams[0])
-        await sup.wait_subscribed(extra[0], timeout=workload.drain_timeout)
-        await sup.activate(list(spec.initial_streams) + [extra[0]])
-    await sup.wait_workload(workload.duration + workload.drain_timeout)
+    await driver.subscribe_spares(0.1 * workload.duration)
+    await driver.wait_workload()
     return {"chaos": {"fault": "partition", "victim": victim}}
 
 
 async def _drive_clock_skew(sup: DeploySupervisor) -> dict:
+    driver = sup.driver
     spec = sup.spec
     workload = spec.workload
     skewed = [n.name for n in spec.nodes if n.clock_offset]
     victim = _replica_only_node(spec) or spec.nodes[-1].name
-    await sup.start_workload()
-    extra = [s for s in spec.streams if s not in spec.initial_streams]
-    if extra:
-        await asyncio.sleep(workload.subscribe_after * workload.duration)
-        await sup.subscribe(extra[0], via=spec.initial_streams[0])
-        await sup.wait_subscribed(extra[0], timeout=workload.drain_timeout)
-        await sup.activate(list(spec.initial_streams) + [extra[0]])
+    await driver.start_workload()
+    await driver.subscribe_spares(workload.subscribe_after * workload.duration)
     # A live skew *step* on top of the static spec offsets: the victim's
     # clock jumps mid-run, like NTP slamming a drifted host.
     await asyncio.sleep(0.1 * workload.duration)
     await sup.skew(victim, 0.4)
-    await sup.wait_workload(workload.duration + workload.drain_timeout)
+    await driver.wait_workload()
     # Re-estimate offsets so the *last* meta.clock per node reflects the
     # post-step domains (trace alignment uses the last mark).
-    await sup.sync_clocks()
+    await driver.sync_clocks()
     return {"chaos": {
         "fault": "clock-skew", "static_offsets": {
             n.name: n.clock_offset for n in spec.nodes if n.clock_offset
@@ -158,6 +127,7 @@ async def _drive_rolling_replace(sup: DeploySupervisor) -> dict:
     """Acceptor replacement: retire stream s1's whole node under
     traffic by moving the workload to s2 first (runtime subscribe,
     then unsubscribe s1 *via s2* so the merge point orders the exit)."""
+    driver = sup.driver
     spec = sup.spec
     workload = spec.workload
     old = spec.initial_streams[0]
@@ -166,22 +136,18 @@ async def _drive_rolling_replace(sup: DeploySupervisor) -> dict:
         raise RuntimeError("rolling-replace needs a second stream")
     new = candidates[0]
     retired_node = spec.owner_of(old)
-    await sup.start_workload()
+    await driver.start_workload()
     await asyncio.sleep(workload.subscribe_after * workload.duration)
-    await sup.subscribe(new, via=old)
-    await sup.wait_subscribed(new, timeout=workload.drain_timeout)
+    await driver.subscribe(new, via=old)
     # Rotate the client wholly onto the new stream, then retire the old
     # one through it -- after this merge point no replica needs s1.
-    await sup.activate([new])
-    await sup.unsubscribe(old, via=new)
-    await sup.wait_subscribed(
-        old, timeout=workload.drain_timeout, subscribed=False
-    )
+    await driver.activate([new])
+    await driver.unsubscribe(old, via=new)
     # The retired stream's node can now be power-cycled with traffic up.
     killed_pid = await sup.kill9(retired_node)
     await asyncio.sleep(0.5)
     await sup.restart(retired_node)
-    await sup.wait_workload(workload.duration + workload.drain_timeout)
+    await driver.wait_workload()
     return {"chaos": {
         "fault": "rolling-replace", "retired_stream": old,
         "replacement_stream": new, "recycled_node": retired_node,
@@ -261,34 +227,17 @@ SCENARIOS: dict[str, Scenario] = {
 async def _run(config: DeployConfig) -> DeployReport:
     scenario = SCENARIOS[config.scenario]
     sup = DeploySupervisor(config)
-    extra: dict = {}
-    ok, detail = False, "scenario did not complete"
+    driver = sup.driver
     try:
         await sup.start_workers()
-        await sup.wire()
-        if config.watch:
-            # Every scenario runs under live certification: the online
-            # auditor tails the traces while the chaos plays out.
-            sup.start_watch()
+        await driver.wire()
+        # Every scenario runs under live certification: the online
+        # auditor tails the traces while the chaos plays out.
+        sup.start_watch()
         extra = await scenario.drive(sup)
-        ok, detail = await sup.drain()
-        violations = await sup.collect_violations()
-        if violations:
-            ok = False
-            detail += (
-                f"; invariant violations on {sorted(violations)}"
-            )
-        audit = await sup.stop_watch()
-        if audit is not None and not audit["ok"]:
-            ok = False
-            detail += (
-                f"; online audit proved {len(audit['violations'])} "
-                f"safety violations (see alerts.jsonl)"
-            )
-        if not ok:
-            # Only an actual failure warrants the causal ring dumps.
-            await sup.dump_flights(f"{config.scenario}: {detail}")
-        manifest_path = await sup.collect(ok, detail, extra)
+        agreement = await driver.drain()
+        outcome = await driver.collect(agreement, await sup.stop_watch())
+        manifest_path = sup.write_manifest(outcome, extra)
     finally:
         await sup.stop_watch()
         await sup.stop_all()
@@ -299,11 +248,11 @@ async def _run(config: DeployConfig) -> DeployReport:
         for name, entry in manifest["nodes"].items()
     }
     sup.log(f"scenario {config.scenario}: "
-            f"{'OK' if ok else 'FAILED'} -- {detail}")
+            f"{'OK' if outcome.ok else 'FAILED'} -- {outcome.detail}")
     sup.log(f"worker pids: {pids}")
     sup.log(f"run directory: {config.run_dir}")
     return DeployReport(
-        ok=ok,
+        ok=outcome.ok,
         scenario=config.scenario,
         run_dir=config.run_dir,
         manifest_path=manifest_path,

@@ -39,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..quantiles import percentile
 from .spans import LifecycleIndex
 
 __all__ = [
@@ -71,24 +72,15 @@ def _round(value: float, digits: int = 6) -> float:
     return round(value, digits)
 
 
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile over a pre-sorted sample list."""
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, int(round(q * (len(ordered) - 1)))))
-    return ordered[rank]
-
-
 def _dist_ms(values: list[float]) -> dict:
     """Count/mean/p50/p99 of a latency sample set, in milliseconds."""
     if not values:
         return {"n": 0, "mean": None, "p50": None, "p99": None}
-    ordered = sorted(values)
     return {
         "n": len(values),
         "mean": _round(1000.0 * sum(values) / len(values)),
-        "p50": _round(1000.0 * _percentile(ordered, 0.50)),
-        "p99": _round(1000.0 * _percentile(ordered, 0.99)),
+        "p50": _round(1000.0 * percentile(values, 50)),
+        "p99": _round(1000.0 * percentile(values, 99)),
     }
 
 

@@ -14,10 +14,10 @@ stats`` / ``validate-trace`` and :class:`repro.obs.spans.LifecycleIndex`
 -- consumes unchanged:
 
 1. **Offset discovery.**  Each node's trace carries ``meta.clock``
-   events written by the live supervisor after an NTP-style handshake
-   against the reference node's ``/clock`` endpoint (offset = node
-   clock minus reference clock, estimated from the minimum-RTT sample;
-   see :func:`repro.runtime.telemetry.estimate_offset`).  Explicit
+   events the run driver had it write after an NTP-style handshake
+   against the reference node's clock (offset = node clock minus
+   reference clock, estimated from the minimum-RTT sample; see
+   :meth:`repro.runtime.driver.RunDriver.sync_clocks`).  Explicit
    offsets override the recorded ones.
 2. **Alignment.**  Every event's ``ts`` is shifted into the reference
    clock domain (``ts - offset``).

@@ -16,7 +16,11 @@ actors over real asyncio TCP sockets on localhost:
 * :mod:`repro.runtime.transport` -- :class:`TcpTransport`,
   length-prefixed TCP with per-peer reconnect and backpressure;
 * :mod:`repro.runtime.node` -- :class:`LiveNode`, the one assembly of
-  a live node, shared by ``repro live`` and ``repro worker``;
+  a live node, and :class:`NodeOps`, its op table, shared by ``repro
+  live`` and ``repro worker``;
+* :mod:`repro.runtime.driver` -- :class:`RunDriver`, which wires,
+  drives, drains and judges a cluster through those op tables, however
+  the nodes are reached;
 * :mod:`repro.runtime.supervisor` -- :class:`LiveCluster` (N nodes on
   one loop) and :func:`run_live`, the ``python -m repro live`` entry;
 * :mod:`repro.runtime.telemetry` -- per-node tracer/metrics/HTTP

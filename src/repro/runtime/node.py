@@ -14,7 +14,8 @@ order they come up and go down in: :meth:`~LiveNode.listen` ->
 Both deployment shapes hydrate it from the same placement
 (:meth:`LiveNode.from_spec`): ``repro live`` runs N nodes on one event
 loop (:class:`repro.runtime.supervisor.LiveCluster`), ``repro worker``
-one node per OS process (:class:`repro.deploy.worker.DeployWorker`).
+one node per OS process (:class:`repro.deploy.worker.DeployWorker`) --
+and both are driven through the same op table, :class:`NodeOps`.
 The stream ``directory`` is the *caller's*: a node adds the deployments
 it hosts and resolves every other stream through it, so the caller
 decides what a remote stream is (the same object in-process, a
@@ -28,20 +29,22 @@ import gc
 import os
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
+from ..faults.invariants import InvariantViolation
 from ..multicast.api import MulticastClient
 from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
 from ..paxos.config import StreamConfig
 from ..paxos.types import AppValue
+from ..quantiles import percentile as nearest_rank
 from .asyncio_kernel import AsyncioKernel
 from .profiling import LoopLagProbe, StackSampler
 from .telemetry import NodeTelemetry
 from .transport import TcpTransport
 
 if TYPE_CHECKING:
-    from ..deploy.topology import TopologySpec
+    from ..deploy.topology import TopologySpec, WorkloadSpec
 
-__all__ = ["CollectorPolicy", "LiveNode", "percentile"]
+__all__ = ["CollectorPolicy", "LiveNode", "NodeOps", "percentile"]
 
 # Generation sizes while a live datapath runs (docs/RUNTIME.md,
 # "Collector policy", has the measurements).  Every delivered value
@@ -82,12 +85,9 @@ class CollectorPolicy:
 
 
 def percentile(values: Sequence[float], pct: float) -> Optional[float]:
-    """Nearest-rank percentile of latency samples; None without any."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, round(pct / 100 * len(ordered)) - 1))
-    return ordered[rank]
+    """Nearest-rank percentile of latency samples (the one rule,
+    :mod:`repro.quantiles`); None without any."""
+    return nearest_rank(values, pct) if values else None
 
 
 class LiveNode:
@@ -362,3 +362,199 @@ class LiveNode:
                 elapsed = min(1.0, (loop.time() - start) / duration)
                 now_rate = rate + elapsed * (rate_end - rate)
             await asyncio.sleep(burst / now_rate if now_rate > 0 else duration)
+
+
+class NodeOps:
+    """The op table of one :class:`LiveNode`: every way a run driver
+    (:mod:`repro.runtime.driver`) touches a node, as ``await
+    ops.call(op, **params)`` returning a JSON-able dict.  The in-process
+    cluster awaits it directly; a worker process serves the very same
+    calls off its control socket (extending ``start`` / ``stop`` /
+    ``status`` with what only a process of its own has).
+    docs/RUNTIME.md, "Run driver", tables the ops."""
+
+    def __init__(
+        self,
+        node: LiveNode,
+        workload: "WorkloadSpec",
+        flight_path: Optional[str] = None,
+    ):
+        self.node = node
+        self.workload = workload
+        # Where this node's causal ring is dumped (needs telemetry).
+        self.flight_path = flight_path
+        self.identity = {
+            "node": node.name, "trace_node": node.trace_node,
+            "pid": os.getpid(),
+        }
+        self.started = False
+        self.violations: list[str] = []
+        self._workload_task: Optional[asyncio.Task] = None
+
+    async def call(self, op: str, timeout: float = 10.0, **params: Any) -> dict:
+        # ``timeout`` is the remote reach's; an in-loop call cannot hang.
+        handler = getattr(self, f"op_{op.replace('-', '_')}", None)
+        if handler is None:
+            raise ValueError(f"unknown control op {op!r}")
+        return handler(**params)
+
+    # -- wiring -------------------------------------------------------
+
+    def op_hello(self) -> dict:
+        node = self.node
+        return {
+            **self.identity,
+            "hosts": node.transport.hosts(),
+            "transport": list(node.transport.address or ()),
+            "telemetry": list(node.endpoint) if node.endpoint else None,
+            "trace": node.telemetry.trace_path if node.telemetry else None,
+            "started": self.started,
+        }
+
+    def op_register(self, addresses: dict) -> dict:
+        for name, address in addresses.items():
+            self.node.transport.register_address(
+                name, (address[0], int(address[1]))
+            )
+        return {"registered": len(addresses)}
+
+    def op_clock(self) -> dict:
+        return {"node": self.node.name, "now": self.node.kernel._now}
+
+    def op_clock_mark(self, ref: str, offset: float, rtt: float = 0.0) -> dict:
+        # ``repro trace-merge`` aligns on the last mark of each trace; a
+        # node without a trace of its own has nothing to stamp.
+        if self.node.telemetry is not None:
+            self.node.telemetry.tracer.emit(
+                "meta.clock", self.node.kernel._now, cat="meta",
+                ref=ref, offset=float(offset), rtt=float(rtt),
+            )
+        return {}
+
+    def op_start(self) -> dict:
+        if self.started:
+            return {"already": True}
+        self.started = True
+        self.node.start()
+        return {"already": False}
+
+    def op_stop(self) -> dict:
+        if self._workload_task is not None:
+            self._workload_task.cancel()
+        self.node.stop_actors()     # sockets stay open: the caller closes
+        return {}
+
+    # -- workload -----------------------------------------------------
+
+    def op_workload(self, rate_end: Optional[float] = None) -> dict:
+        """Start the spec's paced client workload as a task of its own
+        (ramping linearly to ``rate_end`` when given)."""
+        self.node.require_client()
+        if self._workload_task is not None and not self._workload_task.done():
+            raise ValueError("workload already running")
+        spec = self.workload
+        self._workload_task = asyncio.ensure_future(self.node.workload(
+            spec.duration, spec.rate, burst=spec.burst,
+            payload_size=spec.payload_size, rate_end=rate_end,
+        ))
+        return {"duration": spec.duration, "rate": spec.rate}
+
+    def op_activate(self, streams: list) -> dict:
+        if not streams:
+            raise ValueError("activate needs a non-empty stream list")
+        self.node.active_streams[:] = streams
+        return {"active": list(streams)}
+
+    def op_subscribe(self, stream: str, via: Optional[str] = None) -> dict:
+        return {"request_id": self.node.subscribe_msg(stream, via=via)}
+
+    def op_unsubscribe(self, stream: str, via: Optional[str] = None) -> dict:
+        return {"request_id": self.node.require_client().unsubscribe_msg(
+            self.node.group, stream, via_stream=via
+        )}
+
+    # -- observation --------------------------------------------------
+
+    def op_check(self) -> dict:
+        """Fold what the local replicas delivered since the last call
+        into the attached invariant suite.  The first violation is
+        terminal: it is kept and this node's causal ring dumped."""
+        suite = self.node.invariants
+        if suite is not None and not self.violations:
+            try:
+                suite.check()
+            except InvariantViolation as violation:
+                self.violations.append(str(violation))
+                self.op_flight_dump(label=str(violation))
+        return {"violations": list(self.violations)}
+
+    def op_status(self) -> dict:
+        """The cheap poll: no sample is sorted and no check run here."""
+        node = self.node
+        suite = node.invariants
+        task = self._workload_task
+        done = task is not None and task.done()
+        if done and not task.cancelled():
+            task.result()       # a crashed workload fails the run loudly
+        return {
+            **self.identity,
+            "started": self.started,
+            "submitted": node.submitted,
+            "workload_done": done,
+            "active_streams": list(node.active_streams),
+            "replicas": node.replica_states(),
+            "invariant_checks": suite.checks_run if suite else 0,
+            "records_checked": suite.spec.folded if suite else 0,
+            "violations": list(self.violations),
+            "kernel_failures": [
+                repr(failure) for failure in node.kernel.failures
+            ],
+            "transport": node.transport.counters(),
+        }
+
+    def op_sequences(self) -> dict:
+        logs = self.node.invariants.logs if self.node.invariants else {}
+        return {"sequences": {
+            name: logs[name].sequence()
+            for name in self.node.replicas if name in logs
+        }}
+
+    def op_metrics(self) -> dict:
+        """Asked once, at collection: the node's own registry (``None``
+        without telemetry -- a process-wide registry is not one node's
+        to report) and the latency percentiles of what its client sent."""
+        node = self.node
+        return {
+            "dump": node.telemetry.registry.dump() if node.telemetry else None,
+            "latency_p50_ms": percentile(node.latencies_ms, 50),
+            "latency_p99_ms": percentile(node.latencies_ms, 99),
+        }
+
+    def op_flight_dump(self, label: str = "requested by the run driver") -> dict:
+        if self.node.telemetry is None or self.flight_path is None:
+            return {"path": None, "events": 0}
+        os.makedirs(os.path.dirname(self.flight_path) or ".", exist_ok=True)
+        events = self.node.telemetry.dump_flight(self.flight_path, header={
+            "message": label, "ts": self.node.kernel._now,
+        })
+        return {"path": self.flight_path, "events": events}
+
+    def op_flush(self) -> dict:
+        # The online certifier tails this node's trace while it runs;
+        # flushing on request lets it certify the complete timeline
+        # *before* the process is torn down.
+        telemetry = self.node.telemetry
+        return {"written": telemetry.flush_trace() if telemetry else 0}
+
+    # -- fault injection (deployment chaos plane) ---------------------
+
+    def op_partition(self, peers: list, blocked: bool = True) -> dict:
+        self.node.transport.set_partition(list(peers), blocked=bool(blocked))
+        return {"partitioned": self.node.transport.partitioned_peers()}
+
+    def op_skew(self, delta: float) -> dict:
+        # Shift this kernel's clock forward by delta seconds, the live
+        # analogue of the PR 1 clock-skew fault (AsyncioKernel derives
+        # `now` from `_t0`, so one adjustment skews everything).
+        self.node.kernel._t0 -= float(delta)
+        return {"now": self.node.kernel._now}

@@ -1,77 +1,52 @@
-"""Process supervisor: boot a live Elastic Paxos cluster and drive it.
+"""``python -m repro live``: N live nodes on one event loop.
 
-``python -m repro live`` lands here.  :func:`run_live` boots a
-multi-stream, multi-replica cluster on real localhost TCP sockets,
-drives a client workload against it, performs a *runtime*
-``subscribe_msg`` while traffic flows, and verifies the paper's
-guarantees on the live backend:
+:func:`run_live` boots a multi-stream, multi-replica cluster on real
+localhost TCP sockets and has the run driver (:mod:`repro.runtime
+.driver`) wire it, drive a client workload with a *runtime*
+``subscribe_msg`` while traffic flows, drain it and judge it -- the
+same code, over in-loop calls, that ``repro deploy`` runs over the
+control RPC.  What this module owns is what only the single process
+has:
 
-* every replica delivers the identical (non-empty) sequence;
-* the dynamic subscription completes on all replicas;
-* the always-on invariant suite (:mod:`repro.faults.invariants`)
-  reports zero violations.
-
-Nodes
------
-With ``nodes > 1`` the cluster is partitioned into that many *nodes*:
-each is a :class:`~repro.runtime.node.LiveNode` -- its own
-:class:`AsyncioKernel` (clock domain) and :class:`TcpTransport`
-(listener socket) -- hydrated from the same placement ``repro deploy``
-hands its worker processes (:func:`repro.deploy.topology
-.build_topology`: streams, replicas and the client round-robin).  All
-nodes still run on one asyncio loop in this process, but every
-cross-node message is codec-serialized and travels socket-to-socket
-between two different listeners -- the same failure surface as two
-processes, minus the fork.
-
-Telemetry
----------
-With ``telemetry_dir`` set, every node gets a
-:class:`~repro.runtime.telemetry.NodeTelemetry`: a node-stamped tracer
-streaming JSONL to ``<dir>/<node>.trace.jsonl``, a metrics registry,
-and an HTTP endpoint (``/metrics``, ``/metrics.json``, ``/health``,
-``/clock``) whose addresses land in ``<dir>/endpoints.json`` for
-``python -m repro top``.  The supervisor estimates each node's clock
-offset against node 1 with NTP-style ``/clock`` round trips and writes
-``meta.clock`` events into the traces, which is what ``python -m repro
-trace-merge`` uses to align the per-node timelines
-(:mod:`repro.obs.merge`).  A :class:`FlightRecorder` rides on every
-tracer -- telemetry or not -- so a live invariant violation dumps the
-causal ring buffer next to ``--metrics-out`` exactly as the sim fault
-runner does.
+* :class:`LiveCluster` -- ``nodes`` :class:`~repro.runtime.node
+  .LiveNode` (a kernel clock domain and a listener socket each, placed
+  by the same :func:`~repro.deploy.topology.build_topology` a deployment
+  uses) sharing one stream directory, one invariant suite over every
+  replica and, without ``telemetry_dir``, one tracer and flight
+  recorder; every cross-node message is still codec-serialized and
+  travels socket to socket;
+* with ``telemetry_dir``: the ``endpoints.json`` file ``python -m repro
+  top`` reads and the ``/health`` scrape loop that has every node's
+  watchdog evaluate itself;
+* the autoscaler (``autoscale``) and the :class:`LiveReport`.
 
 Unlike the simulator, live runs are *not* deterministic: the OS
 scheduler and real sockets order events.  Golden digests therefore
 apply to the sim backend only; the live acceptance criterion is
-replica agreement, not a particular sequence.
+:func:`repro.runtime.driver.verdict`, not a particular sequence.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..deploy.topology import build_topology
-from ..faults.invariants import InvariantSuite, InvariantViolation
+from ..faults.invariants import InvariantSuite
 from ..multicast.replica import MulticastReplica
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import Tracer, current_metrics, current_tracer
 from ..paxos.skip import DEFAULT_LAMBDA
-from .node import CollectorPolicy, LiveNode, percentile
-from .telemetry import (
-    CLOCK_SYNC_SAMPLES,
-    aggregate_dumps,
-    estimate_offset,
-    http_get_json,
-)
+from .driver import Agreement, RunDriver, verdict
+from .node import CollectorPolicy, LiveNode, NodeOps
+from .telemetry import http_get_json
 
 __all__ = ["LiveCluster", "LiveConfig", "LiveNode", "LiveReport", "run_live"]
 
-_SUBSCRIBE_AFTER = 0.3          # scripted subscribe: fraction of the run
+_SCRAPE_INTERVAL = 0.5          # /health polling period (s)
 # The live autoscaler's control loop (docs/ELASTICITY.md, "Live mode").
 _AUTOSCALE_INTERVAL = 0.25      # controller polling period (s)
 _AUTOSCALE_SUSTAIN = 2          # consecutive breaches to fire
@@ -93,7 +68,6 @@ class LiveConfig:
     nodes: int = 1                  # clock/transport domains to partition into
     telemetry_dir: Optional[str] = None   # per-node traces + HTTP endpoints
     clock_skew: float = 0.0         # artificial skew between node clocks (s)
-    scrape_interval: float = 0.5    # supervisor /health polling period
     # Closed-loop elasticity (docs/ELASTICITY.md, "Live mode"): instead
     # of the scripted subscribe, the elasticity controller polls the
     # signal plane and runtime-subscribes the spare streams when the
@@ -105,7 +79,6 @@ class LiveConfig:
     # every node runs a background stack sampler for the whole run and
     # writes flamegraph-collapsed stacks to DIR/<node>.stacks.txt.
     profile_dir: Optional[str] = None
-    profile_interval: float = 0.02        # sampler period (s)
     # Live datapath (docs/PERFORMANCE.md, "Live datapath performance").
     dissemination: str = "ring"     # phase-2 path: "ring" | "classic"
     adaptive_batching: bool = True  # load-adaptive coordinator batching
@@ -124,8 +97,6 @@ class LiveConfig:
         return max(DEFAULT_LAMBDA, int(2 * peak))
 
     def __post_init__(self):
-        if self.profile_interval <= 0:
-            raise ValueError("profile_interval must be positive")
         if self.streams < 1:
             raise ValueError("need at least one stream")
         if self.replicas < 1:
@@ -184,13 +155,14 @@ class LiveReport:
 
     @property
     def ok(self) -> bool:
-        return (
+        agreed = (
             self.sequences_identical
             and min(self.delivered_per_replica.values(), default=0) > 0
-            and self.subscribes_completed == self.subscribes_requested
-            and not self.violations
-            and not self.kernel_failures
         )
+        return verdict(
+            Agreement(agreed, ""), self.subscribes_requested,
+            self.subscribes_completed, self.violations, self.kernel_failures,
+        )[0]
 
     def summary(self) -> str:
         if self.latency_p50_ms is None:
@@ -218,9 +190,10 @@ class LiveReport:
 
 class LiveCluster:
     """One in-process live deployment: N :class:`LiveNode` on one event
-    loop -- plus what only the single process has: the shared tracer
-    and flight recorder of an untelemetried run, the endpoints file,
-    HTTP clock sync, the ``/health`` scrape loop and the report."""
+    loop, reached by the run driver through their op tables -- plus what
+    only the single process has: the shared tracer and flight recorder
+    of an untelemetried run, the endpoints file and the ``/health``
+    scrape loop."""
 
     def __init__(self, config: LiveConfig):
         self.config = config
@@ -231,9 +204,9 @@ class LiveCluster:
             os.makedirs(config.telemetry_dir, exist_ok=True)
         else:
             # No telemetry dir: still keep a causal ring buffer so a
-            # live invariant violation ships its history (the sim fault
-            # runner's contract).  Ride on an externally installed
-            # tracer when there is one.
+            # failed live run ships its history (the sim fault runner's
+            # contract).  Ride on an externally installed tracer when
+            # there is one.
             self.recorder = FlightRecorder()
             external = current_tracer()
             if external is not None:
@@ -241,11 +214,17 @@ class LiveCluster:
                 shared_tracer = external
             else:
                 shared_tracer = Tracer(sinks=[self.recorder])
-        # The placement `repro deploy` gives its workers: node i's clock
-        # runs ``i * clock_skew`` ahead, λ follows the peak offered rate.
+        # The placement and workload `repro deploy` gives its workers:
+        # node i's clock runs ``i * clock_skew`` ahead, λ follows the
+        # peak offered rate.
         self.spec = build_topology(
             nodes=config.nodes, streams=config.streams,
             replicas=config.replicas,
+            duration=config.duration, rate=config.rate, burst=config.burst,
+            workload={
+                "payload_size": config.payload_size,
+                "drain_timeout": config.drain_timeout,
+            },
             clock_offsets={
                 f"n{index + 1}": index * config.clock_skew
                 for index in range(config.nodes)
@@ -254,7 +233,6 @@ class LiveCluster:
             acceptors_per_stream=config.acceptors_per_stream,
             dissemination=config.dissemination,
             adaptive_batching=config.adaptive_batching,
-            profile_interval=config.profile_interval,
         )
         # node -> collapsed-stacks file (empty unless profiling is on).
         self.profile_files: dict[str, str] = {}
@@ -299,7 +277,21 @@ class LiveCluster:
         # Submit -> deliver latency of every value delivered by a
         # replica on the client's node (one sample per such replica).
         self.latencies_ms = self.client_node.latencies_ms
-        self.clock_offsets: dict[str, float] = {}
+        # Failed runs dump their causal rings next to ``--metrics-out``.
+        if config.metrics_out:
+            self._flight_dir = os.path.dirname(config.metrics_out) or "."
+        else:
+            self._flight_dir = config.telemetry_dir or "."
+        self.driver = RunDriver(self.spec, {
+            node.name: NodeOps(node, self.spec.workload, os.path.join(
+                self._flight_dir, f"live-flight-{node.name}.jsonl"
+            ))
+            for node in self.nodes
+        })
+        # What the ledger and the tests drive a cluster through.
+        self.subscribe = self.driver.subscribe
+        self.wait_subscribed = self.driver.wait_subscribed
+        self.drain = self.driver.drain
         self.scrape_count = 0
         self._scrape_task: Optional[asyncio.Task] = None
         self._collector = CollectorPolicy()
@@ -309,17 +301,11 @@ class LiveCluster:
     async def start(self) -> None:
         for node in self.nodes:
             await node.listen()
-        # Every node learns where every other node's hosts listen, so a
-        # cross-node send dials the owning node's socket.
-        for a, b in itertools.permutations(self.nodes, 2):
-            for hostname in b.transport.hosts():
-                a.transport.register_address(hostname, b.transport.address)
         if self.telemetry_enabled:
             self._write_endpoints_file()
-            await self._sync_clocks()
+        await self.driver.wire()
+        if self.telemetry_enabled:
             self._scrape_task = asyncio.ensure_future(self._scrape_loop())
-        for node in self.nodes:
-            node.start()
         self._collector.apply()
 
     async def stop(self) -> None:
@@ -334,8 +320,7 @@ class LiveCluster:
             self._scrape_task = None
         # Every actor stops before the first socket closes, so no node
         # dials a listener that is already gone.
-        for node in self.nodes:
-            node.stop_actors()
+        await self.driver.stop()
         for node in self.nodes:
             await node.close()
 
@@ -360,33 +345,6 @@ class LiveCluster:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
-    async def _sync_clocks(self) -> None:
-        """Estimate each node's clock offset against node 1 and record
-        it as a ``meta.clock`` event in that node's trace (the merge
-        tool's alignment input)."""
-        reference = self.nodes[0]
-        self.clock_offsets[reference.name] = 0.0
-        reference.telemetry.tracer.emit(
-            "meta.clock", reference.kernel._now, cat="meta",
-            ref=reference.name, offset=0.0, rtt=0.0,
-        )
-        for node in self.nodes[1:]:
-            samples = []
-            try:
-                for _ in range(CLOCK_SYNC_SAMPLES):
-                    t0 = reference.kernel._now
-                    data = await http_get_json(*node.endpoint, "/clock")
-                    t3 = reference.kernel._now
-                    samples.append((t0, float(data["now"]), t3))
-                offset, rtt = estimate_offset(samples)
-            except Exception:
-                offset, rtt = 0.0, float("inf")
-            self.clock_offsets[node.name] = offset
-            node.telemetry.tracer.emit(
-                "meta.clock", node.kernel._now, cat="meta",
-                ref=reference.name, offset=offset, rtt=rtt,
-            )
-
     async def _scrape_loop(self) -> None:
         """Poll every node's /health endpoint: each scrape has the
         node's watchdog evaluate itself (alerts land in its trace)."""
@@ -399,105 +357,33 @@ class LiveCluster:
                     self.scrape_count += 1
                 except Exception:
                     pass       # endpoint briefly busy; next tick retries
-            await asyncio.sleep(self.config.scrape_interval)
-
-    async def collect_metrics_dump(self) -> Optional[dict]:
-        """The cluster-wide ``repro-metrics/1`` dump.
-
-        With telemetry on, scrapes every node's ``/metrics.json``
-        endpoint (falling back to the in-process registry if a scrape
-        fails) and aggregates with node-prefixed actors; otherwise
-        returns the process-wide registry's dump, as before.
-        """
-        if self.telemetry_enabled:
-            dumps: dict[str, dict] = {}
-            for node in self.nodes:
-                try:
-                    dumps[node.name] = await http_get_json(
-                        *node.endpoint, "/metrics.json"
-                    )
-                except Exception:
-                    dumps[node.name] = node.telemetry.registry.dump()
-            return aggregate_dumps(dumps)
-        if self.kernel.metrics is not None:
-            return self.kernel.metrics.dump()
-        return None
+            await asyncio.sleep(_SCRAPE_INTERVAL)
 
     def dump_flight_recordings(self, message: str) -> list[str]:
-        """Dump every causal ring buffer next to ``--metrics-out``."""
-        if self.config.metrics_out:
-            directory = os.path.dirname(self.config.metrics_out) or "."
-        elif self.config.telemetry_dir:
-            directory = self.config.telemetry_dir
-        else:
-            directory = "."
-        os.makedirs(directory, exist_ok=True)
-        paths: list[str] = []
-        header = {"message": message, "ts": self.kernel._now}
-        if self.telemetry_enabled:
-            for node in self.nodes:
-                path = os.path.join(
-                    directory, f"live-flight-{node.name}.jsonl"
-                )
-                node.telemetry.dump_flight(path, header=header)
-                paths.append(path)
-        elif self.recorder is not None:
-            path = os.path.join(directory, "live-flight.jsonl")
-            self.recorder.dump(path, header=header)
-            paths.append(path)
-        return paths
+        """Dump the causal ring an untelemetried run shares next to
+        ``--metrics-out`` (with telemetry every node has its own, which
+        the run driver asks for)."""
+        if self.recorder is None:
+            return []
+        os.makedirs(self._flight_dir, exist_ok=True)
+        path = os.path.join(self._flight_dir, "live-flight.jsonl")
+        self.recorder.dump(
+            path, header={"message": message, "ts": self.kernel._now}
+        )
+        return [path]
 
-    # -- workload -----------------------------------------------------
+    # -- what callers that bring their own workload use ---------------
 
     def multicast(self, stream: str, sequence: int) -> None:
         self.client_node.multicast(
             stream, f"m{sequence}", self.config.payload_size
         )
 
-    async def subscribe(self, new_stream: str, timeout: float) -> bool:
-        """Runtime-subscribe the group to ``new_stream``; True once
-        every replica's dMerge has switched."""
-        self.client_node.subscribe_msg(new_stream)
-        return await self.wait_subscribed(new_stream, timeout)
-
-    async def wait_subscribed(self, stream: str, timeout: float) -> bool:
-        deadline = self._loop.time() + timeout
-        while self._loop.time() < deadline:
-            if all(
-                stream in replica.subscriptions
-                for replica in self.replicas.values()
-            ):
-                return True
-            await asyncio.sleep(0.02)
-        return False
-
-    # -- observation --------------------------------------------------
-
     def sequences(self) -> dict[str, list]:
         return {
             name: self.invariants.logs[name].sequence()
             for name in self.replicas
         }
-
-    def kernel_failures(self) -> list[str]:
-        return [
-            repr(failure)
-            for node in self.nodes
-            for failure in node.kernel.failures
-        ]
-
-    async def drain(self, timeout: float) -> bool:
-        """Wait until every replica delivered the identical non-empty
-        sequence (retransmission heals stragglers)."""
-        deadline = self._loop.time() + timeout
-        while True:
-            sequences = list(self.sequences().values())
-            first = sequences[0]
-            if first and all(sequence == first for sequence in sequences):
-                return True
-            if self._loop.time() >= deadline:
-                return False
-            await asyncio.sleep(0.1)
 
 
 class _SpareStreams:
@@ -581,74 +467,53 @@ async def _run(config: LiveConfig) -> LiveReport:
             "install a metrics registry (repro.obs.trace.installed)"
         )
     cluster = LiveCluster(config)
+    driver = cluster.driver
     loop = cluster._loop
     try:
         await cluster.start()
-        client = cluster.client_node
-        active = client.active_streams
-        spare = [s for s in cluster.directory if s not in active]
-        subscribes_requested = len(spare)
         autoscale_events: list[str] = []
         started = cluster.kernel.now
-        workload = asyncio.ensure_future(client.workload(
-            config.duration, config.rate, config.burst, config.payload_size,
-            rate_end=config.rate_ramp,
-        ))
-        try:
-            if config.autoscale:
-                # The controller owns reconfiguration: no scripted
-                # subscribe, streams join only when the policy engine
-                # decides they should.
-                controller = _autoscaler(cluster)
-                await _autoscale_loop(controller, loop.time() + config.duration)
-                await workload
-                subscribes_requested = len(controller.executed)
-                reasons = {
-                    record.at: record.proposal.reason
-                    for record in controller.engine.fired()
-                }
-                autoscale_events = [
-                    f"t+{at - started:.2f}s subscribe {action.stream}: "
-                    f"{reasons[at]}"
-                    for at, action, _ in controller.executed
-                ]
-                # A subscribe still in flight gets its chance to commit.
-                for stream in controller.executor.pending:
-                    if await cluster.wait_subscribed(stream, config.drain_timeout):
-                        active.append(stream)
-            else:
-                # Subscribe to every further stream while the workload
-                # keeps flowing (the paper's online reconfiguration).
-                if spare:
-                    await asyncio.sleep(_SUBSCRIBE_AFTER * config.duration)
-                for stream in spare:
-                    if await cluster.subscribe(stream, config.drain_timeout):
-                        active.append(stream)
-                await workload
-        finally:
-            workload.cancel()
-        subscribes_completed = len(active) - len(cluster.spec.initial_streams)
+        if config.autoscale:
+            # The controller owns reconfiguration: no scripted
+            # subscribe, streams join only when the policy engine
+            # decides they should.
+            controller = _autoscaler(cluster)
+            await driver.start_workload(config.rate_ramp)
+            await _autoscale_loop(controller, loop.time() + config.duration)
+            await driver.wait_workload()
+            reasons = {
+                record.at: record.proposal.reason
+                for record in controller.engine.fired()
+            }
+            autoscale_events = [
+                f"t+{at - started:.2f}s subscribe {action.stream}: "
+                f"{reasons[at]}"
+                for at, action, _ in controller.executed
+            ]
+            # A subscribe still in flight gets its chance to commit.
+            active = cluster.client_node.active_streams
+            for stream in controller.executor.pending:
+                if await driver.wait_subscribed(stream):
+                    active.append(stream)
+            driver.requested += [
+                action.stream for _, action, _ in controller.executed
+            ]
+            driver.committed += [s for s in driver.requested if s in active]
+        else:
+            await driver.run_workload(config.rate_ramp)
 
-        agreed = await cluster.drain(config.drain_timeout)
-
-        violations: list[str] = []
-        try:
-            cluster.invariants.check()
-        except InvariantViolation as violation:
-            violations.append(str(violation))
-
-        flight_dumps: list[str] = []
-        if violations:
-            flight_dumps = cluster.dump_flight_recordings(violations[0])
+        outcome = await driver.collect(await driver.drain())
+        flight_dumps = outcome.flight_dumps
+        if not outcome.ok:
+            flight_dumps += cluster.dump_flight_recordings(outcome.detail)
 
         delivered = {
             name: len(sequence_)
             for name, sequence_ in cluster.sequences().items()
         }
-        latencies = cluster.latencies_ms
         transport_counters: dict[str, int] = {}
-        for node in cluster.nodes:
-            for name, value in node.transport.counters().items():
+        for status in outcome.statuses.values():
+            for name, value in status["transport"].items():
                 combine = max if name == "peak_send_queue" else sum
                 transport_counters[name] = combine(
                     (transport_counters.get(name, 0), value)
@@ -657,31 +522,28 @@ async def _run(config: LiveConfig) -> LiveReport:
             streams=config.streams,
             replicas=config.replicas,
             duration=config.duration,
-            submitted=client.submitted,
+            submitted=cluster.client_node.submitted,
             delivered_per_replica=delivered,
-            sequences_identical=agreed,
-            subscribes_completed=subscribes_completed,
-            subscribes_requested=subscribes_requested,
+            sequences_identical=outcome.agreement.ok,
+            subscribes_completed=len(driver.committed),
+            subscribes_requested=len(driver.requested),
             invariant_checks=cluster.invariants.checks_run,
-            violations=violations,
-            kernel_failures=cluster.kernel_failures(),
+            violations=sum(outcome.violations.values(), []),
+            kernel_failures=sum(outcome.kernel_failures.values(), []),
             throughput=min(delivered.values(), default=0) / config.duration,
-            latency_p50_ms=percentile(latencies, 50),
-            latency_p99_ms=percentile(latencies, 99),
+            latency_p50_ms=outcome.latency_ms["p50"],
+            latency_p99_ms=outcome.latency_ms["p99"],
             transport_counters=transport_counters,
             nodes=config.nodes,
             node_traces={
-                node.name: node.telemetry.trace_path
-                for node in cluster.nodes
-                if node.telemetry is not None
-                and node.telemetry.trace_path is not None
+                name: info["trace"]
+                for name, info in driver.info.items() if info["trace"]
             },
             endpoints={
-                node.name: f"{node.endpoint[0]}:{node.endpoint[1]}"
-                for node in cluster.nodes
-                if node.endpoint is not None
+                name: "{}:{}".format(*info["telemetry"])
+                for name, info in driver.info.items() if info["telemetry"]
             },
-            clock_offsets=dict(cluster.clock_offsets),
+            clock_offsets=dict(driver.clock_offsets),
             flight_dumps=flight_dumps,
             scrapes=cluster.scrape_count,
             autoscale=config.autoscale,
@@ -693,7 +555,11 @@ async def _run(config: LiveConfig) -> LiveReport:
             ),
         )
         if config.metrics_out:
-            dump = await cluster.collect_metrics_dump()
+            # Per-node registries aggregated by the driver; without
+            # telemetry the process-wide registry, when one is installed.
+            dump = outcome.metrics
+            if dump is None and cluster.kernel.metrics is not None:
+                dump = cluster.kernel.metrics.dump()
             if dump is not None:
                 with open(config.metrics_out, "w") as fh:
                     json.dump(dump, fh, indent=2, sort_keys=True)

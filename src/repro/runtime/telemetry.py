@@ -19,18 +19,16 @@ Every node of a live deployment (``python -m repro live --nodes N
                             watchdog's health score + active alerts
   ``GET /alerts``           the watchdog alone: health score, active
                             alerts, total raised
-  ``GET /clock``            ``{"node": ..., "now": ...}`` -- the
-                            handshake target for clock alignment
   ``GET /profile``          flamegraph-collapsed stacks sampled so far
   ``GET /profile/start``    start the node's background stack sampler
   ``GET /profile/stop``     stop it (samples are kept for ``/profile``)
   ========================  ==========================================
 
-The supervisor scrapes these endpoints to aggregate a cluster-wide
-metrics dump, estimates each node's clock offset against the reference
-node with NTP-style ``/clock`` round trips (:func:`estimate_offset`),
-and ``python -m repro top`` renders the same endpoints as a live
-console.
+The in-process supervisor scrapes ``/health`` so every node's
+watchdog evaluates itself, and ``python -m repro top`` renders the same
+endpoints as a live console.  Clock alignment does not go through HTTP:
+the run driver (:mod:`repro.runtime.driver`) reads the node clocks over
+whatever reaches the node and feeds :func:`estimate_offset`.
 
 Layering note: :mod:`repro.obs.metrics` builds on the sim monitor
 primitives, so it is imported lazily inside the functions that need a
@@ -118,7 +116,7 @@ def prometheus_text(dump: dict, node: Optional[str] = None) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-CLOCK_SYNC_SAMPLES = 5      # round trips per node a supervisor estimates from
+CLOCK_SYNC_SAMPLES = 5      # round trips per node the run driver estimates from
 
 
 def estimate_offset(
@@ -319,7 +317,6 @@ class NodeTelemetry:
             clock="wall",
         )
         self.registry = MetricsRegistry()
-        self.kernel: Any = None          # bound via bind()
         self.server: Optional[TelemetryServer] = None
         self._bind_host = bind_host
         self._health: Callable[[], dict] = lambda: {"node": node}
@@ -338,20 +335,22 @@ class NodeTelemetry:
         )
 
     def bind(self, kernel: Any, health: Callable[[], dict]) -> None:
-        """Adopt the node's kernel clock and the health snapshot hook,
-        then write the trace's ``meta.node`` header."""
-        self.kernel = kernel
+        """Adopt the health snapshot hook and write the trace's
+        ``meta.node`` header, stamped on the node's kernel clock."""
         self._health = health
         self.tracer.emit(
             "meta.node", kernel._now, cat="meta",
             clock=self.tracer.clock,
         )
 
-    def flush_trace(self) -> None:
+    def flush_trace(self) -> int:
         """Flush the JSONL trace to disk (for live tails: the online
-        certifier drains the traces before this process exits)."""
-        if self._jsonl is not None:
-            self._jsonl.flush()
+        certifier drains the traces before this process exits);
+        returns how many events the trace file holds."""
+        if self._jsonl is None:
+            return 0
+        self._jsonl.flush()
+        return self._jsonl.written
 
     # -- endpoint -----------------------------------------------------
 
@@ -383,10 +382,6 @@ class NodeTelemetry:
             "raised_total": self.watchdog.raised_total,
         }))
 
-    def _route_clock(self) -> tuple[str, str]:
-        now = self.kernel._now if self.kernel is not None else 0.0
-        return ("application/json", json.dumps({"node": self.node, "now": now}))
-
     def _route_profile(self) -> tuple[str, str]:
         return ("text/plain; charset=utf-8", self.profiler.collapsed())
 
@@ -416,7 +411,6 @@ class NodeTelemetry:
                 "/metrics.json": self._route_metrics_json,
                 "/health": self._route_health,
                 "/alerts": self._route_alerts,
-                "/clock": self._route_clock,
                 "/profile": self._route_profile,
                 "/profile/start": self._route_profile_start,
                 "/profile/stop": self._route_profile_stop,

@@ -38,9 +38,9 @@ the live-start against the current virtual time first.
 from __future__ import annotations
 
 import bisect
-import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
+from ..quantiles import percentile
 from .core import Environment
 
 __all__ = ["Counter", "Series", "UtilisationProbe", "percentile"]
@@ -48,21 +48,6 @@ __all__ = ["Counter", "Series", "UtilisationProbe", "percentile"]
 # Compact the backing lists only when at least this many dead slots
 # exist *and* they outnumber the live ones (amortised O(1) eviction).
 _COMPACT_MIN = 256
-
-
-def percentile(samples: Sequence[float], pct: float) -> float:
-    """Return the ``pct``-th percentile of ``samples`` (nearest-rank).
-
-    Raises ``ValueError`` on an empty sample set: an experiment that
-    measured nothing should fail loudly, not report 0 latency.
-    """
-    if not samples:
-        raise ValueError("no samples")
-    if not 0 < pct <= 100:
-        raise ValueError(f"percentile {pct} out of (0, 100]")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 class _BoundedSamples:

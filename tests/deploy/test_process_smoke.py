@@ -16,6 +16,7 @@ import os
 from repro.deploy.chaos import SCENARIOS, run_deploy
 from repro.deploy.supervisor import DeployConfig, DeploySupervisor
 from repro.deploy.topology import build_topology
+from tests.runtime.test_driver import VERDICT_FIELDS
 
 
 def _run(scenario: str, run_dir: str, **build_kwargs):
@@ -45,8 +46,16 @@ def test_three_process_baseline_agrees(tmp_path):
     assert len(pids) == 3
     assert len(set(pids)) == 3
     assert os.getpid() not in pids
+    # The verdict fields are the run driver's, the same ones the same
+    # scenario returns through the in-loop reach
+    # (tests/runtime/test_driver.py).
+    assert VERDICT_FIELDS <= set(manifest)
     assert manifest["agreement"]["ok"] is True
+    assert manifest["subscribes"] == {
+        "requested": ["s2"], "committed": ["s2"],
+    }
     assert manifest["violations"] == {}
+    assert manifest["kernel_failures"] == {}
     # A clean run leaves no flight-recorder dumps.
     assert manifest["flight_dumps"] == []
     # The online certifier ran alongside the cluster, certified the run
@@ -91,9 +100,9 @@ async def _checked_vs_delivered(config: DeployConfig) -> dict:
     sup = DeploySupervisor(config)
     try:
         await sup.start_workers()
-        await sup.wire()
+        await sup.driver.wire()
         await SCENARIOS["baseline"].drive(sup)
-        drained, detail = await sup.drain()
+        drained, detail = await sup.driver.drain()
         assert drained, detail
         await asyncio.sleep(0.6)
         tallies = {}
@@ -117,7 +126,7 @@ def test_worker_checker_folds_each_delivery_exactly_once(tmp_path):
         nodes=3, streams=2, replicas=3, duration=1.5, rate=80.0, burst=1
     )
     config = DeployConfig(spec=spec, run_dir=str(tmp_path / "run"),
-                          scenario="baseline", watch=False)
+                          scenario="baseline")
     tallies = asyncio.run(_checked_vs_delivered(config))
     assert len(tallies) == 3
     for name, (checks, checked, delivered) in tallies.items():
@@ -141,6 +150,8 @@ def test_kill9_restart_reconverges(tmp_path):
     # nothing tripped an invariant -- so no flight dumps either.
     assert manifest["agreement"]["ok"] is True
     assert manifest["violations"] == {}
+    assert manifest["kernel_failures"] == {}
+    assert manifest["subscribes"]["committed"] == ["s2"]
     assert manifest["flight_dumps"] == []
     # Live certification survived the chaos: a kill -9 plus restart may
     # raise alerts (staleness, unreachable telemetry) but must never

@@ -175,3 +175,82 @@ def test_front_ends_state_no_property_of_their_own():
                                             "COLOUR", "COLOR")):
                 offenders.append(f"{name}:{node.lineno} colours a search")
     assert not offenders, "\n".join(offenders)
+
+
+# -- one run driver (repro.runtime.driver) ------------------------------
+
+def _calls(tree, name):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        == name
+    ]
+
+
+def test_clock_sync_lives_in_one_module():
+    callers = [
+        name for name, tree in _sources() if _calls(tree, "estimate_offset")
+    ]
+    assert callers == ["runtime/driver.py"]
+
+
+def test_supervisors_drive_no_run_of_their_own():
+    # Wiring, the subscribe wait, drain and the agreement comparison are
+    # the driver's: a supervisor that defines one has forked the verdict.
+    forbidden = {
+        "drain", "wait_subscribed", "sync_clocks", "agree", "_agreement",
+        "gather_sequences", "broadcast_addresses", "collect_violations",
+    }
+    offenders = []
+    for name, tree in _sources():
+        if name != "runtime/supervisor.py" and not name.startswith("deploy/"):
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in forbidden):
+                offenders.append(f"{name}:{node.lineno} defines {node.name}")
+            # Comparing two delivery sequences is an agreement check.
+            if isinstance(node, ast.Compare) and any(
+                "sequence" in ast.unparse(side)
+                for side in (node.left, *node.comparators)
+            ):
+                offenders.append(
+                    f"{name}:{node.lineno} compares {ast.unparse(node)}"
+                )
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_driver_does_not_ask_how_a_node_is_reached():
+    tree = dict(_sources())["runtime/driver.py"]
+    assert not _calls(tree, "isinstance")
+    # It may know the spec and the handles' answers, never the classes
+    # behind a handle.
+    names = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    } | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert not names & {
+        "NodeOps", "LiveNode", "LiveCluster", "DeployWorker",
+        "WorkerHandle", "ControlClient",
+    }
+
+
+def test_the_worker_serves_the_op_table_the_cluster_calls():
+    from repro.deploy.worker import DeployWorker
+    from repro.runtime.node import NodeOps
+
+    assert issubclass(DeployWorker, NodeOps)
+    documented = {
+        "hello", "register", "clock", "clock_mark", "start", "workload",
+        "activate", "subscribe", "unsubscribe", "check", "status",
+        "sequences", "partition", "skew", "flight_dump", "metrics",
+        "flush", "stop",
+    }
+    table = {name[3:] for name in dir(NodeOps) if name.startswith("op_")}
+    assert table == documented
+    # The process extends three ops and adds none of its own.
+    own = {name[3:] for name in vars(DeployWorker) if name.startswith("op_")}
+    assert own == {"start", "status", "stop"}

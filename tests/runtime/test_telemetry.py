@@ -202,10 +202,10 @@ def test_node_telemetry_serves_metrics_health_clock(tmp_path):
         dump = await http_get_json(host, port, "/metrics.json")
         assert dump["format"] == "repro-metrics/1"
         assert dump["counters"][0]["total"] == 5
-        clock = await http_get_json(host, port, "/clock")
-        assert clock["node"] == "n1"
-        # clock_offset shifts the node clock ahead of the loop epoch.
-        assert clock["now"] >= 3.0
+        # No /clock route: clock sync reads the node clock through the
+        # run driver's ``clock`` op, not over HTTP (test_driver.py).
+        with pytest.raises(RuntimeError, match="404"):
+            await http_get_json(host, port, "/clock")
 
         reader, writer = await asyncio.open_connection(host, port)
         writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
