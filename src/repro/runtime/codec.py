@@ -56,7 +56,8 @@ token body behind a fixed header::
     [13 u8][token_count u32][payload_bytes u64][positions u64]
     [body_len u32]  <body: token_count encoded tokens>
 
-and the contract is *serialise once, parse once per learner*:
+and the contract is *serialise once, parse once per process that hosts
+learners*:
 
 * the first encode of a tokens-backed ``Batch`` serialises header and
   body with :func:`encode_batch_wire` and memoises the bytes on the
@@ -70,8 +71,13 @@ and the contract is *serialise once, parse once per learner*:
   acceptor log answers ``Phase1b`` / ``RecoverReply``, without ever
   building a token object;
 * the body is parsed by :func:`decode_batch_tokens` on the first read
-  of ``batch.tokens``, i.e. at the learner that delivers them.  Damage
-  inside a body therefore surfaces there, still as :class:`CodecError`.
+  of ``batch.tokens``, i.e. at the learner that delivers them, and the
+  tuple is kept on the ``WireBatch``.  The transport decodes a frame
+  once for every destination it names, so the learners of one process
+  share the ``WireBatch`` of a ``Decision`` (and the tokens in it) and
+  the first to read parses for all; learners in different processes
+  each parse their own copy.  Damage inside a body therefore surfaces
+  at a learner, still as :class:`CodecError`.
 
 A ``Batch`` in the older object form (type id 25 with ``tokens`` and
 ``payload_bytes`` fields, which is also how a *top-level* ``Batch``
@@ -89,7 +95,7 @@ Zero-copy contract (docs/PERFORMANCE.md, "Live datapath performance"):
 
 * :func:`encode_into` appends a frame to a caller-owned ``bytearray``
   scratch instead of allocating per message; the transport keeps one
-  scratch per link and snapshots the written region to immutable
+  scratch and joins the written region with its envelope into immutable
   ``bytes`` before handing it to asyncio (an event loop -- uvloop in
   particular -- may hold a reference to a written buffer until the
   write completes, so mutable scratch must never be queued directly).

@@ -12,7 +12,15 @@ Wire framing (outer; the codec frame has its own versioned header)::
     [u32 frame_len] [f64 sent_at] [u16 src_len][src] [u16 dst_len][dst]
     [codec frame]
 
-``frame_len`` counts everything after itself.  Bytes that do not parse
+``frame_len`` counts everything after itself.  ``dst`` is one
+destination name, or the names of a fan-out that live behind the same
+peer address joined by NUL bytes: such a frame is built, written,
+received and decoded once, and the one decoded message is handed to
+each named actor in envelope order (what the sim's ``Network.broadcast``
+does with one object).  Everything that is checked, counted or traced
+about a message stays per destination *name*; only ``bytes_written`` /
+``bytes_delivered`` count a shared frame once, because that is the
+wire.  Bytes that do not parse
 -- a ``frame_len`` above ``_MAX_FRAME_BYTES``, a damaged envelope, a
 codec frame the codec rejects -- are the sender's fault, not the
 listener's: the frame is counted (``dropped_malformed``), traced
@@ -27,9 +35,11 @@ receiving actor's handler (docs/RUNTIME.md section 3 has the contracts):
 * one outbound :class:`_Connection` per peer *address*, shared by every
   destination name behind it; a name with no address yet waits on an
   address-less connection until ``register_address`` moves it;
-* ``send`` appends the frame and arms one ``call_soon(flush)`` per loop
-  turn; the flush is one ``transport.write()`` of everything queued in
-  that turn, held back between ``pause_writing`` / ``resume_writing``.
+* ``send`` appends one frame per connection (all the names of a
+  fan-out that route there share it) and arms one ``call_soon(flush)``
+  per loop turn; the flush is one ``transport.write()`` of everything
+  queued in that turn, held back between ``pause_writing`` /
+  ``resume_writing``.
   Beyond ``send_queue_frames`` pending frames per destination *name*
   the message is dropped and counted, like a saturated kernel buffer
   under a datagram model: loss is repaired by the protocol's
@@ -39,26 +49,27 @@ receiving actor's handler (docs/RUNTIME.md section 3 has the contracts):
   connects the connection *parks* -- backlog and new sends dropped
   (``dropped_unreachable``) -- until ``register_address`` revives it;
 * an accepted connection (:class:`_Inbound`) carves every complete
-  frame out of the chunk ``data_received`` hands it, and each decoded
-  payload goes to the destination actor's ``receive`` right there.  A
+  frame out of the chunk ``data_received`` hands it as a ``memoryview``
+  slice, and the decoded payload goes to each destination actor's
+  ``receive`` right there.  A
   frame queues in the host's inbox only while that actor's receive loop
   is not parked on an empty inbox (no actor, not started, stopped, or
   still draining what queued before); the loop drains those first, so
   per-host order holds.  A handler that raises kills its actor's loop
   (``kernel.failures``), never the connection.
 
-Encoding reuses one ``bytearray`` scratch (outer framing + the codec's
-:func:`~repro.runtime.codec.encode_into`) snapshotted to ``bytes`` once
-per message; ``broadcast`` encodes the codec frame once per fan-out.
-Decoding hands the codec a ``memoryview`` into the received frame (the
-zero-copy contract: ``runtime/codec.py``, docs/PERFORMANCE.md).
+Encoding reuses one ``bytearray`` scratch for the codec's
+:func:`~repro.runtime.codec.encode_into`, joined with the envelope into
+immutable ``bytes`` once per frame.  Decoding hands the codec a
+``memoryview`` into the received chunk (the zero-copy contract:
+``runtime/codec.py``, docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Any, Optional
+from typing import Any, Optional, Sequence, Union
 
 from .asyncio_kernel import AsyncioKernel, LiveStore
 from .kernel import Envelope
@@ -66,8 +77,12 @@ from .kernel import Envelope
 __all__ = ["LiveHost", "TcpTransport"]
 
 _LEN = struct.Struct("!I")
-_SENT_AT = struct.Struct("!d")
+_HEAD = struct.Struct("!Id")        # frame_len, sent_at
+_ENVELOPE = struct.Struct("!dH")    # sent_at, src_len
 _U16 = struct.Struct("!H")
+
+# Joins the destination names of a shared frame; no host name has it.
+_NAME_SEP = "\0"
 
 _BACKOFF_INITIAL = 0.05
 _BACKOFF_CAP = 1.0
@@ -78,9 +93,18 @@ _BACKOFF_CAP = 1.0
 # and reading it would buffer up to 4 GiB before the codec ever saw it.
 _MAX_FRAME_BYTES = 64 << 20
 
-_LEN_PLACEHOLDER = bytes(_LEN.size)
-
 _Address = tuple[str, int]
+
+
+def _open_envelope(inner: Any) -> tuple[float, str, str, int]:
+    """``(sent_at, src, dst field, offset of the codec frame)`` of a
+    frame without its length prefix (bytes or a view of them)."""
+    sent_at, src_len = _ENVELOPE.unpack_from(inner, 0)
+    pos = _ENVELOPE.size + src_len
+    src = str(inner[_ENVELOPE.size:pos], "utf-8")
+    (dst_len,) = _U16.unpack_from(inner, pos)
+    pos += _U16.size
+    return sent_at, src, str(inner[pos:pos + dst_len], "utf-8"), pos + dst_len
 
 # Zeroed at construction, reported by ``counters()``.  The names mirror
 # :class:`repro.sim.network.Network` so invariant checkers and reports
@@ -133,8 +157,9 @@ class _Connection(asyncio.Protocol):
     def __init__(self, owner: "TcpTransport", address: Optional[_Address]):
         self.owner = owner
         self.address = address
-        # (dst, enqueued_at, msg_id, frame), oldest first, and how many
-        # of them each destination name has.
+        # (names, enqueued_at, msg_id, frame), oldest first -- names is
+        # the tuple of destinations the frame's envelope carries -- and
+        # how many pending messages each destination name has.
         self.pending: list[tuple] = []
         self.depths: dict[str, int] = {}
         self.transport: Optional[asyncio.Transport] = None
@@ -158,24 +183,26 @@ class _Connection(asyncio.Protocol):
         # reconnect that connection_lost starts.
         if self.paused or not pending or transport.is_closing():
             return
+        messages = sum(self.depths.values())   # one per name per frame
         self.pending = []
         self.depths.clear()
         owner = self.owner
         if owner._track_queue_wait:
-            for dst, enqueued_at, msg_id, _frame in pending:
+            for names, enqueued_at, msg_id, _frame in pending:
                 if msg_id is not None:
-                    owner._note_queue_wait(dst, msg_id, enqueued_at)
+                    for dst in names:
+                        owner._note_queue_wait(dst, msg_id, enqueued_at)
         frames = [entry[3] for entry in pending]
         # The join allocates fresh immutable bytes on purpose: the loop
         # may hold the buffer until the write lands (uvloop does).
         data = frames[0] if len(frames) == 1 else b"".join(frames)
         transport.write(data)
         owner.writer_flushes += 1
-        owner.frames_coalesced += len(frames)
+        owner.frames_coalesced += messages
         owner.bytes_written += len(data)
         if owner._m_writer_flushes is not None:
             owner._m_writer_flushes.record()
-            owner._m_frames_coalesced.record(len(frames))
+            owner._m_frames_coalesced.record(messages)
             owner._m_bytes_per_write.record(float(len(data)))
 
     def _dial(self) -> None:
@@ -244,10 +271,11 @@ class _Inbound(asyncio.Protocol):
     def __init__(self, owner: "TcpTransport"):
         self.owner = owner
         self.transport: Optional[asyncio.Transport] = None
-        # An incomplete frame waits here: the chunks received so far,
-        # their total size, and the size that completes its length
-        # prefix or, once that is known, the frame.
-        self._chunks: list[bytes] = []
+        # An incomplete frame waits here: views of the chunks received
+        # so far, their total size, and the size that completes its
+        # length prefix or, once that is known (_have >= _LEN.size),
+        # the frame.
+        self._chunks: list[memoryview] = []
         self._have = 0
         self._need = 0
 
@@ -259,40 +287,68 @@ class _Inbound(asyncio.Protocol):
         self.owner._inbound.discard(self)
 
     def data_received(self, data: bytes) -> None:
-        chunks = self._chunks
-        if chunks:
-            chunks.append(data)
-            self._have += len(data)
-            if self._have < self._need:
-                return
-            data = b"".join(chunks)
-            chunks.clear()
-        owner = self.owner
+        # Frames are handed on as views into `data`; only a frame that
+        # straddles chunks is copied, and only that frame.
+        view = memoryview(data)
         end = len(data)
         pos = 0
+        chunks = self._chunks
+        while chunks:
+            take = self._need - self._have
+            if end - pos < take:
+                chunks.append(view[pos:])
+                self._have += end - pos
+                return
+            chunks.append(view[pos:pos + take])
+            pos += take
+            whole = b"".join(chunks)
+            chunks.clear()
+            if self._have < _LEN.size:       # that was the length prefix
+                need = self._frame_size(whole, 0)
+                if need is None:
+                    return
+                chunks.append(memoryview(whole))
+                self._have, self._need = _LEN.size, need
+            elif not self._deliver(memoryview(whole)[_LEN.size:], len(whole)):
+                return
         need = _LEN.size
         while end - pos >= _LEN.size:
-            (frame_len,) = _LEN.unpack_from(data, pos)
-            if frame_len > _MAX_FRAME_BYTES:
-                owner._drop_malformed(
-                    self.transport, f"frame_len {frame_len} > {_MAX_FRAME_BYTES}"
-                )
+            need = self._frame_size(view, pos)
+            if need is None:
                 return
-            need = _LEN.size + frame_len
             if end - pos < need:
                 break
-            start = pos + _LEN.size
+            frame = view[pos + _LEN.size:pos + need]
             pos += need
-            need = _LEN.size
-            try:
-                owner._deliver_frame(data[start:pos], frame_len + _LEN.size)
-            except owner._malformed as exc:
-                owner._drop_malformed(self.transport, repr(exc))
+            if not self._deliver(frame, need):
                 return
+            need = _LEN.size
         if pos < end:
-            chunks.append(data[pos:] if pos else data)
+            chunks.append(view[pos:])
             self._have = end - pos
             self._need = need
+
+    def _frame_size(self, data: Any, pos: int) -> Optional[int]:
+        """Prefix plus frame, from the length prefix at ``data[pos:]``;
+        None when it is garbage (the connection is closed)."""
+        (frame_len,) = _LEN.unpack_from(data, pos)
+        if frame_len > _MAX_FRAME_BYTES:
+            self.owner._drop_malformed(
+                self.transport, f"frame_len {frame_len} > {_MAX_FRAME_BYTES}"
+            )
+            return None
+        return _LEN.size + frame_len
+
+    def _deliver(self, inner: memoryview, frame_bytes: int) -> bool:
+        """Hand one whole frame on; False when it did not parse (the
+        connection is closed, nothing behind it is looked at)."""
+        owner = self.owner
+        try:
+            owner._deliver_frame(inner, frame_bytes)
+        except owner._malformed as exc:
+            owner._drop_malformed(self.transport, repr(exc))
+            return False
+        return True
 
 
 class TcpTransport:
@@ -337,9 +393,9 @@ class TcpTransport:
         # each destination name sent to so far goes out on.
         self._connections: dict[Optional[_Address], _Connection] = {}
         self._routes: dict[str, _Connection] = {}
-        # (src, dst) -> packed [u16 src_len][src][u16 dst_len][dst]: the
-        # same bytes for every message of that pair.
-        self._name_headers: dict[tuple[str, str], bytes] = {}
+        # (src, names) -> packed [u16 src_len][src][u16 dst_len][dst]: the
+        # same bytes for every frame from src to that tuple of names.
+        self._name_headers: dict[tuple[str, tuple[str, ...]], bytes] = {}
         self._inbound: set[_Inbound] = set()
         self._scratch = bytearray()   # encode scratch (send path)
         if unreachable_after < 1:
@@ -506,7 +562,8 @@ class TcpTransport:
 
     def _route(self, dst: str) -> _Connection:
         """Bind ``dst`` to the connection of its current address, taking
-        its queued frames along."""
+        its queued messages along: a frame it shares with names that
+        stay behind is re-framed into one for each side."""
         address = self._addresses.get(dst)
         conn = self._connections.get(address)
         if conn is None:
@@ -515,10 +572,29 @@ class TcpTransport:
         self._routes[dst] = conn
         if old is not conn and dst in old.depths:
             conn.depths[dst] = old.depths.pop(dst)
-            conn.pending += [e for e in old.pending if e[0] == dst]
-            old.pending = [e for e in old.pending if e[0] != dst]
+            kept = []
+            for entry in old.pending:
+                names = entry[0]
+                if dst not in names:
+                    kept.append(entry)
+                    continue
+                stay = tuple(name for name in names if name != dst)
+                if stay:
+                    kept.append(self._reframed(entry, stay))
+                    entry = self._reframed(entry, (dst,) * names.count(dst))
+                conn.pending.append(entry)
+            old.pending = kept
             conn.flush()
         return conn
+
+    def _reframed(self, entry: tuple, names: tuple[str, ...]) -> tuple:
+        """A pending entry's message, framed for ``names`` instead."""
+        _names, enqueued_at, msg_id, frame = entry
+        inner = memoryview(frame)[_LEN.size:]
+        sent_at, src, _dst, pos = _open_envelope(inner)
+        return names, enqueued_at, msg_id, self._frame(
+            sent_at, src, names, inner[pos:]
+        )
 
     # -- fault injection (deployment chaos plane) ---------------------
 
@@ -554,7 +630,7 @@ class TcpTransport:
     # -- introspection (health endpoint / reports) --------------------
 
     def queue_depths(self) -> dict[str, int]:
-        """Frames pending per destination name."""
+        """Messages pending per destination name."""
         return {
             dst: conn.depths.get(dst, 0) for dst, conn in self._routes.items()
         }
@@ -583,15 +659,15 @@ class TcpTransport:
             )
 
     def _trace_inbound_drop(
-        self, src: str, dst: str, inner: bytes, pos: int, reason: str
+        self, src: str, dst: str, body: memoryview, reason: str
     ) -> None:
-        """``net.drop`` for a received frame that is discarded undecoded:
-        the trace wants only the type name, which the codec header (at
-        ``inner[pos:]``) carries."""
+        """``net.drop`` for a received message that is discarded
+        undecoded: the trace wants only the type name, which the codec
+        header (the start of ``body``) carries."""
         tracer = self._net_tracer
         if tracer is not None:
             try:
-                type_name = self._peek_type(memoryview(inner)[pos:])
+                type_name = self._peek_type(body)
             except self._malformed:
                 type_name = "unknown"   # dropped and counted already
             tracer.emit(
@@ -600,90 +676,106 @@ class TcpTransport:
             )
 
     def send(
-        self, src: str, dst: str, payload: Any, size: int = 128,
-        *, _encoded: Optional[tuple[Optional[int], bytes]] = None,
+        self, src: str, dst: Union[str, Sequence[str]], payload: Any,
+        size: int = 128,
     ) -> None:
-        """Fire-and-forget: queue one framed message to ``dst``.
+        """Fire-and-forget: queue ``payload`` to ``dst`` -- one name,
+        or the names of a fan-out (:meth:`broadcast`).
 
-        ``_encoded`` is :meth:`broadcast`'s ``(msg_id, codec frame)``,
-        encoded once for the whole fan-out."""
+        Every name is checked, counted and traced on its own; those that
+        pass and route to the same connection share one frame, so the
+        payload is encoded once and crosses each link once."""
         if size < 0:
             raise ValueError("size must be non-negative")
-        self.messages_sent += 1
+        dsts = (dst,) if dst.__class__ is str else dst
+        self.messages_sent += len(dsts)
         sender = self._hosts.get(src)
         if sender is not None and sender.crashed:
-            self.dropped_on_crash += 1
-            self._drop(src, dst, payload, "src_crashed", self._m_drop_crash)
-            return
-        if dst in self._blocked:
-            self.dropped_partition += 1
-            self._drop(src, dst, payload, "partition")
+            for dst in dsts:
+                self.dropped_on_crash += 1
+                self._drop(src, dst, payload, "src_crashed", self._m_drop_crash)
             return
         tracer = self._net_tracer
-        if tracer is not None:
-            tracer.emit(
-                "net.send", self.env.now, src=src, dst=dst,
-                type=type(payload).__name__, size=size,
+        routes = self._routes
+        body: Optional[bytearray] = None
+        groups: dict[_Connection, list[str]] = {}
+        for dst in dsts:
+            if dst in self._blocked:
+                self.dropped_partition += 1
+                self._drop(src, dst, payload, "partition")
+                continue
+            if tracer is not None:
+                tracer.emit(
+                    "net.send", self.env.now, src=src, dst=dst,
+                    type=type(payload).__name__, size=size,
+                )
+            conn = routes.get(dst)
+            if conn is None:
+                conn = self._route(dst)
+            if conn.unreachable:
+                # The connection hit its reconnect cap and parked;
+                # queueing more would only grow a backlog for a peer
+                # that is not coming back on this address.
+                self.dropped_unreachable += 1
+                self._drop(src, dst, payload, "peer_unreachable")
+                continue
+            depth = conn.depths.get(dst, 0) + 1
+            if depth > self._send_queue_frames:
+                # Bounded fire-and-forget backlog: drop under sustained
+                # backpressure, like a full kernel buffer.  The
+                # protocol's retransmission repairs the loss.
+                self.dropped_backpressure += 1
+                self._drop(
+                    src, dst, payload, "backpressure",
+                    self._m_drop_backpressure,
+                )
+                continue
+            if body is None:
+                # Zero-copy encode into the reusable scratch, once for
+                # every name that gets this far -- before anything is
+                # accounted as queued, should the codec refuse it.
+                now = self.env._now
+                msg_id, context = self._correlate(src, payload, now)
+                body = self._scratch
+                body.clear()
+                self._encode_into(payload, body, context)
+            conn.depths[dst] = depth
+            if depth > self.peak_send_queue:
+                self.peak_send_queue = depth
+            if self._m_queue_depth is not None:
+                self._m_queue_depth.record(depth)
+            group = groups.get(conn)
+            if group is None:
+                groups[conn] = [dst]
+            else:
+                group.append(dst)
+        for conn, group in groups.items():
+            names = tuple(group)
+            conn.pending.append(
+                (names, now, msg_id, self._frame(now, src, names, body))
             )
-        conn = self._routes.get(dst)
-        if conn is None:
-            conn = self._route(dst)
-        if conn.unreachable:
-            # The connection hit its reconnect cap and parked; queueing
-            # more would only grow a backlog for a peer that is not
-            # coming back on this address.
-            self.dropped_unreachable += 1
-            self._drop(src, dst, payload, "peer_unreachable")
-            return
-        depth = conn.depths.get(dst, 0) + 1
-        if depth > self._send_queue_frames:
-            # Bounded fire-and-forget backlog: drop under sustained
-            # backpressure, like a full kernel buffer.  The protocol's
-            # retransmission repairs the loss.
-            self.dropped_backpressure += 1
-            self._drop(
-                src, dst, payload, "backpressure", self._m_drop_backpressure
-            )
-            return
-        names = self._name_headers.get((src, dst))
-        if names is None:
+            if not conn.flush_armed:
+                conn.flush_armed = True
+                self._loop.call_soon(conn.flush)
+
+    def _frame(
+        self, sent_at: float, src: str, names: tuple[str, ...], body: Any
+    ) -> bytes:
+        """One wire frame carrying the codec frame ``body`` from ``src``
+        to ``names``, as immutable bytes: the loop (uvloop in
+        particular) may hold a written buffer until the write lands."""
+        header = self._name_headers.get((src, names))
+        if header is None:
+            if any(_NAME_SEP in name for name in names):
+                raise ValueError(f"NUL in a host name: {names!r}")
             src_raw = src.encode("utf-8")
-            dst_raw = dst.encode("utf-8")
-            names = self._name_headers[src, dst] = (
+            dst_raw = _NAME_SEP.join(names).encode("utf-8")
+            header = self._name_headers[src, names] = (
                 _U16.pack(len(src_raw)) + src_raw
                 + _U16.pack(len(dst_raw)) + dst_raw
             )
-        now = self.env._now
-        if _encoded is None:
-            # Zero-copy encode: build the outer frame in the reusable
-            # scratch (length patched once known), then snapshot to
-            # immutable bytes -- the only allocation per message, and
-            # required before queueing: the loop (uvloop in particular)
-            # may hold a written buffer until the write lands.
-            msg_id, context = self._correlate(src, payload, now)
-            scratch = self._scratch
-            scratch.clear()
-            scratch += _LEN_PLACEHOLDER
-            scratch += _SENT_AT.pack(now)
-            scratch += names
-            self._encode_into(payload, scratch, context)
-            _LEN.pack_into(scratch, 0, len(scratch) - _LEN.size)
-            frame = bytes(scratch)
-        else:
-            msg_id, body = _encoded
-            frame = b"".join((
-                _LEN.pack(_SENT_AT.size + len(names) + len(body)),
-                _SENT_AT.pack(now), names, body,
-            ))
-        conn.depths[dst] = depth
-        conn.pending.append((dst, now, msg_id, frame))
-        if not conn.flush_armed:
-            conn.flush_armed = True
-            self._loop.call_soon(conn.flush)
-        if depth > self.peak_send_queue:
-            self.peak_send_queue = depth
-        if self._m_queue_depth is not None:
-            self._m_queue_depth.record(depth)
+        length = _HEAD.size - _LEN.size + len(header) + len(body)
+        return b"".join((_HEAD.pack(length, sent_at), header, body))
 
     def _correlate(
         self, src: str, payload: Any, now: float
@@ -709,18 +801,9 @@ class TcpTransport:
     def broadcast(
         self, src: str, dsts: list[str], payload: Any, size: int = 128
     ) -> None:
-        """Unicast ``payload`` to every destination in ``dsts``: the
-        codec frame and trace context are encoded once, each copy gets
-        its own name header and enters through :meth:`send`."""
-        encoded = None
-        if len(dsts) > 1:
-            msg_id, context = self._correlate(src, payload, self.env._now)
-            scratch = self._scratch
-            scratch.clear()
-            self._encode_into(payload, scratch, context)
-            encoded = msg_id, bytes(scratch)
-        for dst in dsts:
-            self.send(src, dst, payload, size, _encoded=encoded)
+        """``payload`` to every destination in ``dsts``: :meth:`send`
+        with all the names at once."""
+        self.send(src, dsts, payload, size)
 
     # -- receiving ----------------------------------------------------
 
@@ -741,38 +824,38 @@ class TcpTransport:
             )
         transport.close()
 
-    def _deliver_frame(self, inner: bytes, frame_bytes: int) -> None:
-        (sent_at,) = _SENT_AT.unpack_from(inner, 0)
-        pos = _SENT_AT.size
-        (src_len,) = _U16.unpack_from(inner, pos)
-        pos += 2
-        src = inner[pos:pos + src_len].decode("utf-8")
-        pos += src_len
-        (dst_len,) = _U16.unpack_from(inner, pos)
-        pos += 2
-        dst = inner[pos:pos + dst_len].decode("utf-8")
-        pos += dst_len
-        # Frames that will be discarded are discarded undecoded.
+    def _deliver_frame(self, inner: memoryview, frame_bytes: int) -> None:
+        sent_at, src, dst, pos = _open_envelope(inner)
+        names = dst.split(_NAME_SEP)
+        body = inner[pos:]
+        # Messages that will be discarded are discarded undecoded.
         if src in self._blocked:
             # Inbound half of a partition: frames already in flight (or
             # sent before the remote side learned of the cut) die here.
-            self.messages_dropped += 1
-            self.dropped_partition += 1
-            self._trace_inbound_drop(src, dst, inner, pos, "partition")
+            self.messages_dropped += len(names)
+            self.dropped_partition += len(names)
+            for dst in names:
+                self._trace_inbound_drop(src, dst, body, "partition")
             return
-        receiver = self._hosts.get(dst)
-        if receiver is None or receiver.crashed:
-            self.messages_dropped += 1
-            self._trace_inbound_drop(src, dst, inner, pos, "dst_crashed")
-            return
-        # Zero-copy decode: the codec parses straight out of the received
-        # frame through a memoryview -- no body copy.  Decoded messages
-        # own their leaves (codec contract), so `inner` is free as soon
-        # as this returns.
-        payload, context = self._decode_with_context(memoryview(inner)[pos:])
-        if context is not None and context.get("msg_id") is not None:
-            tracer = self._tracer
-            if tracer is not None:
+        decoded = False
+        for dst in names:
+            receiver = self._hosts.get(dst)
+            if receiver is None or receiver.crashed:
+                self.messages_dropped += 1
+                self._trace_inbound_drop(src, dst, body, "dst_crashed")
+                continue
+            if not decoded:
+                # Zero-copy decode, once for every name on the envelope:
+                # the codec parses straight out of the received chunk
+                # through the view -- no body copy.  Decoded messages
+                # own their leaves (codec contract), so the chunk is
+                # free as soon as this returns.
+                payload, context = self._decode_with_context(body)
+                decoded = True
+                self.bytes_delivered += frame_bytes
+                msg_id = None if context is None else context.get("msg_id")
+            now = self.env._now
+            if msg_id is not None and self._tracer is not None:
                 # The propagated context names the *origin* node and the
                 # sender's node-local clock: the merge tool and the
                 # lifecycle index can tie this arrival back to the send
@@ -781,38 +864,37 @@ class TcpTransport:
                 # correlation the default categories exist for, and only
                 # for msg_id-bearing payloads so the volume stays at
                 # value-message scale.
-                tracer.emit(
-                    "net.context", self.env._now,
-                    (src, dst, context.get("origin"), context["msg_id"],
+                self._tracer.emit(
+                    "net.context", now,
+                    (src, dst, context.get("origin"), msg_id,
                      context.get("ts")),
                 )
-        now = self.env._now
-        self.messages_delivered += 1
-        self.bytes_delivered += frame_bytes
-        inbox = receiver.inbox
-        actor = receiver.actor
-        # With the actor's loop parked on an empty inbox, everything
-        # that came before has been handled: handle this one here.
-        # Otherwise it queues behind what the loop has yet to drain.
-        inline = actor is not None and inbox.waiting
-        if not inline:
-            inbox.put_nowait(Envelope(
-                src=src, dst=dst, payload=payload, size=frame_bytes,
-                sent_at=sent_at, delivered_at=now,
-                dst_incarnation=receiver.incarnation, duplicated=False,
-            ))
-        tracer = self._net_tracer
-        if tracer is not None:
-            tracer.emit(
-                "net.deliver", now, src=src, dst=dst,
-                type=type(payload).__name__,
-                latency=now - sent_at,
-                inbox_depth=len(inbox),
-            )
-        if inline:
-            try:
-                actor.receive(payload, src)
-            except Exception as failure:
-                # The handler's fault, not the frame's or the peer's:
-                # its actor dies of it, the connection carries on.
-                actor.abort(failure)
+            self.messages_delivered += 1
+            inbox = receiver.inbox
+            actor = receiver.actor
+            # With the actor's loop parked on an empty inbox, everything
+            # that came before has been handled: handle this one here.
+            # Otherwise it queues behind what the loop has yet to drain.
+            inline = actor is not None and inbox.waiting
+            if not inline:
+                inbox.put_nowait(Envelope(
+                    src=src, dst=dst, payload=payload, size=frame_bytes,
+                    sent_at=sent_at, delivered_at=now,
+                    dst_incarnation=receiver.incarnation, duplicated=False,
+                ))
+            tracer = self._net_tracer
+            if tracer is not None:
+                tracer.emit(
+                    "net.deliver", now, src=src, dst=dst,
+                    type=type(payload).__name__,
+                    latency=now - sent_at,
+                    inbox_depth=len(inbox),
+                )
+            if inline:
+                try:
+                    actor.receive(payload, src)
+                except Exception as failure:
+                    # The handler's fault, not the frame's or the
+                    # peer's: its actor dies of it; the connection, and
+                    # the names behind it on this envelope, carry on.
+                    actor.abort(failure)

@@ -1,4 +1,4 @@
-"""A batch is serialised once and parsed once per learner.
+"""A batch is serialised once and parsed once per process hosting learners.
 
 Counts, not timings: a live cluster orders a few hundred values while
 the codec's two batch helpers -- ``encode_batch_wire`` (tokens ->
@@ -10,8 +10,11 @@ running.  The contract of ``runtime/codec.py``:
   many frames carry it (one ``RingAccept`` on the ring; ``Phase2a`` to
   each acceptor plus a ``Decision`` to each learner and acceptor in
   classic mode);
-* every learner parses each instance it delivers exactly once, so
-  parses == replicas x decided instances;
+* a ``Decision`` reaches a process once for all the learners it hosts
+  (one frame per peer address) and decodes to one ``WireBatch`` they
+  share, so each instance is parsed once per *process that hosts
+  learners*: with every replica on one node that is one parse per
+  delivered instance, with a replica per node it is one per learner;
 * acceptors and the coordinator never parse: they order, log and
   forward bytes.
 """
@@ -72,10 +75,10 @@ def _count_batch_helpers(monkeypatch):
     return parses, encoded
 
 
-async def _order_values(dissemination: str):
+async def _order_values(dissemination: str, nodes: int):
     cluster = LiveCluster(LiveConfig(
         streams=1, replicas=REPLICAS, rate=2000.0, drain_timeout=30.0,
-        dissemination=dissemination,
+        dissemination=dissemination, nodes=nodes,
     ))
     delivered = collections.Counter()
     for name, replica in cluster.replicas.items():
@@ -100,13 +103,10 @@ async def _order_values(dissemination: str):
     return cluster
 
 
-@pytest.mark.parametrize("dissemination", ["ring", "classic"])
-def test_one_serialisation_per_batch_one_parse_per_learner(
-    monkeypatch, dissemination
-):
+def _check_contract(monkeypatch, dissemination, nodes):
     parses, encoded = _count_batch_helpers(monkeypatch)
     cluster = asyncio.run(
-        asyncio.wait_for(_order_values(dissemination), timeout=120)
+        asyncio.wait_for(_order_values(dissemination, nodes), timeout=120)
     )
     coordinator = cluster.directory["s1"].coordinator
 
@@ -115,20 +115,40 @@ def test_one_serialisation_per_batch_one_parse_per_learner(
     assert len({id(batch) for batch in encoded}) == len(encoded)
     assert sum(batch.token_count for batch in encoded) > VALUES  # + skips
 
-    # One parse per learner per instance it delivered: with R learners
-    # that all caught up, R x decided instances.
+    # One parse per instance per process that hosts learners: the
+    # learners of a node share the decoded batch, so a node parses what
+    # its furthest learner delivered -- with R learners that all caught
+    # up, decided instances x the nodes that host one.
     learned = {
         name: replica.learners["s1"].delivered_instances
         for name, replica in cluster.replicas.items()
     }
     assert min(learned.values()) > 0
-    assert parses["replica"] == sum(learned.values())
+    per_node = [
+        max(learned[name] for name in node.replicas)
+        for node in cluster.nodes if node.replicas
+    ]
+    assert len(per_node) == min(nodes, REPLICAS)
+    assert parses["replica"] == sum(per_node)
     assert max(learned.values()) <= len(coordinator.decided_instances)
     assert (
-        REPLICAS * min(learned.values())
+        len(per_node) * min(learned.values())
         <= parses["replica"]
-        <= REPLICAS * len(coordinator.decided_instances)
+        <= len(per_node) * len(coordinator.decided_instances)
     )
 
     # Acceptors and the coordinator move bytes.
     assert set(parses) == {"replica"}, parses
+
+
+@pytest.mark.parametrize("dissemination", ["ring", "classic"])
+def test_one_serialisation_per_batch_one_parse_per_learner(
+    monkeypatch, dissemination
+):
+    # Every replica behind one address: the learners share each parse.
+    _check_contract(monkeypatch, dissemination, nodes=1)
+
+
+def test_replicas_on_different_nodes_each_parse_their_own_copy(monkeypatch):
+    # A replica per node: nothing to share, one parse per learner.
+    _check_contract(monkeypatch, "ring", nodes=REPLICAS)

@@ -112,6 +112,62 @@ def test_send_before_listener_up_is_delivered_in_order_exactly_once():
     run(main())
 
 
+def test_a_fan_out_held_for_names_without_an_address_follows_each_name():
+    # A fan-out queued while no destination has an address is one shared
+    # frame on the holding connection.  The names then turn out to live
+    # behind two listeners: each takes its own copy along as it is
+    # registered, between the unicasts sent before and after it.
+    async def main():
+        kernel = AsyncioKernel()
+        sender = TcpTransport(kernel)
+        left = TcpTransport(kernel)
+        right = TcpTransport(kernel)
+        homes = {"r0": left, "r1": left, "r2": left, "r3": right, "r4": right}
+        sinks = [Sink(kernel, home, name) for name, home in homes.items()]
+        await left.start()
+        await right.start()
+        for sink in sinks:
+            sink.start()
+        names = list(homes)
+        for name in names:
+            sender.send("a", name, Heartbeat(nonce=0), 56)
+        sender.broadcast("a", names, Heartbeat(nonce=1), 56)
+        for name in names:
+            sender.send("a", name, Heartbeat(nonce=2), 56)
+        holding = sender._routes["r0"]
+        assert holding.address is None
+        assert [entry[0] for entry in holding.pending].count(tuple(names)) == 1
+        assert len(holding.pending) == 11
+        assert sender.queue_depths() == dict.fromkeys(names, 3)
+
+        sender.register_address("r0", left.address)
+        moved = sender._routes["r0"]
+        assert moved.address == left.address
+        assert moved.depths == {"r0": 3}
+        assert [entry[0] for entry in moved.pending] == [("r0",)] * 3
+        assert holding.depths == dict.fromkeys(names[1:], 3)
+        assert tuple(names[1:]) in [entry[0] for entry in holding.pending]
+        for name in names[1:]:
+            sender.register_address(name, homes[name].address)
+        assert holding.pending == [] and holding.depths == {}
+        assert await eventually(
+            lambda: all(sink.seen == [0, 1, 2] for sink in sinks)
+        )
+        await asyncio.sleep(0.05)
+        assert all(sink.seen == [0, 1, 2] for sink in sinks)
+        assert len(sender._connections) == 3
+        assert sender.messages_dropped == 0
+        assert left.messages_delivered == 9 and right.messages_delivered == 6
+        assert sender.counters()["frames_coalesced"] == 15
+        for sink in sinks:
+            sink.stop()
+        await sender.stop()
+        await left.stop()
+        await right.stop()
+
+    run(main())
+
+
 def test_crashed_receiver_drops_frames():
     async def main():
         kernel = AsyncioKernel()
@@ -374,19 +430,27 @@ def test_no_queue_wait_tracking_untraced():
 
 
 def test_fan_out_behind_one_address_is_one_encode_and_one_flush(monkeypatch):
-    # send_all to five hosts of one process: the codec runs once, the
-    # five frames leave in one write on the shared connection, and each
-    # destination sees its own frames in order.
+    # send_all to five hosts of one process: the codec runs once on
+    # each side, one frame naming all five leaves in one write on the
+    # shared connection, and each destination sees its own messages in
+    # order.  The counters stay per destination name.
     from repro.runtime import codec
 
     encodes = []
+    decodes = []
     real_encode_into = codec.encode_into
+    real_decode = codec.decode_with_context
 
     def counting_encode_into(message, out, trace_context=None):
         encodes.append(type(message).__name__)
         return real_encode_into(message, out, trace_context)
 
+    def counting_decode(frame):
+        decodes.append(len(frame))
+        return real_decode(frame)
+
     monkeypatch.setattr(codec, "encode_into", counting_encode_into)
+    monkeypatch.setattr(codec, "decode_with_context", counting_decode)
 
     async def main():
         kernel = AsyncioKernel()
@@ -401,7 +465,7 @@ def test_fan_out_behind_one_address_is_one_encode_and_one_flush(monkeypatch):
         assert await eventually(lambda: all(s.seen == [0] for s in sinks))
         assert len(transport._connections) == 1
         before = transport.counters()
-        del encodes[:]
+        del encodes[:], decodes[:]
         pinger.send_all(names, Heartbeat(nonce=1))
         assert encodes == ["Heartbeat"]
         assert await eventually(lambda: all(s.seen == [0, 1] for s in sinks))
@@ -409,6 +473,18 @@ def test_fan_out_behind_one_address_is_one_encode_and_one_flush(monkeypatch):
         assert after["frames_coalesced"] - before["frames_coalesced"] == 5
         assert after["writer_flushes"] - before["writer_flushes"] == 1
         assert after["messages_sent"] - before["messages_sent"] == 5
+        assert after["messages_delivered"] - before["messages_delivered"] == 5
+        # One frame on the wire: a length prefix, one envelope naming
+        # the five, one codec frame -- decoded once for five deliveries.
+        body = len(codec.encode(Heartbeat(nonce=1)))
+        envelope = 4 + 8 + (2 + len("a")) + (2 + len("\0".join(names)))
+        assert decodes == [body]
+        assert after["bytes_written"] - before["bytes_written"] == (
+            envelope + body
+        )
+        assert after["bytes_delivered"] - before["bytes_delivered"] == (
+            envelope + body
+        )
         # Two fan-outs in one loop turn are still one write.
         pinger.send_all(names, Heartbeat(nonce=2))
         pinger.send_all(names, Heartbeat(nonce=3))

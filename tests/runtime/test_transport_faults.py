@@ -7,7 +7,9 @@ pin the new behaviour: a link parks as unreachable after a bounded
 number of failed connects, drops its backlog visibly, revives on
 ``register_address``, and ``set_partition`` drops traffic in both
 directions without touching connection state.  And a connection that
-sends bytes which do not parse is closed and counted, alone.
+sends bytes which do not parse is closed and counted, alone.  A frame
+shared by the names of a fan-out goes through every one of these per
+name: what is dropped, counted or killed is that name's message only.
 """
 
 from __future__ import annotations
@@ -288,6 +290,10 @@ def test_malformed_frames_close_their_connection_only():
                 struct.pack("!d", 0.0) + struct.pack("!H", 2) + b"\xff\xfe"
                 + struct.pack("!H", 1) + b"b" + good_body
             ),
+            "name list not utf-8": (
+                struct.pack("!d", 0.0) + struct.pack("!H", 1) + b"a"
+                + struct.pack("!H", 4) + b"b\x00\xff\xfe" + good_body
+            ),
         }
         expected = 0
         for label, inner in bad_frames.items():
@@ -405,6 +411,39 @@ def test_frames_rechunked_at_every_byte_boundary_decode_the_same():
             0, 1, 2, 3
         ]
         assert transport.messages_delivered == 4 * (len(burst) + 1)
+        assert transport.messages_dropped == 0
+
+    run(main())
+
+
+def test_a_frame_spanning_three_chunks_is_joined_alone():
+    # The middle chunk neither starts nor ends the frame; the last one
+    # ends it and carries whole frames behind it, which are carved out
+    # of that chunk where they lie.  Same with the tear inside a length
+    # prefix that itself arrives in three pieces.
+    from repro.runtime.transport import _Inbound
+
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel)
+        inbox = transport.add_host("b").inbox
+        frames = [_frame("a", "b", Heartbeat(nonce=n)) for n in range(4)]
+        burst = b"".join(frames)
+        first = len(frames[0])
+        inbound = _Inbound(transport)
+        inbound.connection_made(_FakeSocket())
+        for cuts in ((5, first - 3), (1, 2), (first + 1, first + 3)):
+            seen = len(inbox)
+            low, high = cuts
+            inbound.data_received(burst[:low])
+            inbound.data_received(burst[low:high])
+            assert inbound._chunks, cuts
+            assert len(inbox) - seen == (1 if low > first else 0), cuts
+            inbound.data_received(burst[high:])
+            assert not inbound._chunks, cuts
+            assert [e.payload.nonce for e in inbox.items[seen:]] == [
+                0, 1, 2, 3
+            ], cuts
         assert transport.messages_dropped == 0
 
     run(main())
@@ -567,5 +606,156 @@ def test_a_handler_that_crashes_its_host_mid_chunk_drops_the_rest_for_it():
         assert not kernel.failures
         faulty.stop()
         bystander.stop()
+
+    run(main())
+
+
+# -- a frame shared by the names of a fan-out ---------------------------------
+
+
+def test_a_shared_frame_is_checked_and_served_name_by_name(monkeypatch):
+    # One frame for five names: a crashed host and an unknown one lose
+    # their message (counted and traced for them alone), a handler that
+    # raises kills its actor only, the names behind it are still served,
+    # and the body is decoded once.  From a partitioned source every
+    # name is dropped and counted, and nothing is decoded.
+    from repro.obs.trace import ListSink, Tracer
+    from repro.runtime import codec
+    from repro.runtime.transport import _Inbound
+
+    decoded = []
+    real_decode = codec.decode_with_context
+
+    def counting_decode(frame):
+        decoded.append(1)
+        return real_decode(frame)
+
+    monkeypatch.setattr(codec, "decode_with_context", counting_decode)
+
+    async def main():
+        sink = ListSink()
+        kernel = AsyncioKernel(
+            tracer=Tracer(sinks=[sink], categories=frozenset({"net"}))
+        )
+        transport = TcpTransport(kernel)
+        first = Sink(kernel, transport, "b")
+        crashed = Sink(kernel, transport, "c")
+        faulty = Faulty(kernel, transport, "d")
+        last = Sink(kernel, transport, "e")
+        for actor in (first, crashed, faulty, last):
+            actor.start()
+        crashed.crash()
+        for _ in range(3):
+            await asyncio.sleep(0)      # the loops reach their get()
+        names = "\0".join(["b", "c", "nobody", "d", "e"])
+        inbound = _Inbound(transport)
+        inbound.connection_made(_FakeSocket())
+        inbound.data_received(_frame("a", names, Heartbeat(nonce=13)))
+        assert first.seen == faulty.seen == last.seen == [13]
+        assert crashed.seen == []
+        assert len(decoded) == 1
+        assert transport.messages_delivered == 3
+        assert transport.messages_dropped == 2
+
+        def drops():
+            return [
+                (e["dst"], e["type"], e["reason"])
+                for e in sink.events if e["kind"] == "net.drop"
+            ]
+
+        assert drops() == [
+            ("c", "Heartbeat", "dst_crashed"),
+            ("nobody", "Heartbeat", "dst_crashed"),
+        ]
+        assert [
+            e["dst"] for e in sink.events if e["kind"] == "net.deliver"
+        ] == ["b", "d", "e"]
+        for _ in range(3):
+            await asyncio.sleep(0)      # the aborted actor's failure lands
+        assert len(kernel.failures) == 1
+        assert not faulty.running and first.running and last.running
+        assert inbound.transport.closed == 0
+
+        transport.set_partition(["a"])
+        inbound.data_received(_frame("a", "b\0c\0e", Heartbeat(nonce=14)))
+        assert len(decoded) == 1
+        assert transport.counters()["dropped_partition"] == 3
+        assert transport.messages_dropped == 5
+        assert drops()[2:] == [
+            (name, "Heartbeat", "partition") for name in "bce"
+        ]
+        assert first.seen == last.seen == [13]
+        first.stop()
+        last.stop()
+
+    run(main())
+
+
+def test_a_fan_out_leaves_out_the_names_it_may_not_send_to():
+    # Outbound checks are per name: a partitioned name and one over its
+    # queue bound are dropped and counted, the others share the frame.
+    async def main():
+        kernel = AsyncioKernel()
+        sender = TcpTransport(kernel, send_queue_frames=2)
+        receiver = TcpTransport(kernel)
+        sinks = {name: Sink(kernel, receiver, name) for name in "bcde"}
+        await sender.start()
+        await receiver.start()
+        for name, sink in sinks.items():
+            sender.register_address(name, receiver.address)
+            sink.start()
+        sender.send("a", "b", Heartbeat(nonce=0), 56)
+        assert await eventually(lambda: sinks["b"].seen == [0])
+        conn = sender._routes["b"]
+        conn.pause_writing()
+        sender.set_partition(["c"])
+        for nonce in (1, 2):
+            sender.send("a", "d", Heartbeat(nonce=nonce), 56)
+        before = sender.counters()
+        sender.broadcast("a", list("bcde"), Heartbeat(nonce=3), 56)
+        after = sender.counters()
+        assert conn.pending[-1][0] == ("b", "e")
+        assert sender.queue_depths() == {"b": 1, "d": 2, "e": 1}
+        assert after["messages_sent"] - before["messages_sent"] == 4
+        assert after["dropped_partition"] - before["dropped_partition"] == 1
+        assert (
+            after["dropped_backpressure"] - before["dropped_backpressure"]
+        ) == 1
+        assert after["messages_dropped"] - before["messages_dropped"] == 2
+        conn.resume_writing()
+        assert await eventually(
+            lambda: sinks["b"].seen == [0, 3] and sinks["e"].seen == [3]
+        )
+        assert sinks["d"].seen == [1, 2]
+        assert sinks["c"].seen == []
+        assert sender.counters()["frames_coalesced"] == 5
+        for sink in sinks.values():
+            sink.stop()
+        await sender.stop()
+        await receiver.stop()
+
+    run(main())
+
+
+def test_parking_drops_a_shared_frame_once_per_name():
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel, unreachable_after=2)
+        await transport.start()
+        address = ("127.0.0.1", dead_port())
+        for name in "bcd":
+            transport.register_address(name, address)
+        transport.broadcast("a", list("bcd"), Heartbeat(nonce=0), 56)
+        transport.send("a", "c", Heartbeat(nonce=1), 56)
+        assert transport.queue_depths() == {"b": 1, "c": 2, "d": 1}
+        assert await eventually(
+            lambda: transport.unreachable_peers() == ["b", "c", "d"]
+        )
+        counters = transport.counters()
+        assert counters["peers_parked"] == 3
+        assert counters["dropped_unreachable"] == 4
+        assert counters["messages_dropped"] == 4
+        assert transport.queue_depths() == {"b": 0, "c": 0, "d": 0}
+        await transport.stop()
 
     run(main())
