@@ -249,6 +249,9 @@ async def _run(config: DeployConfig) -> DeployReport:
     }
     sup.log(f"scenario {config.scenario}: "
             f"{'OK' if outcome.ok else 'FAILED'} -- {outcome.detail}")
+    if outcome.client_dropped_backpressure:
+        sup.log(f"client node DROPPED {outcome.client_dropped_backpressure} "
+                f"at its send queue")
     sup.log(f"worker pids: {pids}")
     sup.log(f"run directory: {config.run_dir}")
     return DeployReport(

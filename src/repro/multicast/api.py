@@ -12,6 +12,14 @@ The paper's abstraction has four client-facing primitives:
 it resolves the coordinator of a stream through the stream directory
 and sends :class:`repro.paxos.messages.Propose` messages over the
 network, so client-to-coordinator latency is part of every measurement.
+
+The client is the proposer of Ring Paxos, and like it batches: whatever
+it submits to one stream before the transport next writes (one event
+loop turn on the live runtime, nothing on the simulator, see
+``Transport.defer``) travels as one ``Propose`` carrying a
+:class:`~repro.paxos.types.Batch` of the tokens in submission order --
+values and control messages alike, so a stream sees one client's
+submissions in the order they were made.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from ..net.actor import Actor
 from ..paxos.messages import Propose
 from ..paxos.types import (
     AppValue,
+    Batch,
     PrepareMsg,
     SubscribeMsg,
     UnsubscribeMsg,
@@ -30,7 +39,17 @@ from ..paxos.types import (
 from ..runtime.kernel import Kernel, Transport
 from .stream import StreamDeployment
 
-__all__ = ["MulticastClient"]
+__all__ = ["MulticastClient", "SUBMISSION_BATCH_BYTES"]
+
+# A submission batch carries at most this much payload (and never more
+# than the stream's ``batch_max_bytes``).  Deliberately a fraction of
+# the instance cap: a coordinator pumps once per ``Propose``, so a
+# submission that fills a whole instance turns every hop into
+# store-and-forward of one cap-sized convoy -- 64 closed-loop callers
+# of 8 KiB values settle into two convoys of 32 and deliver 10% *less*
+# than unbatched, against 13% more at this size (docs/PERFORMANCE.md).
+# 64 KiB is one loopback segment and asyncio's write high-water mark.
+SUBMISSION_BATCH_BYTES = 64 * 1024
 
 
 class MulticastClient(Actor):
@@ -45,13 +64,45 @@ class MulticastClient(Actor):
     ):
         super().__init__(env, network, name)
         self.directory = directory
+        # stream -> tokens submitted since the transport last wrote.
+        self._outbox: dict[str, list] = {}
 
-    def _coordinator_of(self, stream: str) -> str:
-        try:
-            deployment = self.directory[stream]
-        except KeyError:
-            raise KeyError(f"unknown stream {stream!r}") from None
-        return deployment.config.coordinator
+    def _submit(self, stream: str, token) -> None:
+        """Queue ``token`` for ``stream``; the first submission after a
+        write asks the transport to collect the outbox before the next."""
+        if stream not in self.directory:
+            raise KeyError(f"unknown stream {stream!r}")
+        outbox = self._outbox
+        first = not outbox
+        tokens = outbox.get(stream)
+        if tokens is None:
+            outbox[stream] = [token]
+        else:
+            tokens.append(token)
+        if first:
+            self.network.defer(self._send_outbox)
+
+    def _send_outbox(self) -> None:
+        """One ``Propose`` per stream for what was submitted to it, cut
+        where the tokens would exceed :data:`SUBMISSION_BATCH_BYTES`."""
+        outbox, self._outbox = self._outbox, {}
+        for stream, tokens in outbox.items():
+            config = self.directory[stream].config
+            max_bytes = min(config.batch_max_bytes, SUBMISSION_BATCH_BYTES)
+            start = nbytes = 0
+            for index, token in enumerate(tokens):
+                size = getattr(token, "size", 0)
+                if index > start and nbytes + size > max_bytes:
+                    self._propose(stream, config, tokens[start:index])
+                    start, nbytes = index, 0
+                nbytes += size
+            self._propose(stream, config, tokens[start:])
+
+    def _propose(self, stream: str, config, tokens: list) -> None:
+        """``tokens`` to the stream's coordinator: a lone token as it
+        always went, more as a :class:`Batch` of them."""
+        token = tokens[0] if len(tokens) == 1 else Batch(tuple(tokens))
+        self.send(config.coordinator, Propose(stream=stream, token=token))
 
     # -- application messages -------------------------------------------------
 
@@ -65,7 +116,7 @@ class MulticastClient(Actor):
                 "client.submit", self.env.now,
                 (self.name, stream, value.msg_id, size),
             )
-        self.send(self._coordinator_of(stream), Propose(stream=stream, token=value))
+        self._submit(stream, value)
         return value
 
     # -- dynamic subscriptions (§IV-B) -------------------------------------------
@@ -92,10 +143,7 @@ class MulticastClient(Actor):
             message = SubscribeMsg(
                 group=group, stream=new_stream, request_id=request_id
             )
-            self.send(
-                self._coordinator_of(stream),
-                Propose(stream=stream, token=message),
-            )
+            self._submit(stream, message)
         return request_id
 
     def unsubscribe_msg(
@@ -117,10 +165,7 @@ class MulticastClient(Actor):
                 request_id=request_id,
             )
         message = UnsubscribeMsg(group=group, stream=stream, request_id=request_id)
-        self.send(
-            self._coordinator_of(carrier),
-            Propose(stream=carrier, token=message),
-        )
+        self._submit(carrier, message)
         return request_id
 
     def prepare_msg(self, group: str, new_stream: str, via_stream: str) -> int:
@@ -135,8 +180,5 @@ class MulticastClient(Actor):
                 request_id=request_id,
             )
         message = PrepareMsg(group=group, stream=new_stream, request_id=request_id)
-        self.send(
-            self._coordinator_of(via_stream),
-            Propose(stream=via_stream, token=message),
-        )
+        self._submit(via_stream, message)
         return request_id

@@ -26,6 +26,9 @@ report attributes *who* to blame:
 - **transport** (live traces only) -- send-queue wait vs. wire+decode
   time, from ``transport.queue_wait`` and ``net.context`` arrivals with
   ``origin_ts`` sender clocks re-aligned via the trace-merge offsets.
+  A frame carries the pair for one ``msg_id`` (a submission batch's
+  first value), so the split is a sample: its distributions are taken
+  over the messages that have it, and say how many those were.
 
 Works on sim traces (``python -m repro trace``) and on ``trace-merge``d
 multi-node live timelines alike; exposed as ``python -m repro latency``.
@@ -94,8 +97,11 @@ class CriticalPath:
     segments: dict[str, float] = field(default_factory=dict)
     closed_by: Optional[str] = None      # acceptor that closed the quorum
     blocking_stream: Optional[str] = None  # stream blamed for merge_wait
-    queue_wait: float = 0.0              # transport send-queue wait (live)
-    wire_wait: float = 0.0               # transit minus queue wait (live)
+    # Transport send-queue wait, and transit minus that wait: None
+    # where no frame was traced under this msg_id (sim; the later values
+    # of a live submission batch).
+    queue_wait: Optional[float] = None
+    wire_wait: Optional[float] = None
 
 
 class _EpisodeIndex:
@@ -173,6 +179,7 @@ def extract_critical_paths(index: LifecycleIndex) -> list[CriticalPath]:
             if origin_ts is None:
                 continue
             transit += _clamp(ts - (origin_ts - offsets.get(origin, 0.0)))
+        sampled = bool(m.queue_wait_events or m.context_arrivals)
         paths.append(
             CriticalPath(
                 msg_id=msg_id,
@@ -185,8 +192,10 @@ def extract_critical_paths(index: LifecycleIndex) -> list[CriticalPath]:
                     m.learned_at.get(deliver_replica, first_learn),
                     first_deliver,
                 ),
-                queue_wait=m.queue_wait,
-                wire_wait=_clamp(transit - m.queue_wait),
+                queue_wait=m.queue_wait if sampled else None,
+                wire_wait=(
+                    _clamp(transit - m.queue_wait) if sampled else None
+                ),
             )
         )
     return paths
@@ -264,8 +273,8 @@ def latency_budget(index: LifecycleIndex) -> dict:
         )[:5]
     ]
 
-    queue = [p.queue_wait for p in paths]
-    wire = [p.wire_wait for p in paths]
+    queue = [p.queue_wait for p in paths if p.queue_wait is not None]
+    wire = [p.wire_wait for p in paths if p.wire_wait is not None]
     if any(q > 0.0 for q in queue) or any(w > 0.0 for w in wire):
         budget["transport_ms"] = {
             "queue": _dist_ms(queue),
@@ -331,7 +340,8 @@ def budget_lines(budget: dict) -> list[str]:
         q, w = transport["queue"], transport["wire"]
         lines.append("")
         lines.append(
-            f"transport (live): queue p50={_fmt_ms(q['p50'])}ms "
+            f"transport (live, {q['n']} sampled): "
+            f"queue p50={_fmt_ms(q['p50'])}ms "
             f"p99={_fmt_ms(q['p99'])}ms / wire+decode p50={_fmt_ms(w['p50'])}ms "
             f"p99={_fmt_ms(w['p99'])}ms"
         )

@@ -231,6 +231,10 @@ class CoordinatorActor(Actor):
 
     def propose(self, token) -> None:
         """Submit one token (value / control message) for ordering."""
+        self._enqueue(token)
+        self._pump_proposals()
+
+    def _enqueue(self, token) -> None:
         self.positions_proposed += token.positions()
         tracer = self._tracer
         if tracer is not None:
@@ -246,9 +250,11 @@ class CoordinatorActor(Actor):
         if not self.pending:
             self._pending_oldest_at = self.env._now
         self.pending.append(token)
-        self._pump_proposals()
 
     def on_propose(self, msg: Propose, src: str) -> None:
+        """Queue what a client submitted: one token, or the batch of
+        them it submitted together -- each checked and queued on its
+        own, the pipeline pumped once for all of them."""
         if msg.stream != self.stream:
             raise ValueError(
                 f"{self.name} leads stream {self.stream!r}, got a proposal "
@@ -257,15 +263,23 @@ class CoordinatorActor(Actor):
         # The network may duplicate a Propose (client retransmission or
         # wire-level duplication); ordering the same message twice would
         # break atomic multicast integrity, so dedupe by application id.
-        token_id = getattr(msg.token, "msg_id", None)
-        if token_id is None:
-            token_id = getattr(msg.token, "request_id", None)
-        if token_id is not None:
-            key = (type(msg.token).__name__, token_id)
-            if key in self._submitted_ids:
-                return
-            self._submitted_ids.add(key)
-        self.propose(msg.token)
+        token = msg.token
+        tokens = token.tokens if isinstance(token, Batch) else (token,)
+        submitted = self._submitted_ids
+        fresh = False
+        for token in tokens:
+            token_id = getattr(token, "msg_id", None)
+            if token_id is None:
+                token_id = getattr(token, "request_id", None)
+            if token_id is not None:
+                key = (type(token).__name__, token_id)
+                if key in submitted:
+                    continue
+                submitted.add(key)
+            self._enqueue(token)
+            fresh = True
+        if fresh:
+            self._pump_proposals()
 
     def _pump_proposals(self) -> None:
         if self._proposing:

@@ -49,17 +49,21 @@ def _batch_wire_size(batch: Optional[Batch]) -> int:
 
 
 class Propose(FastMessage):
-    """A client (or the multicast layer) submits one token for ordering."""
+    """A client (or the multicast layer) submits one token for ordering,
+    or a :class:`Batch` of the tokens it submitted together."""
 
     __slots__ = ("stream", "token")
     _FIELDS = ("stream", "token")
 
     def __init__(self, stream: str, token: object):
         self.stream = stream
-        self.token = token   # a Token; opaque to Paxos
+        self.token = token   # a Token or a Batch of them; opaque to Paxos
 
     def wire_size(self) -> int:
-        return WIRE_HEADER_BYTES + getattr(self.token, "size", 16)
+        token = self.token
+        if isinstance(token, Batch):
+            return WIRE_HEADER_BYTES + _batch_wire_size(token)
+        return WIRE_HEADER_BYTES + getattr(token, "size", 16)
 
 
 @dataclass(frozen=True, slots=True)

@@ -387,10 +387,13 @@ class AsyncioKernel:
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
-            exc = event._value
-            self.failures.append(exc)
-            if self.on_failure is not None:
-                self.on_failure(exc)
+            self.fail(event._value)
+
+    def fail(self, exc: BaseException) -> None:
+        """Record a failure nobody is left on the stack to receive."""
+        self.failures.append(exc)
+        if self.on_failure is not None:
+            self.on_failure(exc)
 
     # -- kernel interface ---------------------------------------------
 

@@ -56,8 +56,14 @@ token body behind a fixed header::
     [13 u8][token_count u32][payload_bytes u64][positions u64]
     [body_len u32]  <body: token_count encoded tokens>
 
-and the contract is *serialise once, parse once per process that hosts
-learners*:
+and the contract is *serialised once by whoever forms it, parsed once
+per process that reads its tokens*.  Two parties form batches: a client
+forms a *submission* batch of what it multicasts to one stream within
+one loop turn (the ``token`` of its ``Propose``, a ``DYNAMIC`` field
+that nests the same layout), and the coordinator parses it once --
+it deduplicates token by token, which is why it cannot adopt the bytes
+as they are -- and forms the *instance* batch that Paxos orders, which
+each process hosting learners parses once:
 
 * the first encode of a tokens-backed ``Batch`` serialises header and
   body with :func:`encode_batch_wire` and memoises the bytes on the
@@ -71,13 +77,14 @@ learners*:
   acceptor log answers ``Phase1b`` / ``RecoverReply``, without ever
   building a token object;
 * the body is parsed by :func:`decode_batch_tokens` on the first read
-  of ``batch.tokens``, i.e. at the learner that delivers them, and the
+  of ``batch.tokens`` -- at the coordinator for a submission batch, at
+  the learner that delivers them for an instance batch -- and the
   tuple is kept on the ``WireBatch``.  The transport decodes a frame
   once for every destination it names, so the learners of one process
   share the ``WireBatch`` of a ``Decision`` (and the tokens in it) and
   the first to read parses for all; learners in different processes
   each parse their own copy.  Damage inside a body therefore surfaces
-  at a learner, still as :class:`CodecError`.
+  at that reader, still as :class:`CodecError`.
 
 A ``Batch`` in the older object form (type id 25 with ``tokens`` and
 ``payload_bytes`` fields, which is also how a *top-level* ``Batch``

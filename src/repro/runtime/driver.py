@@ -122,6 +122,9 @@ class Outcome:
     latency_ms: dict[str, Optional[float]]  # the client's p50 / p99
     metrics: Optional[dict]                 # aggregated per-node dumps
     flight_dumps: list[str]
+    # Messages the client's node refused at its per-name send-queue
+    # bound: submissions nobody will retransmit.  Reported, not judged.
+    client_dropped_backpressure: int = 0
 
     def to_json(self) -> dict:
         """The verdict as both shapes report it."""
@@ -134,6 +137,8 @@ class Outcome:
             "violations": self.violations,
             "kernel_failures": self.kernel_failures,
             "flight_dumps": self.flight_dumps,
+            **({"client_dropped_backpressure": self.client_dropped_backpressure}
+               if self.client_dropped_backpressure else {}),
         }
 
 
@@ -381,4 +386,7 @@ class RunDriver:
                         "p99": client.get("latency_p99_ms")},
             metrics=aggregate_dumps(dumps) if dumps else None,
             flight_dumps=[] if ok else await self.dump_flights(detail),
+            client_dropped_backpressure=statuses.get(self.reference, {}).get(
+                "transport", {}
+            ).get("dropped_backpressure", 0),
         )

@@ -197,6 +197,17 @@ class Transport(Protocol):
     by calling ``actor.receive`` from the transport's own receive
     callback whenever the actor's loop is parked on an empty inbox (the
     live TCP transport), the inbox holding only what arrives otherwise.
+
+    ``defer(fn)`` is for a sender that forms its own batches: ``fn()``
+    runs once, no later than the transport next hands queued messages to
+    the wire, so what ``fn`` sends leaves with everything else sent
+    before that point.  The simulator, which delivers every send on its
+    own, calls ``fn`` at once; the live TCP transport, which writes once
+    per event-loop turn, runs it at the head of that write -- the caller
+    gathers what it submits within one turn and costs no turn of its
+    own.  An ``fn`` that raises on the live transport is a kernel
+    failure (``AsyncioKernel.fail``); on the simulator it raises into
+    the caller.
     """
 
     dispatches_inline: bool
@@ -212,3 +223,5 @@ class Transport(Protocol):
     def broadcast(
         self, src: str, dsts: list[str], payload: Any, size: int = 128
     ) -> None: ...
+
+    def defer(self, fn: Callable[[], None]) -> None: ...

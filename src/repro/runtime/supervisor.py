@@ -141,6 +141,7 @@ class LiveReport:
     latency_p50_ms: Optional[float]
     latency_p99_ms: Optional[float]
     transport_counters: dict[str, int] = field(default_factory=dict)
+    client_dropped_backpressure: int = 0
     nodes: int = 1
     node_traces: dict[str, str] = field(default_factory=dict)
     endpoints: dict[str, str] = field(default_factory=dict)
@@ -173,6 +174,7 @@ class LiveReport:
                 f"p99 {self.latency_p99_ms:.1f} ms"
             )
         delivered = min(self.delivered_per_replica.values(), default=0)
+        dropped = self.client_dropped_backpressure
         return (
             f"live: {'OK' if self.ok else 'FAILED'} | "
             f"{'autoscale | ' if self.autoscale else ''}"
@@ -185,6 +187,8 @@ class LiveReport:
             f"{self.subscribes_requested} | "
             f"violations {len(self.violations)} | "
             f"{self.throughput:.0f} msgs/s | {latency}"
+            + (f" | client node DROPPED {dropped} at its send queue"
+               if dropped else "")
         )
 
 
@@ -534,6 +538,7 @@ async def _run(config: LiveConfig) -> LiveReport:
             latency_p50_ms=outcome.latency_ms["p50"],
             latency_p99_ms=outcome.latency_ms["p99"],
             transport_counters=transport_counters,
+            client_dropped_backpressure=outcome.client_dropped_backpressure,
             nodes=config.nodes,
             node_traces={
                 name: info["trace"]

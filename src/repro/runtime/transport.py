@@ -36,10 +36,12 @@ receiving actor's handler (docs/RUNTIME.md section 3 has the contracts):
   destination name behind it; a name with no address yet waits on an
   address-less connection until ``register_address`` moves it;
 * ``send`` appends one frame per connection (all the names of a
-  fan-out that route there share it) and arms one ``call_soon(flush)``
-  per loop turn; the flush is one ``transport.write()`` of everything
-  queued in that turn, held back between ``pause_writing`` /
-  ``resume_writing``.
+  fan-out that route there share it) and arms the transport's one
+  end-of-turn callback: it first runs what senders handed to ``defer``
+  (a client's submission batch is formed there, from everything it
+  submitted in the turn), then flushes each connection sent to -- one
+  ``transport.write()`` of everything queued in that turn, held back
+  between ``pause_writing`` / ``resume_writing``.
   Beyond ``send_queue_frames`` pending frames per destination *name*
   the message is dropped and counted, like a saturated kernel buffer
   under a datagram model: loss is repaired by the protocol's
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .asyncio_kernel import AsyncioKernel, LiveStore
 from .kernel import Envelope
@@ -164,7 +166,7 @@ class _Connection(asyncio.Protocol):
         self.depths: dict[str, int] = {}
         self.transport: Optional[asyncio.Transport] = None
         self.paused = False
-        self.flush_armed = False
+        self.flush_armed = False     # listed in owner._unflushed
         self.unreachable = False
         self.connects = 0
         self._failures = 0           # consecutive failed connect attempts
@@ -398,6 +400,11 @@ class TcpTransport:
         self._name_headers: dict[tuple[str, tuple[str, ...]], bytes] = {}
         self._inbound: set[_Inbound] = set()
         self._scratch = bytearray()   # encode scratch (send path)
+        # What the end-of-turn callback has to do, and whether it is
+        # scheduled: callables handed to defer(), connections sent to.
+        self._deferred: list[Callable[[], None]] = []
+        self._unflushed: list[_Connection] = []
+        self._turn_armed = False
         if unreachable_after < 1:
             raise ValueError("unreachable_after must be >= 1")
         self._unreachable_after = unreachable_after
@@ -518,6 +525,9 @@ class TcpTransport:
         await asyncio.gather(*dialling, return_exceptions=True)
         self._connections.clear()
         self._routes.clear()
+        # Unsent submissions go the way of the unsent frames.
+        self._deferred.clear()
+        self._unflushed.clear()
         if self._server is not None:
             self._server.close()
             # Accepted connections are ours to close: waiting for the
@@ -756,7 +766,35 @@ class TcpTransport:
             )
             if not conn.flush_armed:
                 conn.flush_armed = True
-                self._loop.call_soon(conn.flush)
+                self._unflushed.append(conn)
+                self._arm_end_of_turn()
+
+    def defer(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` at the head of this turn's write
+        (``Transport.defer``): what it sends shares the flush."""
+        self._deferred.append(fn)
+        self._arm_end_of_turn()
+
+    def _arm_end_of_turn(self) -> None:
+        if not self._turn_armed:
+            self._turn_armed = True
+            self._loop.call_soon(self._end_of_turn)
+
+    def _end_of_turn(self) -> None:
+        """The one callback between a loop turn's sends and the sockets:
+        deferred callables first, then one write per connection."""
+        while self._deferred:
+            deferred, self._deferred = self._deferred, []
+            for fn in deferred:
+                try:
+                    fn()
+                except Exception as failure:
+                    # Its caller left the stack a turn ago.
+                    self.env.fail(failure)
+        self._turn_armed = False
+        unflushed, self._unflushed = self._unflushed, []
+        for conn in unflushed:
+            conn.flush()
 
     def _frame(
         self, sent_at: float, src: str, names: tuple[str, ...], body: Any
@@ -785,12 +823,20 @@ class TcpTransport:
         msg_id = None
         if self._track_queue_wait:
             # Correlate by message id when the payload carries one --
-            # directly (AppValue) or as a Propose's ordering token.
+            # directly (AppValue) or as a Propose's ordering token.  A
+            # Propose that carries a batch of them goes by its first
+            # value's: one queue_wait / net.context pair per frame, a
+            # sample of the values in it.
             msg_id = getattr(payload, "msg_id", None)
             if msg_id is None:
-                msg_id = getattr(
-                    getattr(payload, "token", None), "msg_id", None
-                )
+                token = getattr(payload, "token", None)
+                msg_id = getattr(token, "msg_id", None)
+                if msg_id is None:
+                    msg_id = next((
+                        member.msg_id
+                        for member in getattr(token, "tokens", ())
+                        if hasattr(member, "msg_id")
+                    ), None)
         context: Optional[dict] = None
         if self._propagate_context:
             context = {"origin": self.node or src, "ts": now}

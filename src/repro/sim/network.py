@@ -28,7 +28,7 @@ uncompiled path, so seeded runs stay bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from heapq import heappush
 
@@ -438,6 +438,11 @@ class Network:
         send = self.send
         for dst in dsts:
             send(src, dst, payload, size)
+
+    def defer(self, fn: Callable[[], None]) -> None:
+        """Every send is delivered on its own here, so there is nothing
+        to wait for: ``fn`` runs at once (``Transport.defer``)."""
+        fn()
 
     def _deliver(self, envelope: Envelope) -> None:
         receiver = self._hosts.get(envelope.dst)

@@ -153,6 +153,29 @@ def test_transport_split_uses_clock_offsets():
     assert transport["wire"]["p50"] == pytest.approx(30.0)
 
 
+def test_transport_split_is_taken_over_the_messages_that_carry_it():
+    # A submission batch's frame is traced under its first value only:
+    # both values are attributed in full, the split is the one sample.
+    events = _seq(_lifecycle(1, 0.0) + _lifecycle(2, 0.0) + [
+        (0.3, "transport.queue_wait", dict(dst="n0", msg_id=1, wait=0.02)),
+        (0.35, "net.context",
+         dict(src="n1", dst="n0", origin="n1", msg_id=1, origin_ts=0.3)),
+    ])
+    index = LifecycleIndex().consume_all(events)
+    sampled, unsampled = sorted(
+        extract_critical_paths(index), key=lambda path: path.msg_id
+    )
+    assert sampled.queue_wait == pytest.approx(0.02)
+    assert unsampled.queue_wait is None and unsampled.wire_wait is None
+    assert unsampled.total == sampled.total
+    budget = latency_budget(index)
+    assert budget["messages"]["complete"] == 2
+    assert budget["attributed_share"] == pytest.approx(1.0)
+    assert budget["transport_ms"]["queue"]["n"] == 1
+    assert budget["transport_ms"]["queue"]["p50"] == pytest.approx(20.0)
+    assert any("1 sampled" in line for line in budget_lines(budget))
+
+
 def test_skewed_merged_trace_never_goes_negative():
     # A merged two-node trace with imperfect alignment: the decide is
     # stamped *after* the learn.  Raw delta is negative; the clamped

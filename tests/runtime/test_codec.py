@@ -356,7 +356,7 @@ def _force_batches(message):
     the body opaque; damage inside it surfaces on the first read of
     ``tokens`` -- as CodecError too, which is what the fuzz tests pin.
     """
-    carried = [getattr(message, "batch", None)]
+    carried = [getattr(message, "batch", None), getattr(message, "token", None)]
     for entry in getattr(message, "accepted", ()) or ():
         carried.append(entry[-1])
     for entry in getattr(message, "decided", ()) or ():

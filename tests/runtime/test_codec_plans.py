@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import random
 import struct
 
@@ -62,7 +63,7 @@ def interpreted():
 def _forget_wire(message):
     """Drop the memoised wire form of every tokens-backed batch the
     message carries, so the next encode walks the tokens again."""
-    carried = [getattr(message, "batch", None)]
+    carried = [getattr(message, "batch", None), getattr(message, "token", None)]
     carried += [entry[-1] for entry in getattr(message, "accepted", ())]
     carried += [entry[-1] for entry in getattr(message, "decided", ())]
     for batch in carried:
@@ -75,6 +76,16 @@ def _forget_wire(message):
 
 def test_corpus_file_and_entries_name_the_same_frames():
     assert list(FROZEN) == list(ENTRIES)
+
+
+def test_the_frames_frozen_before_the_plans_are_the_files_first_lines():
+    # Shapes added since (a Propose carrying a batch) are appended; the
+    # 139 lines generated before PR 13 are never rewritten.
+    lines = wire_corpus.PATH.read_bytes().splitlines(keepends=True)
+    assert len(lines) == len(ENTRIES)
+    assert hashlib.sha256(b"".join(lines[:139])).hexdigest() == (
+        "20b5a468afd6f107268337a1754f89bb4085fef02ade89977fa2f7496c5f7679"
+    )
 
 
 def test_the_hot_shapes_are_the_planned_ones():

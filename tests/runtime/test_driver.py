@@ -37,6 +37,7 @@ class StubNode:
         self.now = now
         self.learns_subscribes = True
         self.kernel_failures: list[str] = []
+        self.transport: dict[str, int] = {}
         self.sequence = [["s1", 1, 11], ["s1", 2, 12]]
         self.calls: list[tuple] = []
         self.marks: list[dict] = []
@@ -89,7 +90,7 @@ class StubNode:
                 for name, state in self.replicas.items()
             },
             "violations": [], "kernel_failures": self.kernel_failures,
-            "transport": {},
+            "transport": self.transport,
         }
 
     def op_sequences(self):
@@ -162,6 +163,33 @@ def test_a_kernel_failure_on_any_node_fails_the_run():
     assert sorted(outcome.flight_dumps) == [
         "/dumps/n1.flight.jsonl", "/dumps/n2.flight.jsonl",
     ]
+
+
+def test_what_the_clients_node_dropped_at_its_send_queue_is_reported():
+    # Nobody retransmits a submission the client's own transport
+    # refused, so the run says so -- next to the verdict, not in it, and
+    # only the client's node (a dropped Decision is repaired).
+    from repro.runtime.supervisor import LiveReport
+
+    driver, nodes = _stub_cluster()
+    nodes["n1"].transport = {"dropped_backpressure": 7}
+    nodes["n2"].transport = {"dropped_backpressure": 3}
+    outcome = run(_stub_baseline(driver))
+    assert outcome.ok
+    assert outcome.client_dropped_backpressure == 7
+    assert outcome.to_json()["client_dropped_backpressure"] == 7
+    report = LiveReport(
+        streams=1, replicas=2, duration=1.0, submitted=2,
+        delivered_per_replica={"r1": 2, "r2": 2}, sequences_identical=True,
+        subscribes_completed=0, subscribes_requested=0, invariant_checks=1,
+        violations=[], kernel_failures=[], throughput=2.0,
+        latency_p50_ms=None, latency_p99_ms=None,
+    )
+    assert "DROPPED" not in report.summary()
+    report.client_dropped_backpressure = outcome.client_dropped_backpressure
+    assert report.summary().endswith(
+        "client node DROPPED 7 at its send queue"
+    )
 
 
 def test_a_subscribe_that_never_commits_fails_the_run():

@@ -112,6 +112,52 @@ def test_runtime_package_imports_without_sim():
     }
 
 
+def test_both_backends_implement_the_whole_transport_interface():
+    # Structural protocols are only checked where someone calls them:
+    # pin that the simulator's network and the TCP transport each define
+    # every member ``runtime.kernel.Transport`` declares.
+    from repro.runtime.kernel import Transport
+    from repro.runtime.transport import TcpTransport
+    from repro.sim.network import Network
+
+    declared = {
+        name for name, member in vars(Transport).items()
+        if callable(member) and not name.startswith("_")
+    } | set(Transport.__annotations__)
+    assert {"send", "broadcast", "defer", "dispatches_inline"} <= declared
+    for backend in (Network, TcpTransport):
+        missing = {name for name in declared if not hasattr(backend, name)}
+        assert not missing, (backend.__name__, missing)
+
+
+def test_sim_defer_runs_the_callable_before_it_returns():
+    # The simulator delivers each send on its own, so a deferred
+    # callable has nothing to wait for: a client that batches through
+    # ``defer`` sends there exactly what it always sent, when it did.
+    from repro.sim.core import Environment
+    from repro.sim.network import Network
+
+    ran = []
+    Network(Environment()).defer(lambda: ran.append(True))
+    assert ran == [True]
+
+
+def test_the_tcp_transport_has_one_end_of_turn_callback():
+    # One write per connection per loop turn, from one callback per
+    # transport: nothing else in the module may schedule a flush (or
+    # anything) with ``call_soon``.
+    root = pathlib.Path(repro.__file__).parent
+    tree = ast.parse((root / "runtime" / "transport.py").read_text())
+    scheduled = {
+        ast.unparse(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "call_soon"
+    }
+    assert scheduled == {"self._end_of_turn"}
+
+
 # -- one statement of the safety properties (repro.spec) ----------------
 
 def _sources():

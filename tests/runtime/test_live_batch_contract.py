@@ -1,4 +1,5 @@
-"""A batch is serialised once and parsed once per process hosting learners.
+"""A batch is serialised once by whoever forms it and parsed once per
+process that reads its tokens.
 
 Counts, not timings: a live cluster orders a few hundred values while
 the codec's two batch helpers -- ``encode_batch_wire`` (tokens ->
@@ -6,17 +7,22 @@ bytes) and ``decode_batch_tokens`` (bytes -> tokens) -- are counted from
 outside, each call attributed to the actor whose ``dispatch`` was
 running.  The contract of ``runtime/codec.py``:
 
-* every batch the coordinator forms is serialised exactly once, however
-  many frames carry it (one ``RingAccept`` on the ring; ``Phase2a`` to
-  each acceptor plus a ``Decision`` to each learner and acceptor in
-  classic mode);
+* two parties form batches.  The client forms a *submission* batch of
+  what it multicasts to a stream within one loop turn and serialises it
+  once, into the one ``Propose`` that carries it; the coordinator forms
+  an *instance* batch and serialises it once, however many frames carry
+  it (one ``RingAccept`` on the ring; ``Phase2a`` to each acceptor plus
+  a ``Decision`` to each learner and acceptor in classic mode);
+* the coordinator parses each submission batch once: it must see every
+  token to deduplicate it, which is also why it cannot adopt the bytes
+  as its instance batch;
 * a ``Decision`` reaches a process once for all the learners it hosts
   (one frame per peer address) and decodes to one ``WireBatch`` they
   share, so each instance is parsed once per *process that hosts
   learners*: with every replica on one node that is one parse per
   delivered instance, with a replica per node it is one per learner;
-* acceptors and the coordinator never parse: they order, log and
-  forward bytes.
+* acceptors never parse, and the coordinator never parses an instance
+  batch: they order, log and forward bytes.
 """
 
 from __future__ import annotations
@@ -26,14 +32,17 @@ import collections
 
 import pytest
 
+from repro.multicast.api import MulticastClient
 from repro.multicast.replica import MulticastReplica
 from repro.paxos.acceptor import AcceptorActor
 from repro.paxos.coordinator import CoordinatorActor
+from repro.paxos.types import Batch
 from repro.runtime import codec
 from repro.runtime.supervisor import LiveCluster, LiveConfig
 
 REPLICAS = 3
 VALUES = 300
+BURST = 50
 
 
 def _count_batch_helpers(monkeypatch):
@@ -42,6 +51,7 @@ def _count_batch_helpers(monkeypatch):
     running: list[str] = []                 # role of the dispatching actor
     parses = collections.Counter()          # role -> token-body parses
     encoded: list = []                      # batches serialised, in order
+    submitted: list = []                    # batches the client sent
 
     def attributed(cls, role):
         dispatch = cls.dispatch
@@ -70,9 +80,17 @@ def _count_batch_helpers(monkeypatch):
         encoded.append(batch)       # keeps the batch alive: ids stay unique
         return real_encode(batch)
 
+    real_send = MulticastClient.send
+
+    def recording_send(self, dst, payload):
+        if isinstance(payload.token, Batch):
+            submitted.append(payload.token)
+        real_send(self, dst, payload)
+
     monkeypatch.setattr(codec, "decode_batch_tokens", counting_parse)
     monkeypatch.setattr(codec, "encode_batch_wire", counting_encode)
-    return parses, encoded
+    monkeypatch.setattr(MulticastClient, "send", recording_send)
+    return parses, encoded, submitted
 
 
 async def _order_values(dissemination: str, nodes: int):
@@ -88,8 +106,8 @@ async def _order_values(dissemination: str, nodes: int):
         )
     await cluster.start()
     try:
-        for start in range(0, VALUES, 50):      # bursts: multi-value batches
-            for index in range(start, start + 50):
+        for start in range(0, VALUES, BURST):   # bursts: multi-value batches
+            for index in range(start, start + BURST):
                 cluster.client.multicast("s1", f"v{index}", 64)
             await asyncio.sleep(0.02)
         deadline = asyncio.get_running_loop().time() + 30.0
@@ -104,16 +122,29 @@ async def _order_values(dissemination: str, nodes: int):
 
 
 def _check_contract(monkeypatch, dissemination, nodes):
-    parses, encoded = _count_batch_helpers(monkeypatch)
+    parses, encoded, submitted = _count_batch_helpers(monkeypatch)
     cluster = asyncio.run(
         asyncio.wait_for(_order_values(dissemination, nodes), timeout=120)
     )
     coordinator = cluster.directory["s1"].coordinator
 
-    # One serialisation per batch formed, whatever the fan-out.
-    assert len(encoded) == coordinator.next_instance
+    # The client formed one batch per burst (a burst is one loop turn)
+    # and the coordinator one per instance; each was serialised once by
+    # the party that formed it, whatever the fan-out.
+    assert [batch.token_count for batch in submitted] == (
+        [BURST] * (VALUES // BURST)
+    )
+    assert len(encoded) == len(submitted) + coordinator.next_instance
     assert len({id(batch) for batch in encoded}) == len(encoded)
-    assert sum(batch.token_count for batch in encoded) > VALUES  # + skips
+    sent = {id(batch) for batch in submitted}
+    assert sent <= {id(batch) for batch in encoded}
+    assert sum(
+        batch.token_count for batch in encoded if id(batch) not in sent
+    ) > VALUES  # + skips
+
+    # The coordinator reads every submitted token (dedup): one parse per
+    # submission batch, none of anything else.
+    assert parses["coordinator"] == len(submitted)
 
     # One parse per instance per process that hosts learners: the
     # learners of a node share the decoded batch, so a node parses what
@@ -137,8 +168,8 @@ def _check_contract(monkeypatch, dissemination, nodes):
         <= len(per_node) * len(coordinator.decided_instances)
     )
 
-    # Acceptors and the coordinator move bytes.
-    assert set(parses) == {"replica"}, parses
+    # Acceptors move bytes; so does the coordinator past its intake.
+    assert set(parses) == {"replica", "coordinator"}, parses
 
 
 @pytest.mark.parametrize("dissemination", ["ring", "classic"])

@@ -247,6 +247,61 @@ def test_writer_coalescing_counters_and_metrics():
     run(main())
 
 
+def test_deferred_callables_run_ahead_of_the_turns_one_write():
+    # defer(fn): fn runs once, in the turn's end-of-turn callback, and
+    # what it sends leaves in the same write as what was sent before it
+    # -- also to a second address -- with no loop turn of its own.  One
+    # that raises fails the kernel, not the flush.
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel)
+        remote = TcpTransport(kernel)
+        sink = Sink(kernel, transport, "b")
+        far = Sink(kernel, remote, "c")
+        await transport.start()
+        transport.register_address("c", await remote.start())
+        sink.start()
+        far.start()
+        ran = []
+
+        def late_sender():
+            ran.append("sender")
+            transport.send("a", "b", Heartbeat(nonce=2), 56)
+            transport.send("a", "c", Heartbeat(nonce=3), 56)
+
+        def broken():
+            ran.append("broken")
+            raise RuntimeError("deferred and broken")
+
+        transport.send("a", "b", Heartbeat(nonce=1), 56)
+        transport.defer(broken)
+        transport.defer(late_sender)
+        assert ran == [] and transport.writer_flushes == 0
+        await asyncio.sleep(0)          # one turn: callables, then writes
+        assert ran == ["broken", "sender"]
+        assert [repr(failure) for failure in kernel.failures] == [
+            "RuntimeError('deferred and broken')"
+        ]
+        # (no socket yet: the first flush of each connection dials)
+        assert await eventually(lambda: len(sink.seen) == 2 and far.seen)
+        assert sink.seen == [1, 2] and far.seen == [3]
+        counters = transport.counters()
+        assert counters["writer_flushes"] == 2      # one per connection
+        assert counters["frames_coalesced"] == 3
+        # With the sockets up, a deferred send is one write in one turn.
+        transport.defer(lambda: transport.send("a", "b", Heartbeat(nonce=4), 56))
+        await asyncio.sleep(0)
+        assert transport.writer_flushes == 3
+        assert ran == ["broken", "sender"]          # each ran once
+        assert await eventually(lambda: sink.seen == [1, 2, 4])
+        sink.stop()
+        far.stop()
+        await transport.stop()
+        await remote.stop()
+
+    run(main())
+
+
 def test_frames_queued_across_a_reconnect_arrive_in_order_exactly_once():
     # The connection dies with frames pending: they wait for the next
     # connection and leave on it whole -- every frame delivered exactly

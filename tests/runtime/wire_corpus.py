@@ -8,7 +8,11 @@ cannot make (a symmetric format change passes every round trip).
 ``test_codec_plans.py`` asserts that today's codec emits exactly these
 bytes and decodes them to equal objects.
 
-An intended format change regenerates the file, and says so in its PR::
+A shape the format could always carry but nothing sent (PR 23: a
+``Propose`` whose token is a batch) is *appended* -- new entries at the
+end of :func:`entries`, new lines at the end of the file, the lines
+before them untouched (``test_codec_plans.py`` pins their hash).  An
+intended format change regenerates the file, and says so in its PR::
 
     PYTHONPATH=src python -m tests.runtime.wire_corpus
 
@@ -30,7 +34,14 @@ from repro.paxos.messages import (
     Propose,
     RingAccept,
 )
-from repro.paxos.types import AppValue, Batch, SkipToken
+from repro.paxos.types import (
+    AppValue,
+    Batch,
+    PrepareMsg,
+    SkipToken,
+    SubscribeMsg,
+    UnsubscribeMsg,
+)
 from repro.runtime import codec
 
 from .test_codec import CORPUS
@@ -116,6 +127,25 @@ FALLBACKS = {
 }
 
 
+# What a client's outbox sends when it holds more than one token for a
+# stream: the tokens nested as a batch body.
+SUBMISSION_BATCHES = {
+    "Propose.batch_values": Propose(
+        "s1", Batch(tuple(_value(i) for i in range(3)))
+    ),
+    "Propose.batch_mixed": Propose(
+        "s1",
+        Batch((
+            _value(3),
+            SubscribeMsg(group="g1", stream="s2", request_id=44),
+            _value(4),
+            UnsubscribeMsg(group="g1", stream="s1", request_id=45),
+            PrepareMsg(group="g2", stream="s2", request_id=46),
+        )),
+    ),
+}
+
+
 def entries() -> dict[str, tuple[Any, Optional[dict]]]:
     """``name -> (message, trace_context)``, in file order."""
     out: dict[str, tuple[Any, Optional[dict]]] = {}
@@ -135,6 +165,9 @@ def entries() -> dict[str, tuple[Any, Optional[dict]]]:
     for name, context in ODD_CONTEXTS.items():
         out[f"Heartbeat+ctx.{name}"] = (Heartbeat(nonce=7), context)
         out[f"Propose+ctx.{name}"] = (CORPUS[Propose], context)
+    for name, message in SUBMISSION_BATCHES.items():
+        out[name] = (message, None)
+        out[f"{name}+ctx3"] = (message, CTX3)
     return out
 
 
