@@ -1,15 +1,16 @@
 """Actor base class: a protocol role bound to a transport host.
 
-An :class:`Actor` drains its host's inbox in a receive loop and
+An :class:`Actor` drains its host's inbox through a mailbox and
 dispatches each payload to ``on_<MessageClassName>`` methods, e.g. a
 ``Phase1a`` payload is dispatched to ``on_phase1a(msg, src)``.  Unknown
 message types raise -- a replica silently ignoring a message it should
 handle is a bug, not a feature.
 
 :meth:`Actor.receive` is the one way a message reaches an actor.  The
-receive loop calls it per envelope; a transport that already runs on
-the actor's thread (the live TCP transport, in its receive callback)
-calls it directly while the loop is parked on an empty inbox, and
+mailbox (``inbox.consume``, :class:`repro.runtime.kernel.InboxLike`)
+calls it per envelope on both backends; a transport that already runs
+on the actor's thread (the live TCP transport, in its receive callback)
+calls it directly while the mailbox is parked on an empty inbox, and
 reports a handler that raised through :meth:`Actor.abort`.
 
 Actors code against the :class:`repro.runtime.kernel.Kernel` and
@@ -18,7 +19,7 @@ runs unchanged on the discrete-event simulator and on the live asyncio
 TCP backend.
 
 Actors respect crash state: while the underlying host is crashed the
-receive loop idles, and :meth:`Actor.send` drops outgoing traffic,
+mailbox is stopped, and :meth:`Actor.send` drops outgoing traffic,
 mirroring a dead process.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import re
 from typing import Any, Optional
 
-from ..runtime.kernel import Interrupt, Kernel, ProcessHandle, Transport
+from ..runtime.kernel import Kernel, ProcessHandle, Transport
 from .messages import Message
 
 __all__ = ["Actor"]
@@ -53,11 +54,11 @@ class Actor:
         self.name = name
         self.host = network.add_host(name)
         # Back-reference so fault injectors that only know host names
-        # can crash the *process* (stop loops, halt timers), not just
-        # the box -- crashing only the host would leave the receive
-        # loop parked on the replaced inbox forever.
+        # can crash the *process* (stop the mailbox, halt timers), not
+        # just the box -- crashing only the host would leave the
+        # mailbox parked on the replaced inbox forever.
         self.host.actor = self
-        self._loop: Optional[ProcessHandle] = None
+        self._mailbox: Optional[ProcessHandle] = None
         # env.tracer is fixed for the environment's lifetime, so the
         # per-message guard is resolved once.
         tracer = env.tracer
@@ -73,23 +74,23 @@ class Actor:
 
     @property
     def running(self) -> bool:
-        """True while the receive loop is active."""
-        return self._loop is not None and self._loop.is_alive
+        """True while the mailbox is active."""
+        return self._mailbox is not None and self._mailbox.is_alive
 
     def start(self) -> None:
         """Begin draining the inbox."""
         if self.running:
             raise RuntimeError(f"{self.name} already started")
-        self._loop = self.env.process(self._receive_loop())
+        self._mailbox = self.host.inbox.consume(self.receive, self.name)
 
     def stop(self) -> None:
-        """Stop the receive loop (without crashing the host)."""
-        if self._loop is not None and self._loop.is_alive:
-            self._loop.interrupt("stop")
-        self._loop = None
+        """Stop the mailbox (without crashing the host)."""
+        if self._mailbox is not None and self._mailbox.is_alive:
+            self._mailbox.interrupt("stop")
+        self._mailbox = None
 
     def crash(self) -> None:
-        """Crash the actor's host and halt its receive loop."""
+        """Crash the actor's host and stop its mailbox."""
         self.host.crash()
         self.stop()
         tracer = self.env.tracer
@@ -126,32 +127,10 @@ class Actor:
 
     # -- dispatch ------------------------------------------------------
 
-    def _receive_loop(self):
-        # The inbox is stable for the lifetime of one loop instance: a
-        # crash interrupts the loop and recovery starts a fresh
-        # generator against the replacement inbox.
-        inbox = self.host.inbox
-        get = inbox.get
-        receive = self.receive
-        # env.metrics is fixed for the environment's lifetime.  Where the
-        # transport calls receive() itself the inbox is not the queue,
-        # and its depth is not worth exporting.
-        metrics = self.env.metrics
-        if self.network.dispatches_inline:
-            metrics = None
-        while True:
-            try:
-                envelope = yield get()
-            except Interrupt:
-                return
-            if metrics is not None:
-                metrics.gauge(self.name, "inbox_depth").record(len(inbox))
-            receive(envelope.payload, envelope.src)
-
     def receive(self, payload: Any, src: str) -> None:
         """Handle one received message: the single entry point, from
-        the receive loop and from a transport that dispatches in its
-        own receive callback."""
+        the mailbox and from a transport that dispatches in its own
+        receive callback."""
         tracer = self._dispatch_tracer
         if tracer is not None:
             tracer.emit(
@@ -161,11 +140,12 @@ class Actor:
         self.dispatch(payload, src)
 
     def abort(self, failure: Exception) -> None:
-        """A handler raised outside the receive loop (a transport called
-        :meth:`receive` directly): what the loop dying of ``failure``
-        would have meant.  The loop stops -- it alone, whatever else a
-        subclass runs carries on -- and a process fails with ``failure``
-        and nobody waiting on it, which is how a kernel is told."""
+        """A handler raised outside the mailbox (a transport called
+        :meth:`receive` directly): what the mailbox ending on
+        ``failure`` would have meant.  The mailbox stops -- it alone,
+        whatever else a subclass runs carries on -- and a process fails
+        with ``failure`` and nobody waiting on it, which is how a kernel
+        is told."""
         Actor.stop(self)
         self.env.process(_raise(failure))
 

@@ -31,6 +31,7 @@ from .kernel import Interrupt
 __all__ = [
     "AsyncioKernel",
     "LiveEvent",
+    "LiveMailbox",
     "LiveProcess",
     "LiveStore",
     "QueueFull",
@@ -273,6 +274,7 @@ class LiveStore:
         self.env = env
         self.capacity = capacity
         self._items: deque = deque()
+        # Events of parked get() calls and parked mailboxes, in order.
         self._getters: deque = deque()
         self._putters: deque = deque()
 
@@ -285,16 +287,29 @@ class LiveStore:
 
     @property
     def waiting(self) -> bool:
-        """True while a consumer is parked in ``get()``: the store is
-        empty and whatever it held has been handled.  A getter nobody
-        waits on any more (its process was interrupted away) is
-        discarded here instead of swallowing the next item."""
+        """True while a consumer is parked (a mailbox, or a process in
+        ``get()``): the store is empty and whatever it held has been
+        handled.  A consumer that stopped waiting (a mailbox stopped, a
+        process interrupted away) is discarded here instead of
+        swallowing the next item."""
         getters = self._getters
         while getters:
-            if getters[0].callbacks:
+            head = getters[0]
+            if (head.is_alive if head.__class__ is LiveMailbox
+                    else head.callbacks):
                 return True
             getters.popleft()
         return False
+
+    def consume(
+        self, receive: Callable[[Any, str], None], name: str
+    ) -> "LiveMailbox":
+        """Drain this inbox of envelopes into ``receive(payload, src)``
+        (the :class:`~repro.runtime.kernel.InboxLike` contract).  The
+        live inbox holds only a backlog (``TcpTransport`` hands a parked
+        mailbox's actor its frames itself), so ``name`` gets no
+        ``inbox_depth`` gauge."""
+        return LiveMailbox(self, receive)
 
     def put(self, item: Any) -> LiveEvent:
         event = LiveEvent(self.env)
@@ -333,6 +348,60 @@ class LiveStore:
             putter, item = self._putters.popleft()
             self._items.append(item)
             putter.succeed()
+
+
+class LiveMailbox:
+    """An actor's receive loop over a :class:`LiveStore`, kept as state
+    instead of a process (:class:`repro.sim.queues.Mailbox` on the
+    simulator): one loop turn after it is created it takes the next
+    envelope, one per turn while a backlog lasts, then parks among the
+    getters.  Stopped (:meth:`interrupt`), it loses what the interrupted
+    loop process lost -- the envelope whose handling is already
+    scheduled, else one taken from a backlog -- but not the next
+    arrival: :attr:`LiveStore.waiting` discards it first.  A handler
+    that raises ends it and is a kernel failure (``AsyncioKernel.fail``),
+    as the loop process failing was."""
+
+    __slots__ = ("store", "receive", "is_alive")
+
+    def __init__(self, store: LiveStore, receive: Callable[[Any, str], None]):
+        self.store = store
+        self.receive = receive
+        self.is_alive = True
+        store.env._loop.call_soon(self._take)
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Stop taking envelopes (``ProcessHandle.interrupt``)."""
+        if not self.is_alive:
+            raise RuntimeError("cannot interrupt a stopped mailbox")
+        self.is_alive = False
+
+    def succeed(self, item: Any) -> None:
+        """A put handed ``item`` to this parked mailbox."""
+        self.store.env._loop.call_soon(self._handle, item)
+
+    def _take(self) -> None:
+        store = self.store
+        items = store._items
+        if items:
+            item = items.popleft()
+            if store._putters:
+                store._admit_putter()
+            if self.is_alive:
+                store.env._loop.call_soon(self._handle, item)
+        elif self.is_alive:
+            store._getters.append(self)
+
+    def _handle(self, envelope: Any) -> None:
+        if not self.is_alive:
+            return      # stopped while this handling was scheduled: lost
+        try:
+            self.receive(envelope.payload, envelope.src)
+        except Exception as failure:
+            self.is_alive = False
+            self.store.env.fail(failure)
+            return
+        self._take()
 
 
 class AsyncioKernel:

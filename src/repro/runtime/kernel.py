@@ -30,7 +30,8 @@ backends share them:
   their host inbox.
 
 ``repro.sim.core`` / ``repro.sim.network`` re-export both, so existing
-imports keep working.
+imports keep working.  So is one constant, :data:`GC_THRESHOLD`: the
+collector's generation sizes while either backend's datapath runs.
 
 Contract notes
 --------------
@@ -61,6 +62,7 @@ from typing import (
 __all__ = [
     "Envelope",
     "EventLike",
+    "GC_THRESHOLD",
     "HostLike",
     "InboxLike",
     "Interrupt",
@@ -68,6 +70,17 @@ __all__ = [
     "ProcessHandle",
     "Transport",
 ]
+
+# Generation sizes while a datapath runs: the live node between start
+# and stop (``runtime.node.CollectorPolicy``), the simulator inside
+# ``Environment.run``.  Every delivered value allocates a few dozen
+# short-lived containers and keeps a handful (ring records, delivery
+# records, latency samples), none of them in a cycle: at the default
+# (700, 10, 10) the young generation is collected some 700 times per
+# 45k values and the whole heap -- the model, on the simulator -- every
+# few seconds, to free nothing (docs/RUNTIME.md, "Collector policy";
+# docs/PERFORMANCE.md has both backends' measurements).
+GC_THRESHOLD = (10_000, 20, 20)
 
 
 class Interrupt(Exception):
@@ -164,9 +177,23 @@ class Kernel(Protocol):
 
 @runtime_checkable
 class InboxLike(Protocol):
-    """FIFO inbox a host's actor drains: ``yield inbox.get()``."""
+    """FIFO inbox of :class:`Envelope` s that a host's actor drains.
 
-    def get(self) -> Any: ...
+    ``consume(receive, name)`` starts the actor's *mailbox*: from the
+    next scheduling step on, envelopes are handed to ``receive(payload,
+    src)`` one at a time, in arrival order, each in a step of its own.
+    It returns the mailbox's handle: ``is_alive`` until it is
+    interrupted (the actor stopped) or ``receive`` raised.  ``name``
+    owns the inbox's ``inbox_depth`` gauge where the inbox is the queue
+    (the simulator); the live inbox holds only a backlog and exports no
+    depth.  Whether a stopped mailbox swallows the next envelope is the
+    backend's own, and unchanged from when the mailbox was a process
+    parked in ``get()``: the simulator loses one, the live inbox none.
+    """
+
+    def consume(
+        self, receive: Callable[[Any, str], None], name: str
+    ) -> ProcessHandle: ...
 
     def put_nowait(self, item: Any) -> None: ...
 
@@ -192,11 +219,12 @@ class HostLike(Protocol):
 class Transport(Protocol):
     """Named hosts plus datagram-style, fire-and-forget delivery.
 
-    ``dispatches_inline`` says how a delivery reaches the receiving
-    actor: False, always through its host's inbox (the simulator); True,
-    by calling ``actor.receive`` from the transport's own receive
-    callback whenever the actor's loop is parked on an empty inbox (the
-    live TCP transport), the inbox holding only what arrives otherwise.
+    A delivery reaches the receiving actor through its host's inbox and
+    the actor's mailbox (:class:`InboxLike`).  A transport that runs on
+    the actor's own thread may call ``actor.receive`` itself while the
+    mailbox is parked on an empty inbox -- the live TCP transport does,
+    in its receive callback; the inbox then holds only what arrived
+    while it was not.
 
     ``defer(fn)`` is for a sender that forms its own batches: ``fn()``
     runs once, no later than the transport next hands queued messages to
@@ -209,8 +237,6 @@ class Transport(Protocol):
     failure (``AsyncioKernel.fail``); on the simulator it raises into
     the caller.
     """
-
-    dispatches_inline: bool
 
     def add_host(self, name: str) -> Any: ...
 

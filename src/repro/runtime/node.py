@@ -37,6 +37,7 @@ from ..paxos.config import StreamConfig
 from ..paxos.types import AppValue
 from ..quantiles import percentile as nearest_rank
 from .asyncio_kernel import AsyncioKernel
+from .kernel import GC_THRESHOLD
 from .profiling import LoopLagProbe, StackSampler
 from .telemetry import NodeTelemetry
 from .transport import TcpTransport
@@ -45,15 +46,6 @@ if TYPE_CHECKING:
     from ..deploy.topology import TopologySpec, WorkloadSpec
 
 __all__ = ["CollectorPolicy", "LiveNode", "NodeOps", "percentile"]
-
-# Generation sizes while a live datapath runs (docs/RUNTIME.md,
-# "Collector policy", has the measurements).  Every delivered value
-# allocates a few dozen short-lived containers and keeps a handful (ring
-# records, delivery records, latency samples), none of them in a cycle:
-# at the default (700, 10, 10) the young generation is collected some
-# 700 times per 45k values and the whole heap four times, to free
-# nothing.
-_GC_THRESHOLD = (10_000, 20, 20)
 
 
 class CollectorPolicy:
@@ -71,7 +63,7 @@ class CollectorPolicy:
         if self._found is None:
             self._found = (gc.get_threshold(), gc.get_freeze_count())
             gc.freeze()
-            gc.set_threshold(*_GC_THRESHOLD)
+            gc.set_threshold(*GC_THRESHOLD)
 
     def restore(self) -> None:
         if self._found is not None:

@@ -54,11 +54,11 @@ receiving actor's handler (docs/RUNTIME.md section 3 has the contracts):
   frame out of the chunk ``data_received`` hands it as a ``memoryview``
   slice, and the decoded payload goes to each destination actor's
   ``receive`` right there.  A
-  frame queues in the host's inbox only while that actor's receive loop
+  frame queues in the host's inbox only while that actor's mailbox
   is not parked on an empty inbox (no actor, not started, stopped, or
-  still draining what queued before); the loop drains those first, so
-  per-host order holds.  A handler that raises kills its actor's loop
-  (``kernel.failures``), never the connection.
+  still draining what queued before); the mailbox drains those first,
+  so per-host order holds.  A handler that raises stops its actor's
+  mailbox (``kernel.failures``), never the connection.
 
 Encoding reuses one ``bytearray`` scratch for the codec's
 :func:`~repro.runtime.codec.encode_into`, joined with the envelope into
@@ -124,7 +124,7 @@ class LiveHost:
     """A named node bound to the live kernel (sim ``Host`` mirror).
 
     ``inbox`` holds only the frames that arrived while ``actor``'s
-    receive loop was not parked on it; the rest went straight to
+    mailbox was not parked on it; the rest went straight to
     ``actor.receive`` (:meth:`TcpTransport._deliver_frame`)."""
 
     __slots__ = ("env", "name", "inbox", "crashed", "incarnation", "actor")
@@ -355,8 +355,6 @@ class _Inbound(asyncio.Protocol):
 
 class TcpTransport:
     """Transport over localhost TCP, one connection per peer address."""
-
-    dispatches_inline = True
 
     def __init__(
         self,
@@ -918,9 +916,10 @@ class TcpTransport:
             self.messages_delivered += 1
             inbox = receiver.inbox
             actor = receiver.actor
-            # With the actor's loop parked on an empty inbox, everything
-            # that came before has been handled: handle this one here.
-            # Otherwise it queues behind what the loop has yet to drain.
+            # With the actor's mailbox parked on an empty inbox,
+            # everything that came before has been handled: handle this
+            # one here.  Otherwise it queues behind what the mailbox has
+            # yet to drain.
             inline = actor is not None and inbox.waiting
             if not inline:
                 inbox.put_nowait(Envelope(

@@ -22,18 +22,37 @@ Design notes
   :class:`_ScheduledCall` records (plain ``fn(*args)`` at an instant,
   no callback list, recycled through a free list).  Message delivery,
   throttle wakeups and process resumption at the current instant all
-  use the pooled fast path; the scheduling *order* is identical to the
-  event-based layout, so same-seed runs stay bit-identical.
+  use the pooled fast path.  A message costs two entries: its arrival
+  (``Network.send``) and its handling -- a delivery to an actor whose
+  mailbox is parked schedules the handler itself
+  (:class:`repro.sim.queues.Mailbox`), in the slot the receive loop's
+  wakeup used to take, with no event and no generator in between.
+* The calendar is two sorted runs merged by ``(time, seq)``: a heap for
+  entries due later and a FIFO for entries due *now*, which is where
+  the second entry of every message and most wakeups land.  Every push
+  site routes an entry whose time equals ``now`` to the FIFO (its
+  ``seq`` is the largest drawn, so appending keeps the run sorted), so
+  the order is exactly a single heap's and same-seed runs stay
+  bit-identical.
+* Collector: :meth:`Environment.run` runs with the live datapath's
+  generation sizes (:data:`repro.runtime.kernel.GC_THRESHOLD`) and
+  restores the caller's on exit.  Most of what a run allocates dies
+  young and none of it is cyclic, so at the default sizes the full
+  collections did little but sweep the model.  Nothing is frozen: a
+  freeze at ``run()`` would pin whatever earlier runs in the process
+  left uncollected.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..obs.trace import current_metrics, current_tracer
-from ..runtime.kernel import Interrupt
+from ..runtime.kernel import GC_THRESHOLD, Interrupt
 
 __all__ = [
     "Environment",
@@ -117,7 +136,7 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        heappush(env._queue, (env._now, next(env._counter), self))
+        env._fifo.append((env._now, next(env._counter), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -355,7 +374,10 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        # The calendar: ``(time, seq, entry)`` triples, due later in the
+        # heap, due now in the FIFO (module docstring).
         self._queue: list[tuple[float, int, Any]] = []
+        self._fifo: deque[tuple[float, int, Any]] = deque()
         self._counter = itertools.count()
         self._call_pool: list[_ScheduledCall] = []
         # Observability: adopt the process-wide tracer / metrics registry
@@ -372,7 +394,12 @@ class Environment:
         return self._now
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        heappush(self._queue, (self._now + delay, next(self._counter), event))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._fifo.append((when, next(self._counter), event))
+        else:
+            heappush(self._queue, (when, next(self._counter), event))
 
     def _schedule_call(self, fn: Callable, args: tuple, delay: float = 0.0) -> None:
         """Schedule ``fn(*args)`` via the pooled fast path."""
@@ -383,7 +410,12 @@ class Environment:
             call.args = args
         else:
             call = _ScheduledCall(fn, args)
-        heappush(self._queue, (self._now + delay, next(self._counter), call))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._fifo.append((when, next(self._counter), call))
+        else:
+            heappush(self._queue, (when, next(self._counter), call))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Return an event that fires ``delay`` time units from now."""
@@ -435,13 +467,24 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._fifo:
+            return self._fifo[0][0]
         return self._queue[0][0] if self._queue else float("inf")
+
+    def _pop(self) -> tuple[float, int, Any]:
+        """Remove the calendar's first entry in ``(time, seq)`` order:
+        the FIFO's head unless the heap's is earlier (seqs are unique,
+        so the comparison never reaches the entries)."""
+        fifo, queue = self._fifo, self._queue
+        if fifo and not (queue and queue[0] < fifo[0]):
+            return fifo.popleft()
+        return heappop(queue)
 
     def step(self) -> None:
         """Process exactly one event from the calendar."""
-        if not self._queue:
+        if not self._queue and not self._fifo:
             raise SimulationError("no more events")
-        when, _, event = heappop(self._queue)
+        when, _, event = self._pop()
         self._now = when
         if event.__class__ is _ScheduledCall:
             fn, args = event.fn, event.args
@@ -467,10 +510,9 @@ class Environment:
 
         The drain loop is inlined (rather than delegating to
         :meth:`step`) -- it is the single hottest loop in the
-        reproduction and the method-call overhead is measurable.
+        reproduction and the method-call overhead is measurable.  It
+        runs under the collector policy (module docstring).
         """
-        queue = self._queue
-        pool = self._call_pool
         stop = None
         if until is not None:
             if until < self._now:
@@ -481,10 +523,33 @@ class Environment:
             stop._ok = True
             stop._value = None
             self._schedule(stop, until - self._now)
-        while queue:
-            t, _seq, event = heappop(queue)
+        threshold = gc.get_threshold()
+        gc.set_threshold(*GC_THRESHOLD)
+        try:
+            self._drain(stop)
+        finally:
+            gc.set_threshold(*threshold)
+        if until is not None:
+            self._now = until
+
+    def _drain(self, stop: Optional[Event]) -> None:
+        """Run entries in ``(time, seq)`` order until ``stop`` is next
+        or the calendar is empty (:meth:`_pop`, inlined)."""
+        queue = self._queue
+        fifo = self._fifo
+        popleft = fifo.popleft
+        pool = self._call_pool
+        while True:
+            if fifo:
+                if queue and queue[0] < fifo[0]:
+                    t, _seq, event = heappop(queue)
+                else:
+                    t, _seq, event = popleft()
+            elif queue:
+                t, _seq, event = heappop(queue)
+            else:
+                return
             if event is stop:
-                self._now = until
                 return
             self._now = t
             if event.__class__ is _ScheduledCall:
@@ -501,5 +566,3 @@ class Environment:
             if not event._ok and not event._defused:
                 # A failure nobody consumed: crash the simulation loudly.
                 raise event._value
-        if until is not None:
-            self._now = until

@@ -12,8 +12,10 @@ deployment:
 * crashed hosts silently drop traffic, as a crashed OS would.
 
 Hosts are looked up by name.  Each host owns an unbounded inbox
-(:class:`repro.sim.queues.Store`) from which its actor processes drain
-:class:`Envelope` objects.
+(:class:`repro.sim.queues.Store`) from which its actor's mailbox
+(:class:`repro.sim.queues.Mailbox`) drains :class:`Envelope` objects.
+A message is two calendar entries: its arrival, scheduled here, and --
+when the receiver's mailbox is parked -- its handling at that instant.
 
 Hot path: :meth:`Network.send` compiles the per-``(src, dst)`` routing
 decision -- host objects, link spec, matching fault rules, partition
@@ -171,9 +173,6 @@ class _Route:
 
 class Network:
     """Routes messages between hosts with latency/bandwidth/loss models."""
-
-    # Every delivery goes through the receiving host's inbox.
-    dispatches_inline = False
 
     def __init__(
         self,
@@ -411,9 +410,11 @@ class Network:
             call.args = (envelope,)
         else:
             call = _ScheduledCall(self._deliver, (envelope,))
-        heappush(
-            env._queue, (now + (arrival - now), next(env._counter), call)
-        )
+        when = now + (arrival - now)
+        if when == now:
+            env._fifo.append((when, next(env._counter), call))
+        else:
+            heappush(env._queue, (when, next(env._counter), call))
         for rule in rules:
             if rule.duplicate > 0 and self._rng.random() < rule.duplicate:
                 offset = self._rng.uniform(0.0, rule.reorder_spread)

@@ -124,7 +124,7 @@ def test_both_backends_implement_the_whole_transport_interface():
         name for name, member in vars(Transport).items()
         if callable(member) and not name.startswith("_")
     } | set(Transport.__annotations__)
-    assert {"send", "broadcast", "defer", "dispatches_inline"} <= declared
+    assert {"send", "broadcast", "defer"} <= declared
     for backend in (Network, TcpTransport):
         missing = {name for name in declared if not hasattr(backend, name)}
         assert not missing, (backend.__name__, missing)
