@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-from ..runtime.kernel import Interrupt, Kernel
+from ..runtime.kernel import Kernel, Timer, every
 from .replica import MulticastReplica
 from .stream import StreamDeployment
 
@@ -59,15 +59,15 @@ class TrimCoordinator:
         self.interval = interval
         self.slack_instances = slack_instances
         self.trims_issued: list[tuple[float, str, int]] = []
-        self._proc = None
+        self._timer: Optional[Timer] = None
 
     def start(self) -> None:
-        self._proc = self.env.process(self._loop())
+        self._timer = every(self.env, self.interval, self.trim_once)
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = None
 
     def add_replica(self, replica: MulticastReplica) -> None:
         if replica not in self.replicas:
@@ -100,11 +100,3 @@ class TrimCoordinator:
             if horizon is not None:
                 deployment.coordinator.trim(horizon)
                 self.trims_issued.append((self.env.now, name, horizon))
-
-    def _loop(self):
-        while True:
-            try:
-                yield self.env.timeout(self.interval)
-            except Interrupt:
-                return
-            self.trim_once()

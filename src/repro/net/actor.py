@@ -40,11 +40,6 @@ def _handler_name(payload: Any) -> str:
     return "on_" + _CAMEL_RE.sub("_", type(payload).__name__).lower()
 
 
-def _raise(failure: Exception):
-    raise failure
-    yield   # a generator: the kernel runs it as a process
-
-
 class Actor:
     """A named protocol participant attached to a transport host."""
 
@@ -143,11 +138,11 @@ class Actor:
         """A handler raised outside the mailbox (a transport called
         :meth:`receive` directly): what the mailbox ending on
         ``failure`` would have meant.  The mailbox stops -- it alone,
-        whatever else a subclass runs carries on -- and a process fails
-        with ``failure`` and nobody waiting on it, which is how a kernel
-        is told."""
+        whatever else a subclass runs carries on -- and the kernel
+        records the failure (``AsyncioKernel.fail``: the live TCP
+        transport is the one caller)."""
         Actor.stop(self)
-        self.env.process(_raise(failure))
+        self.env.fail(failure)
 
     def dispatch(self, payload: Any, src: str) -> None:
         """Route ``payload`` to the matching ``on_*`` handler."""

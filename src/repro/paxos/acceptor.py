@@ -89,10 +89,11 @@ class AcceptorCore:
         if msg.ballot <= self.promised:
             return []  # stale ballot: ignore (sender will retry higher)
         self.promised = msg.ballot
+        log = self.log
         accepted = tuple(
             (instance, entry.vrnd, entry.value)
-            for instance, entry in sorted(self._entries_from(msg.from_instance))
-            if entry.vrnd >= 0
+            for instance in range(msg.from_instance, log.highest_instance + 1)
+            if (entry := log.get(instance)) is not None and entry.vrnd >= 0
         )
         reply = Phase1b(
             stream=self.stream,
@@ -101,12 +102,6 @@ class AcceptorCore:
             accepted=accepted,
         )
         return [(src, reply)]
-
-    def _entries_from(self, from_instance: int):
-        for instance in range(from_instance, self.log.highest_instance + 1):
-            entry = self.log.get(instance)
-            if entry is not None:
-                yield instance, entry
 
     def on_phase2a(self, msg: Phase2a, src: str) -> list[tuple[str, object]]:
         if msg.ballot < self.promised:

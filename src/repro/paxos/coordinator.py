@@ -22,7 +22,7 @@ from collections import deque
 from typing import Optional
 
 from ..net.actor import Actor
-from ..runtime.kernel import Interrupt, Kernel, Transport
+from ..runtime.kernel import Kernel, Timer, Transport, every
 from ..runtime.resources import Server
 from .ballot import ballot_for, next_ballot, quorum_size
 from .batching import AdaptiveBatchPolicy
@@ -93,7 +93,7 @@ class CoordinatorActor(Actor):
         self._value_gate_open = 0.0            # token-bucket time for throttle
         self._throttle_wakeup: Optional[float] = None
         self._proposing = False
-        self._processes = []
+        self._timers: list[Timer] = []
         # env.tracer / env.metrics are fixed for the environment's
         # lifetime; cache them so each probe is one attribute load.
         self._tracer = env.tracer
@@ -126,43 +126,46 @@ class CoordinatorActor(Actor):
         if self.standby:
             return   # answers heartbeats only, until promoted
         self._run_phase1()
-        if self.config.skip_enabled:
-            self._processes.append(self.env.process(self._skip_loop()))
-        self._processes.append(self.env.process(self._retransmit_loop()))
+        self._start_timers()
 
     def promote(self) -> None:
         """Promote a standby to active: claim the stream with a higher
-        ballot and start the background loops."""
+        ballot and start the timers."""
         if not self.standby:
             raise RuntimeError(f"{self.name} is not a standby")
         self.standby = False
         self.take_over()
-        if self.config.skip_enabled:
-            self._processes.append(self.env.process(self._skip_loop()))
-        self._processes.append(self.env.process(self._retransmit_loop()))
-        self._processes.append(self.env.process(self._phase1_retry_loop()))
+        self._start_timers()
 
-    def _phase1_retry_loop(self):
-        """Escalate the ballot until Phase 1 succeeds (the previous
-        leader may have promised acceptors to a higher ballot)."""
-        while True:
-            try:
-                yield self.env.timeout(2 * self.config.retransmit_timeout)
-            except Interrupt:
-                return
-            if self.leading:
-                return
-            self.take_over()
+    def _start_timers(self) -> None:
+        env, config = self.env, self.config
+        timers = self._timers
+        if config.skip_enabled:
+            timers.append(every(env, config.delta_t, self._skip_tick))
+        timers.append(
+            every(env, config.retransmit_timeout, self._retransmit_tick)
+        )
+        timers.append(
+            every(env, 2 * config.retransmit_timeout, self._phase1_retry_tick)
+        )
+
+    def _phase1_retry_tick(self) -> bool:
+        """Escalate the ballot until Phase 1 succeeds (its messages may
+        have been lost, or the previous leader may have promised
+        acceptors to a higher ballot)."""
+        if self.leading:
+            return False
+        self.take_over()
+        return True
 
     def on_heartbeat(self, msg: Heartbeat, src: str) -> None:
         self.send(src, HeartbeatAck(nonce=msg.nonce))
 
     def stop(self) -> None:
         super().stop()
-        for proc in self._processes:
-            if proc.is_alive:
-                proc.interrupt("stop")
-        self._processes = []
+        for timer in self._timers:
+            timer.cancel()
+        self._timers = []
         self.leading = False
 
     # -- learner management -------------------------------------------------
@@ -546,7 +549,7 @@ class CoordinatorActor(Actor):
 
     # -- skips ---------------------------------------------------------------
 
-    def _skip_loop(self):
+    def _skip_tick(self) -> None:
         """Top the stream up to the virtual rate λ every Δt.
 
         The target is *absolute*: position λ·now.  Pacing every stream
@@ -557,52 +560,42 @@ class CoordinatorActor(Actor):
         ensemble's position in its first tick, and transient offsets
         heal instead of persisting as permanent merge latency.
         """
-        while True:
-            try:
-                yield self.env.timeout(self.config.delta_t)
-            except Interrupt:
-                return
-            if not self.leading:
-                continue
-            deficit = int(self.config.lam * self.env._now) - self.positions_proposed
-            if deficit > 0:
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.emit(
-                        "coord.skip", self.env._now, coordinator=self.name,
-                        stream=self.stream, count=deficit,
-                    )
-                metrics = self._metrics
-                if metrics is not None:
-                    metrics.counter(self.name, "skip_positions").record(deficit)
-                self.propose(SkipToken(count=deficit))
+        if not self.leading:
+            return
+        deficit = int(self.config.lam * self.env._now) - self.positions_proposed
+        if deficit > 0:
+            tracer = self._tracer
+            if tracer is not None:
+                tracer.emit(
+                    "coord.skip", self.env._now, coordinator=self.name,
+                    stream=self.stream, count=deficit,
+                )
+            metrics = self._metrics
+            if metrics is not None:
+                metrics.counter(self.name, "skip_positions").record(deficit)
+            self.propose(SkipToken(count=deficit))
 
     # -- retransmission ---------------------------------------------------------
 
-    def _retransmit_loop(self):
-        while True:
-            try:
-                yield self.env.timeout(self.config.retransmit_timeout)
-            except Interrupt:
-                return
-            if not self.leading:
-                continue
-            deadline = self.env._now - self.config.retransmit_timeout
-            for instance, info in sorted(self.outstanding.items()):
-                sent_at = info.get("sent_at")
-                if sent_at is not None and sent_at <= deadline:
-                    tracer = self._tracer
-                    if tracer is not None:
-                        tracer.emit(
-                            "coord.retransmit", self.env._now,
-                            coordinator=self.name, stream=self.stream,
-                            instance=instance,
-                        )
-                    metrics = self._metrics
-                    if metrics is not None:
-                        metrics.counter(self.name, "retransmits").record()
-                    self._send_phase2(instance, info["batch"])
-                    info["sent_at"] = self.env._now
+    def _retransmit_tick(self) -> None:
+        if not self.leading:
+            return
+        deadline = self.env._now - self.config.retransmit_timeout
+        for instance, info in sorted(self.outstanding.items()):
+            sent_at = info.get("sent_at")
+            if sent_at is not None and sent_at <= deadline:
+                tracer = self._tracer
+                if tracer is not None:
+                    tracer.emit(
+                        "coord.retransmit", self.env._now,
+                        coordinator=self.name, stream=self.stream,
+                        instance=instance,
+                    )
+                metrics = self._metrics
+                if metrics is not None:
+                    metrics.counter(self.name, "retransmits").record()
+                self._send_phase2(instance, info["batch"])
+                info["sent_at"] = self.env._now
 
     # -- log management -----------------------------------------------------------
 

@@ -17,7 +17,7 @@ import itertools
 from typing import Callable, Optional
 
 from ..net.actor import Actor
-from ..runtime.kernel import Interrupt, Kernel, Transport
+from ..runtime.kernel import Kernel, Timer, Transport, every
 from .coordinator import CoordinatorActor
 from .messages import Heartbeat, HeartbeatAck
 
@@ -52,50 +52,37 @@ class FailoverMonitor(Actor):
         self.failover_at: Optional[float] = None
         self._outstanding: Optional[int] = None
         self._missed = 0
-        self._proc = None
+        self._timer: Optional[Timer] = None
+        self._probed = False     # a heartbeat of this timer awaits judging
 
     def start(self) -> None:
         super().start()
-        self._proc = self.env.process(self._probe_loop())
+        self._probed = False
+        self._timer = every(self.env, self.interval, self._probe, first=0.0)
 
     def stop(self) -> None:
         super().stop()
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = None
 
-    def watch(self, active: str, standby: CoordinatorActor) -> None:
-        """Re-arm the monitor against a new active/standby pair.
-
-        After a failover the probe loop has exited; chained fault
-        scenarios (the promoted coordinator crashing in turn) re-arm the
-        monitor once a fresh standby is deployed.
-        """
-        self.active = active
-        self.standby = standby
-        self.failed_over = False
-        self.failover_at = None
-        self._outstanding = None
-        self._missed = 0
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.env.process(self._probe_loop())
-
-    def _probe_loop(self):
-        while not self.failed_over:
-            nonce = next(_nonces)
-            self._outstanding = nonce
-            self.send(self.active, Heartbeat(nonce=nonce))
-            try:
-                yield self.env.timeout(self.interval)
-            except Interrupt:
-                return
+    def _probe(self) -> bool:
+        """Judge the last heartbeat, then send the next one."""
+        if self._probed:
             if self._outstanding is None:
                 self._missed = 0      # the ack arrived in time
-                continue
-            self._missed += 1
-            if self._missed >= self.misses:
-                self._fail_over()
-                return
+            else:
+                self._missed += 1
+                if self._missed >= self.misses:
+                    self._fail_over()
+                    return False
+        if self.failed_over:
+            return False
+        self._probed = True
+        nonce = next(_nonces)
+        self._outstanding = nonce
+        self.send(self.active, Heartbeat(nonce=nonce))
+        return True
 
     def on_heartbeat_ack(self, msg: HeartbeatAck, src: str) -> None:
         if msg.nonce == self._outstanding:
@@ -134,17 +121,19 @@ class RingWatchdog(Actor):
         self.suspected: set[str] = set()
         self._outstanding: dict[int, str] = {}
         self._missed: dict[str, int] = {t: 0 for t in targets}
-        self._proc = None
+        self._timer: Optional[Timer] = None
+        self._probed = False     # heartbeats of this timer await judging
 
     def start(self) -> None:
         super().start()
-        self._proc = self.env.process(self._probe_loop())
+        self._probed = False
+        self._timer = every(self.env, self.interval, self._probe, first=0.0)
 
     def stop(self) -> None:
         super().stop()
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = None
 
     def forget(self, target: str) -> None:
         """Stop probing a removed ring member."""
@@ -152,19 +141,9 @@ class RingWatchdog(Actor):
             self.targets.remove(target)
         self._missed.pop(target, None)
 
-    def _probe_loop(self):
-        while True:
-            self._outstanding.clear()
-            for target in self.targets:
-                if target in self.suspected:
-                    continue
-                nonce = next(_nonces)
-                self._outstanding[nonce] = target
-                self.send(target, Heartbeat(nonce=nonce))
-            try:
-                yield self.env.timeout(self.interval)
-            except Interrupt:
-                return
+    def _probe(self) -> None:
+        """Judge the last round of heartbeats, then send the next."""
+        if self._probed:
             for _nonce, target in list(self._outstanding.items()):
                 if target not in self._missed:
                     continue
@@ -172,6 +151,14 @@ class RingWatchdog(Actor):
                 if self._missed[target] >= self.misses:
                     self.suspected.add(target)
                     self.on_suspect(target)
+        self._probed = True
+        self._outstanding.clear()
+        for target in self.targets:
+            if target in self.suspected:
+                continue
+            nonce = next(_nonces)
+            self._outstanding[nonce] = target
+            self.send(target, Heartbeat(nonce=nonce))
 
     def on_heartbeat_ack(self, msg: HeartbeatAck, src: str) -> None:
         target = self._outstanding.pop(msg.nonce, None)

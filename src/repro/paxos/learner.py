@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..net.actor import Actor
-from ..runtime.kernel import Interrupt, Kernel, Transport
+from ..runtime.kernel import Kernel, Timer, Transport, every
 from .config import StreamConfig
 from .messages import Decision, RecoverReply, RecoverRequest
 from .types import Batch
@@ -70,16 +70,18 @@ class LearnerCore:
         self._gap_since: Optional[float] = None
         self._recovery_requested_at: Optional[float] = None
         self._recovery_page_start: Optional[int] = None
-        self._gap_proc = None
+        self._gap_timer: Optional[Timer] = None
 
     def start(self) -> None:
-        if self._gap_proc is None or not self._gap_proc.is_alive:
-            self._gap_proc = self.env.process(self._gap_repair_loop())
+        if self._gap_timer is None:
+            self._gap_timer = every(
+                self.env, self.gap_timeout, self._gap_repair_tick
+            )
 
     def stop(self) -> None:
-        if self._gap_proc is not None and self._gap_proc.is_alive:
-            self._gap_proc.interrupt("stop")
-        self._gap_proc = None
+        if self._gap_timer is not None:
+            self._gap_timer.cancel()
+        self._gap_timer = None
 
     # -- live decisions ----------------------------------------------------
 
@@ -171,7 +173,7 @@ class LearnerCore:
                 # datagrams) must not fork the paging loop: each extra
                 # request would draw an extra reply, amplifying
                 # exponentially.  Lost replies are retried by the
-                # gap-repair loop, so pacing costs no liveness.
+                # gap-repair timer, so pacing costs no liveness.
                 if (
                     self._recovery_page_start is None
                     or self.next_instance > self._recovery_page_start
@@ -182,47 +184,42 @@ class LearnerCore:
 
     # -- gap repair -----------------------------------------------------------
 
-    def _gap_repair_loop(self):
+    def _gap_repair_tick(self) -> None:
         """Repair holes left by lost decision messages.
 
         If delivery has been stuck behind a gap for longer than
         ``gap_timeout`` while later instances sit in the buffer, fetch
         the missing range from an acceptor.
         """
-        while True:
-            try:
-                yield self.env.timeout(self.gap_timeout)
-            except Interrupt:
-                return
-            if self.catching_up:
-                # The catch-up request (or its reply) may have been lost
-                # in a partition: retry towards another acceptor.
-                if (
-                    self._recovery_requested_at is not None
-                    and self.env._now - self._recovery_requested_at
-                    >= 2 * self.gap_timeout
-                ):
-                    self._request_recovery(self.next_instance, -1)
-                continue
-            if not self.buffer:
-                continue
+        if self.catching_up:
+            # The catch-up request (or its reply) may have been lost
+            # in a partition: retry towards another acceptor.
             if (
-                self._gap_since is not None
-                and self.env._now - self._gap_since >= self.gap_timeout
+                self._recovery_requested_at is not None
+                and self.env._now - self._recovery_requested_at
+                >= 2 * self.gap_timeout
             ):
-                gap_end = min(self.buffer)
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.emit(
-                        "learner.gap_repair", self.env._now, owner=self.owner,
-                        stream=self.stream, from_instance=self.next_instance,
-                        to_instance=gap_end,
-                    )
-                metrics = self._metrics
-                if metrics is not None:
-                    metrics.counter(self.owner, "gap_repairs").record()
-                self._request_recovery(self.next_instance, gap_end)
-                self._gap_since = self.env._now
+                self._request_recovery(self.next_instance, -1)
+            return
+        if not self.buffer:
+            return
+        if (
+            self._gap_since is not None
+            and self.env._now - self._gap_since >= self.gap_timeout
+        ):
+            gap_end = min(self.buffer)
+            tracer = self._tracer
+            if tracer is not None:
+                tracer.emit(
+                    "learner.gap_repair", self.env._now, owner=self.owner,
+                    stream=self.stream, from_instance=self.next_instance,
+                    to_instance=gap_end,
+                )
+            metrics = self._metrics
+            if metrics is not None:
+                metrics.counter(self.owner, "gap_repairs").record()
+            self._request_recovery(self.next_instance, gap_end)
+            self._gap_since = self.env._now
 
 
 class LearnerActor(Actor):

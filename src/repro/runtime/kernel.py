@@ -1,15 +1,20 @@
 """Kernel/Transport: the execution interfaces the protocol codes against.
 
 The protocol layer (``repro.net``, ``repro.paxos``, ``repro.multicast``,
-``repro.kvstore``) is written as *sans-backend* actors: generator-based
-processes that yield events, plus fire-and-forget message sends.  This
-module pins down the two interfaces those actors are allowed to assume:
+``repro.kvstore``) is written as *sans-backend* actors: message
+handlers, deferred calls and periodic timers (:func:`every`), plus
+fire-and-forget message sends.  ``repro.net``, ``repro.paxos`` and
+``repro.multicast`` contain no generator process; the kvstore client's
+request workers and repartitioning scripts still are, and so run on
+the simulator only.  This module pins down the two interfaces those actors are allowed to
+assume:
 
-* :class:`Kernel` -- a clock, process spawning, timeouts/events and
-  deferred calls.  The discrete-event simulator
-  (:class:`repro.sim.core.Environment`) is one implementation; the live
-  asyncio backend (:class:`repro.runtime.asyncio_kernel.AsyncioKernel`)
-  is another.
+* :class:`Kernel` -- a clock, deferred calls and waitable events.  The
+  discrete-event simulator (:class:`repro.sim.core.Environment`) is one
+  implementation; the live asyncio backend
+  (:class:`repro.runtime.asyncio_kernel.AsyncioKernel`) is another.
+  Generator processes (``process`` / ``timeout`` / ``any_of``) are the
+  simulator's alone, for the scripts that drive a simulated run.
 * :class:`Transport` -- named hosts with inboxes and a datagram-style
   ``send``.  Implemented by the simulated
   :class:`repro.sim.network.Network` and by the real TCP transport
@@ -19,19 +24,21 @@ These are :class:`typing.Protocol` classes: implementations satisfy
 them structurally, no inheritance required, so the simulator's
 hand-optimised hot paths stay exactly as they are.
 
-Two concrete types live here rather than in ``repro.sim`` because both
-backends share them:
+Concrete types live here rather than in ``repro.sim`` because both
+backends, or kernel-generic code, share them:
 
-* :class:`Interrupt` -- the exception delivered into a process by
-  ``ProcessHandle.interrupt`` (crash injection, actor stop).  It must
-  be one class across backends so ``except Interrupt:`` in protocol
-  code works everywhere.
+* :func:`every` / :class:`Timer` -- the one periodic timer, built on
+  ``Kernel.call_later`` alone.
+* :class:`Interrupt` -- the exception a simulated process receives from
+  ``Process.interrupt``.  Sim-side scripts written against the kernel
+  interface (the kvstore client) catch it without importing the
+  simulator.
 * :class:`Envelope` -- the received-message record actors drain from
   their host inbox.
 
-``repro.sim.core`` / ``repro.sim.network`` re-export both, so existing
-imports keep working.  So is one constant, :data:`GC_THRESHOLD`: the
-collector's generation sizes while either backend's datapath runs.
+``repro.sim.core`` / ``repro.sim.network`` re-export the last two, so
+existing imports keep working.  So is one constant, :data:`GC_THRESHOLD`:
+the collector's generation sizes while either backend's datapath runs.
 
 Contract notes
 --------------
@@ -51,8 +58,6 @@ from __future__ import annotations
 from typing import (
     Any,
     Callable,
-    Generator,
-    Iterable,
     NamedTuple,
     Optional,
     Protocol,
@@ -68,7 +73,9 @@ __all__ = [
     "Interrupt",
     "Kernel",
     "ProcessHandle",
+    "Timer",
     "Transport",
+    "every",
 ]
 
 # Generation sizes while a datapath runs: the live node between start
@@ -84,10 +91,10 @@ GC_THRESHOLD = (10_000, 20, 20)
 
 
 class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
+    """Raised inside a simulated process when it is interrupted.
 
     The ``cause`` attribute carries the value passed to
-    ``ProcessHandle.interrupt``.
+    ``Process.interrupt``.
     """
 
     def __init__(self, cause: Any = None):
@@ -115,7 +122,8 @@ class Envelope(NamedTuple):
 
 @runtime_checkable
 class EventLike(Protocol):
-    """An event a process can yield on, with attachable callbacks.
+    """A one-shot event with attachable callbacks (what a capacity
+    model's ``request`` returns, and what a simulated process yields).
 
     ``callbacks`` is a list until the event is processed, then ``None``
     (the simulator's convention; the live kernel mirrors it).
@@ -133,7 +141,8 @@ class EventLike(Protocol):
 
 @runtime_checkable
 class ProcessHandle(Protocol):
-    """A spawned process: alive until its generator returns."""
+    """A running mailbox (or, on the simulator, process): alive until
+    it is interrupted or ends."""
 
     @property
     def is_alive(self) -> bool: ...
@@ -160,19 +169,57 @@ class Kernel(Protocol):
     @property
     def _now(self) -> float: ...
 
-    def process(self, generator: Generator) -> Any: ...
-
     def timeout(self, delay: float, value: Any = None) -> Any: ...
 
     def event(self) -> Any: ...
 
-    def any_of(self, events: Iterable[Any]) -> Any: ...
-
-    def all_of(self, events: Iterable[Any]) -> Any: ...
-
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None: ...
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> None: ...
+
+
+class Timer:
+    """A periodic timer armed by :func:`every`.
+
+    Each firing is one ``call_later`` entry.  It calls ``tick()`` and
+    arms the next firing ``interval`` later, unless ``tick()`` returned
+    ``False`` or cancelled the timer.  :meth:`cancel` cannot take back
+    the entry already in the calendar, so that firing still comes, and
+    does nothing.
+    """
+
+    __slots__ = ("_kernel", "_interval", "_tick", "active")
+
+    def __init__(
+        self, kernel: Kernel, interval: float, tick: Callable[[], Any],
+        first: float,
+    ):
+        self._kernel = kernel
+        self._interval = interval
+        self._tick = tick
+        self.active = True       # until cancelled or ``tick()`` is False
+        kernel.call_later(first, self._fire)
+
+    def cancel(self) -> None:
+        self.active = False
+
+    def _fire(self) -> None:
+        if not self.active:
+            return               # stale: cancelled after it was armed
+        if self._tick() is False:
+            self.active = False
+        elif self.active:
+            self._kernel.call_later(self._interval, self._fire)
+
+
+def every(
+    kernel: Kernel, interval: float, tick: Callable[[], Any],
+    first: Optional[float] = None,
+) -> Timer:
+    """Call ``tick()`` every ``interval`` seconds of ``kernel`` time,
+    from ``first`` seconds on (default: one ``interval``), until it
+    returns ``False`` or the returned :class:`Timer` is cancelled."""
+    return Timer(kernel, interval, tick, interval if first is None else first)
 
 
 @runtime_checkable

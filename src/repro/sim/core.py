@@ -1,11 +1,14 @@
 """Discrete-event simulation kernel.
 
-This module implements a small, deterministic, generator-based
-discrete-event simulator in the style of SimPy.  Protocol actors are
-plain Python generator functions that ``yield`` events (timeouts, other
-processes, custom events); the :class:`Environment` owns virtual time
-and an event calendar, and advances time from one scheduled event to the
-next.
+This module implements a small, deterministic discrete-event simulator
+in the style of SimPy.  The :class:`Environment` owns virtual time and
+an event calendar, and advances time from one scheduled entry to the
+next.  Protocol actors are no generators: they run as calendar entries
+-- a message handled by an actor's mailbox, a ``call_later``, a firing
+of a periodic timer (:func:`repro.runtime.kernel.every`) -- each owned
+by one actor.  Generator processes that ``yield`` events (timeouts,
+other processes, :class:`AnyOf`) are for the scripts that drive a
+simulated run: load generators, fault schedules, experiment phases.
 
 Design notes
 ------------
@@ -15,16 +18,17 @@ Design notes
 * Failure handling: exceptions raised inside a process propagate to the
   processes waiting on it, and ultimately out of :meth:`Environment.run`
   if nobody catches them.  Errors never pass silently.
-* Interrupts: a process may be interrupted (used for crash injection
-  and timeout patterns) which raises :class:`Interrupt` inside it.
+* Interrupts: a process may be interrupted (a script stopping a load
+  loop, a request timeout) which raises :class:`Interrupt` inside it.
 * Hot path: the calendar holds two kinds of entries -- full
   :class:`Event` objects (waitable, with callback lists) and pooled
   :class:`_ScheduledCall` records (plain ``fn(*args)`` at an instant,
   no callback list, recycled through a free list).  Message delivery,
-  throttle wakeups and process resumption at the current instant all
-  use the pooled fast path.  A message costs two entries: its arrival
-  (``Network.send``) and its handling -- a delivery to an actor whose
-  mailbox is parked schedules the handler itself
+  timer firings, throttle wakeups and process resumption at the
+  current instant all use the pooled fast path.  A message costs two
+  entries: its arrival (``Network.send``) and its handling -- a
+  delivery to an actor whose mailbox is parked schedules the handler
+  itself
   (:class:`repro.sim.queues.Mailbox`), in the slot the receive loop's
   wakeup used to take, with no event and no generator in between.
 * The calendar is two sorted runs merged by ``(time, seq)``: a heap for

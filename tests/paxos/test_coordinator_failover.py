@@ -103,3 +103,59 @@ def test_stale_coordinator_cannot_decide_after_takeover():
     ]
     assert stale_delivered == []
     assert len(delivered) == before
+
+
+def _cut_off_deployment(ring_mode):
+    env = Environment()
+    net = Network(env, rng=RngRegistry(15), default_link=LinkSpec(latency=0.001))
+    config = StreamConfig(
+        name="S1", acceptors=("S1/a1", "S1/a2", "S1/a3"), ring_mode=ring_mode,
+    )
+    deployment = StreamDeployment(env, net, config)
+    delivered = []
+    deployment.make_learner("learner", lambda i, b: delivered.append(b))
+    return env, net, deployment, delivered
+
+
+def _values(delivered):
+    return [t.payload for b in delivered for t in b.tokens
+            if isinstance(t, AppValue)]
+
+
+@pytest.mark.parametrize("ring_mode", [True, False])
+def test_a_coordinator_whose_phase1_is_lost_at_start_retries(ring_mode):
+    # Phase 1 runs at start; if every Phase1a or Phase1b is lost the
+    # coordinator must escalate its ballot on its own, or the stream
+    # never decides anything.
+    env, net, deployment, delivered = _cut_off_deployment(ring_mode)
+    coordinator = {deployment.coordinator.name}
+    acceptors = set(deployment.config.acceptors)
+    net.partition(coordinator, acceptors)
+    deployment.start()
+    env.run(until=0.05)
+    net.unpartition(coordinator, acceptors)
+    for i in range(5):
+        deployment.propose(AppValue(payload=("v", i)))
+    env.run(until=3.0)
+    assert deployment.coordinator.leading
+    assert _values(delivered) == [("v", i) for i in range(5)]
+
+
+@pytest.mark.parametrize("ring_mode", [True, False])
+def test_a_coordinator_whose_phase1_is_lost_at_recovery_retries(ring_mode):
+    env, net, deployment, delivered = _cut_off_deployment(ring_mode)
+    deployment.start()
+    env.run(until=0.5)
+    assert deployment.coordinator.leading
+    coordinator = {deployment.coordinator.name}
+    acceptors = set(deployment.config.acceptors)
+    net.partition(coordinator, acceptors)
+    deployment.coordinator.crash()
+    deployment.coordinator.recover()
+    env.run(until=0.55)
+    net.unpartition(coordinator, acceptors)
+    for i in range(5):
+        deployment.propose(AppValue(payload=("v", i)))
+    env.run(until=3.0)
+    assert deployment.coordinator.leading
+    assert _values(delivered) == [("v", i) for i in range(5)]

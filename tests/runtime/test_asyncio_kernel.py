@@ -1,5 +1,5 @@
-"""AsyncioKernel semantics: the live kernel must drive the same
-generator-process protocol the simulator does."""
+"""AsyncioKernel semantics: events, deferred calls, the failure list and
+the kernel-generic capacity models, over a real event loop."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import asyncio
 
 import pytest
 
-from repro.runtime.asyncio_kernel import AsyncioKernel, QueueFull
-from repro.runtime.kernel import Interrupt, Kernel
+from repro.runtime.asyncio_kernel import AsyncioKernel
+from repro.runtime.kernel import Kernel
 from repro.runtime.resources import Server
 from repro.storage.stable import StableStore
 
@@ -26,20 +26,19 @@ def test_kernel_satisfies_protocol():
     async def main():
         kernel = AsyncioKernel()
         assert isinstance(kernel, Kernel)
+        for gone in ("process", "any_of", "all_of", "store"):
+            assert not hasattr(kernel, gone)
 
     run(main())
 
 
-def test_timeout_resumes_process_with_value():
+def test_timeout_runs_its_callbacks_with_its_value():
     async def main():
         kernel = AsyncioKernel()
         got = []
-
-        def proc():
-            value = yield kernel.timeout(0.01, "tick")
-            got.append(value)
-
-        kernel.process(proc())
+        kernel.timeout(0.01, "tick").callbacks.append(
+            lambda event: got.append(event.value)
+        )
         await drain(kernel, 0.1)
         assert got == ["tick"]
         assert not kernel.failures
@@ -52,97 +51,23 @@ def test_event_succeed_and_fail():
         kernel = AsyncioKernel()
         results = []
 
-        def waiter(event):
-            try:
-                value = yield event
-                results.append(("ok", value))
-            except RuntimeError as exc:
-                results.append(("err", str(exc)))
+        def defuse(event):
+            event._defused = True
+            results.append(("err", str(event.value)))
 
         good = kernel.event()
         bad = kernel.event()
-        kernel.process(waiter(good))
-        kernel.process(waiter(bad))
-        await drain(kernel)
+        good.callbacks.append(lambda event: results.append(("ok", event.value)))
+        bad.callbacks.append(defuse)
         good.succeed(7)
         bad.fail(RuntimeError("boom"))
+        assert good.triggered and not good.processed
         await drain(kernel)
         assert sorted(results) == [("err", "boom"), ("ok", 7)]
-        assert not kernel.failures   # both failures were consumed
-
-    run(main())
-
-
-def test_any_of_and_all_of():
-    async def main():
-        kernel = AsyncioKernel()
-        seen = []
-
-        def proc():
-            first = kernel.timeout(0.01, "fast")
-            slow = kernel.timeout(0.5, "slow")
-            result = yield kernel.any_of([first, slow])
-            seen.append(set(result.values()))
-            both = yield kernel.all_of(
-                [kernel.timeout(0.01, "a"), kernel.timeout(0.02, "b")]
-            )
-            seen.append(set(both.values()))
-
-        kernel.process(proc())
-        await drain(kernel, 0.2)
-        assert seen == [{"fast"}, {"a", "b"}]
-
-    run(main())
-
-
-def test_interrupt_detaches_from_wait_target():
-    async def main():
-        kernel = AsyncioKernel()
-        store = kernel.store()
-        stopped = []
-
-        def loop():
-            while True:
-                try:
-                    item = yield store.get()
-                except Interrupt:
-                    stopped.append(True)
-                    return
-                stopped.append(item)
-
-        proc = kernel.process(loop())
-        await drain(kernel)
-        assert proc.is_alive
-        proc.interrupt("stop")
-        await drain(kernel)
-        assert stopped == [True]
-        assert not proc.is_alive
-        # The abandoned getter must not resurrect the process.
-        store.put_nowait("late")
-        await drain(kernel)
-        assert stopped == [True]
-
-    run(main())
-
-
-def test_store_fifo_and_bounded():
-    async def main():
-        kernel = AsyncioKernel()
-        store = kernel.store(capacity=2)
-        store.put_nowait(1)
-        store.put_nowait(2)
-        with pytest.raises(QueueFull):
-            store.put_nowait(3)
-        got = []
-
-        def consumer():
-            for _ in range(2):
-                item = yield store.get()
-                got.append(item)
-
-        kernel.process(consumer())
-        await drain(kernel)
-        assert got == [1, 2]
+        assert good.processed and good.callbacks is None
+        assert not kernel.failures   # the failure was consumed
+        with pytest.raises(RuntimeError):
+            good.succeed()
 
     run(main())
 
@@ -150,15 +75,13 @@ def test_store_fifo_and_bounded():
 def test_unconsumed_failure_is_collected():
     async def main():
         kernel = AsyncioKernel()
-
-        def exploder():
-            yield kernel.timeout(0.0)
-            raise ValueError("unhandled")
-
-        kernel.process(exploder())
+        reported = []
+        kernel.on_failure = reported.append
+        kernel.event().fail(ValueError("unhandled"))
         await drain(kernel)
-        assert len(kernel.failures) == 1
-        assert isinstance(kernel.failures[0], ValueError)
+        kernel.fail(KeyError("direct"))
+        assert [type(f) for f in kernel.failures] == [ValueError, KeyError]
+        assert reported == kernel.failures
 
     run(main())
 
@@ -168,29 +91,41 @@ def test_call_later_rejects_negative_delay():
         kernel = AsyncioKernel()
         with pytest.raises(ValueError):
             kernel.call_later(-1, lambda: None)
+        with pytest.raises(ValueError):
+            kernel.call_at(kernel.now - 1.0, lambda: None)
+        with pytest.raises(ValueError):
+            kernel.timeout(-1)
+        ran = []
+        kernel.call_later(0.0, ran.append, "later")
+        kernel.call_at(kernel.now + 0.01, ran.append, "at")
+        await drain(kernel, 0.1)
+        assert ran == ["later", "at"]
 
     run(main())
 
 
 def test_server_and_stable_store_run_on_live_kernel():
-    # The kernel-generic capacity models must work unchanged over the
-    # asyncio backend (structural typing, no sim import).
+    # The kernel-generic capacity models work unchanged over the
+    # asyncio backend (structural typing, no sim import), their events
+    # chained by callbacks.
     async def main():
         kernel = AsyncioKernel()
         server = Server(kernel, rate=1000.0, name="cpu")
         store = StableStore(kernel, write_latency=0.005)
+        disk = StableStore(kernel, write_bandwidth=1e6, name="disk")
         done = []
 
-        def proc():
-            yield server.request(cost=1.0)
-            yield store.write(64)
-            done.append(True)
+        def written(_event):
+            done.append("store")
+            disk.write(64).callbacks.append(lambda _e: done.append("disk"))
 
-        kernel.process(proc())
+        server.request(cost=1.0).callbacks.append(
+            lambda _event: store.write(64).callbacks.append(written)
+        )
         await drain(kernel, 0.1)
-        assert done == [True]
+        assert done == ["store", "disk"]
         assert server.completed == 1
-        assert store.writes == 1
+        assert (store.writes, disk.writes) == (1, 1)
         assert not kernel.failures
 
     run(main())

@@ -69,6 +69,32 @@ def test_protocol_layer_has_no_module_level_sim_import():
     assert not offenders, "\n".join(offenders)
 
 
+def test_protocol_actors_spawn_no_process():
+    # Protocol code runs as handlers, deferred calls and timers
+    # (``runtime.kernel.every``); generator processes are for sim-side
+    # scripts.  So the protocol packages yield nothing, spawn, wait on
+    # and interrupt no process.
+    waits = {"process", "timeout", "any_of"}
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for package in ("paxos", "multicast", "net"):
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                where = f"{path.relative_to(root.parent)}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                    offenders.append(f"{where} yields")
+                elif (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in waits):
+                    offenders.append(f"{where} calls .{node.func.attr}(")
+                elif (getattr(node, "id", None) == "Interrupt"
+                        or getattr(node, "attr", None) == "Interrupt"
+                        or (isinstance(node, ast.alias)
+                            and node.name == "Interrupt")):
+                    offenders.append(f"{where} names Interrupt")
+    assert not offenders, "\n".join(offenders)
+
+
 def test_live_nodes_are_assembled_in_one_place():
     # One way to stand up a live node: the in-process cluster and the
     # worker process both go through repro.runtime.node, so neither may

@@ -665,9 +665,7 @@ def test_a_running_actor_handles_frames_inside_the_receive_callback():
         assert len(sink_actor.host.inbox) == 0
         assert transport.messages_delivered == 2
         if observed:
-            kinds = [
-                e["kind"] for e in sink.events if e["kind"] != "live.process"
-            ]
+            kinds = [e["kind"] for e in sink.events]
             assert kinds == ["net.deliver", "actor.dispatch"] * 2
             assert [e["inbox_depth"] for e in sink.events
                     if e["kind"] == "net.deliver"] == [0, 0]
