@@ -32,7 +32,7 @@ def replay(group, initial, logs):
     delivered = []
     merger = ElasticMerger(
         group=group,
-        deliver=lambda v, s, p: delivered.append(v.payload),
+        deliver=lambda s, p, vs: delivered.extend(v.payload for v in vs),
         stream_provider=lambda name: logs[name],
     )
     merger.bootstrap({name: logs[name] for name in initial})
@@ -47,7 +47,7 @@ def merge_throughput_run(n_tokens=200_000):
     delivered = []
     merger = ElasticMerger(
         group="G",
-        deliver=lambda v, s, p: delivered.append(None),
+        deliver=lambda s, p, vs: delivered.extend([None] * len(vs)),
         stream_provider=lambda name: logs[name],
     )
     merger.bootstrap(logs)

@@ -126,7 +126,7 @@ def bench_dmerge_values(n_values: int) -> dict:
     delivered = [0]
     merger = ElasticMerger(
         "G1",
-        deliver=lambda v, s, p: delivered.__setitem__(0, delivered[0] + 1),
+        deliver=lambda s, p, vs: delivered.__setitem__(0, delivered[0] + len(vs)),
         stream_provider=lambda name: logs[name],
     )
     merger.bootstrap(logs)

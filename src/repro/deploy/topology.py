@@ -30,10 +30,25 @@ __all__ = [
     "WorkloadSpec",
     "agent_host",
     "build_topology",
+    "live_lambda",
     "load_address_file",
 ]
 
 SPEC_FORMAT = "repro-deploy-spec/1"
+
+# λ per value/s of offered rate in live mode.  λ caps admission
+# (docs/PROTOCOL.md §3), and a live stream is meant never to meet that
+# cap; but a closed loop, a burst or a ramp offers more than the nominal
+# rate: a closed loop sized at 20,000/s runs at ~70,000/s on one core,
+# so 2x would cap it and leave its loop idling between gate openings.
+LIVE_LAMBDA_PER_RATE = 8
+
+
+def live_lambda(peak_rate: float) -> int:
+    """λ for a live stream whose offered rate peaks at ``peak_rate``
+    values/s: ``LIVE_LAMBDA_PER_RATE`` times that, never below the sim
+    default (which would silently cap live admission)."""
+    return max(DEFAULT_LAMBDA, int(LIVE_LAMBDA_PER_RATE * peak_rate))
 
 
 def agent_host(node: str) -> str:
@@ -258,7 +273,7 @@ def build_topology(
     for index, replica in enumerate(replica_names):
         base = names[:nodes] if dedicate_stream_nodes else names
         placement_replicas[base[index % len(base)]].append(replica)
-    lam = overrides.pop("lam", max(DEFAULT_LAMBDA, int(2 * rate)))
+    lam = overrides.pop("lam", live_lambda(rate))
     workload = WorkloadSpec(
         duration=duration, rate=rate, burst=burst,
         **overrides.pop("workload", {}),

@@ -1,7 +1,8 @@
 """Always-on safety invariant checking for in-process clusters.
 
-:class:`InvariantSuite` taps every replica's delivery stream (via
-:meth:`repro.multicast.replica.MulticastReplica.add_delivery_observer`)
+:class:`InvariantSuite` taps every replica's delivery stream, one call
+per delivered run (via
+:meth:`repro.multicast.replica.MulticastReplica.add_run_observer`)
 and, whenever :meth:`~InvariantSuite.check` is called -- on a timer
 during a run and once at its end -- folds what was delivered since the
 last call into a :class:`repro.spec.SafetySpec`.  The properties are
@@ -130,21 +131,18 @@ class InvariantSuite:
             log = DeliveryLog(name, replica.group)
             self.logs[name] = log
             self.groups.setdefault(replica.group, []).append(name)
-            replica.add_delivery_observer(self._observer(log))
+            replica.add_run_observer(self._observer(log))
 
     def _observer(self, log: DeliveryLog):
         replica = self.replicas[log.replica]
+        records = log.records       # rewound in place, never replaced
 
-        def observe(value, stream, position):
-            log.append(
-                DeliveryRecord(
-                    stream=stream,
-                    position=position,
-                    msg_id=value.msg_id,
-                    payload=value.payload,
-                    at=replica.env.now,
-                )
-            )
+        def observe(stream, first, values):
+            at = replica.env.now
+            records.extend([
+                DeliveryRecord(stream, position, value.msg_id, value.payload, at)
+                for position, value in enumerate(values, first)
+            ])
 
         return observe
 

@@ -52,9 +52,8 @@ class BroadcastReplica(MulticastReplica):
         group: str,
         directory: Mapping[str, StreamDeployment],
         cpu_rate: float = 2800.0,
-        gap_timeout: float = 0.2,
     ):
-        super().__init__(env, network, name, group, directory, gap_timeout=gap_timeout)
+        super().__init__(env, network, name, group, directory)
         self.cpu = Server(env, rate=cpu_rate, name=f"{name}:cpu")
         self.delivered_ops = Counter(env, f"{name}:delivered")
         self.per_stream_ops: dict[str, Counter] = {}
@@ -68,7 +67,6 @@ class BroadcastReplica(MulticastReplica):
         return counter
 
     def apply(self, value: AppValue, stream: str, position: int) -> None:
-        super().apply(value, stream, position)   # tracing + delivery taps
         self.delivered_ops.record()
         self.stream_counter(stream).record()
         done = self.cpu.request(1.0)

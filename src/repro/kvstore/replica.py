@@ -62,9 +62,8 @@ class KvReplica(MulticastReplica):
         put_cost: float = 1.0,
         get_cost: float = 1.0,
         range_cost_per_key: float = 0.05,
-        gap_timeout: float = 0.2,
     ):
-        super().__init__(env, network, name, group, directory, gap_timeout=gap_timeout)
+        super().__init__(env, network, name, group, directory)
         self.store = InMemoryStore()
         self.partition_map = partition_map
         self.cpu = Server(env, rate=cpu_rate, name=f"{name}:cpu")
@@ -113,7 +112,6 @@ class KvReplica(MulticastReplica):
     # -- command execution --------------------------------------------------------
 
     def apply(self, value: AppValue, stream: str, position: int) -> None:
-        super().apply(value, stream, position)   # tracing + delivery taps
         command = value.payload
         if isinstance(command, PutCmd):
             self._apply_put(command)

@@ -46,7 +46,7 @@ Determinism notes (choices Algorithm 1 leaves open, pinned here):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..paxos.types import (
     AppValue,
@@ -101,7 +101,12 @@ class ElasticMerger:
         Replication group this replica belongs to; control messages of
         other groups are consumed silently.
     deliver:
-        ``deliver(value, stream, position)`` called in merge order.
+        ``deliver(stream, first_position, values)`` called in merge
+        order: ``values`` were delivered from ``stream`` at the
+        consecutive positions from ``first_position`` on.  With one
+        stream in Σ and no subscription pending a step delivers the
+        whole decided run under the cursor; otherwise Algorithm 1 takes
+        one position per turn and every run is one value long.
     stream_provider:
         ``stream_provider(stream_name) -> TokenLog`` -- invoked when the
         merger needs a stream it has no learner for (subscribe without
@@ -120,7 +125,7 @@ class ElasticMerger:
     def __init__(
         self,
         group: str,
-        deliver: Callable[[AppValue, str, int], None],
+        deliver: Callable[[str, int, Sequence[AppValue]], None],
         stream_provider: Callable[[str], TokenLog],
         stream_releaser: Optional[Callable[[str], None]] = None,
         on_subscription_change: Optional[Callable[[str, str], None]] = None,
@@ -275,11 +280,21 @@ class ElasticMerger:
             return False
         if self._blocked_since is not None:
             self._note_unblocked()
-        if (
-            len(self.sigma) > 1
-            and isinstance(token, SkipToken)
-            and self._skip_rounds()
-        ):
+        if len(self.sigma) == 1:
+            if token.__class__ is AppValue:
+                # Sole stream, no subscription pending: one position per
+                # turn would deliver the whole decided run back to back,
+                # so deliver it as one.
+                run = cursor.value_run()
+                first = cursor.position
+                cursor.position = first + len(run)
+                self.stats.delivered += len(run)
+                self.stats.per_stream_delivered[stream] = (
+                    self.stats.per_stream_delivered.get(stream, 0) + len(run)
+                )
+                self.deliver(stream, first, run)
+                return True
+        elif isinstance(token, SkipToken) and self._skip_rounds():
             return True
         self._rr = (self._rr + 1) % len(self.sigma)
         self._consume(stream, cursor, token, deliver=True)
@@ -321,7 +336,7 @@ class ElasticMerger:
                 self.stats.per_stream_delivered[stream] = (
                     self.stats.per_stream_delivered.get(stream, 0) + 1
                 )
-                self.deliver(token, stream, cursor.position - 1)
+                self.deliver(stream, cursor.position - 1, (token,))
             return
         if isinstance(token, SubscribeMsg):
             self._handle_subscribe(token)

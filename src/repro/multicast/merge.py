@@ -75,6 +75,18 @@ class StreamCursor:
             return self._cache_end - self.position
         return 0
 
+    def value_run(self) -> list[AppValue]:
+        """The decided run of :class:`AppValue` tokens from the one under
+        the cursor on (one position each, so they sit at the positions
+        from ``position`` on), as a slice of the log; the cursor must
+        have just peeked the first of them."""
+        tokens = self.log._tokens
+        start = end = self.index_hint
+        count = len(tokens)
+        while end < count and tokens[end].__class__ is AppValue:
+            end += 1
+        return tokens[start:end]
+
 
 class StaticMerger:
     """Deterministic round-robin merge over a fixed set of streams."""

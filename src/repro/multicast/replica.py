@@ -10,7 +10,7 @@ through ``on_deliver`` or by subclassing.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..net.actor import Actor
 from ..paxos.learner import LearnerCore
@@ -21,6 +21,9 @@ from .elastic import ElasticMerger
 from .stream import StreamDeployment, TokenLog
 
 __all__ = ["MulticastReplica"]
+
+# ``observer(stream, first_position, values)``: one delivered run.
+RunObserver = Callable[[str, int, Sequence[AppValue]], None]
 
 
 class MulticastReplica(Actor):
@@ -46,26 +49,36 @@ class MulticastReplica(Actor):
         group: str,
         directory: Mapping[str, StreamDeployment],
         on_deliver: Optional[Callable[[AppValue, str, int], None]] = None,
-        gap_timeout: float = 0.2,
     ):
         super().__init__(env, network, name)
         self.group = group
         self.directory = directory
         self._on_deliver = on_deliver
+        # What a delivered value is applied with: the subclass's
+        # ``apply``, else the callback -- None when there is neither, so
+        # a run is then traced, counted and tapped, and that is all.
+        self._apply = (
+            self.apply if type(self).apply is not MulticastReplica.apply
+            else on_deliver
+        )
         # Fixed at environment construction; cached for the hot probes.
         self._tracer = env.tracer
         self._metrics = env.metrics
-        self._observers: list[Callable[[AppValue, str, int], None]] = []
+        self._taps: list[RunObserver] = []
         self.learners: dict[str, LearnerCore] = {}
         self.logs: dict[str, TokenLog] = {}
-        self.merger = ElasticMerger(
-            group=group,
-            deliver=self.apply,
+        self.merger = self._new_merger()
+
+    def _new_merger(self) -> ElasticMerger:
+        env = self.env
+        return ElasticMerger(
+            group=self.group,
+            deliver=self._deliver_run,
             stream_provider=self._provide_stream,
             stream_releaser=self._release_stream,
             on_subscription_change=self.on_subscription_change,
             now=lambda: env.now,
-            owner=name,
+            owner=self.name,
             env=env,
         )
 
@@ -73,28 +86,53 @@ class MulticastReplica(Actor):
 
     def apply(self, value: AppValue, stream: str, position: int) -> None:
         """Deliver one value to the application (override or callback)."""
+        if self._on_deliver is not None:
+            self._on_deliver(value, stream, position)
+
+    def _deliver_run(
+        self, stream: str, first: int, values: Sequence[AppValue]
+    ) -> None:
+        """The merger delivered ``values`` from ``stream`` at the
+        positions from ``first`` on: one trace record, one counter bump
+        and one call per tap for the run, then each value applied."""
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
                 "replica.deliver", self.env.now,
-                (self.name, self.group, stream, position, value.msg_id),
+                (self.name, self.group, stream, first)
+                + tuple([value.msg_id for value in values]),
             )
         metrics = self._metrics
         if metrics is not None:
-            metrics.counter(self.name, "delivered").record()
-        for observer in self._observers:
-            observer(value, stream, position)
-        if self._on_deliver is not None:
-            self._on_deliver(value, stream, position)
+            metrics.counter(self.name, "delivered").record(len(values))
+        for tap in self._taps:
+            tap(stream, first, values)
+        apply = self._apply
+        if apply is not None:
+            for value in values:
+                apply(value, stream, first)
+                first += 1
+
+    def add_run_observer(self, observer: RunObserver) -> None:
+        """Attach a tap invoked once per delivered run, ``observer(stream,
+        first_position, values)``, before the application.  Observers
+        survive crash/recovery (they watch the replica, not its volatile
+        state) -- the invariant checkers of :mod:`repro.faults` attach
+        through this."""
+        self._taps.append(observer)
 
     def add_delivery_observer(
         self, observer: Callable[[AppValue, str, int], None]
     ) -> None:
-        """Attach a tap invoked on every delivery, before the
-        application.  Observers survive crash/recovery (they watch the
-        replica, not its volatile state) -- the invariant checkers of
-        :mod:`repro.faults` attach through this."""
-        self._observers.append(observer)
+        """:meth:`add_run_observer` for a per-value tap,
+        ``observer(value, stream, position)``."""
+
+        def tap(stream: str, first: int, values: Sequence[AppValue]) -> None:
+            for value in values:
+                observer(value, stream, first)
+                first += 1
+
+        self._taps.append(tap)
 
     def on_subscription_change(self, kind: str, stream: str) -> None:
         """Subclass hook: Σ changed ('subscribe'/'unsubscribe')."""
@@ -235,16 +273,7 @@ class MulticastReplica(Actor):
         for stream in list(self.learners):
             self._release_stream(stream)
         self.host.recover()
-        self.merger = ElasticMerger(
-            group=self.group,
-            deliver=self.apply,
-            stream_provider=self._provide_stream,
-            stream_releaser=self._release_stream,
-            on_subscription_change=self.on_subscription_change,
-            now=lambda: self.env.now,
-            owner=self.name,
-            env=self.env,
-        )
+        self.merger = self._new_merger()
         logs = {}
         positions = {}
         for stream, point in checkpoint["streams"].items():

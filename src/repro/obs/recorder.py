@@ -12,7 +12,9 @@ kind, *values)`` records (``FIXED_SHAPE`` in :mod:`repro.obs.schema`)
 and stay that way in the ring -- one small tuple of scalars the
 collector stops tracking, no dict -- until :meth:`~FlightRecorder.events`,
 :meth:`~FlightRecorder.causal_history` or :meth:`~FlightRecorder.dump`
-reads them.  Every other kind arrives as the dict it always was.
+reads them.  Every other kind arrives as the dict it always was.  The
+ring bound counts entries: a replica's delivered run is one record, read
+back as one ``replica.deliver`` event per value.
 
 :meth:`FlightRecorder.causal_history` filters the buffer down to the
 events that mention one message id (``msg_id`` field, ``msg_ids`` batch
@@ -46,7 +48,7 @@ class FlightRecorder:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._buffer: deque[Union[dict, tuple]] = deque(maxlen=capacity)
-        self.recorded = 0          # lifetime count (>= len(buffer))
+        self.recorded = 0          # lifetime entries (>= len(buffer))
 
     def record(self, event: Union[dict, tuple]) -> None:
         self.recorded += 1
@@ -57,16 +59,20 @@ class FlightRecorder:
 
     @property
     def dropped(self) -> int:
-        """Events evicted by the ring bound."""
+        """Entries (events, or run records) evicted by the ring bound."""
         return self.recorded - len(self._buffer)
 
     def events(self) -> list[dict]:
-        """Snapshot of the buffered events, oldest first."""
+        """Snapshot of the buffered events, oldest first (a run record
+        read back as its per-value events)."""
         node = self.node
-        return [
-            event if event.__class__ is dict else materialise(event, node)
-            for event in self._buffer
-        ]
+        events: list[dict] = []
+        for entry in self._buffer:
+            if entry.__class__ is dict:
+                events.append(entry)
+            else:
+                events.extend(materialise(entry, node))
+        return events
 
     def clear(self) -> None:
         self._buffer.clear()

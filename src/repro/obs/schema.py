@@ -125,15 +125,23 @@ class FixedShape(NamedTuple):
     cat: str
     fields: tuple[str, ...]             # payload field names, emit order
     optional: frozenset = frozenset()   # left out of the event when None
+    # A run record stands for consecutive events: it carries one value
+    # of the last field per event, the field before it counts up from
+    # the value the record carries, and the events take consecutive
+    # ``seq`` numbers at one ``ts``.
+    run: bool = False
 
 
 # The kinds emitted once or more per delivered value.  Their call sites
 # pass ``Tracer.emit(kind, at, values)`` one positional tuple in the
 # order of ``fields`` and the flight recorder keeps the record ``(ts,
-# seq, kind, *values)`` as is; :func:`materialise` builds the event dict
-# -- same keys, same order as the keyword form of ``emit`` would -- when
-# somebody reads it.  ``fields`` starts with the kind's required fields
-# (tests/obs/test_schema.py holds the two declarations together).
+# seq, kind, *values)`` as is; :func:`materialise` builds the event
+# dicts -- same keys, same order as the keyword form of ``emit`` would
+# -- when somebody reads it.  ``fields`` starts with the kind's required
+# fields (tests/obs/test_schema.py holds the two declarations together).
+# ``replica.deliver`` is a run: ``(replica, group, stream, position,
+# msg_id, msg_id, ...)`` is one delivered run of a stream, a value per
+# position from ``position`` on (``MulticastReplica``).
 FIXED_SHAPE: dict[str, FixedShape] = {
     "client.submit": FixedShape(
         "client", ("client", "stream", "msg_id", "size")),
@@ -145,20 +153,34 @@ FIXED_SHAPE: dict[str, FixedShape] = {
     "net.context": FixedShape(
         "meta", ("src", "dst", "origin", "msg_id", "origin_ts")),
     "replica.deliver": FixedShape(
-        "replica", ("replica", "group", "stream", "position", "msg_id")),
+        "replica", ("replica", "group", "stream", "position", "msg_id"),
+        run=True),
 }
 
 
-def materialise(record: tuple, node: Optional[str] = None) -> dict:
-    """The event dict of one ``(ts, seq, kind, *values)`` record, as a
-    tracer stamping ``node`` emits it."""
+def materialise(record: tuple, node: Optional[str] = None) -> list[dict]:
+    """The event dicts of one ``(ts, seq, kind, *values)`` record, as a
+    tracer stamping ``node`` emits them: one, or one per value of a run."""
     ts, seq, kind = record[:3]
     shape = FIXED_SHAPE[kind]
+    if not shape.run:
+        return [_event(shape, ts, seq, kind, node, record[3:])]
+    last = 2 + len(shape.fields)        # index of the first repeated value
+    head, first = record[3:last - 1], record[last - 1]
+    return [
+        _event(shape, ts, seq + offset, kind, node,
+               head + (first + offset, value))
+        for offset, value in enumerate(record[last:])
+    ]
+
+
+def _event(shape: FixedShape, ts, seq: int, kind: str,
+           node: Optional[str], values: tuple) -> dict:
     event = {"ts": ts, "seq": seq, "kind": kind, "cat": shape.cat}
     if node is not None:
         event["node"] = node
     optional = shape.optional
-    for name, value in zip(shape.fields, record[3:]):
+    for name, value in zip(shape.fields, values):
         if value is not None or name not in optional:
             event[name] = value
     return event

@@ -25,7 +25,8 @@ The few kinds emitted per delivered value (``FIXED_SHAPE`` in
 values)``, one positional tuple: a sink that ``takes_records`` (the
 flight recorder) keeps the record ``(ts, seq, kind, *values)`` and
 builds the dict when it is read, every other sink gets the same dict as
-ever, built once per event.
+ever, built once per event.  A delivered run is one ``replica.deliver``
+record that stands for one event per value.
 
 Installation
 ------------
@@ -48,7 +49,6 @@ first dot (``net.send`` -> ``net``).  High-volume wire/kernel categories
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 from typing import Any, Callable, Iterable, Optional
 
@@ -191,16 +191,19 @@ class Tracer:
         self.categories = frozenset(
             categories if categories is not None else DEFAULT_CATEGORIES
         )
-        self._fixed_kinds = frozenset(
-            kind for kind, shape in FIXED_SHAPE.items()
+        # Fixed-shape kinds wanted -> payload fields less one: a record
+        # of one of them stands for ``len(values)`` less that many
+        # events (one, unless the kind is a run).
+        self._fixed_kinds = {
+            kind: len(shape.fields) - 1 for kind, shape in FIXED_SHAPE.items()
             if shape.cat in self.categories
-        )
+        }
         # Cached membership tests for the hottest guard sites.
         self.wants_net = "net" in self.categories
         self.wants_sim = "sim" in self.categories
         self.wants_dispatch = "dispatch" in self.categories
-        self._seq = itertools.count()
-        self.emitted = 0
+        self._seq = 0                   # the next event's seq
+        self.emitted = 0                # events, a run counted per value
 
     def add_sink(self, sink: Any) -> None:
         self._sink_objs.append(sink)
@@ -226,31 +229,38 @@ class Tracer:
 
         Either keyword ``fields`` (``cat`` defaults to the ``kind``
         prefix before the first dot), or -- for a ``FIXED_SHAPE`` kind
-        -- ``values``, the payload as one tuple in the declared order.
+        -- ``values``, the payload as one tuple in the declared order
+        (for a run kind, one value of its last field per event: the
+        record takes that many consecutive ``seq`` numbers).
         Fields must be JSON-serialisable (strings, numbers, lists).
         """
+        seq = self._seq
         if values is not None:
-            if kind not in self._fixed_kinds:
+            head = self._fixed_kinds.get(kind)
+            if head is None:
                 if kind not in FIXED_SHAPE:     # filtered out is fine
                     raise KeyError(f"no FIXED_SHAPE declared for {kind!r}")
                 return
+            count = len(values) - head
+            self._seq = seq + count
+            self.emitted += count
             # Flat, not nested: a tuple of scalars leaves the collector's
             # lists at the first pass that sees it, a tuple holding a
             # tuple only at the second (docs/RUNTIME.md, "Collector
             # policy").
-            record = (at, next(self._seq), kind) + values
-            self.emitted += 1
+            record = (at, seq, kind) + values
             for sink in self._record_sinks:
                 sink(record)
             if self._dict_sinks:
-                event = materialise(record, self.node)
-                for sink in self._dict_sinks:
-                    sink(event)
+                for event in materialise(record, self.node):
+                    for sink in self._dict_sinks:
+                        sink(event)
             return
         category = cat if cat is not None else _CATEGORY_OF[kind]
         if category not in self.categories:
             return
-        event = {"ts": at, "seq": next(self._seq), "kind": kind, "cat": category}
+        self._seq = seq + 1
+        event = {"ts": at, "seq": seq, "kind": kind, "cat": category}
         if self.node is not None:
             event["node"] = self.node
         event.update(fields)

@@ -372,8 +372,8 @@ class CoordinatorActor(Actor):
         tokens are never throttled.
 
         The bucket holds up to one batch of burst credit so that
-        batching still works under a throttle; admission of individual
-        values advances the gate inside :meth:`_take_batch`.
+        batching still works under a throttle; admitted values advance
+        the gate inside :meth:`_take_batch`.
         ``burst_tokens`` widens the credit cap to the adaptive batch
         target when adaptive batching is active.
         """
@@ -415,6 +415,14 @@ class CoordinatorActor(Actor):
         self._pump_proposals()
 
     def _take_batch(self, max_tokens: Optional[int] = None) -> Batch:
+        """Cut the next batch off ``pending``: at most ``max_tokens``
+        tokens and ``batch_max_bytes``, its values charged to the λ
+        bucket.  Under the fixed trigger each value is charged as it is
+        cut, and the batch ends where the credit does.  Under adaptive
+        batching the batch the policy sized leaves whole once the gate
+        is open, charged ``values / λ`` at once: the gate then stays
+        shut for that long, so the rate stays ≤ λ and a burst is bounded
+        by two batch targets (docs/PROTOCOL.md §3)."""
         # Reused scratch list: ``Batch`` copies into a tuple anyway.
         tokens = self._batch_scratch
         tokens.clear()
@@ -426,19 +434,27 @@ class CoordinatorActor(Actor):
         if max_tokens is None:
             max_tokens = config.batch_max_tokens
         max_bytes = config.batch_max_bytes
+        per_value = self._batch_policy is None
+        values = 0
         while pending and len(tokens) < max_tokens:
             token = pending[0]
             size = getattr(token, "size", 0)
             if tokens and nbytes + size > max_bytes:
                 break
             if limit is not None and isinstance(token, AppValue):
-                if self._value_gate_open > now:
+                if (per_value or not values) and self._value_gate_open > now:
                     break   # bucket drained: the rest waits for credit
-                self._value_gate_open = max(
-                    self._value_gate_open, now - max_tokens / limit
-                ) + 1.0 / limit
+                if per_value:
+                    self._value_gate_open = max(
+                        self._value_gate_open, now - max_tokens / limit
+                    ) + 1.0 / limit
+                values += 1
             tokens.append(pending.popleft())
             nbytes += size
+        if values and not per_value:
+            self._value_gate_open = max(
+                self._value_gate_open, now - max_tokens / limit
+            ) + values / limit
         since = self._pending_since
         if since is not None and tokens:
             first = since[0] if since else now

@@ -154,7 +154,7 @@ class LiveNode:
                 self.kernel, self.transport, replica_name, group=group,
                 directory=directory,
             )
-            replica.add_delivery_observer(self._latency_tap)
+            replica.add_run_observer(self._latency_tap)
             self.replicas[replica_name] = replica
         self.client: Optional[MulticastClient] = None
         if client:
@@ -250,14 +250,23 @@ class LiveNode:
 
     # -- observation --------------------------------------------------
 
-    def _latency_tap(self, value: AppValue, stream: str, position: int) -> None:
-        sent = self.submit_at.get(value.msg_id)
-        if sent is not None:
-            latency_ms = 1000.0 * (self._loop.time() - sent)
-            self.latencies_ms.append(latency_ms)
-            metrics = self.kernel.metrics
-            if metrics is not None:
-                metrics.histogram("client", "latency_ms").record(latency_ms)
+    def _latency_tap(
+        self, stream: str, first: int, values: Sequence[AppValue]
+    ) -> None:
+        """A local replica delivered a run: time the values this node's
+        :meth:`multicast` submitted."""
+        submit_at = self.submit_at
+        if not submit_at:
+            return
+        now = self._loop.time()
+        metrics = self.kernel.metrics
+        for value in values:
+            sent = submit_at.get(value.msg_id)
+            if sent is not None:
+                latency_ms = 1000.0 * (now - sent)
+                self.latencies_ms.append(latency_ms)
+                if metrics is not None:
+                    metrics.histogram("client", "latency_ms").record(latency_ms)
 
     def health(self) -> dict:
         """The ``/health`` snapshot: what runs here and how far it got."""

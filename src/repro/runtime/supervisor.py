@@ -34,12 +34,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..deploy.topology import build_topology
+from ..deploy.topology import build_topology, live_lambda
 from ..faults.invariants import InvariantSuite
 from ..multicast.replica import MulticastReplica
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import Tracer, current_metrics, current_tracer
-from ..paxos.skip import DEFAULT_LAMBDA
 from .driver import Agreement, RunDriver, verdict
 from .node import CollectorPolicy, LiveNode, NodeOps
 from .telemetry import http_get_json
@@ -87,14 +86,12 @@ class LiveConfig:
     uvloop: bool = False            # prefer uvloop's event loop if present
 
     def effective_lam(self) -> int:
-        """λ for each stream's skip pacing.  The sim default (4000
-        positions/s) silently caps live admission when the offered rate
-        approaches it, so unless pinned explicitly λ scales to twice
-        the peak offered rate."""
+        """λ for each stream's skip pacing.  λ caps admission, so
+        unless pinned explicitly it scales to the peak offered rate
+        with room to spare (:func:`repro.deploy.topology.live_lambda`)."""
         if self.lam is not None:
             return self.lam
-        peak = max(self.rate, self.rate_ramp or 0.0)
-        return max(DEFAULT_LAMBDA, int(2 * peak))
+        return live_lambda(max(self.rate, self.rate_ramp or 0.0))
 
     def __post_init__(self):
         if self.streams < 1:

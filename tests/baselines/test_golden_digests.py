@@ -50,7 +50,9 @@ def replay(group: str, initial: list[str], logs: dict[str, TokenLog]) -> list:
     delivered: list = []
     merger = ElasticMerger(
         group,
-        deliver=lambda v, s, p: delivered.append((s, p, v.payload)),
+        deliver=lambda s, p, vs: delivered.extend(
+            (s, q, v.payload) for q, v in enumerate(vs, p)
+        ),
         stream_provider=lambda name: logs[name],
     )
     merger.bootstrap({name: logs[name] for name in initial})

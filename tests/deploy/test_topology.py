@@ -60,7 +60,7 @@ def test_stream_config_identical_on_every_worker():
     assert first.acceptors == (
         "s1/acceptor-1", "s1/acceptor-2", "s1/acceptor-3"
     )
-    assert first.lam == 6000         # scales with the offered rate
+    assert first.lam == 24000        # scales with the offered rate
     assert build_topology(rate=100.0).lam == 4000   # never below default
 
 

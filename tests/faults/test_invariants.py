@@ -28,16 +28,23 @@ class StubReplica:
         )
         self._observers = []
 
-    def add_delivery_observer(self, observer):
+    def add_run_observer(self, observer):
         self._observers.append(observer)
 
     def deliver(self, msg_id, stream, position, payload=None):
-        value = types.SimpleNamespace(
-            msg_id=msg_id,
-            payload=payload if payload is not None else msg_id,
+        self.deliver_run(
+            stream, position, [(msg_id, payload if payload is not None else msg_id)]
         )
+
+    def deliver_run(self, stream, first, values):
+        """``values``: ``(msg_id, payload)`` pairs at the positions from
+        ``first`` on, handed over as one run."""
+        run = [
+            types.SimpleNamespace(msg_id=msg_id, payload=payload)
+            for msg_id, payload in values
+        ]
         for observer in self._observers:
-            observer(value, stream, position)
+            observer(stream, first, run)
 
 
 def make_suite(**replicas):
@@ -158,6 +165,22 @@ def test_check_folds_each_delivery_once():
             position += 1
         suite.check()
         assert _folded_everything(suite) and suite.spec.folded == 3 * position
+
+
+def test_a_delivered_run_is_logged_and_folded_value_by_value():
+    suite, rs = make_suite(r1=StubReplica("G1"), r2=StubReplica("G1"))
+    rs["r1"].deliver_run("S1", 4, [(10, "a"), (11, "b"), (12, "c")])
+    for position, msg_id in ((4, 10), (5, 11), (6, 12)):
+        rs["r2"].deliver(msg_id, "S1", position)
+    suite.check()
+    assert suite.logs["r1"].sequence() == suite.logs["r2"].sequence() == [
+        ("S1", 4, 10), ("S1", 5, 11), ("S1", 6, 12),
+    ]
+    assert [r.payload for r in suite.logs["r1"].records] == ["a", "b", "c"]
+    assert suite.spec.folded == 6
+    rs["r1"].deliver_run("S1", 7, [(13, 13), (13, 13)])   # one run, twice
+    with pytest.raises(InvariantViolation, match="twice"):
+        suite.check()
 
 
 def test_check_with_nothing_new_folds_nothing_and_searches_no_cycle():

@@ -20,7 +20,9 @@ class Harness:
         self.released = []
         self.merger = ElasticMerger(
             group=group,
-            deliver=lambda v, s, p: self.delivered.append((v.payload, s)),
+            deliver=lambda s, p, vs: self.delivered.extend(
+                (v.payload, s) for v in vs
+            ),
             stream_provider=lambda name: all_logs[name],
             stream_releaser=self.released.append,
         )
@@ -130,7 +132,7 @@ def test_positions_reported_to_deliver_are_monotonic_per_stream():
     positions = {"S1": [], "S2": []}
     merger = ElasticMerger(
         group="G",
-        deliver=lambda v, s, p: positions[s].append(p),
+        deliver=lambda s, p, vs: positions[s].extend(range(p, p + len(vs))),
         stream_provider=lambda name: logs[name],
     )
     merger.bootstrap(logs)
@@ -159,7 +161,9 @@ def test_retried_subscribe_deferred_behind_the_first_does_not_double_sigma():
     for group, out in delivered.items():
         mergers[group] = ElasticMerger(
             group=group,
-            deliver=lambda v, s, p, out=out: out.append((s, p, v.msg_id)),
+            deliver=lambda s, p, vs, out=out: out.extend(
+                (s, q, v.msg_id) for q, v in enumerate(vs, p)
+            ),
             stream_provider=logs.__getitem__,
         )
         mergers[group].bootstrap({"S1": logs["S1"]})

@@ -31,7 +31,9 @@ class Harness:
         self.all_logs = all_logs
         self.merger = ElasticMerger(
             group=group,
-            deliver=lambda v, s, p: self.delivered.append((v.payload, s, p)),
+            deliver=lambda s, p, vs: self.delivered.extend(
+                (v.payload, s, q) for q, v in enumerate(vs, p)
+            ),
             stream_provider=lambda name: self.all_logs[name],
             stream_releaser=self.released.append,
         )
@@ -345,7 +347,7 @@ def test_head_of_line_episode_traced_with_blocking_stream():
     env = _FakeEnv(tracer)
     merger = ElasticMerger(
         group="G",
-        deliver=lambda v, s, p: None,
+        deliver=lambda s, p, vs: None,
         stream_provider=lambda name: logs[name],
         now=lambda: env.now,
         owner="G/r1",
@@ -377,7 +379,7 @@ def test_no_head_of_line_tracking_without_env():
     s1 = TokenLog()
     merger = ElasticMerger(
         group="G",
-        deliver=lambda v, s, p: None,
+        deliver=lambda s, p, vs: None,
         stream_provider=lambda name: s1,
     )
     merger.bootstrap({"S1": s1})

@@ -141,7 +141,8 @@ def test_fixed_shape_declarations_match_the_schema():
         assert shape.optional <= set(shape.fields[len(required):]), kind
         assert shape.cat in ALL_CATEGORIES, kind
         # All optional fields absent is still a valid event.
-        validate_event(materialise((0.0, 0, kind) + tuple(
+        for event in materialise((0.0, 0, kind) + tuple(
             None if name in shape.optional else 1 for name in shape.fields
-        )))
+        )):
+            validate_event(event)
     assert FIXED_SHAPE["net.context"].cat == "meta"

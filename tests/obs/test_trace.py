@@ -222,3 +222,67 @@ def test_fixed_shape_emit_honours_the_category_filter():
     # Filtered out is silent; a kind nobody declared a shape for is a bug.
     with pytest.raises(KeyError):
         tracer.emit("client.ack", 2.0, ("client", 1, 0.2))
+
+
+# -- a delivered run: one record, read back as one event per value -----------
+
+
+def _deliver_per_value(tracer, at, first, msg_ids):
+    for position, msg_id in enumerate(msg_ids, first):
+        tracer.emit("replica.deliver", at, ("r1", "g1", "s1", position, msg_id))
+
+
+def test_a_run_record_materialises_to_exactly_the_per_value_events():
+    from repro.obs.schema import materialise
+
+    for node in (None, "n2"):
+        per_value, run = ListSink(), ListSink()
+        one = Tracer(sinks=[per_value], node=node)
+        one.emit("client.submit", 0.5, ("client", "s1", 7, 64))
+        _deliver_per_value(one, 1.25, 40, (7, 8, 9))
+        one.emit("client.submit", 1.5, ("client", "s1", 10, 64))
+        both = Tracer(sinks=[run], node=node)
+        both.emit("client.submit", 0.5, ("client", "s1", 7, 64))
+        both.emit("replica.deliver", 1.25, ("r1", "g1", "s1", 40, 7, 8, 9))
+        both.emit("client.submit", 1.5, ("client", "s1", 10, 64))
+        # Same dicts, key for key: consecutive seq, one ts, positions
+        # counting up -- and the next event's seq follows the run's.
+        assert [list(e.items()) for e in run.events] == [
+            list(e.items()) for e in per_value.events
+        ]
+        assert [(e["seq"], e["ts"]) for e in run.events[1:4]] == [
+            (1, 1.25), (2, 1.25), (3, 1.25)
+        ]
+        assert run.events[4]["seq"] == 4
+        # Tracer.emitted counts events, not calls.
+        assert one.emitted == both.emitted == 5
+        assert materialise(
+            (1.25, 1, "replica.deliver", "r1", "g1", "s1", 40, 7, 8, 9), node
+        ) == per_value.events[1:4]
+
+
+def test_the_flight_recorder_keeps_a_run_as_one_entry_and_reads_it_per_value(
+    tmp_path,
+):
+    from repro.obs import FlightRecorder, validate_file
+
+    recorder, reference = FlightRecorder(capacity=3), ListSink()
+    tracer = Tracer(sinks=[recorder, reference], node="n1")
+    tracer.emit("client.submit", 0.5, ("client", "s1", 8, 64))
+    tracer.emit("replica.deliver", 1.0, ("r1", "g1", "s1", 0, 7, 8, 9))
+    tracer.emit("replica.deliver", 1.0, ("r2", "g1", "s1", 0, 7, 8, 9))
+    assert tracer.emitted == 7
+    # The ring bound counts entries: three, of which two are runs.
+    assert len(recorder) == recorder.recorded == 3 and recorder.dropped == 0
+    assert recorder.events() == reference.events
+    assert recorder.causal_history(8) == [
+        e for e in reference.events if e["msg_id"] == 8
+    ]
+    path = str(tmp_path / "ring.jsonl")
+    assert recorder.dump(path) == 7
+    assert [json.loads(line) for line in open(path)] == reference.events
+    assert validate_file(path) == 7
+    # One more entry evicts the oldest whole: the submit, not a value.
+    tracer.emit("client.submit", 2.0, ("client", "s1", 10, 64))
+    assert recorder.dropped == 1
+    assert recorder.events() == reference.events[1:]

@@ -164,3 +164,70 @@ def test_coordinator_grows_policy_when_enabled():
     coordinator = _sim_coordinator(adaptive_batching=True)
     assert coordinator._batch_policy is not None
     assert coordinator._batch_policy.floor == coordinator.config.batch_max_tokens
+
+
+# -- admission under λ: per batch when adaptive, per value when fixed ---------
+
+
+def _admitting_coordinator(adaptive: bool, values: int, credit: int):
+    """A leading coordinator of λ = 1024 values/s with ``values`` values
+    queued at t = 1 and ``credit`` values of credit in its bucket; every
+    batch it cuts is recorded as ``(time, values)`` instead of sent."""
+    from repro.paxos.types import AppValue
+
+    coordinator = _sim_coordinator(
+        adaptive_batching=adaptive, lam=1024, window=10**6,
+    )
+    env = coordinator.env
+    batches: list = []
+    coordinator._send_phase2 = lambda instance, batch: batches.append(
+        (env.now, len(batch.tokens))
+    )
+    coordinator.leading = True
+    env.run(until=1.0)
+    coordinator._value_gate_open = 1.0 - credit / 1024
+    for index in range(values):
+        coordinator._enqueue(AppValue(payload=index, size=8))
+    coordinator._pump_proposals()
+    return coordinator, batches
+
+
+def test_adaptive_queue_beyond_the_credit_leaves_as_one_instance():
+    # 100 values queued, credit for 10: the policy's batch leaves whole
+    # (once its linger ends) and charges 100 / λ to the bucket at once.
+    coordinator, batches = _admitting_coordinator(True, 100, credit=10)
+    coordinator.env.run(until=1.01)
+    assert [size for _at, size in batches] == [100]
+    assert coordinator._value_gate_open == pytest.approx(1.0 + 90 / 1024)
+    assert not coordinator.pending
+
+
+def test_fixed_trigger_still_cuts_value_by_value_at_the_credit():
+    # The sim's trigger: the first instance takes the 10 values of
+    # credit (and the one the gate at exactly now admits), the rest
+    # leave as the bucket refills -- the per-value cut the golden
+    # digests are pinned against.
+    coordinator, batches = _admitting_coordinator(False, 100, credit=10)
+    assert [size for _at, size in batches] == [11]
+    coordinator.env.run(until=1.2)
+    assert sum(size for _at, size in batches) == 100
+    assert len(batches) > 20
+    assert max(size for _at, size in batches[1:]) <= 2
+
+
+def test_adaptive_admission_keeps_the_long_run_rate_under_lambda():
+    # A queue that never runs dry, for 4 s: batches of about the
+    # target, the gate shut values / λ after each, so what leaves by T
+    # is at most λ·T + two batch targets (one of credit, one in flight).
+    coordinator, batches = _admitting_coordinator(True, 8000, credit=0)
+    env = coordinator.env
+    window = 4.0
+    env.run(until=1.0 + window)
+    target = coordinator._batch_policy.target_tokens()
+    admitted = sum(size for _at, size in batches)
+    assert admitted <= 1024 * window + 2 * target
+    assert admitted >= 1024 * window - target
+    assert min(size for _at, size in batches) >= target - 1
+    # Between two batches the gate holds for the values the first took.
+    for (at, size), (next_at, _size) in zip(batches, batches[1:]):
+        assert next_at - at == pytest.approx(size / 1024, abs=1e-9)

@@ -61,7 +61,7 @@ def run_merger(s1_tokens, s2_tokens, schedule):
     delivered = []
     merger = ElasticMerger(
         group="G",
-        deliver=lambda v, s, p: delivered.append((v.payload, s)),
+        deliver=lambda s, p, vs: delivered.extend((v.payload, s) for v in vs),
         stream_provider=lambda name: logs[name],
     )
     merger.bootstrap({"S1": s1})
@@ -139,7 +139,7 @@ def test_acyclic_across_groups(scenario):
     delivered_h = []
     merger_h = ElasticMerger(
         group="H",
-        deliver=lambda v, s, p: delivered_h.append((v.payload, s)),
+        deliver=lambda s, p, vs: delivered_h.extend((v.payload, s) for v in vs),
         stream_provider=lambda name: {"S1": s1, "S2": s2}[name],
     )
     merger_h.bootstrap({"S1": s1, "S2": s2})

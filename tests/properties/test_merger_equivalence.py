@@ -2,7 +2,9 @@
 
 The elastic merger with a fixed Σ and no control messages is exactly
 Multi-Ring Paxos's static merge; hypothesis checks the two produce
-identical delivery sequences for arbitrary token content.
+identical delivery sequences for arbitrary token content.  Below that,
+the merger's two shortcuts -- a round of skips in one step, a decided
+run of values in one step -- against one position per turn.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -55,7 +57,9 @@ def test_static_and_elastic_agree_on_static_input(tokens_by_stream):
     delivered_elastic = []
     elastic = ElasticMerger(
         group="G",
-        deliver=lambda v, s, p: delivered_elastic.append((v.payload, s, p)),
+        deliver=lambda s, p, vs: delivered_elastic.extend(
+            (v.payload, s, q) for q, v in enumerate(vs, p)
+        ),
         stream_provider=lambda name: logs_b[name],
     )
     elastic.bootstrap(logs_b)
@@ -174,7 +178,9 @@ def test_run_length_skips_equal_one_position_per_turn(script):
         delivered = []
         merger = cls(
             group="G",
-            deliver=lambda v, s, p, out=delivered: out.append((v.payload, s, p)),
+            deliver=lambda s, p, vs, out=delivered: out.extend(
+                (v.payload, s, q) for q, v in enumerate(vs, p)
+            ),
             stream_provider=logs.__getitem__,
         )
         merger.bootstrap({name: logs[name] for name in initial})
@@ -193,3 +199,127 @@ def test_run_length_skips_equal_one_position_per_turn(script):
             states.append(_merger_state(merger, delivered))
         runs.append(states)
     assert runs[0] == runs[1]
+
+
+# -- run delivery == one value per step -------------------------------------------
+
+
+class OneValueMerger(ElasticMerger):
+    """The reference: a sole stream's decided run of values is delivered
+    one value per step, as Algorithm 1's turn takes one position."""
+
+    def _step(self):
+        if self._pending is None and len(self.sigma) == 1:
+            stream = self.sigma[0]
+            cursor = self._cursors[stream]
+            token = cursor.peek()
+            if isinstance(token, AppValue):
+                self._consume(stream, cursor, token, deliver=True)
+                return True
+        return super()._step()
+
+
+@st.composite
+def batch_scripts(draw):
+    """``(initial Σ, [(stream, batch), ...])``: decided batches appended
+    to their streams' logs in order, a notify after each (what a replica
+    does per learned instance).  Mostly values, so runs form, with
+    skips and control tokens for this group and another among them: a
+    subscribe can sit in the middle of a run, and its twin lands in the
+    new stream a few batches later."""
+    initial = _STREAMS[: draw(st.integers(1, 3))]
+    script, twins = [], []          # twins: (due index, stream, token)
+    request_ids = iter(range(1000, 2000))
+    msg_ids = iter(range(1, 100_000))
+    for index in range(draw(st.integers(0, 30))):
+        stream = draw(st.sampled_from(_STREAMS))
+        batch = []
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(
+                ["value"] * 6 + ["skip"] * 2
+                + ["subscribe", "unsubscribe", "prepare"]
+            ))
+            if kind == "value":
+                token = AppValue(payload=None, size=4, msg_id=next(msg_ids))
+            elif kind == "skip":
+                token = SkipToken(count=draw(st.integers(1, 10)))
+            else:
+                group = draw(st.sampled_from(["G", "G", "G", "H"]))
+                target = draw(st.sampled_from(_STREAMS))
+                cls = {"subscribe": SubscribeMsg,
+                       "unsubscribe": UnsubscribeMsg,
+                       "prepare": PrepareMsg}[kind]
+                token = cls(group=group, stream=target,
+                            request_id=next(request_ids))
+                if kind == "subscribe" and target != stream:
+                    twins.append(
+                        (index + draw(st.integers(0, 4)), target, token)
+                    )
+            batch.append(token)
+        script.append((stream, batch))
+        for twin in [t for t in twins if t[0] <= index]:
+            twins.remove(twin)
+            script.append((twin[1], [twin[2]]))
+    script.extend((twin[1], [twin[2]]) for twin in twins)
+    return initial, script
+
+
+def _value(msg_id):
+    return AppValue(payload=None, size=4, msg_id=msg_id)
+
+
+# S1 alone: a run, a subscribe to S2 in the middle of the next run (the
+# rest of it delivered one position per turn, during the alignment),
+# then runs of one while Σ = {S1, S2}.
+_MID_RUN = SubscribeMsg(group="G", stream="S2", request_id=7)
+
+
+@given(script=batch_scripts())
+@example(script=(("S1",), [
+    ("S1", [_value(1), _value(2), _value(3)]),
+    ("S1", [_value(4), _MID_RUN, _value(5), _value(6)]),
+    ("S2", [SkipToken(count=3), _value(7), _MID_RUN, _value(8)]),
+    ("S1", [_value(9), SkipToken(count=4), _value(10), _value(11)]),
+    ("S2", [_value(12), _value(13)]),
+]))
+@settings(max_examples=300, deadline=None)
+def test_run_delivery_equals_one_value_per_step(script):
+    initial, appends = script
+    outcomes = []
+    for cls in (ElasticMerger, OneValueMerger):
+        logs = {name: TokenLog() for name in _STREAMS}
+        delivered = []
+        merger = cls(
+            group="G", deliver=None, stream_provider=logs.__getitem__
+        )
+
+        def deliver(stream, first, values, merger=merger, out=delivered):
+            # Only a sole stream with no subscription pending delivers
+            # more than one value in a step.
+            if len(values) > 1:
+                assert merger.subscriptions == (stream,)
+                assert merger.pending_subscription is None
+            out.extend(
+                (stream, position, value.msg_id)
+                for position, value in enumerate(values, first)
+            )
+
+        merger.deliver = deliver
+        merger.bootstrap({name: logs[name] for name in initial})
+        error = None
+        for stream, batch in appends:
+            for token in batch:
+                logs[stream].append(token)
+            try:
+                merger.notify(stream)
+            except RuntimeError as exc:     # unsubscribed its last stream
+                error = str(exc)
+                break
+        stats = merger.stats
+        outcomes.append((
+            delivered, stats.delivered, stats.per_stream_delivered,
+            stats.merge_points, merger.positions(), merger.subscriptions,
+            error,
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == len(outcomes[0][0])

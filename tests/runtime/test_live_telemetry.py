@@ -236,7 +236,8 @@ def test_untelemetried_cluster_still_carries_flight_recorder(tmp_path):
 
 def test_flight_ring_of_records_reads_back_as_the_ring_of_dicts_did(tmp_path):
     """A recorded live run, read every way the ring is read: the ring
-    holds the per-value kinds as records, and ``events()``,
+    holds the per-value kinds as records (a delivered run as one), and
+    ``events()``,
     ``causal_history()``, ``dump()`` and ``LifecycleIndex.from_recorder``
     return what a ring of the event dicts themselves (the recorder as
     it was: fed here from a dict sink riding on the same tracer)
@@ -289,6 +290,15 @@ def test_flight_ring_of_records_reads_back_as_the_ring_of_dicts_did(tmp_path):
         entry["kind"] in FIXED_SHAPE
         for entry in recorder._buffer if entry.__class__ is dict
     )
+    # The 40 values left in one loop turn, so each replica delivered
+    # them in runs: a record per run, (ts, seq, kind, replica, group,
+    # stream, first position, *msg_ids), that reads back per value.
+    runs = [
+        entry for entry in recorder._buffer
+        if entry.__class__ is tuple and entry[2] == "replica.deliver"
+    ]
+    assert sum(len(run) - 7 for run in runs) == 2 * 40 > len(runs)
+    assert len(recorder) < len(events)
     assert [list(e.items()) for e in recorder.events()] == [
         list(e.items()) for e in before.events()
     ]

@@ -217,6 +217,6 @@ def test_in_process_placement_is_the_deployment_planes():
         assert cluster.client is cluster.nodes[0].client
         # λ counts the ramp, which build_topology alone would not.
         ramped = LiveCluster(LiveConfig(rate=100.0, rate_ramp=5000.0))
-        assert ramped.directory["s1"].config.lam == 10000
+        assert ramped.directory["s1"].config.lam == 40000
 
     run(main())
