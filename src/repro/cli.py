@@ -16,9 +16,6 @@ Usage::
     python -m repro stats metrics.json
     python -m repro validate-trace trace.jsonl
     python -m repro latency trace.jsonl [--out budget.json] [--diff base.json]
-    python -m repro bench [--quick] [--profile] [--out BENCH.json]
-                          [--baseline BENCH_baseline.json] [--threshold 0.25]
-                          [--latency-budget] [--profile-overhead]
     python -m repro live [--streams 2] [--replicas 3] [--duration 5]
                          [--rate 200] [--metrics-out metrics.json]
                          [--nodes 2] [--telemetry-dir DIR] [--clock-skew 0.5]
@@ -38,12 +35,10 @@ always-on safety invariant checkers and prints the invariant report.
 protocol events to JSONL (see ``docs/OBSERVABILITY.md``); ``stats``
 reconstructs per-message causal lifecycles from such a trace and prints
 per-stage latency percentiles; ``validate-trace`` checks a trace
-against the event schema (the CI smoke test).  ``bench`` runs the
-performance microbenchmark suite (see ``docs/PERFORMANCE.md``) and can
-compare against a committed baseline for the CI perf-smoke job.
-``live`` boots a real asyncio/TCP cluster (see ``docs/RUNTIME.md``),
-drives a workload with a runtime subscribe, and prints the agreement /
-latency summary; ``stats`` also reads the metrics dump a live run
+against the event schema (the CI smoke test).  ``live`` boots a real
+asyncio/TCP cluster (see ``docs/RUNTIME.md``), drives a workload with
+a runtime subscribe, and prints the agreement / latency summary;
+``stats`` also reads the metrics dump a live run
 writes with ``--metrics-out``.  With ``--nodes N --telemetry-dir DIR``
 the live cluster is partitioned into N clock domains, each streaming a
 node-stamped trace and serving live HTTP metrics/health endpoints;
@@ -457,150 +452,6 @@ def _latency(args) -> int:
     return 0 if budget["messages"]["complete"] else 1
 
 
-def _bench(args) -> int:
-    import json
-
-    from .bench import compare_to_baseline, run_bench, summary_lines
-
-    if args.live:
-        return _bench_live(args)
-
-    if args.profile_overhead:
-        from .bench import profiler_overhead
-
-        print(section("bench --profile-overhead: sampler cost on quick fig3"))
-        result = profiler_overhead()
-        print(f"off  : {result['off_wall_s']:.3f}s wall")
-        print(f"on   : {result['on_wall_s']:.3f}s wall "
-              f"({result['samples']} samples at "
-              f"{1000 * result['interval']:g}ms)")
-        print(f"overhead: {result['overhead']:+.1%} "
-              f"(threshold {args.overhead_threshold:.0%})")
-        if result["overhead"] > args.overhead_threshold:
-            print("PROFILER OVERHEAD REGRESSION")
-            return 1
-        return 0
-
-    if args.profile:
-        from .bench.profiler import sample_profile
-        from .bench.suite import _fig3_config
-
-        from .harness.experiments.vertical import run_vertical
-
-        config = _fig3_config(args.quick)
-        print(section("bench --profile: sampling the figure-3 run"))
-        _, wall, samples, total = sample_profile(
-            lambda: run_vertical(config)
-        )
-        print(f"wall {wall:.3f}s, {total} samples, top stacks:")
-        for key, count in samples.most_common(25):
-            print(f"{100 * count / total:5.1f}% {key}")
-        return 0
-
-    report = run_bench(quick=args.quick)
-    print(section(
-        "Performance microbenchmarks"
-        + (" (quick)" if args.quick else "")
-    ))
-    for line in summary_lines(report):
-        print(line)
-
-    if args.latency_budget:
-        from .bench import bench_fig3_latency_budget
-        from .obs.critpath import budget_lines
-
-        budget = bench_fig3_latency_budget(args.quick)
-        report["latency_budget"] = budget
-        print()
-        for line in budget_lines(budget):
-            print(line)
-
-    status = 0
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        lines, regressions = compare_to_baseline(
-            report, baseline, args.threshold
-        )
-        print()
-        print(f"baseline comparison ({args.baseline}, "
-              f"threshold {args.threshold:.0%}):")
-        for line in lines:
-            print(line)
-        if regressions:
-            print(f"PERF REGRESSION in: {', '.join(regressions)}")
-            status = 1
-        else:
-            print("no perf regressions")
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nreport -> {args.out}")
-    return status
-
-
-def _bench_live(args) -> int:
-    """`bench --live`: the live-backend suite (docs/PERFORMANCE.md,
-    "Live datapath performance").  Same report/baseline/threshold
-    contract as the sim suite, gated in CI by live-perf-smoke against
-    the committed BENCH_PR8.json."""
-    import json
-
-    from .bench.live import (
-        compare_live_to_baseline,
-        live_summary_lines,
-        run_live_bench,
-    )
-
-    event_loop = "asyncio"
-    if args.uvloop:
-        from .bench.live import install_uvloop
-
-        event_loop = "uvloop" if install_uvloop() else (
-            "asyncio (uvloop unavailable)"
-        )
-    report = run_live_bench(quick=args.quick)
-    report["event_loop"] = event_loop
-    print(section(
-        "Live-backend benchmarks"
-        + (" (quick)" if args.quick else "")
-        + (f" [{event_loop}]" if args.uvloop else "")
-    ))
-    for line in live_summary_lines(report):
-        print(line)
-
-    status = 0
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        lines, regressions = compare_live_to_baseline(
-            report, baseline, args.threshold
-        )
-        print()
-        print(f"baseline comparison ({args.baseline}, "
-              f"threshold {args.threshold:.0%}):")
-        for line in lines:
-            print(line)
-        if regressions:
-            print(f"PERF REGRESSION in: {', '.join(regressions)}")
-            status = 1
-        else:
-            print("no perf regressions")
-    if not report["benchmarks"]["live_cluster"]["agreed"]:
-        print("REPLICA DISAGREEMENT in live_cluster bench",
-              file=sys.stderr)
-        status = 1
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nreport -> {args.out}")
-    return status
-
-
 def _live(args) -> int:
     from .obs import MetricsRegistry
     from .obs.trace import installed
@@ -981,38 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     latency.add_argument("--diff", default=None,
                          help="compare against a saved budget JSON")
 
-    bench = sub.add_parser(
-        "bench", help="performance microbenchmarks (docs/PERFORMANCE.md)"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="seconds-scale sizes (the CI perf-smoke mode)")
-    bench.add_argument("--profile", action="store_true",
-                       help="sampling-profile the figure-3 run instead")
-    bench.add_argument("--out", default=None,
-                       help="write the JSON report here (e.g. BENCH_PR3.json)")
-    bench.add_argument("--baseline", default=None,
-                       help="compare against a committed BENCH_*.json report")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="regression threshold as a fraction (default 0.25)")
-    bench.add_argument("--latency-budget", action="store_true",
-                       help="also run a traced fig3 and embed its "
-                            "critical-path latency budget in the report")
-    bench.add_argument("--profile-overhead", action="store_true",
-                       help="measure the stack sampler's overhead on the "
-                            "quick fig3 run instead (the CI gate)")
-    bench.add_argument("--overhead-threshold", type=float, default=0.05,
-                       help="allowed profiler overhead as a fraction "
-                            "(default 0.05)")
-    bench.add_argument("--live", action="store_true",
-                       help="run the live-backend suite instead: codec/"
-                            "transport microbenchmarks + a localhost "
-                            "cluster at fixed offered load (gated in CI "
-                            "against BENCH_PR8.json)")
-    bench.add_argument("--uvloop", action="store_true",
-                       help="with --live: run the suite on uvloop when "
-                            "installed (soft dependency; falls back to "
-                            "asyncio)")
-
     live = sub.add_parser(
         "live",
         help="run a real asyncio/TCP cluster with a runtime subscribe "
@@ -1191,9 +1010,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():
         # Live runs are wall-clock and nondeterministic: no --seed.
-        if name in ("faults", "stats", "validate-trace", "latency", "bench",
-                    "live", "trace-merge", "top", "deploy", "worker",
-                    "watch"):
+        if name in ("faults", "stats", "validate-trace", "latency", "live",
+                    "trace-merge", "top", "deploy", "worker", "watch"):
             continue
         p.add_argument("--seed", type=int, default=1)
         if name in ("provisioning", "all"):
@@ -1212,7 +1030,6 @@ _DISPATCH = {
     "stats": _stats,
     "validate-trace": _validate_trace,
     "latency": _latency,
-    "bench": _bench,
     "live": _live,
     "deploy": _deploy,
     "worker": _worker,

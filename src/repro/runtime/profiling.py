@@ -9,7 +9,9 @@ Two probes, both cheap enough to leave running (docs/OBSERVABILITY.md,
   lines, directly consumable by ``flamegraph.pl`` / speedscope).  The
   live supervisor writes one ``<node>.stacks.txt`` per node with
   ``repro live --profile-dir``, and each node's telemetry server
-  exposes ``/profile`` to toggle/fetch it at runtime.
+  exposes ``/profile`` to toggle/fetch it at runtime.  A simulator
+  run is profiled the same way: start a sampler around the call and
+  ``write_collapsed`` it (docs/PERFORMANCE.md, "Profiling workflow").
 - :class:`LoopLagProbe` -- measures asyncio event-loop scheduling lag
   on an :class:`~repro.runtime.asyncio_kernel.AsyncioKernel` by timing
   how late a repeating ``call_later`` callback fires, exported as a
@@ -17,8 +19,7 @@ Two probes, both cheap enough to leave running (docs/OBSERVABILITY.md,
   ``/metrics`` quantiles reflect the recent window, not the whole run).
 
 Stdlib-only on purpose: ``repro.runtime`` must not import ``repro.sim``
-at module scope (tests/runtime/test_layering.py), and the bench-side
-:func:`repro.bench.profiler.sample_profile` builds on the sampler too.
+at module scope (tests/runtime/test_layering.py).
 """
 
 from __future__ import annotations

@@ -66,13 +66,17 @@ def fig2_digest() -> str:
     return hashlib.sha256(repr((r1, r2)).encode()).hexdigest()
 
 
-def fig3_digest(seed: int) -> str:
-    config = VerticalConfig(
+def compact_fig3_config(seed: int) -> VerticalConfig:
+    """The compact figure-3 configuration whose series is pinned."""
+    return VerticalConfig(
         duration=6.0, add_interval=2.0, n_streams=3, threads_per_stream=2,
         value_size=1024, per_stream_limit=300.0, lam=1000, delta_t=0.05,
         seed=seed,
     )
-    result = run_vertical(config)
+
+
+def fig3_digest(seed: int) -> str:
+    result = run_vertical(compact_fig3_config(seed))
     blob = repr((
         result.throughput,
         sorted(result.per_stream.items()),
@@ -99,12 +103,3 @@ def test_fig3_same_seed_bit_identical():
     """Two in-process runs with the same seed produce identical series
     (no hidden global state in the pooled/cached fast paths)."""
     assert fig3_digest(1) == fig3_digest(1)
-
-
-def test_bench_digest_matches_golden():
-    """`repro bench --quick` hashes the same compact fig3 config; its
-    reported digest must be the pinned one (the CI perf-smoke job
-    therefore also revalidates determinism on every run)."""
-    from repro.bench.suite import bench_fig3_e2e
-
-    assert bench_fig3_e2e(quick=True)["digest"] == FIG3_GOLDEN[1]

@@ -73,3 +73,35 @@ def test_live_classic_dissemination_agrees():
     assert min(report.delivered_per_replica.values()) > 0, report.summary()
     assert report.violations == [], report.summary()
     assert report.kernel_failures == [], report.summary()
+
+
+def _uvloop_attempt():
+    config = LiveConfig(
+        streams=1,
+        replicas=2,
+        duration=1.0,
+        rate=120.0,
+        drain_timeout=20.0,
+        uvloop=True,
+    )
+    return run_live(config)
+
+
+def test_live_uvloop_is_a_soft_dependency():
+    # uvloop is optional: asking for it runs on uvloop's loop when the
+    # package is installed and on the stdlib loop when it is not, and
+    # either way the process's event-loop policy is left as it was.
+    import asyncio
+
+    try:
+        import uvloop  # noqa: F401
+        expected = "uvloop."
+    except ImportError:
+        expected = "asyncio."
+    policy = asyncio.get_event_loop_policy()
+    report = _uvloop_attempt()
+    if not report.ok:
+        report = _uvloop_attempt()
+    assert report.ok, report.summary()
+    assert report.event_loop.startswith(expected), report.event_loop
+    assert asyncio.get_event_loop_policy() is policy

@@ -1,6 +1,5 @@
-"""Profiling-plane unit tests: the stack sampler, the bench wrapper
-built on it, the event-loop-lag probe, and the telemetry ``/profile``
-routes."""
+"""Profiling-plane unit tests: the stack sampler, the event-loop-lag
+probe, and the telemetry ``/profile`` routes."""
 
 from __future__ import annotations
 
@@ -100,32 +99,6 @@ def test_sampler_start_is_idempotent():
     assert sampler._thread is thread
     sampler.stop()
     assert sampler.stop() == sampler.total   # idempotent
-
-
-# -- bench wrapper (satellite: samples every thread, tags by name) -----
-
-def test_sample_profile_tags_stacks_by_thread():
-    from repro.bench.profiler import sample_profile
-
-    def workload():
-        stop = threading.Event()
-        worker = threading.Thread(
-            target=_busy_wait, args=(stop,), name="bench-worker", daemon=True
-        )
-        worker.start()
-        deadline = time.monotonic() + 0.3
-        while time.monotonic() < deadline:
-            sum(range(1000))
-        stop.set()
-        worker.join()
-        return "done"
-
-    result, wall, samples, total = sample_profile(workload, interval=0.002)
-    assert result == "done"
-    assert wall > 0 and total > 0
-    tags = {key.split("]")[0] + "]" for key in samples}
-    assert "[MainThread]" in tags
-    assert "[bench-worker]" in tags
 
 
 # -- LoopLagProbe ------------------------------------------------------
