@@ -2,11 +2,11 @@
 
 "A controller or a client can create or destroy virtual machines,
 forming additional streams depending on the currently measured
-application throughput."  This example wires the elasticity controller
-to the cloud model: when measured throughput nears the current streams'
-capacity, it boots three acceptor VMs through a Heat-style autoscaling
-group, deploys a stream on them once ACTIVE, aligns its position
-counter and subscribes the replicas -- fully automatic vertical scaling.
+application throughput."  This example runs the elasticity controller
+over the cloud model: when the measured decide rate per stream nears one
+stream's capacity, the VM executor boots three acceptor VMs through a
+Heat-style autoscaling group, deploys a stream on them once ACTIVE and
+subscribes the replicas -- fully automatic vertical scaling.
 
 (VM boot time is scaled down to 6 s so the demo runs quickly; the
 paper's real boots take ~60 s, see benchmarks/test_bench_vm_provisioning.)
@@ -14,19 +14,30 @@ paper's real boots take ~60 s, see benchmarks/test_bench_vm_provisioning.)
 Run:  python examples/autoscaling_controller.py
 """
 
-from repro.cloud import CloudCompute, ElasticityController
+from repro.cloud import CloudCompute, VmExecutor
+from repro.elasticity import (
+    DecideRateCeiling,
+    ElasticityController,
+    PolicyEngine,
+    SimSignalSource,
+)
 from repro.harness.broadcast import BroadcastClient, BroadcastReplica
 from repro.multicast.api import MulticastClient
 from repro.multicast.stream import StreamDeployment
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import installed
 from repro.paxos.config import StreamConfig
 from repro.sim import Environment, LinkSpec, Network, RngRegistry
 
 LAM = 1000
 PER_STREAM_CAPACITY = 300.0   # ops/s one stream sustains (throttled)
+HIGH_WATERMARK = 0.8
 
 
 def main():
-    env = Environment()
+    registry = MetricsRegistry()   # the coordinators' decide counters
+    with installed(metrics=registry):
+        env = Environment()
     rng = RngRegistry(11)
     network = Network(env, rng=rng, default_link=LinkSpec(latency=0.001))
     compute = CloudCompute(env, boot_time=6.0, boot_jitter=1.0, rng=rng)
@@ -62,35 +73,47 @@ def main():
     )
     client.start_threads("S1", 8)   # demands more than one stream can give
 
-    def provision_stream(index, vms):
-        name = f"S{index + 1}"
+    scale_events = []
+
+    def provision_stream(action, vms):
+        name = action.stream
         print(f"  t={env.now:5.1f}s  VMs {[vm.name for vm in vms]} ACTIVE; "
               f"deploying stream {name} and subscribing")
         deploy_stream(name)   # self-aligns: skips pace against λ·now
-        control.subscribe_msg("replicas", name, via_stream="S1")
+        control.subscribe_msg("replicas", name, via_stream=action.via)
         client.start_threads(name, 8)
+        scale_events.append((env.now, len(directory)))
 
     controller = ElasticityController(
-        env,
-        compute,
-        throughput=replica.delivered_ops,
-        capacity_per_stream=PER_STREAM_CAPACITY,
-        provision_stream=provision_stream,
-        high_watermark=0.8,
-        sample_interval=2.0,
-        max_streams=3,
+        SimSignalSource(env, registry, {"replica-1": replica}, directory),
+        PolicyEngine(
+            (DecideRateCeiling(ceiling=HIGH_WATERMARK * PER_STREAM_CAPACITY),),
+            sustain=1, cooldown=0.0, max_streams=3,
+        ),
+        VmExecutor(compute, provision_stream),
+        env=env,
+        interval=2.0,
     )
     controller.start()
 
     env.run(until=40.0)
 
     print("\nscale events (time, streams):",
-          [(round(t, 1), n) for t, n in controller.scale_events])
+          [(round(t, 1), n) for t, n in scale_events])
     print("final subscriptions:", replica.subscriptions)
+    rates = []
     for window in ((2, 8), (18, 24), (32, 38)):
-        rate = replica.delivered_ops.rate_between(*window)
-        print(f"throughput over t={window}: {rate:6.0f} ops/s")
-    assert len(controller.scale_events) >= 1, "controller never scaled"
+        rates.append(replica.delivered_ops.rate_between(*window))
+        print(f"throughput over t={window}: {rates[-1]:6.0f} ops/s")
+    acceptor_vms = [
+        vm for name, vm in compute.servers.items()
+        if name.startswith("stream-1-acceptors")
+    ]
+    print("S2's acceptor VMs on hosts:",
+          sorted(vm.physical_host for vm in acceptor_vms))
+    assert len(scale_events) >= 1, "controller never scaled"
+    assert len({vm.physical_host for vm in acceptor_vms}) == 3  # anti-affine
+    assert rates[-1] > 1.3 * rates[0], "capacity did not grow"
     print("\nthe controller added streams as load saturated capacity ✓")
 
 

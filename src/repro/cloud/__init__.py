@@ -1,15 +1,14 @@
 """OpenStack-style cloud environment model: VMs, placement, autoscaling."""
 
-from .controller import ElasticityController
-from .openstack import AutoScalingGroup, CloudCompute, PlacementError
+from .openstack import AutoScalingGroup, CloudCompute, PlacementError, VmExecutor
 from .vm import DEFAULT_BOOT_TIME, VirtualMachine, VmState
 
 __all__ = [
     "AutoScalingGroup",
     "CloudCompute",
     "DEFAULT_BOOT_TIME",
-    "ElasticityController",
     "PlacementError",
     "VirtualMachine",
+    "VmExecutor",
     "VmState",
 ]

@@ -8,7 +8,10 @@ Models the slice of OpenStack the paper relies on:
 * **Heat autoscaling groups** -- the vertical-scalability experiment
   deploys each stream's acceptors as a Heat-AutoScaling group that
   "allows clients to boot up or shutdown the virtual machines that
-  participate in the streams" (§VII-C).
+  participate in the streams" (§VII-C);
+* the **VM-booting executor** that lets the one
+  :class:`repro.elasticity.ElasticityController` add streams "from
+  newly created virtual machines" (§VI): :class:`VmExecutor`.
 
 The compute pool defaults to the paper's cluster: 16 compute nodes.
 """
@@ -21,7 +24,7 @@ from ..sim.core import AllOf, Environment, Event
 from ..sim.rng import RngRegistry
 from .vm import DEFAULT_BOOT_TIME, VirtualMachine, VmState
 
-__all__ = ["CloudCompute", "AutoScalingGroup", "PlacementError"]
+__all__ = ["AutoScalingGroup", "CloudCompute", "PlacementError", "VmExecutor"]
 
 
 class PlacementError(Exception):
@@ -112,11 +115,6 @@ class CloudCompute:
     def server(self, name: str) -> VirtualMachine:
         return self.servers[name]
 
-    def active_servers(self) -> list[str]:
-        return sorted(
-            name for name, vm in self.servers.items() if vm.is_active
-        )
-
     def wait_active(self, vms: list[VirtualMachine]) -> Event:
         """Event that fires when every VM in ``vms`` is ACTIVE."""
         return AllOf(self.env, [vm.active_event for vm in vms])
@@ -169,3 +167,58 @@ class AutoScalingGroup:
         for vm in victims:
             self.compute.delete_server(vm.name)
         return victims
+
+
+class VmExecutor:
+    """Executor of :class:`repro.elasticity.ElasticityController` that
+    boots a new stream's acceptors before the stream exists (§VI).
+
+    ``execute`` boots three anti-affine VMs through an
+    :class:`AutoScalingGroup`; once all are ACTIVE, ``provision(action,
+    vms)`` deploys ``action.stream`` and subscribes the group to it.
+    New streams are named ``S<n>`` after the ``n - 1`` provisioned;
+    :meth:`next_stream_name` is ``None`` while a boot is in flight.  A
+    boot that lost a VM while BUILDING never completes: :meth:`poll`
+    deletes the rest of it, and the next breach boots afresh.
+    """
+
+    ACCEPTORS_PER_STREAM = 3    # every paper experiment
+
+    def __init__(
+        self,
+        compute: CloudCompute,
+        provision: Callable[[object, list[VirtualMachine]], None],
+    ):
+        self.compute = compute
+        self.provision = provision
+        self.booting: Optional[list[VirtualMachine]] = None
+        self._groups: dict[str, AutoScalingGroup] = {}
+        self._provisioned: tuple[str, ...] = ()
+
+    def next_stream_name(self) -> Optional[str]:
+        if self.booting is not None:
+            return None
+        return f"S{len(self._provisioned) + 1}"
+
+    def execute(self, action) -> None:
+        """Start the boot; the subscription (and its request id) comes
+        with ``provision``."""
+        group = self._groups.get(action.stream)
+        if group is None:
+            group = self._groups[action.stream] = AutoScalingGroup(
+                self.compute, f"stream-{len(self._provisioned)}-acceptors"
+            )
+        group.on_scaled = lambda vms: self._active(action, vms)
+        self.booting = group.scale_up(self.ACCEPTORS_PER_STREAM)
+
+    def _active(self, action, vms: list[VirtualMachine]) -> None:
+        self.booting = None
+        self.provision(action, vms)
+
+    def poll(self, snapshot) -> None:
+        self._provisioned = snapshot.provisioned
+        booting = self.booting
+        if booting and any(vm.state is VmState.DELETED for vm in booting):
+            for vm in booting:
+                vm.delete()
+            self.booting = None

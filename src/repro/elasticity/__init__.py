@@ -10,7 +10,7 @@ The loop is ``signals -> policy -> controller -> actions``:
   HTTP endpoints);
 * :mod:`~repro.elasticity.policy` evaluates declarative rules with
   hysteresis, cooldowns and a dry-run mode;
-* :mod:`~repro.elasticity.controller` runs the tick loop and traces
+* :mod:`~repro.elasticity.controller` ticks on a timer and traces
   every decision as ``elastic.*`` events;
 * :mod:`~repro.elasticity.actions` executes reconfigurations through
   the existing coordination layer;
@@ -34,7 +34,6 @@ from .policy import (
     Proposal,
     SlowStreamSlo,
     StreamSkew,
-    default_rules,
 )
 from .router import StreamRouter
 from .scenarios import (
@@ -68,7 +67,6 @@ __all__ = [
     "SplitShard",
     "StreamSkew",
     "SubscribeStream",
-    "default_rules",
     "get_scenario",
     "run_scenario",
 ]

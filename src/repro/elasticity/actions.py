@@ -79,24 +79,20 @@ class SimExecutor:
         cluster,
         group: str,
         router: StreamRouter,
-        stream_prefix: str = "S",
         retire_delay: float = 0.75,
-        replicas_per_group: int = 0,
     ):
         self.cluster = cluster
         self.group = group
         self.router = router
-        self.stream_prefix = stream_prefix
         self.retire_delay = retire_delay
-        self.log: list[tuple[float, object, int]] = []
         self.retired: list[str] = []
         self._retirements: list[dict] = []
 
     def next_stream_name(self) -> str:
         index = 1
-        while f"{self.stream_prefix}{index}" in self.cluster.directory:
+        while f"S{index}" in self.cluster.directory:
             index += 1
-        return f"{self.stream_prefix}{index}"
+        return f"S{index}"
 
     def execute(self, action) -> int:
         if action.stream not in self.cluster.directory:
@@ -114,7 +110,6 @@ class SimExecutor:
             )
         else:
             raise TypeError(f"unknown action {action!r}")
-        self.log.append((self.cluster.env.now, action, request_id))
         return request_id
 
     def poll(self, snapshot: SignalSnapshot) -> None:

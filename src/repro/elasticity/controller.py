@@ -7,18 +7,20 @@ retirements, run the policy engine, and execute whatever it released
 chain (``elastic.decision`` -> ``control.subscribe`` ->
 ``merge.subscribe.commit``) is reconstructable from the trace alone.
 
-The controller is backend-agnostic: on the simulator it runs as an
-``env.process`` generator (deterministic -- the acceptance criterion
-"same seed, same decision timeline" holds because every input is
-virtual-time driven); live, ``repro live --autoscale`` ticks it from an
-asyncio task with snapshots of the HTTP telemetry endpoints (or the
-installed registry) and an executor over the pre-deployed spare streams.
+The controller is backend-agnostic: on the simulator :meth:`start` arms
+:meth:`tick` as a :func:`~repro.runtime.kernel.every` timer
+(deterministic -- the acceptance criterion "same seed, same decision
+timeline" holds because every input is virtual-time driven); live,
+``repro live --autoscale`` ticks it from an asyncio task with snapshots
+of the HTTP telemetry endpoints (or the installed registry) and an
+executor over the pre-deployed spare streams.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..runtime.kernel import Timer, every
 from .actions import ReplaceStream, SplitShard, SubscribeStream
 from .policy import PolicyEngine, Proposal
 from .signals import SignalSnapshot
@@ -54,6 +56,7 @@ class ElasticityController:
         )
         self.executed: list[tuple[float, object, int]] = []
         self.last_snapshot: Optional[SignalSnapshot] = None
+        self._timer: Optional[Timer] = None
 
     # -- one control tick ---------------------------------------------
 
@@ -136,15 +139,14 @@ class ElasticityController:
             return ReplaceStream(old=old, stream=stream, via=carrier)
         return None
 
-    # -- sim loop -----------------------------------------------------
-
-    def process(self):
-        """Generator loop for the sim kernel (``env.process`` this)."""
-        while True:
-            yield self.env.timeout(self.interval)
-            self.tick()
+    # -- sim timer ----------------------------------------------------
 
     def start(self) -> None:
+        """Tick every ``interval`` on the kernel until :meth:`stop`."""
         if self.env is None:
             raise RuntimeError("controller has no kernel to run on")
-        self.env.process(self.process())
+        self._timer = every(self.env, self.interval, self.tick)
+
+    def stop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()

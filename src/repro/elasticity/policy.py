@@ -36,7 +36,6 @@ __all__ = [
     "Proposal",
     "SlowStreamSlo",
     "StreamSkew",
-    "default_rules",
 ]
 
 ACTION_KINDS = ("subscribe", "split", "replace")
@@ -68,6 +67,10 @@ class DecideRateCeiling:
 
     ceiling: float
     name: str = "decide-rate-ceiling"
+
+    def __post_init__(self) -> None:
+        if self.ceiling <= 0:
+            raise ValueError("ceiling must be positive")
 
     def evaluate(self, snapshot: SignalSnapshot) -> Optional[Proposal]:
         if not snapshot.streams:
@@ -214,21 +217,6 @@ class SlowStreamSlo:
         )
 
 
-def default_rules(
-    ceiling: float = 200.0,
-    p99_ms: float = 250.0,
-    high_water: float = 500.0,
-) -> tuple:
-    """The stock rule set (docs/ELASTICITY.md has the schema)."""
-    return (
-        DecideRateCeiling(ceiling=ceiling),
-        LatencySlo(p99_ms=p99_ms),
-        BackpressureHighWater(high_water=high_water),
-        StreamSkew(),
-        SlowStreamSlo(),
-    )
-
-
 @dataclass(frozen=True)
 class DecisionRecord:
     """One evaluation outcome on the engine's timeline.
@@ -253,7 +241,6 @@ class PolicyEngine:
         rules: Sequence,
         sustain: int = 2,
         cooldown: float = 2.0,
-        cooldowns: Optional[dict[str, float]] = None,
         dry_run: bool = False,
         max_streams: Optional[int] = None,
     ):
@@ -263,16 +250,12 @@ class PolicyEngine:
             raise ValueError("cooldown must be non-negative")
         self.rules = tuple(rules)
         self.sustain = sustain
-        self._default_cooldown = cooldown
-        self._cooldowns = dict(cooldowns or {})
+        self.cooldown = cooldown
         self.dry_run = dry_run
         self.max_streams = max_streams
         self.timeline: list[DecisionRecord] = []
         self._streaks: dict[str, int] = {}
         self._last_fired: dict[str, float] = {}
-
-    def cooldown_for(self, kind: str) -> float:
-        return self._cooldowns.get(kind, self._default_cooldown)
 
     def _record(self, at: float, status: str, proposal: Proposal) -> None:
         self.timeline.append(
@@ -300,7 +283,7 @@ class PolicyEngine:
             last = self._last_fired.get(proposal.kind)
             if (
                 last is not None
-                and snapshot.at - last < self.cooldown_for(proposal.kind)
+                and snapshot.at - last < self.cooldown
             ):
                 self._record(snapshot.at, "cooldown", proposal)
                 continue

@@ -3,13 +3,12 @@
 Each :class:`ElasticityScenario` describes a workload shape (a traffic
 ramp, a Zipfian hot-key storm, a slow-acceptor injection via the fault
 DSL), a policy, and what the controller is expected to do about it.
-:class:`ElasticityRunner` assembles a simulated cluster around it --
-sharded traffic routed through the
-:class:`~repro.elasticity.router.StreamRouter`, signals sampled by a
+:class:`ElasticityRunner` is a :class:`~repro.faults.runner.CheckedRun`:
+cluster, invariant suite, fault orchestrator, check timer and flight
+recorder are the fault runner's.  It adds sharded traffic routed through
+the :class:`~repro.elasticity.router.StreamRouter`, signals sampled by a
 :class:`~repro.elasticity.signals.SimSignalSource` from a windowed
-metrics registry, the full
-:class:`~repro.faults.invariants.InvariantSuite` attached to every
-replica -- and runs the closed loop to completion.
+metrics registry, and the controller, and runs the loop to completion.
 
 The run is an *acceptance test* of the whole feedback path:
 
@@ -23,9 +22,7 @@ The run is an *acceptance test* of the whole feedback path:
 * every decision rides the trace (``elastic.decision`` ->
   ``control.subscribe`` -> ``merge.subscribe.commit`` share a
   ``request_id``), so ``repro validate-trace`` can check causality;
-* like the fault runner, the most recent trace events ride in a
-  :class:`~repro.obs.recorder.FlightRecorder` ring buffer that is
-  dumped to ``$REPRO_FLIGHT_DIR`` when an invariant fires.
+* a violation dumps the flight recorder to ``$REPRO_FLIGHT_DIR``.
 
 Determinism: all inputs are virtual-time driven (paced traffic with a
 seeded rng, a fixed controller interval, fault windows at fixed virtual
@@ -39,18 +36,12 @@ checked end to end.
 from __future__ import annotations
 
 import bisect
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..faults.invariants import InvariantSuite, InvariantViolation
-from ..faults.orchestrator import FaultOrchestrator
-from ..faults.runner import DEFAULT_FLIGHT_DIR, FLIGHT_DIR_ENV
+from ..faults.runner import CheckedRun
 from ..faults.schedule import DelaySpike, Schedule
-from ..harness.cluster import MulticastCluster
 from ..obs.metrics import MetricsRegistry
-from ..obs.recorder import FlightRecorder
-from ..obs.trace import Tracer, current_tracer, installed
 from ..workload.generators import zipf_shares
 from .actions import SimExecutor
 from .controller import ElasticityController
@@ -72,6 +63,8 @@ __all__ = [
     "get_scenario",
     "run_scenario",
 ]
+
+_CHECK_INTERVAL = 0.25   # virtual seconds between invariant checks
 
 
 @dataclass(frozen=True)
@@ -277,7 +270,7 @@ def get_scenario(name: str) -> ElasticityScenario:
         ) from None
 
 
-class ElasticityRunner:
+class ElasticityRunner(CheckedRun):
     """Builds, runs and judges one closed-loop elasticity scenario."""
 
     def __init__(
@@ -288,30 +281,18 @@ class ElasticityRunner:
         controller_enabled: bool = True,
         flight_capacity: int = 100_000,
     ):
-        self.spec = spec
-        self.seed = seed
         self.dry_run = dry_run
         self.controller_enabled = controller_enabled
         self.registry = MetricsRegistry(window=spec.metrics_window)
-        # Flight recorder: ride along on an externally installed tracer
-        # (the CLI's trace command), or install a private one for the
-        # cluster construction window -- the environment adopts it then.
-        self.recorder = FlightRecorder(capacity=flight_capacity)
-        external = current_tracer()
-        if external is not None:
-            external.add_sink(self.recorder)
-            self.tracer = external
-            with installed(metrics=self.registry):
-                self.cluster = self._build_cluster()
-        else:
-            self.tracer = Tracer(sinks=[self.recorder])
-            with installed(self.tracer, metrics=self.registry):
-                self.cluster = self._build_cluster()
-        for name in spec.replica_names():
-            self.cluster.add_replica(
-                name, spec.group, list(spec.initial_streams)
-            )
-        self.suite = InvariantSuite(self.cluster.replicas)
+        super().__init__(
+            spec,
+            seed,
+            spec.initial_streams,
+            spec.schedule(spec, seed) if spec.schedule is not None
+            else Schedule(name="none"),
+            flight_capacity,
+            metrics=self.registry,
+        )
         self.router = StreamRouter(
             range(spec.n_shards), spec.initial_streams
         )
@@ -342,13 +323,6 @@ class ElasticityRunner:
             interval=spec.interval,
             router=self.router,
         )
-        self.schedule = (
-            spec.schedule(spec, seed) if spec.schedule is not None
-            else Schedule(name="none")
-        )
-        self.orchestrator = FaultOrchestrator(
-            self.cluster.env, self.cluster.network
-        )
         # Delivery gap / latency accounting at the reference replica.
         self._reference = spec.replica_names()[0]
         self.delivery_times: list[float] = []
@@ -363,14 +337,15 @@ class ElasticityRunner:
             cdf.append(cumulative)
         self._zipf_cdf = cdf
 
-    def _build_cluster(self) -> MulticastCluster:
-        return MulticastCluster(
-            streams=self.spec.initial_streams,
-            seed=self.seed,
-            link_latency=self.spec.link_latency,
-            lam=self.spec.lam,
-            delta_t=self.spec.delta_t,
-        )
+    def _deploy(self) -> None:
+        for name in self.spec.replica_names():
+            self.cluster.add_replica(
+                name, self.spec.group, list(self.spec.initial_streams)
+            )
+
+    @property
+    def label(self) -> str:
+        return f"elasticity/{self.spec.name}"
 
     # -- observation ----------------------------------------------------
 
@@ -407,32 +382,6 @@ class ElasticityRunner:
             index += 1
             yield env.timeout(1.0 / self.spec.rate_at(env.now))
 
-    def _check_loop(self):
-        env = self.cluster.env
-        while True:
-            yield env.timeout(0.25)
-            self.suite.check()
-
-    # -- flight recording -----------------------------------------------
-
-    def dump_flight_recording(self, violation: InvariantViolation) -> str:
-        """Write the ring buffer to the flight dir; returns the path."""
-        directory = os.environ.get(FLIGHT_DIR_ENV, DEFAULT_FLIGHT_DIR)
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(
-            directory, f"elasticity-{self.spec.name}-seed{self.seed}.jsonl"
-        )
-        header = {
-            "ts": self.cluster.env.now,
-            "message": str(violation),
-            "scenario": f"elasticity/{self.spec.name}",
-            "seed": self.seed,
-        }
-        if violation.msg_id is not None:
-            header["msg_id"] = violation.msg_id
-        self.recorder.dump(path, header=header)
-        return path
-
     # -- running --------------------------------------------------------
 
     def _max_gap(self, load_until: float) -> float:
@@ -448,25 +397,13 @@ class ElasticityRunner:
 
     def run(self) -> ElasticityResult:
         spec = self.spec
-        env = self.cluster.env
         load_until = spec.load_until()
-        env.process(self._traffic_loop(load_until))
-        env.process(self._check_loop())
-        if self.controller_enabled:
-            self.controller.start()
-        if self.schedule:
-            self.orchestrator.execute(self.schedule)
-        try:
-            env.run(until=spec.duration)
-            self.suite.check()
-            self.suite.assert_converged()
-        except InvariantViolation as violation:
-            violation.dump_path = self.dump_flight_recording(violation)
-            raise
-        delivered = {
-            name: len(self.suite.logs[name].records)
-            for name in sorted(self.suite.logs)
-        }
+        self.cluster.env.process(self._traffic_loop(load_until))
+        self._run_checked(
+            spec.duration,
+            _CHECK_INTERVAL,
+            self.controller.start if self.controller_enabled else None,
+        )
         result = ElasticityResult(
             scenario=spec.name,
             seed=self.seed,
@@ -480,7 +417,7 @@ class ElasticityRunner:
             ],
             retired=list(self.executor.retired),
             final_streams=self.source._committed_streams(),
-            delivered=delivered,
+            delivered=self.delivered(),
             checks_run=self.suite.checks_run,
             digest=self.suite.digest(),
             converged=True,
@@ -503,7 +440,7 @@ class ElasticityRunner:
             f"policy               : "
             f"{', '.join(r.name for r in self.engine.rules)} "
             f"(sustain {self.engine.sustain}, cooldown "
-            f"{self.engine.cooldown_for('subscribe'):g}s)",
+            f"{self.engine.cooldown:g}s)",
         ]
         fired = self.engine.fired()
         if fired:

@@ -118,17 +118,11 @@ class SimSignalSource:
         registry,
         replicas: Mapping[str, object],
         directory: Mapping[str, object],
-        latency_actor: str = "client",
-        latency_metric: str = "latency_ms",
-        shard_prefix: str = "shard/",
     ):
         self.env = env
         self.registry = registry
         self.replicas = replicas
         self.directory = directory
-        self.latency_actor = latency_actor
-        self.latency_metric = latency_metric
-        self.shard_prefix = shard_prefix
         self._last_at: Optional[float] = None
         self._last_totals: dict[str, float] = {}
         self._last_shard_totals: dict[int, float] = {}
@@ -163,17 +157,15 @@ class SimSignalSource:
                 decide_p99[stream] = histogram.percentile(99)
         shard_rate: dict[int, float] = {}
         for (actor, name), counter in self.registry.counters().items():
-            if name != "ops" or not actor.startswith(self.shard_prefix):
+            if name != "ops" or not actor.startswith("shard/"):
                 continue
-            shard = int(actor[len(self.shard_prefix):])
+            shard = int(actor[len("shard/"):])
             total = counter.total
             last = self._last_shard_totals.get(shard, total)
             self._last_shard_totals[shard] = total
             if dt is not None and dt > 0:
                 shard_rate[shard] = (total - last) / dt
-        latency = self.registry.histogram(
-            self.latency_actor, self.latency_metric
-        )
+        latency = self.registry.histogram("client", "latency_ms")
         latency_p99 = latency.percentile(99) if len(latency) > 0 else None
         backpressure = 0.0
         for (_actor, name), gauge in self.registry.gauges().items():

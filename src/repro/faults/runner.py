@@ -21,17 +21,24 @@ When an invariant fires, the buffer is dumped to
 ``<scenario>-seed<seed>.jsonl`` -- the violation's causal history ships
 with the failure -- and the exception carries the dump path in its
 ``dump_path`` attribute.
+
+:class:`CheckedRun` is the part of that a closed-loop elasticity run
+(:mod:`repro.elasticity.scenarios`) shares: it owns the recorder, the
+cluster, the suite, the orchestrator, the check timer, the flight dump
+and the final verdict; :class:`ScenarioRunner` adds checkpointing, the
+paced load and the scripted control operations.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..harness.cluster import MulticastCluster
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import Tracer, current_tracer, installed
+from ..runtime.kernel import every
 from ..sim.core import Interrupt
 from ..storage.checkpoint import CheckpointStore
 from ..storage.snapshot import structural_copy
@@ -40,7 +47,7 @@ from .orchestrator import FaultOrchestrator
 from .scenarios import ScenarioSpec
 from .schedule import Schedule
 
-__all__ = ["ScenarioResult", "ScenarioRunner"]
+__all__ = ["CheckedRun", "ScenarioResult", "ScenarioRunner"]
 
 FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 DEFAULT_FLIGHT_DIR = "flight-recordings"
@@ -67,18 +74,23 @@ class ScenarioResult:
         return self.report_text
 
 
-class ScenarioRunner:
-    """Builds, runs and checks one fault scenario."""
+class CheckedRun:
+    """A simulated cluster run under the invariant suite (module
+    docstring).  A subclass deploys its replicas in :meth:`_deploy` and
+    drives its own workload."""
 
     def __init__(
         self,
-        spec: ScenarioSpec,
-        seed: int = 1,
+        spec,
+        seed: int,
+        streams: tuple[str, ...],
+        schedule: Schedule,
         flight_capacity: int = 100_000,
+        metrics=None,
     ):
         self.spec = spec
         self.seed = seed
-        self.schedule = spec.schedule(seed)
+        self.schedule = schedule
         # Flight recorder: ride along on an externally installed tracer
         # (e.g. the CLI's trace command), or install a private one just
         # for the cluster construction window -- the environment adopts
@@ -88,41 +100,31 @@ class ScenarioRunner:
         if external is not None:
             external.add_sink(self.recorder)
             self.tracer = external
-            self.cluster = self._build_cluster()
         else:
             self.tracer = Tracer(sinks=[self.recorder])
-            with installed(self.tracer):
-                self.cluster = self._build_cluster()
-        spec = self.spec
-        for stream in spec.failover:
-            self.cluster.directory[stream].enable_failover()
-        for group, names in spec.replica_names().items():
-            for name in names:
-                self.cluster.add_replica(name, group, list(spec.groups[group]))
+        with installed(
+            None if external is not None else self.tracer, metrics=metrics
+        ):
+            self.cluster = MulticastCluster(
+                streams=streams,
+                seed=seed,
+                link_latency=spec.link_latency,
+                lam=spec.lam,
+                delta_t=spec.delta_t,
+            )
+        self._deploy()
         self.suite = InvariantSuite(self.cluster.replicas)
-        self.checkpoints: dict[str, CheckpointStore] = {}
-        self._checkpoint_seq: dict[str, int] = {}
-        for name in self.cluster.replicas:
-            self.checkpoints[name] = CheckpointStore(keep=2)
-            self._checkpoint_seq[name] = 0
-            self._save_checkpoint(name)   # a recovery point exists from t=0
         self.orchestrator = FaultOrchestrator(
-            self.cluster.env,
-            self.cluster.network,
-            recover_hooks={
-                name: self._make_recover_hook(name)
-                for name in self.cluster.replicas
-            },
+            self.cluster.env, self.cluster.network
         )
 
-    def _build_cluster(self) -> MulticastCluster:
-        return MulticastCluster(
-            streams=self.spec.streams,
-            seed=self.seed,
-            link_latency=self.spec.link_latency,
-            lam=self.spec.lam,
-            delta_t=self.spec.delta_t,
-        )
+    def _deploy(self) -> None:
+        raise NotImplementedError
+
+    @property
+    def label(self) -> str:
+        """The scenario's name in reports and flight recordings."""
+        return self.spec.name
 
     # -- flight recording -----------------------------------------------
 
@@ -131,12 +133,12 @@ class ScenarioRunner:
         directory = os.environ.get(FLIGHT_DIR_ENV, DEFAULT_FLIGHT_DIR)
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(
-            directory, f"{self.spec.name}-seed{self.seed}.jsonl"
+            directory, f"{self.label.replace('/', '-')}-seed{self.seed}.jsonl"
         )
         header = {
             "ts": self.cluster.env.now,
             "message": str(violation),
-            "scenario": self.spec.name,
+            "scenario": self.label,
             "seed": self.seed,
         }
         if violation.msg_id is not None:
@@ -144,7 +146,83 @@ class ScenarioRunner:
         self.recorder.dump(path, header=header)
         return path
 
+    # -- running --------------------------------------------------------
+
+    def _run_checked(
+        self,
+        duration: float,
+        check_interval: float,
+        arm: Optional[Callable[[], None]] = None,
+        must_converge: bool = True,
+    ) -> bool:
+        """Arm the periodic check, then ``arm``, then the fault schedule;
+        run to ``duration`` and check once more.  Returns whether the
+        groups converged (raises if ``must_converge`` and they did not).
+        A violation dumps the flight recording and re-raises."""
+        env = self.cluster.env
+        every(env, check_interval, self.suite.check)
+        if arm is not None:
+            arm()
+        self.orchestrator.execute(self.schedule)
+        try:
+            env.run(until=duration)
+            self.suite.check()
+            try:
+                self.suite.assert_converged()
+            except AssertionError:
+                if must_converge:
+                    raise
+                return False
+            return True
+        except InvariantViolation as violation:
+            # Ship the causal history with the failure: dump the flight
+            # recorder's ring buffer next to the violation and re-raise.
+            violation.dump_path = self.dump_flight_recording(violation)
+            raise
+
+    def delivered(self) -> dict[str, int]:
+        """Deliveries per replica, by replica name."""
+        return {
+            name: len(self.suite.logs[name].records)
+            for name in sorted(self.suite.logs)
+        }
+
+
+class ScenarioRunner(CheckedRun):
+    """Builds, runs and checks one fault scenario."""
+
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        seed: int = 1,
+        flight_capacity: int = 100_000,
+    ):
+        super().__init__(
+            spec, seed, spec.streams, spec.schedule(seed), flight_capacity
+        )
+        self.checkpoints: dict[str, CheckpointStore] = {}
+        self._checkpoint_seq: dict[str, int] = {}
+        for name in self.cluster.replicas:
+            self.checkpoints[name] = CheckpointStore(keep=2)
+            self._checkpoint_seq[name] = 0
+            self._save_checkpoint(name)   # a recovery point exists from t=0
+            self.orchestrator.recover_hooks[name] = (
+                self._make_recover_hook(name)
+            )
+
+    def _deploy(self) -> None:
+        spec = self.spec
+        for stream in spec.failover:
+            self.cluster.directory[stream].enable_failover()
+        for group, names in spec.replica_names().items():
+            for name in names:
+                self.cluster.add_replica(name, group, list(spec.groups[group]))
+
     # -- checkpointing (the crash-recovery model's stable storage) ------
+
+    def _save_checkpoints(self) -> None:
+        for name in self.cluster.replicas:
+            self._save_checkpoint(name)
 
     def _save_checkpoint(self, name: str) -> None:
         replica = self.cluster.replicas[name]
@@ -189,25 +267,6 @@ class ScenarioRunner:
             except Interrupt:
                 return
 
-    def _checkpoint_loop(self):
-        env = self.cluster.env
-        while True:
-            try:
-                yield env.timeout(self.spec.checkpoint_interval)
-            except Interrupt:
-                return
-            for name in self.cluster.replicas:
-                self._save_checkpoint(name)
-
-    def _check_loop(self):
-        env = self.cluster.env
-        while True:
-            try:
-                yield env.timeout(self.spec.check_interval)
-            except Interrupt:
-                return
-            self.suite.check()
-
     def _arm_control(self) -> None:
         env = self.cluster.env
         client = self.cluster.client
@@ -236,38 +295,17 @@ class ScenarioRunner:
         )
         for stream in spec.streams:
             env.process(self._load_loop(stream, load_until))
-        env.process(self._checkpoint_loop())
-        env.process(self._check_loop())
-        self._arm_control()
-        self.orchestrator.execute(self.schedule)
-        try:
-            env.run(until=spec.duration)
-
-            self.suite.check()
-            converged = True
-            if spec.expect_converged:
-                self.suite.assert_converged()
-            else:
-                try:
-                    self.suite.assert_converged()
-                except AssertionError:
-                    converged = False
-        except InvariantViolation as violation:
-            # Ship the causal history with the failure: dump the flight
-            # recorder's ring buffer next to the violation and re-raise.
-            violation.dump_path = self.dump_flight_recording(violation)
-            raise
-
-        delivered = {
-            name: len(self.suite.logs[name].records)
-            for name in sorted(self.suite.logs)
-        }
+        every(env, spec.checkpoint_interval, self._save_checkpoints)
+        converged = self._run_checked(
+            spec.duration, spec.check_interval, self._arm_control,
+            must_converge=spec.expect_converged,
+        )
         result = ScenarioResult(
             scenario=spec.name,
             seed=self.seed,
             duration=spec.duration,
             schedule=self.schedule,
-            delivered=delivered,
+            delivered=self.delivered(),
             checks_run=self.suite.checks_run,
             digest=self.suite.digest(),
             converged=converged,

@@ -211,9 +211,6 @@ class KvCluster:
         deployment.start()
         return deployment
 
-    def stop_stream(self, name: str) -> None:
-        self.directory[name].stop()
-
     # -- replicas ------------------------------------------------------------
 
     def add_replica(

@@ -27,7 +27,7 @@ from ..paxos.coordinator import CoordinatorActor
 from ..paxos.ballot import quorum_size
 from ..paxos.failover import FailoverMonitor, RingWatchdog
 from ..paxos.learner import LearnerActor
-from ..paxos.types import Batch, SkipToken, Token  # noqa: F401 (SkipToken used by fast_forward)
+from ..paxos.types import Batch, Token
 from ..runtime.kernel import Kernel, Transport
 from ..storage.stable import StableStore
 
@@ -336,25 +336,6 @@ class StreamDeployment:
         """Inject a token at the coordinator (zero client latency)."""
         self.coordinator.propose(token)
 
-    def fast_forward(self, to_position: int) -> int:
-        """Align a freshly created stream with an existing ensemble.
-
-        Stream positions are the merge's logical clock: a new stream
-        starts at position 0 while long-running streams sit millions of
-        positions ahead, and the merge point (``max`` over positions)
-        would stall the subscription until the newcomer generated that
-        many positions at rate λ.  Proposing one skip covering the gap
-        up front aligns the newcomer's position counter immediately --
-        this is how a provisioned stream joins a running ensemble.
-
-        Returns the skip size proposed (0 if already past the target).
-        """
-        gap = to_position - self.coordinator.positions_proposed
-        if gap <= 0:
-            return 0
-        self.coordinator.propose(SkipToken(count=gap))
-        return gap
-
     def make_learner(
         self,
         name: str,
@@ -368,7 +349,3 @@ class StreamDeployment:
         learner.start()
         self.add_learner(name)
         return learner
-
-    def drop_learner(self, learner: LearnerActor) -> None:
-        self.remove_learner(learner.name)
-        learner.stop()

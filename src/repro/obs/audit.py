@@ -261,12 +261,6 @@ class SafetyCertifier:
 
     # -- ingest -------------------------------------------------------
 
-    def observe_all(self, events: Iterable[dict]) -> list[AuditViolation]:
-        fresh: list[AuditViolation] = []
-        for event in events:
-            fresh.extend(self.observe(event))
-        return fresh
-
     def observe(self, event: dict) -> list[AuditViolation]:
         """Feed one trace event; returns any *new* violations."""
         self.events += 1

@@ -300,9 +300,6 @@ class LifecycleIndex:
     def delivered_messages(self) -> list[MessageLifecycle]:
         return [m for m in self.messages.values() if m.delivered]
 
-    def complete_messages(self) -> list[MessageLifecycle]:
-        return [m for m in self.messages.values() if m.complete]
-
     def stage_samples(self) -> dict[str, list[float]]:
         """All per-stage latency samples across delivered messages."""
         samples: dict[str, list[float]] = {stage: [] for stage in STAGES}

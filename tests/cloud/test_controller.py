@@ -1,95 +1,116 @@
-"""Unit tests for the elasticity controller."""
+"""§VI's throughput-driven scale-out as the one elasticity controller:
+a decide-rate ceiling at the watermark, the cloud model's VM-booting
+executor, and a stub signal source standing in for the cluster."""
 
 import pytest
 
-from repro.cloud import CloudCompute, ElasticityController
-from repro.sim import Counter, Environment, RngRegistry
+from repro.cloud import CloudCompute, VmExecutor
+from repro.elasticity import (
+    DecideRateCeiling,
+    ElasticityController,
+    PolicyEngine,
+    SignalSnapshot,
+)
+from repro.sim import Environment, RngRegistry
 
 
-def make_world(capacity=100.0, watermark=0.8, max_streams=4):
+class LoadSource:
+    """Every stream provisioned so far is committed and shares a fixed
+    offered ``rate`` evenly."""
+
+    def __init__(self, env, rate):
+        self.env = env
+        self.rate = rate
+        self.streams = ["S1"]
+
+    def sample(self):
+        streams = tuple(self.streams)
+        return SignalSnapshot(
+            at=self.env.now, streams=streams, provisioned=streams,
+            pending_subscription=False,
+            decide_rate={s: self.rate / len(streams) for s in streams},
+        )
+
+
+def make_world(rate, capacity=100.0, watermark=0.8, max_streams=4):
     env = Environment()
     compute = CloudCompute(env, boot_time=5.0, boot_jitter=0.0, rng=RngRegistry(1))
-    throughput = Counter(env, "ops")
+    source = LoadSource(env, rate)
     provisioned = []
+
+    def provision(action, vms):
+        provisioned.append((env.now, action.stream, len(vms)))
+        source.streams.append(action.stream)
+
     controller = ElasticityController(
-        env,
-        compute,
-        throughput,
-        capacity_per_stream=capacity,
-        provision_stream=lambda index, vms: provisioned.append((env.now, index, len(vms))),
-        high_watermark=watermark,
-        sample_interval=2.0,
-        max_streams=max_streams,
+        source,
+        PolicyEngine(
+            (DecideRateCeiling(ceiling=watermark * capacity),),
+            sustain=1, cooldown=0.0, max_streams=max_streams,
+        ),
+        VmExecutor(compute, provision),
+        env=env,
+        interval=2.0,
     )
     controller.start()
-    return env, throughput, controller, provisioned
-
-
-def drive_load(env, throughput, rate, until):
-    def loader():
-        while env.now < until:
-            throughput.record(rate * 0.1)
-            yield env.timeout(0.1)
-
-    env.process(loader())
+    return env, controller, provisioned
 
 
 def test_no_scale_up_below_watermark():
-    env, throughput, controller, provisioned = make_world()
-    drive_load(env, throughput, rate=50.0, until=20.0)   # 50 < 0.8*100
+    env, controller, provisioned = make_world(rate=50.0)   # 50 < 0.8*100
     env.run(until=20.0)
     assert provisioned == []
-    assert controller.streams == 1
+    assert controller.executed == []
 
 
 def test_scales_up_when_saturated():
-    env, throughput, controller, provisioned = make_world()
-    drive_load(env, throughput, rate=95.0, until=30.0)
+    env, controller, provisioned = make_world(rate=95.0)
     env.run(until=30.0)
     assert provisioned, "controller never provisioned a stream"
-    at, index, n_vms = provisioned[0]
-    assert index == 1
+    at, stream, n_vms = provisioned[0]
+    assert stream == "S2"
     assert n_vms == 3
     assert at >= 5.0   # waits for the VMs to boot
-    assert controller.streams == 2
+    assert len(provisioned) == 1   # 95/2 per stream is below the watermark
 
 
 def test_respects_max_streams():
-    env, throughput, controller, provisioned = make_world(max_streams=2)
-    drive_load(env, throughput, rate=10_000.0, until=60.0)
+    env, controller, provisioned = make_world(rate=10_000.0, max_streams=2)
     env.run(until=60.0)
-    assert controller.streams == 2
-    assert len(provisioned) == 1
+    assert [stream for _at, stream, _n in provisioned] == ["S2"]
 
 
 def test_one_provisioning_at_a_time():
-    env, throughput, controller, provisioned = make_world(max_streams=8)
-    drive_load(env, throughput, rate=10_000.0, until=30.0)
+    env, controller, provisioned = make_world(rate=10_000.0, max_streams=8)
     env.run(until=30.0)
     # Scale-ups are serialized: each needs a 5 s boot, samples every 2 s.
-    times = [at for at, _i, _n in provisioned]
+    times = [at for at, _s, _n in provisioned]
+    assert len(times) > 1
     assert all(b - a >= 5.0 for a, b in zip(times, times[1:]))
 
 
 def test_stop_halts_sampling():
-    env, throughput, controller, provisioned = make_world()
+    env, controller, provisioned = make_world(rate=10_000.0)
     controller.stop()
-    drive_load(env, throughput, rate=10_000.0, until=20.0)
     env.run(until=20.0)
     assert provisioned == []
+    assert controller.last_snapshot is None
 
 
 def test_parameter_validation():
     env = Environment()
     compute = CloudCompute(env, rng=RngRegistry(1))
-    throughput = Counter(env)
+    source = LoadSource(env, rate=0.0)
+    executor = VmExecutor(compute, lambda action, vms: None)
+    with pytest.raises(ValueError):
+        DecideRateCeiling(ceiling=0)
+    with pytest.raises(ValueError):
+        PolicyEngine((DecideRateCeiling(ceiling=80.0),), sustain=0)
     with pytest.raises(ValueError):
         ElasticityController(
-            env, compute, throughput, capacity_per_stream=0,
-            provision_stream=lambda i, v: None,
-        )
-    with pytest.raises(ValueError):
-        ElasticityController(
-            env, compute, throughput, capacity_per_stream=10,
-            provision_stream=lambda i, v: None, high_watermark=1.5,
+            source,
+            PolicyEngine((DecideRateCeiling(ceiling=80.0),)),
+            executor,
+            env=env,
+            interval=0,
         )

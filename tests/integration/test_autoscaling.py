@@ -1,11 +1,23 @@
-"""End-to-end autoscaling: measured load -> booted VMs -> new stream."""
+"""End-to-end autoscaling: measured load -> booted VMs -> new stream.
 
-import pytest
+§VI's throughput-driven scale-out is the one elasticity controller with
+a decide-rate ceiling at 80% of one stream's capacity, signals read off
+the installed metrics registry, and the cloud model's VM-booting
+executor.
+"""
 
-from repro.cloud import CloudCompute, ElasticityController
+from repro.cloud import CloudCompute, VmExecutor
+from repro.elasticity import (
+    DecideRateCeiling,
+    ElasticityController,
+    PolicyEngine,
+    SimSignalSource,
+)
 from repro.harness.broadcast import BroadcastClient, BroadcastReplica
 from repro.multicast.api import MulticastClient
 from repro.multicast.stream import StreamDeployment
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import installed
 from repro.paxos.config import StreamConfig
 from repro.sim import Environment, LinkSpec, Network, RngRegistry
 
@@ -14,7 +26,9 @@ CAPACITY = 300.0
 
 
 def build(seed=81, boot_time=5.0):
-    env = Environment()
+    registry = MetricsRegistry()
+    with installed(metrics=registry):
+        env = Environment()
     rng = RngRegistry(seed)
     net = Network(env, rng=rng, default_link=LinkSpec(latency=0.001))
     compute = CloudCompute(env, boot_time=boot_time, boot_jitter=0.5, rng=rng)
@@ -42,32 +56,35 @@ def build(seed=81, boot_time=5.0):
     control = MulticastClient(env, net, "control", directory)
     client = BroadcastClient(env, net, "client", directory, value_size=512,
                              rng=rng.stream("c"))
+    provisioned = []
 
-    def provision(index, vms):
-        name = f"S{index + 1}"
-        deploy(name)
-        control.subscribe_msg("replicas", name, via_stream="S1")
-        client.start_threads(name, 8)
+    def provision(action, vms):
+        provisioned.append((env.now, action.stream))
+        deploy(action.stream)
+        control.subscribe_msg("replicas", action.stream, via_stream=action.via)
+        client.start_threads(action.stream, 8)
 
     controller = ElasticityController(
-        env, compute, replica.delivered_ops,
-        capacity_per_stream=CAPACITY,
-        provision_stream=provision,
-        high_watermark=0.8,
-        sample_interval=2.0,
-        max_streams=3,
+        SimSignalSource(env, registry, {"replica": replica}, directory),
+        PolicyEngine(
+            (DecideRateCeiling(ceiling=0.8 * CAPACITY),),
+            sustain=1, cooldown=0.0, max_streams=3,
+        ),
+        VmExecutor(compute, provision),
+        env=env,
+        interval=2.0,
     )
     controller.start()
-    return env, compute, replica, client, controller
+    return env, compute, replica, client, provisioned
 
 
 def test_controller_adds_stream_and_capacity_grows():
-    env, compute, replica, client, controller = build()
+    env, compute, replica, client, provisioned = build()
     client.start_threads("S1", 8)   # saturates one stream's cap
     env.run(until=40.0)
-    assert controller.scale_events, "never scaled"
-    first_scale_at, streams = controller.scale_events[0]
-    assert streams == 2
+    assert provisioned, "never scaled"
+    first_scale_at, stream = provisioned[0]
+    assert stream == "S2"
     assert first_scale_at > 5.0   # had to wait out the VM boot
     assert replica.subscriptions == ("S1", "S2")
     before = replica.delivered_ops.rate_between(2.0, 7.0)
@@ -81,8 +98,27 @@ def test_controller_adds_stream_and_capacity_grows():
 
 
 def test_controller_idle_load_never_scales():
-    env, compute, replica, client, controller = build(seed=82)
+    env, compute, replica, client, provisioned = build(seed=82)
     client.start_threads("S1", 1)   # far below the watermark
     env.run(until=30.0)
-    assert controller.scale_events == []
+    assert provisioned == []
     assert replica.subscriptions == ("S1",)
+
+
+def test_vm_deleted_mid_boot_does_not_wedge_the_autoscaler():
+    env, compute, replica, client, provisioned = build()
+    client.start_threads("S1", 8)
+    env.run(until=6.0)      # the first boot started at t=4
+    lost = [vm for vm in compute.servers.values()
+            if vm.name.startswith("stream-1-acceptors")]
+    assert len(lost) == 3 and not any(vm.is_active for vm in lost)
+    compute.delete_server(lost[0].name)
+    env.run(until=40.0)
+    # The lost boot was abandoned whole and S2 came from a fresh one.
+    assert all(not vm.is_active for vm in lost)
+    assert provisioned and provisioned[0][1] == "S2"
+    assert provisioned[0][0] > 6.0 + 5.0
+    assert replica.subscriptions[:2] == ("S1", "S2")
+    fresh = [vm for vm in compute.servers.values()
+             if vm.name.startswith("stream-1-acceptors") and vm.is_active]
+    assert len(fresh) == 3 and not set(fresh) & set(lost)
