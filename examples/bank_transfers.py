@@ -46,45 +46,50 @@ def main():
     cross_shard = len({pmap.partition_of(a).index for a in accounts})
     print(f"{N_ACCOUNTS} accounts over {cross_shard} shards")
 
+    # Each teller and the auditor is a chain of callbacks: a command's
+    # completion callback issues the next one.
     for account in accounts:
-        env.process(client.execute(("txn", ((account, "put", INITIAL_BALANCE),))))
+        client.execute(
+            ("txn", ((account, "put", INITIAL_BALANCE),)), lambda _results: None
+        )
     cluster.run(until=1.0)
 
     rng = cluster.rng.stream("bank")
     stats = {"transfers": 0, "cross_shard": 0}
 
-    def teller():
-        while True:
-            src, dst = rng.sample(accounts, 2)
-            amount = rng.randrange(1, 100)
-            yield from client.execute(
-                ("txn", ((src, "add", -amount), (dst, "add", amount)))
-            )
+    def transfer():
+        src, dst = rng.sample(accounts, 2)
+        amount = rng.randrange(1, 100)
+
+        def transferred(_results):
             stats["transfers"] += 1
             if pmap.partition_of(src).index != pmap.partition_of(dst).index:
                 stats["cross_shard"] += 1
+            transfer()
+
+        client.execute(
+            ("txn", ((src, "add", -amount), (dst, "add", amount))), transferred
+        )
 
     for _ in range(5):
-        env.process(teller())
+        env.call_later(0.0, transfer)
 
     audits = []
+    read_ops = tuple((account, "read", None) for account in accounts)
 
-    def auditor():
-        read_ops = tuple((account, "read", None) for account in accounts)
-        while True:
-            yield env.timeout(1.0)
-            results = yield from client.execute(("txn", read_ops))
-            balances = {}
-            for partial in results:
-                balances.update(partial)
-            total = sum(balances.values())
-            audits.append(total)
-            marker = "OK" if total == N_ACCOUNTS * INITIAL_BALANCE else "BROKEN!"
-            print(f"  t={env.now:5.2f}s  audit total = {total}  [{marker}]  "
-                  f"({stats['transfers']} transfers so far, "
-                  f"{stats['cross_shard']} cross-shard)")
+    def audited(results):
+        balances = {}
+        for partial in results:
+            balances.update(partial)
+        total = sum(balances.values())
+        audits.append(total)
+        marker = "OK" if total == N_ACCOUNTS * INITIAL_BALANCE else "BROKEN!"
+        print(f"  t={env.now:5.2f}s  audit total = {total}  [{marker}]  "
+              f"({stats['transfers']} transfers so far, "
+              f"{stats['cross_shard']} cross-shard)")
+        env.call_later(1.0, client.execute, ("txn", read_ops), audited)
 
-    env.process(auditor())
+    env.call_later(1.0, client.execute, ("txn", read_ops), audited)
     cluster.run(until=8.0)
 
     expected = N_ACCOUNTS * INITIAL_BALANCE

@@ -42,16 +42,18 @@ def main():
     print(f"  client completed {client.completed} ops")
 
     print("\nphase 2: split partition 0 -> (0: r1 on S1, 1: r2 on S2)")
-    split = cluster.orchestrator.split(
+    maps = []
+    cluster.orchestrator.split(
         old_map=initial_map,
         split_index=0,
         moving_group="shard-b",
         moving_replicas=("r2",),
         new_stream="S2",
         settle_delay=1.0,
+        on_done=maps.append,
     )
     cluster.run(until=12.0)
-    new_map = split.value
+    [new_map] = maps
     print(f"  new map version {new_map.version} with "
           f"{new_map.n_partitions} partitions")
     print(f"  r1 subscriptions: {r1.subscriptions}   "

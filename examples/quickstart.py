@@ -49,28 +49,28 @@ def main():
     replicas = [make_replica("replica-1"), make_replica("replica-2")]
     client = MulticastClient(env, network, "client", directory)
 
-    def scenario():
-        # Plain multicast to the subscribed stream.
-        for i in range(3):
-            client.multicast("S1", payload=f"s1-msg-{i}")
-            yield env.timeout(0.02)
+    # The scenario is a schedule of calls at simulated times.
+    # Plain multicast to the subscribed stream.
+    for i in range(3):
+        env.call_at(0.02 * i, client.multicast, "S1", f"s1-msg-{i}")
 
-        # Dynamic subscription: ordered in BOTH S2 and S1; the replicas
-        # compute the merge point and start merging S2 deterministically.
+    # Dynamic subscription: ordered in BOTH S2 and S1; the replicas
+    # compute the merge point and start merging S2 deterministically.
+    def subscribe():
         print("subscribing group G to stream S2 ...")
         client.subscribe_msg("G", new_stream="S2", via_stream="S1")
-        yield env.timeout(0.2)
 
-        for i in range(3):
-            client.multicast("S2", payload=f"s2-msg-{i}")
-            client.multicast("S1", payload=f"s1-more-{i}")
-            yield env.timeout(0.02)
+    env.call_at(0.06, subscribe)
+    for i in range(3):
+        env.call_at(0.26 + 0.02 * i, client.multicast, "S2", f"s2-msg-{i}")
+        env.call_at(0.26 + 0.02 * i, client.multicast, "S1", f"s1-more-{i}")
 
-        # And unsubscribe again -- one ordered message is enough.
+    # And unsubscribe again -- one ordered message is enough.
+    def unsubscribe():
         print("unsubscribing group G from stream S2 ...")
         client.unsubscribe_msg("G", "S2")
 
-    env.process(scenario())
+    env.call_at(0.32, unsubscribe)
     env.run(until=2.0)
 
     print("\nsubscriptions now:", replicas[0].subscriptions)

@@ -149,14 +149,15 @@ def run_stop_restart_reconfig(
     )
     client.start_threads("S1", config.n_threads)
 
-    def reconfigure():
-        yield env.timeout(config.reconfigure_at)
+    def stop_the_world() -> None:
         # Stop the world: clients, replicas, the stream itself.
         client.stop_threads()
         for replica in replicas:
             replica.stop()
         deployment.stop()
-        yield env.timeout(config.restart_downtime)
+        env.call_later(config.restart_downtime, restart)
+
+    def restart() -> None:
         # New acceptor set under the same stream name (fresh actors).
         new_config = StreamConfig(
             name="S1",
@@ -170,7 +171,7 @@ def run_stop_restart_reconfig(
         make_replicas("-v2")
         client.start_threads("S1", config.n_threads)
 
-    env.process(reconfigure())
+    env.call_at(config.reconfigure_at, stop_the_world)
     env.run(until=config.duration)
 
     class _Combined:
@@ -226,13 +227,15 @@ def run_membership_command_reconfig(
     )
     client.start_threads("S1", config.n_threads)
 
-    def reconfigure():
-        yield env.timeout(config.reconfigure_at)
-        coordinator = deployment.coordinator
+    coordinator = deployment.coordinator
+
+    def order_membership_command() -> None:
         # The membership command is ordered like any value; once decided
         # the pipeline drains before any instance may use the new set.
         coordinator.leading = False
-        yield env.timeout(config.drain_delay)
+        env.call_later(config.drain_delay, switch)
+
+    def switch() -> None:
         # Fresh acceptors take over; the coordinator re-runs Phase 1.
         new_names = ("S1/b1", "S1/b2", "S1/b3")
         new_acceptors = [
@@ -246,7 +249,7 @@ def run_membership_command_reconfig(
         deployment._sync_decision_targets()
         coordinator.take_over()
 
-    env.process(reconfigure())
+    env.call_at(config.reconfigure_at, order_membership_command)
     env.run(until=config.duration)
     result = BaselineReconfigResult(config=config, strategy="membership-command")
     return _measure(result, replicas[0].delivered_ops, client, config)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from ..harness.broadcast import BroadcastClient, BroadcastReplica
 from ..multicast.stream import StreamDeployment
 from ..paxos.config import StreamConfig
+from ..paxos.types import AppValue
+from ..runtime.kernel import every
 from ..sim.core import Environment
 from ..sim.network import LinkSpec, Network
 from ..sim.rng import RngRegistry
@@ -74,15 +76,11 @@ def run_skip_ablation(
     )
     client.start_threads("S1", config.n_threads)
     if config.idle_stream_load > 0:
-        def trickle():
-            from ..paxos.types import AppValue
-
-            interval = 1.0 / config.idle_stream_load
-            while True:
-                directory["S2"].propose(AppValue(payload=None, size=64))
-                yield env.timeout(interval)
-
-        env.process(trickle())
+        every(
+            env, 1.0 / config.idle_stream_load,
+            lambda: directory["S2"].propose(AppValue(payload=None, size=64)),
+            first=0.0,
+        )
 
     env.run(until=config.duration)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from ..harness.broadcast import BroadcastClient, BroadcastReplica
 from ..multicast.stream import StreamDeployment
 from ..paxos.config import StreamConfig
+from ..runtime.kernel import every
 from ..sim.core import Environment
 from ..sim.network import LinkSpec, Network
 from ..sim.rng import RngRegistry
@@ -90,12 +91,16 @@ def run_static_broadcast(
     )
     client.start_threads("S1", config.threads_per_step)
 
-    def loader():
-        for _ in range(config.n_steps - 1):
-            yield env.timeout(config.add_threads_interval)
-            client.start_threads("S1", config.threads_per_step)
+    remaining = config.n_steps - 1
 
-    env.process(loader())
+    def add_threads() -> bool:
+        nonlocal remaining
+        client.start_threads("S1", config.threads_per_step)
+        remaining -= 1
+        return remaining > 0
+
+    if remaining > 0:
+        every(env, config.add_threads_interval, add_threads)
     env.run(until=config.duration)
 
     measured = replicas[0]

@@ -18,9 +18,9 @@ The compute pool defaults to the paper's cluster: 16 compute nodes.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
-from ..sim.core import AllOf, Environment, Event
+from ..sim.core import Environment
 from ..sim.rng import RngRegistry
 from .vm import DEFAULT_BOOT_TIME, VirtualMachine, VmState
 
@@ -115,9 +115,23 @@ class CloudCompute:
     def server(self, name: str) -> VirtualMachine:
         return self.servers[name]
 
-    def wait_active(self, vms: list[VirtualMachine]) -> Event:
-        """Event that fires when every VM in ``vms`` is ACTIVE."""
-        return AllOf(self.env, [vm.active_event for vm in vms])
+    def wait_active(
+        self, vms: list[VirtualMachine], fn: Callable, *args: Any
+    ) -> None:
+        """Call ``fn(*args)`` once every VM in ``vms`` is ACTIVE, in a
+        scheduling step after the last one announced it."""
+        waiting = len(vms)
+
+        def one_active(_vm: VirtualMachine) -> None:
+            nonlocal waiting
+            waiting -= 1
+            if waiting == 0:
+                self.env.call_later(0.0, fn, *args)
+
+        if not vms:
+            self.env.call_later(0.0, fn, *args)
+        for vm in vms:
+            vm.when_active(one_active)
 
 
 class AutoScalingGroup:
@@ -156,17 +170,8 @@ class AutoScalingGroup:
             new_vms.append(vm)
             self.instances.append(vm)
         if self.on_scaled is not None:
-            done = self.compute.wait_active(new_vms)
-            done.callbacks.append(lambda _e: self.on_scaled(new_vms))
+            self.compute.wait_active(new_vms, self.on_scaled, new_vms)
         return new_vms
-
-    def scale_down(self, count: int) -> list[VirtualMachine]:
-        """Delete the ``count`` newest live instances."""
-        victims = [vm for vm in reversed(self.instances) if vm.state is not VmState.DELETED]
-        victims = victims[:count]
-        for vm in victims:
-            self.compute.delete_server(vm.name)
-        return victims
 
 
 class VmExecutor:

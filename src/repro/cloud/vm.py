@@ -11,9 +11,9 @@ and can be deleted.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Callable, Optional
 
-from ..sim.core import Environment, Event
+from ..sim.core import Environment
 
 __all__ = ["VmState", "VirtualMachine", "DEFAULT_BOOT_TIME"]
 
@@ -28,7 +28,8 @@ class VmState(enum.Enum):
 
 
 class VirtualMachine:
-    """One VM instance; ``active_event`` fires when boot completes."""
+    """One VM instance; :meth:`when_active` callbacks run when boot
+    completes."""
 
     def __init__(
         self,
@@ -45,15 +46,30 @@ class VirtualMachine:
         self.state = VmState.BUILDING
         self.requested_at = env.now
         self.active_at: Optional[float] = None
-        self.active_event: Event = env.event()
+        # Callbacks waiting for ACTIVE; ``None`` once they have run.
+        self._on_active: Optional[list[Callable[[VirtualMachine], None]]] = []
         env.call_later(boot_time, self._become_active)
+
+    def when_active(self, fn: Callable[["VirtualMachine"], None]) -> None:
+        """Call ``fn(vm)`` once the VM is ACTIVE, in a scheduling step
+        after the one that activated it (at once if that has passed).
+        A VM deleted while BUILDING never calls it."""
+        if self._on_active is None:
+            fn(self)
+        else:
+            self._on_active.append(fn)
 
     def _become_active(self) -> None:
         if self.state is VmState.DELETED:
             return  # deleted while still building
         self.state = VmState.ACTIVE
         self.active_at = self.env.now
-        self.active_event.succeed(self)
+        self.env.call_later(0.0, self._announce)
+
+    def _announce(self) -> None:
+        callbacks, self._on_active = self._on_active, None
+        for fn in callbacks:
+            fn(self)
 
     def delete(self) -> None:
         self.state = VmState.DELETED

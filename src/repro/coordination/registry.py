@@ -122,10 +122,6 @@ class RegistryService(Actor):
             self.send(watcher, event)
         return version
 
-    def get_local(self, key: str) -> Optional[Any]:
-        entry = self._data.get(key)
-        return entry[0] if entry else None
-
 
 class RegistryClient:
     """Embeddable stub: an actor mixes this in to talk to the registry.

@@ -138,12 +138,6 @@ class TopologySpec:
                 return node.name
         raise KeyError(f"stream {stream!r} not placed on any node")
 
-    def node_of_replica(self, replica: str) -> str:
-        for node in self.nodes:
-            if replica in node.replicas:
-                return node.name
-        raise KeyError(f"replica {replica!r} not placed on any node")
-
     def client_node(self) -> str:
         for node in self.nodes:
             if node.client:

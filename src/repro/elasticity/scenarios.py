@@ -358,29 +358,30 @@ class ElasticityRunner(CheckedRun):
                 1000.0 * (now - sent_at)
             )
 
-    # -- background processes -------------------------------------------
+    # -- load -----------------------------------------------------------
 
     def _draw_shard(self, rng) -> int:
         if self.spec.skewed(self.cluster.env.now):
             return bisect.bisect_left(self._zipf_cdf, rng.random())
         return rng.randrange(self.spec.n_shards)
 
-    def _traffic_loop(self, until: float):
+    def _traffic(self, until: float, index: int = 0) -> None:
+        """One value of the load loop, then re-arm it, until ``until``."""
         env = self.cluster.env
-        client = self.cluster.client
+        if env.now >= until:
+            return
         rng = self.cluster.rng.stream("elastic-load")
-        index = 0
-        while env.now < until:
-            shard = self._draw_shard(rng)
-            subkey = rng.random()
-            stream = self.router.stream_for(shard, subkey)
-            value = client.multicast(
-                stream, payload=("m", index, shard), size=64
-            )
-            self._submit_at[value.msg_id] = env.now
-            self.registry.counter(f"shard/{shard}", "ops").record()
-            index += 1
-            yield env.timeout(1.0 / self.spec.rate_at(env.now))
+        shard = self._draw_shard(rng)
+        subkey = rng.random()
+        stream = self.router.stream_for(shard, subkey)
+        value = self.cluster.client.multicast(
+            stream, payload=("m", index, shard), size=64
+        )
+        self._submit_at[value.msg_id] = env.now
+        self.registry.counter(f"shard/{shard}", "ops").record()
+        env.call_later(
+            1.0 / self.spec.rate_at(env.now), self._traffic, until, index + 1
+        )
 
     # -- running --------------------------------------------------------
 
@@ -398,7 +399,7 @@ class ElasticityRunner(CheckedRun):
     def run(self) -> ElasticityResult:
         spec = self.spec
         load_until = spec.load_until()
-        self.cluster.env.process(self._traffic_loop(load_until))
+        self.cluster.env.call_later(0.0, self._traffic, load_until)
         self._run_checked(
             spec.duration,
             _CHECK_INTERVAL,

@@ -39,7 +39,6 @@ from ..harness.cluster import MulticastCluster
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import Tracer, current_tracer, installed
 from ..runtime.kernel import every
-from ..sim.core import Interrupt
 from ..storage.checkpoint import CheckpointStore
 from ..storage.snapshot import structural_copy
 from .invariants import InvariantSuite, InvariantViolation
@@ -245,27 +244,24 @@ class ScenarioRunner(CheckedRun):
 
         return recover
 
-    # -- background processes -------------------------------------------
+    # -- load -----------------------------------------------------------
 
-    def _load_loop(self, stream: str, until: float):
+    def _load(self, stream: str, until: float, index: int = 0) -> None:
+        """One value of ``stream``'s load loop, then re-arm it, until
+        ``until``."""
         env = self.cluster.env
-        client = self.cluster.client
+        if env.now >= until:
+            return
+        self.cluster.client.multicast(stream, payload=(stream, index))
         interval = 1.0 / self.spec.load_rate
         share = self.spec.load_share
-        index = 0
-        while env.now < until:
-            client.multicast(stream, payload=(stream, index))
-            index += 1
-            # share is None on the legacy path: the constant interval
-            # keeps pre-existing scenarios' digests byte-identical.
-            delay = (
-                interval if share is None
-                else interval / max(share(stream, env.now), 1e-9)
-            )
-            try:
-                yield env.timeout(delay)
-            except Interrupt:
-                return
+        # share is None on the legacy path: the constant interval keeps
+        # pre-existing scenarios' digests byte-identical.
+        delay = (
+            interval if share is None
+            else interval / max(share(stream, env.now), 1e-9)
+        )
+        env.call_later(delay, self._load, stream, until, index + 1)
 
     def _arm_control(self) -> None:
         env = self.cluster.env
@@ -294,7 +290,7 @@ class ScenarioRunner(CheckedRun):
             else spec.duration * 0.65
         )
         for stream in spec.streams:
-            env.process(self._load_loop(stream, load_until))
+            env.call_later(0.0, self._load, stream, load_until)
         every(env, spec.checkpoint_interval, self._save_checkpoints)
         converged = self._run_checked(
             spec.duration, spec.check_interval, self._arm_control,

@@ -19,7 +19,7 @@ from ..net.actor import Actor
 from ..net.messages import FastMessage, Message, WIRE_HEADER_BYTES
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue
-from ..sim.core import _PENDING, AnyOf, Environment, Interrupt
+from ..sim.core import Environment
 from ..sim.monitor import Counter, Series
 from ..sim.network import Network
 from ..sim.resources import Server
@@ -69,10 +69,37 @@ class BroadcastReplica(MulticastReplica):
     def apply(self, value: AppValue, stream: str, position: int) -> None:
         self.delivered_ops.record()
         self.stream_counter(stream).record()
-        done = self.cpu.request(1.0)
         if value.sender:
             ack = DeliveryAck(msg_id=value.msg_id, replica=self.name)
-            done.callbacks.append(lambda _e: self.send(value.sender, ack))
+            self.cpu.request(1.0, self.send, value.sender, ack)
+        else:
+            self.cpu.request(1.0)
+
+
+class _Thread:
+    """One closed-loop client thread: the stream it was started on, the
+    stream it submits to and when its current value was first sent."""
+
+    __slots__ = ("stream", "target", "started", "stopped")
+
+    def __init__(self, stream: str):
+        self.stream = stream
+        self.target = stream
+        self.started = 0.0
+        self.stopped = False
+
+
+class _Attempt:
+    """One submission of a thread's value, waiting for the first ack or
+    its expiry, whichever wakes it first."""
+
+    __slots__ = ("thread", "msg_id", "acked", "woken")
+
+    def __init__(self, thread: _Thread, msg_id: int):
+        self.thread = thread
+        self.msg_id = msg_id
+        self.acked = False
+        self.woken = False
 
 
 class BroadcastClient(Actor):
@@ -81,7 +108,11 @@ class BroadcastClient(Actor):
     The paper's Fig. 3 client runs "5 threads per stream": threads for a
     stream are started when the stream is added.  A thread submits one
     value, waits for the first replica ack (with a timeout for lost
-    values), records latency, optionally thinks, and repeats.
+    values), records latency, optionally thinks, and repeats.  Each
+    thread is a state machine on ``call_later``: an attempt is woken by
+    the ack or by its expiry, one calendar step after either, and then
+    resumes the thread one step later still -- so an ack that lands in
+    the step between an expiry and the resumption still counts.
     """
 
     def __init__(
@@ -105,22 +136,26 @@ class BroadcastClient(Actor):
         self.ops = Counter(env, f"{name}:ops")
         self.latency = Series(env, f"{name}:latency")
         self.timeouts = 0
-        self._pending: dict[int, object] = {}
-        self._workers: list = []
+        self._pending: dict[int, _Attempt] = {}
+        self._threads: list[_Thread] = []
         self._retargets: dict[str, str] = {}
 
     def start_threads(self, stream: str, count: int) -> None:
-        """Start ``count`` closed-loop threads submitting to ``stream``."""
+        """Start ``count`` closed-loop threads submitting to ``stream``
+        from the next scheduling step on."""
         if not self.running:
             self.start()
         for _ in range(count):
-            self._workers.append(self.env.process(self._worker(stream)))
+            thread = _Thread(stream)
+            self._threads.append(thread)
+            self.env.call_later(0.0, self._next_value, thread)
 
     def stop_threads(self) -> None:
-        for worker in self._workers:
-            if worker.is_alive:
-                worker.interrupt("stop")
-        self._workers = []
+        """Stop every thread: nothing more is submitted, and what is in
+        flight is dropped when it wakes."""
+        for thread in self._threads:
+            thread.stopped = True
+        self._threads = []
 
     def retarget(self, old_stream: str, new_stream: str) -> None:
         """Move all threads from one stream to another (reconfiguration:
@@ -133,62 +168,75 @@ class BroadcastClient(Actor):
             stream = retargets[stream]
         return stream
 
-    def _worker(self, stream: str):
-        # The tracer is fixed for the environment's lifetime; hoist the
-        # per-attempt lookups out of the submission loop.
-        env = self.env
-        tracer = env.tracer
-        try:
-            while True:
-                target = self._target_of(stream)
-                started = env._now
-                while True:
-                    # A fresh value per attempt: coordinators order each
-                    # msg_id at most once (wire-duplicate dedup), so a
-                    # retry after a timeout must be a new submission --
-                    # e.g. when the original was ordered below a merge
-                    # point and discarded by the subscription scan.
-                    value = AppValue(
-                        payload=None, size=self.value_size, sender=self.name
-                    )
-                    done = env.event()
-                    self._pending[value.msg_id] = done
-                    coordinator = self.directory[target].config.coordinator
-                    if tracer is not None:
-                        tracer.emit(
-                            "client.submit", self.env._now,
-                            (self.name, target, value.msg_id,
-                             self.value_size),
-                        )
-                    self.send(coordinator, Propose(stream=target, token=value))
-                    expiry = env.timeout(self.timeout)
-                    yield AnyOf(env, [done, expiry])
-                    if done._value is not _PENDING:   # done.triggered
-                        break
-                    self._pending.pop(value.msg_id, None)
-                    self.timeouts += 1
-                    if tracer is not None:
-                        tracer.emit(
-                            "client.timeout", self.env._now, client=self.name,
-                            stream=target, msg_id=value.msg_id,
-                        )
-                    metrics = self.env.metrics
-                    if metrics is not None:
-                        metrics.counter(self.name, "timeouts").record()
-                    target = self._target_of(target)
-                self.ops.record()
-                self.latency.record(env._now - started)
-                if tracer is not None:
-                    tracer.emit(
-                        "client.ack", self.env._now, client=self.name,
-                        msg_id=value.msg_id, latency=self.env._now - started,
-                    )
-                if self.think_time > 0:
-                    yield self.env.timeout(self.think_time)
-        except Interrupt:
+    def _next_value(self, thread: _Thread) -> None:
+        if thread.stopped:
             return
+        thread.target = self._target_of(thread.stream)
+        thread.started = self.env._now
+        self._submit(thread)
+
+    def _submit(self, thread: _Thread) -> None:
+        # A fresh value per attempt: coordinators order each msg_id at
+        # most once (wire-duplicate dedup), so a retry after a timeout
+        # must be a new submission -- e.g. when the original was
+        # ordered below a merge point and discarded by the subscription
+        # scan.
+        env = self.env
+        target = thread.target
+        value = AppValue(payload=None, size=self.value_size, sender=self.name)
+        attempt = _Attempt(thread, value.msg_id)
+        self._pending[value.msg_id] = attempt
+        coordinator = self.directory[target].config.coordinator
+        tracer = env.tracer
+        if tracer is not None:
+            tracer.emit(
+                "client.submit", env._now,
+                (self.name, target, value.msg_id, self.value_size),
+            )
+        self.send(coordinator, Propose(stream=target, token=value))
+        env.call_later(self.timeout, self._wake, attempt)
 
     def on_delivery_ack(self, msg: DeliveryAck, src: str) -> None:
-        done = self._pending.pop(msg.msg_id, None)
-        if done is not None:
-            done.succeed(msg.replica)
+        attempt = self._pending.pop(msg.msg_id, None)
+        if attempt is not None:
+            attempt.acked = True
+            self.env.call_later(0.0, self._wake, attempt)
+
+    def _wake(self, attempt: _Attempt) -> None:
+        """The ack's step or the expiry: the first one resumes the
+        thread in the next step, later ones do nothing."""
+        if not attempt.woken:
+            attempt.woken = True
+            self.env.call_later(0.0, self._resume, attempt)
+
+    def _resume(self, attempt: _Attempt) -> None:
+        thread = attempt.thread
+        if thread.stopped:
+            return
+        env = self.env
+        tracer = env.tracer
+        if not attempt.acked:
+            self._pending.pop(attempt.msg_id, None)
+            self.timeouts += 1
+            if tracer is not None:
+                tracer.emit(
+                    "client.timeout", env._now, client=self.name,
+                    stream=thread.target, msg_id=attempt.msg_id,
+                )
+            metrics = env.metrics
+            if metrics is not None:
+                metrics.counter(self.name, "timeouts").record()
+            thread.target = self._target_of(thread.target)
+            self._submit(thread)
+            return
+        self.ops.record()
+        self.latency.record(env._now - thread.started)
+        if tracer is not None:
+            tracer.emit(
+                "client.ack", env._now, client=self.name,
+                msg_id=attempt.msg_id, latency=env._now - thread.started,
+            )
+        if self.think_time > 0:
+            env.call_later(self.think_time, self._next_value, thread)
+        else:
+            self._next_value(thread)

@@ -91,23 +91,17 @@ def run_horizontal(config: HorizontalConfig = HorizontalConfig()) -> HorizontalR
         think_time=think_time,
     )
 
-    split_done = {}
-
-    def splitter():
-        yield cluster.env.timeout(config.split_at)
-        process = cluster.orchestrator.split(
+    cluster.env.call_at(
+        config.split_at,
+        lambda: cluster.orchestrator.split(
             old_map=initial_map,
             split_index=0,
             moving_group="shard-b",
             moving_replicas=("r2",),
             new_stream="S2",
             settle_delay=config.inform_delay,
-        )
-        new_map = yield process
-        split_done["map"] = new_map
-        split_done["at"] = cluster.env.now
-
-    cluster.env.process(splitter())
+        ),
+    )
     cluster.run(until=config.duration)
 
     result = HorizontalResult(config=config)

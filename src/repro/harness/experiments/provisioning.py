@@ -16,6 +16,7 @@ from ...cloud.vm import DEFAULT_BOOT_TIME
 from ...multicast.api import MulticastClient
 from ...multicast.stream import StreamDeployment
 from ...paxos.config import StreamConfig
+from ...runtime.kernel import every
 from ...sim.core import Environment
 from ...sim.network import LinkSpec, Network
 from ...sim.rng import RngRegistry
@@ -90,12 +91,13 @@ def run_provisioning(
 
     result = ProvisioningResult(config=config)
 
-    def provision():
-        yield env.timeout(5.0)
+    def provision() -> None:
         result.requested_at = env.now
         group = AutoScalingGroup(compute, "S2-acceptors")
         vms = group.scale_up(config.acceptors_per_stream)
-        yield compute.wait_active(vms)
+        compute.wait_active(vms, provisioned)
+
+    def provisioned() -> None:
         result.vms_active_at = env.now
         deploy_stream("S2")
         # No explicit alignment needed: the coordinator paces skips
@@ -106,18 +108,17 @@ def run_provisioning(
         result.subscribed_at = env.now
         client.start_threads("S2", 2)
 
-    env.process(provision())
+    env.call_at(5.0, provision)
 
     # Detect the first delivery attributed to the new stream.
-    def watcher():
-        while True:
-            yield env.timeout(0.05)
-            counter = replica.per_stream_ops.get("S2")
-            if counter is not None and counter.total > 0:
-                result.first_delivery_at = counter._times[0]
-                return
+    def watch() -> bool:
+        counter = replica.per_stream_ops.get("S2")
+        if counter is not None and counter.total > 0:
+            result.first_delivery_at = counter._times[0]
+            return False
+        return True
 
-    env.process(watcher())
+    every(env, 0.05, watch)
     env.run(until=config.duration)
     if result.first_delivery_at == 0.0:
         raise RuntimeError("new stream never delivered a value")

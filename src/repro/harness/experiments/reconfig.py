@@ -109,21 +109,25 @@ def run_reconfig(config: ReconfigConfig = ReconfigConfig()) -> ReconfigResult:
     )
     client.start_threads("S1", config.n_threads)
 
-    def reconfigure():
-        if config.use_prepare:
-            yield env.timeout(config.prepare_at)
-            control.prepare_msg("replicas", "S2", via_stream="S1")
-            yield env.timeout(config.subscribe_at - config.prepare_at)
-        else:
-            yield env.timeout(config.subscribe_at)
+    def hint() -> None:
+        control.prepare_msg("replicas", "S2", via_stream="S1")
+        env.call_later(config.subscribe_at - config.prepare_at, subscribe)
+
+    def subscribe() -> None:
         control.subscribe_msg("replicas", "S2", via_stream="S1")
         # Operators point the clients at the new stream, then retire S1.
-        yield env.timeout(0.05)
-        client.retarget("S1", "S2")
-        yield env.timeout(0.05)
-        control.unsubscribe_msg("replicas", "S1", via_stream="S1")
+        env.call_later(0.05, retarget)
 
-    env.process(reconfigure())
+    def retarget() -> None:
+        client.retarget("S1", "S2")
+        env.call_later(
+            0.05, control.unsubscribe_msg, "replicas", "S1", "S1"
+        )
+
+    if config.use_prepare:
+        env.call_at(config.prepare_at, hint)
+    else:
+        env.call_at(config.subscribe_at, subscribe)
     env.run(until=config.duration)
 
     measured = replicas[0]

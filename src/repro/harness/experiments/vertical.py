@@ -117,33 +117,28 @@ def run_vertical(config: VerticalConfig = VerticalConfig()) -> VerticalResult:
 
     subscribe_times: list[float] = []
 
-    def scaler():
-        for k in range(1, config.n_streams):
-            yield env.timeout(
-                config.add_interval if k > 1 else config.add_interval
-            )
-            new_stream = streams[k]
-            if config.use_prepare:
-                control.prepare_msg("replicas", new_stream, via_stream=streams[0])
-                yield env.timeout(config.prepare_lead)
-            control.subscribe_msg("replicas", new_stream, via_stream=streams[0])
-            subscribe_times.append(env.now)
-            client.start_threads(new_stream, config.threads_per_stream)
+    # Stream k is subscribed at k * add_interval (in both modes); with
+    # prepare enabled its hint leads the subscribe by prepare_lead.
+    def subscribe(k: int) -> None:
+        control.subscribe_msg("replicas", streams[k], via_stream=streams[0])
+        subscribe_times.append(env.now)
+        client.start_threads(streams[k], config.threads_per_stream)
+        if k + 1 < config.n_streams:
+            schedule(k + 1)
 
-    # With prepare enabled the hint lead time shifts the schedule; keep
-    # the subscribe instants at k * add_interval in both modes.
-    def scaler_prepared():
-        for k in range(1, config.n_streams):
-            target = k * config.add_interval
-            hint_at = max(0.0, target - config.prepare_lead)
-            yield env.timeout(hint_at - env.now)
-            control.prepare_msg("replicas", streams[k], via_stream=streams[0])
-            yield env.timeout(target - env.now)
-            control.subscribe_msg("replicas", streams[k], via_stream=streams[0])
-            subscribe_times.append(env.now)
-            client.start_threads(streams[k], config.threads_per_stream)
+    def hint(k: int) -> None:
+        control.prepare_msg("replicas", streams[k], via_stream=streams[0])
+        env.call_at(k * config.add_interval, subscribe, k)
 
-    env.process(scaler_prepared() if config.use_prepare else scaler())
+    def schedule(k: int) -> None:
+        if config.use_prepare:
+            hint_at = max(0.0, k * config.add_interval - config.prepare_lead)
+            env.call_at(hint_at, hint, k)
+        else:
+            env.call_later(config.add_interval, subscribe, k)
+
+    if config.n_streams > 1:
+        schedule(1)
     env.run(until=config.duration)
 
     measured = replicas[0]

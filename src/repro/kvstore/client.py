@@ -10,12 +10,16 @@ that reached the wrong shard were discarded there, and this retry (with
 the refreshed partition map pushed by the registry watch) is what
 produces the ~1 s gap in Fig. 4.  Replicas of a shard all reply; the
 first reply completes the command and duplicates are dropped.
+
+Workers are state machines on ``call_later``: a command's send arms
+its expiry, and whichever of the last reply and the expiry comes first
+wakes it, one calendar step later, to finish or to re-send.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from ..coordination.registry import RegistryClient
 from ..multicast.stream import StreamDeployment
@@ -23,7 +27,7 @@ from ..net.actor import Actor
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue
 from ..metrics import Counter, Series
-from ..runtime.kernel import Interrupt, Kernel, Transport
+from ..runtime.kernel import Kernel, Transport
 from ..workload.generators import KeyspaceWorkload
 from .commands import CommandReply, DeleteCmd, GetCmd, PutCmd, RangeCmd, TxnCmd
 from .partitioning import PartitionMap
@@ -31,6 +35,46 @@ from .partitioning import PartitionMap
 __all__ = ["KvClient"]
 
 PARTITION_MAP_KEY = "kvstore/partition-map"
+
+
+class _Worker:
+    """One closed-loop worker thread; stopped by ``stop_workers``."""
+
+    __slots__ = ("stopped",)
+
+    def __init__(self):
+        self.stopped = False
+
+
+class _Request:
+    """A command driven to completion: re-sent, under the partition map
+    of the moment, after every expiry until all its partitions reply."""
+
+    __slots__ = ("command", "stream", "size", "started", "on_done", "worker")
+
+    def __init__(self, command, stream: str, size: int, started: float,
+                 on_done: Callable[[list], None], worker: Optional[_Worker]):
+        self.command = command
+        self.stream = stream
+        self.size = size
+        self.started = started
+        self.on_done = on_done
+        self.worker = worker
+
+
+class _Attempt:
+    """One send of a request: the partitions that replied to it, and
+    whether the last reply or the expiry woke it first."""
+
+    __slots__ = ("request", "need", "partitions", "results", "done", "woken")
+
+    def __init__(self, request: _Request, need: int):
+        self.request = request
+        self.need = need
+        self.partitions: set = set()
+        self.results: list = []
+        self.done = False
+        self.woken = False
 
 
 class KvClient(Actor):
@@ -63,9 +107,8 @@ class KvClient(Actor):
         self.latency = Series(env, f"{name}:latency")
         self.timeouts = 0
         self.completed = 0
-        self._pending: dict[int, dict] = {}
-        self._workers = []
-        self._running = False
+        self._pending: dict[int, _Attempt] = {}
+        self._workers: list[_Worker] = []
 
         self.registry: Optional[RegistryClient] = None
         if registry_name is not None:
@@ -76,17 +119,18 @@ class KvClient(Actor):
     def start_workers(self) -> None:
         """Start the receive loop, the registry watch and all threads."""
         self.start()
-        self._running = True
         if self.registry is not None:
             self.registry.watch(PARTITION_MAP_KEY, self._on_map_update)
-        for index in range(self.n_threads):
-            self._workers.append(self.env.process(self._worker(index)))
+        for _ in range(self.n_threads):
+            worker = _Worker()
+            self._workers.append(worker)
+            self.env.call_later(0.0, self._next_command, worker)
 
     def stop_workers(self) -> None:
-        self._running = False
+        """Stop every worker (nothing more is sent; a command in flight
+        is dropped when it wakes) and the receive loop."""
         for worker in self._workers:
-            if worker.is_alive:
-                worker.interrupt("stop")
+            worker.stopped = True
         self._workers = []
         self.stop()
 
@@ -151,69 +195,85 @@ class KvClient(Actor):
 
     # -- the closed loop -----------------------------------------------------------
 
-    def execute(self, spec):
-        """Drive one command spec to completion (retrying on timeout).
-
-        A generator to run under ``env.process``; its return value is
-        the list of partial results, one per replying partition.  This
-        is also what each closed-loop worker runs per iteration, so
-        direct callers get identical routing/retry/metrics behaviour.
+    def execute(self, spec, on_done: Callable[[list], None]) -> None:
+        """Drive one command spec to completion (retrying on timeout),
+        then call ``on_done(results)`` with the partial results, one per
+        replying partition.  This is also what each closed-loop worker
+        runs per iteration, so direct callers get identical
+        routing/retry/metrics behaviour.
         """
+        self._execute(spec, on_done, None)
+
+    def _execute(self, spec, on_done, worker: Optional[_Worker]) -> None:
         command, stream, size = self._build_command(spec)
-        started = self.env.now
-        while True:
-            done = self.env.event()
-            self._pending[command.cmd_id] = {
-                "event": done,
-                "need": self._expected_partitions(command),
-                "partitions": set(),
-                "results": [],
-            }
-            coordinator = self.directory[stream].config.coordinator
-            self.send(
-                coordinator,
-                Propose(
-                    stream=stream,
-                    token=AppValue(payload=command, size=size, sender=self.name),
+        self._send(_Request(command, stream, size, self.env.now, on_done, worker))
+
+    def _send(self, request: _Request) -> None:
+        command = request.command
+        attempt = _Attempt(request, self._expected_partitions(command))
+        self._pending[command.cmd_id] = attempt
+        stream = request.stream
+        coordinator = self.directory[stream].config.coordinator
+        self.send(
+            coordinator,
+            Propose(
+                stream=stream,
+                token=AppValue(
+                    payload=command, size=request.size, sender=self.name
                 ),
-            )
-            expiry = self.env.timeout(self.timeout)
-            yield self.env.any_of([done, expiry])
-            if done.triggered:
-                break
+            ),
+        )
+        self.env.call_later(self.timeout, self._wake, attempt)
+
+    def _wake(self, attempt: _Attempt) -> None:
+        """The last reply's step or the expiry: the first one resumes
+        the request in the next step, later ones do nothing."""
+        if not attempt.woken:
+            attempt.woken = True
+            self.env.call_later(0.0, self._resume, attempt)
+
+    def _resume(self, attempt: _Attempt) -> None:
+        request = attempt.request
+        if request.worker is not None and request.worker.stopped:
+            return
+        if not attempt.done:
             # Timed out: drop the stale wait, re-route under the
             # (possibly updated) partition map and resend.
-            self._pending.pop(command.cmd_id, None)
+            self._pending.pop(request.command.cmd_id, None)
             self.timeouts += 1
-            stream = self._route(command)
+            request.stream = self._route(request.command)
+            self._send(request)
+            return
         self.completed += 1
         self.ops.record()
-        self.latency.record(self.env.now - started)
-        return done.value
+        self.latency.record(self.env.now - request.started)
+        request.on_done(attempt.results)
 
-    def _worker(self, index: int):
-        try:
-            while self._running:
-                spec = self.workload.next_command(self.rng)
-                yield from self.execute(spec)
-                if self.think_time > 0:
-                    yield self.env.timeout(self.think_time)
-        except Interrupt:
-            return
+    def _next_command(self, worker: _Worker) -> None:
+        if not worker.stopped:
+            spec = self.workload.next_command(self.rng)
+            self._execute(spec, lambda _results: self._think(worker), worker)
+
+    def _think(self, worker: _Worker) -> None:
+        if self.think_time > 0:
+            self.env.call_later(self.think_time, self._next_command, worker)
+        else:
+            self._next_command(worker)
 
     # -- replies ------------------------------------------------------------------
 
     def on_command_reply(self, msg: CommandReply, src: str) -> None:
-        entry = self._pending.get(msg.cmd_id)
-        if entry is None:
+        attempt = self._pending.get(msg.cmd_id)
+        if attempt is None:
             return   # duplicate (other replica) or post-timeout straggler
-        if msg.partition in entry["partitions"]:
+        if msg.partition in attempt.partitions:
             return   # the shard's other replica answered already
-        entry["partitions"].add(msg.partition)
-        entry["results"].append(msg.result)
-        if len(entry["partitions"]) >= entry["need"]:
+        attempt.partitions.add(msg.partition)
+        attempt.results.append(msg.result)
+        if len(attempt.partitions) >= attempt.need:
             del self._pending[msg.cmd_id]
-            entry["event"].succeed(entry["results"])
+            attempt.done = True
+            self.env.call_later(0.0, self._wake, attempt)
 
     def dispatch(self, payload, src):
         if self.registry is not None and self.registry.handle_registry_message(payload):

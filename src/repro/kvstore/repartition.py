@@ -18,7 +18,7 @@ and the doomed stream is unsubscribed.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from ..coordination.registry import RegistryService
 from ..multicast.api import MulticastClient
@@ -75,9 +75,11 @@ class RepartitionOrchestrator:
         prepare: bool = False,
         unsubscribe_delay: float = 0.2,
         notify_delay: float = 0.5,
-    ):
-        """Split partition ``split_index``; returns a process whose value
-        is the new :class:`PartitionMap`.
+        on_done: Optional[Callable[[PartitionMap], None]] = None,
+    ) -> None:
+        """Split partition ``split_index``, from the next scheduling
+        step on; ``on_done(new_map)`` runs once the new
+        :class:`PartitionMap` is published.
 
         ``moving_replicas`` (members of ``moving_group``) leave the old
         shard and become the replica set of the new partition, ordered
@@ -112,28 +114,35 @@ class RepartitionOrchestrator:
             shared_stream=old_map.shared_stream,
         )
 
-        def run():
-            if prepare:
-                self.client.prepare_msg(
-                    moving_group, new_stream, via_stream=old_partition.stream
-                )
-                yield self.env.timeout(settle_delay / 2)
-            self.client.subscribe_msg(
-                moving_group, new_stream, via_stream=old_partition.stream
-            )
-            yield self.env.timeout(settle_delay)
-            self._multicast_map_change([old_partition.stream], new_map)
+        env = self.env
+        old_stream = old_partition.stream
+
+        def hint() -> None:
+            self.client.prepare_msg(moving_group, new_stream, via_stream=old_stream)
+            env.call_later(settle_delay / 2, subscribe)
+
+        def subscribe() -> None:
+            self.client.subscribe_msg(moving_group, new_stream, via_stream=old_stream)
+            env.call_later(settle_delay, change_map)
+
+        def change_map() -> None:
+            self._multicast_map_change([old_stream], new_map)
             # Give the map change time to be ordered before the moving
             # group stops listening to the old stream.
-            yield self.env.timeout(unsubscribe_delay)
-            self.client.unsubscribe_msg(
-                moving_group, old_partition.stream, via_stream=old_partition.stream
-            )
-            yield self.env.timeout(max(0.0, notify_delay - unsubscribe_delay))
-            self._publish_map(new_map)
-            return new_map
+            env.call_later(unsubscribe_delay, unsubscribe)
 
-        return self.env.process(run())
+        def unsubscribe() -> None:
+            self.client.unsubscribe_msg(
+                moving_group, old_stream, via_stream=old_stream
+            )
+            env.call_later(max(0.0, notify_delay - unsubscribe_delay), publish)
+
+        def publish() -> None:
+            self._publish_map(new_map)
+            if on_done is not None:
+                on_done(new_map)
+
+        env.call_later(0.0, hint if prepare else subscribe)
 
     def merge(
         self,
@@ -142,14 +151,16 @@ class RepartitionOrchestrator:
         into_index: int,
         absorbing_group: str,
         settle_delay: float = 5.0,
-    ):
-        """Merge partition ``doomed_index`` into ``into_index``.
+        on_done: Optional[Callable[[PartitionMap], None]] = None,
+    ) -> None:
+        """Merge partition ``doomed_index`` into ``into_index``, from
+        the next scheduling step on.
 
         The absorbing group subscribes to the doomed partition's stream
         (replaying its history from the merge point on), the map change
         routes the doomed shard's keys to the absorbing partition, and
-        the doomed stream is unsubscribed.  Returns a process whose
-        value is the new map.
+        the doomed stream is unsubscribed; then ``on_done(new_map)``
+        runs.
 
         The absorbing replicas only see the doomed stream's commands
         from the merge point on, so the doomed shard's existing rows
@@ -180,19 +191,26 @@ class RepartitionOrchestrator:
             shared_stream=old_map.shared_stream,
         )
 
-        def run():
+        env = self.env
+
+        def subscribe() -> None:
             self.client.subscribe_msg(
                 absorbing_group, doomed.stream, via_stream=absorbing.stream
             )
-            yield self.env.timeout(settle_delay)
+            env.call_later(settle_delay, change_map)
+
+        def change_map() -> None:
             # Both streams carry the map change: the doomed shard's
             # replicas are not subscribed to the absorbing stream.
             self._multicast_map_change([absorbing.stream, doomed.stream], new_map)
             self._publish_map(new_map)
-            yield self.env.timeout(0.5)
+            env.call_later(0.5, unsubscribe)
+
+        def unsubscribe() -> None:
             self.client.unsubscribe_msg(
                 absorbing_group, doomed.stream, via_stream=doomed.stream
             )
-            return new_map
+            if on_done is not None:
+                on_done(new_map)
 
-        return self.env.process(run())
+        env.call_later(0.0, subscribe)

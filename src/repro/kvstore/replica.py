@@ -327,7 +327,6 @@ class KvReplica(MulticastReplica):
         self.executed += 1
         self.applied_ops.record()
         partition = self.partition_index
-        done = self.cpu.request(cost)
         reply = CommandReply(
             cmd_id=cmd_id,
             ok=ok,
@@ -335,4 +334,4 @@ class KvReplica(MulticastReplica):
             partition=partition if partition is not None else -1,
             replica=self.name,
         )
-        done.callbacks.append(lambda _e: self.send(client, reply))
+        self.cpu.request(cost, self.send, client, reply)

@@ -113,9 +113,6 @@ class TokenLog:
         """Start position of the token at ``index``."""
         return self._starts[index]
 
-    def token_at(self, index: int) -> Token:
-        return self._tokens[index]
-
     def token_covering(self, position: int, hint: int = 0) -> tuple[Optional[Token], int]:
         """Return ``(token, token_index)`` covering ``position``.
 

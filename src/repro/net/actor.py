@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from typing import Any, Optional
 
-from ..runtime.kernel import Kernel, ProcessHandle, Transport
+from ..runtime.kernel import Kernel, MailboxHandle, Transport
 from .messages import Message
 
 __all__ = ["Actor"]
@@ -53,7 +53,7 @@ class Actor:
         # just the box -- crashing only the host would leave the
         # mailbox parked on the replaced inbox forever.
         self.host.actor = self
-        self._mailbox: Optional[ProcessHandle] = None
+        self._mailbox: Optional[MailboxHandle] = None
         # env.tracer is fixed for the environment's lifetime, so the
         # per-message guard is resolved once.
         tracer = env.tracer

@@ -33,8 +33,6 @@ class SchemaError(ValueError):
 
 # kind -> required payload fields (beyond the ts/seq/kind/cat envelope).
 EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
-    # simulation kernel (category "sim"; opt-in)
-    "sim.process": (),
     # network wire level (category "net"; opt-in)
     "net.send": ("src", "dst", "type", "size"),
     "net.drop": ("src", "dst", "type", "reason"),

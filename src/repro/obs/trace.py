@@ -41,8 +41,8 @@ that the kernel only ever needs to import this dependency-free module.
 Categories
 ----------
 The category of an event defaults to the ``kind`` prefix before the
-first dot (``net.send`` -> ``net``).  High-volume wire/kernel categories
-(``net``, ``sim``, ``dispatch``) are excluded by default; pass
+first dot (``net.send`` -> ``net``).  High-volume wire/dispatch categories
+(``net``, ``dispatch``) are excluded by default; pass
 ``categories=ALL_CATEGORIES`` (or an explicit set) to capture them.
 """
 
@@ -90,7 +90,7 @@ DEFAULT_CATEGORIES = frozenset(
         "alert",
     }
 )
-_NOISY_CATEGORIES = frozenset({"net", "sim", "dispatch"})
+_NOISY_CATEGORIES = frozenset({"net", "dispatch"})
 ALL_CATEGORIES = DEFAULT_CATEGORIES | _NOISY_CATEGORIES
 
 
@@ -200,7 +200,6 @@ class Tracer:
         }
         # Cached membership tests for the hottest guard sites.
         self.wants_net = "net" in self.categories
-        self.wants_sim = "sim" in self.categories
         self.wants_dispatch = "dispatch" in self.categories
         self._seq = 0                   # the next event's seq
         self.emitted = 0                # events, a run counted per value

@@ -255,12 +255,10 @@ class AcceptorActor(Actor):
         effects = handler(payload, src)
         needs_persist = cls in self._persist_types
         if needs_persist and not self.store.is_instantaneous:
-            size = payload.wire_size()
-            done = self.store.write(size)
             # Snapshot: ``effects`` may be the core's reused scratch
             # list, clobbered by the next dispatch before this write
             # completes.
-            done.callbacks.append(lambda _e, eff=tuple(effects): self._emit(eff))
+            self.store.write(payload.wire_size(), self._emit, tuple(effects))
         else:
             if needs_persist:
                 self.store.write_nowait(payload.wire_size())

@@ -385,10 +385,7 @@ class CoordinatorActor(Actor):
                     self.outstanding[instance] = {
                         "batch": batch, "sent_at": None, "pending_cpu": True,
                     }
-                    done = self.cpu.request(cost)
-                    done.callbacks.append(
-                        lambda _e, i=instance, b=batch: self._after_cpu(i, b)
-                    )
+                    self.cpu.request(cost, self._after_cpu, instance, batch)
                 else:
                     self.outstanding[instance] = {
                         "batch": batch, "sent_at": self.env._now, "pending_cpu": False,

@@ -6,7 +6,8 @@ codes against, and the *live* implementation that runs the unchanged
 actors over real asyncio TCP sockets on localhost:
 
 * :mod:`repro.runtime.kernel` -- the interfaces (plus the shared
-  :class:`Interrupt` / :class:`Envelope` types);
+  :class:`Envelope` type and the :func:`~repro.runtime.kernel.every`
+  timer);
 * :mod:`repro.runtime.resources` -- kernel-generic capacity models
   (:class:`Server`);
 * :mod:`repro.runtime.codec` -- versioned binary wire codec for every
@@ -39,7 +40,7 @@ The live backend is loaded lazily via ``__getattr__``.
 
 from __future__ import annotations
 
-from .kernel import Envelope, Interrupt, Kernel, Transport
+from .kernel import Envelope, Kernel, Transport
 
 __all__ = [
     "AsyncioKernel",
@@ -49,7 +50,6 @@ __all__ = [
     "decode",
     "decode_with_context",
     "encode",
-    "Interrupt",
     "Kernel",
     "LiveCluster",
     "LiveConfig",

@@ -6,15 +6,9 @@ from a virtual-time calendar.  This module runs the *same* actors from
 a real asyncio event loop: deferred calls and timer firings go through
 ``loop.call_later``, each actor's inbox is drained by a
 :class:`LiveMailbox`, and the clock is wall seconds since kernel
-construction.  There are no generator processes here: those are the
-simulator's, for the scripts that drive a simulated run.
-
-:class:`LiveEvent` / :class:`LiveTimeout` remain for the kernel-generic
-capacity models, whose ``request`` / ``write`` return an event that
-callbacks are attached to (``runtime.resources.Server``,
-``storage.StableStore``).  Their semantics mirror ``repro.sim.core``'s
-(the callback list becomes ``None`` once processed; a failure nobody
-defused is a kernel failure).  What does *not* carry over is
+construction.  The kernel-generic capacity models
+(``runtime.resources.Server``, ``storage.StableStore``) take completion
+callbacks and run here unchanged.  What does *not* carry over is
 determinism: the OS scheduler orders ready callbacks, so two live runs
 are never bit-identical -- golden digests apply to the sim backend
 only.
@@ -32,89 +26,9 @@ from typing import Any, Callable, Optional
 
 from ..obs.trace import current_metrics, current_tracer
 
-__all__ = [
-    "AsyncioKernel",
-    "LiveEvent",
-    "LiveMailbox",
-    "LiveStore",
-    "LiveTimeout",
-]
+__all__ = ["AsyncioKernel", "LiveMailbox", "LiveStore"]
 
 _PENDING = object()
-
-
-class LiveEvent:
-    """Event with sim-compatible callback semantics on the asyncio loop."""
-
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
-
-    def __init__(self, env: "AsyncioKernel"):
-        self.env = env
-        self.callbacks: Optional[list] = []
-        self._value: Any = _PENDING
-        self._ok: Optional[bool] = None
-        self._defused = False
-
-    @property
-    def triggered(self) -> bool:
-        return self._value is not _PENDING
-
-    @property
-    def processed(self) -> bool:
-        return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        if self._ok is None:
-            raise RuntimeError("event has not been triggered yet")
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        if self._value is _PENDING:
-            raise RuntimeError("event has not been triggered yet")
-        return self._value
-
-    def succeed(self, value: Any = None) -> "LiveEvent":
-        if self._value is not _PENDING:
-            raise RuntimeError(f"{self!r} already triggered")
-        self._ok = True
-        self._value = value
-        self.env._loop.call_soon(self.env._process_event, self)
-        return self
-
-    def fail(self, exception: BaseException) -> "LiveEvent":
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"{exception!r} is not an exception")
-        if self._value is not _PENDING:
-            raise RuntimeError(f"{self!r} already triggered")
-        self._ok = False
-        self._value = exception
-        self.env._loop.call_soon(self.env._process_event, self)
-        return self
-
-    def __repr__(self) -> str:
-        state = "pending"
-        if self.triggered:
-            state = "ok" if self._ok else "failed"
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-class LiveTimeout(LiveEvent):
-    """Born-triggered event processed after a wall-clock delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "AsyncioKernel", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self.delay = delay
-        env._loop.call_later(delay, env._process_event, self)
 
 
 class LiveStore:
@@ -184,7 +98,7 @@ class LiveMailbox:
         store.env._loop.call_soon(self._take)
 
     def interrupt(self, cause: Any = None) -> None:
-        """Stop taking envelopes (``ProcessHandle.interrupt``)."""
+        """Stop taking envelopes (``MailboxHandle.interrupt``)."""
         if not self.is_alive:
             raise RuntimeError("cannot interrupt a stopped mailbox")
         self.is_alive = False
@@ -234,8 +148,8 @@ class AsyncioKernel:
         # domains real machines have (the trace-merge tool re-aligns
         # them; a nonzero offset also exercises that path in tests).
         self._t0 = self._loop.time() - clock_offset
-        # Undefused event failures and handler failures land here; the
-        # supervisor treats a non-empty list as a failed run.
+        # Handler failures land here; the supervisor treats a non-empty
+        # list as a failed run.
         self.failures: list[BaseException] = []
         self.on_failure: Optional[Callable[[BaseException], None]] = None
         # Observability: same adoption protocol as the sim Environment
@@ -256,14 +170,7 @@ class AsyncioKernel:
     def _now(self) -> float:
         return self._loop.time() - self._t0
 
-    # -- event processing ---------------------------------------------
-
-    def _process_event(self, event: LiveEvent) -> None:
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            self.fail(event._value)
+    # -- failures -----------------------------------------------------
 
     def fail(self, exc: BaseException) -> None:
         """Record a failure nobody is left on the stack to receive."""
@@ -272,12 +179,6 @@ class AsyncioKernel:
             self.on_failure(exc)
 
     # -- kernel interface ---------------------------------------------
-
-    def event(self) -> LiveEvent:
-        return LiveEvent(self)
-
-    def timeout(self, delay: float, value: Any = None) -> LiveTimeout:
-        return LiveTimeout(self, delay, value)
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
         if delay < 0:

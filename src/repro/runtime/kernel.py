@@ -1,22 +1,22 @@
 """Kernel/Transport: the execution interfaces the protocol codes against.
 
-The protocol layer (``repro.net``, ``repro.paxos``, ``repro.multicast``,
-``repro.kvstore``) is written as *sans-backend* actors: message
-handlers, deferred calls and periodic timers (:func:`every`), plus
-fire-and-forget message sends.  ``repro.net``, ``repro.paxos`` and
-``repro.multicast`` contain no generator process; the kvstore client's
-request workers and repartitioning scripts still are, and so run on
-the simulator only.  This module pins down the two interfaces those actors are allowed to
-assume:
+Everything that runs on a kernel -- the protocol layer (``repro.net``,
+``repro.paxos``, ``repro.multicast``, ``repro.kvstore``) and the
+scripts that drive a simulated run (load loops, closed-loop clients,
+experiment phases) -- is written as message handlers, deferred calls
+and periodic timers (:func:`every`), plus fire-and-forget message
+sends.  Nothing blocks and nothing is a generator: a wait is a
+``call_later`` whose callback carries on.  This module pins down the
+two interfaces those actors are allowed to assume:
 
-* :class:`Kernel` -- a clock, deferred calls and waitable events.  The
+* :class:`Kernel` -- a clock (``now`` / ``_now``) and deferred calls
+  (``call_later`` / ``call_at``), the same on both backends.  The
   discrete-event simulator (:class:`repro.sim.core.Environment`) is one
   implementation; the live asyncio backend
   (:class:`repro.runtime.asyncio_kernel.AsyncioKernel`) is another.
-  Generator processes (``process`` / ``timeout`` / ``any_of``) are the
-  simulator's alone, for the scripts that drive a simulated run.
 * :class:`Transport` -- named hosts with inboxes and a datagram-style
-  ``send``.  Implemented by the simulated
+  ``send``.  A host's inbox is drained by its actor's mailbox
+  (:class:`InboxLike`).  Implemented by the simulated
   :class:`repro.sim.network.Network` and by the real TCP transport
   (:class:`repro.runtime.transport.TcpTransport`).
 
@@ -29,22 +29,21 @@ backends, or kernel-generic code, share them:
 
 * :func:`every` / :class:`Timer` -- the one periodic timer, built on
   ``Kernel.call_later`` alone.
-* :class:`Interrupt` -- the exception a simulated process receives from
-  ``Process.interrupt``.  Sim-side scripts written against the kernel
-  interface (the kvstore client) catch it without importing the
-  simulator.
 * :class:`Envelope` -- the received-message record actors drain from
-  their host inbox.
+  their host inbox (``repro.sim.network`` re-exports it).
 
-``repro.sim.core`` / ``repro.sim.network`` re-export the last two, so
-existing imports keep working.  So is one constant, :data:`GC_THRESHOLD`:
-the collector's generation sizes while either backend's datapath runs.
+One constant lives here too, :data:`GC_THRESHOLD`: the collector's
+generation sizes while either backend's datapath runs.
 
 Contract notes
 --------------
 * ``Kernel.now`` is seconds -- virtual seconds in the simulator, wall
   seconds since kernel start in live mode.  ``_now`` is the same value
   exposed as a cheap attribute/property for hot paths.
+* Every calendar entry is a deferred call with an owner.  On the
+  simulator, calls due at one instant run in the order they were
+  scheduled; a same-instant hand-off that must come *after* what is
+  already due is one ``call_later(0, ...)``.
 * Determinism (bit-identical seeded runs, golden digests) is a property
   of the *sim* backend only.  The live backend inherits the OS
   scheduler's nondeterminism; protocol safety may not depend on timing.
@@ -66,13 +65,11 @@ from typing import (
 
 __all__ = [
     "Envelope",
-    "EventLike",
     "GC_THRESHOLD",
     "HostLike",
     "InboxLike",
-    "Interrupt",
     "Kernel",
-    "ProcessHandle",
+    "MailboxHandle",
     "Timer",
     "Transport",
     "every",
@@ -88,18 +85,6 @@ __all__ = [
 # few seconds, to free nothing (docs/RUNTIME.md, "Collector policy";
 # docs/PERFORMANCE.md has both backends' measurements).
 GC_THRESHOLD = (10_000, 20, 20)
-
-
-class Interrupt(Exception):
-    """Raised inside a simulated process when it is interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    ``Process.interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Envelope(NamedTuple):
@@ -121,28 +106,9 @@ class Envelope(NamedTuple):
 
 
 @runtime_checkable
-class EventLike(Protocol):
-    """A one-shot event with attachable callbacks (what a capacity
-    model's ``request`` returns, and what a simulated process yields).
-
-    ``callbacks`` is a list until the event is processed, then ``None``
-    (the simulator's convention; the live kernel mirrors it).
-    """
-
-    callbacks: Optional[list]
-
-    @property
-    def triggered(self) -> bool: ...
-
-    def succeed(self, value: Any = None) -> Any: ...
-
-    def fail(self, exception: BaseException) -> Any: ...
-
-
-@runtime_checkable
-class ProcessHandle(Protocol):
-    """A running mailbox (or, on the simulator, process): alive until
-    it is interrupted or ends."""
+class MailboxHandle(Protocol):
+    """A running mailbox: alive until it is interrupted (the actor
+    stopped) or its handler raised."""
 
     @property
     def is_alive(self) -> bool: ...
@@ -168,10 +134,6 @@ class Kernel(Protocol):
     # Hot paths read the clock as ``env._now``; both backends expose it.
     @property
     def _now(self) -> float: ...
-
-    def timeout(self, delay: float, value: Any = None) -> Any: ...
-
-    def event(self) -> Any: ...
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None: ...
 
@@ -234,13 +196,12 @@ class InboxLike(Protocol):
     owns the inbox's ``inbox_depth`` gauge where the inbox is the queue
     (the simulator); the live inbox holds only a backlog and exports no
     depth.  Whether a stopped mailbox swallows the next envelope is the
-    backend's own, and unchanged from when the mailbox was a process
-    parked in ``get()``: the simulator loses one, the live inbox none.
+    backend's own: the simulator loses one, the live inbox none.
     """
 
     def consume(
         self, receive: Callable[[Any, str], None], name: str
-    ) -> ProcessHandle: ...
+    ) -> MailboxHandle: ...
 
     def put_nowait(self, item: Any) -> None: ...
 

@@ -8,16 +8,13 @@ reproduction exactly as the paper's 2-vCPU VMs do -- the figure shapes
 Fig. 4) all emerge from these servers reaching or leaving saturation.
 
 The class is written against the :class:`repro.runtime.kernel.Kernel`
-interface (``event()``, ``call_later``, the ``_now`` clock) so the same
-model runs on the simulator and on the live asyncio kernel.  On the
-simulator the scheduling path is identical to the historical
-``repro.sim.resources`` implementation, so seeded runs stay
-bit-identical.
+interface (``call_later`` and the ``_now`` clock) so the same model
+runs on the simulator and on the live asyncio kernel.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Optional
 
 from .kernel import Kernel
 
@@ -47,13 +44,16 @@ class Server:
         self._free_at = 0.0
         self.completed = 0
 
-    @property
-    def backlog_seconds(self) -> float:
-        """Seconds of queued work ahead of a request issued now."""
-        return max(0.0, self._free_at - self.env._now)
+    def request(
+        self, cost: float = 1.0, fn: Optional[Callable] = None, *args: Any
+    ) -> None:
+        """Enqueue ``cost`` units of work; ``fn(*args)`` runs once it is
+        done.
 
-    def request(self, cost: float = 1.0) -> Any:
-        """Enqueue ``cost`` units of work; event fires when done."""
+        The completion is a calendar entry of its own, drawn when the
+        work finishes: it runs after whatever else is already due at
+        that instant, in FIFO order with other completions.
+        """
         if cost < 0:
             raise ValueError("cost must be non-negative")
         now = self.env._now
@@ -62,15 +62,14 @@ class Server:
         done_at = start + service
         self._free_at = done_at
         self.probe.busy()
-        event = self.env.event()
-        self.env.call_later(done_at - now, self._finish, event)
-        return event
+        self.env.call_later(done_at - now, self._finish, fn, args)
 
-    def _finish(self, event: Any) -> None:
+    def _finish(self, fn: Optional[Callable], args: tuple) -> None:
         self.completed += 1
         if self.env._now >= self._free_at:
             self.probe.idle()
-        event.succeed()
+        if fn is not None:
+            self.env.call_later(0.0, fn, *args)
 
     def utilisation_between(self, start: float, end: float) -> float:
         return self.probe.utilisation_between(start, end)

@@ -2,9 +2,10 @@
 
 Public surface:
 
-* :class:`Environment`, :class:`Event`, :class:`Process`, timeouts and
-  composite conditions -- the kernel (:mod:`repro.sim.core`);
-* :class:`Store` -- blocking FIFO queues (:mod:`repro.sim.queues`);
+* :class:`Environment` -- virtual time and a calendar of deferred calls
+  (:mod:`repro.sim.core`);
+* :class:`Store` -- an actor's inbox, drained by its mailbox
+  (:mod:`repro.sim.queues`);
 * :class:`Network`, :class:`Host`, :class:`LinkSpec`, :class:`Envelope`
   -- the message-passing fabric (:mod:`repro.sim.network`);
 * :class:`Server` -- CPU/disk capacity model (:mod:`repro.sim.resources`);
@@ -13,16 +14,7 @@ Public surface:
 * :class:`RngRegistry` -- named seeded RNG streams (:mod:`repro.sim.rng`).
 """
 
-from .core import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
+from .core import Environment, SimulationError
 from .monitor import Counter, Series, UtilisationProbe, percentile
 from .network import Envelope, Host, LinkSpec, Network
 from .queues import QueueFull, Store
@@ -30,24 +22,18 @@ from .resources import Server
 from .rng import RngRegistry
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Counter",
     "Envelope",
     "Environment",
-    "Event",
     "Host",
-    "Interrupt",
     "LinkSpec",
     "Network",
-    "Process",
     "QueueFull",
     "RngRegistry",
     "Series",
     "Server",
     "SimulationError",
     "Store",
-    "Timeout",
     "UtilisationProbe",
     "percentile",
 ]

@@ -58,9 +58,3 @@ class CheckpointStore:
 
     def __len__(self) -> int:
         return len(self._checkpoints)
-
-    @property
-    def safe_trim_position(self) -> int:
-        """Highest stream position acceptors may trim below (0 if none)."""
-        latest = self.latest()
-        return latest.position if latest else 0

@@ -11,7 +11,7 @@ that stream's throughput.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..runtime.kernel import Kernel
 from ..runtime.resources import Server
@@ -56,35 +56,34 @@ class StableStore:
         # per persisted message).
         self.is_instantaneous = write_latency == 0 and self._device is None
 
-    def write(self, nbytes: int) -> Any:
-        """Persist ``nbytes``; the returned event fires when durable."""
+    def write(self, nbytes: int, fn: Callable, *args: Any) -> None:
+        """Persist ``nbytes``; ``fn(*args)`` runs once it is durable.
+
+        With a device, the write queues behind earlier ones and then
+        pays the fixed latency; the callback is a calendar entry of its
+        own, drawn when the latency has passed.  Without one it runs
+        ``write_latency`` from now (in a step of its own even at 0).
+        """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         self.writes += 1
         self.bytes_written += nbytes
         if self._device is not None:
-            # Queue behind earlier writes, then pay the fixed latency.
-            done = self.env.event()
-            queued = self._device.request(cost=nbytes)
-            queued.callbacks.append(
-                lambda _e: self.env.call_later(
-                    self.write_latency, lambda: done.succeed()
-                )
-            )
-            return done
-        if self.write_latency > 0:
-            return self.env.timeout(self.write_latency)
-        event = self.env.event()
-        event.succeed()
-        return event
+            self._device.request(nbytes, self._queued, fn, args)
+        else:
+            self.env.call_later(self.write_latency, fn, *args)
+
+    def _queued(self, fn: Callable, args: tuple) -> None:
+        # Off the device: the fixed latency, then the callback in a
+        # calendar step of its own.
+        self.env.call_later(self.write_latency, self.env.call_later, 0.0, fn, *args)
 
     def write_nowait(self, nbytes: int) -> None:
         """Account an instantaneous write without allocating an event.
 
-        Only valid when :attr:`is_instantaneous` is true; the classic
-        :meth:`write` path returns a calendar-scheduled event even for
-        zero-latency writes, which costs a heap round-trip per persisted
-        message for nothing.
+        Only valid when :attr:`is_instantaneous` is true; :meth:`write`
+        schedules its callback even for zero-latency writes, which costs
+        a calendar entry per persisted message for nothing.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")

@@ -84,9 +84,18 @@ def test_wait_active_event():
     env, compute = make_compute()
     vms = [compute.create_server(f"vm{i}") for i in range(3)]
     fired = []
-    done = compute.wait_active(vms)
-    done.callbacks.append(lambda _e: fired.append(env.now))
+    compute.wait_active(vms, lambda: fired.append(env.now))
     env.run(until=20.0)
+    assert fired == [pytest.approx(10.0)]
+    # A VM that is already active calls back at once; one deleted while
+    # building never does.
+    late = []
+    vms[0].when_active(late.append)
+    assert late == [vms[0]]
+    doomed = compute.create_server("doomed")
+    compute.delete_server("doomed")
+    compute.wait_active([vms[1], doomed], fired.append, "never")
+    env.run(until=40.0)
     assert fired == [pytest.approx(10.0)]
 
 
@@ -98,16 +107,6 @@ def test_autoscaling_group_scale_up_callback():
     assert group.size == 3
     env.run(until=20.0)
     assert scaled == [3]
-
-
-def test_autoscaling_group_scale_down_newest_first():
-    env, compute = make_compute()
-    group = AutoScalingGroup(compute, "ring3")
-    group.scale_up(3)
-    env.run(until=20.0)
-    victims = group.scale_down(1)
-    assert [v.name for v in victims] == ["ring3-003"]
-    assert group.size == 2
 
 
 def test_scale_up_requires_positive_count():

@@ -98,7 +98,9 @@ def test_multiple_watchers_all_notified():
 
 def test_put_local_and_get_local():
     env, net, service, actor = make_world()
-    assert service.get_local("k") is None
     assert service.put_local("k", 1) == 0
     assert service.put_local("k", 2) == 1
-    assert service.get_local("k") == 2
+    results = []
+    actor.registry.get("k", lambda value, version: results.append((value, version)))
+    env.run(until=0.1)
+    assert results == [(2, 1)]

@@ -25,7 +25,6 @@ def test_default_build_places_round_robin():
         "n3": ((), ("r3",), False),
     }
     assert spec.owner_of("s2") == "n2"
-    assert spec.node_of_replica("r3") == "n3"
     assert spec.client_node() == "n1"
     assert spec.all_replicas() == ("r1", "r2", "r3")
 

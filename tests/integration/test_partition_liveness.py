@@ -57,12 +57,8 @@ def test_replica_partitioned_from_one_stream_stalls_merge_only(make_cluster):
     cluster.add_replica("r2", "G2", ["S1", "S2"])
     env, net, client = cluster.env, cluster.network, cluster.client
 
-    def load():
-        for i in range(200):
-            client.multicast("S1" if i % 2 else "S2", payload=i)
-            yield env.timeout(0.01)
-
-    env.process(load())
+    for i in range(200):
+        env.call_at(i * 0.01, client.multicast, "S1" if i % 2 else "S2", i)
     cluster.run(until=0.5)
     net.partition({"r1"}, {"S2/a1", "S2/a2", "S2/a3"})
     cluster.run(until=1.5)

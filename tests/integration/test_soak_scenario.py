@@ -5,12 +5,15 @@ crashes and recovers -- verifying after every stage that all replicas
 of a group agree and nothing is lost or reordered.
 """
 
+import itertools
+
 import pytest
 
 from repro.harness.cluster import KvCluster
 from repro.kvstore import Partition, PartitionMap
 from repro.multicast import MulticastClient, MulticastReplica, StreamDeployment
 from repro.paxos import StreamConfig
+from repro.runtime.kernel import every
 from repro.sim import Environment, LinkSpec, Network, RngRegistry
 from repro.storage import CheckpointStore
 from repro.workload import KeyspaceWorkload
@@ -42,33 +45,25 @@ def test_broadcast_soak_subscribe_unsubscribe_cycles():
 
     sent = {"S1": 0, "S2": 0, "S3": 0}
 
+    count = itertools.count()
+
     def load():
-        i = 0
-        while True:
-            # Round-robin over whatever both replicas subscribe to.
-            subs = r1.subscriptions
-            stream = subs[i % len(subs)]
-            client.multicast(stream, payload=(stream, sent[stream]))
-            sent[stream] += 1
-            i += 1
-            yield env.timeout(0.01)
+        # Round-robin over whatever both replicas subscribe to.
+        subs = r1.subscriptions
+        stream = subs[next(count) % len(subs)]
+        client.multicast(stream, payload=(stream, sent[stream]))
+        sent[stream] += 1
 
-    env.process(load())
+    every(env, 0.01, load, first=0.0)
 
-    def script():
-        yield env.timeout(1.0)
-        client.subscribe_msg("G", "S2", via_stream="S1")        # stage 1
-        yield env.timeout(1.5)
-        client.prepare_msg("G", "S3", via_stream="S1")          # stage 2
-        yield env.timeout(0.5)
-        client.subscribe_msg("G", "S3", via_stream="S2")
-        yield env.timeout(1.5)
-        client.unsubscribe_msg("G", "S1")                       # stage 3
-        yield env.timeout(1.5)
-
-    script_proc = env.process(script())
+    script_done = []
+    env.call_at(1.0, client.subscribe_msg, "G", "S2", "S1")     # stage 1
+    env.call_at(2.5, client.prepare_msg, "G", "S3", "S1")       # stage 2
+    env.call_at(3.0, client.subscribe_msg, "G", "S3", "S2")
+    env.call_at(4.5, client.unsubscribe_msg, "G", "S1")         # stage 3
+    env.call_at(6.0, script_done.append, True)
     env.run(until=6.5)
-    assert script_proc.triggered
+    assert script_done
     assert r1.subscriptions == ("S2", "S3")
     assert r2.subscriptions == ("S2", "S3")
     assert d1 == d2
@@ -110,22 +105,24 @@ def test_kvstore_soak_split_then_merge_back():
     )
     cluster.run(until=1.5)
 
-    split = cluster.orchestrator.split(
+    maps = []
+    cluster.orchestrator.split(
         old_map=pmap, split_index=0, moving_group="shard-b",
         moving_replicas=("r2",), new_stream="S2", settle_delay=0.5,
+        on_done=maps.append,
     )
     cluster.run(until=5.0)
-    split_map = split.value
+    [split_map] = maps
     assert split_map.n_partitions == 2
     # Disjoint ownership during the split phase.
     assert not (set(r1.store.keys()) & set(r2.store.keys()))
 
-    merge = cluster.orchestrator.merge(
+    cluster.orchestrator.merge(
         old_map=split_map, doomed_index=1, into_index=0,
-        absorbing_group="shard-a", settle_delay=0.5,
+        absorbing_group="shard-a", settle_delay=0.5, on_done=maps.append,
     )
     cluster.run(until=10.0)
-    merged_map = merge.value
+    merged_map = maps[1]
     assert merged_map.n_partitions == 1
     cluster.run(until=11.0)
     client.stop_workers()

@@ -107,17 +107,18 @@ def test_split_repartitions_without_interruption():
     client = cluster.add_client("c1", pmap, workload, n_threads=10, timeout=0.5)
     cluster.run(until=1.0)
 
-    split = cluster.orchestrator.split(
+    maps = []
+    cluster.orchestrator.split(
         old_map=pmap,
         split_index=0,
         moving_group="shard-b",
         moving_replicas=("r2",),
         new_stream="S2",
         settle_delay=0.5,
+        on_done=maps.append,
     )
     cluster.run(until=6.0)
-    assert split.triggered
-    new_map = split.value
+    [new_map] = maps
     assert new_map.n_partitions == 2
 
     # Subscriptions converged: r1 only on S1, r2 only on S2.
@@ -157,16 +158,17 @@ def test_merge_transfers_state_back():
     client.stop_workers()
     keys_before = set(r1.store.keys()) | set(r2.store.keys())
 
-    merge = cluster.orchestrator.merge(
+    maps = []
+    cluster.orchestrator.merge(
         old_map=pmap,
         doomed_index=1,
         into_index=0,
         absorbing_group="shard-a",
         settle_delay=0.5,
+        on_done=maps.append,
     )
     cluster.run(until=6.0)
-    assert merge.triggered
-    new_map = merge.value
+    [new_map] = maps
     assert new_map.n_partitions == 1
     # r1 absorbed everything, including r2's rows via state transfer.
     assert set(r1.store.keys()) == keys_before

@@ -42,10 +42,11 @@ def keys_per_partition(pmap, count=4):
 
 
 def run_one(cluster, client, spec, until):
-    proc = cluster.env.process(client.execute(spec))
+    done = []
+    client.execute(spec, done.append)
     cluster.run(until=until)
-    assert proc.triggered, "command did not complete"
-    return proc.value
+    assert done, "command did not complete"
+    return done[0]
 
 
 def test_single_partition_txn_routes_to_partition_stream():
@@ -101,21 +102,22 @@ def test_concurrent_transfers_preserve_total_balance():
 
     # Seed every account with 100.
     for account in accounts:
-        env.process(client.execute(("txn", ((account, "put", 100),))))
+        client.execute(("txn", ((account, "put", 100),)), lambda _r: None)
     cluster.run(until=1.0)
 
     rng = cluster.rng.stream("transfers")
 
-    def transferer(n):
-        for _ in range(n):
+    def transfer(remaining):
+        if remaining:
             src, dst = rng.sample(accounts, 2)
             amount = rng.randrange(1, 20)
-            yield from client.execute(
-                ("txn", ((src, "add", -amount), (dst, "add", amount)))
+            client.execute(
+                ("txn", ((src, "add", -amount), (dst, "add", amount))),
+                lambda _results: transfer(remaining - 1),
             )
 
     for _ in range(4):
-        env.process(transferer(15))
+        env.call_later(0.0, transfer, 15)
     cluster.run(until=8.0)
 
     # Audit with a consistent cross-shard read.
@@ -139,33 +141,29 @@ def test_consistent_audit_during_transfers():
     accounts = buckets[0][:2] + buckets[1][:2]
     env = cluster.env
     for account in accounts:
-        env.process(client.execute(("txn", ((account, "put", 50),))))
+        client.execute(("txn", ((account, "put", 50),)), lambda _r: None)
     cluster.run(until=1.0)
 
     rng = cluster.rng.stream("t2")
-    stop = {"flag": False}
-
-    def churn():
-        while not stop["flag"]:
-            src, dst = rng.sample(accounts, 2)
-            yield from client.execute(
-                ("txn", ((src, "add", -5), (dst, "add", 5)))
-            )
-
-    env.process(churn())
     read_ops = tuple((account, "read", None) for account in accounts)
     totals = []
 
-    def auditor():
-        for _ in range(10):
-            results = yield from client.execute(("txn", read_ops))
+    def churn(_results=None):
+        if len(totals) < 10:
+            src, dst = rng.sample(accounts, 2)
+            client.execute(("txn", ((src, "add", -5), (dst, "add", 5))), churn)
+
+    def audit(results=None):
+        if results is not None:
             merged = {}
             for partial in results:
                 merged.update(partial)
             totals.append(sum(merged.values()))
-        stop["flag"] = True
+        if len(totals) < 10:
+            client.execute(("txn", read_ops), audit)
 
-    env.process(auditor())
+    env.call_later(0.0, churn)
+    env.call_later(0.0, audit)
     cluster.run(until=10.0)
     assert len(totals) == 10
     assert all(total == 200 for total in totals), totals

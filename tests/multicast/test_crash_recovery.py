@@ -21,12 +21,8 @@ def test_recovery_resumes_without_duplicate_delivery(make_cluster):
     replica = cluster.add_replica("r1", "G", ["S1"])
     env, client = cluster.env, cluster.client
 
-    def phase1():
-        for i in range(20):
-            client.multicast("S1", payload=("pre", i))
-            yield env.timeout(0.01)
-
-    env.process(phase1())
+    for i in range(20):
+        env.call_at(i * 0.01, client.multicast, "S1", ("pre", i))
     cluster.run(until=0.5)
     assert len(cluster.delivered["r1"]) == 20
 
@@ -35,12 +31,8 @@ def test_recovery_resumes_without_duplicate_delivery(make_cluster):
     replica.crash()
 
     # 10 messages ordered while the replica is down.
-    def phase2():
-        for i in range(10):
-            client.multicast("S1", payload=("down", i))
-            yield env.timeout(0.01)
-
-    env.process(phase2())
+    for i in range(10):
+        env.call_at(0.5 + i * 0.01, client.multicast, "S1", ("down", i))
     cluster.run(until=1.0)
     assert len(cluster.delivered["r1"]) == 20   # crashed: nothing delivered
 
@@ -61,12 +53,8 @@ def test_recovery_relearns_subscription_changes(make_cluster):
     r2 = cluster.add_replica("r2", "G", ["S1"])
     env, client = cluster.env, cluster.client
 
-    def load():
-        for i in range(100):
-            client.multicast("S1", payload=("s1", i))
-            yield env.timeout(0.01)
-
-    env.process(load())
+    for i in range(100):
+        env.call_at(i * 0.01, client.multicast, "S1", ("s1", i))
     cluster.run(until=0.3)
 
     checkpoints = CheckpointStore()
@@ -77,13 +65,8 @@ def test_recovery_relearns_subscription_changes(make_cluster):
     cluster.run(until=0.4)
     client.subscribe_msg("G", new_stream="S2", via_stream="S1")
 
-    def s2_load():
-        yield env.timeout(0.3)
-        for i in range(10):
-            client.multicast("S2", payload=("s2", i))
-            yield env.timeout(0.01)
-
-    env.process(s2_load())
+    for i in range(10):
+        env.call_at(0.7 + i * 0.01, client.multicast, "S2", ("s2", i))
     cluster.run(until=1.2)
     assert r2.subscriptions == ("S1", "S2")
 

@@ -22,12 +22,8 @@ def test_two_replicas_same_group_agree(make_cluster):
     cluster.add_replica("r2", "G1", ["S1", "S2"])
     env, client = cluster.env, cluster.client
 
-    def load():
-        for i in range(30):
-            client.multicast("S1" if i % 2 else "S2", payload=i)
-            yield env.timeout(0.002)
-
-    env.process(load())
+    for i in range(30):
+        env.call_at(i * 0.002, client.multicast, "S1" if i % 2 else "S2", i)
     cluster.run(until=2.0)
     assert len(cluster.delivered["r1"]) == 30
     assert cluster.delivered["r1"] == cluster.delivered["r2"]
@@ -40,22 +36,15 @@ def test_dynamic_subscribe_while_under_load(make_cluster):
 
     sent_s2 = []
 
-    def load():
-        for i in range(100):
-            client.multicast("S1", payload=("s1", i))
-            yield env.timeout(0.005)
+    def send_s2(i):
+        client.multicast("S2", payload=("s2", i))
+        sent_s2.append(i)
 
-    def subscriber():
-        yield env.timeout(0.2)
-        client.subscribe_msg("G1", new_stream="S2", via_stream="S1")
-        yield env.timeout(0.2)
-        for i in range(20):
-            client.multicast("S2", payload=("s2", i))
-            sent_s2.append(i)
-            yield env.timeout(0.005)
-
-    env.process(load())
-    env.process(subscriber())
+    for i in range(100):
+        env.call_at(i * 0.005, client.multicast, "S1", ("s1", i))
+    env.call_at(0.2, client.subscribe_msg, "G1", "S2", "S1")
+    for i in range(20):
+        env.call_at(0.4 + i * 0.005, send_s2, i)
     cluster.run(until=2.0)
     assert replica.subscriptions == ("S1", "S2")
     delivered = cluster.delivered["r1"]
@@ -71,18 +60,10 @@ def test_dynamic_subscribe_two_replicas_identical_order(make_cluster):
     r2 = cluster.add_replica("r2", "G1", ["S1"])
     env, client = cluster.env, cluster.client
 
-    def load():
-        for i in range(150):
-            client.multicast("S1", payload=("s1", i))
-            client.multicast("S2", payload=("s2", i))
-            yield env.timeout(0.004)
-
-    def subscriber():
-        yield env.timeout(0.25)
-        client.subscribe_msg("G1", new_stream="S2", via_stream="S1")
-
-    env.process(load())
-    env.process(subscriber())
+    for i in range(150):
+        env.call_at(i * 0.004, client.multicast, "S1", ("s1", i))
+        env.call_at(i * 0.004, client.multicast, "S2", ("s2", i))
+    env.call_at(0.25, client.subscribe_msg, "G1", "S2", "S1")
     cluster.run(until=3.0)
     assert r1.subscriptions == ("S1", "S2")
     assert r2.subscriptions == ("S1", "S2")
@@ -96,18 +77,11 @@ def test_unsubscribe_stops_delivery_from_stream(make_cluster):
     replica = cluster.add_replica("r1", "G1", ["S1", "S2"])
     env, client = cluster.env, cluster.client
 
-    def scenario():
-        for i in range(10):
-            client.multicast("S2", payload=("pre", i))
-            yield env.timeout(0.005)
-        yield env.timeout(0.2)
-        client.unsubscribe_msg("G1", "S2")
-        yield env.timeout(0.2)
-        for i in range(10):
-            client.multicast("S2", payload=("post", i))
-            yield env.timeout(0.005)
-
-    env.process(scenario())
+    for i in range(10):
+        env.call_at(i * 0.005, client.multicast, "S2", ("pre", i))
+    env.call_at(0.25, client.unsubscribe_msg, "G1", "S2")
+    for i in range(10):
+        env.call_at(0.45 + i * 0.005, client.multicast, "S2", ("post", i))
     cluster.run(until=2.0)
     assert replica.subscriptions == ("S1",)
     tags = [p[0] for p, s in cluster.delivered["r1"] if s == "S2"]
@@ -121,20 +95,12 @@ def test_prepare_msg_enables_stall_free_subscription(make_cluster):
     replica = cluster.add_replica("r1", "G1", ["S1"])
     env, client = cluster.env, cluster.client
 
-    def scenario():
-        yield env.timeout(0.5)   # S2 accumulates history (skips)
-        client.prepare_msg("G1", new_stream="S2", via_stream="S1")
-        yield env.timeout(0.3)   # background recovery completes
-        client.subscribe_msg("G1", new_stream="S2", via_stream="S1")
-
-    env.process(scenario())
-
-    def load():
-        for i in range(300):
-            client.multicast("S1", payload=i)
-            yield env.timeout(0.004)
-
-    env.process(load())
+    # S2 accumulates history (skips), then the background recovery the
+    # hint starts completes before the subscribe.
+    env.call_at(0.5, client.prepare_msg, "G1", "S2", "S1")
+    env.call_at(0.8, client.subscribe_msg, "G1", "S2", "S1")
+    for i in range(300):
+        env.call_at(i * 0.004, client.multicast, "S1", i)
     cluster.run(until=2.0)
     assert replica.subscriptions == ("S1", "S2")
     assert len([p for p, s in cluster.delivered["r1"] if s == "S1"]) == 300
@@ -146,18 +112,14 @@ def test_reconfiguration_stream_replacement(make_cluster):
     replica = cluster.add_replica("r1", "G1", ["S1"])
     env, client = cluster.env, cluster.client
 
-    def scenario():
-        yield env.timeout(0.3)
-        client.prepare_msg("G1", new_stream="S2", via_stream="S1")
-        yield env.timeout(0.2)
+    def switch():
         client.subscribe_msg("G1", new_stream="S2", via_stream="S1")
         client.unsubscribe_msg("G1", "S1", via_stream="S1")
-        yield env.timeout(0.3)
-        for i in range(10):
-            client.multicast("S2", payload=("new", i))
-            yield env.timeout(0.005)
 
-    env.process(scenario())
+    env.call_at(0.3, client.prepare_msg, "G1", "S2", "S1")
+    env.call_at(0.5, switch)
+    for i in range(10):
+        env.call_at(0.8 + i * 0.005, client.multicast, "S2", ("new", i))
     cluster.run(until=2.0)
     assert replica.subscriptions == ("S2",)
     new_payloads = [p for p, s in cluster.delivered["r1"] if s == "S2"]

@@ -71,7 +71,7 @@ def test_start_of_and_token_at():
     log.append(AppValue(payload="a"))
     assert log.start_of(0) == 0
     assert log.start_of(1) == 4
-    assert log.token_at(1).payload == "a"
+    assert log.token_covering(log.start_of(1))[0].payload == "a"
 
 
 def test_zero_position_token_rejected():

@@ -93,13 +93,8 @@ def test_subscription_after_trim_rebases_positions():
     env.run(until=8.0)
     assert r1.subscriptions == ("S1", "S2")
     # And delivery from S2 works post-subscription.
-    sent = []
-    def load():
-        for i in range(5):
-            client.multicast("S2", payload=("post", i))
-            sent.append(i)
-            yield env.timeout(0.01)
-    env.process(load())
+    for i in range(5):
+        env.call_at(8.0 + i * 0.01, client.multicast, "S2", ("post", i))
     env.run(until=9.0)
     # r1 received the post-subscription S2 messages.
     # (delivered payloads captured via r1's merger stats)

@@ -16,10 +16,10 @@ def test_valid_event_passes():
 
 
 def test_every_kind_has_a_schema_entry():
-    # The catalogue covers all layers: kernel, wire, actors, client,
-    # control plane, coordinator, learner, merge, replica, faults.
+    # The catalogue covers all layers: wire, actors, client, control
+    # plane, coordinator, learner, merge, replica, faults.
     prefixes = {kind.partition(".")[0] for kind in EVENT_SCHEMA}
-    assert {"sim", "net", "actor", "client", "control", "coord",
+    assert {"net", "actor", "client", "control", "coord",
             "learner", "merge", "replica", "fault", "invariant",
             "meta"} <= prefixes
 

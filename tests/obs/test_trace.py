@@ -42,15 +42,14 @@ def test_noisy_categories_are_opt_in():
     sink = ListSink()
     tracer = Tracer(sinks=[sink])   # DEFAULT_CATEGORIES
     tracer.emit("net.send", 0.0, src="a", dst="b", type="X", size=1)
-    tracer.emit("sim.process", 0.0)
     tracer.emit("actor.dispatch", 0.0, cat="dispatch", name="a", src="b", type="X")
     assert sink.events == []
     tracer.emit("replica.deliver", 0.0, replica="r", group="G", stream="S",
                 position=0, msg_id=1)
     assert len(sink.events) == 1
-    assert not tracer.wants_net and not tracer.wants_sim
+    assert not tracer.wants_net and not tracer.wants_dispatch
     all_tracer = Tracer(categories=ALL_CATEGORIES)
-    assert all_tracer.wants_net and all_tracer.wants_sim and all_tracer.wants_dispatch
+    assert all_tracer.wants_net and all_tracer.wants_dispatch
 
 
 def test_wants_matches_category_set():
@@ -115,7 +114,7 @@ def test_installed_context_manager_restores():
 
 def test_default_categories_exclude_firehoses():
     assert DEFAULT_CATEGORIES < ALL_CATEGORIES
-    assert {"net", "sim", "dispatch"} == ALL_CATEGORIES - DEFAULT_CATEGORIES
+    assert {"net", "dispatch"} == ALL_CATEGORIES - DEFAULT_CATEGORIES
 
 
 def test_close_closes_sinks(tmp_path):

@@ -78,11 +78,7 @@ def test_failover_does_not_lose_or_reorder_decided_values():
     )
     client.start_threads("S1", 2)
 
-    def killer():
-        yield env.timeout(1.0)
-        deployment.coordinator.crash()
-
-    env.process(killer())
+    env.call_at(1.0, deployment.coordinator.crash)
     env.run(until=5.0)
     # At-least-once across failover (client retries may duplicate), but
     # never reordered for a single thread and nothing decided twice by

@@ -94,14 +94,10 @@ def test_loaded_stream_does_not_skip():
     learner, delivered = collect_learner(deployment)
     deployment.start()
 
-    def load():
-        # Offered 200/s, but λ=100 caps admission: the stream runs at
-        # exactly its virtual maximum and needs (almost) no skips.
-        for i in range(400):
-            deployment.propose(AppValue(payload=i))
-            yield env.timeout(0.005)
-
-    env.process(load())
+    # Offered 200/s, but λ=100 caps admission: the stream runs at
+    # exactly its virtual maximum and needs (almost) no skips.
+    for i in range(400):
+        env.call_at(i * 0.005, deployment.propose, AppValue(payload=i))
     env.run(until=2.0)
     skip_positions = sum(
         t.count

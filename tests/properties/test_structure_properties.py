@@ -6,7 +6,7 @@ from repro.kvstore import InMemoryStore, partition_index_of
 from repro.multicast.stream import TokenLog
 from repro.paxos.skip import SkipCalculator
 from repro.paxos.types import AppValue, SkipToken
-from repro.sim import Environment, Store, percentile
+from repro.sim import Envelope, Environment, Store, percentile
 
 
 @st.composite
@@ -117,18 +117,14 @@ def test_sim_store_is_fifo(items):
     env = Environment()
     queue = Store(env)
     out = []
-
-    def producer():
-        for item in items:
-            yield queue.put(item)
-
-    def consumer():
-        for _ in items:
-            value = yield queue.get()
-            out.append(value)
-
-    env.process(producer())
-    env.process(consumer())
+    queue.consume(lambda payload, src: out.append(payload), "inbox")
+    # Half the items wait in the store, half reach the parked mailbox.
+    half = len(items) // 2
+    for item in items[:half]:
+        queue.put_nowait(Envelope("p", "c", item, 0, 0.0, 0.0))
+    env.run()
+    for item in items[half:]:
+        queue.put_nowait(Envelope("p", "c", item, 0, 0.0, 0.0))
     env.run()
     assert out == items
 

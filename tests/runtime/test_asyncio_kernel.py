@@ -1,5 +1,5 @@
-"""AsyncioKernel semantics: events, deferred calls, the failure list and
-the kernel-generic capacity models, over a real event loop."""
+"""AsyncioKernel semantics: deferred calls, the failure list and the
+kernel-generic capacity models, over a real event loop."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import asyncio
 
 import pytest
 
-from repro.runtime.asyncio_kernel import AsyncioKernel
-from repro.runtime.kernel import Kernel
+from repro.runtime.asyncio_kernel import AsyncioKernel, LiveStore
+from repro.runtime.kernel import Envelope, Kernel
 from repro.runtime.resources import Server
 from repro.storage.stable import StableStore
 
@@ -26,7 +26,7 @@ def test_kernel_satisfies_protocol():
     async def main():
         kernel = AsyncioKernel()
         assert isinstance(kernel, Kernel)
-        for gone in ("process", "any_of", "all_of", "store"):
+        for gone in ("process", "any_of", "all_of", "store", "event", "timeout"):
             assert not hasattr(kernel, gone)
 
     run(main())
@@ -36,38 +36,10 @@ def test_timeout_runs_its_callbacks_with_its_value():
     async def main():
         kernel = AsyncioKernel()
         got = []
-        kernel.timeout(0.01, "tick").callbacks.append(
-            lambda event: got.append(event.value)
-        )
+        kernel.call_later(0.01, got.append, "tick")
         await drain(kernel, 0.1)
         assert got == ["tick"]
         assert not kernel.failures
-
-    run(main())
-
-
-def test_event_succeed_and_fail():
-    async def main():
-        kernel = AsyncioKernel()
-        results = []
-
-        def defuse(event):
-            event._defused = True
-            results.append(("err", str(event.value)))
-
-        good = kernel.event()
-        bad = kernel.event()
-        good.callbacks.append(lambda event: results.append(("ok", event.value)))
-        bad.callbacks.append(defuse)
-        good.succeed(7)
-        bad.fail(RuntimeError("boom"))
-        assert good.triggered and not good.processed
-        await drain(kernel)
-        assert sorted(results) == [("err", "boom"), ("ok", 7)]
-        assert good.processed and good.callbacks is None
-        assert not kernel.failures   # the failure was consumed
-        with pytest.raises(RuntimeError):
-            good.succeed()
 
     run(main())
 
@@ -77,8 +49,15 @@ def test_unconsumed_failure_is_collected():
         kernel = AsyncioKernel()
         reported = []
         kernel.on_failure = reported.append
-        kernel.event().fail(ValueError("unhandled"))
+        inbox = LiveStore(kernel)
+
+        def receive(payload, src):
+            raise ValueError(payload)
+
+        mailbox = inbox.consume(receive, "n1")
+        inbox.put_nowait(Envelope("n2", "n1", "unhandled", 0, 0.0, 0.0))
         await drain(kernel)
+        assert not mailbox.is_alive
         kernel.fail(KeyError("direct"))
         assert [type(f) for f in kernel.failures] == [ValueError, KeyError]
         assert reported == kernel.failures
@@ -93,8 +72,6 @@ def test_call_later_rejects_negative_delay():
             kernel.call_later(-1, lambda: None)
         with pytest.raises(ValueError):
             kernel.call_at(kernel.now - 1.0, lambda: None)
-        with pytest.raises(ValueError):
-            kernel.timeout(-1)
         ran = []
         kernel.call_later(0.0, ran.append, "later")
         kernel.call_at(kernel.now + 0.01, ran.append, "at")
@@ -106,8 +83,8 @@ def test_call_later_rejects_negative_delay():
 
 def test_server_and_stable_store_run_on_live_kernel():
     # The kernel-generic capacity models work unchanged over the
-    # asyncio backend (structural typing, no sim import), their events
-    # chained by callbacks.
+    # asyncio backend (structural typing, no sim import), chained by
+    # their completion callbacks.
     async def main():
         kernel = AsyncioKernel()
         server = Server(kernel, rate=1000.0, name="cpu")
@@ -115,17 +92,29 @@ def test_server_and_stable_store_run_on_live_kernel():
         disk = StableStore(kernel, write_bandwidth=1e6, name="disk")
         done = []
 
-        def written(_event):
+        def written():
             done.append("store")
-            disk.write(64).callbacks.append(lambda _e: done.append("disk"))
+            disk.write(64, done.append, "disk")
 
-        server.request(cost=1.0).callbacks.append(
-            lambda _event: store.write(64).callbacks.append(written)
-        )
+        server.request(1.0, store.write, 64, written)
         await drain(kernel, 0.1)
         assert done == ["store", "disk"]
         assert server.completed == 1
         assert (store.writes, disk.writes) == (1, 1)
         assert not kernel.failures
+
+    run(main())
+
+
+def test_bandwidth_and_latency_call_back_once_after_queue_plus_latency():
+    async def main():
+        kernel = AsyncioKernel()
+        store = StableStore(kernel, write_latency=0.02, write_bandwidth=1e4)
+        queued_at = kernel.now
+        done = []
+        store.write(50, lambda: done.append(kernel.now - queued_at))
+        await drain(kernel, 0.2)
+        # 5 ms on the device, then the 20 ms latency.
+        assert len(done) == 1 and done[0] >= 0.025 - 1e-3
 
     run(main())

@@ -70,28 +70,49 @@ def test_protocol_layer_has_no_module_level_sim_import():
 
 
 def test_protocol_actors_spawn_no_process():
-    # Protocol code runs as handlers, deferred calls and timers
-    # (``runtime.kernel.every``); generator processes are for sim-side
-    # scripts.  So the protocol packages yield nothing, spawn, wait on
-    # and interrupt no process.
-    waits = {"process", "timeout", "any_of"}
+    # One execution model on both backends: everything in the package
+    # -- protocol actors and the scripts that drive a simulated run --
+    # runs as handlers, deferred calls and timers
+    # (``runtime.kernel.every``).  So nothing yields, spawns, waits on
+    # or interrupts a process, and nothing builds or imports a waitable
+    # event.  Two generators are no processes and are allowed by name:
+    # a context manager and a line iterator.
+    allowed_generators = {
+        ("obs/trace.py", "installed"),
+        ("obs/schema.py", "_lines"),
+    }
+    waits = {"process", "timeout", "any_of", "all_of", "event"}
+    engine = {"AnyOf", "AllOf", "Event", "Timeout", "Process"}
     root = pathlib.Path(repro.__file__).parent
     offenders = []
-    for package in ("paxos", "multicast", "net"):
-        for path in sorted((root / package).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                where = f"{path.relative_to(root.parent)}:{getattr(node, 'lineno', 0)}"
-                if isinstance(node, (ast.Yield, ast.YieldFrom)):
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        generators = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (module, function.name) in allowed_generators
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(root.parent)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                if id(node) not in generators:
                     offenders.append(f"{where} yields")
-                elif (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in waits):
-                    offenders.append(f"{where} calls .{node.func.attr}(")
-                elif (getattr(node, "id", None) == "Interrupt"
-                        or getattr(node, "attr", None) == "Interrupt"
-                        or (isinstance(node, ast.alias)
-                            and node.name == "Interrupt")):
-                    offenders.append(f"{where} names Interrupt")
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in waits):
+                offenders.append(f"{where} calls .{node.func.attr}(")
+            elif "Interrupt" in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None) if isinstance(node, ast.alias) else None,
+            ):
+                offenders.append(f"{where} names Interrupt")
+            elif (isinstance(node, ast.ImportFrom)
+                    and "sim" in (node.module or "").split(".")
+                    and any(alias.name in engine for alias in node.names)):
+                offenders.append(f"{where} imports the engine from repro.sim")
     assert not offenders, "\n".join(offenders)
 
 

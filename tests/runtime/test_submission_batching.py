@@ -162,7 +162,8 @@ def test_control_tokens_keep_their_place_among_a_turns_values():
             for name, replica in cluster.replicas.items():
                 log = replica.logs["s1"]
                 tokens = [
-                    log.token_at(index) for index in range(log.token_count())
+                    log.token_covering(log.start_of(index))[0]
+                    for index in range(log.token_count())
                 ]
                 ordered = [
                     token.msg_id if isinstance(token, AppValue)

@@ -3,9 +3,10 @@
 The simulator's calendar keeps entries due later in a heap and entries
 due *now* in a FIFO, merged by ``(time, seq)``.  This property test
 runs random mixes of every way an entry enters the calendar -- calls
-with zero, positive and float-absorbed delays, event success and
-failure, timeouts, store puts and gets, zero-latency and delayed
-network sends to actors, interrupts -- advanced by ``run(until=now)``,
+with zero, positive and float-absorbed delays, calls at an absolute
+time, periodic timers, puts into an inbox drained by a mailbox,
+zero-latency and delayed network sends to actors -- advanced by
+``run(until=now)``,
 repeated ``run(until=t)`` and single steps, on two environments: the
 real one, and a reference whose FIFO hands every entry to the heap (the
 single-heap calendar the FIFO must be indistinguishable from).  Both
@@ -22,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.actor import Actor
-from repro.sim import Environment, Interrupt, LinkSpec, Network, RngRegistry, Store
+from repro.runtime.kernel import every
+from repro.sim import Envelope, Environment, LinkSpec, Network, RngRegistry, Store
 
 START = 1.0                    # so that ABSORBED vanishes when added to now
 ABSORBED = 1e-18
 DELAYS = st.sampled_from([0.0, ABSORBED, 1e-12, 0.25, 0.5]) | st.floats(0.0, 2.0)
-KINDS = ("call", "succeed", "fail", "timeout", "put", "send", "interrupt")
+KINDS = ("call", "at", "every", "put", "send")
 
 # An op is (kind, delay, children): when it fires it logs itself and
 # issues its children, so same-instant cascades nest.
@@ -91,7 +93,7 @@ class Program:
         self.net.add_host("a")
         self.sinks: dict[float, str] = {}
         self.store = Store(env)
-        env.process(self._consume())
+        self.store.consume(self._receive, "a")
 
     def sink(self, latency: float) -> str:
         """The actor ``a`` reaches over a link of ``latency``."""
@@ -113,44 +115,25 @@ class Program:
         label = next(self.labels)
         if kind == "call":
             env.call_later(delay, self.fire, label, op)
-        elif kind == "succeed":
-            event = env.event()
-            event.callbacks.append(lambda _event: self.fire(label, op))
-            event.succeed()
-        elif kind == "fail":
-            event = env.event()
-            env.process(self._catch(event, label, op))
-            event.fail(RuntimeError(label))
-        elif kind == "timeout":
-            env.process(self._sleep(delay, label, op))
+        elif kind == "at":
+            env.call_at(env.now + delay, self.fire, label, op)
+        elif kind == "every":
+            # Two firings, ``delay`` apart, the first ``delay`` from now.
+            labels = [label, next(self.labels)]
+
+            def tick() -> bool:
+                self.fire(labels.pop(0), op)
+                return bool(labels)
+
+            every(env, delay, tick)
         elif kind == "put":
-            self.store.put_nowait((label, op))
-        elif kind == "send":
-            self.net.send("a", self.sink(delay), Tok(label, op), 64)
+            self.store.put_nowait(Envelope("p", "a", (label, op), 0, 0.0, 0.0))
         else:
-            napper = env.process(self._nap(label, op))
-            env.call_later(delay, napper.interrupt)
+            self.net.send("a", self.sink(delay), Tok(label, op), 64)
 
-    def _consume(self):
-        while True:
-            label, op = yield self.store.get()
-            self.fire(label, op)
-
-    def _catch(self, event, label, op):
-        try:
-            yield event
-        except RuntimeError:
-            self.fire(label, op)
-
-    def _sleep(self, delay, label, op):
-        yield self.env.timeout(delay)
+    def _receive(self, payload, src) -> None:
+        label, op = payload
         self.fire(label, op)
-
-    def _nap(self, label, op):
-        try:
-            yield self.env.timeout(50.0)
-        except Interrupt:
-            self.fire(label, op)
 
     def play(self, phases) -> list:
         env = self.env

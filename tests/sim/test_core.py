@@ -2,26 +2,21 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim import Environment, SimulationError
 
 
 def test_timeout_advances_clock():
     env = Environment()
     log = []
 
-    def proc():
-        yield env.timeout(1.5)
-        log.append(env.now)
-        yield env.timeout(0.5)
+    def second():
         log.append(env.now)
 
-    env.process(proc())
+    def first():
+        log.append(env.now)
+        env.call_later(0.5, second)
+
+    env.call_later(1.5, first)
     env.run()
     assert log == [1.5, 2.0]
 
@@ -29,25 +24,43 @@ def test_timeout_advances_clock():
 def test_same_instant_events_fire_in_fifo_order():
     env = Environment()
     log = []
-
-    def proc(name):
-        yield env.timeout(1.0)
-        log.append(name)
-
     for name in ("a", "b", "c"):
-        env.process(proc(name))
+        env.call_later(1.0, log.append, name)
     env.run()
     assert log == ["a", "b", "c"]
+
+
+def test_same_instant_hand_off_runs_after_what_is_due():
+    env = Environment()
+    log = []
+
+    def first():
+        log.append("first")
+        env.call_later(0.0, log.append, "handed off")
+
+    env.call_later(1.0, first)
+    env.call_later(1.0, log.append, "second")
+    env.run()
+    assert log == ["first", "second", "handed off"]
+
+
+def test_call_at_runs_at_the_absolute_time():
+    env = Environment(initial_time=2.0)
+    log = []
+    env.call_at(3.25, lambda: log.append(env.now))
+    env.run()
+    assert log == [3.25]
+    with pytest.raises(ValueError):
+        env.call_at(1.0, log.append, "late")
 
 
 def test_run_until_stops_clock_exactly():
     env = Environment()
 
-    def proc():
-        while True:
-            yield env.timeout(0.3)
+    def tick():
+        env.call_later(0.3, tick)
 
-    env.process(proc())
+    env.call_later(0.3, tick)
     env.run(until=1.0)
     assert env.now == 1.0
 
@@ -59,178 +72,52 @@ def test_run_until_in_past_raises():
         env.run(until=0.5)
 
 
-def test_process_return_value_propagates_to_waiter():
-    env = Environment()
-    results = []
-
-    def child():
-        yield env.timeout(1)
-        return 42
-
-    def parent():
-        value = yield env.process(child())
-        results.append(value)
-
-    env.process(parent())
-    env.run()
-    assert results == [42]
-
-
-def test_exception_in_child_propagates_to_parent():
-    env = Environment()
-    caught = []
-
-    def child():
-        yield env.timeout(1)
-        raise RuntimeError("boom")
-
-    def parent():
-        try:
-            yield env.process(child())
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    env.process(parent())
-    env.run()
-    assert caught == ["boom"]
-
-
 def test_uncaught_exception_crashes_run():
     env = Environment()
 
-    def proc():
-        yield env.timeout(1)
+    def boom():
         raise RuntimeError("unhandled")
 
-    env.process(proc())
+    env.call_later(1, boom)
     with pytest.raises(RuntimeError, match="unhandled"):
         env.run()
 
 
-def test_interrupt_raises_inside_process():
+def test_a_run_that_raised_leaves_a_harmless_sentinel():
     env = Environment()
     log = []
 
-    def victim():
-        try:
-            yield env.timeout(10)
-        except Interrupt as exc:
-            log.append((env.now, exc.cause))
+    def boom():
+        raise RuntimeError("unhandled")
 
-    def attacker(proc):
-        yield env.timeout(2)
-        proc.interrupt("crash")
-
-    p = env.process(victim())
-    env.process(attacker(p))
+    env.call_later(1, boom)
+    with pytest.raises(RuntimeError):
+        env.run(until=5.0)
+    env.call_later(6.0, log.append, "after")
     env.run()
-    assert log == [(2, "crash")]
+    assert log == ["after"] and env.now == 7.0
 
 
-def test_interrupt_terminated_process_raises():
+def test_step_runs_one_entry():
     env = Environment()
-
-    def victim():
-        yield env.timeout(1)
-
-    p = env.process(victim())
-    env.run()
+    log = []
+    env.call_later(1.0, log.append, "a")
+    env.call_later(2.0, log.append, "b")
+    env.step()
+    assert (log, env.now) == (["a"], 1.0)
+    env.step()
     with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_manual_event_succeed():
-    env = Environment()
-    gate = env.event()
-    log = []
-
-    def waiter():
-        value = yield gate
-        log.append((env.now, value))
-
-    def opener():
-        yield env.timeout(3)
-        gate.succeed("open")
-
-    env.process(waiter())
-    env.process(opener())
-    env.run()
-    assert log == [(3, "open")]
-
-
-def test_event_double_trigger_rejected():
-    env = Environment()
-    event = env.event()
-    event.succeed(1)
-    with pytest.raises(SimulationError):
-        event.succeed(2)
-
-
-def test_yield_already_processed_event_resumes_immediately():
-    env = Environment()
-    gate = env.event()
-    gate.succeed("v")
-    log = []
-
-    def waiter():
-        yield env.timeout(1)  # gate is processed by then
-        value = yield gate
-        log.append((env.now, value))
-
-    env.process(waiter())
-    env.run()
-    assert log == [(1, "v")]
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-    log = []
-
-    def proc():
-        t1 = env.timeout(5, value="slow")
-        t2 = env.timeout(2, value="fast")
-        result = yield AnyOf(env, [t1, t2])
-        log.append((env.now, sorted(result.values())))
-
-    env.process(proc())
-    env.run()
-    assert log == [(2, ["fast"])]
-
-
-def test_all_of_waits_for_all():
-    env = Environment()
-    log = []
-
-    def proc():
-        t1 = env.timeout(5, value="slow")
-        t2 = env.timeout(2, value="fast")
-        result = yield AllOf(env, [t1, t2])
-        log.append((env.now, sorted(result.values())))
-
-    env.process(proc())
-    env.run()
-    assert log == [(5, ["fast", "slow"])]
-
-
-def test_yield_non_event_fails_process():
-    env = Environment()
-
-    def proc():
-        yield 42
-
-    env.process(proc())
-    with pytest.raises(SimulationError, match="non-event"):
-        env.run()
+        env.step()
 
 
 def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        env.timeout(-1)
+        env.call_later(-1, lambda: None)
 
 
 def test_peek_reports_next_event_time():
     env = Environment()
     assert env.peek() == float("inf")
-    env.timeout(4)
+    env.call_later(4, lambda: None)
     assert env.peek() == 4

@@ -1,13 +1,10 @@
-"""The simulator's mailbox: an actor's receive loop without a process.
+"""The simulator's mailbox: an actor's receive loop kept as state.
 
-Two groups.  The behaviour tests pin, through the actor API alone, what
-a receive loop running as a process (``yield inbox.get()``) did --
-which messages a stopped, crashed or failed loop loses, which wait in
-the inbox, and in which order and at which instant the rest are
-handled -- so the mailbox that replaced the process does the same.
-The cost guards pin what a delivery costs now: no event, no generator
-resume, one heap entry for the arrival and one same-instant entry for
-the handling.
+Two groups.  The behaviour tests pin, through the actor API alone,
+which messages a stopped, crashed or failed receive loop loses, which
+wait in the inbox, and in which order and at which instant the rest
+are handled.  The cost guards pin what a delivery costs: one heap
+entry for the arrival and one same-instant entry for the handling.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from repro.net.messages import Message
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import installed
 from repro.sim import Environment, LinkSpec, Network
-from repro.sim import core
 
 
 @dataclass(frozen=True)
@@ -194,29 +190,10 @@ def test_inbox_depth_gauge_is_recorded_per_message_taken():
 # -- cost guards ---------------------------------------------------------------
 
 
-@pytest.fixture
-def events_built(monkeypatch):
-    """Counts every Event (Timeout, Process and conditions included)
-    constructed while the test runs."""
-    built = []
-    for cls in (core.Event, core.Timeout):
-        init = cls.__init__
-
-        def counting(self, *args, _init=init, **kwargs):
-            built.append(type(self).__name__)
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting)
-    return built
-
-
-def test_a_delivery_to_a_parked_actor_is_one_arrival_and_one_handling(
-    events_built,
-):
+def test_a_delivery_to_a_parked_actor_is_one_arrival_and_one_handling():
     env, net, b = world()
     b.start()
     env.run()                      # the mailbox parks
-    events_built.clear()
     send(net, 1)
     assert len(env._queue) == 1 and not env._fifo     # its arrival
     env.step()
@@ -224,14 +201,12 @@ def test_a_delivery_to_a_parked_actor_is_one_arrival_and_one_handling(
     env.step()
     assert b.seen == [(1, 0.001)]
     assert not env._queue and not env._fifo
-    assert events_built == []      # no getter, no process resume
 
 
-def test_a_backlog_is_one_same_instant_entry_per_message(events_built):
+def test_a_backlog_is_one_same_instant_entry_per_message():
     env, net, b = world(latency=0.0)
     send(net, 1, 2, 3)
     env.run()
-    events_built.clear()
     b.start()
     steps = 0
     while env._queue or env._fifo:
@@ -240,7 +215,6 @@ def test_a_backlog_is_one_same_instant_entry_per_message(events_built):
         steps += 1
     assert steps == 4              # the start, then one per message
     assert [n for n, _ in b.seen] == [1, 2, 3]
-    assert events_built == []
 
 
 @pytest.mark.parametrize("delay", [0.0, 1e-18])

@@ -28,14 +28,9 @@ def test_counter_interval_rates():
     env = Environment()
     counter = Counter(env)
 
-    def proc():
-        for _ in range(10):
-            counter.record()
-            yield env.timeout(0.1)
-        yield env.timeout(0.5)
-        counter.record(weight=5)  # lands at t=1.5, inside [1.0, 2.0)
-
-    env.process(proc())
+    for i in range(10):
+        env.call_at(i * 0.1, counter.record)
+    env.call_at(1.5, counter.record, 5)   # inside [1.0, 2.0)
     env.run()
     rates = counter.interval_rates(1.0, start=0.0, end=2.0)
     assert rates[0] == (0.0, pytest.approx(10.0))
@@ -54,12 +49,8 @@ def test_series_between_and_percentile():
     env = Environment()
     series = Series(env)
 
-    def proc():
-        for v in (1.0, 2.0, 3.0, 4.0):
-            series.record(v)
-            yield env.timeout(1.0)
-
-    env.process(proc())
+    for t, v in enumerate((1.0, 2.0, 3.0, 4.0)):
+        env.call_at(t, series.record, v)
     env.run()
     assert series.between(1.0, 3.0) == [2.0, 3.0]
     assert series.percentile(50) == 2.0
@@ -78,14 +69,9 @@ def test_utilisation_probe_integrates_busy_time():
     env = Environment()
     probe = UtilisationProbe(env)
 
-    def proc():
-        probe.busy()
-        yield env.timeout(2.0)
-        probe.idle()
-        yield env.timeout(2.0)
-
-    env.process(proc())
-    env.run()
+    probe.busy()
+    env.call_at(2.0, probe.idle)
+    env.run(until=4.0)
     assert probe.utilisation_between(0.0, 4.0) == pytest.approx(0.5)
 
 
@@ -101,12 +87,8 @@ def test_interval_utilisation_points():
     env = Environment()
     probe = UtilisationProbe(env)
 
-    def proc():
-        probe.busy()
-        yield env.timeout(1.0)
-        probe.idle()
-
-    env.process(proc())
+    probe.busy()
+    env.call_at(1.0, probe.idle)
     env.run(until=2.0)
     points = probe.interval_utilisation(1.0, start=0.0, end=2.0)
     assert points == [(0.0, pytest.approx(1.0)), (1.0, pytest.approx(0.0))]
@@ -119,13 +101,9 @@ def test_counter_window_evicts_old_samples():
     env = Environment()
     counter = Counter(env, window=1.0)
 
-    def proc():
-        for _ in range(4):
-            counter.record()
-            yield env.timeout(0.5)
-
-    env.process(proc())
-    env.run()
+    for t in (0.0, 0.5, 1.0, 1.5):
+        env.call_at(t, counter.record)
+    env.run(until=2.0)
     # Retention is evaluated at *read* time: the run ends at t=2.0, so
     # the samples at t=0.0 and t=0.5 fell out of the [1.0, 2.0] window
     # (a sample exactly at the window edge is retained).
@@ -149,13 +127,9 @@ def test_series_window_and_max_samples_compose():
     env = Environment()
     series = Series(env, window=10.0, max_samples=2)
 
-    def proc():
-        for v in (1.0, 2.0, 3.0):
-            series.record(v)
-            yield env.timeout(1.0)
-
-    env.process(proc())
-    env.run()
+    for t, v in enumerate((1.0, 2.0, 3.0)):
+        env.call_at(t, series.record, v)
+    env.run(until=3.0)
     assert series.values == (2.0, 3.0)              # count bound is tighter
     assert series.times == (1.0, 2.0)
     assert series.percentile(100) == 3.0
@@ -166,13 +140,9 @@ def test_series_windowed_between_sees_only_retained():
     env = Environment()
     series = Series(env, window=0.9)
 
-    def proc():
-        for v in (1.0, 2.0, 3.0):
-            series.record(v)
-            yield env.timeout(0.5)
-
-    env.process(proc())
-    env.run()
+    for t, v in ((0.0, 1.0), (0.5, 2.0), (1.0, 3.0)):
+        env.call_at(t, series.record, v)
+    env.run(until=1.5)
     # Read-time retention: the run ends at t=1.5, so only the sample
     # at t=1.0 is still inside the 0.9 s window.
     assert series.between(0.0, 2.0) == [3.0]
@@ -206,11 +176,7 @@ def test_interval_rates_empty_intervals_report_zero():
     env = Environment()
     counter = Counter(env)
 
-    def proc():
-        yield env.timeout(2.5)
-        counter.record()
-
-    env.process(proc())
+    env.call_at(2.5, counter.record)
     env.run()
     rates = counter.interval_rates(1.0, start=0.0, end=3.0)
     assert rates == [
@@ -256,14 +222,9 @@ def test_utilisation_between_spanning_zero_episodes():
     env = Environment()
     probe = UtilisationProbe(env)
 
-    def proc():
-        probe.busy()
-        yield env.timeout(1.0)
-        probe.idle()
-        yield env.timeout(3.0)
-
-    env.process(proc())
-    env.run()
+    probe.busy()
+    env.call_at(1.0, probe.idle)
+    env.run(until=4.0)
     # The queried window lies entirely after the only busy episode.
     assert probe.utilisation_between(2.0, 4.0) == 0.0
 

@@ -1,26 +1,21 @@
-"""Unit tests for the FIFO store."""
+"""Unit tests for the FIFO store and the mailbox that drains it."""
 
 import pytest
 
-from repro.sim import Environment, QueueFull, Store
+from repro.sim import Envelope, Environment, QueueFull, Store
+
+
+def _item(payload):
+    return Envelope("src", "dst", payload, 0, 0.0, 0.0)
 
 
 def test_put_then_get_preserves_fifo():
     env = Environment()
     store = Store(env)
     out = []
-
-    def producer():
-        for i in range(3):
-            yield store.put(i)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            out.append(item)
-
-    env.process(producer())
-    env.process(consumer())
+    for i in range(3):
+        store.put_nowait(_item(i))
+    store.consume(lambda payload, src: out.append(payload), "inbox")
     env.run()
     assert out == [0, 1, 2]
 
@@ -29,17 +24,8 @@ def test_get_blocks_until_put():
     env = Environment()
     store = Store(env)
     log = []
-
-    def consumer():
-        item = yield store.get()
-        log.append((env.now, item))
-
-    def producer():
-        yield env.timeout(5)
-        yield store.put("x")
-
-    env.process(consumer())
-    env.process(producer())
+    store.consume(lambda payload, src: log.append((env.now, payload)), "inbox")
+    env.call_later(5, store.put_nowait, _item("x"))
     env.run()
     assert log == [(5, "x")]
 
@@ -48,44 +34,13 @@ def test_multiple_getters_served_in_fifo_order():
     env = Environment()
     store = Store(env)
     out = []
-
-    def consumer(name):
-        item = yield store.get()
-        out.append((name, item))
-
-    def producer():
-        yield env.timeout(1)
-        yield store.put("first")
-        yield store.put("second")
-
-    env.process(consumer("a"))
-    env.process(consumer("b"))
-    env.process(producer())
+    store.consume(lambda payload, src: out.append(("a", payload)), "a")
+    store.consume(lambda payload, src: out.append(("b", payload)), "b")
+    env.run()
+    store.put_nowait(_item("first"))
+    store.put_nowait(_item("second"))
     env.run()
     assert out == [("a", "first"), ("b", "second")]
-
-
-def test_bounded_store_blocks_putter():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put(1)
-        log.append(("queued-1", env.now))
-        yield store.put(2)
-        log.append(("queued-2", env.now))
-
-    def consumer():
-        yield env.timeout(3)
-        item = yield store.get()
-        log.append(("got", item, env.now))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert ("queued-1", 0) in log
-    assert ("queued-2", 3) in log
 
 
 def test_put_nowait_raises_when_full():
@@ -100,14 +55,10 @@ def test_put_nowait_hands_directly_to_waiting_getter():
     env = Environment()
     store = Store(env, capacity=1)
     out = []
-
-    def consumer():
-        item = yield store.get()
-        out.append(item)
-
-    env.process(consumer())
+    store.consume(lambda payload, src: out.append(payload), "inbox")
     env.run()
-    store.put_nowait("direct")
+    store.put_nowait(_item("direct"))
+    assert len(store) == 0
     env.run()
     assert out == ["direct"]
 

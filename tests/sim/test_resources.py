@@ -10,12 +10,7 @@ def test_single_request_takes_cost_over_rate():
     env = Environment()
     server = Server(env, rate=10.0)
     done = []
-
-    def proc():
-        yield server.request(cost=1.0)
-        done.append(env.now)
-
-    env.process(proc())
+    server.request(1.0, lambda: done.append(env.now))
     env.run()
     assert done == [pytest.approx(0.1)]
 
@@ -24,34 +19,34 @@ def test_requests_queue_fifo():
     env = Environment()
     server = Server(env, rate=1.0)
     done = []
-
-    def proc(name):
-        yield server.request(cost=1.0)
-        done.append((name, env.now))
-
-    env.process(proc("a"))
-    env.process(proc("b"))
+    for name in ("a", "b"):
+        server.request(1.0, lambda name=name: done.append((name, env.now)))
     env.run()
     assert done == [("a", pytest.approx(1.0)), ("b", pytest.approx(2.0))]
+
+
+def test_same_instant_completions_run_fifo_after_what_is_due():
+    """Two requests issued at one instant whose work ends at one
+    ``done_at`` complete in issue order, and after the entries already
+    due then: each completion is drawn when its work finishes, not run
+    by the finish itself."""
+    env = Environment()
+    server = Server(env, rate=1.0)
+    log = []
+    server.request(1.0, log.append, "first done")
+    server.request(0.0, log.append, "second done")    # queued: done at 1.0
+    env.call_at(1.0, log.append, "already due")
+    env.run()
+    assert log == ["already due", "first done", "second done"]
+    assert server.completed == 2 and env.now == 1.0
 
 
 def test_utilisation_reflects_busy_fraction():
     env = Environment()
     server = Server(env, rate=1.0)
-
-    def proc():
-        yield server.request(cost=2.0)
-
-    env.process(proc())
+    server.request(2.0)
     env.run(until=4.0)
     assert server.utilisation_between(0.0, 4.0) == pytest.approx(0.5)
-
-
-def test_backlog_seconds():
-    env = Environment()
-    server = Server(env, rate=1.0)
-    server.request(cost=3.0)
-    assert server.backlog_seconds == pytest.approx(3.0)
 
 
 def test_invalid_rate_rejected():

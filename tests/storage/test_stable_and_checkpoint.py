@@ -10,22 +10,19 @@ def test_memory_store_is_instantaneous():
     env = Environment()
     store = StableStore(env)
     assert store.is_instantaneous
-    event = store.write(100)
-    assert event.triggered
+    done = []
+    store.write(100, done.append, "durable")
     assert store.writes == 1
     assert store.bytes_written == 100
+    env.run()
+    assert done == ["durable"] and env.now == 0.0
 
 
 def test_write_latency_delays_completion():
     env = Environment()
     store = StableStore(env, write_latency=0.01)
     done = []
-
-    def proc():
-        yield store.write(10)
-        done.append(env.now)
-
-    env.process(proc())
+    store.write(10, lambda: done.append(env.now))
     env.run()
     assert done == [pytest.approx(0.01)]
 
@@ -34,23 +31,28 @@ def test_bandwidth_serialises_writes():
     env = Environment()
     store = StableStore(env, write_latency=0.0, write_bandwidth=1000.0)
     done = []
-
-    def proc(name):
-        yield store.write(1000)   # 1 second each
-        done.append((name, env.now))
-
-    env.process(proc("a"))
-    env.process(proc("b"))
+    for name in ("a", "b"):
+        store.write(1000, lambda name=name: done.append((name, env.now)))  # 1 s each
     env.run()
     assert done[0] == ("a", pytest.approx(1.0))
     assert done[1] == ("b", pytest.approx(2.0))
+
+
+def test_bandwidth_and_latency_call_back_once_after_queue_plus_latency():
+    env = Environment()
+    store = StableStore(env, write_latency=0.25, write_bandwidth=1000.0)
+    done = []
+    env.call_later(1.0, store.write, 500, lambda: done.append(env.now))
+    env.run()
+    # Queued at 1.0, on the device for 0.5 s, then the fixed latency.
+    assert done == [pytest.approx(1.75)]
 
 
 def test_negative_sizes_rejected():
     env = Environment()
     store = StableStore(env)
     with pytest.raises(ValueError):
-        store.write(-1)
+        store.write(-1, lambda: None)
     with pytest.raises(ValueError):
         StableStore(env, write_latency=-0.1)
 
@@ -62,7 +64,6 @@ def test_checkpoint_save_and_latest():
     checkpoint = store.save(20, {"a": 2})
     assert store.latest() is checkpoint
     assert store.latest().position == 20
-    assert store.safe_trim_position == 20
 
 
 def test_checkpoint_state_is_deep_copied():
