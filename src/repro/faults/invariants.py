@@ -9,18 +9,27 @@ last call into a :class:`repro.spec.SafetySpec`.  The properties are
 stated there and nowhere else; this module is their in-process
 front-end (``repro.obs.audit`` is the trace-file one).
 
+Each replica's :class:`DeliveryLog` holds one entry per delivered run,
+the values as the merger handed them over: the tap costs one tuple per
+run, whatever its length, and the log is read value by value only
+where a reader needs values (the fold, ``sequence()``, the digests).
+
 Crash-recovery semantics: a replica recovering from a checkpoint
 legitimately *replays* deliveries made after that checkpoint.  The
 scenario runner therefore marks the log at checkpoint time and rewinds
-it on recovery, which the suite reports to the spec as a ``recover``
-event; what the replica delivered before the crash stays remembered
-there, so a replay that diverges from it is still caught.
+it on recovery -- both count delivered values, so a mark can fall
+inside a run, which the rewind then splits -- and the suite reports
+that to the spec as a ``recover`` event; what the replica delivered
+before the crash stays remembered there, so a replay that diverges from
+it is still caught.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping, NamedTuple, Optional
+from itertools import chain, count, repeat
+from operator import attrgetter, eq
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from ..multicast.replica import MulticastReplica
 from ..spec import PROPERTIES, SafetySpec, Violation
@@ -48,14 +57,10 @@ class InvariantViolation(AssertionError):
 
 
 class DeliveryRecord(NamedTuple):
-    """One delivery observed at one replica.
-
-    A ``NamedTuple`` like :class:`repro.runtime.kernel.Envelope`: one is
-    built per delivery per replica, and tuple construction happens in C
-    while the frozen dataclass protocol pays a guarded
-    ``object.__setattr__`` per field.  It starts ``(stream, position,
-    msg_id)``, the shape :meth:`repro.spec.SafetySpec.fold` reads.
-    """
+    """One delivery observed at one replica, as a reader of a
+    :class:`DeliveryLog` sees it (the log keeps runs, not these).  It
+    starts ``(stream, position, msg_id)``, the shape
+    :meth:`repro.spec.SafetySpec.fold` reads."""
 
     stream: str
     position: int
@@ -64,48 +69,114 @@ class DeliveryRecord(NamedTuple):
     at: float
 
 
-class DeliveryLog:
-    """The delivery sequence of one replica, rewindable at recovery.
+_msg_id = attrgetter("msg_id")
 
-    ``records`` is the replica's current canonical delivery sequence.
-    ``mark()`` snapshots its length (taken alongside each checkpoint);
-    ``rewind(mark)`` truncates back to it when the replica recovers from
-    that checkpoint and is about to replay the suffix.  ``folded`` is
-    how many of the records the suite has folded into its spec.
+
+def _deliveries(runs) -> Iterator[tuple]:
+    """``(stream, position, msg_id)`` per value of ``runs``, built by
+    ``zip`` in C -- bar a run of one value (every delivery of a merge
+    over several streams), whose one triple is cheaper than the four
+    iterators a ``zip`` of it takes."""
+    return chain.from_iterable(
+        zip(repeat(stream), count(first), map(_msg_id, values))
+        if len(values) > 1 else ((stream, first, values[0].msg_id),)
+        for stream, first, values, _at in runs
+    )
+
+
+class DeliveryLog:
+    """The delivery sequence of one replica, one entry per delivered run.
+
+    ``runs`` holds ``(stream, first, values, at)`` tuples: the replica
+    delivered ``values`` -- the sequence the merger handed it, kept as
+    is -- from ``stream`` at the positions from ``first`` on, at time
+    ``at``.  Nothing is built per value until something reads the log
+    value by value (:meth:`sequence`, :meth:`digest`, ``records``, the
+    suite's fold).  ``delivered`` counts values; so do ``mark()`` (a
+    snapshot of it, taken alongside each checkpoint) and
+    ``rewind(mark)``, which truncates back to it -- splitting the run
+    the mark falls inside -- when the replica recovers from that
+    checkpoint and is about to replay the suffix.  ``folded`` is how
+    many of the values the suite has folded into its spec.
     """
 
     def __init__(self, replica: str, group: str):
         self.replica = replica
         self.group = group
-        self.records: list[DeliveryRecord] = []
+        self.runs: list[tuple] = []
+        self.delivered = 0
         self.folded = 0
+        self._folded_runs = 0           # runs[:_folded_runs] are folded
         self.rewinds = 0
 
-    def append(self, record: DeliveryRecord) -> None:
-        self.records.append(record)
+    def append(self, stream: str, first: int, values: Sequence,
+               at: float) -> None:
+        self.runs.append((stream, first, values, at))
+        self.delivered += len(values)
 
     def mark(self) -> int:
-        return len(self.records)
+        return self.delivered
 
     def rewind(self, mark: int) -> None:
-        if mark > len(self.records):
+        if mark > self.delivered:
             raise ValueError(
-                f"mark {mark} exceeds log length {len(self.records)}"
+                f"mark {mark} exceeds log length {self.delivered}"
             )
-        del self.records[mark:]
+        runs = self.runs
+        kept, index = self.delivered, len(runs)
+        while kept > mark:
+            index -= 1
+            kept -= len(runs[index][2])
+        if kept < mark:                 # the mark splits runs[index]
+            stream, first, values, at = runs[index]
+            runs[index] = (stream, first, values[:mark - kept], at)
+            index += 1
+        del runs[index:]
+        self.delivered = mark
+        if mark < self.folded:
+            self.folded, self._folded_runs = mark, len(runs)
         self.rewinds += 1
+
+    def unfolded(self) -> list[tuple]:
+        """The runs delivered since the last call, now counted folded."""
+        runs = self.runs[self._folded_runs:]
+        self._folded_runs, self.folded = len(self.runs), self.delivered
+        return runs
+
+    def positions(self) -> dict[str, int]:
+        """The last position delivered from each stream."""
+        return {
+            stream: first + len(values) - 1
+            for stream, first, values, _at in self.runs
+        }
+
+    @property
+    def records(self) -> list[DeliveryRecord]:
+        """The log value by value (built on every read)."""
+        return [
+            DeliveryRecord(stream, position, value.msg_id, value.payload, at)
+            for stream, first, values, at in self.runs
+            for position, value in enumerate(values, first)
+        ]
+
+    def same_sequence(self, other: "DeliveryLog") -> bool:
+        """``sequence() == other.sequence()``, without building either:
+        the counts first, then value by value up to the first
+        difference."""
+        return self.delivered == other.delivered and all(
+            map(eq, _deliveries(self.runs), _deliveries(other.runs))
+        )
 
     def sequence(self) -> list[tuple[str, int, int]]:
         """The log as ``(stream, position, msg_id)`` triples."""
-        return [(r.stream, r.position, r.msg_id) for r in self.records]
+        return list(_deliveries(self.runs))
 
     def digest(self) -> str:
         """Stable hash of the delivery sequence (determinism checks)."""
         hasher = hashlib.sha256()
-        for record in self.records:
-            hasher.update(
-                f"{record.stream}:{record.position}:{record.payload!r};".encode()
-            )
+        for stream, first, values, _at in self.runs:
+            for position, value in enumerate(values, first):
+                hasher.update(f"{stream}:{position}:{value.payload!r};".encode())
         return hasher.hexdigest()
 
 
@@ -134,15 +205,11 @@ class InvariantSuite:
             replica.add_run_observer(self._observer(log))
 
     def _observer(self, log: DeliveryLog):
-        replica = self.replicas[log.replica]
-        records = log.records       # rewound in place, never replaced
+        env = self.replicas[log.replica].env
+        append = log.append
 
         def observe(stream, first, values):
-            at = replica.env.now
-            records.extend([
-                DeliveryRecord(stream, position, value.msg_id, value.payload, at)
-                for position, value in enumerate(values, first)
-            ])
+            append(stream, first, values, env.now)
 
         return observe
 
@@ -155,12 +222,10 @@ class InvariantSuite:
     def rewind(self, replica: str, mark: int) -> None:
         """Roll the log back to ``mark`` (recovery will replay from it)."""
         log = self.logs[replica]
+        folded = log.folded
         log.rewind(mark)
-        if mark < log.folded:
-            log.folded = mark
-            self.spec.recover(
-                replica, mark, {r.stream: r.position for r in log.records}
-            )
+        if mark < folded:
+            self.spec.recover(replica, mark, log.positions())
 
     # -- the invariants -------------------------------------------------
 
@@ -195,12 +260,10 @@ class InvariantSuite:
         for name, log in self.logs.items():
             replica = self.replicas[name]
             at = replica.env.now
-            records = log.records
-            if log.folded < len(records):
+            if log.folded < log.delivered:
                 found += spec.fold(
-                    name, log.group, records[log.folded:], at
+                    name, log.group, _deliveries(log.unfolded()), at
                 )
-                log.folded = len(records)
             # The current merger incarnation's commits; the spec keeps
             # the first report of each across recoveries.
             for request_id, point in replica.merger.stats.merge_points.items():
@@ -221,7 +284,7 @@ class InvariantSuite:
         recovery finish; not a safety invariant)."""
         for group, members in self.groups.items():
             reference = members[0]
-            ref_seq = self.logs[reference].sequence()
+            ref_log = self.logs[reference]
             ref_sigma = self.replicas[reference].subscriptions
             for name in members[1:]:
                 if self.replicas[name].subscriptions != ref_sigma:
@@ -230,11 +293,12 @@ class InvariantSuite:
                         f"{self.replicas[name].subscriptions} vs "
                         f"Σ({reference})={ref_sigma}"
                     )
-                if self.logs[name].sequence() != ref_seq:
+                log = self.logs[name]
+                if not log.same_sequence(ref_log):
                     raise self._violation(
                         f"group {group} did not converge: {name} delivered "
-                        f"{len(self.logs[name].records)} values, {reference} "
-                        f"delivered {len(ref_seq)}"
+                        f"{log.delivered} values, {reference} "
+                        f"delivered {ref_log.delivered}"
                     )
 
     # -- reporting ------------------------------------------------------
@@ -255,7 +319,7 @@ class InvariantSuite:
         for group in sorted(self.groups):
             members = self.groups[group]
             counts = ", ".join(
-                f"{name}={len(self.logs[name].records)}"
+                f"{name}={self.logs[name].delivered}"
                 f"{'(rewound x%d)' % self.logs[name].rewinds if self.logs[name].rewinds else ''}"
                 for name in members
             )

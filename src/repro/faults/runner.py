@@ -182,7 +182,7 @@ class CheckedRun:
     def delivered(self) -> dict[str, int]:
         """Deliveries per replica, by replica name."""
         return {
-            name: len(self.suite.logs[name].records)
+            name: self.suite.logs[name].delivered
             for name in sorted(self.suite.logs)
         }
 

@@ -191,7 +191,7 @@ class BroadcastClient(Actor):
         if tracer is not None:
             tracer.emit(
                 "client.submit", env._now,
-                (self.name, target, value.msg_id, self.value_size),
+                (self.name, target, self.value_size, value.msg_id),
             )
         self.send(coordinator, Propose(stream=target, token=value))
         env.call_later(self.timeout, self._wake, attempt)

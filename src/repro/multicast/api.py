@@ -24,6 +24,8 @@ submissions in the order they were made.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from ..net.actor import Actor
@@ -50,6 +52,9 @@ __all__ = ["MulticastClient", "SUBMISSION_BATCH_BYTES"]
 # than unbatched, against 13% more at this size (docs/PERFORMANCE.md).
 # 64 KiB is one loopback segment and asyncio's write high-water mark.
 SUBMISSION_BATCH_BYTES = 64 * 1024
+
+_size = attrgetter("size")
+_msg_id = attrgetter("msg_id")
 
 
 class MulticastClient(Actor):
@@ -100,7 +105,17 @@ class MulticastClient(Actor):
 
     def _propose(self, stream: str, config, tokens: list) -> None:
         """``tokens`` to the stream's coordinator: a lone token as it
-        always went, more as a :class:`Batch` of them."""
+        always went, more as a :class:`Batch` of them.  Its values are
+        traced here, as one ``client.submit`` run record per stretch of
+        one size: one record per ``Propose`` when they are all one."""
+        tracer = self.env.tracer
+        if tracer is not None:
+            at, head = self.env.now, (self.name, stream)
+            values = [token for token in tokens
+                      if token.__class__ is AppValue]
+            for size, run in groupby(values, _size):
+                tracer.emit("client.submit", at,
+                            head + (size,) + tuple(map(_msg_id, run)))
         token = tokens[0] if len(tokens) == 1 else Batch(tuple(tokens))
         self.send(config.coordinator, Propose(stream=stream, token=token))
 
@@ -110,12 +125,6 @@ class MulticastClient(Actor):
         """Multicast ``payload`` to ``stream``; returns the value whose
         ``msg_id`` replies can be matched against."""
         value = AppValue(payload=payload, size=size, sender=self.name)
-        tracer = self.env.tracer
-        if tracer is not None:
-            tracer.emit(
-                "client.submit", self.env.now,
-                (self.name, stream, value.msg_id, size),
-            )
         self._submit(stream, value)
         return value
 

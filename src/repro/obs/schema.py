@@ -123,13 +123,15 @@ class FixedShape(NamedTuple):
     cat: str
     fields: tuple[str, ...]             # payload field names, emit order
     optional: frozenset = frozenset()   # left out of the event when None
-    # A run record stands for consecutive events: it carries one value
-    # of the last field per event, and the events take consecutive
-    # ``seq`` numbers at one ``ts``.  With ``counted`` the field before
-    # the last counts up from the value the record carries; without it
-    # every event has the record's value of every other field.
+    # A run record stands for consecutive events: it carries every field
+    # but ``fields[repeated]`` once, in order, then one value of that
+    # field per event, and the events take consecutive ``seq`` numbers
+    # at one ``ts``.  With ``counted`` the field before the repeated one
+    # counts up from the value the record carries; without it every
+    # event has the record's value of every other field.
     run: bool = False
     counted: bool = False
+    repeated: int = -1                  # index into ``fields``
 
 
 # The kinds emitted once or more per delivered value.  Their call sites
@@ -139,6 +141,9 @@ class FixedShape(NamedTuple):
 # dicts -- same keys, same order as the keyword form of ``emit`` would
 # -- when somebody reads it.  ``fields`` starts with the kind's required
 # fields (tests/obs/test_schema.py holds the two declarations together).
+# ``client.submit`` is a run of the values of one size a client handed
+# the transport at once, ``(client, stream, size, msg_id, msg_id, ...)``
+# (``MulticastClient``).
 # ``replica.deliver`` is a counted run: ``(replica, group, stream,
 # position, msg_id, msg_id, ...)`` is one delivered run of a stream, a
 # value per position from ``position`` on (``MulticastReplica``).
@@ -148,7 +153,8 @@ class FixedShape(NamedTuple):
 # ``request_id``) is emitted by keyword.
 FIXED_SHAPE: dict[str, FixedShape] = {
     "client.submit": FixedShape(
-        "client", ("client", "stream", "msg_id", "size")),
+        "client", ("client", "stream", "msg_id", "size"), run=True,
+        repeated=2),
     "coord.propose": FixedShape(
         "coord", ("coordinator", "stream", "type", "msg_id"), run=True),
     "transport.queue_wait": FixedShape(
@@ -169,16 +175,18 @@ def materialise(record: tuple, node: Optional[str] = None) -> list[dict]:
     if not shape.run:
         return [_event(shape, ts, seq, kind, node, record[3:])]
     last = 2 + len(shape.fields)        # index of the first repeated value
+    split = shape.repeated % len(shape.fields)
+    before, after = record[3:3 + split], record[3 + split:last]
     if not shape.counted:
-        head = record[3:last]
         return [
-            _event(shape, ts, seq + offset, kind, node, head + (value,))
+            _event(shape, ts, seq + offset, kind, node,
+                   before + (value,) + after)
             for offset, value in enumerate(record[last:])
         ]
-    head, first = record[3:last - 1], record[last - 1]
+    before, first = before[:-1], before[-1]
     return [
         _event(shape, ts, seq + offset, kind, node,
-               head + (first + offset, value))
+               before + (first + offset, value) + after)
         for offset, value in enumerate(record[last:])
     ]
 

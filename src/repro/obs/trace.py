@@ -26,7 +26,8 @@ values)``, one positional tuple: a sink that ``takes_records`` (the
 flight recorder) keeps the record ``(ts, seq, kind, *values)`` and
 builds the dict when it is read, every other sink gets the same dict as
 ever, built once per event.  A delivered run is one ``replica.deliver``
-record that stands for one event per value.
+record that stands for one event per value; what a client hands the
+transport at once is one ``client.submit`` record.
 
 Installation
 ------------
@@ -229,7 +230,7 @@ class Tracer:
         Either keyword ``fields`` (``cat`` defaults to the ``kind``
         prefix before the first dot), or -- for a ``FIXED_SHAPE`` kind
         -- ``values``, the payload as one tuple in the declared order
-        (for a run kind, one value of its last field per event: the
+        (for a run kind, one value of its repeated field per event: the
         record takes that many consecutive ``seq`` numbers).
         Fields must be JSON-serialisable (strings, numbers, lists).
         """

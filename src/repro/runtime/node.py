@@ -299,7 +299,7 @@ class LiveNode:
             name: {
                 "subscriptions": list(replica.subscriptions),
                 "positions": dict(replica.merger.positions()),
-                "delivered": len(logs[name].records) if name in logs else 0,
+                "delivered": logs[name].delivered if name in logs else 0,
                 "pending_subscription": (
                     replica.merger.pending_subscription is not None
                 ),

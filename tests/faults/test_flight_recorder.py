@@ -10,7 +10,6 @@ import os
 import pytest
 
 from repro.faults import InvariantViolation, ScenarioRunner
-from repro.faults.invariants import DeliveryRecord
 from repro.faults.runner import FLIGHT_DIR_ENV
 from repro.faults.scenarios import ScenarioSpec
 from repro.faults.schedule import Schedule
@@ -44,23 +43,15 @@ def test_violation_dump_contains_causal_history(tmp_path, monkeypatch):
     sabotaged: dict[str, int] = {}
 
     def sabotage():
-        # Replay an already-delivered record: its position is no longer
+        # Replay an already-delivered value: its position is no longer
         # strictly increasing, so the next periodic check raises
         # ``duplicate-delivery`` against a *real* message whose
         # whole lifecycle sits in the flight recorder.
         log = runner.suite.logs["G1/r1"]
-        assert log.records, "no deliveries before the sabotage point"
-        first = log.records[0]
-        sabotaged["msg_id"] = first.msg_id
-        log.append(
-            DeliveryRecord(
-                stream=first.stream,
-                position=first.position,
-                msg_id=first.msg_id,
-                payload=first.payload,
-                at=env.now,
-            )
-        )
+        assert log.runs, "no deliveries before the sabotage point"
+        stream, first, values, _at = log.runs[0]
+        sabotaged["msg_id"] = values[0].msg_id
+        log.append(stream, first, values[:1], env.now)
 
     env.call_at(1.0, sabotage)
     with pytest.raises(InvariantViolation) as excinfo:

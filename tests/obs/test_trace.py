@@ -171,11 +171,51 @@ def _fixed_cases():
             )
 
 
+def _record_values(shape, events):
+    """The ``values`` of one record standing for ``events``, tuples in
+    the order of ``shape.fields``: each once, and a run's repeated field
+    once per event at the end."""
+    if not shape.run:
+        (values,) = events
+        return values
+    repeated = shape.repeated % len(shape.fields)
+    values = events[0]
+    return (
+        values[:repeated] + values[repeated + 1:]
+        + tuple(event[repeated] for event in events)
+    )
+
+
+def _run_of(shape, values, length):
+    """``length`` events of one run starting with ``values``: the
+    repeated field takes a fresh value per event, a counted field counts
+    up."""
+    repeated = shape.repeated % len(shape.fields)
+    events = []
+    for offset in range(length):
+        event = list(values)
+        event[repeated] = values[repeated] + offset * 3
+        if shape.counted:
+            event[repeated - 1] = values[repeated - 1] + offset
+        events.append(tuple(event))
+    return events
+
+
 def test_fixed_shape_events_equal_what_the_keyword_path_builds():
     from repro.obs import FlightRecorder, validate_event
 
     cases = list(_fixed_cases())
     assert len(cases) == 5          # one per kind: no optional fields left
+    # Every run kind also as a run of three events, whatever field it
+    # repeats (client.submit repeats msg_id, which size follows).
+    runs = [
+        (kind, shape, _run_of(shape, values, 3))
+        for kind, shape, values in cases if shape.run
+    ]
+    assert {kind for kind, _shape, _events in runs} == {
+        "client.submit", "coord.propose", "replica.deliver"
+    }
+    records = [(kind, shape, [values]) for kind, shape, values in cases]
     for node in (None, "n2"):
         by_tuple, by_keyword = ListSink(), ListSink()
         recorder = FlightRecorder()
@@ -185,13 +225,15 @@ def test_fixed_shape_events_equal_what_the_keyword_path_builds():
         keyword = Tracer(
             sinks=[by_keyword], categories=ALL_CATEGORIES, node=node
         )
-        for at, (kind, shape, values) in enumerate(cases):
-            fixed.emit(kind, float(at), values)
-            keyword.emit(kind, float(at), cat=shape.cat, **{
-                name: value for name, value in zip(shape.fields, values)
-                if value is not None
-            })
-        assert fixed.emitted == keyword.emitted == len(cases)
+        for at, (kind, shape, events) in enumerate(records + runs):
+            fixed.emit(kind, float(at), _record_values(shape, events))
+            for values in events:
+                keyword.emit(kind, float(at), cat=shape.cat, **{
+                    name: value for name, value in zip(shape.fields, values)
+                    if value is not None
+                })
+        assert fixed.emitted == keyword.emitted == len(cases) + 3 * len(runs)
+        assert len(by_keyword.events) == fixed.emitted
         # The ring kept the records; whoever needs a dict got one at once.
         assert all(entry.__class__ is tuple for entry in recorder._buffer)
         for materialised in (by_tuple.events, recorder.events()):
@@ -214,7 +256,7 @@ def test_fixed_shape_emit_honours_the_category_filter():
     tracer = Tracer(sinks=[sink], categories={"client"})
     tracer.emit("replica.deliver", 0.0, ("r1", "g1", "s1", 0, 1))
     tracer.emit("net.context", 0.0, ("a", "b", "n1", 1, 0.5))   # cat "meta"
-    tracer.emit("client.submit", 1.0, ("client", "s1", 1, 64))
+    tracer.emit("client.submit", 1.0, ("client", "s1", 64, 1))
     assert [(e["seq"], e["kind"]) for e in sink.events] == [
         (0, "client.submit")
     ]
@@ -237,13 +279,13 @@ def test_a_run_record_materialises_to_exactly_the_per_value_events():
     for node in (None, "n2"):
         per_value, run = ListSink(), ListSink()
         one = Tracer(sinks=[per_value], node=node)
-        one.emit("client.submit", 0.5, ("client", "s1", 7, 64))
+        one.emit("client.submit", 0.5, ("client", "s1", 64, 7))
         _deliver_per_value(one, 1.25, 40, (7, 8, 9))
-        one.emit("client.submit", 1.5, ("client", "s1", 10, 64))
+        one.emit("client.submit", 1.5, ("client", "s1", 64, 10))
         both = Tracer(sinks=[run], node=node)
-        both.emit("client.submit", 0.5, ("client", "s1", 7, 64))
+        both.emit("client.submit", 0.5, ("client", "s1", 64, 7))
         both.emit("replica.deliver", 1.25, ("r1", "g1", "s1", 40, 7, 8, 9))
-        both.emit("client.submit", 1.5, ("client", "s1", 10, 64))
+        both.emit("client.submit", 1.5, ("client", "s1", 64, 10))
         # Same dicts, key for key: consecutive seq, one ts, positions
         # counting up -- and the next event's seq follows the run's.
         assert [list(e.items()) for e in run.events] == [
@@ -267,7 +309,7 @@ def test_the_flight_recorder_keeps_a_run_as_one_entry_and_reads_it_per_value(
 
     recorder, reference = FlightRecorder(capacity=3), ListSink()
     tracer = Tracer(sinks=[recorder, reference], node="n1")
-    tracer.emit("client.submit", 0.5, ("client", "s1", 8, 64))
+    tracer.emit("client.submit", 0.5, ("client", "s1", 64, 8))
     tracer.emit("replica.deliver", 1.0, ("r1", "g1", "s1", 0, 7, 8, 9))
     tracer.emit("replica.deliver", 1.0, ("r2", "g1", "s1", 0, 7, 8, 9))
     assert tracer.emitted == 7
@@ -282,6 +324,6 @@ def test_the_flight_recorder_keeps_a_run_as_one_entry_and_reads_it_per_value(
     assert [json.loads(line) for line in open(path)] == reference.events
     assert validate_file(path) == 7
     # One more entry evicts the oldest whole: the submit, not a value.
-    tracer.emit("client.submit", 2.0, ("client", "s1", 10, 64))
+    tracer.emit("client.submit", 2.0, ("client", "s1", 64, 10))
     assert recorder.dropped == 1
     assert recorder.events() == reference.events[1:]

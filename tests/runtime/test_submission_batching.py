@@ -12,7 +12,9 @@ cluster:
   stream are ordered as they were made;
 * the coordinator deduplicates a batch token by token: a batch that
   arrives twice, or repeats some of an earlier one, orders only what it
-  has not seen.
+  has not seen;
+* a ``Propose`` is traced as one ``client.submit`` record, which reads
+  back as the per-value events it stands for.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import asyncio
 import contextlib
 
 from repro.multicast.api import SUBMISSION_BATCH_BYTES
+from repro.obs.trace import ListSink, Tracer, installed
 from repro.paxos.coordinator import CoordinatorActor
 from repro.paxos.messages import Propose
 from repro.paxos.types import AppValue, Batch, SubscribeMsg
@@ -206,5 +209,64 @@ def test_a_batch_is_deduplicated_token_by_token():
                 assert msg_ids == (
                     [value.msg_id for value in values] + [probe.msg_id]
                 ), name
+
+    run(main())
+
+
+def test_a_turns_submissions_are_one_client_submit_record_per_propose():
+    k = 5
+
+    async def main():
+        sink = ListSink()
+        with installed(Tracer(sinks=[sink])):
+            cluster = LiveCluster(LiveConfig(
+                streams=2, replicas=2, rate=0.0, drain_timeout=30.0,
+            ))
+        await cluster.start()
+        try:
+            client, recorder = cluster.client, cluster.recorder
+            submitted = {"s1": [], "s2": []}
+            for _ in range(k):
+                for stream, values in submitted.items():
+                    values.append(client.multicast(stream, b"x" * 8, 8))
+            await asyncio.sleep(0)      # the end-of-turn callback ran
+            records = [
+                entry for entry in recorder._buffer
+                if entry.__class__ is tuple and entry[2] == "client.submit"
+            ]
+            assert [record[3:] for record in records] == [
+                (client.name, stream, 8) + tuple(v.msg_id for v in values)
+                for stream, values in submitted.items()
+            ]
+            events = [
+                e for e in recorder.events() if e["kind"] == "client.submit"
+            ]
+            assert events == [
+                e for e in sink.events if e["kind"] == "client.submit"
+            ]
+            assert len(events) == 2 * k
+            for stream, values in submitted.items():
+                mine = [e for e in events if e["stream"] == stream]
+                assert [e["msg_id"] for e in mine] == [
+                    value.msg_id for value in values
+                ]
+                for event in mine:
+                    assert list(event) == [
+                        "ts", "seq", "kind", "cat",
+                        "client", "stream", "msg_id", "size",
+                    ]
+                    assert (event["cat"], event["client"], event["size"]) == (
+                        "client", client.name, 8
+                    )
+                first = mine[0]["seq"]
+                assert [e["seq"] for e in mine] == list(range(first, first + k))
+                assert len({e["ts"] for e in mine}) == 1
+                for value, event in zip(values, mine):
+                    history = recorder.causal_history(value.msg_id)
+                    assert [
+                        e for e in history if e["kind"] == "client.submit"
+                    ] == [event]
+        finally:
+            await cluster.stop()
 
     run(main())
