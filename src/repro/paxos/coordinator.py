@@ -114,6 +114,8 @@ class CoordinatorActor(Actor):
         self._throttle_wakeup: Optional[float] = None
         self._proposing = False
         self._timers: list[Timer] = []
+        # Runs until the coordinator leads; take_over() starts it again.
+        self._phase1_retry: Optional[Timer] = None
         # env.tracer / env.metrics are fixed for the environment's
         # lifetime; cache them so each probe is one attribute load.
         self._tracer = env.tracer
@@ -165,9 +167,17 @@ class CoordinatorActor(Actor):
         timers.append(
             every(env, config.retransmit_timeout, self._retransmit_tick)
         )
-        timers.append(
-            every(env, 2 * config.retransmit_timeout, self._phase1_retry_tick)
-        )
+        self._arm_phase1_retry()
+
+    def _arm_phase1_retry(self) -> None:
+        """Start the Phase-1 retry timer unless it is running (at most
+        one: it ends once the coordinator leads)."""
+        retry = self._phase1_retry
+        if retry is None or not retry.active:
+            self._phase1_retry = every(
+                self.env, 2 * self.config.retransmit_timeout,
+                self._phase1_retry_tick,
+            )
 
     def _phase1_retry_tick(self) -> bool:
         """Escalate the ballot until Phase 1 succeeds (its messages may
@@ -186,6 +196,9 @@ class CoordinatorActor(Actor):
         for timer in self._timers:
             timer.cancel()
         self._timers = []
+        if self._phase1_retry is not None:
+            self._phase1_retry.cancel()
+            self._phase1_retry = None
         self.leading = False
 
     # -- learner management -------------------------------------------------
@@ -223,6 +236,11 @@ class CoordinatorActor(Actor):
         self.ballot = next_ballot(self.ballot, self.coordinator_index, self.n_coordinators)
         self.leading = False
         self._run_phase1()
+        if self._phase1_retry is not None:
+            # Timers are running (not a standby being promoted): a
+            # coordinator that led before has no retry left, and this
+            # Phase 1 may be lost like any other.
+            self._arm_phase1_retry()
 
     def on_phase1b(self, msg: Phase1b, src: str) -> None:
         if msg.ballot != self.ballot or self.leading:

@@ -46,11 +46,11 @@ payload that is not ``bytes``) takes the walk, per object, with the same
 result.  A batch body is many tokens of two classes, so the plans of
 ``AppValue`` and ``SkipToken`` are also compiled into one loop per
 direction over a whole body, with no call per token.  The trace context
-of a version-2 frame gets the same treatment: the two dict shapes the
-transport builds are written from a per-origin template and recognised
-by their constant bytes.  See "Compiled plans", "Batch loops" and "The
-trace context" below; nothing selects between the paths but the value
-itself.
+of a version-2 frame gets the same treatment: the transport's context
+shape, and the same shape without a ``msg_id``, are written from a
+per-origin template and recognised by their constant bytes.  See
+"Compiled plans", "Batch loops" and "The trace context" below; nothing
+selects between the paths but the value itself.
 
 A ``Batch`` nested in a message is the one value that is not encoded
 field by field.  It goes on the wire as an opaque, length-delimited
@@ -407,12 +407,12 @@ _U32_PLACEHOLDER = bytes(_U32.size)
 
 # -- the trace context ------------------------------------------------
 #
-# The transport attaches {"origin", "ts"} or {"origin", "ts", "msg_id"}
-# to every message it sends.  Those two shapes are written from a
-# per-origin template plus one pack, and recognised by their constant
-# bytes on the way in; every other context takes the generic walk, and
-# all of them are the same bytes: ``[ctx_len u32]`` and the dict as
-# ``_encode_value`` writes it.
+# The transport attaches {"origin", "ts", "msg_id"} to a message that
+# carries a msg_id; {"origin", "ts"} is that context without one.
+# Those two shapes are written from a per-origin template plus one
+# pack, and recognised by their constant bytes on the way in; every
+# other context takes the generic walk, and all of them are the same
+# bytes: ``[ctx_len u32]`` and the dict as ``_encode_value`` writes it.
 
 def _generic_bytes(value: Any) -> bytes:
     out = bytearray()

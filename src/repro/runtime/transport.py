@@ -50,9 +50,11 @@ receiving actor's handler (docs/RUNTIME.md section 3 has the contracts):
   in order on the next connection; after ``unreachable_after`` failed
   connects the connection *parks* -- backlog and new sends dropped
   (``dropped_unreachable``) -- until ``register_address`` revives it;
-* an accepted connection (:class:`_Inbound`) carves every complete
-  frame out of the chunk ``data_received`` hands it as a ``memoryview``
-  slice, and the decoded payload goes to each destination actor's
+* an accepted connection (:class:`_Inbound`) is a buffered protocol:
+  the kernel reads straight into the connection's one ``bytearray``
+  (64 KiB, grown to the largest frame received), every complete frame
+  is cut out of it as a ``memoryview`` slice -- never joined, never
+  copied -- and the decoded payload goes to each destination actor's
   ``receive`` right there.  A
   frame queues in the host's inbox only while that actor's mailbox
   is not parked on an empty inbox (no actor, not started, stopped, or
@@ -63,7 +65,8 @@ receiving actor's handler (docs/RUNTIME.md section 3 has the contracts):
 Encoding reuses one ``bytearray`` scratch for the codec's
 :func:`~repro.runtime.codec.encode_into`, joined with the envelope into
 immutable ``bytes`` once per frame.  Decoding hands the codec a
-``memoryview`` into the received chunk (the zero-copy contract:
+``memoryview`` into the receive buffer, which the next read overwrites
+(the zero-copy contract -- decoded messages own their leaves:
 ``runtime/codec.py``, docs/PERFORMANCE.md).
 """
 
@@ -94,6 +97,10 @@ _BACKOFF_CAP = 1.0
 # recovery reply a few of those); a length prefix beyond it is garbage,
 # and reading it would buffer up to 4 GiB before the codec ever saw it.
 _MAX_FRAME_BYTES = 64 << 20
+
+# What an accepted connection's receive buffer starts at; it grows to
+# the largest frame received, never per read.
+_RECV_BUFFER_BYTES = 64 << 10
 
 _Address = tuple[str, int]
 
@@ -267,19 +274,20 @@ class _Connection(asyncio.Protocol):
         self.flush()
 
 
-class _Inbound(asyncio.Protocol):
-    """One accepted connection: frames are parsed where they arrive."""
+class _Inbound(asyncio.BufferedProtocol):
+    """One accepted connection: the kernel reads into the connection's
+    own buffer, and frames are parsed where they landed."""
 
     def __init__(self, owner: "TcpTransport"):
         self.owner = owner
         self.transport: Optional[asyncio.Transport] = None
-        # An incomplete frame waits here: views of the chunks received
-        # so far, their total size, and the size that completes its
-        # length prefix or, once that is known (_have >= _LEN.size),
-        # the frame.
-        self._chunks: list[memoryview] = []
-        self._have = 0
-        self._need = 0
+        # Received bytes not yet handed on are _buffer[_start:_end]: the
+        # head of a frame whose tail has yet to arrive.  The buffer only
+        # ever grows, to hold the largest frame received.
+        self._buffer = bytearray(_RECV_BUFFER_BYTES)
+        self._view = memoryview(self._buffer)
+        self._start = 0
+        self._end = 0
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
@@ -288,31 +296,19 @@ class _Inbound(asyncio.Protocol):
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.owner._inbound.discard(self)
 
-    def data_received(self, data: bytes) -> None:
-        # Frames are handed on as views into `data`; only a frame that
-        # straddles chunks is copied, and only that frame.
-        view = memoryview(data)
-        end = len(data)
-        pos = 0
-        chunks = self._chunks
-        while chunks:
-            take = self._need - self._have
-            if end - pos < take:
-                chunks.append(view[pos:])
-                self._have += end - pos
-                return
-            chunks.append(view[pos:pos + take])
-            pos += take
-            whole = b"".join(chunks)
-            chunks.clear()
-            if self._have < _LEN.size:       # that was the length prefix
-                need = self._frame_size(whole, 0)
-                if need is None:
-                    return
-                chunks.append(memoryview(whole))
-                self._have, self._need = _LEN.size, need
-            elif not self._deliver(memoryview(whole)[_LEN.size:], len(whole)):
-                return
+    def get_buffer(self, sizehint: int) -> memoryview:
+        # buffer_updated leaves room behind _end for at least the rest
+        # of the frame in progress, so this is never empty.
+        end = self._end
+        return self._view if end == 0 else self._view[end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        # Complete frames are handed on as views of the buffer; the
+        # codec's decoded messages own their leaves, so the bytes are
+        # free for the next read as soon as this returns.
+        view = self._view
+        end = self._end + nbytes
+        pos = self._start
         need = _LEN.size
         while end - pos >= _LEN.size:
             need = self._frame_size(view, pos)
@@ -325,10 +321,23 @@ class _Inbound(asyncio.Protocol):
             if not self._deliver(frame, need):
                 return
             need = _LEN.size
-        if pos < end:
-            chunks.append(view[pos:])
-            self._have = end - pos
-            self._need = need
+        if pos == end:
+            self._start = self._end = 0
+            return
+        if pos + need > len(view):
+            # The frame in progress would not fit behind its head: move
+            # the head to the front, into a bigger buffer if the frame
+            # is bigger than this one (_frame_size has vetted it).
+            held = end - pos
+            if need > len(view):
+                self._buffer = bytearray(need)
+                fresh = memoryview(self._buffer)
+                fresh[:held] = view[pos:end]
+                self._view = fresh
+            else:
+                view[:held] = view[pos:end]
+            pos, end = 0, held
+        self._start, self._end = pos, end
 
     def _frame_size(self, data: Any, pos: int) -> Optional[int]:
         """Prefix plus frame, from the length prefix at ``data[pos:]``;
@@ -817,7 +826,8 @@ class TcpTransport:
         self, src: str, payload: Any, now: float
     ) -> tuple[Optional[int], Optional[dict]]:
         """The ``msg_id`` a frame is attributed to and the trace context
-        that travels with it (either may be None)."""
+        that travels with it: only a frame with a ``msg_id`` carries one
+        (the receiver reads none other), the rest go out as version 1."""
         msg_id = None
         if self._track_queue_wait:
             # Correlate by message id when the payload carries one --
@@ -836,10 +846,8 @@ class TcpTransport:
                         if hasattr(member, "msg_id")
                     ), None)
         context: Optional[dict] = None
-        if self._propagate_context:
-            context = {"origin": self.node or src, "ts": now}
-            if msg_id is not None:
-                context["msg_id"] = msg_id
+        if msg_id is not None and self._propagate_context:
+            context = {"origin": self.node or src, "ts": now, "msg_id": msg_id}
         return msg_id, context
 
     def broadcast(
@@ -890,9 +898,9 @@ class TcpTransport:
                 continue
             if not decoded:
                 # Zero-copy decode, once for every name on the envelope:
-                # the codec parses straight out of the received chunk
+                # the codec parses straight out of the receive buffer
                 # through the view -- no body copy.  Decoded messages
-                # own their leaves (codec contract), so the chunk is
+                # own their leaves (codec contract), so the buffer is
                 # free as soon as this returns.
                 payload, context = self._decode_with_context(body)
                 decoded = True

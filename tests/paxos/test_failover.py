@@ -108,3 +108,28 @@ def test_monitor_tolerates_transient_loss():
     monitor = deployment.enable_failover(interval=0.05, misses=5)
     env.run(until=3.0)
     assert not monitor.failed_over
+
+
+def test_a_promoted_standby_arms_one_phase1_retry(monkeypatch):
+    # promote() is take_over() plus the timers: between them the
+    # Phase-1 retry is armed once, not once each.
+    from repro.paxos import coordinator as coordinator_module
+
+    armed = []
+    real_every = coordinator_module.every
+
+    def recording_every(env, interval, tick, first=None):
+        timer = real_every(env, interval, tick, first)
+        armed.append((tick.__self__.name, tick.__name__))
+        return timer
+
+    monkeypatch.setattr(coordinator_module, "every", recording_every)
+    env, net, deployment = make_world()
+    deployment.enable_failover(interval=0.05, misses=3)
+    env.run(until=0.5)
+    standby = deployment.standby
+    assert (standby.name, "_phase1_retry_tick") not in armed
+    deployment.coordinator.crash()
+    env.run(until=2.0)
+    assert deployment.coordinator is standby and standby.leading
+    assert armed.count((standby.name, "_phase1_retry_tick")) == 1

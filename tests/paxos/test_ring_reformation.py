@@ -78,3 +78,23 @@ def test_watchdog_quiet_on_healthy_ring():
     env.run(until=3.0)
     assert watchdog.suspected == set()
     assert deployment.config.acceptors == ("S1/a1", "S1/a2", "S1/a3")
+
+
+def test_a_takeover_after_leading_retries_a_lost_phase1():
+    # The coordinator led before the reform, so its retry timer had
+    # ended; the take-over's Phase 1 is lost in full.  It must be
+    # retried once the loss is gone, not left to stall the stream.
+    from repro.sim.network import FaultRule
+
+    env, net, deployment, replica, client = make_world()
+    env.run(until=1.0)
+    deployment.acceptors[1].crash()
+    env.run(until=1.5)
+    assert deployment.coordinator.leading
+    rule = net.add_fault(FaultRule(src="S1/coordinator", loss=1.0))
+    deployment.reform_ring("S1/a2")
+    env.run(until=1.6)
+    net.remove_fault(rule)
+    env.run(until=6.0)
+    assert deployment.coordinator.leading
+    assert client.ops.rate_between(3.0, 6.0) > 0

@@ -10,7 +10,7 @@ from repro.paxos.messages import Heartbeat, HeartbeatAck
 from repro.runtime.asyncio_kernel import AsyncioKernel
 from repro.runtime.transport import TcpTransport
 
-from .test_transport_faults import _FakeSocket, _frame
+from .test_transport_faults import _FakeSocket, _feed, _frame
 
 
 def run(coro):
@@ -484,6 +484,59 @@ def test_no_queue_wait_tracking_untraced():
     run(main())
 
 
+def test_only_msg_id_frames_carry_a_trace_context():
+    # A receiver reads the trace context of a frame with a msg_id only
+    # (net.context, transport.queue_wait): with a tracer installed the
+    # Propose carries {origin, ts, msg_id}, and the frames of the ring
+    # and the failure detector go out as version 1, context-free.
+    from repro.obs.trace import ListSink, Tracer
+    from repro.paxos.messages import Decision, Propose, RingAccept
+    from repro.paxos.types import AppValue, Batch
+    from repro.runtime import codec
+    from repro.runtime.transport import _LEN, _open_envelope
+
+    async def main():
+        kernel = AsyncioKernel(tracer=Tracer(sinks=[ListSink()]))
+        transport = TcpTransport(kernel, node="n1")
+        value = AppValue(payload=b"x", size=16, msg_id=7, sender="c")
+        batch = Batch((value,))
+        messages = [
+            Propose(stream="S1", token=value),
+            Propose(stream="S1", token=Batch((value, AppValue(
+                payload=b"y", size=16, msg_id=8, sender="c",
+            )))),
+            RingAccept("S1", 3, 0, batch, accepted_by=1),
+            Decision("S1", 0, batch),
+            Heartbeat(nonce=1),
+        ]
+        for message in messages:
+            transport.send("a", "b", message, 64)
+        # "b" has no address: its frames wait, unwritten, in order.
+        pending = transport._routes["b"].pending
+        decoded = []
+        for _names, _at, _msg_id, frame in pending:
+            inner = memoryview(frame)[_LEN.size:]
+            sent_at, _src, _dst, pos = _open_envelope(inner)
+            body = inner[pos:]
+            payload, context = codec.decode_with_context(body)
+            if context is not None:
+                # The sender's clock at the send, as on the envelope.
+                assert context.pop("ts") == sent_at
+            decoded.append((type(payload).__name__, body[0], context))
+        assert decoded == [
+            ("Propose", codec.CONTEXT_WIRE_VERSION,
+             {"origin": "n1", "msg_id": 7}),
+            ("Propose", codec.CONTEXT_WIRE_VERSION,
+             {"origin": "n1", "msg_id": 7}),
+            ("RingAccept", codec.WIRE_VERSION, None),
+            ("Decision", codec.WIRE_VERSION, None),
+            ("Heartbeat", codec.WIRE_VERSION, None),
+        ]
+        await transport.stop()
+
+    run(main())
+
+
 def test_fan_out_behind_one_address_is_one_encode_and_one_flush(monkeypatch):
     # send_all to five hosts of one process: the codec runs once on
     # each side, one frame naming all five leaves in one write on the
@@ -637,7 +690,7 @@ async def _turns(count=3):
 
 def test_a_running_actor_handles_frames_inside_the_receive_callback():
     # With its loop parked on an empty inbox the actor's handler runs
-    # before data_received returns: nothing is queued, no loop turn is
+    # before buffer_updated returns: nothing is queued, no loop turn is
     # waited for -- with a dispatch tracer and a registry installed as
     # much as with neither.
     from repro.obs.metrics import MetricsRegistry
@@ -657,7 +710,8 @@ def test_a_running_actor_handles_frames_inside_the_receive_callback():
         sink_actor.start()
         await _turns()          # the loop reaches its first get()
         inbound = _inbound(transport)
-        inbound.data_received(
+        _feed(
+            inbound,
             _frame("a", "b", Heartbeat(nonce=1))
             + _frame("a", "b", Heartbeat(nonce=2))
         )
@@ -684,7 +738,8 @@ def test_frames_queued_before_start_are_handled_before_later_ones():
         transport = TcpTransport(kernel)
         sink = Sink(kernel, transport, "b")
         inbound = _inbound(transport)
-        inbound.data_received(
+        _feed(
+            inbound,
             _frame("a", "b", Heartbeat(nonce=1))
             + _frame("a", "b", Heartbeat(nonce=2))
         )
@@ -692,12 +747,12 @@ def test_frames_queued_before_start_are_handled_before_later_ones():
         assert [e.payload.nonce for e in sink.host.inbox.items] == [1, 2]
         sink.start()
         # Arrives while the loop still drains: must queue behind 1 and 2.
-        inbound.data_received(_frame("a", "b", Heartbeat(nonce=3)))
+        _feed(inbound, _frame("a", "b", Heartbeat(nonce=3)))
         assert sink.seen == []
         assert await eventually(lambda: len(sink.seen) == 3)
         assert sink.seen == [1, 2, 3]
         await _turns()          # the loop parks again
-        inbound.data_received(_frame("a", "b", Heartbeat(nonce=4)))
+        _feed(inbound, _frame("a", "b", Heartbeat(nonce=4)))
         assert sink.seen == [1, 2, 3, 4]
         assert len(sink.host.inbox) == 0
         sink.stop()
@@ -713,10 +768,11 @@ def test_a_stopped_actor_queues_and_a_restart_drains_in_order():
         sink.start()
         await _turns()
         inbound = _inbound(transport)
-        inbound.data_received(_frame("a", "b", Heartbeat(nonce=1)))
+        _feed(inbound, _frame("a", "b", Heartbeat(nonce=1)))
         assert sink.seen == [1]
         sink.stop()             # stopped, not crashed: the host is up
-        inbound.data_received(
+        _feed(
+            inbound,
             _frame("a", "b", Heartbeat(nonce=2))
             + _frame("a", "b", Heartbeat(nonce=3))
         )
@@ -725,7 +781,7 @@ def test_a_stopped_actor_queues_and_a_restart_drains_in_order():
         assert [e.payload.nonce for e in sink.host.inbox.items] == [2, 3]
         assert transport.messages_dropped == 0
         sink.start()
-        inbound.data_received(_frame("a", "b", Heartbeat(nonce=4)))
+        _feed(inbound, _frame("a", "b", Heartbeat(nonce=4)))
         assert await eventually(lambda: len(sink.seen) == 4)
         assert sink.seen == [1, 2, 3, 4]
         assert not kernel.failures

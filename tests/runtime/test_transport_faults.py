@@ -354,17 +354,39 @@ def test_malformed_frames_close_their_connection_only():
 
 
 def _frame(src: str, dst: str, message) -> bytes:
-    import struct
-
     from repro.runtime import codec
 
+    return _wrap(src, dst, codec.encode(message))
+
+
+def _wrap(src: str, dst: str, body: bytes) -> bytes:
+    """The wire frame around the codec frame ``body``."""
     inner = (
         struct.pack("!d", 0.0)
         + struct.pack("!H", len(src)) + src.encode()
         + struct.pack("!H", len(dst)) + dst.encode()
-        + codec.encode(message)
+        + body
     )
     return struct.pack("!I", len(inner)) + inner
+
+
+def _feed(inbound, data) -> None:
+    """``data`` as the event loop hands a read to a buffered protocol:
+    copied into the buffer ``get_buffer`` lends, then announced with
+    ``buffer_updated`` -- in as many reads as the lent space takes."""
+    data = memoryview(data)
+    while data:
+        buffer = inbound.get_buffer(-1)
+        assert len(buffer) > 0
+        size = min(len(buffer), len(data))
+        buffer[:size] = data[:size]
+        inbound.buffer_updated(size)
+        data = data[size:]
+
+
+def _held(inbound) -> int:
+    """Bytes of an incomplete frame the connection keeps between reads."""
+    return inbound._end - inbound._start
 
 
 class _FakeSocket:
@@ -381,26 +403,34 @@ class _FakeSocket:
 
 
 def test_frames_rechunked_at_every_byte_boundary_decode_the_same():
-    # data_received sees whatever the kernel hands it: every split of a
-    # burst into two chunks, and the burst one byte at a time, must
-    # decode to the same messages in the same order.
+    # A read hands over whatever the kernel has: every split of a burst
+    # into two reads, and the burst one byte at a time, must decode to
+    # the same messages in the same order.  Between reads the connection
+    # holds exactly the head of the frame in progress; once the burst
+    # is complete it holds nothing.
     from repro.runtime.transport import _Inbound
 
     async def main():
         kernel = AsyncioKernel()
         transport = TcpTransport(kernel)
         inbox = transport.add_host("b").inbox
-        burst = b"".join(
-            _frame("a", "b", Heartbeat(nonce=nonce)) for nonce in range(4)
-        )
+        frames = [_frame("a", "b", Heartbeat(nonce=n)) for n in range(4)]
+        burst = b"".join(frames)
+        bounds = [0]
+        for frame in frames:
+            bounds.append(bounds[-1] + len(frame))
 
         def feed(chunks):
             seen = len(inbox)
             inbound = _Inbound(transport)
             inbound.connection_made(_FakeSocket())
+            fed = 0
             for chunk in chunks:
-                inbound.data_received(chunk)
-            assert not inbound._chunks
+                _feed(inbound, chunk)
+                fed += len(chunk)
+                head = fed - max(b for b in bounds if b <= fed)
+                assert _held(inbound) == head, (fed, head)
+            assert _held(inbound) == 0
             inbound.connection_lost(None)
             return [e.payload.nonce for e in inbox.items[seen:]]
 
@@ -416,10 +446,10 @@ def test_frames_rechunked_at_every_byte_boundary_decode_the_same():
     run(main())
 
 
-def test_a_frame_spanning_three_chunks_is_joined_alone():
-    # The middle chunk neither starts nor ends the frame; the last one
-    # ends it and carries whole frames behind it, which are carved out
-    # of that chunk where they lie.  Same with the tear inside a length
+def test_a_frame_spanning_three_reads_is_held_in_place():
+    # The middle read neither starts nor ends the frame; the last one
+    # ends it and carries whole frames behind it, which are cut out of
+    # the buffer where they lie.  Same with the tear inside a length
     # prefix that itself arrives in three pieces.
     from repro.runtime.transport import _Inbound
 
@@ -432,19 +462,119 @@ def test_a_frame_spanning_three_chunks_is_joined_alone():
         first = len(frames[0])
         inbound = _Inbound(transport)
         inbound.connection_made(_FakeSocket())
+        buffer = inbound._buffer
         for cuts in ((5, first - 3), (1, 2), (first + 1, first + 3)):
             seen = len(inbox)
             low, high = cuts
-            inbound.data_received(burst[:low])
-            inbound.data_received(burst[low:high])
-            assert inbound._chunks, cuts
+            _feed(inbound, burst[:low])
+            _feed(inbound, burst[low:high])
+            assert _held(inbound), cuts
             assert len(inbox) - seen == (1 if low > first else 0), cuts
-            inbound.data_received(burst[high:])
-            assert not inbound._chunks, cuts
+            _feed(inbound, burst[high:])
+            assert _held(inbound) == 0, cuts
             assert [e.payload.nonce for e in inbox.items[seen:]] == [
                 0, 1, 2, 3
             ], cuts
+        assert inbound._buffer is buffer
         assert transport.messages_dropped == 0
+
+    run(main())
+
+
+def test_a_burst_longer_than_the_buffer_moves_only_the_torn_frame():
+    # More frames than the buffer holds, in reads as long as the free
+    # space: the frame torn at the buffer's end moves to the front, and
+    # the buffer never grows.
+    from repro.runtime.transport import _Inbound
+
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel)
+        inbox = transport.add_host("b").inbox
+        inbound = _Inbound(transport)
+        inbound.connection_made(_FakeSocket())
+        buffer = inbound._buffer
+        burst = b"".join(
+            _frame("a", "b", Heartbeat(nonce=n)) for n in range(3000)
+        )
+        assert len(burst) > 2 * len(buffer)
+        _feed(inbound, burst)
+        assert [e.payload.nonce for e in inbox.items] == list(range(3000))
+        assert _held(inbound) == 0
+        assert inbound._buffer is buffer
+        assert transport.messages_dropped == 0
+
+    run(main())
+
+
+def test_a_frame_larger_than_the_buffer_grows_it_once():
+    # One byte per read: the buffer grows once, when the length prefix
+    # is complete, to the frame's size -- and the frame is delivered
+    # once, read in place.
+    from repro.paxos.messages import Propose
+    from repro.paxos.types import AppValue
+    from repro.runtime.transport import _Inbound
+
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel)
+        inbox = transport.add_host("b").inbox
+        inbound = _Inbound(transport)
+        inbound.connection_made(_FakeSocket())
+        payload = bytes(range(256)) * 320
+        big = _frame("a", "b", Propose(
+            "s1", AppValue(payload, size=len(payload), msg_id=1, sender="c")
+        ))
+        small = _frame("a", "b", Heartbeat(nonce=1))
+        initial = len(inbound._buffer)
+        assert len(big) > initial
+        buffers = [inbound._buffer]
+        for i in range(len(big)):
+            _feed(inbound, big[i:i + 1])
+            if inbound._buffer is not buffers[-1]:
+                buffers.append(inbound._buffer)
+            assert len(inbox) == (1 if i == len(big) - 1 else 0), i
+        assert len(buffers) == 2
+        assert len(inbound._buffer) == len(big)
+        assert inbox.items[0].payload.token.payload == payload
+        # It stays that size: the bound is the largest frame received.
+        _feed(inbound, small + big + small)
+        assert len(inbox) == 4
+        assert inbound._buffer is buffers[-1]
+        assert _held(inbound) == 0
+        assert transport.messages_delivered == 4
+        assert transport.messages_dropped == 0
+
+    run(main())
+
+
+def test_decoded_messages_outlive_the_receive_buffer():
+    # The receive path hands the codec views of a buffer that the next
+    # read overwrites; that is sound only because decoded messages own
+    # their leaves.  Every frame of the frozen wire corpus, decoded out
+    # of a connection's buffer, must be unchanged once that buffer is
+    # scribbled over.
+    from repro.runtime import codec
+    from repro.runtime.transport import _Inbound
+
+    from .wire_corpus import load
+
+    async def main():
+        kernel = AsyncioKernel()
+        transport = TcpTransport(kernel)
+        inbox = transport.add_host("b").inbox
+        inbound = _Inbound(transport)
+        inbound.connection_made(_FakeSocket())
+        corpus = load()
+        for body in corpus.values():
+            _feed(inbound, _wrap("a", "b", body))
+        buffer = inbound._buffer
+        buffer[:] = b"\xa5" * len(buffer)
+        assert len(inbox) == len(corpus)
+        for (name, body), envelope in zip(corpus.items(), inbox.items):
+            expected = codec.decode(body)
+            assert envelope.payload == expected, name
+            assert codec.encode(envelope.payload) == codec.encode(expected), name
 
     run(main())
 
@@ -473,13 +603,13 @@ def test_malformed_frame_mid_chunk_delivers_what_preceded_it():
         inbound.connection_made(socket_)
         bystander = _Inbound(transport)
         bystander.connection_made(_FakeSocket())
-        inbound.data_received(chunk)
+        _feed(inbound, chunk)
         assert [e.payload.nonce for e in inbox.items] == [1, 2]
         assert transport.counters()["dropped_malformed"] == 1
         assert transport.counters()["messages_dropped"] == 1
         assert socket_.closed == 1
         assert bystander.transport.closed == 0
-        bystander.data_received(_frame("a", "b", Heartbeat(nonce=4)))
+        _feed(bystander, _frame("a", "b", Heartbeat(nonce=4)))
         assert [e.payload.nonce for e in inbox.items] == [1, 2, 4]
 
     run(main())
@@ -509,7 +639,7 @@ class Faulty(Sink):
 
 
 def test_a_handler_that_raises_kills_its_actor_not_the_connection():
-    # The handler runs inside asyncio's data_received: its exception
+    # The handler runs inside asyncio's receive callback: its exception
     # must end up where a dead receive loop's does (kernel.failures,
     # on_failure), stop that actor only, and never reach asyncio -- not
     # as a fatal protocol error, and not as a malformed frame even when
@@ -580,7 +710,7 @@ def test_a_handler_that_crashes_its_host_mid_chunk_drops_the_rest_for_it():
             await asyncio.sleep(0)      # both loops reach their get()
         inbound = _Inbound(transport)
         inbound.connection_made(_FakeSocket())
-        inbound.data_received(b"".join(
+        _feed(inbound, b"".join(
             _frame("a", dst, Heartbeat(nonce=nonce))
             for dst, nonce in (
                 ("b", 1), ("b", 99), ("c", 1), ("b", 2), ("b", 3), ("c", 2),
@@ -601,7 +731,7 @@ def test_a_handler_that_crashes_its_host_mid_chunk_drops_the_rest_for_it():
         faulty.recover()
         for _ in range(3):
             await asyncio.sleep(0)
-        inbound.data_received(_frame("a", "b", Heartbeat(nonce=4)))
+        _feed(inbound, _frame("a", "b", Heartbeat(nonce=4)))
         assert faulty.seen == [1, 99, 4]
         assert not kernel.failures
         faulty.stop()
@@ -650,7 +780,7 @@ def test_a_shared_frame_is_checked_and_served_name_by_name(monkeypatch):
         names = "\0".join(["b", "c", "nobody", "d", "e"])
         inbound = _Inbound(transport)
         inbound.connection_made(_FakeSocket())
-        inbound.data_received(_frame("a", names, Heartbeat(nonce=13)))
+        _feed(inbound, _frame("a", names, Heartbeat(nonce=13)))
         assert first.seen == faulty.seen == last.seen == [13]
         assert crashed.seen == []
         assert len(decoded) == 1
@@ -677,7 +807,7 @@ def test_a_shared_frame_is_checked_and_served_name_by_name(monkeypatch):
         assert inbound.transport.closed == 0
 
         transport.set_partition(["a"])
-        inbound.data_received(_frame("a", "b\0c\0e", Heartbeat(nonce=14)))
+        _feed(inbound, _frame("a", "b\0c\0e", Heartbeat(nonce=14)))
         assert len(decoded) == 1
         assert transport.counters()["dropped_partition"] == 3
         assert transport.messages_dropped == 5

@@ -48,7 +48,7 @@ from .test_codec import CORPUS
 
 PATH = pathlib.Path(__file__).with_name("wire_corpus.txt")
 
-# The two shapes the transport builds (with and without a msg_id).
+# The transport's context shape, and the same without a msg_id.
 CTX2 = {"origin": "n2", "ts": 0.5}
 CTX3 = {"origin": "n1", "ts": 2.5, "msg_id": 11}
 
