@@ -25,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..harness.broadcast import BroadcastClient, BroadcastReplica
+from ..harness.cluster import MulticastCluster
 from ..multicast.stream import StreamDeployment
 from ..paxos.acceptor import AcceptorActor
 from ..paxos.config import StreamConfig
-from ..sim.core import Environment
-from ..sim.network import LinkSpec, Network
-from ..sim.rng import RngRegistry
 
 __all__ = [
     "BaselineReconfigConfig",
@@ -92,62 +90,47 @@ def _measure(result, counter, client, config, switch_window=20.0):
     return result
 
 
+def _replicas(
+    cluster: MulticastCluster, config: BaselineReconfigConfig, suffix: str = ""
+) -> list[BroadcastReplica]:
+    """Two replicas subscribed to S1 (one service epoch's worth)."""
+    replicas = []
+    for index in range(2):
+        replica = BroadcastReplica(
+            cluster.env, cluster.network, f"replica-{index + 1}{suffix}",
+            f"replicas{suffix}", cluster.directory,
+            cpu_rate=config.replica_cpu_rate,
+        )
+        replica.bootstrap(["S1"])
+        replicas.append(replica)
+    return replicas
+
+
 def _build_world(config: BaselineReconfigConfig, window: int = 16):
-    env = Environment()
-    rng = RngRegistry(config.seed)
-    network = Network(env, rng=rng, default_link=LinkSpec(latency=config.link_latency))
-    stream_config = StreamConfig(
-        name="S1",
-        acceptors=("S1/a1", "S1/a2", "S1/a3"),
-        lam=config.lam,
-        delta_t=config.delta_t,
-        window=window,
+    """Stream S1, two replicas and the Fig. 5 client load on S1."""
+    cluster = MulticastCluster(
+        ("S1",), seed=config.seed, link_latency=config.link_latency,
+        lam=config.lam, delta_t=config.delta_t, window=window,
     )
-    deployment = StreamDeployment(env, network, stream_config)
-    deployment.start()
-    directory = {"S1": deployment}
-    return env, rng, network, deployment, directory
+    replicas = _replicas(cluster, config)
+    client = BroadcastClient(
+        cluster.env, cluster.network, "client", cluster.directory,
+        value_size=config.value_size, think_time=config.think_time,
+        timeout=2.0, rng=cluster.rng.stream("client"),
+    )
+    client.start_threads("S1", config.n_threads)
+    return cluster, replicas, client
 
 
 def run_stop_restart_reconfig(
     config: BaselineReconfigConfig = BaselineReconfigConfig(),
 ) -> BaselineReconfigResult:
     """Reconfigure by halting the whole stack and restarting it."""
-    env, rng, network, deployment, directory = _build_world(config)
-
+    cluster, replicas, client = _build_world(config)
+    env, deployment = cluster.env, cluster.directory["S1"]
     # One counter per service epoch (before/after restart); combined
     # for measurement.
-    measured_counters = []
-
-    def make_replicas(suffix: str) -> list[BroadcastReplica]:
-        replicas = []
-        for index in range(2):
-            replica = BroadcastReplica(
-                env,
-                network,
-                f"replica-{index + 1}{suffix}",
-                f"replicas{suffix}",
-                directory,
-                cpu_rate=config.replica_cpu_rate,
-            )
-            replica.bootstrap(["S1"])
-            replicas.append(replica)
-        measured_counters.append(replicas[0].delivered_ops)
-        return replicas
-
-    replicas = make_replicas("")
-
-    client = BroadcastClient(
-        env,
-        network,
-        "client",
-        directory,
-        value_size=config.value_size,
-        think_time=config.think_time,
-        timeout=2.0,
-        rng=rng.stream("client"),
-    )
-    client.start_threads("S1", config.n_threads)
+    measured_counters = [replicas[0].delivered_ops]
 
     def stop_the_world() -> None:
         # Stop the world: clients, replicas, the stream itself.
@@ -165,10 +148,12 @@ def run_stop_restart_reconfig(
             lam=config.lam,
             delta_t=config.delta_t,
         )
-        new_deployment = StreamDeployment(env, network, new_config)
-        directory["S1"] = new_deployment
+        new_deployment = StreamDeployment(env, cluster.network, new_config)
+        cluster.directory["S1"] = new_deployment
         new_deployment.start()
-        make_replicas("-v2")
+        measured_counters.append(
+            _replicas(cluster, config, "-v2")[0].delivered_ops
+        )
         client.start_threads("S1", config.n_threads)
 
     env.call_at(config.reconfigure_at, stop_the_world)
@@ -200,33 +185,8 @@ def run_membership_command_reconfig(
     instance, so instances cannot be decided concurrently) and the
     switch drains the pipeline and re-runs Phase 1 on the new acceptors.
     """
-    env, rng, network, deployment, directory = _build_world(config, window=1)
-
-    replicas = []
-    for index in range(2):
-        replica = BroadcastReplica(
-            env,
-            network,
-            f"replica-{index + 1}",
-            "replicas",
-            directory,
-            cpu_rate=config.replica_cpu_rate,
-        )
-        replica.bootstrap(["S1"])
-        replicas.append(replica)
-
-    client = BroadcastClient(
-        env,
-        network,
-        "client",
-        directory,
-        value_size=config.value_size,
-        think_time=config.think_time,
-        timeout=2.0,
-        rng=rng.stream("client"),
-    )
-    client.start_threads("S1", config.n_threads)
-
+    cluster, replicas, client = _build_world(config, window=1)
+    env, deployment = cluster.env, cluster.directory["S1"]
     coordinator = deployment.coordinator
 
     def order_membership_command() -> None:
@@ -239,7 +199,7 @@ def run_membership_command_reconfig(
         # Fresh acceptors take over; the coordinator re-runs Phase 1.
         new_names = ("S1/b1", "S1/b2", "S1/b3")
         new_acceptors = [
-            AcceptorActor(env, network, name, stream="S1", ring=new_names)
+            AcceptorActor(env, cluster.network, name, stream="S1", ring=new_names)
             for name in new_names
         ]
         for acceptor in new_acceptors:

@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..harness.broadcast import BroadcastClient, BroadcastReplica
-from ..multicast.stream import StreamDeployment
-from ..paxos.config import StreamConfig
+from ..harness.cluster import MulticastCluster
 from ..paxos.types import AppValue
 from ..runtime.kernel import every
-from ..sim.core import Environment
-from ..sim.network import LinkSpec, Network
-from ..sim.rng import RngRegistry
 
 __all__ = ["SkipAblationConfig", "SkipAblationResult", "run_skip_ablation"]
 
@@ -47,21 +43,15 @@ class SkipAblationResult:
 def run_skip_ablation(
     config: SkipAblationConfig = SkipAblationConfig(),
 ) -> SkipAblationResult:
-    env = Environment()
-    rng = RngRegistry(config.seed)
-    network = Network(env, rng=rng, default_link=LinkSpec(latency=config.link_latency))
-
-    directory = {}
-    for name in ("S1", "S2"):
-        stream_config = StreamConfig(
-            name=name,
-            acceptors=tuple(f"{name}/a{j}" for j in range(1, 4)),
-            lam=config.lam,
-            delta_t=config.delta_t,
-            skip_enabled=config.skip_enabled,
-        )
-        directory[name] = StreamDeployment(env, network, stream_config)
-        directory[name].start()
+    cluster = MulticastCluster(
+        ("S1", "S2"),
+        seed=config.seed,
+        link_latency=config.link_latency,
+        lam=config.lam,
+        delta_t=config.delta_t,
+        skip_enabled=config.skip_enabled,
+    )
+    env, network, directory = cluster.env, cluster.network, cluster.directory
 
     replica = BroadcastReplica(env, network, "replica-1", "replicas", directory)
     replica.bootstrap(["S1", "S2"])
@@ -72,7 +62,7 @@ def run_skip_ablation(
         directory,
         value_size=config.value_size,
         timeout=config.duration + 1,   # no retries: we measure starvation
-        rng=rng.stream("client"),
+        rng=cluster.rng.stream("client"),
     )
     client.start_threads("S1", config.n_threads)
     if config.idle_stream_load > 0:

@@ -16,12 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..harness.broadcast import BroadcastClient, BroadcastReplica
-from ..multicast.stream import StreamDeployment
-from ..paxos.config import StreamConfig
+from ..harness.cluster import MulticastCluster
 from ..runtime.kernel import every
-from ..sim.core import Environment
-from ..sim.network import LinkSpec, Network
-from ..sim.rng import RngRegistry
 
 __all__ = ["StaticBroadcastConfig", "StaticBroadcastResult", "run_static_broadcast"]
 
@@ -54,19 +50,15 @@ class StaticBroadcastResult:
 def run_static_broadcast(
     config: StaticBroadcastConfig = StaticBroadcastConfig(),
 ) -> StaticBroadcastResult:
-    env = Environment()
-    rng = RngRegistry(config.seed)
-    network = Network(env, rng=rng, default_link=LinkSpec(latency=config.link_latency))
-    stream_config = StreamConfig(
-        name="S1",
-        acceptors=("S1/a1", "S1/a2", "S1/a3"),
+    cluster = MulticastCluster(
+        ("S1",),
+        seed=config.seed,
+        link_latency=config.link_latency,
         lam=config.lam,
         delta_t=config.delta_t,
         value_rate_limit=config.stream_limit,
     )
-    deployment = StreamDeployment(env, network, stream_config)
-    deployment.start()
-    directory = {"S1": deployment}
+    env, network, directory = cluster.env, cluster.network, cluster.directory
 
     replicas = []
     for index in range(2):
@@ -87,7 +79,7 @@ def run_static_broadcast(
         "client",
         directory,
         value_size=config.value_size,
-        rng=rng.stream("client"),
+        rng=cluster.rng.stream("client"),
     )
     client.start_threads("S1", config.threads_per_step)
 

@@ -81,10 +81,19 @@ from .harness.report import comparison_table, plain_table, section, series_spark
 __all__ = ["main"]
 
 
-def _fig3(args) -> None:
-    config = VerticalConfig(
-        duration=args.duration, seed=args.seed, use_prepare=args.prepare
-    )
+def _usage_error(message: object) -> int:
+    """Report a usage error on stderr; returns its exit status."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _fig3(args) -> int | None:
+    try:
+        config = VerticalConfig(
+            duration=args.duration, seed=args.seed, use_prepare=args.prepare
+        )
+    except ValueError as exc:       # e.g. a run too short to measure
+        return _usage_error(exc)
     result = run_vertical(config)
     print(section("Figure 3: vertical scalability (add a stream every 15 s)"))
     paper = [735.0, 1498.0, 2391.0, 2660.0]
@@ -100,8 +109,11 @@ def _fig3(args) -> None:
         print(f"{stream:>10}:", series_sparkline(result.per_stream[stream]))
 
 
-def _fig4(args) -> None:
-    config = HorizontalConfig(duration=args.duration, seed=args.seed)
+def _fig4(args) -> int | None:
+    try:
+        config = HorizontalConfig(duration=args.duration, seed=args.seed)
+    except ValueError as exc:
+        return _usage_error(exc)
     result = run_horizontal(config)
     ba = result.before_after
     print(section("Figure 4: re-partitioning a key/value store (75% peak load)"))
@@ -125,10 +137,14 @@ def _fig4(args) -> None:
         print(f"{name} applied:", series_sparkline(result.replica_throughput[name]))
 
 
-def _fig5(args) -> None:
-    config = ReconfigConfig(
-        duration=args.duration, seed=args.seed, use_prepare=not args.no_prepare
-    )
+def _fig5(args) -> int | None:
+    try:
+        config = ReconfigConfig(
+            duration=args.duration, seed=args.seed,
+            use_prepare=not args.no_prepare,
+        )
+    except ValueError as exc:
+        return _usage_error(exc)
     result = run_reconfig(config)
     print(section("Figure 5: acceptor reconfiguration under full load"))
     print(
@@ -174,9 +190,9 @@ def _faults(args) -> int:
         spec = get_scenario(args.scenario)
     except KeyError:
         known = ", ".join(sorted(SCENARIOS))
-        print(f"error: unknown scenario {args.scenario!r} (known: {known})",
-              file=sys.stderr)
-        return 2
+        return _usage_error(
+            f"unknown scenario {args.scenario!r} (known: {known})"
+        )
     failures = 0
     for seed in range(args.seed, args.seed + args.seeds):
         print(section(f"faults: {spec.name} (seed {seed})"))
@@ -202,15 +218,12 @@ def _elasticity(args) -> int:
             print(f"  {name:<16} {SCENARIOS[name].description}")
         return 0
     if args.scenario is None:
-        print("error: --scenario NAME required (or --list)", file=sys.stderr)
-        return 2
+        return _usage_error("--scenario NAME required (or --list)")
     if args.scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
-        print(
-            f"error: unknown scenario {args.scenario!r} (known: {known})",
-            file=sys.stderr,
+        return _usage_error(
+            f"unknown scenario {args.scenario!r} (known: {known})"
         )
-        return 2
     print(section(f"elasticity: {args.scenario} (seed {args.seed})"))
     try:
         result = run_scenario(
@@ -244,9 +257,8 @@ def _trace_follow(args) -> int:
     if not os.path.exists(path) and args.idle_timeout is None:
         # Without an idle bound, waiting on a path that never appears
         # would hang forever; catch the typo up front.
-        print(f"error: {path}: no such trace file "
-              f"(pass --idle-timeout to wait for it)", file=sys.stderr)
-        return 2
+        return _usage_error(f"{path}: no such trace file "
+                            f"(pass --idle-timeout to wait for it)")
     reader = IncrementalTraceReader(path)
     out = open(args.out, "w", encoding="utf-8") if args.out else None
     emitted = 0
@@ -291,14 +303,13 @@ def _trace(args) -> int:
     if args.follow:
         return _trace_follow(args)
     if args.experiment not in _TRACEABLE:
-        print(f"error: unknown experiment {args.experiment!r} "
-              f"(choose from {', '.join(_TRACEABLE)}, or pass --follow "
-              f"with a trace JSONL file to tail)", file=sys.stderr)
-        return 2
+        return _usage_error(
+            f"unknown experiment {args.experiment!r} "
+            f"(choose from {', '.join(_TRACEABLE)}, or pass --follow "
+            f"with a trace JSONL file to tail)"
+        )
     if not args.out:
-        print("error: --out is required when running an experiment",
-              file=sys.stderr)
-        return 2
+        return _usage_error("--out is required when running an experiment")
     if args.categories == "default":
         categories = DEFAULT_CATEGORIES
     elif args.categories == "all":
@@ -309,12 +320,8 @@ def _trace(args) -> int:
         )
         unknown = categories - ALL_CATEGORIES
         if unknown:
-            print(
-                f"error: unknown categories {sorted(unknown)} "
-                f"(known: {sorted(ALL_CATEGORIES)})",
-                file=sys.stderr,
-            )
-            return 2
+            return _usage_error(f"unknown categories {sorted(unknown)} "
+                                f"(known: {sorted(ALL_CATEGORIES)})")
 
     # Re-parse the experiment through the real parser so its defaults
     # (duration, prepare flags...) apply exactly as in a direct run.
@@ -327,11 +334,11 @@ def _trace(args) -> int:
     tracer = Tracer(sinks=[sink], categories=categories)
     try:
         with installed(tracer):
-            _DISPATCH[args.experiment](sub_args)
+            code = _DISPATCH[args.experiment](sub_args)
     finally:
         tracer.close()
     print(f"\ntrace: {sink.written} events -> {args.out}")
-    return 0
+    return code or 0
 
 
 def _stats_metrics_dump(path: str, data: dict) -> int:
@@ -440,8 +447,7 @@ def _latency(args) -> int:
         try:
             baseline = load_budget(args.diff)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(exc)
         print()
         print(f"diff vs {args.diff}:")
         for line in diff_budgets(baseline, budget):
@@ -654,8 +660,7 @@ def _watch(args) -> int:
         try:
             endpoints = load_endpoints(target)
         except (ValueError, KeyError) as exc:
-            print(f"error: {target}: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(f"{target}: {exc}")
         mode = f"polling {len(endpoints)} endpoints from {target}"
         watch = EndpointsWatch(
             endpoints, clock=time.time, out=args.out,
@@ -670,9 +675,8 @@ def _watch(args) -> int:
             reconfig_bound=args.reconfig_bound,
         )
     else:
-        print(f"error: {target}: not a run directory, trace file or "
-              f"endpoints.json", file=sys.stderr)
-        return 2
+        return _usage_error(f"{target}: not a run directory, trace file or "
+                            f"endpoints.json")
 
     print(section(f"watch: {mode}"))
     deadline = (

@@ -1,20 +1,20 @@
-"""Deployment builder: assembles simulated clusters for experiments.
+"""The one builder of simulated clusters.
 
-:class:`KvCluster` wires the full stack -- network, registry, stream
-deployments (coordinator + acceptor ring each), key/value replicas,
-closed-loop clients and the re-partitioning orchestrator -- from a few
-imperative calls, mirroring how the paper's experiments are deployed on
-OpenStack.
-
-:class:`MulticastCluster` is the protocol-level subset (streams +
-multicast replicas + a control client, no key/value store on top); the
+:class:`MulticastCluster` stands up streams (coordinator + acceptor
+ring each), multicast replicas and control clients under one
+deterministic environment, network and RNG registry, mirroring how the
+paper's experiments are deployed on OpenStack.  Every evaluation
+driver (:mod:`repro.harness.experiments`, :mod:`repro.baselines`), the
 integration tests and the fault-injection scenario runner
 (:mod:`repro.faults`) build on it.
+
+:class:`KvCluster` is its key/value extension: the same cluster plus
+the coordination registry, key/value replicas, closed-loop clients and
+the re-partitioning orchestrator.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Optional
 
 from ..coordination.registry import RegistryService
@@ -26,7 +26,6 @@ from ..multicast.api import MulticastClient
 from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
 from ..paxos.config import StreamConfig
-from ..runtime.kernel import Kernel, Transport
 from ..sim.core import Environment
 from ..sim.network import LinkSpec, Network
 from ..sim.rng import RngRegistry
@@ -36,12 +35,14 @@ __all__ = ["KvCluster", "MulticastCluster"]
 
 
 class MulticastCluster:
-    """Streams, multicast replicas and a client under one environment.
+    """Streams, multicast replicas and clients under one environment.
 
-    The construction boilerplate every integration test used to repeat
-    (environment, network, per-stream deployments, replicas with a
-    recording ``on_deliver``), packaged once.  Delivered payloads are
-    recorded per replica in :attr:`delivered`.
+    Streams are deployed and started in the order they are added, each
+    with ``n_acceptors`` acceptors and the cluster's ``lam``/``delta_t``
+    plus any :class:`~repro.paxos.config.StreamConfig` overrides.
+    Replicas added here record their delivered payloads in
+    :attr:`delivered`; a driver with its own replica class builds it
+    from :attr:`env`, :attr:`network` and :attr:`directory`.
     """
 
     def __init__(
@@ -52,21 +53,12 @@ class MulticastCluster:
         lam: int = 500,
         delta_t: float = 0.05,
         n_acceptors: int = 3,
-        kernel: Optional[Kernel] = None,
-        transport: Optional[Transport] = None,
         **config_overrides,
     ):
-        # A caller may inject an alternative execution backend (e.g. the
-        # live asyncio kernel + TCP transport); the deterministic
-        # simulator stays the default.
-        self.env: Kernel = kernel if kernel is not None else Environment()
+        self.env = Environment()
         self.rng = RngRegistry(seed)
-        self.network: Transport = (
-            transport
-            if transport is not None
-            else Network(
-                self.env, rng=self.rng, default_link=LinkSpec(latency=link_latency)
-            )
+        self.network = Network(
+            self.env, rng=self.rng, default_link=LinkSpec(latency=link_latency)
         )
         self.lam = lam
         self.delta_t = delta_t
@@ -76,10 +68,13 @@ class MulticastCluster:
         self.replicas: dict[str, MulticastReplica] = {}
         self.delivered: dict[str, list] = {}
         self._client: Optional[MulticastClient] = None
+        self._control: Optional[MulticastClient] = None
         for name in streams:
             self.add_stream(name)
 
-    def add_stream(self, name: str, **config_overrides) -> StreamDeployment:
+    def add_stream(
+        self, name: str, recovery_instance_cost: float = 0.0, **config_overrides
+    ) -> StreamDeployment:
         """Deploy and start a stream (coordinator + acceptor ring)."""
         if name in self.directory:
             raise ValueError(f"stream {name!r} already deployed")
@@ -92,7 +87,10 @@ class MulticastCluster:
             acceptors=tuple(f"{name}/a{i + 1}" for i in range(self.n_acceptors)),
             **overrides,
         )
-        deployment = StreamDeployment(self.env, self.network, config)
+        deployment = StreamDeployment(
+            self.env, self.network, config,
+            recovery_instance_cost=recovery_instance_cost,
+        )
         self.directory[name] = deployment
         deployment.start()
         return deployment
@@ -133,12 +131,14 @@ class MulticastCluster:
             )
         return self._client
 
-    def groups(self) -> dict[str, list[str]]:
-        """Replica names per replication group (sorted both ways)."""
-        out: dict[str, list[str]] = {}
-        for name in sorted(self.replicas):
-            out.setdefault(self.replicas[name].group, []).append(name)
-        return out
+    @property
+    def control(self) -> MulticastClient:
+        """A control client for subscribe/unsubscribe/prepare requests."""
+        if self._control is None:
+            self._control = MulticastClient(
+                self.env, self.network, "control", self.directory
+            )
+        return self._control
 
     def payloads(self, replica: str) -> list:
         """Payloads delivered at ``replica``, in merge order."""
@@ -148,68 +148,23 @@ class MulticastCluster:
         self.env.run(until=until)
 
 
-class KvCluster:
-    """A complete simulated deployment under one environment."""
+class KvCluster(MulticastCluster):
+    """A :class:`MulticastCluster` with the key/value store on top."""
 
     def __init__(
         self,
         seed: int = 1,
         link_latency: float = 0.0005,
-        link_bandwidth: Optional[float] = None,
         lam: int = 4000,
         delta_t: float = 0.100,
-        kernel: Optional[Kernel] = None,
-        transport: Optional[Transport] = None,
     ):
-        self.env: Kernel = kernel if kernel is not None else Environment()
-        self.rng = RngRegistry(seed)
-        self.network: Transport = (
-            transport
-            if transport is not None
-            else Network(
-                self.env,
-                rng=self.rng,
-                default_link=LinkSpec(latency=link_latency, bandwidth=link_bandwidth),
-            )
+        super().__init__(
+            seed=seed, link_latency=link_latency, lam=lam, delta_t=delta_t
         )
         self.registry = RegistryService(self.env, self.network)
         self.registry.start()
-        self.directory: dict[str, StreamDeployment] = {}
-        self.replicas: dict[str, KvReplica] = {}
         self.clients: dict[str, KvClient] = {}
-        self.lam = lam
-        self.delta_t = delta_t
-        self._control: Optional[MulticastClient] = None
         self._orchestrator: Optional[RepartitionOrchestrator] = None
-
-    # -- streams -----------------------------------------------------------
-
-    def add_stream(
-        self,
-        name: str,
-        n_acceptors: int = 3,
-        recovery_instance_cost: float = 0.0,
-        **config_overrides,
-    ) -> StreamDeployment:
-        """Deploy and start a stream (coordinator + acceptor ring)."""
-        if name in self.directory:
-            raise ValueError(f"stream {name!r} already deployed")
-        config_overrides.setdefault("lam", self.lam)
-        config_overrides.setdefault("delta_t", self.delta_t)
-        config = StreamConfig(
-            name=name,
-            acceptors=tuple(f"{name}/a{i + 1}" for i in range(n_acceptors)),
-            **config_overrides,
-        )
-        deployment = StreamDeployment(
-            self.env,
-            self.network,
-            config,
-            recovery_instance_cost=recovery_instance_cost,
-        )
-        self.directory[name] = deployment
-        deployment.start()
-        return deployment
 
     # -- replicas ------------------------------------------------------------
 
@@ -266,15 +221,6 @@ class KvCluster:
     # -- control plane ------------------------------------------------------------
 
     @property
-    def control(self) -> MulticastClient:
-        """A control client for subscribe/unsubscribe/prepare requests."""
-        if self._control is None:
-            self._control = MulticastClient(
-                self.env, self.network, "control", self.directory
-            )
-        return self._control
-
-    @property
     def orchestrator(self) -> RepartitionOrchestrator:
         if self._orchestrator is None:
             self._orchestrator = RepartitionOrchestrator(
@@ -284,8 +230,3 @@ class KvCluster:
 
     def publish_map(self, partition_map: PartitionMap) -> None:
         self.registry.put_local(PARTITION_MAP_KEY, partition_map)
-
-    # -- running --------------------------------------------------------------------
-
-    def run(self, until: float) -> None:
-        self.env.run(until=until)

@@ -40,6 +40,15 @@ class HorizontalConfig:
     seed: int = 2
     measure_interval: float = 1.0
 
+    def __post_init__(self) -> None:
+        # The "after" rates are read from 5 s past the map change on.
+        settled = self.split_at + self.inform_delay + 5.0
+        if self.duration <= settled:
+            raise ValueError(
+                f"duration must be > split_at + inform_delay + 5 = "
+                f"{settled:g}, got {self.duration:g}"
+            )
+
 
 @dataclass
 class HorizontalResult:

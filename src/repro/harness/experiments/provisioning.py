@@ -13,14 +13,9 @@ from dataclasses import dataclass, field
 
 from ...cloud.openstack import AutoScalingGroup, CloudCompute
 from ...cloud.vm import DEFAULT_BOOT_TIME
-from ...multicast.api import MulticastClient
-from ...multicast.stream import StreamDeployment
-from ...paxos.config import StreamConfig
 from ...runtime.kernel import every
-from ...sim.core import Environment
-from ...sim.network import LinkSpec, Network
-from ...sim.rng import RngRegistry
 from ..broadcast import BroadcastClient, BroadcastReplica
+from ..cluster import MulticastCluster
 
 __all__ = ["ProvisioningConfig", "ProvisioningResult", "run_provisioning"]
 
@@ -53,39 +48,30 @@ class ProvisioningResult:
 def run_provisioning(
     config: ProvisioningConfig = ProvisioningConfig(),
 ) -> ProvisioningResult:
-    env = Environment()
-    rng = RngRegistry(config.seed)
-    network = Network(env, rng=rng, default_link=LinkSpec(latency=config.link_latency))
-    compute = CloudCompute(
-        env, boot_time=config.boot_time, boot_jitter=config.boot_jitter, rng=rng
+    cluster = MulticastCluster(
+        seed=config.seed,
+        link_latency=config.link_latency,
+        lam=config.lam,
+        delta_t=config.delta_t,
+        n_acceptors=config.acceptors_per_stream,
     )
-
-    directory: dict[str, StreamDeployment] = {}
-
-    def deploy_stream(name: str) -> StreamDeployment:
-        stream_config = StreamConfig(
-            name=name,
-            acceptors=tuple(
-                f"{name}/a{j + 1}" for j in range(config.acceptors_per_stream)
-            ),
-            lam=config.lam,
-            delta_t=config.delta_t,
-        )
-        deployment = StreamDeployment(env, network, stream_config)
-        directory[name] = deployment
-        deployment.start()
-        return deployment
+    env, network, directory = cluster.env, cluster.network, cluster.directory
+    compute = CloudCompute(
+        env, boot_time=config.boot_time, boot_jitter=config.boot_jitter,
+        rng=cluster.rng,
+    )
 
     # Initial stream runs on pre-existing VMs.
     for i in range(config.acceptors_per_stream):
         compute.create_server(f"S1-acc-{i}", anti_affinity_group="S1")
-    deploy_stream("S1")
+    cluster.add_stream("S1")
 
     replica = BroadcastReplica(env, network, "replica-1", "replicas", directory)
     replica.bootstrap(["S1"])
-    control = MulticastClient(env, network, "control", directory)
+    control = cluster.control
     client = BroadcastClient(
-        env, network, "client", directory, value_size=1024, rng=rng.stream("client")
+        env, network, "client", directory, value_size=1024,
+        rng=cluster.rng.stream("client"),
     )
     client.start_threads("S1", 2)
 
@@ -99,7 +85,7 @@ def run_provisioning(
 
     def provisioned() -> None:
         result.vms_active_at = env.now
-        deploy_stream("S2")
+        cluster.add_stream("S2")
         # No explicit alignment needed: the coordinator paces skips
         # against the global virtual position clock (λ·now), so the new
         # stream tops itself up to the ensemble's position on its first

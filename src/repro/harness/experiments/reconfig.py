@@ -18,13 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...multicast.api import MulticastClient
-from ...multicast.stream import StreamDeployment
-from ...paxos.config import StreamConfig
-from ...sim.core import Environment
-from ...sim.network import LinkSpec, Network
-from ...sim.rng import RngRegistry
 from ..broadcast import BroadcastClient, BroadcastReplica
+from ..cluster import MulticastCluster
 
 __all__ = ["ReconfigConfig", "ReconfigResult", "run_reconfig"]
 
@@ -47,6 +42,10 @@ class ReconfigConfig:
     seed: int = 3
     measure_interval: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise ValueError(f"duration must be > 0, got {self.duration:g}")
+
 
 @dataclass
 class ReconfigResult:
@@ -62,27 +61,18 @@ class ReconfigResult:
 
 
 def run_reconfig(config: ReconfigConfig = ReconfigConfig()) -> ReconfigResult:
-    env = Environment()
-    rng = RngRegistry(config.seed)
-    network = Network(env, rng=rng, default_link=LinkSpec(latency=config.link_latency))
-
-    directory: dict[str, StreamDeployment] = {}
+    cluster = MulticastCluster(
+        seed=config.seed,
+        link_latency=config.link_latency,
+        lam=config.lam,
+        delta_t=config.delta_t,
+        n_acceptors=config.acceptors_per_stream,
+    )
     for name in ("S1", "S2"):
-        stream_config = StreamConfig(
-            name=name,
-            acceptors=tuple(
-                f"{name}/a{j + 1}" for j in range(config.acceptors_per_stream)
-            ),
-            lam=config.lam,
-            delta_t=config.delta_t,
+        cluster.add_stream(
+            name, recovery_instance_cost=config.recovery_instance_cost
         )
-        directory[name] = StreamDeployment(
-            env,
-            network,
-            stream_config,
-            recovery_instance_cost=config.recovery_instance_cost,
-        )
-        directory[name].start()
+    env, network, directory = cluster.env, cluster.network, cluster.directory
 
     replicas = []
     for index in range(2):
@@ -97,7 +87,7 @@ def run_reconfig(config: ReconfigConfig = ReconfigConfig()) -> ReconfigResult:
         replica.bootstrap(["S1"])
         replicas.append(replica)
 
-    control = MulticastClient(env, network, "control", directory)
+    control = cluster.control
     client = BroadcastClient(
         env,
         network,
@@ -105,7 +95,7 @@ def run_reconfig(config: ReconfigConfig = ReconfigConfig()) -> ReconfigResult:
         directory,
         value_size=config.value_size,
         think_time=config.think_time,
-        rng=rng.stream("client"),
+        rng=cluster.rng.stream("client"),
     )
     client.start_threads("S1", config.n_threads)
 

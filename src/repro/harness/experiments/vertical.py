@@ -16,11 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...multicast.stream import StreamDeployment
-from ...sim.core import Environment
-from ...sim.network import LinkSpec, Network
-from ...sim.rng import RngRegistry
 from ..broadcast import BroadcastClient, BroadcastReplica
+from ..cluster import MulticastCluster
 
 __all__ = ["VerticalConfig", "VerticalResult", "run_vertical"]
 
@@ -49,6 +46,10 @@ class VerticalConfig:
     seed: int = 1
     measure_interval: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise ValueError(f"duration must be > 0, got {self.duration:g}")
+
 
 @dataclass
 class VerticalResult:
@@ -63,31 +64,20 @@ class VerticalResult:
 
 def run_vertical(config: VerticalConfig = VerticalConfig()) -> VerticalResult:
     """Run the Fig. 3 experiment and fold the measurements."""
-    env = Environment()
-    rng = RngRegistry(config.seed)
-    network = Network(env, rng=rng, default_link=LinkSpec(latency=config.link_latency))
-
     streams = [f"S{i + 1}" for i in range(config.n_streams)]
-    directory: dict[str, StreamDeployment] = {}
+    cluster = MulticastCluster(
+        seed=config.seed,
+        link_latency=config.link_latency,
+        lam=config.lam,
+        delta_t=config.delta_t,
+        n_acceptors=config.acceptors_per_stream,
+        value_rate_limit=config.per_stream_limit,
+    )
     for name in streams:
-        from ...paxos.config import StreamConfig
-
-        stream_config = StreamConfig(
-            name=name,
-            acceptors=tuple(
-                f"{name}/a{j + 1}" for j in range(config.acceptors_per_stream)
-            ),
-            lam=config.lam,
-            delta_t=config.delta_t,
-            value_rate_limit=config.per_stream_limit,
+        cluster.add_stream(
+            name, recovery_instance_cost=config.recovery_instance_cost
         )
-        directory[name] = StreamDeployment(
-            env,
-            network,
-            stream_config,
-            recovery_instance_cost=config.recovery_instance_cost,
-        )
-        directory[name].start()
+    env, network, directory = cluster.env, cluster.network, cluster.directory
 
     replicas = []
     for index in range(2):
@@ -102,16 +92,14 @@ def run_vertical(config: VerticalConfig = VerticalConfig()) -> VerticalResult:
         replica.bootstrap([streams[0]])
         replicas.append(replica)
 
-    from ...multicast.api import MulticastClient
-
-    control = MulticastClient(env, network, "control", directory)
+    control = cluster.control
     client = BroadcastClient(
         env,
         network,
         "client",
         directory,
         value_size=config.value_size,
-        rng=rng.stream("client"),
+        rng=cluster.rng.stream("client"),
     )
     client.start_threads(streams[0], config.threads_per_stream)
 

@@ -26,7 +26,6 @@ from ..multicast.stream import StreamDeployment
 from ..net.actor import Actor
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue
-from ..metrics import Counter, Series
 from ..runtime.kernel import Kernel, Transport
 from ..workload.generators import KeyspaceWorkload
 from .commands import CommandReply, DeleteCmd, GetCmd, PutCmd, RangeCmd, TxnCmd
@@ -103,6 +102,8 @@ class KvClient(Actor):
         self.think_time = think_time
         self.rng = rng or random.Random(0)
 
+        # Deferred: the protocol layer imports no repro.sim at module level.
+        from ..sim.monitor import Counter, Series
         self.ops = Counter(env, f"{name}:ops")
         self.latency = Series(env, f"{name}:latency")
         self.timeouts = 0

@@ -26,7 +26,6 @@ from typing import Mapping, Optional
 from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
 from ..paxos.types import AppValue
-from ..metrics import Counter
 from ..runtime.kernel import Kernel, Transport
 from ..runtime.resources import Server
 from .commands import (
@@ -72,6 +71,8 @@ class KvReplica(MulticastReplica):
         self.range_cost_per_key = range_cost_per_key
 
         self.executed = 0
+        # Deferred: the protocol layer imports no repro.sim at module level.
+        from ..sim.monitor import Counter
         self.applied_ops = Counter(env, f"{name}:applied")
         self.discarded_misdirected = 0
         # Multi-partition commands awaiting peer signals:

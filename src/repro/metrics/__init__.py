@@ -1,22 +1,15 @@
 """Measurement analysis: shape checks for the reproduced figures."""
 
-from ..sim.monitor import Counter, Series, UtilisationProbe, percentile
 from .analysis import (
     dip_and_recovery,
     flat_through,
     is_monotonic_increasing,
-    relative_error,
     step_ratios,
 )
 
 __all__ = [
-    "Counter",
-    "Series",
-    "UtilisationProbe",
     "dip_and_recovery",
     "flat_through",
     "is_monotonic_increasing",
-    "percentile",
-    "relative_error",
     "step_ratios",
 ]

@@ -11,19 +11,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 __all__ = [
-    "relative_error",
     "is_monotonic_increasing",
     "dip_and_recovery",
     "flat_through",
     "step_ratios",
 ]
-
-
-def relative_error(measured: float, reference: float) -> float:
-    """|measured - reference| / reference (reference must be nonzero)."""
-    if reference == 0:
-        raise ValueError("reference must be nonzero")
-    return abs(measured - reference) / abs(reference)
 
 
 def is_monotonic_increasing(values: Sequence[float], tolerance: float = 0.0) -> bool:

@@ -271,3 +271,18 @@ def test_trace_follow_missing_file_needs_idle_timeout(tmp_path, capsys):
 
     assert main(["trace", str(tmp_path / "nope.jsonl"), "--follow"]) == 2
     assert "no such trace file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["fig3", "--duration", "0"], "duration must be > 0"),
+    (["fig5", "--duration", "0"], "duration must be > 0"),
+    (["fig4", "--duration", "5"], "split_at + inform_delay + 5"),
+])
+def test_figure_rejects_a_run_too_short_to_measure(capsys, argv, field):
+    # A usage error, not a traceback from the measurement fold.
+    from repro.cli import main
+
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err

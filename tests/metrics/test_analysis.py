@@ -6,16 +6,8 @@ from repro.metrics import (
     dip_and_recovery,
     flat_through,
     is_monotonic_increasing,
-    relative_error,
     step_ratios,
 )
-
-
-def test_relative_error():
-    assert relative_error(110, 100) == pytest.approx(0.1)
-    assert relative_error(90, 100) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        relative_error(1, 0)
 
 
 def test_monotonic_with_tolerance():

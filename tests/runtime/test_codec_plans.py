@@ -353,16 +353,18 @@ _TOKENS = st.lists(
 def _outcome(decode_body, wire, count):
     """What parsing ``wire`` as ``count`` tokens gives: their repr, or
     that the bytes are corrupt.  (A value decoded with no msg_id would
-    be given a fresh one: here it is given the same one every time.)"""
+    be given a fresh one: here it is given the same one every time.)
+    A nested ``WireBatch`` parses its body on first read, which the
+    repr does, so a corrupt nested body surfaces there."""
     fresh = paxos_types.fresh_value_id
     paxos_types.fresh_value_id = lambda: -1
     try:
         tokens, pos = decode_body(wire, 0, count)
+        return repr(tokens), pos
     except (codec.CodecError, *codec._CORRUPT):
         return "corrupt"
     finally:
         paxos_types.fresh_value_id = fresh
-    return repr(tokens), pos
 
 
 @given(tokens=_TOKENS, damage=st.randoms(use_true_random=False))
