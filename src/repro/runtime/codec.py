@@ -613,7 +613,7 @@ def _decode_value(buf: _Buffer, pos: int) -> tuple[Any, int]:
             out[key] = val
         return out, pos
     if tag == _T_BATCH:
-        return _decode_batch(buf, pos - 1)
+        return _decode_batch(buf, pos - 1, _parse_batches)
     if tag == _T_OBJ:
         (type_id,) = _U16.unpack_from(buf, pos)
         spec = _BY_ID.get(type_id)
@@ -637,18 +637,24 @@ def _decode_fields(spec: _Spec, buf: _Buffer, pos: int) -> tuple[Any, int]:
 
 def _decode_dynamic(buf: _Buffer, pos: int) -> tuple[Any, int]:
     """One value of undeclared type, from compiled code: an object goes
-    through its class's decoder (a plan when it has one)."""
-    if buf[pos] != _T_OBJ:
-        return _decode_value(buf, pos)
-    (type_id,) = _U16.unpack_from(buf, pos + 1)
-    spec = _BY_ID.get(type_id)
-    if spec is None:
-        raise CodecError(f"unknown type id {type_id}")
-    return spec.decode_fields(buf, pos + 3)
+    through its class's decoder (a plan when it has one).  A batch in it
+    is parsed now: a submission is read at once, in a token it is damage."""
+    global _parse_batches
+    outer, _parse_batches = _parse_batches, True
+    try:
+        if buf[pos] != _T_OBJ:
+            return _decode_value(buf, pos)
+        (type_id,) = _U16.unpack_from(buf, pos + 1)
+        spec = _BY_ID.get(type_id)
+        if spec is None:
+            raise CodecError(f"unknown type id {type_id}")
+        return spec.decode_fields(buf, pos + 3)
+    finally:
+        _parse_batches = outer
 
 
-def _decode_batch(buf: _Buffer, start: int) -> tuple[Any, int]:
-    """The ``WireBatch`` whose header starts at ``buf[start]``."""
+def _decode_batch(buf: _Buffer, start: int, parse=False) -> tuple[Any, int]:
+    """The ``WireBatch`` at ``buf[start]``, its body parsed if ``parse``."""
     _tag, count, payload_bytes, positions, body_len = (
         _BATCH_HEADER.unpack_from(buf, start)
     )
@@ -656,9 +662,10 @@ def _decode_batch(buf: _Buffer, start: int) -> tuple[Any, int]:
     # Every token takes at least its tag byte.
     if end > len(buf) or count > body_len:
         raise CodecError("corrupt batch header")
-    return _WireBatch(
-        bytes(buf[start:end]), count, payload_bytes, positions
-    ), end
+    batch = _WireBatch(bytes(buf[start:end]), count, payload_bytes, positions)
+    if parse:
+        batch.tokens
+    return batch, end
 
 
 # What parsing damaged bytes can raise besides CodecError.  struct.error
@@ -667,6 +674,7 @@ def _decode_batch(buf: _Buffer, start: int) -> tuple[Any, int]:
 # own constructor validation rejecting garbage field values.  All of it
 # is one condition to the caller: bytes that cannot be trusted.
 _CORRUPT = (struct.error, IndexError, ValueError, TypeError, OverflowError)
+_parse_batches = False     # True while _decode_dynamic runs
 
 
 def decode_batch_tokens(wire: bytes, count: int) -> tuple:
@@ -991,9 +999,9 @@ def _compile_plan(
 # writes the statements of the token classes' plans into one loop per
 # direction instead, dispatching on the class (encode) or on the type id
 # after the object tag (decode).  A token of any other class, and one its
-# plan declines, goes to ``_encode_dynamic`` / ``_decode_fields`` -- the
-# per-token path, entered at the point where it is entered today -- so
-# the bytes, and what damaged bytes raise, are the per-token path's.
+# plan declines, goes to ``_encode_dynamic`` / ``_decode_dynamic`` -- the
+# per-token path, from the token's first byte -- so the bytes, and what
+# damaged bytes raise, are the per-token path's.
 
 _encode_body: Callable[[Any, bytearray], None]
 _decode_body: Callable[[_Buffer, int, int], tuple[list, int]]
@@ -1009,7 +1017,7 @@ def _compile_batch_loops(
     encodes: list[str] = []
     decodes: list[str] = []
     for k, spec in enumerate(specs):
-        declined = f"token, pos = _decode_fields(spec_{k}, buf, start)"
+        declined = "token, pos = _decode_dynamic(buf, start - 3)"
         plan = _plan_source(
             spec, f"_{k}", f"{declined}; append(token); continue", batch=True
         )

@@ -47,6 +47,7 @@ from repro.paxos.types import (
     SkipToken,
     SubscribeMsg,
     UnsubscribeMsg,
+    WireBatch,
 )
 from repro.runtime import codec
 
@@ -321,6 +322,34 @@ def test_truncated_batch_body_raises_codec_error_only():
             codec.decode_batch_tokens(wire[:cut], batch.token_count)
 
 
+@pytest.mark.parametrize("where", ["entry", "field", "declined"])
+def test_a_batch_inside_a_batch_body_is_parsed_there(where):
+    # Damage can turn a token's bytes into a well-formed batch header
+    # over a corrupt body (tag 48 is no value tag): as an entry of the
+    # body, as a field of a token in it, or where a token's plan
+    # declines.  Both decoders must reject the body then, not return a
+    # batch that raises on a later read.
+    nested = struct.pack("!BIQQI", 13, 1, 0, 1, 1) + b"0"
+    inner = WireBatch(nested, 1, 0, 1)
+    body = bytearray()
+    codec._encode_body([SkipToken(1)], body)
+    if where == "entry":
+        body += nested
+    elif where == "field":
+        codec._encode_dynamic(
+            SubscribeMsg(group=inner, stream="s", request_id=0), body
+        )
+    else:
+        codec._encode_dynamic(AppValue(payload=inner, size=1), body)
+    wire = bytes(body)
+    for decode_body in (codec._decode_body, _per_token_decode):
+        with pytest.raises(codec.CodecError, match="unknown value tag 48"):
+            decode_body(wire, 0, 2)
+    header = bytes(struct.calcsize("!BIQQI"))
+    with pytest.raises(codec.CodecError):
+        codec.decode_batch_tokens(header + wire, 2)
+
+
 # -- the batch loops are the plans -------------------------------------------
 
 _INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
@@ -353,18 +382,16 @@ _TOKENS = st.lists(
 def _outcome(decode_body, wire, count):
     """What parsing ``wire`` as ``count`` tokens gives: their repr, or
     that the bytes are corrupt.  (A value decoded with no msg_id would
-    be given a fresh one: here it is given the same one every time.)
-    A nested ``WireBatch`` parses its body on first read, which the
-    repr does, so a corrupt nested body surfaces there."""
+    be given a fresh one: here it is given the same one every time.)"""
     fresh = paxos_types.fresh_value_id
     paxos_types.fresh_value_id = lambda: -1
     try:
         tokens, pos = decode_body(wire, 0, count)
-        return repr(tokens), pos
     except (codec.CodecError, *codec._CORRUPT):
         return "corrupt"
     finally:
         paxos_types.fresh_value_id = fresh
+    return repr(tokens), pos
 
 
 @given(tokens=_TOKENS, damage=st.randoms(use_true_random=False))
