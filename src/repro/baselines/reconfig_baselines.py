@@ -23,6 +23,7 @@ put the three strategies side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..harness.broadcast import BroadcastClient, BroadcastReplica
 from ..harness.cluster import MulticastCluster
@@ -65,7 +66,7 @@ class BaselineReconfigResult:
     steady_rate: float = 0.0
     min_rate_during_switch: float = 0.0
     downtime_seconds: float = 0.0        # intervals with ~zero delivery
-    latency_p95_ms: float = 0.0
+    latency_p95_ms: Optional[float] = None   # None: no round trip
 
 
 def _measure(result, counter, client, config, switch_window=20.0):
@@ -86,7 +87,7 @@ def _measure(result, counter, client, config, switch_window=20.0):
         for rate in switch_rates
         if rate < 0.05 * max(result.steady_rate, 1.0)
     )
-    result.latency_p95_ms = client.latency.percentile(95) * 1000.0
+    result.latency_p95_ms = client.latency_p95_ms()
     return result
 
 

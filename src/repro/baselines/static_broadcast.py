@@ -14,6 +14,7 @@ the single-stream ceiling no matter how many client threads arrive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..harness.broadcast import BroadcastClient, BroadcastReplica
 from ..harness.cluster import MulticastCluster
@@ -43,7 +44,7 @@ class StaticBroadcastResult:
     config: StaticBroadcastConfig
     throughput: list = field(default_factory=list)
     interval_averages: list = field(default_factory=list)
-    latency_p95_ms: float = 0.0
+    latency_p95_ms: Optional[float] = None   # None: no round trip
     scaling_factor: float = 0.0
 
 
@@ -109,7 +110,7 @@ def run_static_broadcast(
             result.interval_averages.append(
                 measured.delivered_ops.rate_between(start, end)
             )
-    result.latency_p95_ms = client.latency.percentile(95) * 1000.0
+    result.latency_p95_ms = client.latency_p95_ms()
     if result.interval_averages and result.interval_averages[0] > 0:
         result.scaling_factor = (
             result.interval_averages[-1] / result.interval_averages[0]

@@ -87,6 +87,9 @@ def _usage_error(message: object) -> int:
     return 2
 
 
+_NO_ROUND_TRIP = "no value completed a round trip in {:g} s; run longer"
+
+
 def _fig3(args) -> int | None:
     try:
         config = VerticalConfig(
@@ -95,6 +98,8 @@ def _fig3(args) -> int | None:
     except ValueError as exc:       # e.g. a run too short to measure
         return _usage_error(exc)
     result = run_vertical(config)
+    if result.latency_p95_ms is None:
+        return _usage_error(_NO_ROUND_TRIP.format(config.duration))
     print(section("Figure 3: vertical scalability (add a stream every 15 s)"))
     paper = [735.0, 1498.0, 2391.0, 2660.0]
     rows = [
@@ -146,6 +151,8 @@ def _fig5(args) -> int | None:
     except ValueError as exc:
         return _usage_error(exc)
     result = run_reconfig(config)
+    if result.latency_p95_ms is None:
+        return _usage_error(_NO_ROUND_TRIP.format(config.duration))
     print(section("Figure 5: acceptor reconfiguration under full load"))
     print(
         comparison_table(

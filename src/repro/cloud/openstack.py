@@ -91,7 +91,6 @@ class CloudCompute:
         self,
         name: str,
         anti_affinity_group: Optional[str] = None,
-        flavor: str = "m1.small",
     ) -> VirtualMachine:
         """Request a VM; it becomes ACTIVE after the boot time."""
         if name in self.servers and self.servers[name].state is not VmState.DELETED:
@@ -100,7 +99,7 @@ class CloudCompute:
         boot = self.boot_time
         if self.boot_jitter > 0:
             boot += self._rng.uniform(0.0, self.boot_jitter)
-        vm = VirtualMachine(self.env, name, host, boot, flavor)
+        vm = VirtualMachine(self.env, name, host, boot)
         self.servers[name] = vm
         if anti_affinity_group is not None:
             self._groups[anti_affinity_group].append(name)
@@ -135,18 +134,17 @@ class CloudCompute:
 
 
 class AutoScalingGroup:
-    """A Heat-style autoscaling group of identical VMs."""
+    """A Heat-style autoscaling group of identical VMs, anti-affine:
+    the group's name is their anti-affinity group."""
 
     def __init__(
         self,
         compute: CloudCompute,
         name: str,
-        anti_affinity: bool = True,
         on_scaled: Optional[Callable[[list[VirtualMachine]], None]] = None,
     ):
         self.compute = compute
         self.name = name
-        self.anti_affinity = anti_affinity
         self.on_scaled = on_scaled
         self.instances: list[VirtualMachine] = []
         self._counter = 0
@@ -160,12 +158,12 @@ class AutoScalingGroup:
         ACTIVE."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        group = self.name if self.anti_affinity else None
         new_vms = []
         for _ in range(count):
             self._counter += 1
             vm = self.compute.create_server(
-                f"{self.name}-{self._counter:03d}", anti_affinity_group=group
+                f"{self.name}-{self._counter:03d}",
+                anti_affinity_group=self.name,
             )
             new_vms.append(vm)
             self.instances.append(vm)

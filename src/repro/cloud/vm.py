@@ -37,12 +37,10 @@ class VirtualMachine:
         name: str,
         physical_host: str,
         boot_time: float,
-        flavor: str = "m1.small",
     ):
         self.env = env
         self.name = name
         self.physical_host = physical_host
-        self.flavor = flavor
         self.state = VmState.BUILDING
         self.requested_at = env.now
         self.active_at: Optional[float] = None

@@ -20,13 +20,12 @@ retries are safe.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Optional
 
 from ..multicast.stream import StreamDeployment
 from ..net.actor import Actor
 from ..paxos.config import StreamConfig
-from ..runtime.kernel import Kernel, Transport
+from ..runtime.kernel import Kernel, Timer, Transport, every
 from .topology import agent_host
 from .wire import JoinAck, JoinLearner
 
@@ -46,7 +45,7 @@ class DeployAgent(Actor):
         # join_id -> (owner agent host, message, attempts)
         self._pending: dict[int, tuple[str, JoinLearner, int]] = {}
         self._next_join_id = 1
-        self._retry_task: Optional[asyncio.Task] = None
+        self._retry_timer: Optional[Timer] = None
         self.joins_sent = 0
         self.joins_applied = 0
         self.joins_failed = 0
@@ -75,38 +74,29 @@ class DeployAgent(Actor):
 
     def start(self) -> None:
         super().start()
-        if self._retry_task is None:
-            self._retry_task = asyncio.ensure_future(self._retry_loop())
+        if self._retry_timer is None:
+            self._retry_timer = every(
+                self.env, _RETRY_INTERVAL, self._retry_tick
+            )
 
     def stop(self) -> None:
-        if self._retry_task is not None:
-            self._retry_task.cancel()
-            self._retry_task = None
+        if self._retry_timer is not None:
+            self._retry_timer.cancel()
+            self._retry_timer = None
         super().stop()
 
-    async def _retry_loop(self) -> None:
-        try:
-            while True:
-                await asyncio.sleep(_RETRY_INTERVAL)
-                for join_id in list(self._pending):
-                    owner, message, attempts = self._pending[join_id]
-                    if attempts >= _MAX_RETRIES:
-                        # Give up loudly: a join that never lands means
-                        # the owner stayed dead for the whole window.
-                        del self._pending[join_id]
-                        self.joins_failed += 1
-                        tracer = self.env.tracer
-                        if tracer is not None:
-                            tracer.emit(
-                                "deploy.join_failed", self.env._now,
-                                agent=self.name, stream=message.stream,
-                                learner=message.learner,
-                            )
-                        continue
-                    self._pending[join_id] = (owner, message, attempts + 1)
-                    self.send(owner, message)
-        except asyncio.CancelledError:
-            pass
+    def _retry_tick(self) -> None:
+        for join_id in list(self._pending):
+            owner, message, attempts = self._pending[join_id]
+            if attempts >= _MAX_RETRIES:
+                # Give up, counted in the worker's ``status``: a join
+                # that never lands means the owner stayed dead for the
+                # whole window.
+                del self._pending[join_id]
+                self.joins_failed += 1
+                continue
+            self._pending[join_id] = (owner, message, attempts + 1)
+            self.send(owner, message)
 
     # -- inbound (owner side) -----------------------------------------
 

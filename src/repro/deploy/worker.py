@@ -40,6 +40,7 @@ import signal
 from typing import Any, Optional
 
 from ..faults.invariants import InvariantSuite
+from ..runtime.kernel import Timer, every
 from ..runtime.node import CollectorPolicy, LiveNode, NodeOps
 from .agent import DeployAgent, RemoteStreamDeployment
 from .control import ControlServer
@@ -108,7 +109,7 @@ class DeployWorker(NodeOps):
                                      bind_port=control_port)
         self._collector = CollectorPolicy()
         self._stop = asyncio.Event()
-        self._invariant_task: Optional[asyncio.Task] = None
+        self._invariant_timer: Optional[Timer] = None
 
     def _health(self) -> dict:
         return {**self.node.health(), **self.identity}
@@ -125,8 +126,8 @@ class DeployWorker(NodeOps):
         response = super().op_start()
         self._collector.apply()
         if self.node.invariants is not None:
-            self._invariant_task = asyncio.ensure_future(
-                self._invariant_loop()
+            self._invariant_timer = every(
+                self.node.kernel, _INVARIANT_INTERVAL, self._invariant_tick
             )
         return response
 
@@ -143,11 +144,11 @@ class DeployWorker(NodeOps):
         self._stop.set()        # run() tears the process down
         return super().op_stop()
 
-    async def _invariant_loop(self) -> None:
-        # A violation surfaces when it happens, not at collection.
-        while not self.violations:
-            await asyncio.sleep(_INVARIANT_INTERVAL)
-            self.op_check()
+    def _invariant_tick(self) -> bool:
+        # A violation surfaces when it happens, not at collection; the
+        # first one is terminal, so the timer ends there.
+        self.op_check()
+        return not self.violations
 
     # -- lifecycle ----------------------------------------------------
 
@@ -173,11 +174,13 @@ class DeployWorker(NodeOps):
 
     async def _teardown(self) -> None:
         self._collector.restore()
-        for task in (self._workload_task, self._invariant_task):
-            if task is not None:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
+        if self._invariant_timer is not None:
+            self._invariant_timer.cancel()
+        task = self._workload_task
+        if task is not None:
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
         self.agent.stop()
         await self.node.close()         # flushes the trace + profile
         await self.control.stop()

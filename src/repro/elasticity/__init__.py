@@ -26,10 +26,8 @@ See docs/ELASTICITY.md for the operator-facing guide.
 from .actions import ReplaceStream, SimExecutor, SplitShard, SubscribeStream
 from .controller import ElasticityController
 from .policy import (
-    BackpressureHighWater,
     DecideRateCeiling,
     DecisionRecord,
-    LatencySlo,
     PolicyEngine,
     Proposal,
     SlowStreamSlo,
@@ -48,7 +46,6 @@ from .signals import HttpSignalSource, SignalSnapshot, SimSignalSource
 
 __all__ = [
     "SCENARIOS",
-    "BackpressureHighWater",
     "DecideRateCeiling",
     "DecisionRecord",
     "ElasticityController",
@@ -56,7 +53,6 @@ __all__ = [
     "ElasticityRunner",
     "ElasticityScenario",
     "HttpSignalSource",
-    "LatencySlo",
     "PolicyEngine",
     "Proposal",
     "ReplaceStream",

@@ -28,10 +28,8 @@ from typing import Optional, Sequence
 from .signals import SignalSnapshot
 
 __all__ = [
-    "BackpressureHighWater",
     "DecideRateCeiling",
     "DecisionRecord",
-    "LatencySlo",
     "PolicyEngine",
     "Proposal",
     "SlowStreamSlo",
@@ -86,56 +84,6 @@ class DecideRateCeiling:
                 f"ceiling {self.ceiling:g}/s"
             ),
             severity=per_stream / self.ceiling,
-        )
-
-
-@dataclass(frozen=True)
-class LatencySlo:
-    """Scale out when client end-to-end p99 breaches the SLO.
-
-    A missing latency signal (no recent samples) is *not* a breach.
-    Monotone in the p99.
-    """
-
-    p99_ms: float
-    name: str = "latency-slo"
-
-    def evaluate(self, snapshot: SignalSnapshot) -> Optional[Proposal]:
-        observed = snapshot.latency_p99_ms
-        if observed is None or observed <= self.p99_ms or not snapshot.streams:
-            return None
-        return Proposal(
-            kind="subscribe",
-            rule=self.name,
-            reason=(
-                f"client p99 {observed:.1f} ms exceeds SLO {self.p99_ms:g} ms"
-            ),
-            severity=observed / self.p99_ms,
-        )
-
-
-@dataclass(frozen=True)
-class BackpressureHighWater:
-    """Scale out when queue depths cross the high-water mark.
-
-    Watches the worst inbox / transport send-queue depth.  Monotone in
-    the depth.
-    """
-
-    high_water: float
-    name: str = "backpressure-high-water"
-
-    def evaluate(self, snapshot: SignalSnapshot) -> Optional[Proposal]:
-        if snapshot.backpressure <= self.high_water or not snapshot.streams:
-            return None
-        return Proposal(
-            kind="subscribe",
-            rule=self.name,
-            reason=(
-                f"queue depth {snapshot.backpressure:.0f} exceeds "
-                f"high water {self.high_water:g}"
-            ),
-            severity=snapshot.backpressure / self.high_water,
         )
 
 

@@ -64,7 +64,9 @@ __all__ = [
     "run_scenario",
 ]
 
-_CHECK_INTERVAL = 0.25   # virtual seconds between invariant checks
+_N_SHARDS = 8             # workload shards the router maps onto streams
+_LOAD_UNTIL_FRAC = 0.8    # traffic stops at this fraction of the run
+_METRICS_WINDOW = 1.0     # retention window of the signal registry (s)
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ class ElasticityScenario:
     description: str
     duration: float
     # -- workload shape -------------------------------------------------
-    n_shards: int = 8
     initial_streams: tuple[str, ...] = ("S1",)
     replicas: int = 2
     group: str = "G1"
@@ -84,7 +85,6 @@ class ElasticityScenario:
     ramp: tuple[float, float] = (0.5, 2.5)   # ramp window [start, end]
     skew_window: Optional[tuple[float, float]] = None  # hot-key storm
     zipf_s: float = 1.8
-    load_until_frac: float = 0.8       # traffic stops at this fraction
     # -- faults ---------------------------------------------------------
     schedule: Optional[Callable[["ElasticityScenario", int], Schedule]] = None
     # -- policy ---------------------------------------------------------
@@ -98,7 +98,6 @@ class ElasticityScenario:
     lam: int = 500
     delta_t: float = 0.05
     link_latency: float = 0.001
-    metrics_window: float = 1.0
     # -- acceptance oracle ---------------------------------------------
     expected_kinds: tuple[str, ...] = ("subscribe",)
     gap_bound: float = 0.5             # max inter-delivery gap allowed
@@ -126,7 +125,7 @@ class ElasticityScenario:
         return start <= now < end
 
     def load_until(self) -> float:
-        return self.duration * self.load_until_frac
+        return self.duration * _LOAD_UNTIL_FRAC
 
     def replica_names(self) -> tuple[str, ...]:
         return tuple(
@@ -279,22 +278,20 @@ class ElasticityRunner(CheckedRun):
         seed: int = 1,
         dry_run: bool = False,
         controller_enabled: bool = True,
-        flight_capacity: int = 100_000,
     ):
         self.dry_run = dry_run
         self.controller_enabled = controller_enabled
-        self.registry = MetricsRegistry(window=spec.metrics_window)
+        self.registry = MetricsRegistry(window=_METRICS_WINDOW)
         super().__init__(
             spec,
             seed,
             spec.initial_streams,
             spec.schedule(spec, seed) if spec.schedule is not None
             else Schedule(name="none"),
-            flight_capacity,
             metrics=self.registry,
         )
         self.router = StreamRouter(
-            range(spec.n_shards), spec.initial_streams
+            range(_N_SHARDS), spec.initial_streams
         )
         self.executor = SimExecutor(
             self.cluster,
@@ -323,16 +320,15 @@ class ElasticityRunner(CheckedRun):
             interval=spec.interval,
             router=self.router,
         )
-        # Delivery gap / latency accounting at the reference replica.
+        # Delivery gap accounting at the reference replica.
         self._reference = spec.replica_names()[0]
         self.delivery_times: list[float] = []
-        self._submit_at: dict[int, float] = {}
         self.cluster.replicas[self._reference].add_delivery_observer(
             self._observe_delivery
         )
         # Zipf CDF over the shards, hottest first (shard 0 is rank 0).
         cumulative, cdf = 0.0, []
-        for share in zipf_shares(spec.n_shards, spec.zipf_s):
+        for share in zipf_shares(_N_SHARDS, spec.zipf_s):
             cumulative += share
             cdf.append(cumulative)
         self._zipf_cdf = cdf
@@ -350,20 +346,14 @@ class ElasticityRunner(CheckedRun):
     # -- observation ----------------------------------------------------
 
     def _observe_delivery(self, value, stream, position) -> None:
-        now = self.cluster.env.now
-        self.delivery_times.append(now)
-        sent_at = self._submit_at.pop(value.msg_id, None)
-        if sent_at is not None:
-            self.registry.histogram("client", "latency_ms").record(
-                1000.0 * (now - sent_at)
-            )
+        self.delivery_times.append(self.cluster.env.now)
 
     # -- load -----------------------------------------------------------
 
     def _draw_shard(self, rng) -> int:
         if self.spec.skewed(self.cluster.env.now):
             return bisect.bisect_left(self._zipf_cdf, rng.random())
-        return rng.randrange(self.spec.n_shards)
+        return rng.randrange(_N_SHARDS)
 
     def _traffic(self, until: float, index: int = 0) -> None:
         """One value of the load loop, then re-arm it, until ``until``."""
@@ -374,10 +364,9 @@ class ElasticityRunner(CheckedRun):
         shard = self._draw_shard(rng)
         subkey = rng.random()
         stream = self.router.stream_for(shard, subkey)
-        value = self.cluster.client.multicast(
+        self.cluster.client.multicast(
             stream, payload=("m", index, shard), size=64
         )
-        self._submit_at[value.msg_id] = env.now
         self.registry.counter(f"shard/{shard}", "ops").record()
         env.call_later(
             1.0 / self.spec.rate_at(env.now), self._traffic, until, index + 1
@@ -402,7 +391,6 @@ class ElasticityRunner(CheckedRun):
         self.cluster.env.call_later(0.0, self._traffic, load_until)
         self._run_checked(
             spec.duration,
-            _CHECK_INTERVAL,
             self.controller.start if self.controller_enabled else None,
         )
         result = ElasticityResult(

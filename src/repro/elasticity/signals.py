@@ -12,8 +12,8 @@ evaluate.  Two sources exist, mirroring the two execution backends:
 :class:`HttpSignalSource`
     Polls the per-node HTTP endpoints a live run serves
     (``/metrics.json`` for decide rates and latency quantiles,
-    ``/health`` for subscription state and transport backpressure --
-    see docs/OBSERVABILITY.md, "Live mode").
+    ``/health`` for subscription state -- see docs/OBSERVABILITY.md,
+    "Live mode").
 
 Both produce the same snapshot type, so policies are backend-agnostic.
 A missing signal is represented as ``None`` / an absent key, never as a
@@ -53,20 +53,9 @@ class SignalSnapshot:
     decide_p99_ms:
         Per-stream p99 propose->decide latency over the retention
         window; streams with no recent samples are absent.
-    latency_p99_ms:
-        Client end-to-end p99 over the retention window, or None when
-        nothing was measured recently.
-    backpressure:
-        The worst queue depth observed (actor inboxes in the sim,
-        transport send queues live).
     shard_rate:
         Per-workload-shard submitted ops per second (empty when the
         workload is not sharded).
-    alerts:
-        Active watchdog alerts across the nodes, as ``"node:detector"``
-        strings (live source only; see docs/OBSERVABILITY.md, "Online
-        audit").  A policy can refuse to reconfigure a cluster that is
-        already anomalous.
     """
 
     at: float
@@ -75,10 +64,7 @@ class SignalSnapshot:
     pending_subscription: bool
     decide_rate: Mapping[str, float] = field(default_factory=dict)
     decide_p99_ms: Mapping[str, float] = field(default_factory=dict)
-    latency_p99_ms: Optional[float] = None
-    backpressure: float = 0.0
     shard_rate: Mapping[int, float] = field(default_factory=dict)
-    alerts: tuple[str, ...] = ()
 
     @property
     def total_rate(self) -> float:
@@ -106,10 +92,8 @@ class SimSignalSource:
 
     Decide rates come from the ``values_decided`` counters the
     coordinators record; per-stream decide latency from their windowed
-    ``decide_latency_ms`` histograms; client latency from the harness's
-    ``client/latency_ms`` histogram; backpressure from the actor
-    ``inbox_depth`` gauges.  Subscription state is read off the
-    replicas (the registry has no notion of Σ).
+    ``decide_latency_ms`` histograms.  Subscription state is read off
+    the replicas (the registry has no notion of Σ).
     """
 
     def __init__(
@@ -165,12 +149,6 @@ class SimSignalSource:
             self._last_shard_totals[shard] = total
             if dt is not None and dt > 0:
                 shard_rate[shard] = (total - last) / dt
-        latency = self.registry.histogram("client", "latency_ms")
-        latency_p99 = latency.percentile(99) if len(latency) > 0 else None
-        backpressure = 0.0
-        for (_actor, name), gauge in self.registry.gauges().items():
-            if name == "inbox_depth" and gauge.value is not None:
-                backpressure = max(backpressure, gauge.value)
         self._last_at = now
         return SignalSnapshot(
             at=now,
@@ -182,8 +160,6 @@ class SimSignalSource:
             ),
             decide_rate=decide_rate,
             decide_p99_ms=decide_p99,
-            latency_p99_ms=latency_p99,
-            backpressure=backpressure,
             shard_rate=shard_rate,
         )
 
@@ -193,7 +169,7 @@ class HttpSignalSource:
 
     One snapshot merges every node's ``/metrics.json`` (counters and
     histograms; each node serves only its own actors) and ``/health``
-    (subscription state, transport queue depths).  Endpoint failures
+    (subscription state).  Endpoint failures
     degrade to missing signals, never to stale ones.
     """
 
@@ -210,13 +186,10 @@ class HttpSignalSource:
         dt = None if self._last_at is None else now - self._last_at
         totals: dict[str, float] = {}
         decide_p99: dict[str, float] = {}
-        latency_p99: Optional[float] = None
         subscriptions: list[tuple[str, ...]] = []
         pending = False
         provisioned: set[str] = set()
-        backpressure = 0.0
-        alerts: list[str] = []
-        for node, (host, port) in sorted(self.endpoints.items()):
+        for _node, (host, port) in sorted(self.endpoints.items()):
             try:
                 metrics = await http_get_json(host, port, "/metrics.json")
                 health = await http_get_json(host, port, "/health")
@@ -235,24 +208,10 @@ class HttpSignalSource:
                     and "/" in actor
                 ):
                     decide_p99[actor.split("/", 1)[0]] = entry["p99"]
-                if (
-                    entry.get("name") == "latency_ms"
-                    and entry.get("p99") is not None
-                ):
-                    latency_p99 = entry["p99"]
             provisioned.update(health.get("streams", {}))
             for state in health.get("replicas", {}).values():
                 subscriptions.append(tuple(state.get("subscriptions", ())))
                 pending = pending or bool(state.get("pending_subscription"))
-            depths = (
-                health.get("transport", {}).get("queue_depths", {}) or {}
-            )
-            for depth in depths.values():
-                backpressure = max(backpressure, float(depth))
-            # /health rolls the node's self-observing watchdog in; an
-            # active alert here feeds straight into policy decisions.
-            for alert in health.get("alerts", ()):
-                alerts.append(f"{node}:{alert.get('detector', '?')}")
         decide_rate: dict[str, float] = {}
         for stream, total in totals.items():
             provisioned.add(stream)
@@ -276,7 +235,4 @@ class HttpSignalSource:
             pending_subscription=pending,
             decide_rate=decide_rate,
             decide_p99_ms=decide_p99,
-            latency_p99_ms=latency_p99,
-            backpressure=backpressure,
-            alerts=tuple(sorted(alerts)),
         )

@@ -17,7 +17,7 @@ report.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable
 
 from ..sim.core import Environment
 from ..sim.network import FaultRule, Network
@@ -38,17 +38,12 @@ __all__ = ["FaultOrchestrator"]
 class FaultOrchestrator:
     """Injects the faults of a schedule at their virtual times."""
 
-    def __init__(
-        self,
-        env: Environment,
-        network: Network,
-        crash_hooks: Optional[Mapping[str, Callable[[], None]]] = None,
-        recover_hooks: Optional[Mapping[str, Callable[[], None]]] = None,
-    ):
+    def __init__(self, env: Environment, network: Network):
         self.env = env
         self.network = network
-        self.crash_hooks = dict(crash_hooks or {})
-        self.recover_hooks = dict(recover_hooks or {})
+        # Per-target recovery in place of a plain host restart; the
+        # scenario runner fills it for the replicas it checkpoints.
+        self.recover_hooks: dict[str, Callable[[], None]] = {}
         self.events: list[tuple[float, str]] = []
         self.executed: list[Schedule] = []
 
@@ -79,15 +74,11 @@ class FaultOrchestrator:
     # -- point actions --------------------------------------------------
 
     def _crash(self, action: CrashAt) -> None:
-        hook = self.crash_hooks.get(action.target)
-        if hook is not None:
-            hook()
-        else:
-            host = self.network.host(action.target)
-            if host.crashed:
-                return
-            target = host.actor if host.actor is not None else host
-            target.crash()
+        host = self.network.host(action.target)
+        if host.crashed:
+            return
+        target = host.actor if host.actor is not None else host
+        target.crash()
         self._note(action.describe())
 
     def _recover(self, action: RecoverAt) -> None:

@@ -50,6 +50,9 @@ __all__ = ["CheckedRun", "ScenarioResult", "ScenarioRunner"]
 
 FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 DEFAULT_FLIGHT_DIR = "flight-recordings"
+_FLIGHT_CAPACITY = 100_000   # trace events the flight recorder keeps
+_CHECK_INTERVAL = 0.25       # virtual seconds between invariant checks
+_CHECKPOINT_INTERVAL = 0.25  # virtual seconds between replica checkpoints
 
 
 @dataclass
@@ -84,7 +87,6 @@ class CheckedRun:
         seed: int,
         streams: tuple[str, ...],
         schedule: Schedule,
-        flight_capacity: int = 100_000,
         metrics=None,
     ):
         self.spec = spec
@@ -94,7 +96,7 @@ class CheckedRun:
         # (e.g. the CLI's trace command), or install a private one just
         # for the cluster construction window -- the environment adopts
         # it then and keeps emitting to it for the whole run.
-        self.recorder = FlightRecorder(capacity=flight_capacity)
+        self.recorder = FlightRecorder(capacity=_FLIGHT_CAPACITY)
         external = current_tracer()
         if external is not None:
             external.add_sink(self.recorder)
@@ -150,29 +152,21 @@ class CheckedRun:
     def _run_checked(
         self,
         duration: float,
-        check_interval: float,
         arm: Optional[Callable[[], None]] = None,
-        must_converge: bool = True,
-    ) -> bool:
+    ) -> None:
         """Arm the periodic check, then ``arm``, then the fault schedule;
-        run to ``duration`` and check once more.  Returns whether the
-        groups converged (raises if ``must_converge`` and they did not).
-        A violation dumps the flight recording and re-raises."""
+        run to ``duration``, check once more and assert that the groups
+        converged.  A violation dumps the flight recording and
+        re-raises."""
         env = self.cluster.env
-        every(env, check_interval, self.suite.check)
+        every(env, _CHECK_INTERVAL, self.suite.check)
         if arm is not None:
             arm()
         self.orchestrator.execute(self.schedule)
         try:
             env.run(until=duration)
             self.suite.check()
-            try:
-                self.suite.assert_converged()
-            except AssertionError:
-                if must_converge:
-                    raise
-                return False
-            return True
+            self.suite.assert_converged()
         except InvariantViolation as violation:
             # Ship the causal history with the failure: dump the flight
             # recorder's ring buffer next to the violation and re-raise.
@@ -190,15 +184,8 @@ class CheckedRun:
 class ScenarioRunner(CheckedRun):
     """Builds, runs and checks one fault scenario."""
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        seed: int = 1,
-        flight_capacity: int = 100_000,
-    ):
-        super().__init__(
-            spec, seed, spec.streams, spec.schedule(seed), flight_capacity
-        )
+    def __init__(self, spec: ScenarioSpec, seed: int = 1):
+        super().__init__(spec, seed, spec.streams, spec.schedule(seed))
         self.checkpoints: dict[str, CheckpointStore] = {}
         self._checkpoint_seq: dict[str, int] = {}
         for name in self.cluster.replicas:
@@ -291,11 +278,8 @@ class ScenarioRunner(CheckedRun):
         )
         for stream in spec.streams:
             env.call_later(0.0, self._load, stream, load_until)
-        every(env, spec.checkpoint_interval, self._save_checkpoints)
-        converged = self._run_checked(
-            spec.duration, spec.check_interval, self._arm_control,
-            must_converge=spec.expect_converged,
-        )
+        every(env, _CHECKPOINT_INTERVAL, self._save_checkpoints)
+        self._run_checked(spec.duration, self._arm_control)
         result = ScenarioResult(
             scenario=spec.name,
             seed=self.seed,
@@ -304,7 +288,7 @@ class ScenarioRunner(CheckedRun):
             delivered=self.delivered(),
             checks_run=self.suite.checks_run,
             digest=self.suite.digest(),
-            converged=converged,
+            converged=True,
             timeline=list(self.orchestrator.events),
         )
         result.report_text = self._render_report(result)

@@ -52,6 +52,9 @@ class ControlOp:
             raise ValueError(f"{self.kind} needs a carrier stream (via=...)")
 
 
+_REPLICAS_PER_GROUP = 2
+
+
 @dataclass
 class ScenarioSpec:
     """Everything needed to reproduce one fault-injection run."""
@@ -63,7 +66,6 @@ class ScenarioSpec:
     duration: float
     schedule: Callable[[int], Schedule]      # seed -> fault plan
     control: tuple[ControlOp, ...] = ()
-    replicas_per_group: int = 2
     lam: int = 500
     delta_t: float = 0.05
     link_latency: float = 0.001
@@ -75,15 +77,12 @@ class ScenarioSpec:
     # byte-for-byte identical (the golden digests depend on it).
     load_share: Optional[Callable[[str, float], float]] = None
     failover: tuple[str, ...] = ()           # streams deployed with a standby
-    checkpoint_interval: float = 0.25
-    check_interval: float = 0.25
-    expect_converged: bool = True
 
     def replica_names(self) -> dict[str, list[str]]:
         """Replica host names per group (``<group>/r<i>``)."""
         return {
             group: [
-                f"{group}/r{i + 1}" for i in range(self.replicas_per_group)
+                f"{group}/r{i + 1}" for i in range(_REPLICAS_PER_GROUP)
             ]
             for group in sorted(self.groups)
         }
@@ -305,8 +304,6 @@ def _chaos_schedule(spec: ScenarioSpec, seed: int) -> Schedule:
         horizon=spec.duration,
         crash_targets=tuple(replicas),
         partition_cuts=tuple(cuts),
-        n_crashes=2,
-        n_partitions=2,
         quiet_tail=0.4,
     ).generate()
 

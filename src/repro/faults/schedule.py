@@ -213,14 +213,24 @@ class Schedule:
         return len(self.actions)
 
 
+# RandomChaos's draw: crash/recover pairs and partition windows per
+# schedule, the fault-free start, and the range of one outage's length.
+_N_CRASHES = 2
+_N_PARTITIONS = 2
+_WARMUP = 0.1
+_MIN_OUTAGE = 0.1
+_MAX_OUTAGE = 0.5
+
+
 class RandomChaos:
     """Seeded generator of adversarial schedules for a given topology.
 
     Draws crash/recover pairs over ``crash_targets``, partition windows
-    over ``partition_cuts`` (candidate host-set pairs), and loss, delay,
-    duplication and reordering windows over the whole network.  All
-    faults land inside ``[warmup, horizon * (1 - quiet_tail)]`` so the
-    run ends with a quiet period in which recovery machinery converges.
+    over ``partition_cuts`` (candidate host-set pairs), and one loss,
+    delay, duplication and reordering window each over the whole
+    network.  All faults land inside ``[_WARMUP, horizon * (1 -
+    quiet_tail)]`` so the run ends with a quiet period in which
+    recovery machinery converges.
 
     The draw order is fixed, so one seed always produces one schedule.
     """
@@ -231,33 +241,15 @@ class RandomChaos:
         horizon: float,
         crash_targets: tuple[str, ...] = (),
         partition_cuts: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = (),
-        n_crashes: int = 2,
-        n_partitions: int = 2,
-        n_loss_windows: int = 1,
-        n_delay_spikes: int = 1,
-        n_duplicate_windows: int = 1,
-        n_reorder_windows: int = 1,
-        warmup: float = 0.1,
         quiet_tail: float = 0.35,
-        min_outage: float = 0.1,
-        max_outage: float = 0.5,
     ):
-        if horizon <= warmup:
+        if horizon <= _WARMUP:
             raise ValueError("horizon must exceed the warmup period")
         self.seed = seed
         self.horizon = horizon
         self.crash_targets = tuple(crash_targets)
         self.partition_cuts = tuple(partition_cuts)
-        self.n_crashes = n_crashes if self.crash_targets else 0
-        self.n_partitions = n_partitions if self.partition_cuts else 0
-        self.n_loss_windows = n_loss_windows
-        self.n_delay_spikes = n_delay_spikes
-        self.n_duplicate_windows = n_duplicate_windows
-        self.n_reorder_windows = n_reorder_windows
-        self.warmup = warmup
         self.quiet_tail = quiet_tail
-        self.min_outage = min_outage
-        self.max_outage = max_outage
 
     def generate(self) -> Schedule:
         # Derive the stream the way RngRegistry does: stable across
@@ -270,24 +262,24 @@ class RandomChaos:
 
         # Crash/recover pairs: per-target windows never overlap (a host
         # cannot crash while already down), tracked with a time cursor.
-        cursors = {target: self.warmup for target in self.crash_targets}
-        for _ in range(self.n_crashes):
+        cursors = {target: _WARMUP for target in self.crash_targets}
+        for _ in range(_N_CRASHES if self.crash_targets else 0):
             target = rng.choice(self.crash_targets)
             earliest = cursors[target]
-            latest = active_end - self.min_outage
+            latest = active_end - _MIN_OUTAGE
             if earliest >= latest:
                 continue   # this target has no room left before the tail
             at = rng.uniform(earliest, latest)
-            outage = rng.uniform(self.min_outage, self.max_outage)
+            outage = rng.uniform(_MIN_OUTAGE, _MAX_OUTAGE)
             back = min(at + outage, active_end)
             actions.append(CrashAt(at=at, target=target))
             actions.append(RecoverAt(at=back, target=target))
             cursors[target] = back + 0.05
 
-        for _ in range(self.n_partitions):
+        for _ in range(_N_PARTITIONS if self.partition_cuts else 0):
             side_a, side_b = rng.choice(self.partition_cuts)
-            start = rng.uniform(self.warmup, active_end - self.min_outage)
-            length = rng.uniform(self.min_outage, self.max_outage)
+            start = rng.uniform(_WARMUP, active_end - _MIN_OUTAGE)
+            length = rng.uniform(_MIN_OUTAGE, _MAX_OUTAGE)
             actions.append(
                 PartitionWindow(
                     start=start,
@@ -297,42 +289,37 @@ class RandomChaos:
                 )
             )
 
-        def window(length_lo: float, length_hi: float) -> tuple[float, float]:
-            start = rng.uniform(self.warmup, active_end - length_lo)
-            length = rng.uniform(length_lo, length_hi)
+        def window() -> tuple[float, float]:
+            start = rng.uniform(_WARMUP, active_end - _MIN_OUTAGE)
+            length = rng.uniform(_MIN_OUTAGE, _MAX_OUTAGE)
             return start, min(start + length, active_end)
 
-        for _ in range(self.n_loss_windows):
-            start, end = window(self.min_outage, self.max_outage)
-            actions.append(
-                LossWindow(start=start, end=end, loss=rng.uniform(0.05, 0.25))
+        start, end = window()
+        actions.append(
+            LossWindow(start=start, end=end, loss=rng.uniform(0.05, 0.25))
+        )
+        start, end = window()
+        actions.append(
+            DelaySpike(
+                start=start, end=end, extra_latency=rng.uniform(0.002, 0.02),
             )
-        for _ in range(self.n_delay_spikes):
-            start, end = window(self.min_outage, self.max_outage)
-            actions.append(
-                DelaySpike(
-                    start=start, end=end,
-                    extra_latency=rng.uniform(0.002, 0.02),
-                )
+        )
+        start, end = window()
+        actions.append(
+            DuplicateWindow(
+                start=start, end=end,
+                probability=rng.uniform(0.1, 0.5),
+                spread=rng.uniform(0.001, 0.01),
             )
-        for _ in range(self.n_duplicate_windows):
-            start, end = window(self.min_outage, self.max_outage)
-            actions.append(
-                DuplicateWindow(
-                    start=start, end=end,
-                    probability=rng.uniform(0.1, 0.5),
-                    spread=rng.uniform(0.001, 0.01),
-                )
+        )
+        start, end = window()
+        actions.append(
+            ReorderWindow(
+                start=start, end=end,
+                probability=rng.uniform(0.1, 0.4),
+                spread=rng.uniform(0.001, 0.01),
             )
-        for _ in range(self.n_reorder_windows):
-            start, end = window(self.min_outage, self.max_outage)
-            actions.append(
-                ReorderWindow(
-                    start=start, end=end,
-                    probability=rng.uniform(0.1, 0.4),
-                    spread=rng.uniform(0.001, 0.01),
-                )
-            )
+        )
 
         actions.sort(
             key=lambda a: a.at if isinstance(a, _POINT_ACTIONS) else a.start

@@ -140,6 +140,12 @@ class BroadcastClient(Actor):
         self._threads: list[_Thread] = []
         self._retargets: dict[str, str] = {}
 
+    def latency_p95_ms(self) -> Optional[float]:
+        """p95 round trip in ms, or None when no value completed one."""
+        if not len(self.latency):
+            return None
+        return self.latency.percentile(95) * 1000.0
+
     def start_threads(self, stream: str, count: int) -> None:
         """Start ``count`` closed-loop threads submitting to ``stream``
         from the next scheduling step on."""

@@ -17,6 +17,7 @@ in the background) and a 95th-percentile latency of 2.7 ms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..broadcast import BroadcastClient, BroadcastReplica
 from ..cluster import MulticastCluster
@@ -52,7 +53,7 @@ class ReconfigResult:
     config: ReconfigConfig
     throughput: list = field(default_factory=list)     # (t, ops/s) aggregate
     per_stream: dict = field(default_factory=dict)
-    latency_p95_ms: float = 0.0
+    latency_p95_ms: Optional[float] = None   # None: no round trip
     throughput_mbps: float = 0.0
     min_rate_during_switch: float = 0.0
     steady_rate: float = 0.0
@@ -129,7 +130,7 @@ def run_reconfig(config: ReconfigConfig = ReconfigConfig()) -> ReconfigResult:
         stream: counter.interval_rates(config.measure_interval, 0.0, config.duration)
         for stream, counter in measured.per_stream_ops.items()
     }
-    result.latency_p95_ms = client.latency.percentile(95) * 1000.0
+    result.latency_p95_ms = client.latency_p95_ms()
     result.steady_rate = measured.delivered_ops.rate_between(
         0.3 * config.subscribe_at, config.subscribe_at
     )

@@ -15,6 +15,7 @@ latency of 8.3 ms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..broadcast import BroadcastClient, BroadcastReplica
 from ..cluster import MulticastCluster
@@ -57,7 +58,7 @@ class VerticalResult:
     throughput: list = field(default_factory=list)        # (t, ops/s) aggregate
     per_stream: dict = field(default_factory=dict)        # stream -> [(t, ops/s)]
     interval_averages: list = field(default_factory=list)  # ops/s per phase
-    latency_p95_ms: float = 0.0
+    latency_p95_ms: Optional[float] = None   # None: no round trip
     scaling_factor: float = 0.0
     subscribe_times: list = field(default_factory=list)
 
@@ -148,7 +149,7 @@ def run_vertical(config: VerticalConfig = VerticalConfig()) -> VerticalResult:
             result.interval_averages.append(
                 measured.delivered_ops.rate_between(start, end)
             )
-    result.latency_p95_ms = client.latency.percentile(95) * 1000.0
+    result.latency_p95_ms = client.latency_p95_ms()
     if result.interval_averages[0] > 0:
         result.scaling_factor = (
             result.interval_averages[-1] / result.interval_averages[0]

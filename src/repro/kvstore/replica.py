@@ -45,6 +45,11 @@ from .store import InMemoryStore
 
 __all__ = ["KvReplica"]
 
+# CPU units one command costs on the replica's ``cpu_rate`` server.
+_PUT_COST = 1.0
+_GET_COST = 1.0
+_RANGE_COST_PER_KEY = 0.05
+
 
 class KvReplica(MulticastReplica):
     """One replica of one shard of the key/value store."""
@@ -58,17 +63,11 @@ class KvReplica(MulticastReplica):
         directory: Mapping[str, StreamDeployment],
         partition_map: PartitionMap,
         cpu_rate: float = 5000.0,
-        put_cost: float = 1.0,
-        get_cost: float = 1.0,
-        range_cost_per_key: float = 0.05,
     ):
         super().__init__(env, network, name, group, directory)
         self.store = InMemoryStore()
         self.partition_map = partition_map
         self.cpu = Server(env, rate=cpu_rate, name=f"{name}:cpu")
-        self.put_cost = put_cost
-        self.get_cost = get_cost
-        self.range_cost_per_key = range_cost_per_key
 
         self.executed = 0
         # Deferred: the protocol layer imports no repro.sim at module level.
@@ -134,21 +133,21 @@ class KvReplica(MulticastReplica):
             self.discarded_misdirected += 1
             return
         self.store.put(cmd.key, cmd.value)
-        self._finish(cmd.client, cmd.cmd_id, True, "stored", cost=self.put_cost)
+        self._finish(cmd.client, cmd.cmd_id, True, "stored", cost=_PUT_COST)
 
     def _apply_get(self, cmd: GetCmd) -> None:
         if not self.partition_map.owns(self.name, cmd.key):
             self.discarded_misdirected += 1
             return
         result = self.store.get(cmd.key)
-        self._finish(cmd.client, cmd.cmd_id, True, result, cost=self.get_cost)
+        self._finish(cmd.client, cmd.cmd_id, True, result, cost=_GET_COST)
 
     def _apply_delete(self, cmd: DeleteCmd) -> None:
         if not self.partition_map.owns(self.name, cmd.key):
             self.discarded_misdirected += 1
             return
         existed = self.store.delete(cmd.key)
-        self._finish(cmd.client, cmd.cmd_id, True, existed, cost=self.put_cost)
+        self._finish(cmd.client, cmd.cmd_id, True, existed, cost=_PUT_COST)
 
     def _apply_range(self, cmd: RangeCmd) -> None:
         # Snapshot the local shard's slice at the merge position: this
@@ -173,7 +172,7 @@ class KvReplica(MulticastReplica):
                 )
         waiting = {p.index for p in others}
         waiting -= self._early_signals.pop(cmd.cmd_id, set())
-        cost = self.get_cost + self.range_cost_per_key * len(rows)
+        cost = _GET_COST + _RANGE_COST_PER_KEY * len(rows)
         if not waiting:
             self._finish(cmd.client, cmd.cmd_id, True, rows, cost=cost)
             return
@@ -232,7 +231,7 @@ class KvReplica(MulticastReplica):
                 )
         waiting = set(others)
         waiting -= self._early_signals.pop(cmd.cmd_id, set())
-        cost = self.put_cost * max(1, writes)
+        cost = _PUT_COST * max(1, writes)
         if not waiting:
             self._finish(cmd.client, cmd.cmd_id, True, results, cost=cost)
             return

@@ -43,13 +43,13 @@ from .stream import StreamDeployment
 
 __all__ = ["MulticastClient", "SUBMISSION_BATCH_BYTES"]
 
-# A submission batch carries at most this much payload (and never more
-# than the stream's ``batch_max_bytes``).  Deliberately a fraction of
-# the instance cap: a coordinator pumps once per ``Propose``, so a
-# submission that fills a whole instance turns every hop into
-# store-and-forward of one cap-sized convoy -- 64 closed-loop callers
-# of 8 KiB values settle into two convoys of 32 and deliver 10% *less*
-# than unbatched, against 13% more at this size (docs/PERFORMANCE.md).
+# A submission batch carries at most this much payload.  Deliberately a
+# fraction of the coordinator's 256 KiB instance cap: a coordinator
+# pumps once per ``Propose``, so a submission that fills a whole
+# instance turns every hop into store-and-forward of one cap-sized
+# convoy -- 64 closed-loop callers of 8 KiB values settle into two
+# convoys of 32 and deliver 10% *less* than unbatched, against 13% more
+# at this size (docs/PERFORMANCE.md).
 # 64 KiB is one loopback segment and asyncio's write high-water mark.
 SUBMISSION_BATCH_BYTES = 64 * 1024
 
@@ -93,11 +93,10 @@ class MulticastClient(Actor):
         outbox, self._outbox = self._outbox, {}
         for stream, tokens in outbox.items():
             config = self.directory[stream].config
-            max_bytes = min(config.batch_max_bytes, SUBMISSION_BATCH_BYTES)
             start = nbytes = 0
             for index, token in enumerate(tokens):
                 size = getattr(token, "size", 0)
-                if index > start and nbytes + size > max_bytes:
+                if index > start and nbytes + size > SUBMISSION_BATCH_BYTES:
                     self._propose(stream, config, tokens[start:index])
                     start, nbytes = index, 0
                 nbytes += size

@@ -337,11 +337,10 @@ class StreamDeployment:
         self,
         name: str,
         on_deliver: Callable[[int, Batch], None],
-        gap_timeout: float = 0.2,
     ) -> LearnerActor:
         """Create (and start) a learner actor attached to this stream."""
         learner = LearnerActor(
-            self.env, self.network, name, self.config, on_deliver, gap_timeout
+            self.env, self.network, name, self.config, on_deliver
         )
         learner.start()
         self.add_learner(name)

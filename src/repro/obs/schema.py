@@ -42,6 +42,9 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "net.partition": ("side_a", "side_b"),
     "net.unpartition": ("side_a", "side_b"),
     "net.heal": (),
+    # the live transport's partition drill: ``peers`` blocked or
+    # unblocked, and every peer blocked after the change
+    "transport.partition": ("peers", "blocked", "now_blocked"),
     # actor lifecycle / dispatch
     "actor.crash": ("name",),
     "actor.recover": ("name",),

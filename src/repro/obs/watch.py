@@ -75,6 +75,11 @@ __all__ = [
 
 SEVERITIES = ("info", "warning", "critical")
 _PENALTY = {"info": 5, "warning": 15, "critical": 40}
+# TraceWatch's cadences, in trace time: the watchdog samples the
+# certifier every _SAMPLE_INTERVAL, the acyclicity pass runs every
+# _ACYCLIC_EVERY.
+_SAMPLE_INTERVAL = 0.25
+_ACYCLIC_EVERY = 1.0
 
 
 @dataclass(frozen=True)
@@ -112,9 +117,8 @@ class WatermarkStallDetector:
 
     name = "watermark_stall"
 
-    def __init__(self, stall_after: float = 2.0, min_gap: int = 1):
+    def __init__(self, stall_after: float = 2.0):
         self.stall_after = stall_after
-        self.min_gap = min_gap
         self._lows: dict[str, tuple[int, float]] = {}   # stream -> (low, since)
 
     def observe(self, sample: Mapping) -> list[Alert]:
@@ -134,7 +138,7 @@ class WatermarkStallDetector:
                 self._lows[stream] = (low, at)
                 continue
             stalled = at - previous[1]
-            if high - low >= self.min_gap and stalled > self.stall_after:
+            if high > low and stalled > self.stall_after:
                 alerts.append(Alert(
                     detector=self.name, severity="warning", key=stream,
                     at=at, message=(
@@ -341,34 +345,30 @@ class UnreachableDetector:
 
 def default_trace_detectors(
     stall_after: float = 2.0,
-    clock_bound: float = 0.2,
     reconfig_bound: float = 5.0,
 ) -> list:
     """The catalogue a trace-directory watch runs (docs/OBSERVABILITY.md)."""
     return [
         WatermarkStallDetector(stall_after=stall_after),
         QuorumStallDetector(stall_after=stall_after),
-        ClockDriftDetector(bound=clock_bound),
+        ClockDriftDetector(),
         DeliveryCollapseDetector(),
         ReconfigStallDetector(bound=reconfig_bound),
     ]
 
 
-def default_node_detectors(
-    stall_after: float = 2.0,
-    queue_capacity: int = 1024,
-) -> list:
+def default_node_detectors() -> list:
     """Detectors a node can run over its own health snapshots."""
     return [
-        WatermarkStallDetector(stall_after=stall_after),
-        BackpressureDetector(capacity=queue_capacity),
+        WatermarkStallDetector(),
+        BackpressureDetector(),
         DeliveryCollapseDetector(),
     ]
 
 
-def default_endpoint_detectors(stall_after: float = 2.0) -> list:
+def default_endpoint_detectors() -> list:
     return [
-        WatermarkStallDetector(stall_after=stall_after),
+        WatermarkStallDetector(),
         BackpressureDetector(),
         DeliveryCollapseDetector(),
         UnreachableDetector(),
@@ -501,27 +501,15 @@ class TraceWatch:
         directory: Optional[str] = None,
         paths: Optional[Iterable[str]] = None,
         out: Optional[str] = None,
-        detectors: Optional[Iterable] = None,
         stall_after: float = 2.0,
-        clock_bound: float = 0.2,
         reconfig_bound: float = 5.0,
-        compact_limit: int = 100_000,
-        acyclic_every: float = 1.0,
-        sample_interval: float = 0.25,
-        on_event: Optional[Callable[[dict], None]] = None,
     ):
         self.source = TraceDirectorySource(directory=directory, paths=paths)
-        self.certifier = SafetyCertifier(compact_limit=compact_limit)
-        self.watchdog = Watchdog(detectors if detectors is not None else
-                                 default_trace_detectors(
-                                     stall_after=stall_after,
-                                     clock_bound=clock_bound,
-                                     reconfig_bound=reconfig_bound,
-                                 ))
+        self.certifier = SafetyCertifier()
+        self.watchdog = Watchdog(default_trace_detectors(
+            stall_after=stall_after, reconfig_bound=reconfig_bound,
+        ))
         self.out_path = out
-        self.on_event = on_event
-        self.acyclic_every = acyclic_every
-        self.sample_interval = sample_interval
         self._out = open(out, "w", encoding="utf-8") if out else None
         self._seq = 0
         self._last_acyclic = 0.0
@@ -539,15 +527,13 @@ class TraceWatch:
             self._out.write(json.dumps(event, separators=(",", ":")))
             self._out.write("\n")
             self._out.flush()
-        if self.on_event is not None:
-            self.on_event(event)
 
     def step(self) -> dict:
         """One tick: returns ``{"events", "violations", "raised",
         "cleared"}`` for this tick.
 
         The watchdog samples at a fixed *trace-time* cadence
-        (``sample_interval``) inside the event loop, not once per poll:
+        (``_SAMPLE_INTERVAL``) inside the event loop, not once per poll:
         replaying a finished run post-hoc therefore produces the same
         sample sequence -- and the same staleness alerts -- a live tail
         saw, no matter how the events were batched into polls.
@@ -559,14 +545,14 @@ class TraceWatch:
         for event in events:
             violations.extend(self.certifier.observe(event))
             if (self.certifier.now - self._last_sample
-                    >= self.sample_interval):
+                    >= _SAMPLE_INTERVAL):
                 self._last_sample = self.certifier.now
                 tick_raised, tick_cleared = self.watchdog.observe(
                     self.certifier.watch_sample()
                 )
                 raised.extend(tick_raised)
                 cleared.extend(tick_cleared)
-        if (self.certifier.now - self._last_acyclic >= self.acyclic_every
+        if (self.certifier.now - self._last_acyclic >= _ACYCLIC_EVERY
                 and len(self.certifier.spec.groups) > 0):
             self._last_acyclic = self.certifier.now
             violations.extend(self.certifier.check_acyclic())
@@ -651,23 +637,15 @@ class EndpointsWatch:
         self,
         endpoints: Mapping[str, tuple[str, int]],
         clock: Callable[[], float],
-        fetch: Optional[Callable[..., Optional[dict]]] = None,
-        detectors: Optional[Iterable] = None,
         timeout: float = 0.5,
         out: Optional[str] = None,
-        on_event: Optional[Callable[[dict], None]] = None,
     ):
-        from ..runtime.console import fetch_json
-
         self.endpoints = dict(endpoints)
         self.clock = clock
-        self.fetch = fetch if fetch is not None else fetch_json
         self.timeout = timeout
-        self.watchdog = Watchdog(detectors if detectors is not None else
-                                 default_endpoint_detectors())
+        self.watchdog = Watchdog(default_endpoint_detectors())
         self.out_path = out
         self._out = open(out, "w", encoding="utf-8") if out else None
-        self.on_event = on_event
         self._seq = 0
         self.closed = False
 
@@ -681,10 +659,10 @@ class EndpointsWatch:
             self._out.write(json.dumps(event, separators=(",", ":")))
             self._out.write("\n")
             self._out.flush()
-        if self.on_event is not None:
-            self.on_event(event)
 
     def step(self) -> dict:
+        from ..runtime.console import fetch_json
+
         now = self.clock()
         unreachable: list[str] = []
         streams: dict[str, dict] = {}
@@ -692,7 +670,7 @@ class EndpointsWatch:
         delivered = 0
         submitted = None
         for node, (host, port) in sorted(self.endpoints.items()):
-            snapshot = self.fetch(host, port, "/health", timeout=self.timeout)
+            snapshot = fetch_json(host, port, "/health", timeout=self.timeout)
             if snapshot is None:
                 unreachable.append(node)
                 continue

@@ -7,17 +7,17 @@ trigger is the wrong default: at low load it either ships tiny batches
 policy here adapts the batch target to observed queue pressure:
 
 * **Pressure level** -- a peak-hold of the coordinator's pending-queue
-  depth that decays exponentially (time constant ``decay_s``) when the
+  depth that decays exponentially (time constant ``_DECAY_S``) when the
   queue empties.  Raising instantly and decaying slowly makes the
   policy react to bursts within one batch but not oscillate between
   consecutive pump runs.
-* **Batch target** -- ``floor + span * level / (level + half_pressure)``,
+* **Batch target** -- ``floor + span * level / (level + _HALF_PRESSURE)``,
   a saturating curve from ``floor`` (the classic ``batch_max_tokens``)
-  to ``ceiling``.  It is *monotone* in the pressure level (property
+  to ``_CEILING``.  It is *monotone* in the pressure level (property
   test: ``tests/paxos/test_adaptive_batching.py``) and halfway between
-  floor and ceiling when the level equals ``half_pressure``.
+  floor and ceiling when the level equals ``_HALF_PRESSURE``.
 * **Linger** -- at partial pressure the coordinator may briefly hold a
-  batch open (up to ``max_linger_s``, scaled by the same saturating
+  batch open (up to ``_MAX_LINGER_S``, scaled by the same saturating
   fraction) so in-flight arrivals join it; an idle stream lingers ~0 s
   and keeps its latency.
 
@@ -35,50 +35,26 @@ import math
 
 __all__ = ["AdaptiveBatchPolicy"]
 
+_CEILING = 256             # batch target under saturating pressure
+_HALF_PRESSURE = 32.0      # queue depth at which the target is halfway
+_DECAY_S = 0.25            # time constant of the pressure level's decay
+_MAX_LINGER_S = 0.002      # longest a partial batch is held open
+
 
 class AdaptiveBatchPolicy:
     """Peak-hold/decay pressure tracker mapping queue depth to a batch
     target and a linger budget.  Monotone and saturating by
     construction."""
 
-    __slots__ = ("floor", "ceiling", "half_pressure", "decay_s",
-                 "max_linger_s", "_level", "_level_at")
+    __slots__ = ("floor", "_level", "_level_at")
 
-    def __init__(
-        self,
-        floor: int,
-        ceiling: int,
-        half_pressure: float = 32.0,
-        decay_s: float = 0.25,
-        max_linger_s: float = 0.002,
-    ):
-        if floor < 1:
-            raise ValueError("floor must be >= 1")
-        if ceiling < floor:
-            raise ValueError("ceiling must be >= floor")
-        if half_pressure <= 0:
-            raise ValueError("half_pressure must be positive")
-        if decay_s < 0 or max_linger_s < 0:
-            raise ValueError("decay_s and max_linger_s must be >= 0")
+    def __init__(self, floor: int):
+        """``floor`` is the stream's classic ``batch_max_tokens``."""
+        if not 1 <= floor <= _CEILING:
+            raise ValueError(f"floor must be in [1, {_CEILING}]")
         self.floor = floor
-        self.ceiling = ceiling
-        self.half_pressure = half_pressure
-        self.decay_s = decay_s
-        self.max_linger_s = max_linger_s
         self._level = 0.0
         self._level_at = 0.0
-
-    @classmethod
-    def from_config(cls, config) -> "AdaptiveBatchPolicy":
-        """Build from a :class:`~repro.paxos.config.StreamConfig`; the
-        classic ``batch_max_tokens`` becomes the adaptive floor."""
-        return cls(
-            floor=config.batch_max_tokens,
-            ceiling=config.adaptive_batch_ceiling,
-            half_pressure=config.adaptive_half_pressure,
-            decay_s=config.adaptive_decay_s,
-            max_linger_s=config.adaptive_max_linger_s,
-        )
 
     # -- pressure -----------------------------------------------------
 
@@ -102,34 +78,31 @@ class AdaptiveBatchPolicy:
         self._level_at = now
         if dt <= 0.0 or self._level == 0.0:
             return
-        if self.decay_s == 0.0:
+        self._level *= math.exp(-dt / _DECAY_S)
+        if self._level < 1e-9:
             self._level = 0.0
-        else:
-            self._level *= math.exp(-dt / self.decay_s)
-            if self._level < 1e-9:
-                self._level = 0.0
 
     # -- outputs ------------------------------------------------------
 
     def _saturation(self) -> float:
         level = self._level
-        return level / (level + self.half_pressure)
+        return level / (level + _HALF_PRESSURE)
 
     def target_tokens(self) -> int:
         """Batch-size target for the current pressure level: ``floor``
-        when idle, saturating toward ``ceiling`` under sustained queue
+        when idle, saturating toward ``_CEILING`` under sustained queue
         depth.  Monotone in the level."""
-        span = self.ceiling - self.floor
+        span = _CEILING - self.floor
         return self.floor + int(span * self._saturation())
 
     def linger_s(self, queue_depth: int) -> float:
         """How long a not-yet-full batch of ``queue_depth`` tokens may
         be held open for arrivals to join it.  Zero when idle (latency
-        first), approaching ``max_linger_s`` under pressure (throughput
+        first), approaching ``_MAX_LINGER_S`` under pressure (throughput
         first).  A queue of one is not pressure, whatever the level: the
         peak-hold keeps the level above one long after a skip or a
         two-value turn, and a lone value's linger would be below any
         real timer's resolution and only cost it a timer wakeup."""
         if queue_depth <= 1:
             return 0.0
-        return self.max_linger_s * self._saturation()
+        return _MAX_LINGER_S * self._saturation()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .skip import DEFAULT_DELTA_T, DEFAULT_LAMBDA
@@ -30,31 +30,20 @@ class StreamConfig:
 
     # Batching & pipelining.
     batch_max_tokens: int = 16
-    batch_max_bytes: int = 256 * 1024
     window: int = 16                      # outstanding instances
 
     # Load-adaptive batching (repro.paxos.batching).  Off by default:
     # the sim's golden digests are pinned against the fixed trigger;
     # live mode enables it (docs/PERFORMANCE.md, "Live datapath
-    # performance").  When on, ``batch_max_tokens`` is the floor and
-    # the batch target grows toward ``adaptive_batch_ceiling`` under
-    # queue pressure, with up to ``adaptive_max_linger_s`` of linger.
+    # performance").  When on, ``batch_max_tokens`` is the floor the
+    # batch target grows from under queue pressure.
     adaptive_batching: bool = False
-    adaptive_batch_ceiling: int = 256
-    adaptive_half_pressure: float = 32.0
-    adaptive_decay_s: float = 0.25
-    adaptive_max_linger_s: float = 0.002
 
-    # Coordinator CPU model (seconds of CPU per unit).
+    # Coordinator CPU model: seconds of CPU per proposed instance.
     cpu_cost_per_batch: float = 0.0
-    cpu_cost_per_token: float = 0.0
-    cpu_cost_per_byte: float = 0.0
 
     # Optional cap on application-token proposal rate (tokens/second).
     value_rate_limit: Optional[float] = None
-
-    # Loss tolerance: retransmit an undecided instance after this long.
-    retransmit_timeout: float = 0.5
 
     def __post_init__(self):
         if not self.acceptors:
@@ -65,14 +54,3 @@ class StreamConfig:
             raise ValueError("window must be >= 1")
         if self.batch_max_tokens < 1:
             raise ValueError("batch_max_tokens must be >= 1")
-        if self.adaptive_batching:
-            if self.adaptive_batch_ceiling < self.batch_max_tokens:
-                raise ValueError(
-                    "adaptive_batch_ceiling must be >= batch_max_tokens"
-                )
-            if self.adaptive_half_pressure <= 0:
-                raise ValueError("adaptive_half_pressure must be positive")
-            if self.adaptive_decay_s < 0 or self.adaptive_max_linger_s < 0:
-                raise ValueError(
-                    "adaptive_decay_s and adaptive_max_linger_s must be >= 0"
-                )

@@ -44,6 +44,11 @@ from .types import AppValue, Batch, SkipToken, token_positions
 
 __all__ = ["CoordinatorActor"]
 
+_BATCH_MAX_BYTES = 256 * 1024   # payload cap of one instance's batch
+# Loss tolerance: an undecided instance is retransmitted after this
+# long, and Phase 1 is retried every twice this long until it leads.
+_RETRANSMIT_TIMEOUT = 0.5
+
 
 def _batch_msg_ids(batch: Batch) -> list:
     """Application message ids carried by a batch (skips excluded)."""
@@ -102,13 +107,9 @@ class CoordinatorActor(Actor):
         self.positions_decided = 0             # lifetime decided positions
         self.positions_proposed = 0            # lifetime proposed positions
 
-        cpu_needed = (
-            config.cpu_cost_per_batch
-            or config.cpu_cost_per_token
-            or config.cpu_cost_per_byte
-        )
         self.cpu: Optional[Server] = (
-            Server(env, rate=1.0, name=f"{self.name}:cpu") if cpu_needed else None
+            Server(env, rate=1.0, name=f"{self.name}:cpu")
+            if config.cpu_cost_per_batch else None
         )
         self._value_gate_open = 0.0            # token-bucket time for throttle
         self._throttle_wakeup: Optional[float] = None
@@ -135,7 +136,7 @@ class CoordinatorActor(Actor):
         # queue refills from empty) and bounds how long a linger may
         # hold a partial batch open.
         self._batch_policy = (
-            AdaptiveBatchPolicy.from_config(config)
+            AdaptiveBatchPolicy(config.batch_max_tokens)
             if config.adaptive_batching else None
         )
         self._pending_oldest_at = 0.0
@@ -165,7 +166,7 @@ class CoordinatorActor(Actor):
         if config.skip_enabled:
             timers.append(every(env, config.delta_t, self._skip_tick))
         timers.append(
-            every(env, config.retransmit_timeout, self._retransmit_tick)
+            every(env, _RETRANSMIT_TIMEOUT, self._retransmit_tick)
         )
         self._arm_phase1_retry()
 
@@ -175,7 +176,7 @@ class CoordinatorActor(Actor):
         retry = self._phase1_retry
         if retry is None or not retry.active:
             self._phase1_retry = every(
-                self.env, 2 * self.config.retransmit_timeout,
+                self.env, 2 * _RETRANSMIT_TIMEOUT,
                 self._phase1_retry_tick,
             )
 
@@ -395,11 +396,7 @@ class CoordinatorActor(Actor):
                 instance = self.next_instance
                 self.next_instance += 1
                 if self.cpu is not None:
-                    cost = (
-                        self.config.cpu_cost_per_batch
-                        + self.config.cpu_cost_per_token * len(batch.tokens)
-                        + self.config.cpu_cost_per_byte * batch.payload_bytes
-                    )
+                    cost = self.config.cpu_cost_per_batch
                     self.outstanding[instance] = {
                         "batch": batch, "sent_at": None, "pending_cpu": True,
                     }
@@ -480,7 +477,7 @@ class CoordinatorActor(Actor):
 
     def _take_batch(self, max_tokens: Optional[int] = None) -> Batch:
         """Cut the next batch off ``pending``: at most ``max_tokens``
-        tokens and ``batch_max_bytes``, its values charged to the λ
+        tokens and ``_BATCH_MAX_BYTES``, its values charged to the λ
         bucket.  Under the fixed trigger each value is charged as it is
         cut, and the batch ends where the credit does.  Under adaptive
         batching the batch the policy sized leaves whole once the gate
@@ -497,13 +494,12 @@ class CoordinatorActor(Actor):
         config = self.config
         if max_tokens is None:
             max_tokens = config.batch_max_tokens
-        max_bytes = config.batch_max_bytes
         per_value = self._batch_policy is None
         values = 0
         while pending and len(tokens) < max_tokens:
             token = pending[0]
             size = getattr(token, "size", 0)
-            if tokens and nbytes + size > max_bytes:
+            if tokens and nbytes + size > _BATCH_MAX_BYTES:
                 break
             if limit is not None and isinstance(token, AppValue):
                 if (per_value or not values) and self._value_gate_open > now:
@@ -660,7 +656,7 @@ class CoordinatorActor(Actor):
     def _retransmit_tick(self) -> None:
         if not self.leading:
             return
-        deadline = self.env._now - self.config.retransmit_timeout
+        deadline = self.env._now - _RETRANSMIT_TIMEOUT
         for instance, info in sorted(self.outstanding.items()):
             sent_at = info.get("sent_at")
             if sent_at is not None and sent_at <= deadline:

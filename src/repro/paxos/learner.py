@@ -26,6 +26,11 @@ from .types import Batch
 
 __all__ = ["LearnerCore", "LearnerActor"]
 
+# How long delivery may sit behind a gap before the missing range is
+# fetched from an acceptor; a lost catch-up request is retried after
+# twice this long.
+_GAP_TIMEOUT = 0.2
+
 
 class LearnerCore:
     """In-order decision delivery for one stream.
@@ -41,7 +46,6 @@ class LearnerCore:
         config: StreamConfig,
         on_deliver: Callable[[int, Batch], None],
         send: Callable[[str, object], None],
-        gap_timeout: float = 0.2,
         on_rebase: Optional[Callable[[int, int], None]] = None,
         start_instance: int = 0,
         owner: str = "",
@@ -54,7 +58,6 @@ class LearnerCore:
         self.stream = config.name
         self.on_deliver = on_deliver
         self.send = send
-        self.gap_timeout = gap_timeout
         # Trace/metrics identity of the replica hosting this learner task.
         self.owner = owner or f"learner:{config.name}"
         # Called as on_rebase(first_instance, base_position) when the
@@ -75,7 +78,7 @@ class LearnerCore:
     def start(self) -> None:
         if self._gap_timer is None:
             self._gap_timer = every(
-                self.env, self.gap_timeout, self._gap_repair_tick
+                self.env, _GAP_TIMEOUT, self._gap_repair_tick
             )
 
     def stop(self) -> None:
@@ -188,7 +191,7 @@ class LearnerCore:
         """Repair holes left by lost decision messages.
 
         If delivery has been stuck behind a gap for longer than
-        ``gap_timeout`` while later instances sit in the buffer, fetch
+        ``_GAP_TIMEOUT`` while later instances sit in the buffer, fetch
         the missing range from an acceptor.
         """
         if self.catching_up:
@@ -197,7 +200,7 @@ class LearnerCore:
             if (
                 self._recovery_requested_at is not None
                 and self.env._now - self._recovery_requested_at
-                >= 2 * self.gap_timeout
+                >= 2 * _GAP_TIMEOUT
             ):
                 self._request_recovery(self.next_instance, -1)
             return
@@ -205,7 +208,7 @@ class LearnerCore:
             return
         if (
             self._gap_since is not None
-            and self.env._now - self._gap_since >= self.gap_timeout
+            and self.env._now - self._gap_since >= _GAP_TIMEOUT
         ):
             gap_end = min(self.buffer)
             tracer = self._tracer
@@ -232,12 +235,9 @@ class LearnerActor(Actor):
         name: str,
         config: StreamConfig,
         on_deliver: Callable[[int, Batch], None],
-        gap_timeout: float = 0.2,
     ):
         super().__init__(env, network, name)
-        self.core = LearnerCore(
-            env, config, on_deliver, send=self.send, gap_timeout=gap_timeout
-        )
+        self.core = LearnerCore(env, config, on_deliver, send=self.send)
 
     def start(self) -> None:
         super().start()

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _UNSAFE = re.compile(r"[^a-zA-Z0-9_]")
+_FLIGHT_CAPACITY = 100_000   # trace events a node's flight recorder keeps
 
 
 def _prom_name(name: str) -> str:
@@ -296,7 +297,6 @@ class NodeTelemetry:
         node: str,
         trace_path: Optional[str] = None,
         categories: Optional[frozenset] = None,
-        flight_capacity: int = 100_000,
         bind_host: str = "127.0.0.1",
         profile_interval: float = 0.02,
     ):
@@ -304,7 +304,7 @@ class NodeTelemetry:
 
         self.node = node
         self.trace_path = trace_path
-        self.recorder = FlightRecorder(capacity=flight_capacity)
+        self.recorder = FlightRecorder(capacity=_FLIGHT_CAPACITY)
         sinks: list[Any] = [self.recorder]
         self._jsonl: Optional[JsonlSink] = None
         if trace_path is not None:

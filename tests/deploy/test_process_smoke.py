@@ -119,7 +119,7 @@ async def _checked_vs_delivered(config: DeployConfig) -> dict:
 
 
 def test_worker_checker_folds_each_delivery_exactly_once(tmp_path):
-    # The in-worker invariant loop is incremental: however many times
+    # The in-worker invariant timer is incremental: however many times
     # it ran, every delivery went through the spec once -- a check costs
     # what was delivered since the last one, not the run so far.
     spec = SCENARIOS["baseline"].build_spec(

@@ -10,9 +10,7 @@ single examples.
 from hypothesis import given, settings, strategies as st
 
 from repro.elasticity.policy import (
-    BackpressureHighWater,
     DecideRateCeiling,
-    LatencySlo,
     PolicyEngine,
     SlowStreamSlo,
     StreamSkew,
@@ -20,15 +18,13 @@ from repro.elasticity.policy import (
 from repro.elasticity.signals import SignalSnapshot
 
 
-def snapshot(at, rate=0.0, latency=None, backpressure=0.0, streams=("S1",)):
+def snapshot(at, rate=0.0, streams=("S1",)):
     return SignalSnapshot(
         at=at,
         streams=tuple(streams),
         provisioned=tuple(streams),
         pending_subscription=False,
         decide_rate={s: rate for s in streams},
-        latency_p99_ms=latency,
-        backpressure=backpressure,
     )
 
 
@@ -121,28 +117,6 @@ def test_decide_rate_ceiling_is_monotone(x, y):
     rule = DecideRateCeiling(ceiling=100.0)
     if rule.evaluate(snapshot(0.0, rate=lo)) is not None:
         assert rule.evaluate(snapshot(0.0, rate=hi)) is not None
-
-
-@settings(max_examples=200, deadline=None)
-@given(rates, rates)
-def test_latency_slo_is_monotone(x, y):
-    lo, hi = sorted((x, y))
-    rule = LatencySlo(p99_ms=100.0)
-    if rule.evaluate(snapshot(0.0, latency=lo)) is not None:
-        assert rule.evaluate(snapshot(0.0, latency=hi)) is not None
-
-
-def test_latency_slo_missing_signal_is_not_a_breach():
-    assert LatencySlo(p99_ms=1.0).evaluate(snapshot(0.0, latency=None)) is None
-
-
-@settings(max_examples=200, deadline=None)
-@given(rates, rates)
-def test_backpressure_high_water_is_monotone(x, y):
-    lo, hi = sorted((x, y))
-    rule = BackpressureHighWater(high_water=100.0)
-    if rule.evaluate(snapshot(0.0, backpressure=lo)) is not None:
-        assert rule.evaluate(snapshot(0.0, backpressure=hi)) is not None
 
 
 @settings(max_examples=200, deadline=None)

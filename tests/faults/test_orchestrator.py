@@ -79,15 +79,11 @@ def test_crash_and_recover_via_host():
     assert not net.host("b").crashed
 
 
-def test_crash_and_recover_hooks_take_precedence():
+def test_recover_hook_takes_precedence():
     env, net = make_net()
     calls = []
-    orch = FaultOrchestrator(
-        env,
-        net,
-        crash_hooks={"b": lambda: calls.append("crash")},
-        recover_hooks={"b": lambda: calls.append("recover")},
-    )
+    orch = FaultOrchestrator(env, net)
+    orch.recover_hooks["b"] = lambda: calls.append("recover")
     orch.execute(
         Schedule(
             name="t",
@@ -97,6 +93,8 @@ def test_crash_and_recover_hooks_take_precedence():
             ),
         )
     )
+    env.run(until=0.15)
+    assert net.host("b").crashed
     env.run(until=0.3)
-    assert calls == ["crash", "recover"]
-    assert not net.host("b").crashed   # the hook owned the transition
+    assert calls == ["recover"]
+    assert net.host("b").crashed   # the hook owned the transition

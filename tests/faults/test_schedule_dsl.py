@@ -12,6 +12,7 @@ from repro.faults import (
     ReorderWindow,
     Schedule,
 )
+from repro.faults import schedule as schedule_module
 
 
 def test_schedule_rejects_negative_point_time():
@@ -73,13 +74,13 @@ def test_random_chaos_is_deterministic():
     )
 
 
-def test_random_chaos_respects_warmup_and_quiet_tail():
+def test_random_chaos_respects_warmup_and_quiet_tail(monkeypatch):
+    monkeypatch.setattr(schedule_module, "_WARMUP", 0.5)
     chaos = RandomChaos(
         seed=9,
         horizon=10.0,
         crash_targets=("r1",),
         partition_cuts=((("r1",), ("a1",)),),
-        warmup=0.5,
         quiet_tail=0.3,
     )
     schedule = chaos.generate()
@@ -89,12 +90,12 @@ def test_random_chaos_respects_warmup_and_quiet_tail():
         assert 0.5 <= at <= active_end
 
 
-def test_random_chaos_crash_windows_never_overlap_per_target():
+def test_random_chaos_crash_windows_never_overlap_per_target(monkeypatch):
+    monkeypatch.setattr(schedule_module, "_N_CRASHES", 4)
     schedule = RandomChaos(
         seed=13,
         horizon=6.0,
         crash_targets=("r1",),
-        n_crashes=4,
     ).generate()
     spans = []
     down_since = None

@@ -277,6 +277,8 @@ def test_trace_follow_missing_file_needs_idle_timeout(tmp_path, capsys):
     (["fig3", "--duration", "0"], "duration must be > 0"),
     (["fig5", "--duration", "0"], "duration must be > 0"),
     (["fig4", "--duration", "5"], "split_at + inform_delay + 5"),
+    (["fig3", "--duration", "0.001"], "no value completed a round trip"),
+    (["fig5", "--duration", "0.001"], "no value completed a round trip"),
 ])
 def test_figure_rejects_a_run_too_short_to_measure(capsys, argv, field):
     # A usage error, not a traceback from the measurement fold.

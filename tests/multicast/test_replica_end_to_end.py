@@ -127,24 +127,16 @@ def test_reconfiguration_stream_replacement(make_cluster):
 
 
 def test_replica_learners_repair_gaps_on_the_learner_core_timeout(make_cluster):
-    # A replica has no gap timeout of its own: every learner task it
-    # hosts -- bootstrapped, or attached for a subscription -- repairs
-    # gaps on the one LearnerCore states.
-    import inspect
+    # Every learner task a replica hosts -- bootstrapped, or attached
+    # for a subscription -- repairs gaps on the learner's one timeout.
+    from repro.paxos.learner import _GAP_TIMEOUT
 
-    from repro.harness.broadcast import BroadcastReplica
-    from repro.kvstore.replica import KvReplica
-    from repro.multicast.replica import MulticastReplica
-    from repro.paxos.learner import LearnerCore
-
-    stated = inspect.signature(LearnerCore).parameters["gap_timeout"].default
     cluster = make_cluster(["S1", "S2"])
     replica = cluster.add_replica("r1", "G1", ["S1"])
     cluster.client.subscribe_msg("G1", new_stream="S2", via_stream="S1")
     cluster.run(until=2.0)
     assert replica.subscriptions == ("S1", "S2")
     assert {
-        stream: core.gap_timeout for stream, core in replica.learners.items()
-    } == {"S1": stated, "S2": stated}
-    for cls in (MulticastReplica, KvReplica, BroadcastReplica):
-        assert "gap_timeout" not in inspect.signature(cls).parameters
+        stream: core._gap_timer._interval
+        for stream, core in replica.learners.items()
+    } == {"S1": _GAP_TIMEOUT, "S2": _GAP_TIMEOUT}

@@ -16,16 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.paxos import CoordinatorActor, StreamConfig
+from repro.paxos import batching
 from repro.paxos.batching import AdaptiveBatchPolicy
 from repro.paxos.messages import Propose
 from repro.sim import Environment, Network
 
 
-def _policy(**overrides):
-    params = dict(floor=16, ceiling=256, half_pressure=32.0,
-                  decay_s=0.25, max_linger_s=0.002)
-    params.update(overrides)
-    return AdaptiveBatchPolicy(**params)
+def _policy():
+    return AdaptiveBatchPolicy(floor=16)
 
 
 @given(
@@ -52,8 +50,8 @@ def test_target_and_linger_always_bounded(depths, dt):
     now = 0.0
     for depth in depths:
         policy.observe(depth, now)
-        assert policy.floor <= policy.target_tokens() <= policy.ceiling
-        assert 0.0 <= policy.linger_s(depth) <= policy.max_linger_s
+        assert policy.floor <= policy.target_tokens() <= batching._CEILING
+        assert 0.0 <= policy.linger_s(depth) <= batching._MAX_LINGER_S
         now += dt
 
 
@@ -78,7 +76,7 @@ def test_a_lone_value_does_not_linger():
     assert policy.linger_s(1) == 0.0
     assert policy.target_tokens() >= policy.floor
     policy.observe(2, now=0.0)
-    assert 0.0 < policy.linger_s(2) <= policy.max_linger_s
+    assert 0.0 < policy.linger_s(2) <= batching._MAX_LINGER_S
 
 
 def test_a_lone_value_does_not_linger_after_a_deeper_queue():
@@ -89,7 +87,7 @@ def test_a_lone_value_does_not_linger_after_a_deeper_queue():
     policy.observe(1, now=0.001)
     assert policy.level(0.001) > 1.0
     assert policy.linger_s(1) == 0.0
-    assert 0.0 < policy.linger_s(2) <= policy.max_linger_s
+    assert 0.0 < policy.linger_s(2) <= batching._MAX_LINGER_S
 
 
 @given(depth=st.integers(min_value=1, max_value=1_000_000))
@@ -100,8 +98,8 @@ def test_decays_to_floor_when_idle(depth):
     assert policy.target_tokens() >= policy.floor
     # 100 decay constants later the level has hit the hard zero clamp:
     # an idle stream is back to the classic floor and zero linger.
-    policy.observe(0, now=100 * policy.decay_s)
-    assert policy.level(100 * policy.decay_s) == 0.0
+    policy.observe(0, now=100 * batching._DECAY_S)
+    assert policy.level(100 * batching._DECAY_S) == 0.0
     assert policy.target_tokens() == policy.floor
     assert policy.linger_s(0) == 0.0
 
@@ -119,39 +117,16 @@ def test_peak_hold_raises_instantly_and_holds():
 
 
 def test_half_pressure_is_the_midpoint():
-    policy = _policy(floor=16, ceiling=256, half_pressure=32.0)
-    policy.observe(32, now=0.0)
-    assert policy.target_tokens() == 16 + (256 - 16) // 2
-
-
-def test_from_config_wires_all_knobs():
-    config = StreamConfig(
-        name="s1",
-        acceptors=("s1/a1",),
-        adaptive_batching=True,
-        batch_max_tokens=8,
-        adaptive_batch_ceiling=128,
-        adaptive_half_pressure=10.0,
-        adaptive_decay_s=0.5,
-        adaptive_max_linger_s=0.004,
-    )
-    policy = AdaptiveBatchPolicy.from_config(config)
-    assert policy.floor == 8
-    assert policy.ceiling == 128
-    assert policy.half_pressure == 10.0
-    assert policy.decay_s == 0.5
-    assert policy.max_linger_s == 0.004
+    policy = _policy()
+    policy.observe(batching._HALF_PRESSURE, now=0.0)
+    assert policy.target_tokens() == 16 + (batching._CEILING - 16) // 2
 
 
 def test_constructor_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        AdaptiveBatchPolicy(floor=0, ceiling=16)
+        AdaptiveBatchPolicy(floor=0)
     with pytest.raises(ValueError):
-        AdaptiveBatchPolicy(floor=16, ceiling=8)
-    with pytest.raises(ValueError):
-        AdaptiveBatchPolicy(floor=1, ceiling=2, half_pressure=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveBatchPolicy(floor=1, ceiling=2, decay_s=-1.0)
+        AdaptiveBatchPolicy(floor=batching._CEILING + 1)
 
 
 def _sim_coordinator(**config_overrides):

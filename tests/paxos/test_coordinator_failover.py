@@ -4,6 +4,7 @@ import pytest
 
 from repro.multicast.stream import StreamDeployment
 from repro.paxos import AppValue, CoordinatorActor, StreamConfig
+from repro.paxos import coordinator as coordinator_module
 from repro.sim import Environment, LinkSpec, Network, RngRegistry
 
 
@@ -61,9 +62,11 @@ def test_takeover_preserves_decided_prefix():
     assert payloads.count(("old", 0)) == 1
 
 
-def test_stale_coordinator_cannot_decide_after_takeover():
+def test_stale_coordinator_cannot_decide_after_takeover(monkeypatch):
     """Once acceptors promised a higher ballot, the old coordinator's
     proposals are rejected."""
+    # No retries: make rejection visible.
+    monkeypatch.setattr(coordinator_module, "_RETRANSMIT_TIMEOUT", 10.0)
     env = Environment()
     net = Network(env, rng=RngRegistry(14), default_link=LinkSpec(latency=0.001))
     config = StreamConfig(
@@ -71,7 +74,6 @@ def test_stale_coordinator_cannot_decide_after_takeover():
         acceptors=("S1/a1", "S1/a2", "S1/a3"),
         ring_mode=False,
         skip_enabled=False,
-        retransmit_timeout=10.0,   # no retries: make rejection visible
     )
     deployment = StreamDeployment(env, net, config)
     delivered = []

@@ -24,7 +24,7 @@ import contextlib
 
 from repro.multicast.api import SUBMISSION_BATCH_BYTES
 from repro.obs.trace import ListSink, Tracer, installed
-from repro.paxos.coordinator import CoordinatorActor
+from repro.paxos.coordinator import _BATCH_MAX_BYTES, CoordinatorActor
 from repro.paxos.messages import Propose
 from repro.paxos.types import AppValue, Batch, SubscribeMsg
 from repro.runtime.supervisor import LiveCluster, LiveConfig
@@ -118,8 +118,7 @@ def test_a_burst_of_large_values_is_cut_by_bytes(monkeypatch):
 
     async def main():
         async with live_cluster() as cluster:
-            config = cluster.directory["s1"].config
-            assert SUBMISSION_BATCH_BYTES <= config.batch_max_bytes
+            assert SUBMISSION_BATCH_BYTES <= _BATCH_MAX_BYTES
             size = SUBMISSION_BATCH_BYTES // 4 + 1      # three fit, not four
             submitted = [
                 cluster.client.multicast("s1", bytes(size), size).msg_id
