@@ -163,7 +163,7 @@ class MulticastReplica(Actor):
         if stream in self.learners:
             return self.logs[stream]
         deployment = self.directory[stream]
-        log = TokenLog(start_position=base_position)
+        log = TokenLog(start_position=base_position, start_instance=start_instance)
 
         def on_decided(instance: int, batch: Batch, _stream=stream, _log=log):
             _log.append_batch(batch, instance=instance)
@@ -187,8 +187,8 @@ class MulticastReplica(Actor):
                     )
             self.merger.notify(_stream)
 
-        def on_rebase(_first_instance: int, base_position: int, _log=log):
-            _log.rebase(base_position)
+        def on_rebase(first_instance: int, base_position: int, _log=log):
+            _log.rebase(base_position, first_instance)
 
         core = LearnerCore(
             self.env,

@@ -37,11 +37,14 @@ __all__ = ["StreamDeployment", "TokenLog"]
 class TokenLog:
     """Position-indexed, append-only token sequence of one stream."""
 
-    def __init__(self, start_position: int = 0):
+    def __init__(self, start_position: int = 0, start_instance: int = 0):
         self._tokens: list[Token] = []
         self._starts: list[int] = []          # start position of each token
         self._frontier = start_position       # first position not yet filled
         self._base = start_position
+        # The instance whose tokens start at the base: with the base, the
+        # replay point of a cursor no whole batch lies below.
+        self._start_instance = start_instance
         # (end_position, instance) per appended batch, for the trim
         # coordinator: positions consumed map back to Paxos instances.
         self._batch_ends: list[tuple[int, int]] = []
@@ -56,14 +59,16 @@ class TokenLog:
         """First position this log covers (0 unless seeded post-trim)."""
         return self._base
 
-    def rebase(self, position: int) -> None:
-        """Seed an empty log at ``position`` (post-trim recovery)."""
+    def rebase(self, position: int, instance: int) -> None:
+        """Seed an empty log at ``position``, where ``instance`` starts
+        (post-trim recovery)."""
         if self._tokens:
             raise RuntimeError("cannot rebase a log that already has tokens")
         if position < self._base:
             raise ValueError("rebase must not move backwards")
         self._base = position
         self._frontier = position
+        self._start_instance = instance
 
     def append_batch(self, batch: Batch, instance: Optional[int] = None) -> None:
         for token in batch.tokens:
@@ -90,11 +95,13 @@ class TokenLog:
         from ``instance`` on, seed the fresh token log at
         ``base_position`` (the start of that instance's tokens), and the
         merge cursor resumes at ``position`` -- anything between base
-        and cursor is re-fetched but not re-delivered.
+        and cursor is re-fetched but not re-delivered.  Both halves name
+        one batch boundary: before the first whole batch it is the
+        log's own seed, never instance 0 at a later base.
         """
         index = bisect.bisect_right(self._batch_ends, (position, float("inf")))
         if index == 0:
-            return 0, self._base
+            return self._start_instance, self._base
         end, instance = self._batch_ends[index - 1]
         return instance + 1, end
 

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.faults import (
+    CrashAt, RecoverAt, ScenarioRunner, ScenarioSpec, Schedule,
+)
 from repro.harness.cluster import KvCluster
 from repro.kvstore import Partition, PartitionMap
 from repro.storage import CheckpointStore
@@ -103,3 +106,36 @@ def test_kv_replica_recovery_preserves_store():
     # r1 caught up: identical store contents as the live replica.
     assert list(r1.store.keys()) == list(r2.store.keys())
     assert client.completed > 0
+
+
+def test_checkpoint_right_after_a_recovery_keeps_the_replay_instance():
+    """Crash, recover, checkpoint, crash, recover.  G1/r1 recovers at
+    1.4995, half a millisecond before the 1.5 checkpoint tick, so that
+    checkpoint is cut before any re-fetched batch reaches its logs: the
+    replay point must be the (instance, position) pair the logs were
+    seeded at.  Were it instance 0 at the later base, the second
+    recovery would replay the stream's first values at its current
+    positions and break stream agreement."""
+    schedule = Schedule(
+        name="crash-recover-twice",
+        actions=(
+            CrashAt(at=1.0, target="G1/r1"),
+            RecoverAt(at=1.4995, target="G1/r1"),
+            CrashAt(at=1.6, target="G1/r1"),
+            RecoverAt(at=1.8, target="G1/r1"),
+        ),
+    )
+    spec = ScenarioSpec(
+        name="crash-recover-twice",
+        description="a checkpoint cut right after a recovery, then "
+                    "recovered from",
+        streams=("S1", "S2"),
+        groups={"G1": ("S1", "S2")},
+        duration=3.0,
+        schedule=lambda _seed: schedule,
+        load_rate=80.0,
+    )
+    runner = ScenarioRunner(spec, seed=1)
+    result = runner.run()   # raises InvariantViolation on any breach
+    assert result.converged
+    assert runner.suite.logs["G1/r1"].rewinds == 2

@@ -78,3 +78,23 @@ def test_zero_position_token_rejected():
     log = TokenLog()
     with pytest.raises(ValueError):
         log.append(SkipToken(count=0))
+
+
+def test_replay_point_before_the_first_whole_batch_is_the_seed():
+    # A log seeded by recovery at (instance 49, position 228): until a
+    # whole batch ends at or below the cursor, the replay point is that
+    # seed -- both halves, never instance 0 at the later base.
+    log = TokenLog(start_position=228, start_instance=49)
+    assert log.replay_point(228) == (49, 228)
+    log.append_batch(
+        Batch(tokens=(AppValue(payload="a"), SkipToken(count=4))),
+        instance=49,
+    )
+    assert log.replay_point(229) == (49, 228)
+    assert log.replay_point(233) == (50, 233)
+
+
+def test_rebase_moves_the_replay_point_to_the_trim_horizon():
+    log = TokenLog()
+    log.rebase(24, 7)
+    assert log.replay_point(24) == (7, 24)
