@@ -192,7 +192,9 @@ class LearnerCore:
 
         If delivery has been stuck behind a gap for longer than
         ``_GAP_TIMEOUT`` while later instances sit in the buffer, fetch
-        the missing range from an acceptor.
+        every hole below the highest buffered instance in one request:
+        the acceptor answers only decided instances, and ``_ingest``
+        drops the ones already held.
         """
         if self.catching_up:
             # The catch-up request (or its reply) may have been lost
@@ -210,7 +212,7 @@ class LearnerCore:
             self._gap_since is not None
             and self.env._now - self._gap_since >= _GAP_TIMEOUT
         ):
-            gap_end = min(self.buffer)
+            gap_end = max(self.buffer)
             tracer = self._tracer
             if tracer is not None:
                 tracer.emit(
