@@ -11,6 +11,10 @@ identical seed => bit-identical schedule and bit-identical delivery
 logs.
 
 ``REPRO_CHAOS_SEEDS`` widens the sweep (the nightly CI job sets it).
+
+``REGRESSION_SEEDS`` is the corpus of seeds that once broke an
+invariant, each tagged with the bug that broke it; the default run
+replays three of them, a widened run all of them.
 """
 
 import os
@@ -21,6 +25,25 @@ from repro.faults import RandomChaos, ScenarioRunner, get_scenario, run_scenario
 
 N_SEEDS = max(20, int(os.environ.get("REPRO_CHAOS_SEEDS", "20")))
 
+# A checkpoint cut before the first whole batch after a recovery
+# recorded replay instance 0 for a log seeded at a later position.
+_REPLAY_INSTANCE = "replay-instance"
+# Gap repair fetched one hole per tick, so a loss window outlived the
+# horizon.
+_ONE_HOLE_REPAIR = "one-hole-repair"
+REGRESSION_SEEDS = {
+    **dict.fromkeys(
+        (54, 173, 256, 281, 450, 455, 503, 514, 537, 629, 650, 657, 681,
+         745, 749, 751, 786, 841, 911, 952, 992),
+        _REPLAY_INSTANCE,
+    ),
+    **dict.fromkeys((175, 416, 474, 626), _ONE_HOLE_REPAIR),
+}
+_CORPUS = (
+    sorted(REGRESSION_SEEDS) if "REPRO_CHAOS_SEEDS" in os.environ
+    else [54, 175, 256]
+)
+
 
 @pytest.mark.parametrize("seed", range(1, N_SEEDS + 1))
 def test_chaos_invariants_hold(seed):
@@ -30,6 +53,14 @@ def test_chaos_invariants_hold(seed):
     assert result.converged
     assert result.checks_run >= 2
     assert all(count > 0 for count in result.delivered.values())
+
+
+@pytest.mark.parametrize(
+    "seed", _CORPUS, ids=[f"{s}-{REGRESSION_SEEDS[s]}" for s in _CORPUS]
+)
+def test_chaos_regression_corpus(seed):
+    result = run_scenario(get_scenario("chaos"), seed=seed)
+    assert result.converged
 
 
 def test_same_seed_same_schedule():
