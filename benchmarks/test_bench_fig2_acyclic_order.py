@@ -7,7 +7,7 @@ then measures the dMerge's raw merge throughput (tokens merged per
 second of wall time), since the merge is on every delivery's hot path.
 """
 
-from repro.multicast.elastic import ElasticMerger
+from repro.multicast.elastic import ElasticMerger, MergerState
 from repro.multicast.stream import TokenLog
 from repro.harness.report import comparison_table, section
 from repro.paxos.types import AppValue, SkipToken, SubscribeMsg
@@ -35,7 +35,7 @@ def replay(group, initial, logs):
         deliver=lambda s, p, vs: delivered.extend(v.payload for v in vs),
         stream_provider=lambda name: logs[name],
     )
-    merger.bootstrap({name: logs[name] for name in initial})
+    merger.restore(MergerState.initial(initial), logs)
     merger.pump()
     return delivered
 
@@ -50,7 +50,7 @@ def merge_throughput_run(n_tokens=200_000):
         deliver=lambda s, p, vs: delivered.extend([None] * len(vs)),
         stream_provider=lambda name: logs[name],
     )
-    merger.bootstrap(logs)
+    merger.restore(MergerState.initial(logs), logs)
     per_stream = n_tokens // 2
     for i in range(per_stream):
         s1.append(AppValue(payload=i, size=0))

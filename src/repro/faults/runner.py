@@ -187,14 +187,10 @@ class ScenarioRunner(CheckedRun):
     def __init__(self, spec: ScenarioSpec, seed: int = 1):
         super().__init__(spec, seed, spec.streams, spec.schedule(seed))
         self.checkpoints: dict[str, CheckpointStore] = {}
-        self._checkpoint_seq: dict[str, int] = {}
         for name in self.cluster.replicas:
             self.checkpoints[name] = CheckpointStore(keep=2)
-            self._checkpoint_seq[name] = 0
-            self._save_checkpoint(name)   # a recovery point exists from t=0
-            self.orchestrator.recover_hooks[name] = (
-                self._make_recover_hook(name)
-            )
+            self.orchestrator.recover_hooks[name] = self._recover_hook(name)
+        self._save_checkpoints()   # a recovery point exists from t=0
 
     def _deploy(self) -> None:
         spec = self.spec
@@ -207,27 +203,22 @@ class ScenarioRunner(CheckedRun):
     # -- checkpointing (the crash-recovery model's stable storage) ------
 
     def _save_checkpoints(self) -> None:
-        for name in self.cluster.replicas:
-            self._save_checkpoint(name)
+        """Checkpoint every live replica, whatever it is doing; each
+        checkpoint's position is the replica's delivery-log mark."""
+        for name, replica in self.cluster.replicas.items():
+            if not replica.crashed:
+                self.checkpoints[name].save(
+                    self.suite.mark(name), replica.make_checkpoint()
+                )
 
-    def _save_checkpoint(self, name: str) -> None:
-        replica = self.cluster.replicas[name]
-        if replica.crashed or replica.merger.pending_subscription is not None:
-            return   # retry at the next tick
-        mark = self.suite.mark(name)
-        self.checkpoints[name].save(
-            self._checkpoint_seq[name], (replica.make_checkpoint(), mark)
-        )
-        self._checkpoint_seq[name] += 1
-
-    def _make_recover_hook(self, name: str):
+    def _recover_hook(self, name: str):
         def recover() -> None:
             replica = self.cluster.replicas[name]
             if not replica.crashed:
                 return
-            checkpoint, mark = self.checkpoints[name].latest().state
-            self.suite.rewind(name, mark)
-            replica.recover_from_checkpoint(structural_copy(checkpoint))
+            checkpoint = self.checkpoints[name].latest()
+            self.suite.rewind(name, checkpoint.position)
+            replica.recover_from_checkpoint(structural_copy(checkpoint.state))
 
         return recover
 

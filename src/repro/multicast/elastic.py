@@ -45,8 +45,8 @@ Determinism notes (choices Algorithm 1 leaves open, pinned here):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..paxos.types import (
     AppValue,
@@ -59,14 +59,14 @@ from ..paxos.types import (
 from .merge import StreamCursor
 from .stream import TokenLog
 
-__all__ = ["ElasticMerger", "MergerStats"]
+__all__ = ["ElasticMerger", "MergerState", "MergerStats", "PendingSubscription"]
 
 _SCANNING = "scanning"
 _ALIGNING = "aligning"
 
 
-@dataclass
-class _PendingSubscription:
+@dataclass(frozen=True)
+class PendingSubscription:
     """In-flight subscribe handling state."""
 
     stream: str
@@ -74,6 +74,39 @@ class _PendingSubscription:
     phase: str = _SCANNING
     merge_ptr: int = -1
     started_at: float = 0.0
+
+
+@dataclass(frozen=True)
+class MergerState:
+    """Everything a merger resumes from, as one value: what
+    :meth:`ElasticMerger.state` reads and :meth:`ElasticMerger.restore`
+    sets, and nothing else does.
+
+    ``positions`` and ``replay_points`` hold one ``(stream, ...)`` pair
+    per cursor -- Σ's, plus a pending or prepared stream -- sorted by
+    stream.  A replay point ``(instance, base)`` is one batch boundary
+    at or below the cursor (:meth:`TokenLog.replay_point`): the log a
+    cursor is restored onto is seeded there.
+    """
+
+    sigma: tuple[str, ...]
+    positions: tuple[tuple[str, int], ...]
+    turn: int                               # index into sigma
+    pending: Optional[PendingSubscription]
+    deferred: tuple[SubscribeMsg, ...]
+    handled: frozenset[int]                 # subscribe request ids seen
+    replay_points: tuple[tuple[str, tuple[int, int]], ...]
+
+    @classmethod
+    def initial(cls, streams: Iterable[str]) -> "MergerState":
+        """A fresh merger subscribed to ``streams``."""
+        names = tuple(sorted(streams))
+        if not names:
+            raise ValueError("need at least one initial stream")
+        return cls(
+            names, tuple((name, 0) for name in names), 0, None, (),
+            frozenset(), tuple((name, (0, 0)) for name in names),
+        )
 
 
 @dataclass
@@ -157,7 +190,7 @@ class ElasticMerger:
         self.sigma: list[str] = []
         self._cursors: dict[str, StreamCursor] = {}
         self._rr = 0
-        self._pending: Optional[_PendingSubscription] = None
+        self._pending: Optional[PendingSubscription] = None
         self._deferred: list[SubscribeMsg] = []
         self._handled_requests: set[int] = set()
         self._pumping = False
@@ -189,37 +222,39 @@ class ElasticMerger:
                 1000.0 * waited
             )
 
-    # -- setup -------------------------------------------------------------
+    # -- state -------------------------------------------------------------
 
-    def bootstrap(
-        self,
-        streams: dict[str, TokenLog],
-        positions: Optional[dict[str, int]] = None,
-        next_stream: Optional[str] = None,
-    ) -> None:
-        """Install the initial subscriptions (the default stream(s)).
+    def state(self) -> MergerState:
+        """This merger's state; a replica checkpoints it at any instant."""
+        cursors = sorted(self._cursors.items())
+        return MergerState(
+            sigma=tuple(self.sigma),
+            positions=tuple((name, c.position) for name, c in cursors),
+            turn=self._rr,
+            pending=self._pending,
+            deferred=tuple(self._deferred),
+            handled=frozenset(self._handled_requests),
+            replay_points=tuple(
+                (name, c.log.replay_point(c.position)) for name, c in cursors
+            ),
+        )
 
-        ``positions`` presets the merge cursors and ``next_stream`` the
-        round-robin turn -- used when a replica recovers from a
-        checkpoint and resumes mid-stream.  Restoring the turn matters:
-        a checkpoint can be cut mid-cycle (one cursor already advanced,
-        the next stream's position still undecided), and restarting
-        round-robin from first(Σ) would replay the suffix in a
-        different interleaving than the pre-crash replica delivered.
-        """
-        if self.sigma:
-            raise RuntimeError("merger already bootstrapped")
-        if not streams:
-            raise ValueError("need at least one initial stream")
-        for name, log in streams.items():
-            cursor = StreamCursor(name, log)
-            if positions is not None and name in positions:
-                cursor.position = positions[name]
-            self._cursors[name] = cursor
-            self.stats.per_stream_delivered[name] = 0
-        self.sigma = sorted(streams)
-        if next_stream is not None:
-            self._rr = self.sigma.index(next_stream)
+    def restore(self, state: MergerState, logs: Mapping[str, TokenLog]) -> None:
+        """Set a new merger to ``state``, each cursor reading its stream
+        from ``logs`` (seeded at the cursor's replay point).  A fresh
+        start restores :meth:`MergerState.initial`; a recovering replica
+        restores its checkpoint and replays the streams (§VIII-B)."""
+        if self._cursors:
+            raise RuntimeError("merger already restored")
+        for name, position in state.positions:
+            cursor = self._cursors[name] = StreamCursor(name, logs[name])
+            cursor.position = position
+        self.sigma = list(state.sigma)
+        self._rr = state.turn
+        self._pending = state.pending
+        self._deferred = list(state.deferred)
+        self._handled_requests = set(state.handled)
+        self.stats.per_stream_delivered = dict.fromkeys(self.sigma, 0)
 
     @property
     def next_stream(self) -> Optional[str]:
@@ -365,7 +400,7 @@ class ElasticMerger:
         if msg.stream not in self._cursors:
             log = self.stream_provider(msg.stream)
             self._cursors[msg.stream] = StreamCursor(msg.stream, log)
-        self._pending = _PendingSubscription(
+        self._pending = PendingSubscription(
             stream=msg.stream, request_id=msg.request_id, started_at=self.now()
         )
         self._emit(
@@ -391,11 +426,10 @@ class ElasticMerger:
             # stream (cursor now) and every subscribed stream's cursor
             # (the carrier stream consumed the request already, so its
             # cursor is its request position + 1).
-            pending.merge_ptr = max(
+            self._pending = replace(pending, phase=_ALIGNING, merge_ptr=max(
                 [cursor.position]
                 + [self._cursors[s].position for s in self.sigma]
-            )
-            pending.phase = _ALIGNING
+            ))
             return True
         # Discard: jump whole tokens (skips included) -- nothing before
         # the request is delivered to this group.

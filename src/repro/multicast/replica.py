@@ -17,7 +17,7 @@ from ..paxos.learner import LearnerCore
 from ..paxos.messages import Decision, RecoverReply
 from ..paxos.types import AppValue, Batch
 from ..runtime.kernel import Kernel, Transport
-from .elastic import ElasticMerger
+from .elastic import ElasticMerger, MergerState
 from .stream import StreamDeployment, TokenLog
 
 __all__ = ["MulticastReplica"]
@@ -141,10 +141,8 @@ class MulticastReplica(Actor):
 
     def bootstrap(self, streams: list[str]) -> None:
         """Install the initial subscriptions and start merging."""
-        logs = {}
-        for stream in streams:
-            logs[stream] = self._attach_stream(stream, recover=False)
-        self.merger.bootstrap(logs)
+        logs = {s: self._attach_stream(s, recover=False) for s in streams}
+        self.merger.restore(MergerState.initial(streams), logs)
         self.start()
 
     @property
@@ -228,30 +226,10 @@ class MulticastReplica(Actor):
         """Subclass hook: reinstall application state from a checkpoint."""
 
     def make_checkpoint(self) -> dict:
-        """Capture a recovery point: Σ, merge cursors, replay points and
-        the application state.
-
-        Only valid while no subscription is in flight (the dMerge's
-        pending machinery is not checkpointed; callers retry later).
-        """
-        if self.merger.pending_subscription is not None:
-            raise RuntimeError(
-                f"{self.name}: cannot checkpoint during a subscription"
-            )
-        cursors = self.merger.positions()
-        streams = {}
-        for stream in self.merger.sigma:
-            cursor = cursors[stream]
-            instance, base = self.logs[stream].replay_point(cursor)
-            streams[stream] = {
-                "replay_instance": instance,
-                "base_position": base,
-                "cursor": cursor,
-            }
+        """Capture a recovery point, at any instant: the merger's state
+        (a :class:`MergerState`) and the application state."""
         checkpoint = {
-            "sigma": list(self.merger.sigma),
-            "streams": streams,
-            "next_stream": self.merger.next_stream,
+            "merger": self.merger.state(),
             "state": self.snapshot_state(),
         }
         metrics = self._metrics
@@ -274,24 +252,15 @@ class MulticastReplica(Actor):
             self._release_stream(stream)
         self.host.recover()
         self.merger = self._new_merger()
-        logs = {}
-        positions = {}
-        for stream, point in checkpoint["streams"].items():
-            logs[stream] = self._attach_stream(
-                stream,
-                recover=False,
-                start_instance=point["replay_instance"],
-                base_position=point["base_position"],
-            )
-            positions[stream] = point["cursor"]
-        self.merger.bootstrap(
-            logs,
-            positions=positions,
-            next_stream=checkpoint.get("next_stream"),
-        )
+        state = checkpoint["merger"]
+        logs = {
+            stream: self._attach_stream(stream, False, instance, base)
+            for stream, (instance, base) in state.replay_points
+        }
+        self.merger.restore(state, logs)
         self.restore_state(checkpoint["state"])
         self.start()
-        for stream in checkpoint["streams"]:
+        for stream in logs:
             self.learners[stream].start_recovery()
 
     def safe_trim_instance(self, stream: str) -> Optional[int]:

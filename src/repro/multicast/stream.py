@@ -42,9 +42,7 @@ class TokenLog:
         self._starts: list[int] = []          # start position of each token
         self._frontier = start_position       # first position not yet filled
         self._base = start_position
-        # The instance whose tokens start at the base: with the base, the
-        # replay point of a cursor no whole batch lies below.
-        self._start_instance = start_instance
+        self._start_instance = start_instance   # whose tokens start at base
         # (end_position, instance) per appended batch, for the trim
         # coordinator: positions consumed map back to Paxos instances.
         self._batch_ends: list[tuple[int, int]] = []
@@ -60,8 +58,7 @@ class TokenLog:
         return self._base
 
     def rebase(self, position: int, instance: int) -> None:
-        """Seed an empty log at ``position``, where ``instance`` starts
-        (post-trim recovery)."""
+        """Seed an empty log at ``instance``'s ``position`` (post-trim)."""
         if self._tokens:
             raise RuntimeError("cannot rebase a log that already has tokens")
         if position < self._base:

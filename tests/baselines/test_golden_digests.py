@@ -41,7 +41,7 @@ from repro.harness.experiments import (
     run_reconfig,
 )
 from repro.harness.experiments.vertical import VerticalConfig, run_vertical
-from repro.multicast.elastic import ElasticMerger
+from repro.multicast.elastic import ElasticMerger, MergerState
 from repro.multicast.stream import TokenLog
 from repro.paxos.types import AppValue, SkipToken, SubscribeMsg
 
@@ -138,7 +138,7 @@ def replay(group: str, initial: list[str], logs: dict[str, TokenLog]) -> list:
         ),
         stream_provider=lambda name: logs[name],
     )
-    merger.bootstrap({name: logs[name] for name in initial})
+    merger.restore(MergerState.initial(initial), logs)
     merger.pump()
     return delivered
 

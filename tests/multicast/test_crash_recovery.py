@@ -1,7 +1,5 @@
 """Replica crash/recovery: checkpoint, replay, re-learned subscriptions."""
 
-import pytest
-
 from repro.faults import (
     CrashAt, RecoverAt, ScenarioRunner, ScenarioSpec, Schedule,
 )
@@ -11,12 +9,68 @@ from repro.storage import CheckpointStore
 from repro.workload import KeyspaceWorkload
 
 
-def test_checkpoint_rejected_during_pending_subscription(make_cluster):
+def _checkpoint_crash_recover(make_cluster, ready, prepare=False):
+    """G = {r1, r2} on S1 subscribes to S2 via S1 at t=0.6 (after a
+    ``prepare_msg`` at 0.3 if ``prepare``).  A burst of S2 values at 0.2
+    puts S2's positions far ahead of S1's, so the merge point lies well
+    past S1's cursor and aligning S1 takes a while.  At the first
+    millisecond step where ``ready(r1's merger state)``, checkpoint r1
+    and crash it there; recover it from that checkpoint 0.2 s later.
+    r1 must then deliver exactly what r2, which never crashed,
+    delivers."""
     cluster = make_cluster(["S1", "S2"], seed=31)
-    replica = cluster.add_replica("r1", "G", ["S1"])
-    replica.merger._pending = type("P", (), {"stream": "S2"})()
-    with pytest.raises(RuntimeError, match="during a subscription"):
-        replica.make_checkpoint()
+    r1 = cluster.add_replica("r1", "G", ["S1"])
+    r2 = cluster.add_replica("r2", "G", ["S1"])
+    env, client = cluster.env, cluster.client
+    for i in range(150):
+        env.call_at(i * 0.01, client.multicast, "S1", ("s1", i))
+        env.call_at(i * 0.01, client.multicast, "S2", ("s2", i))
+    for i in range(400):
+        env.call_at(0.2, client.multicast, "S2", ("burst", i))
+    if prepare:
+        env.call_at(0.3, client.prepare_msg, "G", "S2", "S1")
+    env.call_at(0.6, client.subscribe_msg, "G", "S2", "S1")
+    now = 0.0
+    while not ready(r1.merger.state()):
+        now += 0.001
+        assert now < 2.0, "the merger never reached the state to cut"
+        cluster.run(until=now)
+    checkpoint = r1.make_checkpoint()
+    r1.crash()
+    cluster.run(until=now + 0.2)
+    r1.recover_from_checkpoint(checkpoint)
+    cluster.run(until=4.0)
+    assert r1.subscriptions == r2.subscriptions == ("S1", "S2")
+    streams = [stream for _payload, stream in cluster.delivered["r2"]]
+    assert streams.count("S1") == 150 and "S2" in streams
+    assert cluster.delivered["r1"] == cluster.delivered["r2"]
+
+
+def test_checkpoint_while_the_new_stream_is_scanned(make_cluster):
+    _checkpoint_crash_recover(
+        make_cluster,
+        lambda state: state.pending is not None
+        and state.pending.phase == "scanning",
+    )
+
+
+def test_checkpoint_while_the_old_streams_align(make_cluster):
+    _checkpoint_crash_recover(
+        make_cluster,
+        lambda state: state.pending is not None
+        and state.pending.phase == "aligning",
+    )
+
+
+def test_checkpoint_between_prepare_and_subscribe(make_cluster):
+    # The prepared cursor is part of the state: the recovered replica
+    # resumes the background learner prepare_msg started.
+    _checkpoint_crash_recover(
+        make_cluster,
+        lambda state: state.pending is None
+        and "S2" in dict(state.positions),
+        prepare=True,
+    )
 
 
 def test_recovery_resumes_without_duplicate_delivery(make_cluster):

@@ -1,6 +1,6 @@
 """Edge cases of the elastic merge beyond the happy paths."""
 
-from repro.multicast.elastic import ElasticMerger
+from repro.multicast.elastic import ElasticMerger, MergerState
 from repro.multicast.stream import TokenLog
 from repro.paxos.types import (
     AppValue,
@@ -26,7 +26,7 @@ class Harness:
             stream_provider=lambda name: all_logs[name],
             stream_releaser=self.released.append,
         )
-        self.merger.bootstrap({name: all_logs[name] for name in initial})
+        self.merger.restore(MergerState.initial(initial), all_logs)
 
     @property
     def payloads(self):
@@ -135,7 +135,7 @@ def test_positions_reported_to_deliver_are_monotonic_per_stream():
         deliver=lambda s, p, vs: positions[s].extend(range(p, p + len(vs))),
         stream_provider=lambda name: logs[name],
     )
-    merger.bootstrap(logs)
+    merger.restore(MergerState.initial(logs), logs)
     for i in range(5):
         s1.append(value(f"a{i}"))
         s2.append(SkipToken(count=2))
@@ -166,7 +166,7 @@ def test_retried_subscribe_deferred_behind_the_first_does_not_double_sigma():
             ),
             stream_provider=logs.__getitem__,
         )
-        mergers[group].bootstrap({"S1": logs["S1"]})
+        mergers[group].restore(MergerState.initial(["S1"]), logs)
     first, retry = (
         SubscribeMsg(group="G", stream="S2", request_id=request_id)
         for request_id in (1, 2)

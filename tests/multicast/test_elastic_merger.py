@@ -7,7 +7,7 @@ deliver the shared suffix in the same order.
 
 import pytest
 
-from repro.multicast.elastic import ElasticMerger
+from repro.multicast.elastic import ElasticMerger, MergerState
 from repro.multicast.stream import TokenLog
 from repro.paxos.types import (
     AppValue,
@@ -37,7 +37,7 @@ class Harness:
             stream_provider=lambda name: self.all_logs[name],
             stream_releaser=self.released.append,
         )
-        self.merger.bootstrap({name: all_logs[name] for name in initial})
+        self.merger.restore(MergerState.initial(initial), all_logs)
 
     def pump(self):
         self.merger.pump()
@@ -353,7 +353,7 @@ def test_head_of_line_episode_traced_with_blocking_stream():
         owner="G/r1",
         env=env,
     )
-    merger.bootstrap(logs)
+    merger.restore(MergerState.initial(logs), logs)
     s1.append(value("a"))
     s2.append(value("b"))
     merger.pump()               # delivers a, b; turn back on S1: blocked
@@ -382,7 +382,7 @@ def test_no_head_of_line_tracking_without_env():
         deliver=lambda s, p, vs: None,
         stream_provider=lambda name: s1,
     )
-    merger.bootstrap({"S1": s1})
+    merger.restore(MergerState.initial(["S1"]), {"S1": s1})
     merger.pump()               # blocked immediately
     assert merger._blocked_since is None   # gate off: nothing tracked
 

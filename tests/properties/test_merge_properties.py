@@ -12,7 +12,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.multicast.elastic import ElasticMerger
+from repro.multicast.elastic import ElasticMerger, MergerState
 from repro.multicast.stream import TokenLog
 from repro.paxos.types import AppValue, SkipToken, SubscribeMsg
 
@@ -64,7 +64,7 @@ def run_merger(s1_tokens, s2_tokens, schedule):
         deliver=lambda s, p, vs: delivered.extend((v.payload, s) for v in vs),
         stream_provider=lambda name: logs[name],
     )
-    merger.bootstrap({"S1": s1})
+    merger.restore(MergerState.initial(["S1"]), {"S1": s1})
     queues = {"S1": list(s1_tokens), "S2": list(s2_tokens)}
     for which in schedule:
         name = "S1" if which else "S2"
@@ -142,7 +142,9 @@ def test_acyclic_across_groups(scenario):
         deliver=lambda s, p, vs: delivered_h.extend((v.payload, s) for v in vs),
         stream_provider=lambda name: {"S1": s1, "S2": s2}[name],
     )
-    merger_h.bootstrap({"S1": s1, "S2": s2})
+    merger_h.restore(
+        MergerState.initial(["S1", "S2"]), {"S1": s1, "S2": s2}
+    )
     merger_h.pump()
 
     common = set(p for p, _s in delivered_g) & set(p for p, _s in delivered_h)

@@ -9,7 +9,7 @@ run of values in one step -- against one position per turn.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.multicast.elastic import ElasticMerger
+from repro.multicast.elastic import ElasticMerger, MergerState
 from repro.multicast.merge import StaticMerger
 from repro.multicast.stream import TokenLog
 from repro.paxos.types import (
@@ -62,7 +62,7 @@ def test_static_and_elastic_agree_on_static_input(tokens_by_stream):
         ),
         stream_provider=lambda name: logs_b[name],
     )
-    elastic.bootstrap(logs_b)
+    elastic.restore(MergerState.initial(logs_b), logs_b)
     elastic.pump()
 
     assert delivered_static == delivered_elastic
@@ -183,7 +183,7 @@ def test_run_length_skips_equal_one_position_per_turn(script):
             ),
             stream_provider=logs.__getitem__,
         )
-        merger.bootstrap({name: logs[name] for name in initial})
+        merger.restore(MergerState.initial(initial), logs)
         states = []
         for stream, token in appends:
             logs[stream].append(token)
@@ -305,7 +305,7 @@ def test_run_delivery_equals_one_value_per_step(script):
             )
 
         merger.deliver = deliver
-        merger.bootstrap({name: logs[name] for name in initial})
+        merger.restore(MergerState.initial(initial), logs)
         error = None
         for stream, batch in appends:
             for token in batch:
