@@ -96,7 +96,8 @@ def test_three_process_baseline_agrees(tmp_path):
 async def _checked_vs_delivered(config: DeployConfig) -> dict:
     """A baseline run, then per worker ``(invariant_checks,
     records_checked, deliveries at its replicas)`` once the traffic has
-    drained and the workers' 0.25 s checkers have had two more turns."""
+    drained and each worker's 0.25 s checker has folded every delivery
+    -- polled, or the last tally seen when the deadline passes."""
     sup = DeploySupervisor(config)
     try:
         await sup.start_workers()
@@ -104,16 +105,23 @@ async def _checked_vs_delivered(config: DeployConfig) -> dict:
         await SCENARIOS["baseline"].drive(sup)
         drained, detail = await sup.driver.drain()
         assert drained, detail
-        await asyncio.sleep(0.6)
-        tallies = {}
-        for name, handle in sup.workers.items():
-            status = await handle.call("status")
-            assert status["violations"] == []
-            tallies[name] = (
-                status["invariant_checks"], status["records_checked"],
-                sum(r["delivered"] for r in status["replicas"].values()),
+        deadline = asyncio.get_running_loop().time() + 10.0
+        while True:
+            tallies = {}
+            for name, handle in sup.workers.items():
+                status = await handle.call("status")
+                assert status["violations"] == []
+                tallies[name] = (
+                    status["invariant_checks"], status["records_checked"],
+                    sum(r["delivered"] for r in status["replicas"].values()),
+                )
+            folded = all(
+                checked == delivered
+                for _checks, checked, delivered in tallies.values()
             )
-        return tallies
+            if folded or asyncio.get_running_loop().time() > deadline:
+                return tallies
+            await asyncio.sleep(0.05)
     finally:
         await sup.stop_all()
 
