@@ -91,7 +91,7 @@ class MergerState:
 
     sigma: tuple[str, ...]
     positions: tuple[tuple[str, int], ...]
-    turn: int                               # index into sigma
+    turn: int               # index into sigma; a cut can fall mid-round
     pending: Optional[PendingSubscription]
     deferred: tuple[SubscribeMsg, ...]
     handled: frozenset[int]                 # subscribe request ids seen
@@ -255,11 +255,6 @@ class ElasticMerger:
         self._deferred = list(state.deferred)
         self._handled_requests = set(state.handled)
         self.stats.per_stream_delivered = dict.fromkeys(self.sigma, 0)
-
-    @property
-    def next_stream(self) -> Optional[str]:
-        """The stream whose turn the round-robin is at (None pre-bootstrap)."""
-        return self.sigma[self._rr] if self.sigma else None
 
     @property
     def subscriptions(self) -> tuple[str, ...]:

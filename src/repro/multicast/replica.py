@@ -254,7 +254,9 @@ class MulticastReplica(Actor):
         self.merger = self._new_merger()
         state = checkpoint["merger"]
         logs = {
-            stream: self._attach_stream(stream, False, instance, base)
+            stream: self._attach_stream(
+                stream, False, start_instance=instance, base_position=base
+            )
             for stream, (instance, base) in state.replay_points
         }
         self.merger.restore(state, logs)

@@ -395,11 +395,15 @@ def test_notify_pumps_only_for_the_stream_the_merge_is_blocked_on():
     h = Harness("G", ["S1", "S2"], {"S1": s1, "S2": s2, "S3": s3})
     pumps = []
     pump = h.merger.pump
-    h.merger.pump = lambda: (pumps.append(h.merger.next_stream), pump())
+
+    def turn():
+        return h.merger.sigma[h.merger.state().turn]
+
+    h.merger.pump = lambda: (pumps.append(turn()), pump())
 
     s1.append(value("a0"))
     h.merger.notify("S1")
-    assert h.payloads == ["a0"] and h.merger.next_stream == "S2"
+    assert h.payloads == ["a0"] and turn() == "S2"
     # Blocked on S2: a token on S1 steps nothing.
     s1.append(value("a1"))
     before = h.merger.positions()

@@ -148,8 +148,7 @@ def _merger_state(merger, delivered):
     sigma = merger.subscriptions
     assert len(set(sigma)) == len(sigma), f"Σ is a set, got {sigma}"
     return (
-        list(delivered), merger.positions(), merger.next_stream,
-        merger.subscriptions, merger.pending_subscription,
+        list(delivered), merger.state(),
         dict(merger.stats.merge_points), merger.stats.discarded,
     )
 
