@@ -7,7 +7,7 @@ ablation runs the same subscription twice and quantifies the dip.
 
 from repro.harness.experiments import VerticalConfig, run_vertical
 from repro.harness.report import comparison_table, section
-from repro.metrics import dip_and_recovery
+from repro.harness.report import dip_and_recovery
 
 
 def _dip(result, config):

@@ -7,7 +7,7 @@ post-subscribe dip, and the 95th-percentile latency.
 
 from repro.harness.experiments import VerticalConfig, run_vertical
 from repro.harness.report import comparison_table, section, series_sparkline
-from repro.metrics import is_monotonic_increasing, step_ratios
+from repro.harness.report import is_monotonic_increasing, step_ratios
 
 PAPER_INTERVAL_AVERAGES = [735.0, 1498.0, 2391.0, 2660.0]
 PAPER_SCALING = 3.62

@@ -7,7 +7,7 @@ acceptors) with a prepare hint -- no visible overhead, p95 = 2.7 ms.
 
 from repro.harness.experiments import ReconfigConfig, run_reconfig
 from repro.harness.report import comparison_table, section, series_sparkline
-from repro.metrics import flat_through
+from repro.harness.report import flat_through
 
 PAPER_MBPS = 550.0
 PAPER_P95_MS = 2.7

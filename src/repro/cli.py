@@ -63,6 +63,7 @@ the "Online audit" section of ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -255,7 +256,6 @@ def _trace_follow(args) -> int:
     """`trace FILE --follow`: tail a live node's JSONL trace, emitting
     each event as it lands -- the same incremental reader the online
     certifier runs on, so torn tails and truncation are tolerated."""
-    import json
     import time
 
     from .obs.audit import IncrementalTraceReader
@@ -357,11 +357,18 @@ def _stats_metrics_dump(path: str, data: dict) -> int:
     return 0
 
 
-def _stats(args) -> int:
-    import json
+def _torn_trace(path: str, exc: ValueError) -> int:
+    """A trace with a line that does not parse, which is what a kill -9'd
+    worker leaves: only the merge tool salvages one."""
+    return _usage_error(
+        f"{path}: {exc}; salvage it first with: python -m repro "
+        f"trace-merge {path} --out merged.jsonl"
+    )
 
+
+def _stats(args) -> int:
     from .obs import METRICS_DUMP_FORMAT, STAGES, LifecycleIndex
-    from .sim.monitor import percentile
+    from .quantiles import percentile
 
     # `stats` reads both artifact kinds: a trace JSONL (from `trace`)
     # and a JSON metrics dump (from `live --metrics-out`).  Sniff the
@@ -374,7 +381,10 @@ def _stats(args) -> int:
     if isinstance(data, dict) and data.get("format") == METRICS_DUMP_FORMAT:
         return _stats_metrics_dump(args.trace, data)
 
-    index = LifecycleIndex.from_jsonl(args.trace)
+    try:
+        index = LifecycleIndex.from_jsonl(args.trace)
+    except json.JSONDecodeError as exc:
+        return _torn_trace(args.trace, exc)
     complete, delivered = index.coverage()
     print(section(f"Trace statistics: {args.trace}"))
     print(f"events               : {index.events_seen}")
@@ -445,7 +455,10 @@ def _latency(args) -> int:
         write_budget,
     )
 
-    index = LifecycleIndex.from_jsonl(args.trace)
+    try:
+        index = LifecycleIndex.from_jsonl(args.trace)
+    except json.JSONDecodeError as exc:
+        return _torn_trace(args.trace, exc)
     budget = latency_budget(index)
     print(section(f"Latency budget: {args.trace}"))
     for line in budget_lines(budget):

@@ -18,7 +18,7 @@ evaluate.  Two sources exist, mirroring the two execution backends:
 Both produce the same snapshot type, so policies are backend-agnostic.
 A missing signal is represented as ``None`` / an absent key, never as a
 stale number: the windowed instruments beneath re-evaluate their
-retention window at read time (see :mod:`repro.sim.monitor`).
+retention window at read time (see :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations

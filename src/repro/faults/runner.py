@@ -68,7 +68,6 @@ class ScenarioResult:
     delivered: dict[str, int]
     checks_run: int
     digest: str
-    converged: bool
     timeline: list[tuple[float, str]] = field(default_factory=list)
     report_text: str = ""
 
@@ -279,7 +278,6 @@ class ScenarioRunner(CheckedRun):
             delivered=self.delivered(),
             checks_run=self.suite.checks_run,
             digest=self.suite.digest(),
-            converged=True,
             timeline=list(self.orchestrator.events),
         )
         result.report_text = self._render_report(result)
@@ -298,10 +296,7 @@ class ScenarioRunner(CheckedRun):
                 f"  t={at:7.3f}s  {text}" for at, text in result.timeline
             )
         lines.append(self.suite.report())
-        lines.append(
-            "converged            : "
-            + ("yes (all replicas identical)" if result.converged else "NO")
-        )
+        lines.append("converged            : yes (all replicas identical)")
         return "\n".join(lines)
 
 

@@ -17,10 +17,10 @@ from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
 from ..net.actor import Actor
 from ..net.messages import FastMessage, Message, WIRE_HEADER_BYTES
+from ..obs.metrics import Counter, Series
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue
 from ..sim.core import Environment
-from ..sim.monitor import Counter, Series
 from ..sim.network import Network
 from ..sim.resources import Server
 

@@ -24,6 +24,7 @@ from typing import Callable, Mapping, Optional
 from ..coordination.registry import RegistryClient
 from ..multicast.stream import StreamDeployment
 from ..net.actor import Actor
+from ..obs.metrics import Counter, Series
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue
 from ..runtime.kernel import Kernel, Transport
@@ -102,8 +103,6 @@ class KvClient(Actor):
         self.think_time = think_time
         self.rng = rng or random.Random(0)
 
-        # Deferred: the protocol layer imports no repro.sim at module level.
-        from ..sim.monitor import Counter, Series
         self.ops = Counter(env, f"{name}:ops")
         self.latency = Series(env, f"{name}:latency")
         self.timeouts = 0

@@ -25,6 +25,7 @@ from typing import Mapping, Optional
 
 from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
+from ..obs.metrics import Counter
 from ..paxos.types import AppValue
 from ..runtime.kernel import Kernel, Transport
 from ..runtime.resources import Server
@@ -70,8 +71,6 @@ class KvReplica(MulticastReplica):
         self.cpu = Server(env, rate=cpu_rate, name=f"{name}:cpu")
 
         self.executed = 0
-        # Deferred: the protocol layer imports no repro.sim at module level.
-        from ..sim.monitor import Counter
         self.applied_ops = Counter(env, f"{name}:applied")
         self.discarded_misdirected = 0
         # Multi-partition commands awaiting peer signals:

@@ -11,11 +11,6 @@ See ``docs/OBSERVABILITY.md`` for the guide.  The usual entry points:
 - :func:`latency_budget` -- critical-path latency attribution over a
   :class:`LifecycleIndex` (``python -m repro latency``).
 - :func:`validate_file` -- JSONL trace schema validation (used by CI).
-
-``MetricsRegistry`` / ``Gauge`` are exposed lazily: ``obs.metrics``
-imports ``sim.monitor`` which imports ``sim.core``, and ``sim.core``
-imports ``obs.trace`` -- an eager import here would close that loop
-while ``sim.core`` is still initialising.
 """
 
 from .audit import (
@@ -40,6 +35,12 @@ from .merge import (
     read_trace,
     trace_offsets,
     write_trace,
+)
+from .metrics import (
+    METRICS_DUMP_FORMAT,
+    Gauge,
+    MetricsRegistry,
+    rows_from_dump,
 )
 from .recorder import FlightRecorder
 from .schema import EVENT_SCHEMA, SchemaError, validate_event, validate_file
@@ -117,13 +118,3 @@ __all__ = [
     "validate_event",
     "validate_file",
 ]
-
-_LAZY = {"MetricsRegistry", "Gauge", "METRICS_DUMP_FORMAT", "rows_from_dump"}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from . import metrics
-
-        return getattr(metrics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,7 +41,7 @@ Three layers:
     the same ages a live tail did).
 
     State is bounded: the spec retires its oldest per-position entries
-    beyond ``compact_limit`` per stream/group (the documented memory/
+    beyond ``_COMPACT_LIMIT`` per stream/group (the documented memory/
     coverage tradeoff for day-long runs, see :mod:`repro.spec`).
 
 A kill -9'd worker restarts as a *new incarnation* with a fresh trace
@@ -66,6 +66,10 @@ __all__ = [
     "SafetyCertifier",
     "TraceDirectorySource",
 ]
+
+# Per-position entries the spec keeps per stream/group before it
+# retires the oldest (see SafetyCertifier).
+_COMPACT_LIMIT = 100_000
 
 
 # -- incremental input -------------------------------------------------
@@ -231,8 +235,8 @@ class _Reconfig:
 class SafetyCertifier:
     """Streaming checker of the paper's safety properties (module doc)."""
 
-    def __init__(self, compact_limit: int = 100_000):
-        self.spec = SafetySpec(bound=compact_limit)
+    def __init__(self):
+        self.spec = SafetySpec(bound=_COMPACT_LIMIT)
         self.offsets: dict[str, float] = {}        # node -> clock offset
         self.clock_rtts: dict[str, float] = {}
         self.streams: dict[str, _StreamState] = {}

@@ -29,10 +29,10 @@ Stage definitions (seconds of virtual time):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .merge import read_trace
 from .recorder import FlightRecorder
 
 __all__ = ["LifecycleIndex", "MessageLifecycle", "SubscriptionTimeline", "STAGES"]
@@ -163,12 +163,9 @@ class LifecycleIndex:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "LifecycleIndex":
-        index = cls()
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    index.record(json.loads(line))
-        return index
+        """Index a whole trace file; a torn line raises (only the merge
+        tool salvages a torn trace)."""
+        return cls().consume_all(read_trace(path))
 
     @classmethod
     def from_recorder(cls, recorder: FlightRecorder) -> "LifecycleIndex":

@@ -280,9 +280,6 @@ class Tracer:
 # -- process-wide install slots ------------------------------------------
 #
 # The kernel (repro.sim.core.Environment) captures these at construction.
-# They live here -- not in repro.obs.__init__ -- so that importing them
-# from the kernel never drags in modules that themselves import the
-# kernel (repro.obs.metrics builds on repro.sim.monitor).
 
 _current_tracer: Optional[Tracer] = None
 _current_metrics: Optional[Any] = None

@@ -43,15 +43,16 @@ Front ends:
     certification task.
 
 :class:`EndpointsWatch`
-    Polls a live cluster's ``/health`` endpoints (no trace files
-    needed) and runs the telemetry-level detectors, including
-    ``unreachable``.  This is ``python -m repro watch endpoints.json``.
+    Scrapes a live cluster's ``/health`` endpoints concurrently (no
+    trace files needed) and runs the detectors each node runs over
+    itself, whose ``unreachable`` only fires here.  This is ``python -m
+    repro watch endpoints.json``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .audit import AuditViolation, SafetyCertifier, TraceDirectorySource
@@ -73,13 +74,22 @@ __all__ = [
     "sample_from_health",
 ]
 
-SEVERITIES = ("info", "warning", "critical")
 _PENALTY = {"info": 5, "warning": 15, "critical": 40}
 # TraceWatch's cadences, in trace time: the watchdog samples the
 # certifier every _SAMPLE_INTERVAL, the acyclicity pass runs every
 # _ACYCLIC_EVERY.
 _SAMPLE_INTERVAL = 0.25
 _ACYCLIC_EVERY = 1.0
+# Detector bounds: how far a node's clock offset may walk from its
+# first estimate; the send-queue share that is backpressure, and the
+# capacity assumed when a sample reports none; the delivery-collapse
+# window, the rate drop that is a collapse and the rate it needs first.
+_DRIFT_BOUND = 0.2
+_HIGH_WATER = 0.8
+_QUEUE_CAPACITY = 1024
+_COLLAPSE_WINDOW = 2.0
+_COLLAPSE_RATIO = 0.25
+_COLLAPSE_MIN_RATE = 50.0
 
 
 @dataclass(frozen=True)
@@ -189,8 +199,7 @@ class ClockDriftDetector:
 
     name = "clock_drift"
 
-    def __init__(self, bound: float = 0.2):
-        self.bound = bound
+    def __init__(self):
         self._baseline: dict[str, float] = {}
 
     def observe(self, sample: Mapping) -> list[Alert]:
@@ -204,13 +213,13 @@ class ClockDriftDetector:
             # the measured round trip before calling it drift.
             rtt = rtts.get(node)
             slack = rtt if rtt is not None and rtt != float("inf") else 0.0
-            if abs(drift) > self.bound + slack:
+            if abs(drift) > _DRIFT_BOUND + slack:
                 alerts.append(Alert(
                     detector=self.name, severity="warning", key=str(node),
                     node=str(node), at=at, message=(
                         f"node {node}: clock offset drifted {drift:+.3f}s "
                         f"from its {baseline:+.3f}s baseline, beyond the "
-                        f"{self.bound:g}s bound"
+                        f"{_DRIFT_BOUND:g}s bound"
                     ),
                 ))
         return alerts
@@ -221,16 +230,12 @@ class BackpressureDetector:
 
     name = "backpressure"
 
-    def __init__(self, high_water: float = 0.8, capacity: int = 1024):
-        self.high_water = high_water
-        self.capacity = capacity
-
     def observe(self, sample: Mapping) -> list[Alert]:
         at = float(sample.get("at", 0.0))
-        capacity = sample.get("queue_capacity") or self.capacity
+        capacity = sample.get("queue_capacity") or _QUEUE_CAPACITY
         alerts: list[Alert] = []
         for dst, depth in sample.get("queue_depths", {}).items():
-            if capacity and depth / capacity >= self.high_water:
+            if depth / capacity >= _HIGH_WATER:
                 alerts.append(Alert(
                     detector=self.name, severity="warning", key=str(dst),
                     node=sample.get("node"), at=at, message=(
@@ -247,15 +252,7 @@ class DeliveryCollapseDetector:
 
     name = "delivery_collapse"
 
-    def __init__(
-        self,
-        window: float = 2.0,
-        ratio: float = 0.25,
-        min_rate: float = 50.0,
-    ):
-        self.window = window
-        self.ratio = ratio
-        self.min_rate = min_rate
+    def __init__(self):
         self._history: list[tuple[float, int, int]] = []
 
     def observe(self, sample: Mapping) -> list[Alert]:
@@ -266,12 +263,12 @@ class DeliveryCollapseDetector:
             return []
         history = self._history
         history.append((at, int(delivered), int(submitted)))
-        horizon = at - 2 * self.window
+        horizon = at - 2 * _COLLAPSE_WINDOW
         while len(history) > 2 and history[1][0] <= horizon:
             history.pop(0)
         # Split the retained history at the window boundary: the
         # previous window's delivery rate vs the current one's.
-        boundary = at - self.window
+        boundary = at - _COLLAPSE_WINDOW
         pivot = None
         for index, (t, _d, _s) in enumerate(history):
             if t <= boundary:
@@ -288,9 +285,9 @@ class DeliveryCollapseDetector:
         rate_prev = (dp - d0) / span_prev
         rate_cur = (d1 - dp) / span_cur
         submit_cur = (s1 - sp) / span_cur
-        if (rate_prev >= self.min_rate
-                and rate_cur < self.ratio * rate_prev
-                and submit_cur >= self.ratio * self.min_rate):
+        if (rate_prev >= _COLLAPSE_MIN_RATE
+                and rate_cur < _COLLAPSE_RATIO * rate_prev
+                and submit_cur >= _COLLAPSE_RATIO * _COLLAPSE_MIN_RATE):
             return [Alert(
                 detector=self.name, severity="critical", key="cluster",
                 at=at, message=(
@@ -358,15 +355,9 @@ def default_trace_detectors(
 
 
 def default_node_detectors() -> list:
-    """Detectors a node can run over its own health snapshots."""
-    return [
-        WatermarkStallDetector(),
-        BackpressureDetector(),
-        DeliveryCollapseDetector(),
-    ]
-
-
-def default_endpoint_detectors() -> list:
+    """Detectors over health samples, a node's own or a cluster's
+    (:func:`sample_from_health`); ``unreachable`` only ever fires on a
+    cluster's, the one sample that lists the nodes that did not answer."""
     return [
         WatermarkStallDetector(),
         BackpressureDetector(),
@@ -440,54 +431,140 @@ class Watchdog:
 
 # -- health-snapshot sampling -----------------------------------------
 
-def sample_from_health(
-    snapshot: Mapping,
-    node: Optional[str] = None,
-    queue_capacity: Optional[int] = None,
-) -> dict:
-    """Distil one node's ``/health`` snapshot into a watchdog sample.
+def _widen(streams: dict, stream: str, high: int,
+           low: Optional[int] = None) -> None:
+    """Take ``high`` (and ``low``) into ``stream``'s watermarks."""
+    entry = streams.setdefault(stream, {"high": None, "low": None})
+    if entry["high"] is None or high > entry["high"]:
+        entry["high"] = high
+    if low is not None and (entry["low"] is None or low < entry["low"]):
+        entry["low"] = low
 
-    The stream high watermark comes from the coordinators this node
-    hosts (positions decided); lows from its replicas' per-stream
-    delivery positions.  Used both node-side (self-observation on every
-    scrape) and by :class:`EndpointsWatch`.
+
+def sample_from_health(
+    snapshots: Mapping[str, Optional[Mapping]],
+    at: Optional[float] = None,
+) -> dict:
+    """Fold ``/health`` snapshots, keyed by node, into one watchdog sample.
+
+    A stream's high watermark is the highest position decided by the
+    coordinators the nodes host or delivered by their replicas; its low
+    is the lowest replica delivery position.  A node watching itself
+    passes its own snapshot and no ``at``: the sample takes the
+    snapshot's clock and names the node.  :class:`EndpointsWatch`
+    passes every node's, ``None`` for one that did not answer, and the
+    time of the scrape: each send queue is keyed ``node:dst`` and the
+    silent nodes are listed as ``unreachable``.
     """
     streams: dict[str, dict] = {}
-    for stream, entry in (snapshot.get("streams") or {}).items():
-        streams[stream] = {
-            "high": int(entry.get("positions_decided", 0)),
-            "low": None,
-        }
+    queue_depths: dict[str, float] = {}
     delivered = 0
-    for state in (snapshot.get("replicas") or {}).values():
-        delivered += int(state.get("delivered", 0))
-        for stream, position in (state.get("positions") or {}).items():
-            entry = streams.setdefault(stream, {"high": None, "low": None})
-            position = int(position)
-            if entry["low"] is None or position < entry["low"]:
-                entry["low"] = position
-            if entry["high"] is None or position > entry["high"]:
-                entry["high"] = position
-    transport = snapshot.get("transport") or {}
-    sample = {
-        "at": float(snapshot.get("now", 0.0)),
-        "node": node if node is not None else snapshot.get("node"),
+    submitted: Optional[int] = None
+    unreachable: list[str] = []
+    for node, snapshot in sorted(snapshots.items()):
+        if snapshot is None:
+            unreachable.append(node)
+            continue
+        for stream, entry in (snapshot.get("streams") or {}).items():
+            _widen(streams, stream, int(entry.get("positions_decided", 0)))
+        for state in (snapshot.get("replicas") or {}).values():
+            delivered += int(state.get("delivered", 0))
+            for stream, position in (state.get("positions") or {}).items():
+                _widen(streams, stream, int(position), int(position))
+        transport = snapshot.get("transport") or {}
+        for dst, depth in (transport.get("queue_depths") or {}).items():
+            queue_depths[dst if at is None else f"{node}:{dst}"] = depth
+        client = snapshot.get("client")
+        if client is not None and client.get("submitted") is not None:
+            submitted = (submitted or 0) + int(client["submitted"])
+    sample: dict = {
         "streams": streams,
         "delivered": delivered,
-        "queue_depths": dict(transport.get("queue_depths") or {}),
+        "queue_depths": queue_depths,
     }
-    capacity = queue_capacity or transport.get("queue_capacity")
-    if capacity:
-        sample["queue_capacity"] = int(capacity)
-    client = snapshot.get("client")
-    if client is not None and client.get("submitted") is not None:
-        sample["submitted"] = int(client["submitted"])
+    if at is None:
+        (node, snapshot), = snapshots.items()
+        sample.update(at=float(snapshot.get("now", 0.0)), node=node)
+        capacity = (snapshot.get("transport") or {}).get("queue_capacity")
+        if capacity:
+            sample["queue_capacity"] = int(capacity)
+    else:
+        sample.update(at=at, unreachable=tuple(unreachable))
+    if submitted is not None:
+        sample["submitted"] = submitted
     return sample
 
 
 # -- front ends --------------------------------------------------------
 
-class TraceWatch:
+class _Watch:
+    """What both front ends share: a :class:`Watchdog`, and the JSONL
+    alert log whose records are themselves schema-valid trace events,
+    closed by one ``audit.check`` record."""
+
+    def __init__(self, detectors: Iterable, out: Optional[str]):
+        self.watchdog = Watchdog(detectors)
+        self.out_path = out
+        self._out = open(out, "w", encoding="utf-8") if out else None
+        self._seq = 0
+        self.closed = False
+
+    def _now(self) -> float:
+        raise NotImplementedError
+
+    def _record(self, kind: str, at: float, **fields: Any) -> None:
+        event = {
+            "ts": at, "seq": self._seq, "kind": kind,
+            "cat": kind.split(".", 1)[0], **fields,
+        }
+        self._seq += 1
+        if self._out is not None:
+            self._out.write(json.dumps(event, separators=(",", ":")))
+            self._out.write("\n")
+            self._out.flush()
+
+    def _record_alerts(self, raised: list[Alert], cleared: list[Alert],
+                       at: float) -> None:
+        for alert in raised:
+            self._record(
+                "alert.raise", alert.at, detector=alert.detector,
+                severity=alert.severity, message=alert.message,
+                key=alert.key,
+            )
+        for alert in cleared:
+            self._record(
+                "alert.clear", at, detector=alert.detector, key=alert.key,
+            )
+
+    def summary(self) -> dict:
+        return {
+            "alerts": [a.to_json() for a in self.watchdog.history],
+            "active_alerts": self.watchdog.active_alerts(),
+            "health_score": self.watchdog.health_score(),
+        }
+
+    def close(self) -> dict:
+        """Closing ``audit.check`` record and file close, once; returns
+        the summary."""
+        if not self.closed:
+            self.closed = True
+            summary = self.summary()
+            self._record(
+                "audit.check", self._now(),
+                events=summary.get("events", self._seq),
+                violations=len(summary.get("violations", ())),
+                alerts=len(summary["alerts"]),
+                health_score=summary["health_score"],
+                ok=summary.get("ok", True),
+            )
+            if self._out is not None:
+                self._out.close()
+                self._out = None
+            self._summary = summary
+        return self._summary
+
+
+class TraceWatch(_Watch):
     """Certifier + watchdog over a run directory's trace files.
 
     ``step()`` polls the tails, feeds the certifier, samples it for the
@@ -504,29 +581,16 @@ class TraceWatch:
         stall_after: float = 2.0,
         reconfig_bound: float = 5.0,
     ):
+        super().__init__(default_trace_detectors(
+            stall_after=stall_after, reconfig_bound=reconfig_bound,
+        ), out)
         self.source = TraceDirectorySource(directory=directory, paths=paths)
         self.certifier = SafetyCertifier()
-        self.watchdog = Watchdog(default_trace_detectors(
-            stall_after=stall_after, reconfig_bound=reconfig_bound,
-        ))
-        self.out_path = out
-        self._out = open(out, "w", encoding="utf-8") if out else None
-        self._seq = 0
         self._last_acyclic = 0.0
         self._last_sample = 0.0
-        self.closed = False
 
-    # alert-log records are themselves schema-valid trace events.
-    def _record(self, kind: str, at: float, **fields: Any) -> None:
-        event = {
-            "ts": at, "seq": self._seq, "kind": kind,
-            "cat": kind.split(".", 1)[0], **fields,
-        }
-        self._seq += 1
-        if self._out is not None:
-            self._out.write(json.dumps(event, separators=(",", ":")))
-            self._out.write("\n")
-            self._out.flush()
+    def _now(self) -> float:
+        return self.certifier.now
 
     def step(self) -> dict:
         """One tick: returns ``{"events", "violations", "raised",
@@ -564,17 +628,7 @@ class TraceWatch:
             payload = violation.to_json()
             payload.pop("at", None)
             self._record("audit.violation", violation.at, **payload)
-        for alert in raised:
-            self._record(
-                "alert.raise", alert.at, detector=alert.detector,
-                severity=alert.severity, message=alert.message,
-                key=alert.key,
-            )
-        for alert in cleared:
-            self._record(
-                "alert.clear", sample["at"], detector=alert.detector,
-                key=alert.key,
-            )
+        self._record_alerts(raised, cleared, sample["at"])
         return {
             "events": len(events),
             "violations": violations,
@@ -594,43 +648,27 @@ class TraceWatch:
 
     def summary(self) -> dict:
         summary = self.certifier.summary()
-        summary["alerts"] = [a.to_json() for a in self.watchdog.history]
-        summary["active_alerts"] = self.watchdog.active_alerts()
-        summary["health_score"] = self.watchdog.health_score()
+        summary.update(super().summary())
         summary["malformed_lines"] = self.source.malformed
         if self.out_path:
             summary["alert_log"] = self.out_path
         return summary
 
     def close(self) -> dict:
-        """Final acyclicity pass, closing ``audit.check`` record, file
-        close; returns the summary."""
+        """Final acyclicity pass, then the closing record."""
         if not self.closed:
-            self.closed = True
             self.certifier.check_acyclic()
-            summary = self.summary()
-            self._record(
-                "audit.check", self.certifier.now,
-                events=summary["events"],
-                violations=len(summary["violations"]),
-                alerts=len(summary["alerts"]),
-                health_score=summary["health_score"],
-                ok=summary["ok"],
-            )
-            if self._out is not None:
-                self._out.close()
-                self._out = None
-            self._summary = summary
-        return self._summary
+        return super().close()
 
 
-class EndpointsWatch:
+class EndpointsWatch(_Watch):
     """Watchdog over a live cluster's ``/health`` endpoints.
 
-    No trace files required: each poll scrapes every node (with a
-    per-node timeout), builds one sample per node plus the reachability
-    set, and feeds the node-level detectors.  Scrapes run on wall time
-    (the caller's clock).
+    No trace files required: each poll scrapes every node at once
+    (:func:`repro.runtime.console.fetch_all`, one per-node timeout for
+    the lot), folds the snapshots into one sample, and feeds it to the
+    node-level detectors.  Scrapes run on wall time (the caller's
+    clock).
     """
 
     def __init__(
@@ -640,102 +678,27 @@ class EndpointsWatch:
         timeout: float = 0.5,
         out: Optional[str] = None,
     ):
+        super().__init__(default_node_detectors(), out)
         self.endpoints = dict(endpoints)
         self.clock = clock
         self.timeout = timeout
-        self.watchdog = Watchdog(default_endpoint_detectors())
-        self.out_path = out
-        self._out = open(out, "w", encoding="utf-8") if out else None
-        self._seq = 0
-        self.closed = False
 
-    def _record(self, kind: str, at: float, **fields: Any) -> None:
-        event = {
-            "ts": at, "seq": self._seq, "kind": kind,
-            "cat": kind.split(".", 1)[0], **fields,
-        }
-        self._seq += 1
-        if self._out is not None:
-            self._out.write(json.dumps(event, separators=(",", ":")))
-            self._out.write("\n")
-            self._out.flush()
+    def _now(self) -> float:
+        return self.clock()
 
     def step(self) -> dict:
-        from ..runtime.console import fetch_json
+        # Deferred: the HTTP client stack costs every importer of
+        # repro.obs megabytes, and only this scrape needs it.
+        from ..runtime.console import fetch_all
 
-        now = self.clock()
-        unreachable: list[str] = []
-        streams: dict[str, dict] = {}
-        queue_depths: dict[str, float] = {}
-        delivered = 0
-        submitted = None
-        for node, (host, port) in sorted(self.endpoints.items()):
-            snapshot = fetch_json(host, port, "/health", timeout=self.timeout)
-            if snapshot is None:
-                unreachable.append(node)
-                continue
-            sample = sample_from_health(snapshot, node=node)
-            delivered += sample.get("delivered", 0)
-            if sample.get("submitted") is not None:
-                submitted = (submitted or 0) + sample["submitted"]
-            for stream, entry in sample["streams"].items():
-                merged = streams.setdefault(
-                    stream, {"low": None, "high": None}
-                )
-                low, high = entry.get("low"), entry.get("high")
-                if low is not None and (merged["low"] is None
-                                        or low < merged["low"]):
-                    merged["low"] = low
-                if high is not None and (merged["high"] is None
-                                         or high > merged["high"]):
-                    merged["high"] = high
-            for dst, depth in sample.get("queue_depths", {}).items():
-                queue_depths[f"{node}:{dst}"] = depth
-        sample = {
-            "at": now,
-            "streams": streams,
-            "delivered": delivered,
-            "queue_depths": queue_depths,
-            "unreachable": tuple(unreachable),
-        }
-        if submitted is not None:
-            sample["submitted"] = submitted
+        at = self.clock()
+        sample = sample_from_health(
+            fetch_all(self.endpoints, "/health", self.timeout), at=at
+        )
         raised, cleared = self.watchdog.observe(sample)
-        for alert in raised:
-            self._record(
-                "alert.raise", alert.at, detector=alert.detector,
-                severity=alert.severity, message=alert.message,
-                key=alert.key,
-            )
-        for alert in cleared:
-            self._record(
-                "alert.clear", now, detector=alert.detector, key=alert.key,
-            )
+        self._record_alerts(raised, cleared, at)
         return {
-            "unreachable": unreachable,
+            "unreachable": list(sample["unreachable"]),
             "raised": raised,
             "cleared": cleared,
         }
-
-    def summary(self) -> dict:
-        return {
-            "alerts": [a.to_json() for a in self.watchdog.history],
-            "active_alerts": self.watchdog.active_alerts(),
-            "health_score": self.watchdog.health_score(),
-        }
-
-    def close(self) -> dict:
-        if not self.closed:
-            self.closed = True
-            summary = self.summary()
-            self._record(
-                "audit.check", self.clock(),
-                events=self._seq, violations=0,
-                alerts=len(summary["alerts"]),
-                health_score=summary["health_score"], ok=True,
-            )
-            if self._out is not None:
-                self._out.close()
-                self._out = None
-            self._summary = summary
-        return self._summary

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from ..obs.metrics import UtilisationProbe
 from .kernel import Kernel
 
 __all__ = ["Server"]
@@ -35,11 +36,6 @@ class Server:
         self.env = env
         self.rate = rate
         self.name = name
-        # Deferred import: the probe lives with the measurement
-        # primitives, which the kernel interface must not depend on at
-        # import time (repro.sim.monitor imports the sim kernel).
-        from ..sim.monitor import UtilisationProbe
-
         self.probe = UtilisationProbe(env, name)
         self._free_at = 0.0
         self.completed = 0

@@ -29,11 +29,6 @@ watchdog evaluates itself, and ``python -m repro top`` renders the same
 endpoints as a live console.  Clock alignment does not go through HTTP:
 the run driver (:mod:`repro.runtime.driver`) reads the node clocks over
 whatever reaches the node and feeds :func:`estimate_offset`.
-
-Layering note: :mod:`repro.obs.metrics` builds on the sim monitor
-primitives, so it is imported lazily inside the functions that need a
-registry -- importing this module never drags ``repro.sim`` in (see
-``tests/runtime/test_layering.py``).
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ import json
 import re
 from typing import Any, Awaitable, Callable, Optional
 
+from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import DEFAULT_CATEGORIES, JsonlSink, Tracer
 from ..obs.watch import Watchdog, default_node_detectors, sample_from_health
@@ -300,8 +296,6 @@ class NodeTelemetry:
         bind_host: str = "127.0.0.1",
         profile_interval: float = 0.02,
     ):
-        from ..obs.metrics import MetricsRegistry   # deferred: pulls in sim
-
         self.node = node
         self.trace_path = trace_path
         self.recorder = FlightRecorder(capacity=_FLIGHT_CAPACITY)
@@ -364,7 +358,7 @@ class NodeTelemetry:
         return ("application/json", json.dumps(self.registry.dump()))
 
     def _observe_health(self, snapshot: dict) -> None:
-        self.watchdog.observe(sample_from_health(snapshot, node=self.node))
+        self.watchdog.observe(sample_from_health({self.node: snapshot}))
 
     def _route_health(self) -> tuple[str, str]:
         snapshot = self._health()

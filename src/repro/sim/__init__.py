@@ -9,20 +9,16 @@ Public surface:
 * :class:`Network`, :class:`Host`, :class:`LinkSpec`, :class:`Envelope`
   -- the message-passing fabric (:mod:`repro.sim.network`);
 * :class:`Server` -- CPU/disk capacity model (:mod:`repro.sim.resources`);
-* :class:`Counter`, :class:`Series`, :class:`UtilisationProbe` --
-  measurement probes (:mod:`repro.sim.monitor`);
 * :class:`RngRegistry` -- named seeded RNG streams (:mod:`repro.sim.rng`).
 """
 
 from .core import Environment, SimulationError
-from .monitor import Counter, Series, UtilisationProbe, percentile
 from .network import Envelope, Host, LinkSpec, Network
 from .queues import QueueFull, Store
 from .resources import Server
 from .rng import RngRegistry
 
 __all__ = [
-    "Counter",
     "Envelope",
     "Environment",
     "Host",
@@ -30,10 +26,7 @@ __all__ = [
     "Network",
     "QueueFull",
     "RngRegistry",
-    "Series",
     "Server",
     "SimulationError",
     "Store",
-    "UtilisationProbe",
-    "percentile",
 ]

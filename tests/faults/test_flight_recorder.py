@@ -98,8 +98,7 @@ def test_violation_dump_contains_causal_history(tmp_path, monkeypatch):
 def test_clean_run_writes_no_dump(tmp_path, monkeypatch):
     monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
     runner = ScenarioRunner(_quiet_spec(), seed=1)
-    result = runner.run()
-    assert result.converged
+    runner.run()
     assert os.listdir(str(tmp_path)) == []
     # The recorder still holds the run's history, bounded by capacity.
     assert len(runner.recorder) > 0

@@ -24,7 +24,7 @@ from repro.harness.experiments import (
     run_reconfig,
     run_vertical,
 )
-from repro.metrics import is_monotonic_increasing
+from repro.harness.report import is_monotonic_increasing
 
 
 def test_vertical_miniature_staircase():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import (
+from repro.harness.report import (
     dip_and_recovery,
     flat_through,
     is_monotonic_increasing,

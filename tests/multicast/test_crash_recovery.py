@@ -190,6 +190,5 @@ def test_checkpoint_right_after_a_recovery_keeps_the_replay_instance():
         load_rate=80.0,
     )
     runner = ScenarioRunner(spec, seed=1)
-    result = runner.run()   # raises InvariantViolation on any breach
-    assert result.converged
+    runner.run()   # raises InvariantViolation on any breach
     assert runner.suite.logs["G1/r1"].rewinds == 2

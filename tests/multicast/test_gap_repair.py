@@ -46,8 +46,7 @@ def test_every_hole_of_a_loss_window_closes_within_two_repair_rounds():
             holes_seen.append(env.now)
 
     every(env, 0.05, probe)
-    result = runner.run()   # raises InvariantViolation on any breach
-    assert result.converged
+    runner.run()   # raises InvariantViolation on any breach
     assert holes_seen   # the window did leave holes
     repairs = [
         event["ts"] for event in runner.recorder.events()

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.obs import audit
 from repro.obs.audit import (
     IncrementalTraceReader,
     SafetyCertifier,
@@ -308,8 +309,9 @@ def test_unsubscribed_replica_is_excluded_from_low_watermark():
 
 # -- compaction --------------------------------------------------------
 
-def test_compaction_bounds_memory_and_keeps_certifying():
-    certifier = SafetyCertifier(compact_limit=50)
+def test_compaction_bounds_memory_and_keeps_certifying(monkeypatch):
+    monkeypatch.setattr(audit, "_COMPACT_LIMIT", 50)
+    certifier = SafetyCertifier()
     for position in range(1, 301):
         certifier.observe(_deliver("n1", "r1", "s1", position, position))
     spec = certifier.spec

@@ -4,7 +4,8 @@ A worker killed with SIGKILL dies with its trace sink's write buffer
 in an arbitrary state: the file legitimately ends in half a JSON line.
 The merge pipeline must salvage every complete event before the tear
 instead of crashing -- strict reads stay strict (a torn line is a real
-error for anything but the merge tool).
+error for anything but the merge tool, which `repro stats` and `repro
+latency` report as a usage error that points at it).
 """
 
 from __future__ import annotations
@@ -79,6 +80,23 @@ def test_merge_files_tolerates_killed_nodes_trace(tmp_path):
     )
     # And the output file is itself a clean, strict-readable trace.
     assert len(read_trace(str(out))) == len(merged)
+
+
+@pytest.mark.parametrize("command", ["stats", "latency"])
+def test_cli_readers_refuse_a_torn_trace_and_name_the_merge_tool(
+    command, tmp_path, capsys
+):
+    from repro.cli import main
+
+    torn = tmp_path / "n2.trace.jsonl"
+    torn.write_text(
+        "\n".join(_lines("n2")) + '\n{"ts": 0.35, "kind": "replica.del',
+        encoding="utf-8",
+    )
+    assert main([command, str(torn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {torn}: ")
+    assert "python -m repro trace-merge" in err
 
 
 def test_trace_offsets_last_mark_wins():

@@ -20,6 +20,7 @@ from repro.obs.watch import (
     BackpressureDetector,
     ClockDriftDetector,
     DeliveryCollapseDetector,
+    EndpointsWatch,
     QuorumStallDetector,
     ReconfigStallDetector,
     TraceWatch,
@@ -68,7 +69,7 @@ def test_quorum_stall_needs_pending_proposals():
 
 
 def test_clock_drift_fires_on_movement_not_static_domains():
-    detector = ClockDriftDetector(bound=0.2)
+    detector = ClockDriftDetector()         # 0.2 s bound
     # The first estimate defines the node's clock domain: a large but
     # *measured* offset is compensated by the merge plane, not drift
     # (a multi-process worker that booted 5s late is healthy).
@@ -88,7 +89,7 @@ def test_clock_drift_fires_on_movement_not_static_domains():
 
 
 def test_backpressure_uses_sample_capacity():
-    detector = BackpressureDetector(high_water=0.8, capacity=1024)
+    detector = BackpressureDetector()       # 80% of capacity
     sample = _sample(1.0, queue_depths={"n2": 900}, queue_capacity=1000)
     assert [a.key for a in detector.observe(sample)] == ["n2"]
     calm = _sample(2.0, queue_depths={"n2": 10}, queue_capacity=1000)
@@ -96,8 +97,8 @@ def test_backpressure_uses_sample_capacity():
 
 
 def test_delivery_collapse_fires_only_while_submissions_continue():
-    detector = DeliveryCollapseDetector(window=2.0, ratio=0.25,
-                                        min_rate=50.0)
+    # 2 s windows; a drop below 25% of at least 50/s is a collapse.
+    detector = DeliveryCollapseDetector()
     # Healthy window: 100/s delivered, then the datapath dies while the
     # client keeps submitting.
     for i in range(5):
@@ -110,7 +111,7 @@ def test_delivery_collapse_fires_only_while_submissions_continue():
 
 
 def test_delivery_collapse_quiet_at_end_of_run():
-    detector = DeliveryCollapseDetector(window=2.0, min_rate=50.0)
+    detector = DeliveryCollapseDetector()
     # Delivered AND submitted both stop: workload over, not a collapse.
     for at, total in ((0.0, 0), (1.0, 100), (2.0, 200), (3.0, 205),
                       (4.0, 205), (5.0, 205)):
@@ -193,12 +194,75 @@ def test_sample_from_health_distils_watermarks_and_queues():
                       "queue_capacity": 1024},
         "client": {"submitted": 80},
     }
-    sample = sample_from_health(snapshot)
+    sample = sample_from_health({"n1": snapshot})
     assert sample["at"] == 12.5 and sample["node"] == "n1"
     assert sample["streams"]["s1"] == {"high": 40, "low": 36}
     assert sample["delivered"] == 138 and sample["submitted"] == 80
     assert sample["queue_depths"] == {"acc:s1:1": 7}
     assert sample["queue_capacity"] == 1024
+    assert "unreachable" not in sample
+
+
+def test_sample_from_health_folds_a_cluster():
+    n1 = {
+        "now": 1.0,
+        "streams": {"s1": {"positions_decided": 40}},
+        "replicas": {"r1": {"delivered": 70, "positions": {"s1": 38}}},
+        "transport": {"queue_depths": {"acc:s1:1": 7}},
+        "client": {"submitted": 80},
+    }
+    n2 = {
+        "now": 2.0,
+        "replicas": {"r2": {"delivered": 60,
+                            "positions": {"s1": 30, "s2": 5}}},
+        "transport": {"queue_depths": {"acc:s1:1": 3}},
+        "client": {"submitted": 20},
+    }
+    sample = sample_from_health({"n2": n2, "n3": None, "n1": n1}, at=9.0)
+    # Lowest low and highest high across nodes; the scrape's clock.
+    assert sample["at"] == 9.0 and "node" not in sample
+    assert sample["streams"] == {"s1": {"high": 40, "low": 30},
+                                 "s2": {"high": 5, "low": 5}}
+    assert sample["delivered"] == 130 and sample["submitted"] == 100
+    assert sample["queue_depths"] == {"n1:acc:s1:1": 7, "n2:acc:s1:1": 3}
+    assert sample["unreachable"] == ("n3",)
+    assert [a.node for a in UnreachableDetector().observe(sample)] == ["n3"]
+
+
+# -- EndpointsWatch ----------------------------------------------------
+
+def test_endpoints_watch_scrapes_silent_nodes_at_once(tmp_path):
+    # Four listening sockets that never answer: one step waits for one
+    # timeout, not four in a row, and lists every node as unreachable.
+    import socket
+    import time
+
+    import repro.runtime.console  # noqa: F401  (its import is not scrape time)
+
+    listeners = []
+    endpoints = {}
+    for name in ("n1", "n2", "n3", "n4"):
+        sock = socket.socket()
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(0)
+        listeners.append(sock)
+        endpoints[name] = ("127.0.0.1", sock.getsockname()[1])
+    out = str(tmp_path / "alerts.jsonl")
+    watch = EndpointsWatch(endpoints, clock=time.time, timeout=0.3, out=out)
+    try:
+        started = time.monotonic()
+        tick = watch.step()
+        elapsed = time.monotonic() - started
+    finally:
+        for sock in listeners:
+            sock.close()
+    assert tick["unreachable"] == ["n1", "n2", "n3", "n4"]
+    assert elapsed < 2 * 0.3
+    assert sorted(a.key for a in tick["raised"]) == ["n1", "n2", "n3", "n4"]
+    summary = watch.close()
+    assert summary["health_score"] == 0 and len(summary["alerts"]) == 4
+    # The alert log is a schema-valid trace: 4 raises, then audit.check.
+    assert validate_file(out) == 5
 
 
 # -- TraceWatch end to end ---------------------------------------------

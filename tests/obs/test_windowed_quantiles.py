@@ -11,7 +11,7 @@ intervening ``record()`` call needed.
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.monitor import Counter, Series
+from repro.obs.metrics import Counter, Series
 
 
 class FakeClock:

@@ -50,7 +50,6 @@ def test_chaos_invariants_hold(seed):
     result = run_scenario(get_scenario("chaos"), seed=seed)
     # run_scenario raises InvariantViolation on any broken property;
     # reaching here means every periodic and final check passed.
-    assert result.converged
     assert result.checks_run >= 2
     assert all(count > 0 for count in result.delivered.values())
 
@@ -59,8 +58,8 @@ def test_chaos_invariants_hold(seed):
     "seed", _CORPUS, ids=[f"{s}-{REGRESSION_SEEDS[s]}" for s in _CORPUS]
 )
 def test_chaos_regression_corpus(seed):
-    result = run_scenario(get_scenario("chaos"), seed=seed)
-    assert result.converged
+    # Raises InvariantViolation on a broken property or unconverged groups.
+    run_scenario(get_scenario("chaos"), seed=seed)
 
 
 def test_same_seed_same_schedule():

@@ -6,7 +6,8 @@ from repro.kvstore import InMemoryStore, partition_index_of
 from repro.multicast.stream import TokenLog
 from repro.paxos.skip import SkipCalculator
 from repro.paxos.types import AppValue, SkipToken
-from repro.sim import Envelope, Environment, Store, percentile
+from repro.quantiles import percentile
+from repro.sim import Envelope, Environment, Store
 
 
 @st.composite

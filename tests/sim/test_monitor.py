@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Counter, Environment, Series, UtilisationProbe, percentile
+from repro.obs.metrics import Counter, Series, UtilisationProbe
+from repro.quantiles import percentile
+from repro.sim import Environment
 
 
 def test_percentile_nearest_rank():

@@ -13,10 +13,10 @@ import pathlib
 import pytest
 
 import repro
+from repro.obs import metrics
 from repro.obs.critpath import _dist_ms
 from repro.quantiles import percentile
 from repro.runtime import node as live_node
-from repro.sim import monitor
 
 
 def test_the_rule_on_the_samples_the_old_rules_split_on():
@@ -33,7 +33,7 @@ def test_the_rule_on_the_samples_the_old_rules_split_on():
 
 def test_every_caller_quotes_the_same_number():
     samples = [0.001 * value for value in range(1, 101)]
-    assert monitor.percentile is percentile
+    assert metrics.percentile is percentile
     assert live_node.percentile(samples, 50) == percentile(samples, 50)
     assert _dist_ms(samples)["p50"] == pytest.approx(50.0)
     assert _dist_ms(samples)["p99"] == pytest.approx(99.0)
@@ -41,7 +41,7 @@ def test_every_caller_quotes_the_same_number():
 
 def test_each_caller_keeps_its_own_empty_answer():
     with pytest.raises(ValueError, match="no samples"):
-        monitor.percentile([], 50)
+        metrics.percentile([], 50)
     assert live_node.percentile([], 50) is None
     assert _dist_ms([]) == {"n": 0, "mean": None, "p50": None, "p99": None}
 

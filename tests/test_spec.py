@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import InvariantSuite, InvariantViolation
+from repro.obs import audit
 from repro.obs.audit import SafetyCertifier
 from repro.spec import PROPERTIES, SafetySpec
 
@@ -139,10 +140,10 @@ def _trace_events(history):
 
 
 def through_certifier(history, bound=None):
-    certifier = (
-        SafetyCertifier() if bound is None
-        else SafetyCertifier(compact_limit=bound)
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if bound is not None:
+            patch.setattr(audit, "_COMPACT_LIMIT", bound)
+        certifier = SafetyCertifier()
     returned = []
     for event in _trace_events(history):
         returned += certifier.observe(event)
