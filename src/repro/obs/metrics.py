@@ -41,8 +41,10 @@ and :class:`Series` therefore take optional retention bounds:
 ``Counter.total`` remains the *lifetime* total regardless of retention;
 range queries (``rate_between``, ``between``, ``percentile``...) only
 see retained samples.  Eviction is amortised O(1) per record: a logical
-start offset advances cheaply and the backing lists are compacted only
-once the dead prefix dominates.
+start offset advances cheaply and the backing columns are compacted
+only once the dead prefix dominates.  The columns are ``array('d')``,
+8 bytes a sample each instead of a list slot plus a float object, so
+every value reads back as a float.
 
 Windowed instruments also re-evaluate the window at *read* time.
 Eviction used to happen only inside ``record()``, so a windowed
@@ -60,6 +62,7 @@ memory.
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..quantiles import percentile
@@ -84,7 +87,7 @@ __all__ = [
 # it to distinguish a dump from a trace JSONL file).
 METRICS_DUMP_FORMAT = "repro-metrics/1"
 
-# Compact the backing lists only when at least this many dead slots
+# Compact the backing columns only when at least this many dead slots
 # exist *and* they outnumber the live ones (amortised O(1) eviction).
 _COMPACT_MIN = 256
 
@@ -105,7 +108,7 @@ class _BoundedSamples:
         self.env = env
         self.window = window
         self.max_samples = max_samples
-        self._times: list[float] = []
+        self._times = array("d")
         self._start = 0                 # first live index
 
     def __len__(self) -> int:
@@ -118,7 +121,7 @@ class _BoundedSamples:
         if self.window is not None and len(self._times) > self._start:
             self._evict()
 
-    def _columns(self) -> tuple[list, ...]:
+    def _columns(self) -> tuple[array, ...]:
         """The sample columns to evict/compact alongside ``_times``."""
         return (self._times,)
 
@@ -159,7 +162,7 @@ class Counter(_BoundedSamples):
     ):
         super().__init__(env, window, max_samples)
         self.name = name
-        self._weights: list[float] = []
+        self._weights = array("d")
         self._total = 0.0
 
     def _columns(self):
@@ -223,7 +226,7 @@ class Series(_BoundedSamples):
     ):
         super().__init__(env, window, max_samples)
         self.name = name
-        self._values: list[float] = []
+        self._values = array("d")
 
     def _columns(self):
         return (self._times, self._values)
@@ -249,7 +252,7 @@ class Series(_BoundedSamples):
         self._refresh()
         lo = self._lo(start)
         hi = self._hi(end)
-        return self._values[lo:hi]
+        return self._values[lo:hi].tolist()
 
     def percentile(self, pct: float) -> float:
         return percentile(self.values, pct)

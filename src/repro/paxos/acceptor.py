@@ -155,54 +155,41 @@ class AcceptorCore:
     # -- learning & recovery -------------------------------------------------
 
     def on_decision(self, msg: Decision, src: str) -> list[tuple[str, object]]:
-        entry = self.log.entry(msg.instance)
-        if entry.value is None:
-            entry.value = msg.batch
-            entry.vrnd = max(entry.vrnd, 0)
-        entry.decided = True
+        self.log.learn(msg.instance, msg.batch)
         return []
 
     def on_recover_request(self, msg: RecoverRequest, src: str) -> list[tuple[str, object]]:
         """Answer with one page of decided instances."""
-        start = max(msg.from_instance, self.log.trimmed_below)
-        stop = self.log.highest_instance + 1
+        log = self.log
+        start = max(msg.from_instance, log.trimmed_below)
+        stop = log.highest_instance + 1
         if msg.to_instance >= 0:
             stop = min(stop, msg.to_instance)
         decided = []
         instance = start
         while instance < stop and len(decided) < RECOVERY_PAGE_INSTANCES:
-            if self.log.is_decided(instance):
-                decided.append((instance, self.log.decided_value(instance)))
+            if log.is_decided(instance):
+                decided.append((instance, log.decided_value(instance)))
             instance += 1
-        highest_decided = -1
-        for i in self.log.decided_instances():
-            highest_decided = i
         reply = RecoverReply(
             stream=self.stream,
             decided=tuple(decided),
-            trimmed_below=self.log.trimmed_below,
-            highest_decided=highest_decided,
+            trimmed_below=log.trimmed_below,
+            highest_decided=log.highest_decided,
             base_position=self.positions_trimmed,
         )
         return [(src, reply)]
 
     def on_trim(self, msg: Trim, src: str) -> list[tuple[str, object]]:
-        decided = self.log.decided_instances()
         # Only a decided prefix may go: trimming an undecided instance
         # could lose an accepted value a future quorum needs.
-        expected = self.log.trimmed_below
-        for instance in decided:
-            if instance != expected:
-                break
-            expected = instance + 1
-        safe = min(msg.below, expected)
-        if safe > self.log.trimmed_below:
-            for instance in range(self.log.trimmed_below, safe):
-                if self.log.is_decided(instance):
-                    self.positions_trimmed += self.log.decided_value(
-                        instance
-                    ).positions()
-            self.log.trim(safe)
+        log = self.log
+        safe = log.trimmed_below
+        while safe < msg.below and log.is_decided(safe):
+            self.positions_trimmed += log.decided_value(safe).positions()
+            safe += 1
+        if safe > log.trimmed_below:
+            log.trim(safe)
         return []
 
 

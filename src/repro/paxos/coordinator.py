@@ -25,6 +25,7 @@ from typing import Optional
 from ..net.actor import Actor
 from ..runtime.kernel import Kernel, Timer, Transport, every
 from ..runtime.resources import Server
+from ..storage.log import InstanceSet
 from .ballot import ballot_for, next_ballot, quorum_size
 from .batching import AdaptiveBatchPolicy
 from .config import StreamConfig
@@ -99,7 +100,7 @@ class CoordinatorActor(Actor):
         self.next_instance = 0
         self.pending: deque = deque()          # tokens awaiting proposal
         self.outstanding: dict[int, dict] = {}  # instance -> tracking info
-        self.decided_instances: set[int] = set()
+        self.decided_instances = InstanceSet()
         self.learners: list[str] = []
         self._submitted_ids: set = set()       # _submission_key of all queued
         self.refused_proposals = 0             # Proposes for another stream

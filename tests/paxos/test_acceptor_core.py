@@ -165,6 +165,61 @@ def test_trim_stops_at_undecided_instance():
     assert acceptor.log.get(1) is not None
 
 
+def test_recovery_reports_no_highest_decided_once_trim_drops_them_all():
+    acceptor = make_acceptor()
+    for i in range(3):
+        acceptor.on_decision(Decision(stream="S1", instance=i, batch=batch(i)), "c")
+    acceptor.log.accept(3, 0, batch("pending"))
+    acceptor.on_trim(Trim(stream="S1", below=2), "c")
+    (_dst, reply), = acceptor.on_recover_request(
+        RecoverRequest(stream="S1", from_instance=0), "learner"
+    )
+    assert reply.highest_decided == 2
+    acceptor.on_trim(Trim(stream="S1", below=9), "c")
+    assert acceptor.log.trimmed_below == 3
+    (_dst, reply), = acceptor.on_recover_request(
+        RecoverRequest(stream="S1", from_instance=0), "learner"
+    )
+    assert reply.decided == ()
+    assert reply.trimmed_below == 3
+    assert reply.highest_decided == -1
+
+
+def _count_log_reads(monkeypatch, log) -> list:
+    reads: list = []
+    for name in ("is_decided", "decided_value", "decided_instances",
+                 "get", "entry"):
+        def spy(*args, _read=getattr(log, name), _name=name):
+            reads.append(_name)
+            return _read(*args)
+        monkeypatch.setattr(log, name, spy)
+    return reads
+
+
+def test_recovery_and_trim_read_a_page_not_the_log(monkeypatch):
+    from repro.paxos.acceptor import RECOVERY_PAGE_INSTANCES as PAGE
+
+    acceptor = make_acceptor()
+    value = batch("v")
+    for i in range(100_000):
+        acceptor.on_decision(Decision(stream="S1", instance=i, batch=value), "c")
+    reads = _count_log_reads(monkeypatch, acceptor.log)
+
+    (_dst, reply), = acceptor.on_recover_request(
+        RecoverRequest(stream="S1", from_instance=5_000), "learner"
+    )
+    assert [i for i, _b in reply.decided] == list(range(5_000, 5_000 + PAGE))
+    assert reply.highest_decided == 99_999
+    assert sorted(set(reads)) == ["decided_value", "is_decided"]
+    assert reads.count("is_decided") == reads.count("decided_value") == PAGE
+
+    reads.clear()
+    acceptor.on_trim(Trim(stream="S1", below=PAGE), "c")
+    assert acceptor.log.trimmed_below == PAGE
+    assert "decided_instances" not in reads
+    assert len(reads) <= 2 * PAGE + 1
+
+
 # -- wire-backed batches in the log (live backend) ----------------------
 #
 # On the live backend every batch an acceptor sees was decoded from a

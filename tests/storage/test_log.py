@@ -78,3 +78,13 @@ def test_decided_instances_sorted():
         log.accept(i, 1, i)
         log.mark_decided(i)
     assert log.decided_instances() == [0, 2, 3]
+
+
+def test_entry_is_a_read_only_view():
+    log = AcceptorLog()
+    log.accept(0, 2, "v")
+    entry = log.entry(0)
+    with pytest.raises(AttributeError):
+        entry.decided = True
+    assert not log.is_decided(0)
+    assert log.entry(0) == (2, "v", False)

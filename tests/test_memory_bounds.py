@@ -1,0 +1,104 @@
+"""Stated memory bounds of the per-entry structures that grow with a run.
+
+An acceptor keeps every decided instance until it is trimmed, a
+coordinator remembers which instances it decided, and the harness's
+``Counter``/``Series`` keep a sample per event.  Each is measured with
+``tracemalloc`` as the bytes it retains per entry, against the bounds
+in docs/RUNTIME.md ("Memory per entry").  The bounds leave headroom
+over what CPython 3.10-3.12 measure, not over a per-entry object.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+
+from repro.obs.metrics import Counter, Series
+from repro.paxos import CoordinatorActor, StreamConfig
+from repro.paxos.messages import Decision
+from repro.paxos.types import AppValue, Batch
+from repro.sim import Environment, Network
+from repro.storage import AcceptorLog
+
+ENTRIES = 100_000
+
+
+def _retained(build):
+    """What ``build()`` returns and the bytes it left allocated."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        kept = build()
+        gc.collect()
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept, after - before
+
+
+def test_acceptor_log_retains_at_most_40_bytes_per_decided_instance():
+    shared = Batch(tokens=(AppValue(payload="v", size=64),))
+
+    def build():
+        log = AcceptorLog()
+        for instance in range(ENTRIES):
+            log.accept(instance, 0, shared)
+            log.mark_decided(instance)
+        return log
+
+    log, retained = _retained(build)
+    assert len(log) == ENTRIES
+    assert retained / ENTRIES <= 40
+
+
+def test_coordinator_retains_its_stragglers_not_its_decisions():
+    env = Environment()
+    coordinator = CoordinatorActor(
+        env, Network(env), StreamConfig(name="s1", acceptors=("s1/a1",))
+    )
+    shared = Batch(tokens=(AppValue(payload="v", size=64),))
+    stragglers = range(5_000, ENTRIES, 10_000)
+
+    def decide(instances):
+        for instance in instances:
+            coordinator.on_decision(
+                Decision(stream="s1", instance=instance, batch=shared), "a1"
+            )
+        return coordinator
+
+    held_back = set(stragglers)
+    _kept, retained = _retained(
+        lambda: decide(i for i in range(ENTRIES) if i not in held_back)
+    )
+    decided = coordinator.decided_instances
+    assert len(decided) == ENTRIES - len(held_back)
+    assert all(instance not in decided for instance in stragglers)
+    assert retained <= 1024 + 256 * len(held_back)
+
+    _kept, retained = _retained(lambda: decide(stragglers))
+    assert len(decided) == ENTRIES
+    assert all(instance in decided for instance in range(ENTRIES))
+    assert retained <= 1024
+
+
+class _Clock:
+    """The one attribute the instruments read on record."""
+
+    _now = now = 0.0
+
+
+def test_counter_and_series_retain_at_most_48_bytes_per_sample_pair():
+    clock = _Clock()
+
+    def build():
+        counter, series = Counter(clock), Series(clock)
+        for sample in range(ENTRIES):
+            clock._now = clock.now = sample * 1e-3
+            counter.record()
+            series.record(sample * 0.37)
+        return counter, series
+
+    (counter, series), retained = _retained(build)
+    assert len(counter) == len(series) == ENTRIES
+    assert retained / ENTRIES <= 48
