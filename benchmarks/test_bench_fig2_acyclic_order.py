@@ -61,9 +61,8 @@ def merge_throughput_run(n_tokens=200_000):
 
 
 def test_bench_fig2_scenario_and_merge_throughput(benchmark):
-    logs = build_figure2()
-    r1 = replay("G1", ["S1"], logs)
-    r2 = replay("G2", ["S2"], logs)
+    r1 = replay("G1", ["S1"], build_figure2())
+    r2 = replay("G2", ["S2"], build_figure2())
 
     print(section("Figure 2: acyclic ordering across cross-subscribing groups"))
     print(

@@ -23,7 +23,8 @@ __all__ = ["StaticMerger", "StreamCursor"]
 
 
 class StreamCursor:
-    """A replica's read position in one stream's token log."""
+    """A replica's read position in one stream's token log, and that
+    log's one reader: what it has read, the log may drop."""
 
     __slots__ = (
         "name", "log", "position", "index_hint",
@@ -33,19 +34,22 @@ class StreamCursor:
     def __init__(self, name: str, log: Optional[TokenLog] = None):
         self.name = name
         self.log = log if log is not None else TokenLog()
+        self.log.attach_reader()
         self.position = self.log.base      # next position to consume
         self.index_hint = 0                # token index cache for O(1) lookup
         # Last peeked token with its [start, end) position range.  The
-        # log is append-only and never rebased once it holds tokens, so
-        # a cached triple stays valid forever; re-peeking inside a wide
-        # token (a multi-position skip) hits the cache instead of
-        # re-running ``token_covering``.
+        # position only moves forward, the log drops only tokens below
+        # it, and it is never rebased once it holds tokens, so the
+        # cached triple stays valid while the cursor is inside it;
+        # re-peeking inside a wide token (a multi-position skip) hits
+        # the cache instead of re-running ``token_covering``.
         self._cache_token: Optional[Token] = None
         self._cache_start = 0
         self._cache_end = 0
 
     def peek(self) -> Optional[Token]:
-        """Token at the current position, or None if not yet decided."""
+        """Token at the current position, or None if not yet decided.
+        On a cache miss it releases what lies below the position."""
         pos = self.position
         if self._cache_start <= pos < self._cache_end:
             return self._cache_token
@@ -56,6 +60,7 @@ class StreamCursor:
             # are unknowable and, for a fresh subscriber, discarded.
             self.position = pos = log.base
         token, index = log.token_covering(pos, self.index_hint)
+        index -= log.release(pos, index)
         self.index_hint = index
         if token is not None:
             start = log.start_of(index)

@@ -7,7 +7,8 @@ the last acceptor, so learner changes are pushed to the acceptors --
 the role ZooKeeper plays for URingPaxos).
 
 :class:`TokenLog` is the replica-side view of a stream: decided batches
-flattened into a position-indexed sequence of tokens.  *Positions* are
+flattened into a position-indexed sequence of tokens, kept from where
+the replica's merger reads on.  *Positions* are
 the timestamps of Elastic Paxos -- the subscribe request's position in
 each stream defines the merge point -- so they are absolute from the
 beginning of the stream.  A :class:`SkipToken` with count ``n``
@@ -33,19 +34,36 @@ from ..storage.stable import StableStore
 
 __all__ = ["StreamDeployment", "TokenLog"]
 
+_INF = float("inf")
+# Tokens below the reader that a log lets pile up before it compacts:
+# it compacts once they are this many and at least as many as it keeps.
+_RELEASE_AT = 64
+
 
 class TokenLog:
-    """Position-indexed, append-only token sequence of one stream."""
+    """Position-indexed token sequence of one stream, as a window.
+
+    Tokens are appended at the frontier.  The log has one reader, the
+    merger's :class:`~repro.multicast.merge.StreamCursor`, which tells
+    it (:meth:`release`) what it will never read again; the log then
+    drops those tokens, whole and in amortised batches, and keeps the
+    last batch boundary at or below the reader, so :meth:`replay_point`
+    and :meth:`instance_consumed_below` answer for any position from
+    the reader's on exactly as a log that kept everything would.
+    Token indices count from the oldest token kept.
+    """
 
     def __init__(self, start_position: int = 0, start_instance: int = 0):
         self._tokens: list[Token] = []
         self._starts: list[int] = []          # start position of each token
         self._frontier = start_position       # first position not yet filled
         self._base = start_position
+        self._horizon = start_position        # first position still kept
         self._start_instance = start_instance   # whose tokens start at base
         # (end_position, instance) per appended batch, for the trim
         # coordinator: positions consumed map back to Paxos instances.
         self._batch_ends: list[tuple[int, int]] = []
+        self._has_reader = False
 
     @property
     def frontier(self) -> int:
@@ -57,14 +75,25 @@ class TokenLog:
         """First position this log covers (0 unless seeded post-trim)."""
         return self._base
 
+    @property
+    def horizon(self) -> int:
+        """First position still readable: ``base`` until the reader
+        released a prefix."""
+        return self._horizon
+
+    def attach_reader(self) -> None:
+        """Register the log's one reader (a merger's cursor)."""
+        if self._has_reader:
+            raise RuntimeError("a token log has exactly one reader")
+        self._has_reader = True
+
     def rebase(self, position: int, instance: int) -> None:
         """Seed an empty log at ``instance``'s ``position`` (post-trim)."""
-        if self._tokens:
+        if self._frontier != self._base:
             raise RuntimeError("cannot rebase a log that already has tokens")
         if position < self._base:
             raise ValueError("rebase must not move backwards")
-        self._base = position
-        self._frontier = position
+        self._base = self._horizon = self._frontier = position
         self._start_instance = instance
 
     def append_batch(self, batch: Batch, instance: Optional[int] = None) -> None:
@@ -73,6 +102,16 @@ class TokenLog:
         if instance is not None:
             self._batch_ends.append((self._frontier, instance))
 
+    def _boundary_below(self, position: int) -> int:
+        """Index of the last batch boundary at or below ``position``,
+        -1 for none; raises for a position the reader released."""
+        if position < self._horizon and self._base < self._horizon:
+            raise ValueError(
+                f"position {position} is below the released horizon "
+                f"{self._horizon}"
+            )
+        return bisect.bisect_right(self._batch_ends, (position, _INF)) - 1
+
     def instance_consumed_below(self, position: int) -> Optional[int]:
         """Highest instance whose batch ends at or before ``position``.
 
@@ -80,10 +119,10 @@ class TokenLog:
         by the trim coordinator to translate a replica's merge cursor
         back into a safe acceptor-log trim horizon.
         """
-        index = bisect.bisect_right(self._batch_ends, (position, float("inf")))
-        if index == 0:
+        index = self._boundary_below(position)
+        if index < 0:
             return None
-        return self._batch_ends[index - 1][1]
+        return self._batch_ends[index][1]
 
     def replay_point(self, position: int) -> tuple[int, int]:
         """Where a recovering replica must restart to cover ``position``.
@@ -96,10 +135,10 @@ class TokenLog:
         one batch boundary: before the first whole batch it is the
         log's own seed, never instance 0 at a later base.
         """
-        index = bisect.bisect_right(self._batch_ends, (position, float("inf")))
-        if index == 0:
+        index = self._boundary_below(position)
+        if index < 0:
             return self._start_instance, self._base
-        end, instance = self._batch_ends[index - 1]
+        end, instance = self._batch_ends[index]
         return instance + 1, end
 
     def append(self, token: Token) -> None:
@@ -111,6 +150,7 @@ class TokenLog:
         self._frontier += positions
 
     def token_count(self) -> int:
+        """Tokens kept (from the horizon to the frontier)."""
         return len(self._tokens)
 
     def start_of(self, index: int) -> int:
@@ -122,18 +162,19 @@ class TokenLog:
 
         ``hint`` is a token index to start the forward scan from (the
         merger's cursor); the scan is O(1) amortized for sequential
-        access.  Returns ``(None, hint)`` when ``position`` is at or
-        beyond the frontier.
+        access.  Returns ``(None, token_count())`` when ``position`` is
+        at or beyond the frontier.  Raises ValueError below the horizon.
         """
-        if position < self._base:
+        if position < self._horizon:
             raise ValueError(
-                f"position {position} precedes log base {self._base}"
+                f"position {position} precedes the log's horizon "
+                f"{self._horizon} (base {self._base})"
             )
         tokens = self._tokens
         starts = self._starts
         count = len(tokens)
         if position >= self._frontier:
-            return None, (hint if hint < count else count)
+            return None, count
         index = hint
         if index < 0:
             index = 0
@@ -147,6 +188,24 @@ class TokenLog:
                 break
             index += 1
         return tokens[index], index
+
+    def release(self, position: int, index: int) -> int:
+        """The reader is at ``position``, on the token at ``index`` (or
+        past the frontier, ``index`` then the token count): it never
+        reads below either again.  Drops the tokens before ``index``
+        once they are ``_RELEASE_AT`` or more and at least as many as
+        those kept, and returns how many it dropped, by which every kept
+        token's index fell."""
+        if index < _RELEASE_AT or index + index < len(self._tokens):
+            return 0
+        del self._tokens[:index]
+        del self._starts[:index]
+        self._horizon = self._starts[0] if self._starts else self._frontier
+        ends = self._batch_ends
+        keep = bisect.bisect_right(ends, (position, _INF)) - 1
+        if keep > 0:
+            del ends[:keep]
+        return index
 
 
 class StreamDeployment:

@@ -192,3 +192,52 @@ def test_checkpoint_right_after_a_recovery_keeps_the_replay_instance():
     runner = ScenarioRunner(spec, seed=1)
     runner.run()   # raises InvariantViolation on any breach
     assert runner.suite.logs["G1/r1"].rewinds == 2
+
+
+def test_recovery_from_a_checkpoint_cut_after_the_log_compacted():
+    """A replica's token log drops what its merger has read.  G1/r1 is
+    checkpointed every 0.25 s; the 1.5 checkpoint is cut after its S1
+    log released a prefix, and it crashes at 1.6 and recovers from that
+    checkpoint at 1.8.  Its learner re-fetches from the checkpoint's
+    replay point -- a batch boundary the compacted log kept -- and r1
+    then delivers the suffix G1/r2, which never crashed, delivers."""
+    schedule = Schedule(
+        name="crash-after-compaction",
+        actions=(
+            CrashAt(at=1.6, target="G1/r1"),
+            RecoverAt(at=1.8, target="G1/r1"),
+        ),
+    )
+    spec = ScenarioSpec(
+        name="crash-after-compaction",
+        description="a checkpoint cut after the token log compacted, "
+                    "then recovered from",
+        streams=("S1",),
+        groups={"G1": ("S1",)},
+        duration=3.0,
+        schedule=lambda _seed: schedule,
+    )
+    runner = ScenarioRunner(spec, seed=1)
+    r1 = runner.cluster.replicas["G1/r1"]
+    cut = r1.make_checkpoint
+    cuts = []   # (time, log released a prefix, suite mark) per checkpoint
+
+    def make_checkpoint():
+        log = r1.logs["S1"]
+        cuts.append((
+            r1.env.now, log.horizon > log.base, runner.suite.mark("G1/r1"),
+        ))
+        return cut()
+
+    r1.make_checkpoint = make_checkpoint
+    runner.run()   # raises InvariantViolation on any breach
+
+    at, compacted, mark = [c for c in cuts if c[0] < 1.6][-1]
+    assert at == 1.5 and compacted
+    recovered, survivor = runner.suite.logs["G1/r1"], runner.suite.logs["G1/r2"]
+    assert recovered.rewinds == 1
+    assert recovered.sequence()[mark:] == survivor.sequence()[mark:]
+    assert len(recovered.sequence()) > mark
+    # The recovered log, seeded at the replay point, compacts in turn.
+    log = r1.logs["S1"]
+    assert log.horizon > log.base

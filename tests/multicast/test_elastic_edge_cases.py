@@ -46,6 +46,13 @@ def test_resubscribe_after_unsubscribe():
     s1.append(value("a1"))
     r.merger.pump()
     assert r.merger.subscriptions == ("S1",)
+    assert r.released == ["S2"]
+
+    # A replica drops S2's log with its learner, and a re-subscription
+    # attaches a fresh log (one reader each) that recovers the stream.
+    s2 = logs["S2"] = TokenLog()
+    s2.append(value("b0"))
+    s2.append(value("lost"))
 
     # Re-subscribe: a fresh request ordered in both streams.
     sub = SubscribeMsg(group="G", stream="S2")
@@ -155,8 +162,9 @@ def test_retried_subscribe_deferred_behind_the_first_does_not_double_sigma():
     same logs, ordered 100 before 205 (Fig. 2's cycle)."""
     from repro.spec import SafetySpec
 
-    logs = {"S1": TokenLog(), "S2": TokenLog()}
     delivered = {"G": [], "H": []}
+    # One replica each, so one copy of the streams' logs each.
+    logs = {group: {"S1": TokenLog(), "S2": TokenLog()} for group in delivered}
     mergers = {}
     for group, out in delivered.items():
         mergers[group] = ElasticMerger(
@@ -164,9 +172,9 @@ def test_retried_subscribe_deferred_behind_the_first_does_not_double_sigma():
             deliver=lambda s, p, vs, out=out: out.extend(
                 (s, q, v.msg_id) for q, v in enumerate(vs, p)
             ),
-            stream_provider=logs.__getitem__,
+            stream_provider=logs[group].__getitem__,
         )
-        mergers[group].restore(MergerState.initial(["S1"]), logs)
+        mergers[group].restore(MergerState.initial(["S1"]), logs[group])
     first, retry = (
         SubscribeMsg(group="G", stream="S2", request_id=request_id)
         for request_id in (1, 2)
@@ -183,8 +191,8 @@ def test_retried_subscribe_deferred_behind_the_first_does_not_double_sigma():
         script.append(("S2", AppValue(payload=("S2", i), msg_id=200 + i)))
     script += [("S1", SkipToken(count=20)), ("S2", SkipToken(count=20))]
     for stream, token in script:
-        logs[stream].append(token)
-        for merger in mergers.values():
+        for group, merger in mergers.items():
+            logs[group][stream].append(token)
             merger.pump()
 
     assert mergers["G"].subscriptions == ("S1", "S2")
@@ -198,9 +206,9 @@ def test_retried_subscribe_deferred_behind_the_first_does_not_double_sigma():
     # Leaving S2 again finds one cursor to delete, not a second copy
     # of S2 still taking turns (the KeyError that killed the loop).
     after = value("after")
-    logs["S1"].append(UnsubscribeMsg(group="G", stream="S2"))
-    logs["S1"].append(after)
-    logs["S2"].append(SkipToken(count=30))
+    logs["G"]["S1"].append(UnsubscribeMsg(group="G", stream="S2"))
+    logs["G"]["S1"].append(after)
+    logs["G"]["S2"].append(SkipToken(count=30))
     mergers["G"].pump()
     assert mergers["G"].subscriptions == ("S1",)
     assert delivered["G"][-1][2] == after.msg_id

@@ -49,25 +49,26 @@ class Harness:
 
 def test_figure2_scenario_acyclic_order():
     """Reproduces Fig. 2 of the paper position-for-position."""
-    s1, s2 = TokenLog(), TokenLog()
-    logs = {"S1": s1, "S2": s2}
-
     sub_g1_s2 = SubscribeMsg(group="G1", stream="S2")
     sub_g2_s1 = SubscribeMsg(group="G2", stream="S1")
 
-    # Positions 0-8: history before the figure's window.
-    s1.append(SkipToken(count=9))
-    s2.append(SkipToken(count=9))
-    # Figure 2 contents, positions 9-14.
-    for token in (value("m1"), sub_g1_s2, value("m3"), value("m5"),
-                  sub_g2_s1, value("m7")):
-        s1.append(token)
-    for token in (value("m2"), sub_g1_s2, value("m4"), sub_g2_s1,
-                  value("m6"), value("m8")):
-        s2.append(token)
+    def figure2_logs():
+        """The figure's two streams, as one replica's own logs."""
+        s1, s2 = TokenLog(), TokenLog()
+        # Positions 0-8: history before the figure's window.
+        s1.append(SkipToken(count=9))
+        s2.append(SkipToken(count=9))
+        # Figure 2 contents, positions 9-14.
+        for token in (value("m1"), sub_g1_s2, value("m3"), value("m5"),
+                      sub_g2_s1, value("m7")):
+            s1.append(token)
+        for token in (value("m2"), sub_g1_s2, value("m4"), sub_g2_s1,
+                      value("m6"), value("m8")):
+            s2.append(token)
+        return {"S1": s1, "S2": s2}
 
-    r1 = Harness("G1", ["S1"], logs)
-    r2 = Harness("G2", ["S2"], logs)
+    r1 = Harness("G1", ["S1"], figure2_logs())
+    r2 = Harness("G2", ["S2"], figure2_logs())
     r1.pump()
     r2.pump()
 

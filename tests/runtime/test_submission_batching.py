@@ -152,21 +152,35 @@ def test_a_lone_submission_is_the_propose_it_always_was(monkeypatch):
     run(main())
 
 
+def learned_tokens(replica, stream):
+    """Every token ``replica``'s learner for ``stream`` hands on from
+    now on, in the order of the decided instances."""
+    learned: list = []
+    core = replica.learners[stream]
+    on_deliver = core.on_deliver
+
+    def record(instance, batch):
+        learned.extend(batch.tokens)
+        on_deliver(instance, batch)
+
+    core.on_deliver = record
+    return learned
+
+
 def test_control_tokens_keep_their_place_among_a_turns_values():
     async def main():
         async with live_cluster(streams=2) as cluster:
+            learned = {
+                name: learned_tokens(replica, "s1")
+                for name, replica in cluster.replicas.items()
+            }
             client = cluster.client
             first = client.multicast("s1", b"before", 6)
             request_id = cluster.client_node.subscribe_msg("s2", via="s1")
             second = client.multicast("s1", b"after", 5)
             assert await cluster.wait_subscribed("s2", timeout=30.0)
             await delivered(cluster, 2)
-            for name, replica in cluster.replicas.items():
-                log = replica.logs["s1"]
-                tokens = [
-                    log.token_covering(log.start_of(index))[0]
-                    for index in range(log.token_count())
-                ]
+            for name, tokens in learned.items():
                 ordered = [
                     token.msg_id if isinstance(token, AppValue)
                     else token.request_id

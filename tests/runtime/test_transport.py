@@ -96,7 +96,8 @@ def test_send_before_listener_up_is_delivered_in_order_exactly_once():
         transport.register_address("c", ("127.0.0.1", port))
         for nonce in range(3):
             transport.send("a", "c", Heartbeat(nonce=nonce), 56)
-        await asyncio.sleep(0.12)   # let the connection spin on backoff
+        # The connection spins on backoff until the listener is up.
+        await eventually(lambda: transport.reconnect_attempts >= 1)
         assert transport.reconnect_attempts >= 1
         await late.start()
         assert await eventually(lambda: len(sink.seen) == 3)
@@ -396,12 +397,7 @@ def test_reconnect_attempts_are_counted():
         transport.register_address("b", ("127.0.0.1", port))
         transport.send("a", "b", Heartbeat(nonce=1), 56)
 
-        deadline = asyncio.get_event_loop().time() + 5
-        while (
-            transport.reconnect_attempts < 2
-            and asyncio.get_event_loop().time() < deadline
-        ):
-            await asyncio.sleep(0.02)
+        await eventually(lambda: transport.reconnect_attempts >= 2)
         assert transport.reconnect_attempts >= 2
         dump = registry.dump()
         totals = {e["name"]: e["total"] for e in dump["counters"]}

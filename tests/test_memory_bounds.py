@@ -1,7 +1,8 @@
 """Stated memory bounds of the per-entry structures that grow with a run.
 
 An acceptor keeps every decided instance until it is trimmed, a
-coordinator remembers which instances it decided, and the harness's
+coordinator remembers which instances it decided, a replica's token
+log keeps what its merger has yet to read, and the harness's
 ``Counter``/``Series`` keep a sample per event.  Each is measured with
 ``tracemalloc`` as the bytes it retains per entry, against the bounds
 in docs/RUNTIME.md ("Memory per entry").  The bounds leave headroom
@@ -13,6 +14,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+from repro.multicast import StreamCursor, TokenLog
 from repro.obs.metrics import Counter, Series
 from repro.paxos import CoordinatorActor, StreamConfig
 from repro.paxos.messages import Decision
@@ -80,6 +82,36 @@ def test_coordinator_retains_its_stragglers_not_its_decisions():
     assert len(decided) == ENTRIES
     assert all(instance in decided for instance in range(ENTRIES))
     assert retained <= 1024
+
+
+def _followed_log(lag: int):
+    """A token log fed ``ENTRIES`` one-value batches, read by its
+    cursor one position per batch once ``lag`` batches behind."""
+    shared = Batch(tokens=(AppValue(payload="v", size=64),))
+    log = TokenLog()
+    cursor = StreamCursor("s1", log)
+    for instance in range(ENTRIES):
+        log.append_batch(shared, instance=instance)
+        if instance >= lag:
+            cursor.peek()
+            cursor.position += 1
+    cursor.peek()
+    return log, cursor
+
+
+def test_token_log_read_as_it_grows_retains_a_constant():
+    (log, cursor), retained = _retained(lambda: _followed_log(0))
+    assert cursor.position == log.frontier == ENTRIES
+    assert log.replay_point(cursor.position) == (ENTRIES, ENTRIES)
+    assert retained <= 16 * 1024
+
+
+def test_token_log_retains_at_most_400_bytes_per_value_its_cursor_lags():
+    lag = 5_000
+    (log, cursor), retained = _retained(lambda: _followed_log(lag))
+    assert log.frontier - cursor.position == lag
+    assert log.instance_consumed_below(cursor.position) == ENTRIES - lag - 1
+    assert retained <= 16 * 1024 + 400 * lag
 
 
 class _Clock:
