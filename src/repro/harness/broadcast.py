@@ -20,6 +20,7 @@ from ..net.messages import FastMessage, Message, WIRE_HEADER_BYTES
 from ..obs.metrics import Counter, Series
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue
+from ..runtime.kernel import Expiries
 from ..sim.core import Environment
 from ..sim.network import Network
 from ..sim.resources import Server
@@ -101,6 +102,10 @@ class _Attempt:
         self.acked = False
         self.woken = False
 
+    def waiting(self) -> bool:
+        """Neither woken yet nor of a stopped thread: its expiry is due."""
+        return not self.woken and not self.thread.stopped
+
 
 class BroadcastClient(Actor):
     """Closed-loop client threads pinned to one stream each.
@@ -129,7 +134,6 @@ class BroadcastClient(Actor):
         super().__init__(env, network, name)
         self.directory = directory
         self.value_size = value_size
-        self.timeout = timeout
         self.think_time = think_time
         self.rng = rng or random.Random(0)
 
@@ -137,6 +141,7 @@ class BroadcastClient(Actor):
         self.latency = Series(env, f"{name}:latency")
         self.timeouts = 0
         self._pending: dict[int, _Attempt] = {}
+        self._expiries = Expiries(env, timeout, self._wake, _Attempt.waiting)
         self._threads: list[_Thread] = []
         self._retargets: dict[str, str] = {}
 
@@ -200,7 +205,7 @@ class BroadcastClient(Actor):
                 (self.name, target, self.value_size, value.msg_id),
             )
         self.send(coordinator, Propose(stream=target, token=value))
-        env.call_later(self.timeout, self._wake, attempt)
+        self._expiries.add(attempt)
 
     def on_delivery_ack(self, msg: DeliveryAck, src: str) -> None:
         attempt = self._pending.pop(msg.msg_id, None)

@@ -11,9 +11,10 @@ the refreshed partition map pushed by the registry watch) is what
 produces the ~1 s gap in Fig. 4.  Replicas of a shard all reply; the
 first reply completes the command and duplicates are dropped.
 
-Workers are state machines on ``call_later``: a command's send arms
-its expiry, and whichever of the last reply and the expiry comes first
-wakes it, one calendar step later, to finish or to re-send.
+Workers are state machines on ``call_later``: a command's send adds
+its expiry to the client's one :class:`~repro.runtime.kernel.Expiries`,
+and whichever of the last reply and the expiry comes first wakes it,
+one calendar step later, to finish or to re-send.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..net.actor import Actor
 from ..obs.metrics import Counter, Series
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue
-from ..runtime.kernel import Kernel, Transport
+from ..runtime.kernel import Expiries, Kernel, Transport
 from ..workload.generators import KeyspaceWorkload
 from .commands import CommandReply, DeleteCmd, GetCmd, PutCmd, RangeCmd, TxnCmd
 from .partitioning import PartitionMap
@@ -76,6 +77,11 @@ class _Attempt:
         self.done = False
         self.woken = False
 
+    def waiting(self) -> bool:
+        """Neither woken yet nor of a stopped worker: its expiry is due."""
+        worker = self.request.worker
+        return not self.woken and (worker is None or not worker.stopped)
+
 
 class KvClient(Actor):
     """A client VM running closed-loop worker threads."""
@@ -99,7 +105,6 @@ class KvClient(Actor):
         self.partition_map = partition_map
         self.workload = workload
         self.n_threads = n_threads
-        self.timeout = timeout
         self.think_time = think_time
         self.rng = rng or random.Random(0)
 
@@ -108,6 +113,7 @@ class KvClient(Actor):
         self.timeouts = 0
         self.completed = 0
         self._pending: dict[int, _Attempt] = {}
+        self._expiries = Expiries(env, timeout, self._wake, _Attempt.waiting)
         self._workers: list[_Worker] = []
 
         self.registry: Optional[RegistryClient] = None
@@ -223,7 +229,7 @@ class KvClient(Actor):
                 ),
             ),
         )
-        self.env.call_later(self.timeout, self._wake, attempt)
+        self._expiries.add(attempt)
 
     def _wake(self, attempt: _Attempt) -> None:
         """The last reply's step or the expiry: the first one resumes

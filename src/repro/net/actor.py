@@ -6,12 +6,14 @@ dispatches each payload to ``on_<MessageClassName>`` methods, e.g. a
 message types raise -- a replica silently ignoring a message it should
 handle is a bug, not a feature.
 
-:meth:`Actor.receive` is the one way a message reaches an actor.  The
+Every message reaches an actor through :meth:`Actor.dispatch`.  The
 mailbox (``inbox.consume``, :class:`repro.runtime.kernel.InboxLike`)
-calls it per envelope on both backends; a transport that already runs
-on the actor's thread (the live TCP transport, in its receive callback)
-calls it directly while the mailbox is parked on an empty inbox, and
-reports a handler that raised through :meth:`Actor.abort`.
+calls it per envelope on both backends -- through :meth:`Actor.receive`,
+which emits ``actor.dispatch`` first, when a dispatch tracer is
+installed; a transport that already runs on the actor's thread (the
+live TCP transport, in its receive callback) calls :meth:`Actor.receive`
+directly while the mailbox is parked on an empty inbox, and reports a
+handler that raised through :meth:`Actor.abort`.
 
 Actors code against the :class:`repro.runtime.kernel.Kernel` and
 :class:`repro.runtime.kernel.Transport` interfaces only; the same actor
@@ -76,7 +78,12 @@ class Actor:
         """Begin draining the inbox."""
         if self.running:
             raise RuntimeError(f"{self.name} already started")
-        self._mailbox = self.host.inbox.consume(self.receive, self.name)
+        # Without a dispatch tracer :meth:`receive` adds only a frame:
+        # the mailbox calls :meth:`dispatch` itself.
+        receive = (
+            self.dispatch if self._dispatch_tracer is None else self.receive
+        )
+        self._mailbox = self.host.inbox.consume(receive, self.name)
 
     def stop(self) -> None:
         """Stop the mailbox (without crashing the host)."""
@@ -123,9 +130,10 @@ class Actor:
     # -- dispatch ------------------------------------------------------
 
     def receive(self, payload: Any, src: str) -> None:
-        """Handle one received message: the single entry point, from
-        the mailbox and from a transport that dispatches in its own
-        receive callback."""
+        """Handle one received message: :meth:`dispatch`, traced.  The
+        entry point of a transport that dispatches in its own receive
+        callback, and of the mailbox when a dispatch tracer is
+        installed."""
         tracer = self._dispatch_tracer
         if tracer is not None:
             tracer.emit(

@@ -214,7 +214,7 @@ class AcceptorActor(Actor):
         # pause while a new subscriber catches up.
         self.recovery_instance_cost = recovery_instance_cost
         # Set by the deployment: who learns decisions in ring mode.
-        self.decision_targets: list[str] = []
+        self.decision_targets = []
         # Bound once; rebuilding this dict per message dominates the
         # dispatch cost on ring-accept-heavy runs.
         self._handler_map = {
@@ -225,6 +225,16 @@ class AcceptorActor(Actor):
             Trim: self.core.on_trim,
         }
         self._persist_types = frozenset((Phase1a, Phase2a, RingAccept))
+
+    @property
+    def decision_targets(self) -> list[str]:
+        return self._decision_targets
+
+    @decision_targets.setter
+    def decision_targets(self, targets: list[str]) -> None:
+        self._decision_targets = targets
+        # The decision fan-out, built per change rather than per decision.
+        self._fanout = [t for t in targets if t != self.name]
 
     def dispatch(self, payload, src):
         cls = type(payload)
@@ -260,10 +270,7 @@ class AcceptorActor(Actor):
                     instance=message.instance,
                     batch=message.batch,
                 )
-                name = self.name
-                self.send_all(
-                    [t for t in self.decision_targets if t != name], decision
-                )
+                self.send_all(self._fanout, decision)
             else:
                 self.send(dst, message)
 

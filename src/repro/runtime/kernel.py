@@ -29,6 +29,9 @@ backends, or kernel-generic code, share them:
 
 * :func:`every` / :class:`Timer` -- the one periodic timer, built on
   ``Kernel.call_later`` alone.
+* :class:`Expiries` -- one constant timeout over many waits (a
+  client's attempts) on one calendar entry, built on ``now`` and
+  ``call_later`` alone.
 * :class:`Envelope` -- the received-message record actors drain from
   their host inbox (``repro.sim.network`` re-exports it).
 
@@ -54,6 +57,7 @@ Contract notes
 
 from __future__ import annotations
 
+from collections import deque
 from typing import (
     Any,
     Callable,
@@ -65,6 +69,7 @@ from typing import (
 
 __all__ = [
     "Envelope",
+    "Expiries",
     "GC_THRESHOLD",
     "HostLike",
     "InboxLike",
@@ -182,6 +187,67 @@ def every(
     from ``first`` seconds on (default: one ``interval``), until it
     returns ``False`` or the returned :class:`Timer` is cancelled."""
     return Timer(kernel, interval, tick, interval if first is None else first)
+
+
+class Expiries:
+    """Items that each expire ``timeout`` seconds after :meth:`add`, on
+    one calendar entry between them.
+
+    For waits with one constant timeout (a client's attempts, each
+    waiting for its reply): adding order is then deadline order, so the
+    items wait in a FIFO and one ``call_later`` entry is armed, at the
+    oldest deadline of an item still ``waiting(item)``.  When it fires
+    it calls ``expire(item)`` for each due item still waiting, in the
+    order they were added, drops the heads that stopped waiting, and
+    re-arms.  An item that stops waiting before its deadline costs no
+    calendar entry of its own -- a timeout per item would leave one
+    dead entry per reply that came in time.
+    """
+
+    __slots__ = ("_kernel", "_timeout", "_expire", "_waiting", "_items",
+                 "_armed")
+
+    def __init__(
+        self, kernel: Kernel, timeout: float,
+        expire: Callable[[Any], Any], waiting: Callable[[Any], bool],
+    ):
+        self._kernel = kernel
+        self._timeout = timeout
+        self._expire = expire
+        self._waiting = waiting
+        self._items: deque = deque()      # (deadline, item), oldest first
+        self._armed = False
+
+    def add(self, item: Any) -> None:
+        """Expire ``item`` ``timeout`` seconds from now, unless it has
+        stopped waiting by then."""
+        kernel = self._kernel
+        self._items.append((kernel._now + self._timeout, item))
+        if not self._armed:
+            self._armed = True
+            kernel.call_later(self._timeout, self._fire)
+
+    def _fire(self) -> None:
+        kernel = self._kernel
+        now = kernel._now
+        items = self._items
+        waiting = self._waiting
+        while items:
+            deadline, item = items[0]
+            if not waiting(item):
+                items.popleft()
+            elif deadline <= now:
+                items.popleft()
+                self._expire(item)
+            else:
+                # Lands exactly on ``deadline`` on the simulator: the
+                # item was added at or before ``now``, so ``deadline -
+                # now`` is at most ``timeout``, and no entry fires
+                # before ``timeout`` -- so at most ``now``, and the
+                # difference and ``now`` plus it are exact floats.
+                kernel.call_later(deadline - now, self._fire)
+                return
+        self._armed = False
 
 
 @runtime_checkable

@@ -19,12 +19,14 @@ Design notes
   :meth:`Environment.run`.  Errors never pass silently.
 * Hot path: calendar entries are pooled :class:`_ScheduledCall`
   records (no callback list, recycled through a free list).  A message
-  costs two entries: its arrival (``Network.send``) and its handling
-  -- a delivery to an actor whose mailbox is parked schedules the
-  handler itself (:class:`repro.sim.queues.Mailbox`).
+  costs one entry, its arrival (``Network.send``), when its handling
+  would be the next entry anyway -- the receiver's mailbox is parked
+  and nothing else is due at that instant -- and two otherwise: the
+  delivery then schedules the handler itself
+  (:meth:`repro.sim.queues.Store.put_next`).
 * The calendar is two sorted runs merged by ``(time, seq)``: a heap for
-  entries due later and a FIFO for entries due *now*, which is where
-  the second entry of every message and most wakeups land.  Every push
+  entries due later and a FIFO for entries due *now*, which is where a
+  message's second entry and most wakeups land.  Every push
   site routes an entry whose time equals ``now`` to the FIFO (its
   ``seq`` is the largest drawn, so appending keeps the run sorted), so
   the order is exactly a single heap's and same-seed runs stay

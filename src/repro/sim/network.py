@@ -14,8 +14,11 @@ deployment:
 Hosts are looked up by name.  Each host owns an unbounded inbox
 (:class:`repro.sim.queues.Store`) from which its actor's mailbox
 (:class:`repro.sim.queues.Mailbox`) drains :class:`Envelope` objects.
-A message is two calendar entries: its arrival, scheduled here, and --
-when the receiver's mailbox is parked -- its handling at that instant.
+A message is one calendar entry, its arrival, scheduled here.  When the
+receiver's mailbox is parked its handling follows at that instant: in
+the arrival's own entry if nothing else is due then -- it would have
+been the next entry anyway -- else in a same-instant entry of its own
+(:meth:`repro.sim.queues.Store.put_next`).
 
 Hot path: :meth:`Network.send` compiles the per-``(src, dst)`` routing
 decision -- host objects, link spec, matching fault rules, partition
@@ -471,7 +474,7 @@ class Network:
             return
         self.messages_delivered += 1
         self.bytes_delivered += envelope.size
-        receiver.inbox.put_nowait(envelope)
+        handle = receiver.inbox.put_next(envelope)
         tracer = self._net_tracer
         if tracer is not None:
             tracer.emit(
@@ -481,3 +484,8 @@ class Network:
                 latency=self.env.now - envelope.sent_at,
                 inbox_depth=len(receiver.inbox),
             )
+        if handle is not None:
+            # The handling was next anyway (``Store.put_next``): it runs
+            # here, after the arrival is recorded, as it would have in
+            # an entry of its own.
+            handle(envelope)

@@ -1,11 +1,13 @@
 """An actor's inbox on the simulator, and the mailbox that drains it.
 
-:class:`Store` is a FIFO of envelopes, filled by ``put_nowait`` (the
-network's delivery) and drained by its actor's :class:`Mailbox`
-(``store.consume(receive, name)``).  A parked mailbox waits among the
-store's getters; a put hands it the item in one pooled call that runs
-the handler.  Getters are served in FIFO order, which keeps runs
-deterministic.
+:class:`Store` is a FIFO of envelopes, filled by ``put_next`` (the
+network's delivery) or ``put_nowait``, and drained by its actor's
+:class:`Mailbox` (``store.consume(receive, name)``).  A parked mailbox
+waits among the store's getters; a put hands it the item in one pooled
+call that runs the handler -- or, for the network's delivery when
+nothing else is due at that instant, in no call of its own: the
+delivery's entry runs the handler (:meth:`Store.put_next`).  Getters
+are served in FIFO order, which keeps runs deterministic.
 """
 
 from __future__ import annotations
@@ -53,27 +55,46 @@ class Store:
         return tuple(self._items)
 
     def put_nowait(self, item: Any) -> None:
-        """Insert ``item`` immediately or raise :class:`QueueFull`."""
+        """Insert ``item`` immediately or raise :class:`QueueFull`; a
+        parked mailbox handles it in a same-instant entry of its own."""
+        handle = self.put_next(item)
+        if handle is not None:
+            self.env._schedule_call(handle, (item,))
+
+    def put_next(self, item: Any) -> Optional[Callable[[Any], None]]:
+        """:meth:`put_nowait`, less one calendar entry where it can: when
+        ``item`` goes to a parked mailbox and nothing else is due at this
+        instant, its handling would be the calendar's next entry anyway,
+        so nothing is scheduled and the mailbox's handler is returned,
+        for the caller to run on ``item`` in its own entry.  ``None``
+        otherwise -- the item was queued, scheduled, or swallowed by a
+        stopped mailbox."""
         getters = self._getters
         if getters:
             getter = getters.popleft()
+            if not getter.is_alive:
+                return None
+            env = self.env
+            queue = env._queue
+            fifo = env._fifo
+            if not fifo and (not queue or queue[0][0] > env._now):
+                return getter.handle
             # Inlined ``env._schedule_call(getter.handle, (item,))``:
             # this is the per-message delivery path and the extra frame
             # is measurable.
-            if getter.is_alive:
-                env = self.env
-                pool = env._call_pool
-                if pool:
-                    call = pool.pop()
-                    call.fn = getter.handle
-                    call.args = (item,)
-                else:
-                    call = _ScheduledCall(getter.handle, (item,))
-                env._fifo.append((env._now, next(env._counter), call))
-            return
+            pool = env._call_pool
+            if pool:
+                call = pool.pop()
+                call.fn = getter.handle
+                call.args = (item,)
+            else:
+                call = _ScheduledCall(getter.handle, (item,))
+            fifo.append((env._now, next(env._counter), call))
+            return None
         if self.capacity is not None and len(self._items) >= self.capacity:
             raise QueueFull(f"store at capacity {self.capacity}")
         self._items.append(item)
+        return None
 
     def consume(
         self, receive: Callable[[Any, str], None], name: str
@@ -91,7 +112,9 @@ class Mailbox:
     * it starts one scheduling step after it is created, then takes the
       next item: one queued item is handled in a step of its own; on an
       empty store it parks among the getters, and a put hands it the
-      item in one step at ``now`` (:meth:`Store.put_nowait`);
+      item in one step at ``now`` (:meth:`Store.put_nowait`) -- or, when
+      that step would be the calendar's next anyway, in the putter's own
+      (:meth:`Store.put_next`);
     * the ``inbox_depth`` gauge is recorded per item taken, before the
       handler, when the environment has a metrics registry;
     * stopped (:meth:`interrupt`), it loses the item whose handling is

@@ -113,7 +113,9 @@ def test_loop_lag_probe_records_windowed_histogram():
         probe = LoopLagProbe(kernel, registry, actor="n1", interval=0.01)
         probe.start()
         probe.start()            # idempotent
-        await asyncio.sleep(0.15)
+        deadline = kernel.now + 5.0
+        while probe.ticks < 3 and kernel.now < deadline:
+            await asyncio.sleep(0.01)
         probe.stop()
         ticks = probe.ticks
         await asyncio.sleep(0.05)

@@ -73,9 +73,11 @@ def test_reconnect_cap_parks_link_and_drops_backlog():
         # peer.  Every connect attempt fails with ECONNREFUSED.
         transport.register_address("b", ("127.0.0.1", dead_port()))
         transport.send("a", "b", Heartbeat(nonce=0), 56)
-        # Let the writer pull its first burst and block in connect, so
-        # the next sends build a genuine backlog in the queue.
-        await asyncio.sleep(0.02)
+        # Wait until the writer is dialling (its first connect failed),
+        # so the next sends build a genuine backlog in the queue.
+        assert await eventually(
+            lambda: transport.counters()["reconnect_attempts"] >= 1
+        )
         for nonce in range(1, 6):
             transport.send("a", "b", Heartbeat(nonce=nonce), 56)
         assert await eventually(

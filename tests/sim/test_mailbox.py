@@ -3,8 +3,9 @@
 Two groups.  The behaviour tests pin, through the actor API alone,
 which messages a stopped, crashed or failed receive loop loses, which
 wait in the inbox, and in which order and at which instant the rest
-are handled.  The cost guards pin what a delivery costs: one heap
-entry for the arrival and one same-instant entry for the handling.
+are handled.  The cost guards pin what a delivery costs: one entry
+for the arrival, which runs the handling too when nothing else is due
+at that instant, else one same-instant entry more for the handling.
 """
 
 from __future__ import annotations
@@ -190,16 +191,34 @@ def test_inbox_depth_gauge_is_recorded_per_message_taken():
 # -- cost guards ---------------------------------------------------------------
 
 
-def test_a_delivery_to_a_parked_actor_is_one_arrival_and_one_handling():
+def test_a_delivery_to_a_parked_actor_is_one_step_when_nothing_else_is_due():
     env, net, b = world()
     b.start()
     env.run()                      # the mailbox parks
     send(net, 1)
     assert len(env._queue) == 1 and not env._fifo     # its arrival
-    env.step()
-    assert not env._queue and len(env._fifo) == 1     # its handling, now
-    env.step()
+    env.step()                     # ... which runs the handling too
     assert b.seen == [(1, 0.001)]
+    assert not env._queue and not env._fifo
+
+
+@pytest.mark.parametrize("latency", [0.0, 0.001])
+def test_a_delivery_to_a_parked_actor_behind_a_due_entry_is_two_steps(latency):
+    # An entry due at the arrival's instant and drawn after it (in the
+    # same-instant FIFO at latency 0, else in the heap): the handling
+    # keeps a same-instant entry of its own, after that one.
+    env, net, b = world(latency=latency)
+    b.start()
+    env.run()
+    order = []
+    send(net, 1)
+    env.call_later(latency, order.append, "other")
+    env.step()                     # its arrival
+    assert b.seen == [] and order == []
+    env.step()
+    assert order == ["other"] and b.seen == []
+    env.step()                     # its handling, at the same instant
+    assert b.seen == [(1, latency)]
     assert not env._queue and not env._fifo
 
 
