@@ -11,7 +11,9 @@ from repro.harness.broadcast import BroadcastClient, BroadcastReplica
 from repro.harness.report import comparison_table, section
 from repro.multicast.stream import StreamDeployment
 from repro.paxos.config import StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def run_batch(batch_max_tokens: int, duration: float = 8.0):

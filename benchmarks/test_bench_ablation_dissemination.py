@@ -11,7 +11,9 @@ from repro.harness.broadcast import BroadcastClient, BroadcastReplica
 from repro.harness.report import comparison_table, section
 from repro.multicast.stream import StreamDeployment
 from repro.paxos.config import StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def run_mode(ring_mode: bool, duration: float = 10.0):

@@ -5,7 +5,7 @@ stream is recovered; Fig. 5 subscribes *with* it and shows none.  This
 ablation runs the same subscription twice and quantifies the dip.
 """
 
-from repro.harness.experiments import VerticalConfig, run_vertical
+from repro.harness.experiments.vertical import VerticalConfig, run_vertical
 from repro.harness.report import comparison_table, section
 from repro.harness.report import dip_and_recovery
 

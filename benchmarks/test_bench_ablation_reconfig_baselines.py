@@ -6,12 +6,12 @@ downtime) and Lamport's membership-as-command (no downtime, but the
 pipeline is serialized so steady throughput collapses).
 """
 
-from repro.baselines import (
+from repro.baselines.reconfig_baselines import (
     BaselineReconfigConfig,
     run_membership_command_reconfig,
     run_stop_restart_reconfig,
 )
-from repro.harness.experiments import ReconfigConfig, run_reconfig
+from repro.harness.experiments.reconfig import ReconfigConfig, run_reconfig
 from repro.harness.report import comparison_table, section
 
 

@@ -6,7 +6,7 @@ skip Paxos executions in a stream."  The ablation merges a loaded
 stream with an idle one, with and without skips.
 """
 
-from repro.baselines import SkipAblationConfig, run_skip_ablation
+from repro.baselines.skip_ablation import SkipAblationConfig, run_skip_ablation
 from repro.harness.report import comparison_table, section
 
 

@@ -12,8 +12,10 @@ from repro.harness.broadcast import BroadcastClient, BroadcastReplica
 from repro.harness.report import comparison_table, section
 from repro.multicast.stream import StreamDeployment
 from repro.paxos.config import StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
-from repro.storage import StableStore
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
+from repro.storage.stable import StableStore
 
 
 def run_with_disk(write_latency: float, duration: float = 8.0):

@@ -5,7 +5,7 @@ new stream is subscribed every 15 s, per-phase interval averages, the
 post-subscribe dip, and the 95th-percentile latency.
 """
 
-from repro.harness.experiments import VerticalConfig, run_vertical
+from repro.harness.experiments.vertical import VerticalConfig, run_vertical
 from repro.harness.report import comparison_table, section, series_sparkline
 from repro.harness.report import is_monotonic_increasing, step_ratios
 

@@ -5,7 +5,10 @@ key/value store shard at 75% peak load, per-replica applied-ops and CPU
 utilisation before/after, and the ~1 s client-timeout gap.
 """
 
-from repro.harness.experiments import HorizontalConfig, run_horizontal
+from repro.harness.experiments.horizontal import (
+    HorizontalConfig,
+    run_horizontal,
+)
 from repro.harness.report import comparison_table, section, series_sparkline
 
 PAPER_GAP_SECONDS = 1.0

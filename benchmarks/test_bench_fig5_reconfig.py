@@ -5,7 +5,7 @@ the replicas switch from stream S1 (old acceptors) to stream S2 (new
 acceptors) with a prepare hint -- no visible overhead, p95 = 2.7 ms.
 """
 
-from repro.harness.experiments import ReconfigConfig, run_reconfig
+from repro.harness.experiments.reconfig import ReconfigConfig, run_reconfig
 from repro.harness.report import comparison_table, section, series_sparkline
 from repro.harness.report import flat_through
 

@@ -6,7 +6,10 @@ autoscaling group, deploys the stream when the VMs turn ACTIVE,
 subscribes the replicas and measures request-to-first-delivery.
 """
 
-from repro.harness.experiments import ProvisioningConfig, run_provisioning
+from repro.harness.experiments.provisioning import (
+    ProvisioningConfig,
+    run_provisioning,
+)
 from repro.harness.report import comparison_table, section
 
 PAPER_SECONDS = 60.0

@@ -14,20 +14,19 @@ paper's real boots take ~60 s, see benchmarks/test_bench_vm_provisioning.)
 Run:  python examples/autoscaling_controller.py
 """
 
-from repro.cloud import CloudCompute, VmExecutor
-from repro.elasticity import (
-    DecideRateCeiling,
-    ElasticityController,
-    PolicyEngine,
-    SimSignalSource,
-)
+from repro.cloud.openstack import CloudCompute, VmExecutor
+from repro.elasticity.controller import ElasticityController
+from repro.elasticity.policy import DecideRateCeiling, PolicyEngine
+from repro.elasticity.signals import SimSignalSource
 from repro.harness.broadcast import BroadcastClient, BroadcastReplica
 from repro.multicast.api import MulticastClient
 from repro.multicast.stream import StreamDeployment
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import installed
 from repro.paxos.config import StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 LAM = 1000
 PER_STREAM_CAPACITY = 300.0   # ops/s one stream sustains (throttled)

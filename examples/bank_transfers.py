@@ -16,8 +16,8 @@ Run:  python examples/bank_transfers.py
 """
 
 from repro.harness.cluster import KvCluster
-from repro.kvstore import Partition, PartitionMap
-from repro.workload import KeyspaceWorkload
+from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.workload.generators import KeyspaceWorkload
 
 N_ACCOUNTS = 20
 INITIAL_BALANCE = 1_000

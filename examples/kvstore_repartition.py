@@ -10,8 +10,8 @@ Run:  python examples/kvstore_repartition.py
 """
 
 from repro.harness.cluster import KvCluster
-from repro.kvstore import Partition, PartitionMap
-from repro.workload import KeyspaceWorkload
+from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.workload.generators import KeyspaceWorkload
 
 
 def main():

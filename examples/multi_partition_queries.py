@@ -11,8 +11,8 @@ Run:  python examples/multi_partition_queries.py
 """
 
 from repro.harness.cluster import KvCluster
-from repro.kvstore import Partition, PartitionMap
-from repro.workload import KeyspaceWorkload, key_name
+from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.workload.generators import KeyspaceWorkload, key_name
 
 
 def main():

@@ -8,8 +8,13 @@ Paxos -- and shows the merged delivery order.
 Run:  python examples/quickstart.py
 """
 
-from repro import Environment, LinkSpec, Network, RngRegistry, StreamConfig
-from repro.multicast import MulticastClient, MulticastReplica, StreamDeployment
+from repro.multicast.api import MulticastClient
+from repro.multicast.replica import MulticastReplica
+from repro.multicast.stream import StreamDeployment
+from repro.paxos.config import StreamConfig
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def main():

@@ -8,7 +8,7 @@ the original stream -- all without pausing delivery.
 Run:  python examples/reconfiguration.py
 """
 
-from repro.harness.experiments import ReconfigConfig, run_reconfig
+from repro.harness.experiments.reconfig import ReconfigConfig, run_reconfig
 from repro.harness.report import series_sparkline
 
 

@@ -7,7 +7,7 @@ aggregate throughput climbs in steps.
 Run:  python examples/vertical_scaling.py
 """
 
-from repro.harness.experiments import VerticalConfig, run_vertical
+from repro.harness.experiments.vertical import VerticalConfig, run_vertical
 from repro.harness.report import series_sparkline
 
 

@@ -14,53 +14,17 @@ deterministic discrete-event simulator.  The package layers:
 * :mod:`repro.baselines` -- static broadcast and reconfiguration
   baselines;
 * :mod:`repro.harness` -- deployment builder and the experiments that
-  regenerate Figures 3-5.
+  regenerate Figures 3-5;
+* :mod:`repro.runtime` / :mod:`repro.deploy` -- the live asyncio/TCP
+  backend, in one process or one process per node.
+
+No package ``__init__`` imports anything: a name is imported from the
+module that defines it, so a process loads only the modules it uses (a
+live node loads the protocol, not the simulator or the experiments).
 
 Quickstart::
 
-    from repro.harness.experiments import run_vertical
+    from repro.harness.experiments.vertical import run_vertical
     result = run_vertical()
     print(result.interval_averages)   # the Fig. 3 staircase
 """
-
-from .multicast import (
-    ElasticMerger,
-    MulticastClient,
-    MulticastReplica,
-    StaticMerger,
-    StreamDeployment,
-    TokenLog,
-)
-from .paxos import (
-    AppValue,
-    Batch,
-    PrepareMsg,
-    SkipToken,
-    StreamConfig,
-    SubscribeMsg,
-    UnsubscribeMsg,
-)
-from .sim import Environment, LinkSpec, Network, RngRegistry
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "AppValue",
-    "Batch",
-    "ElasticMerger",
-    "Environment",
-    "LinkSpec",
-    "MulticastClient",
-    "MulticastReplica",
-    "Network",
-    "PrepareMsg",
-    "RngRegistry",
-    "SkipToken",
-    "StaticMerger",
-    "StreamConfig",
-    "StreamDeployment",
-    "SubscribeMsg",
-    "TokenLog",
-    "UnsubscribeMsg",
-    "__version__",
-]

@@ -1,27 +1,1 @@
 """Baselines and ablations the paper compares against."""
-
-from .reconfig_baselines import (
-    BaselineReconfigConfig,
-    BaselineReconfigResult,
-    run_membership_command_reconfig,
-    run_stop_restart_reconfig,
-)
-from .skip_ablation import SkipAblationConfig, SkipAblationResult, run_skip_ablation
-from .static_broadcast import (
-    StaticBroadcastConfig,
-    StaticBroadcastResult,
-    run_static_broadcast,
-)
-
-__all__ = [
-    "BaselineReconfigConfig",
-    "BaselineReconfigResult",
-    "SkipAblationConfig",
-    "SkipAblationResult",
-    "StaticBroadcastConfig",
-    "StaticBroadcastResult",
-    "run_membership_command_reconfig",
-    "run_skip_ablation",
-    "run_static_broadcast",
-    "run_stop_restart_reconfig",
-]

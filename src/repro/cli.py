@@ -67,16 +67,6 @@ import json
 import os
 import sys
 
-from .harness.experiments import (
-    HorizontalConfig,
-    ProvisioningConfig,
-    ReconfigConfig,
-    VerticalConfig,
-    run_horizontal,
-    run_provisioning,
-    run_reconfig,
-    run_vertical,
-)
 from .harness.report import comparison_table, plain_table, section, series_sparkline
 
 __all__ = ["main"]
@@ -92,6 +82,8 @@ _NO_ROUND_TRIP = "no value completed a round trip in {:g} s; run longer"
 
 
 def _fig3(args) -> int | None:
+    from .harness.experiments.vertical import VerticalConfig, run_vertical
+
     try:
         config = VerticalConfig(
             duration=args.duration, seed=args.seed, use_prepare=args.prepare
@@ -116,6 +108,8 @@ def _fig3(args) -> int | None:
 
 
 def _fig4(args) -> int | None:
+    from .harness.experiments.horizontal import HorizontalConfig, run_horizontal
+
     try:
         config = HorizontalConfig(duration=args.duration, seed=args.seed)
     except ValueError as exc:
@@ -144,6 +138,8 @@ def _fig4(args) -> int | None:
 
 
 def _fig5(args) -> int | None:
+    from .harness.experiments.reconfig import ReconfigConfig, run_reconfig
+
     try:
         config = ReconfigConfig(
             duration=args.duration, seed=args.seed,
@@ -171,6 +167,11 @@ def _fig5(args) -> int | None:
 
 
 def _provisioning(args) -> None:
+    from .harness.experiments.provisioning import (
+        ProvisioningConfig,
+        run_provisioning,
+    )
+
     result = run_provisioning(ProvisioningConfig(seed=args.seed))
     print(section("§VI: adding a stream from freshly booted VMs"))
     print(
@@ -187,7 +188,8 @@ def _provisioning(args) -> None:
 
 
 def _faults(args) -> int:
-    from .faults import SCENARIOS, get_scenario, run_scenario
+    from .faults.runner import run_scenario
+    from .faults.scenarios import SCENARIOS, get_scenario
 
     if args.faults_command == "list":
         print(section("Fault-injection scenarios"))
@@ -217,7 +219,7 @@ def _faults(args) -> int:
 
 
 def _elasticity(args) -> int:
-    from .elasticity import SCENARIOS, run_scenario
+    from .elasticity.scenarios import SCENARIOS, run_scenario
     from .faults.invariants import InvariantViolation
 
     if args.list:
@@ -305,7 +307,13 @@ def _trace_follow(args) -> int:
 
 
 def _trace(args) -> int:
-    from .obs import ALL_CATEGORIES, DEFAULT_CATEGORIES, JsonlSink, Tracer, installed
+    from .obs.trace import (
+        ALL_CATEGORIES,
+        DEFAULT_CATEGORIES,
+        JsonlSink,
+        Tracer,
+        installed,
+    )
 
     if args.follow:
         return _trace_follow(args)
@@ -349,7 +357,7 @@ def _trace(args) -> int:
 
 
 def _stats_metrics_dump(path: str, data: dict) -> int:
-    from .obs import rows_from_dump
+    from .obs.metrics import rows_from_dump
 
     rows = rows_from_dump(data)
     print(section(f"Metrics dump: {path}"))
@@ -367,7 +375,8 @@ def _torn_trace(path: str, exc: ValueError) -> int:
 
 
 def _stats(args) -> int:
-    from .obs import METRICS_DUMP_FORMAT, STAGES, LifecycleIndex
+    from .obs.metrics import METRICS_DUMP_FORMAT
+    from .obs.spans import STAGES, LifecycleIndex
     from .quantiles import percentile
 
     # `stats` reads both artifact kinds: a trace JSONL (from `trace`)
@@ -434,7 +443,7 @@ def _stats(args) -> int:
 
 
 def _validate_trace(args) -> int:
-    from .obs import SchemaError, validate_file
+    from .obs.schema import SchemaError, validate_file
 
     try:
         count = validate_file(args.trace)
@@ -446,7 +455,7 @@ def _validate_trace(args) -> int:
 
 
 def _latency(args) -> int:
-    from .obs import LifecycleIndex
+    from .obs.spans import LifecycleIndex
     from .obs.critpath import (
         budget_lines,
         diff_budgets,
@@ -479,9 +488,9 @@ def _latency(args) -> int:
 
 
 def _live(args) -> int:
-    from .obs import MetricsRegistry
+    from .obs.metrics import MetricsRegistry
     from .obs.trace import installed
-    from .runtime import LiveConfig, run_live
+    from .runtime.supervisor import LiveConfig, run_live
 
     config = LiveConfig(
         streams=args.streams,
@@ -554,7 +563,7 @@ def _live(args) -> int:
 
 
 def _deploy(args) -> int:
-    from .deploy import SCENARIOS, run_deploy
+    from .deploy.chaos import SCENARIOS, run_deploy
     from .deploy.supervisor import DeployConfig
 
     if args.list_scenarios:
@@ -613,7 +622,7 @@ def _worker(args) -> int:
 
 
 def _trace_merge(args) -> int:
-    from .obs import cross_node_messages, merge_files
+    from .obs.merge import cross_node_messages, merge_files
 
     events = merge_files(args.traces, out=args.out)
     nodes = sorted({e.get("node") for e in events if e.get("node")})
@@ -628,7 +637,7 @@ def _trace_merge(args) -> int:
 def _top(args) -> int:
     import os
 
-    from .runtime import run_top
+    from .runtime.console import run_top
 
     endpoints = args.endpoints
     if os.path.isdir(endpoints):

@@ -10,8 +10,9 @@ Models the slice of OpenStack the paper relies on:
   "allows clients to boot up or shutdown the virtual machines that
   participate in the streams" (§VII-C);
 * the **VM-booting executor** that lets the one
-  :class:`repro.elasticity.ElasticityController` add streams "from
-  newly created virtual machines" (§VI): :class:`VmExecutor`.
+  :class:`~repro.elasticity.controller.ElasticityController` add
+  streams "from newly created virtual machines" (§VI):
+  :class:`VmExecutor`.
 
 The compute pool defaults to the paper's cluster: 16 compute nodes.
 """
@@ -173,7 +174,8 @@ class AutoScalingGroup:
 
 
 class VmExecutor:
-    """Executor of :class:`repro.elasticity.ElasticityController` that
+    """Executor of
+    :class:`~repro.elasticity.controller.ElasticityController` that
     boots a new stream's acceptors before the stream exists (§VI).
 
     ``execute`` boots three anti-affine VMs through an

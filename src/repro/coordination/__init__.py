@@ -1,23 +1,1 @@
 """Coordination service: versioned configuration registry with watches."""
-
-from .registry import (
-    RegistryClient,
-    RegistryGet,
-    RegistryGetReply,
-    RegistryService,
-    RegistrySet,
-    RegistrySetReply,
-    RegistryWatch,
-    WatchEvent,
-)
-
-__all__ = [
-    "RegistryClient",
-    "RegistryGet",
-    "RegistryGetReply",
-    "RegistryService",
-    "RegistrySet",
-    "RegistrySetReply",
-    "RegistryWatch",
-    "WatchEvent",
-]

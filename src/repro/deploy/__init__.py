@@ -12,48 +12,8 @@ profile files into one run directory.  The chaos layer
 backend: ``kill -9`` with supervised restart, socket-level partitions,
 and clock-skew injection -- see docs/DEPLOY.md.
 
-This ``__init__`` stays import-light on purpose: the wire codec
+This ``__init__`` imports nothing: the wire codec
 (:mod:`repro.runtime.codec`) registers :mod:`repro.deploy.wire`'s
-message classes at import time, which must not drag the whole
-deployment plane (or, transitively, ``repro.sim``) in.  Everything
-heavy loads lazily via ``__getattr__``.
+message classes at import time, which must not drag the rest of the
+deployment plane (or, transitively, ``repro.sim``) in.
 """
-
-from __future__ import annotations
-
-from typing import Any
-
-__all__ = [
-    "DeployConfig",
-    "DeployReport",
-    "DeploySupervisor",
-    "JoinAck",
-    "JoinLearner",
-    "SCENARIOS",
-    "TopologySpec",
-    "build_topology",
-    "run_deploy",
-    "worker_main",
-]
-
-_LAZY = {
-    "DeployConfig": "supervisor",
-    "DeployReport": "supervisor",
-    "DeploySupervisor": "supervisor",
-    "JoinAck": "wire",
-    "JoinLearner": "wire",
-    "SCENARIOS": "chaos",
-    "TopologySpec": "topology",
-    "build_topology": "topology",
-    "run_deploy": "chaos",
-    "worker_main": "worker",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f".{module}", __name__), name)

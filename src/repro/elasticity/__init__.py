@@ -22,47 +22,3 @@ The loop is ``signals -> policy -> controller -> actions``:
 
 See docs/ELASTICITY.md for the operator-facing guide.
 """
-
-from .actions import ReplaceStream, SimExecutor, SplitShard, SubscribeStream
-from .controller import ElasticityController
-from .policy import (
-    DecideRateCeiling,
-    DecisionRecord,
-    PolicyEngine,
-    Proposal,
-    SlowStreamSlo,
-    StreamSkew,
-)
-from .router import StreamRouter
-from .scenarios import (
-    SCENARIOS,
-    ElasticityResult,
-    ElasticityRunner,
-    ElasticityScenario,
-    get_scenario,
-    run_scenario,
-)
-from .signals import HttpSignalSource, SignalSnapshot, SimSignalSource
-
-__all__ = [
-    "SCENARIOS",
-    "DecideRateCeiling",
-    "DecisionRecord",
-    "ElasticityController",
-    "ElasticityResult",
-    "ElasticityRunner",
-    "ElasticityScenario",
-    "HttpSignalSource",
-    "PolicyEngine",
-    "Proposal",
-    "ReplaceStream",
-    "SignalSnapshot",
-    "SimExecutor",
-    "SimSignalSource",
-    "SlowStreamSlo",
-    "SplitShard",
-    "StreamSkew",
-    "SubscribeStream",
-    "get_scenario",
-    "run_scenario",
-]

@@ -17,42 +17,3 @@ package turns that claim into a continuously checked property:
   reproducible scenarios wired into :mod:`repro.harness.cluster`, also
   reachable as ``python -m repro faults run <scenario>``.
 """
-
-from .invariants import DeliveryRecord, InvariantSuite, InvariantViolation
-from .orchestrator import FaultOrchestrator
-from .runner import ScenarioResult, ScenarioRunner, run_scenario
-from .scenarios import SCENARIOS, ControlOp, ScenarioSpec, get_scenario
-from .schedule import (
-    CrashAt,
-    DelaySpike,
-    DuplicateWindow,
-    LossWindow,
-    PartitionWindow,
-    RandomChaos,
-    RecoverAt,
-    ReorderWindow,
-    Schedule,
-)
-
-__all__ = [
-    "ControlOp",
-    "CrashAt",
-    "DelaySpike",
-    "DeliveryRecord",
-    "DuplicateWindow",
-    "FaultOrchestrator",
-    "InvariantSuite",
-    "InvariantViolation",
-    "LossWindow",
-    "PartitionWindow",
-    "RandomChaos",
-    "RecoverAt",
-    "ReorderWindow",
-    "SCENARIOS",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "Schedule",
-    "get_scenario",
-    "run_scenario",
-]

@@ -1,15 +1,1 @@
 """Experiment harness: deployment builder, applications, experiments."""
-
-from .broadcast import BroadcastClient, BroadcastReplica, DeliveryAck
-from .cluster import KvCluster
-from .report import comparison_table, section, series_sparkline
-
-__all__ = [
-    "BroadcastClient",
-    "BroadcastReplica",
-    "DeliveryAck",
-    "KvCluster",
-    "comparison_table",
-    "section",
-    "series_sparkline",
-]

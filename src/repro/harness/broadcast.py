@@ -21,9 +21,9 @@ from ..obs.metrics import Counter, Series
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue
 from ..runtime.kernel import Expiries
+from ..runtime.resources import Server
 from ..sim.core import Environment
 from ..sim.network import Network
-from ..sim.resources import Server
 
 __all__ = ["BroadcastReplica", "BroadcastClient", "DeliveryAck"]
 
@@ -163,10 +163,12 @@ class BroadcastClient(Actor):
 
     def stop_threads(self) -> None:
         """Stop every thread: nothing more is submitted, and what is in
-        flight is dropped when it wakes."""
+        flight is forgotten -- its expiry never wakes it (it stopped
+        waiting) and a late ack finds nothing."""
         for thread in self._threads:
             thread.stopped = True
         self._threads = []
+        self._pending.clear()
 
     def retarget(self, old_stream: str, new_stream: str) -> None:
         """Move all threads from one stream to another (reconfiguration:

@@ -5,23 +5,3 @@
 * :mod:`reconfig` -- Fig. 5: replacing the acceptor set under load (§VII-E);
 * :mod:`provisioning` -- §VI: ~60 s to add a stream from fresh VMs.
 """
-
-from .horizontal import HorizontalConfig, HorizontalResult, run_horizontal
-from .provisioning import ProvisioningConfig, ProvisioningResult, run_provisioning
-from .reconfig import ReconfigConfig, ReconfigResult, run_reconfig
-from .vertical import VerticalConfig, VerticalResult, run_vertical
-
-__all__ = [
-    "HorizontalConfig",
-    "HorizontalResult",
-    "ProvisioningConfig",
-    "ProvisioningResult",
-    "ReconfigConfig",
-    "ReconfigResult",
-    "VerticalConfig",
-    "VerticalResult",
-    "run_horizontal",
-    "run_provisioning",
-    "run_reconfig",
-    "run_vertical",
-]

@@ -5,44 +5,3 @@ dedicated stream, multi-partition queries use a shared stream, and
 re-partitioning is a sequence of subscribe / map-change / unsubscribe
 steps with no service interruption.
 """
-
-from .client import PARTITION_MAP_KEY, KvClient
-from .commands import (
-    CommandReply,
-    DeleteCmd,
-    GetCmd,
-    MapChangeCmd,
-    PutCmd,
-    RangeCmd,
-    SignalMsg,
-    StateTransferReply,
-    StateTransferRequest,
-    TxnCmd,
-    fresh_cmd_id,
-)
-from .partitioning import Partition, PartitionMap, partition_index_of
-from .replica import KvReplica
-from .repartition import RepartitionOrchestrator
-from .store import InMemoryStore
-
-__all__ = [
-    "CommandReply",
-    "DeleteCmd",
-    "GetCmd",
-    "InMemoryStore",
-    "KvClient",
-    "KvReplica",
-    "MapChangeCmd",
-    "PARTITION_MAP_KEY",
-    "Partition",
-    "PartitionMap",
-    "PutCmd",
-    "RangeCmd",
-    "RepartitionOrchestrator",
-    "SignalMsg",
-    "StateTransferReply",
-    "StateTransferRequest",
-    "TxnCmd",
-    "fresh_cmd_id",
-    "partition_index_of",
-]

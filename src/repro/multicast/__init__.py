@@ -14,22 +14,3 @@ This package is the paper's contribution:
 * :class:`MulticastClient` -- ``multicast``, ``subscribe_msg``,
   ``unsubscribe_msg``, ``prepare_msg`` (:mod:`repro.multicast.api`).
 """
-
-from .api import MulticastClient
-from .elastic import ElasticMerger, MergerStats
-from .merge import StaticMerger, StreamCursor
-from .replica import MulticastReplica
-from .stream import StreamDeployment, TokenLog
-from .trim import TrimCoordinator
-
-__all__ = [
-    "ElasticMerger",
-    "MergerStats",
-    "MulticastClient",
-    "MulticastReplica",
-    "StaticMerger",
-    "StreamCursor",
-    "StreamDeployment",
-    "TokenLog",
-    "TrimCoordinator",
-]

@@ -1,6 +1,1 @@
 """Message and actor abstractions on top of the simulated network."""
-
-from .actor import Actor
-from .messages import Message, WIRE_HEADER_BYTES
-
-__all__ = ["Actor", "Message", "WIRE_HEADER_BYTES"]

@@ -66,7 +66,6 @@ from array import array
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..quantiles import percentile
-from .trace import install_metrics, uninstall_metrics  # re-export convenience
 
 if TYPE_CHECKING:
     from ..sim.core import Environment
@@ -78,9 +77,7 @@ __all__ = [
     "MetricsRegistry",
     "Series",
     "UtilisationProbe",
-    "install_metrics",
     "rows_from_dump",
-    "uninstall_metrics",
 ]
 
 # Format marker of a JSON metrics dump (`python -m repro stats` sniffs

@@ -4,66 +4,3 @@ A *stream* is one Multi-Paxos sequence (coordinator + acceptors),
 the unit Elastic Paxos composes.  See :mod:`repro.multicast` for the
 stream/merge layer built on top.
 """
-
-from .acceptor import AcceptorActor, AcceptorCore
-from .ballot import ballot_for, next_ballot, owner_of, quorum_size
-from .config import StreamConfig
-from .coordinator import CoordinatorActor
-from .failover import FailoverMonitor
-from .learner import LearnerActor, LearnerCore
-from .messages import (
-    Decision,
-    Phase1a,
-    Phase1b,
-    Phase2a,
-    Phase2b,
-    Propose,
-    RecoverReply,
-    RecoverRequest,
-    RingAccept,
-    Trim,
-)
-from .skip import DEFAULT_DELTA_T, DEFAULT_LAMBDA, SkipCalculator
-from .types import (
-    AppValue,
-    Batch,
-    PrepareMsg,
-    SkipToken,
-    SubscribeMsg,
-    Token,
-    UnsubscribeMsg,
-)
-
-__all__ = [
-    "AcceptorActor",
-    "AcceptorCore",
-    "AppValue",
-    "Batch",
-    "CoordinatorActor",
-    "Decision",
-    "DEFAULT_DELTA_T",
-    "DEFAULT_LAMBDA",
-    "FailoverMonitor",
-    "LearnerActor",
-    "LearnerCore",
-    "Phase1a",
-    "Phase1b",
-    "Phase2a",
-    "Phase2b",
-    "PrepareMsg",
-    "Propose",
-    "RecoverReply",
-    "RecoverRequest",
-    "RingAccept",
-    "SkipCalculator",
-    "SkipToken",
-    "StreamConfig",
-    "SubscribeMsg",
-    "Token",
-    "Trim",
-    "UnsubscribeMsg",
-    "ballot_for",
-    "next_ballot",
-    "owner_of",
-    "quorum_size",
-]

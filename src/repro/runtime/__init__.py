@@ -32,63 +32,8 @@ actors over real asyncio TCP sockets on localhost:
 * :mod:`repro.runtime.profiling` -- the always-on stack sampler and
   event-loop-lag probe (``repro live --profile-dir``, ``/profile``).
 
-Only the interface module is imported eagerly: the simulator kernel
-imports :mod:`repro.runtime.kernel` for the shared types, so this
-package ``__init__`` must never (transitively) import ``repro.sim``.
-The live backend is loaded lazily via ``__getattr__``.
+This ``__init__`` imports nothing.  The simulator kernel imports
+:mod:`repro.runtime.kernel` for the shared types, and a live node
+imports the modules above one by one, so neither loads the other's
+backend.
 """
-
-from __future__ import annotations
-
-from .kernel import Envelope, Kernel, Transport
-
-__all__ = [
-    "AsyncioKernel",
-    "Envelope",
-    "NodeTelemetry",
-    "TelemetryServer",
-    "decode",
-    "decode_with_context",
-    "encode",
-    "Kernel",
-    "LiveCluster",
-    "LiveConfig",
-    "LiveNode",
-    "LiveReport",
-    "LoopLagProbe",
-    "StackSampler",
-    "TcpTransport",
-    "Transport",
-    "prometheus_text",
-    "run_live",
-    "run_top",
-]
-
-_LAZY = {
-    "encode": ("repro.runtime.codec", "encode"),
-    "decode": ("repro.runtime.codec", "decode"),
-    "decode_with_context": ("repro.runtime.codec", "decode_with_context"),
-    "AsyncioKernel": ("repro.runtime.asyncio_kernel", "AsyncioKernel"),
-    "TcpTransport": ("repro.runtime.transport", "TcpTransport"),
-    "LiveCluster": ("repro.runtime.supervisor", "LiveCluster"),
-    "LiveConfig": ("repro.runtime.supervisor", "LiveConfig"),
-    "LiveNode": ("repro.runtime.node", "LiveNode"),
-    "LiveReport": ("repro.runtime.supervisor", "LiveReport"),
-    "run_live": ("repro.runtime.supervisor", "run_live"),
-    "NodeTelemetry": ("repro.runtime.telemetry", "NodeTelemetry"),
-    "TelemetryServer": ("repro.runtime.telemetry", "TelemetryServer"),
-    "prometheus_text": ("repro.runtime.telemetry", "prometheus_text"),
-    "run_top": ("repro.runtime.console", "run_top"),
-    "StackSampler": ("repro.runtime.profiling", "StackSampler"),
-    "LoopLagProbe": ("repro.runtime.profiling", "LoopLagProbe"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

@@ -33,7 +33,7 @@ backends, or kernel-generic code, share them:
   client's attempts) on one calendar entry, built on ``now`` and
   ``call_later`` alone.
 * :class:`Envelope` -- the received-message record actors drain from
-  their host inbox (``repro.sim.network`` re-exports it).
+  their host inbox.
 
 One constant lives here too, :data:`GC_THRESHOLD`: the collector's
 generation sizes while either backend's datapath runs.

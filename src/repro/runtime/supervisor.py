@@ -43,7 +43,7 @@ from .driver import Agreement, RunDriver, verdict
 from .node import CollectorPolicy, LiveNode, NodeOps
 from .telemetry import http_get_json
 
-__all__ = ["LiveCluster", "LiveConfig", "LiveNode", "LiveReport", "run_live"]
+__all__ = ["LiveCluster", "LiveConfig", "LiveReport", "run_live"]
 
 _SCRAPE_INTERVAL = 0.5          # /health polling period (s)
 # The live autoscaler's control loop (docs/ELASTICITY.md, "Live mode").
@@ -413,13 +413,14 @@ class _SpareStreams:
 
 
 def _autoscaler(cluster: LiveCluster):
-    """The :class:`repro.elasticity.ElasticityController` of a live run
-    (docs/ELASTICITY.md, "Live mode"): the decide-rate ceiling over the
-    per-node HTTP endpoints when telemetry is on (the production
-    shape), over the installed registry otherwise -- sampled on the
-    reference kernel's clock, so ``elastic.*`` events stay in their
-    node's clock domain.  Imports stay inside the function: the runtime
-    layer must not pull the simulator in at module scope."""
+    """The :class:`~repro.elasticity.controller.ElasticityController`
+    of a live run (docs/ELASTICITY.md, "Live mode"): the decide-rate
+    ceiling over the per-node HTTP endpoints when telemetry is on (the
+    production shape), over the installed registry otherwise --
+    sampled on the reference kernel's clock, so ``elastic.*`` events
+    stay in their node's clock domain.  Imports stay inside the
+    function: the runtime layer must not pull the simulator in at
+    module scope."""
     from ..elasticity.controller import ElasticityController
     from ..elasticity.policy import DecideRateCeiling, PolicyEngine
     from ..elasticity.signals import HttpSignalSource, SimSignalSource

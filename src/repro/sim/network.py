@@ -42,7 +42,7 @@ from .core import Environment, _ScheduledCall
 from .queues import Store
 from .rng import RngRegistry
 
-__all__ = ["Envelope", "FaultRule", "Host", "Network", "LinkSpec"]
+__all__ = ["FaultRule", "Host", "Network", "LinkSpec"]
 
 
 _tuple_new = tuple.__new__

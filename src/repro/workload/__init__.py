@@ -1,5 +1,1 @@
 """Workload generation for experiments."""
-
-from .generators import KeyspaceWorkload, key_name, zipf_shares
-
-__all__ = ["KeyspaceWorkload", "key_name", "zipf_shares"]

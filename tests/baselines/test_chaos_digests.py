@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import get_scenario, run_scenario
+from repro.faults.runner import run_scenario
+from repro.faults.scenarios import get_scenario
 
 CHAOS_DIGESTS = {
     1: "214d0f653fe882b25ac6c4074c92ca1d1f551303348bb50d02847cee6c7869c2",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.elasticity import run_scenario
+from repro.elasticity.scenarios import run_scenario
 from repro.paxos.types import fresh_value_id
 
 ELASTICITY_PINS = {

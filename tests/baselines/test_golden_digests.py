@@ -23,23 +23,25 @@ import hashlib
 
 import pytest
 
-from repro.baselines import (
+from repro.baselines.reconfig_baselines import (
     BaselineReconfigConfig,
-    SkipAblationConfig,
-    StaticBroadcastConfig,
     run_membership_command_reconfig,
-    run_skip_ablation,
-    run_static_broadcast,
     run_stop_restart_reconfig,
 )
-from repro.harness.experiments import (
-    HorizontalConfig,
-    ProvisioningConfig,
-    ReconfigConfig,
-    run_horizontal,
-    run_provisioning,
-    run_reconfig,
+from repro.baselines.skip_ablation import SkipAblationConfig, run_skip_ablation
+from repro.baselines.static_broadcast import (
+    StaticBroadcastConfig,
+    run_static_broadcast,
 )
+from repro.harness.experiments.horizontal import (
+    HorizontalConfig,
+    run_horizontal,
+)
+from repro.harness.experiments.provisioning import (
+    ProvisioningConfig,
+    run_provisioning,
+)
+from repro.harness.experiments.reconfig import ReconfigConfig, run_reconfig
 from repro.harness.experiments.vertical import VerticalConfig, run_vertical
 from repro.multicast.elastic import ElasticMerger, MergerState
 from repro.multicast.stream import TokenLog

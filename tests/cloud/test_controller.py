@@ -4,14 +4,12 @@ executor, and a stub signal source standing in for the cluster."""
 
 import pytest
 
-from repro.cloud import CloudCompute, VmExecutor
-from repro.elasticity import (
-    DecideRateCeiling,
-    ElasticityController,
-    PolicyEngine,
-    SignalSnapshot,
-)
-from repro.sim import Environment, RngRegistry
+from repro.cloud.openstack import CloudCompute, VmExecutor
+from repro.elasticity.controller import ElasticityController
+from repro.elasticity.policy import DecideRateCeiling, PolicyEngine
+from repro.elasticity.signals import SignalSnapshot
+from repro.sim.core import Environment
+from repro.sim.rng import RngRegistry
 
 
 class LoadSource:

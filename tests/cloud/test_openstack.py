@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.cloud import (
+from repro.cloud.openstack import (
     AutoScalingGroup,
     CloudCompute,
     PlacementError,
-    VmState,
 )
-from repro.sim import Environment, RngRegistry
+from repro.cloud.vm import VmState
+from repro.sim.core import Environment
+from repro.sim.rng import RngRegistry
 
 
 def make_compute(**kwargs):

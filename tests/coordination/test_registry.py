@@ -1,11 +1,10 @@
 """Unit tests for the configuration registry."""
 
-from repro.coordination import (
-    RegistryClient,
-    RegistryService,
-)
+from repro.coordination.registry import RegistryClient, RegistryService
 from repro.net.actor import Actor
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 class StubActor(Actor):

@@ -12,7 +12,12 @@ import json
 
 import pytest
 
-from repro.elasticity import SCENARIOS, ElasticityRunner, get_scenario, run_scenario
+from repro.elasticity.scenarios import (
+    ElasticityRunner,
+    SCENARIOS,
+    get_scenario,
+    run_scenario,
+)
 from repro.obs.schema import validate_event
 
 _RESULTS: dict = {}

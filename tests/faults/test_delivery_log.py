@@ -15,8 +15,11 @@ import types
 
 import pytest
 
-from repro.faults import InvariantSuite, InvariantViolation
-from repro.faults.invariants import DeliveryRecord
+from repro.faults.invariants import (
+    DeliveryRecord,
+    InvariantSuite,
+    InvariantViolation,
+)
 from repro.spec import SafetySpec
 
 RUN_LENGTHS = (1, 2, 180)

@@ -9,11 +9,11 @@ import os
 
 import pytest
 
-from repro.faults import InvariantViolation, ScenarioRunner
-from repro.faults.runner import FLIGHT_DIR_ENV
+from repro.faults.invariants import InvariantViolation
+from repro.faults.runner import FLIGHT_DIR_ENV, ScenarioRunner
 from repro.faults.scenarios import ScenarioSpec
 from repro.faults.schedule import Schedule
-from repro.obs import validate_file
+from repro.obs.schema import validate_file
 
 
 def _quiet_spec() -> ScenarioSpec:
@@ -106,7 +106,7 @@ def test_clean_run_writes_no_dump(tmp_path, monkeypatch):
 
 
 def test_runner_rides_on_externally_installed_tracer(tmp_path):
-    from repro.obs import ListSink, Tracer, installed
+    from repro.obs.trace import ListSink, Tracer, installed
 
     sink = ListSink()
     tracer = Tracer(sinks=[sink])

@@ -13,7 +13,7 @@ import types
 
 import pytest
 
-from repro.faults import InvariantSuite, InvariantViolation
+from repro.faults.invariants import InvariantSuite, InvariantViolation
 
 
 class StubReplica:

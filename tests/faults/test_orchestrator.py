@@ -1,15 +1,17 @@
 """Unit tests for the fault orchestrator against a bare network."""
 
-from repro.faults import (
+from repro.faults.orchestrator import FaultOrchestrator
+from repro.faults.schedule import (
     CrashAt,
     DuplicateWindow,
-    FaultOrchestrator,
     LossWindow,
     PartitionWindow,
     RecoverAt,
     Schedule,
 )
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def make_net():

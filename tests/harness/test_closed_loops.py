@@ -5,12 +5,16 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from repro.faults import ScenarioRunner, get_scenario
+from repro.faults.runner import ScenarioRunner
+from repro.faults.scenarios import get_scenario
 from repro.harness.broadcast import BroadcastClient, DeliveryAck
-from repro.kvstore import KvClient, Partition, PartitionMap
+from repro.kvstore.client import KvClient
+from repro.kvstore.partitioning import Partition, PartitionMap
 from repro.net.actor import Actor
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
-from repro.workload import KeyspaceWorkload
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
+from repro.workload.generators import KeyspaceWorkload
 
 
 class Coordinator(Actor):
@@ -60,6 +64,17 @@ def test_broadcast_client_retries_on_expiry_until_acked():
     client.receive(DeliveryAck(msg_id=retry.msg_id, replica="r1"), "r1")
     env.run(until=1.6)
     assert client.ops.total == 1 and len(coordinator.proposed) == 3
+
+
+def test_broadcast_client_forgets_the_attempts_of_stopped_threads():
+    env, net, coordinator, directory = world()
+    client = BroadcastClient(env, net, "client", directory, timeout=2.0)
+    client.start_threads("S1", 3)
+    env.run(until=1.0)
+    client.stop_threads()
+    env.run(until=10.0)
+    assert len(coordinator.proposed) == 3
+    assert len(client._pending) == 0
 
 
 def test_kv_client_after_stop_workers_sends_nothing():

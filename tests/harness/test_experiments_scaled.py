@@ -7,23 +7,22 @@ the experiment code paths end to end.
 
 import pytest
 
-from repro.baselines import (
+from repro.baselines.reconfig_baselines import (
     BaselineReconfigConfig,
-    SkipAblationConfig,
-    StaticBroadcastConfig,
     run_membership_command_reconfig,
-    run_skip_ablation,
-    run_static_broadcast,
     run_stop_restart_reconfig,
 )
-from repro.harness.experiments import (
-    HorizontalConfig,
-    ReconfigConfig,
-    VerticalConfig,
-    run_horizontal,
-    run_reconfig,
-    run_vertical,
+from repro.baselines.skip_ablation import SkipAblationConfig, run_skip_ablation
+from repro.baselines.static_broadcast import (
+    StaticBroadcastConfig,
+    run_static_broadcast,
 )
+from repro.harness.experiments.horizontal import (
+    HorizontalConfig,
+    run_horizontal,
+)
+from repro.harness.experiments.reconfig import ReconfigConfig, run_reconfig
+from repro.harness.experiments.vertical import VerticalConfig, run_vertical
 from repro.harness.report import is_monotonic_increasing
 
 

@@ -6,20 +6,19 @@ the installed metrics registry, and the cloud model's VM-booting
 executor.
 """
 
-from repro.cloud import CloudCompute, VmExecutor
-from repro.elasticity import (
-    DecideRateCeiling,
-    ElasticityController,
-    PolicyEngine,
-    SimSignalSource,
-)
+from repro.cloud.openstack import CloudCompute, VmExecutor
+from repro.elasticity.controller import ElasticityController
+from repro.elasticity.policy import DecideRateCeiling, PolicyEngine
+from repro.elasticity.signals import SimSignalSource
 from repro.harness.broadcast import BroadcastClient, BroadcastReplica
 from repro.multicast.api import MulticastClient
 from repro.multicast.stream import StreamDeployment
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import installed
 from repro.paxos.config import StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 LAM = 1000
 CAPACITY = 300.0

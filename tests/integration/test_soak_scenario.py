@@ -10,13 +10,17 @@ import itertools
 import pytest
 
 from repro.harness.cluster import KvCluster
-from repro.kvstore import Partition, PartitionMap
-from repro.multicast import MulticastClient, MulticastReplica, StreamDeployment
-from repro.paxos import StreamConfig
+from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.multicast.api import MulticastClient
+from repro.multicast.replica import MulticastReplica
+from repro.multicast.stream import StreamDeployment
+from repro.paxos.config import StreamConfig
 from repro.runtime.kernel import every
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
-from repro.storage import CheckpointStore
-from repro.workload import KeyspaceWorkload
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
+from repro.storage.checkpoint import CheckpointStore
+from repro.workload.generators import KeyspaceWorkload
 
 
 def test_broadcast_soak_subscribe_unsubscribe_cycles():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.harness.cluster import KvCluster
-from repro.kvstore import Partition, PartitionMap
-from repro.workload import KeyspaceWorkload, key_name
+from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.workload.generators import KeyspaceWorkload, key_name
 
 
 def single_partition_map(replicas=("r1", "r2"), shared=None):

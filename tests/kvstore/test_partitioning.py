@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.kvstore import Partition, PartitionMap, partition_index_of
-from repro.workload import key_name
+from repro.kvstore.partitioning import (
+    Partition,
+    PartitionMap,
+    partition_index_of,
+)
+from repro.workload.generators import key_name
 
 
 def two_partition_map():

@@ -4,18 +4,18 @@ round trip where possible."""
 import pytest
 
 from repro.harness.cluster import KvCluster
-from repro.kvstore import (
+from repro.kvstore.commands import (
     DeleteCmd,
     GetCmd,
     MapChangeCmd,
-    Partition,
-    PartitionMap,
     PutCmd,
     RangeCmd,
+    SignalMsg,
+    StateTransferRequest,
 )
-from repro.kvstore.commands import SignalMsg, StateTransferRequest
+from repro.kvstore.partitioning import Partition, PartitionMap
 from repro.paxos.types import AppValue
-from repro.workload import key_name
+from repro.workload.generators import key_name
 
 
 def one_partition_map(replicas=("r1",)):

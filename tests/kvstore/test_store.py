@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kvstore import InMemoryStore
+from repro.kvstore.store import InMemoryStore
 
 
 def test_put_get_roundtrip():

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.multicast import MulticastClient, StreamDeployment
-from repro.paxos import StreamConfig
+from repro.multicast.api import MulticastClient
+from repro.multicast.stream import StreamDeployment
+from repro.paxos.config import StreamConfig
 from repro.paxos.types import AppValue
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def make_world():

@@ -1,12 +1,12 @@
 """Replica crash/recovery: checkpoint, replay, re-learned subscriptions."""
 
-from repro.faults import (
-    CrashAt, RecoverAt, ScenarioRunner, ScenarioSpec, Schedule,
-)
+from repro.faults.runner import ScenarioRunner
+from repro.faults.scenarios import ScenarioSpec
+from repro.faults.schedule import CrashAt, RecoverAt, Schedule
 from repro.harness.cluster import KvCluster
-from repro.kvstore import Partition, PartitionMap
-from repro.storage import CheckpointStore
-from repro.workload import KeyspaceWorkload
+from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.storage.checkpoint import CheckpointStore
+from repro.workload.generators import KeyspaceWorkload
 
 
 def _checkpoint_crash_recover(make_cluster, ready, prepare=False):

@@ -7,7 +7,9 @@ already holds -- so a loss window costs a bounded number of repair
 rounds, not one round per hole.
 """
 
-from repro.faults import LossWindow, ScenarioRunner, ScenarioSpec, Schedule
+from repro.faults.runner import ScenarioRunner
+from repro.faults.scenarios import ScenarioSpec
+from repro.faults.schedule import LossWindow, Schedule
 from repro.paxos.learner import _GAP_TIMEOUT
 from repro.runtime.kernel import every
 

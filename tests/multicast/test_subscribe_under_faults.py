@@ -5,7 +5,8 @@ Each test pins one named :class:`repro.faults.scenarios.ScenarioSpec`
 so a regression here reproduces exactly from the command line.
 """
 
-from repro.faults import ScenarioRunner, get_scenario
+from repro.faults.runner import ScenarioRunner
+from repro.faults.scenarios import get_scenario
 
 
 def test_subscription_issued_mid_partition_completes_after_heal():

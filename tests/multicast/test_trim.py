@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.multicast import MulticastClient, MulticastReplica, StreamDeployment, TrimCoordinator
-from repro.paxos import StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.multicast.api import MulticastClient
+from repro.multicast.replica import MulticastReplica
+from repro.multicast.stream import StreamDeployment
+from repro.multicast.trim import TrimCoordinator
+from repro.paxos.config import StreamConfig
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def make_world(stream_names=("S1",), lam=500, delta_t=0.05):

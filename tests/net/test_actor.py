@@ -6,7 +6,9 @@ import pytest
 
 from repro.net.actor import Actor
 from repro.net.messages import Message
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 @dataclass(frozen=True)

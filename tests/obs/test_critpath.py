@@ -7,7 +7,7 @@ merged traces (no negative segments), and the budget report round-trip.
 
 import pytest
 
-from repro.obs import LifecycleIndex
+from repro.obs.spans import LifecycleIndex
 from repro.obs.critpath import (
     BUDGET_FORMAT,
     SEGMENT_NAMES,

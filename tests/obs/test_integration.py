@@ -1,14 +1,10 @@
 """End-to-end: a traced cluster run reconstructs every delivery's path."""
 
 from repro.harness.cluster import MulticastCluster
-from repro.obs import (
-    LifecycleIndex,
-    ListSink,
-    MetricsRegistry,
-    Tracer,
-    installed,
-    validate_event,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.schema import validate_event
+from repro.obs.spans import LifecycleIndex
+from repro.obs.trace import ListSink, Tracer, installed
 
 
 def test_traced_cluster_run_yields_complete_lifecycles():

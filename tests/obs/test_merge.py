@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import (
-    LifecycleIndex,
+from repro.obs.merge import (
     cross_node_messages,
     merge_events,
     merge_files,
     read_trace,
     trace_offsets,
-    validate_file,
     write_trace,
 )
+from repro.obs.schema import validate_file
+from repro.obs.spans import LifecycleIndex
 
 
 def _event(kind, ts, seq, node, **fields):

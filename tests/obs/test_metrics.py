@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import Gauge, MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.trace import current_metrics, installed
 from repro.sim.core import Environment
 

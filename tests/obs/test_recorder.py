@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import FlightRecorder, validate_file
+from repro.obs.recorder import FlightRecorder
+from repro.obs.schema import validate_file
 
 
 def _event(seq, kind="net.heal", **fields):

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.obs import EVENT_SCHEMA, SchemaError, validate_event, validate_file
+from repro.obs.schema import (
+    EVENT_SCHEMA,
+    SchemaError,
+    validate_event,
+    validate_file,
+)
 
 
 def _event(kind="client.ack", **fields):
@@ -127,7 +132,7 @@ def test_fixed_shape_declarations_match_the_schema():
     # EVENT_SCHEMA, its full emit order in FIXED_SHAPE.  The second must
     # start with the first, only fields beyond them may be optional, and
     # the category must be one a tracer can be asked for.
-    from repro.obs import ALL_CATEGORIES
+    from repro.obs.trace import ALL_CATEGORIES
     from repro.obs.schema import FIXED_SHAPE, materialise
 
     assert set(FIXED_SHAPE) == {

@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from repro.obs import STAGES, FlightRecorder, LifecycleIndex
+from repro.obs.recorder import FlightRecorder
+from repro.obs.spans import LifecycleIndex, STAGES
 
 
 def _seq(events):

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs import (
+from repro.obs.trace import (
     ALL_CATEGORIES,
     DEFAULT_CATEGORIES,
     JsonlSink,
@@ -202,7 +202,8 @@ def _run_of(shape, values, length):
 
 
 def test_fixed_shape_events_equal_what_the_keyword_path_builds():
-    from repro.obs import FlightRecorder, validate_event
+    from repro.obs.recorder import FlightRecorder
+    from repro.obs.schema import validate_event
 
     cases = list(_fixed_cases())
     assert len(cases) == 5          # one per kind: no optional fields left
@@ -305,7 +306,8 @@ def test_a_run_record_materialises_to_exactly_the_per_value_events():
 def test_the_flight_recorder_keeps_a_run_as_one_entry_and_reads_it_per_value(
     tmp_path,
 ):
-    from repro.obs import FlightRecorder, validate_file
+    from repro.obs.recorder import FlightRecorder
+    from repro.obs.schema import validate_file
 
     recorder, reference = FlightRecorder(capacity=3), ListSink()
     tracer = Tracer(sinks=[recorder, reference], node="n1")

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.obs import validate_file
+from repro.obs.schema import validate_file
 from repro.obs.watch import (
     Alert,
     BackpressureDetector,
@@ -164,7 +164,7 @@ def test_watchdog_diffs_transitions_and_scores_health():
 
 
 def test_watchdog_emits_schema_valid_trace_events():
-    from repro.obs import ListSink, Tracer
+    from repro.obs.trace import ListSink, Tracer
 
     sink = ListSink()
     detector = _OnOff()
@@ -175,7 +175,7 @@ def test_watchdog_emits_schema_valid_trace_events():
     watchdog.observe(_sample(2.0))
     kinds = [event["kind"] for event in sink.events]
     assert kinds == ["alert.raise", "alert.clear"]
-    from repro.obs import validate_event
+    from repro.obs.schema import validate_event
     for event in sink.events:
         validate_event(event)
 

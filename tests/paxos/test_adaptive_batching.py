@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.paxos import CoordinatorActor, StreamConfig
+from repro.paxos.config import StreamConfig
+from repro.paxos.coordinator import CoordinatorActor
 from repro.paxos import batching
 from repro.paxos.batching import AdaptiveBatchPolicy
 from repro.paxos.messages import Propose
-from repro.sim import Environment, Network
+from repro.sim.core import Environment
+from repro.sim.network import Network
 
 
 def _policy():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.paxos import ballot_for, next_ballot, owner_of, quorum_size
+from repro.paxos.ballot import ballot_for, next_ballot, owner_of, quorum_size
 
 
 def test_ballots_are_disjoint_between_coordinators():

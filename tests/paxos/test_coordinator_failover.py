@@ -3,9 +3,13 @@
 import pytest
 
 from repro.multicast.stream import StreamDeployment
-from repro.paxos import AppValue, CoordinatorActor, StreamConfig
+from repro.paxos.config import StreamConfig
+from repro.paxos.coordinator import CoordinatorActor
+from repro.paxos.types import AppValue
 from repro.paxos import coordinator as coordinator_module
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def test_takeover_preserves_decided_prefix():

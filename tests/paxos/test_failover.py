@@ -4,8 +4,11 @@ import pytest
 
 from repro.harness.broadcast import BroadcastClient, BroadcastReplica
 from repro.multicast.stream import StreamDeployment
-from repro.paxos import AppValue, StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.paxos.config import StreamConfig
+from repro.paxos.types import AppValue
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def make_world(lam=500, delta_t=0.05, loss=0.0):

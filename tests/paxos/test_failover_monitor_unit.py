@@ -3,8 +3,11 @@
 import pytest
 
 from repro.paxos.failover import FailoverMonitor, RingWatchdog
-from repro.paxos import CoordinatorActor, StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.paxos.config import StreamConfig
+from repro.paxos.coordinator import CoordinatorActor
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def make_net(seed=99):

@@ -10,8 +10,9 @@ same tokens in the same order.
 
 from __future__ import annotations
 
-from repro.obs import ListSink, Tracer, installed
-from repro.paxos import CoordinatorActor, StreamConfig
+from repro.obs.trace import ListSink, Tracer, installed
+from repro.paxos.config import StreamConfig
+from repro.paxos.coordinator import CoordinatorActor
 from repro.paxos.messages import Propose
 from repro.paxos.types import (
     AppValue,
@@ -20,7 +21,8 @@ from repro.paxos.types import (
     SkipToken,
     SubscribeMsg,
 )
-from repro.sim import Environment, Network
+from repro.sim.core import Environment
+from repro.sim.network import Network
 
 
 def _coordinator():

@@ -4,8 +4,10 @@ import pytest
 
 from repro.harness.broadcast import BroadcastClient, BroadcastReplica
 from repro.multicast.stream import StreamDeployment
-from repro.paxos import StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.paxos.config import StreamConfig
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def make_world(seed=43):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.paxos import SkipCalculator
+from repro.paxos.skip import SkipCalculator
 
 
 def test_idle_stream_skips_full_interval():

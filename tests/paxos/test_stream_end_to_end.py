@@ -3,8 +3,11 @@
 import pytest
 
 from repro.multicast.stream import StreamDeployment
-from repro.paxos import AppValue, SkipToken, StreamConfig
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.paxos.config import StreamConfig
+from repro.paxos.types import AppValue, SkipToken
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def build(env, ring_mode=True, skip_enabled=False, loss=0.0, **config_kwargs):

@@ -21,7 +21,9 @@ import os
 
 import pytest
 
-from repro.faults import RandomChaos, ScenarioRunner, get_scenario, run_scenario
+from repro.faults.runner import ScenarioRunner, run_scenario
+from repro.faults.scenarios import get_scenario
+from repro.faults.schedule import RandomChaos
 
 N_SEEDS = max(20, int(os.environ.get("REPRO_CHAOS_SEEDS", "20")))
 

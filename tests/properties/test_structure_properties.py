@@ -2,12 +2,15 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kvstore import InMemoryStore, partition_index_of
+from repro.kvstore.partitioning import partition_index_of
+from repro.kvstore.store import InMemoryStore
 from repro.multicast.stream import TokenLog
 from repro.paxos.skip import SkipCalculator
 from repro.paxos.types import AppValue, SkipToken
 from repro.quantiles import percentile
-from repro.sim import Envelope, Environment, Store
+from repro.runtime.kernel import Envelope
+from repro.sim.core import Environment
+from repro.sim.queues import Store
 
 
 @st.composite

@@ -11,7 +11,8 @@ from types import SimpleNamespace
 from repro.harness.broadcast import BroadcastClient
 from repro.obs.trace import ListSink, Tracer, installed
 from repro.runtime.kernel import Expiries
-from repro.sim import Environment, Network
+from repro.sim.core import Environment
+from repro.sim.network import Network
 
 
 class Wait:

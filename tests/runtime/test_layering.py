@@ -11,8 +11,11 @@ counters, series and utilisation probe) lives in :mod:`repro.obs.metrics`.
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import repro
 
@@ -142,20 +145,70 @@ def test_live_nodes_are_assembled_in_one_place():
     assert not offenders, "\n".join(offenders)
 
 
-def test_runtime_package_imports_without_sim():
-    # Importing the runtime package must not drag the simulator in:
-    # a live deployment should never pay for (or depend on) sim code
-    # it does not run.  Use a subprocess-free check: the lazy-export
-    # table exists and the eager surface is only the kernel interface.
-    import repro.runtime as runtime
+#: Planes a live node never runs: a worker or an in-process cluster
+#: that loads one of them pays for (and depends on) code it does not use.
+_NOT_LIVE = (
+    "repro.sim", "repro.harness", "repro.faults.orchestrator",
+    "repro.faults.runner", "repro.faults.scenarios", "repro.faults.schedule",
+    "repro.kvstore.repartition", "repro.multicast.trim", "repro.workload",
+    "repro.elasticity", "repro.cloud", "repro.baselines",
+    "repro.obs.critpath", "repro.obs.spans", "repro.obs.merge",
+)
 
-    assert set(runtime._LAZY) >= {
-        "AsyncioKernel",
-        "TcpTransport",
-        "encode",
-        "decode",
-        "run_live",
-    }
+
+def _loaded_after(*modules: str) -> set[str]:
+    """The ``repro`` modules a fresh interpreter holds after importing
+    ``modules``."""
+    script = (
+        "import sys\n"
+        f"for name in {modules!r}: __import__(name)\n"
+        "print('\\n'.join(m for m in sys.modules"
+        " if m == 'repro' or m.startswith('repro.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True,
+        text=True, env=env, timeout=60,
+    ).stdout
+    return set(out.split())
+
+
+def test_the_spec_imports_nothing_else():
+    assert _loaded_after("repro.spec") == {"repro", "repro.spec"}
+
+
+def test_a_live_node_loads_the_protocol_not_the_planes():
+    for modules in (
+        ("repro.deploy.worker", "repro.runtime.codec"),
+        ("repro.runtime.supervisor", "repro.runtime.codec"),
+    ):
+        loaded = _loaded_after(*modules)
+        planes = sorted(
+            m for m in loaded
+            if any(m == p or m.startswith(p + ".") for p in _NOT_LIVE)
+        )
+        assert not planes, (modules, planes)
+        assert len(loaded) <= 56, (modules, len(loaded), sorted(loaded))
+
+
+def test_package_inits_are_docstrings():
+    # One way to import a name: from the module that defines it.  A
+    # package ``__init__`` that re-exported would load every plane it
+    # names for whoever imports any one module under it.
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("__init__.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.relative_to(root.parent)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                offenders.append(f"{where} imports")
+            elif isinstance(node, ast.Name) and node.id == "__all__":
+                offenders.append(f"{where} sets __all__")
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == "__getattr__"):
+                offenders.append(f"{where} defines __getattr__")
+    assert not offenders, "\n".join(offenders)
 
 
 def test_both_backends_implement_the_whole_transport_interface():

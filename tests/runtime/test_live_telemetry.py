@@ -21,12 +21,9 @@ import os
 
 import pytest
 
-from repro.obs import (
-    LifecycleIndex,
-    cross_node_messages,
-    merge_files,
-    validate_file,
-)
+from repro.obs.merge import cross_node_messages, merge_files
+from repro.obs.schema import validate_file
+from repro.obs.spans import LifecycleIndex
 from repro.runtime.supervisor import LiveCluster, LiveConfig, run_live
 
 SKEW = 0.5
@@ -244,10 +241,9 @@ def test_flight_ring_of_records_reads_back_as_the_ring_of_dicts_did(tmp_path):
     returns.  The run also brackets the collector policy."""
     import gc
 
-    from repro.obs import (
-        FlightRecorder, ListSink, Tracer, installed, validate_event,
-    )
-    from repro.obs.schema import FIXED_SHAPE
+    from repro.obs.recorder import FlightRecorder
+    from repro.obs.schema import FIXED_SHAPE, validate_event
+    from repro.obs.trace import ListSink, Tracer, installed
 
     async def main():
         found = (gc.get_threshold(), gc.get_freeze_count())

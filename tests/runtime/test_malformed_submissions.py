@@ -142,6 +142,7 @@ def test_mutated_submissions_are_counted_or_ordered_and_nothing_dies():
     frames = corpus()
     outcomes = [_outcome(frame) for frame in frames.values()]
     expected = outcomes.count("malformed")
+    refused = outcomes.count("refused")
 
     async def send(address, coordinator, frame):
         _reader, writer = await asyncio.open_connection(*address)
@@ -169,12 +170,17 @@ def test_mutated_submissions_are_counted_or_ordered_and_nothing_dies():
             def counted():
                 return transport.counters()["dropped_malformed"] - before
 
+            def settled():
+                return (counted() >= expected
+                        and leader.refused_proposals >= refused)
+
             for frame in frames.values():
                 await send(transport.address, coordinator, frame)
             deadline = loop.time() + 10.0
-            while counted() < expected and loop.time() < deadline:
-                await asyncio.sleep(0.01)
-            await asyncio.sleep(0.2)        # and no frame counted twice
+            while not settled() and loop.time() < deadline:
+                await asyncio.sleep(0.01)   # the poll of a wait on the effect
+            # A wait for an absence: no frame is counted twice.
+            await asyncio.sleep(0.2)
             assert counted() == expected
             assert leader.refused_proposals == outcomes.count("refused")
             assert not cluster.kernel.failures, cluster.kernel.failures
@@ -184,7 +190,7 @@ def test_mutated_submissions_are_counted_or_ordered_and_nothing_dies():
                 probe.msg_id in [msg_id for *_at, msg_id in sequence]
                 for sequence in cluster.sequences().values()
             ):
-                await asyncio.sleep(0.01)
+                await asyncio.sleep(0.01)   # the poll of a wait on the effect
             assert len(cluster.sequences()) == 2
             for replica, sequence in cluster.sequences().items():
                 assert probe.msg_id in [m for *_at, m in sequence], replica

@@ -7,10 +7,12 @@ import asyncio
 
 from repro.multicast.stream import StreamDeployment
 from repro.obs.trace import ListSink, Tracer, installed
-from repro.paxos import StreamConfig
+from repro.paxos.config import StreamConfig
 from repro.runtime.asyncio_kernel import AsyncioKernel
 from repro.runtime.kernel import every
-from repro.sim import Environment, LinkSpec, Network, RngRegistry
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.rng import RngRegistry
 
 
 def test_fires_every_interval_until_tick_returns_false():

@@ -23,7 +23,7 @@ async def eventually(predicate, timeout=5.0, interval=0.01):
     while loop.time() < deadline:
         if predicate():
             return True
-        await asyncio.sleep(interval)
+        await asyncio.sleep(interval)   # the poll of a wait on the effect
     return predicate()
 
 
@@ -81,7 +81,7 @@ def test_send_before_listener_up_is_delivered_in_order_exactly_once():
         ponger.start()
         for nonce in range(3):
             transport.send("a", "b", Heartbeat(nonce=nonce), 56)
-        await asyncio.sleep(0.05)
+        await asyncio.sleep(0.05)       # a wait for an absence: all stay held
         assert transport.queue_depths() == {"b": 3}
         await transport.start()
         assert await eventually(lambda: len(ponger.seen) == 3)
@@ -101,7 +101,7 @@ def test_send_before_listener_up_is_delivered_in_order_exactly_once():
         assert transport.reconnect_attempts >= 1
         await late.start()
         assert await eventually(lambda: len(sink.seen) == 3)
-        await asyncio.sleep(0.05)
+        await asyncio.sleep(0.05)       # a wait for an absence: no duplicate
         assert ponger.seen == [0, 1, 2]
         assert sink.seen == [0, 1, 2]
         assert transport.messages_dropped == 0
@@ -154,7 +154,7 @@ def test_a_fan_out_held_for_names_without_an_address_follows_each_name():
         assert await eventually(
             lambda: all(sink.seen == [0, 1, 2] for sink in sinks)
         )
-        await asyncio.sleep(0.05)
+        await asyncio.sleep(0.05)       # a wait for an absence: no duplicate
         assert all(sink.seen == [0, 1, 2] for sink in sinks)
         assert len(sender._connections) == 3
         assert sender.messages_dropped == 0
@@ -326,7 +326,7 @@ def test_frames_queued_across_a_reconnect_arrive_in_order_exactly_once():
             transport.send("a", "b", Heartbeat(nonce=nonce), 56)
         assert transport.queue_depths()["b"] == 20
         assert await eventually(lambda: len(sink.seen) == 25)
-        await asyncio.sleep(0.05)
+        await asyncio.sleep(0.05)       # a wait for an absence: no duplicate
         assert sink.seen == list(range(25))
         assert conn.connects >= 2
         assert transport.messages_delivered == 25
@@ -625,6 +625,7 @@ def test_paused_writer_bounds_the_backlog():
             transport.send("a", "b", Heartbeat(nonce=nonce), 56)
         # The bound is per destination name, not per connection.
         transport.send("a", "c", Heartbeat(nonce=0), 56)
+        # A wait for an absence: nothing leaves while writing is paused.
         await asyncio.sleep(0.05)
         assert sink.seen == [0] and other.seen == []
         assert transport.queue_depths() == {"b": 8, "c": 1}

@@ -23,8 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.actor import Actor
-from repro.runtime.kernel import every
-from repro.sim import Envelope, Environment, LinkSpec, Network, RngRegistry, Store
+from repro.runtime.kernel import Envelope, every
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.queues import Store
+from repro.sim.rng import RngRegistry
 
 START = 1.0                    # so that ABSORBED vanishes when added to now
 ABSORBED = 1e-18

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import get_scenario, run_scenario
+from repro.faults.runner import run_scenario
+from repro.faults.scenarios import get_scenario
 from repro.harness.experiments.vertical import VerticalConfig, run_vertical
 from repro.runtime.kernel import every
-from repro.sim import Environment
+from repro.sim.core import Environment
 
 SAMPLE_EVERY = 0.05
 # Figure 3 at a twentieth of its length (the ledger's scenario-sized

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, SimulationError
+from repro.sim.core import Environment, SimulationError
 
 
 def test_timeout_advances_clock():

@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 from repro.net.actor import Actor
 from repro.net.messages import Message
 from repro.obs.trace import ALL_CATEGORIES, Tracer, installed
-from repro.sim import Environment, LinkSpec, Network, Store
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
+from repro.sim.queues import Store
 
 NODES = ("x", "y", "z")
 DELAYS = st.sampled_from([0.0, 0.001, 0.0025])

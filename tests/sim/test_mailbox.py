@@ -18,7 +18,8 @@ from repro.net.actor import Actor
 from repro.net.messages import Message
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import installed
-from repro.sim import Environment, LinkSpec, Network
+from repro.sim.core import Environment
+from repro.sim.network import LinkSpec, Network
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs.metrics import Counter, Series, UtilisationProbe
 from repro.quantiles import percentile
-from repro.sim import Environment
+from repro.sim.core import Environment
 
 
 def test_percentile_nearest_rank():

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Envelope, Environment, QueueFull, Store
+from repro.runtime.kernel import Envelope
+from repro.sim.core import Environment
+from repro.sim.queues import QueueFull, Store
 
 
 def _item(payload):

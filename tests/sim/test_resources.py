@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment
-from repro.sim.resources import Server
+from repro.sim.core import Environment
+from repro.runtime.resources import Server
 
 
 def test_single_request_takes_cost_over_rate():

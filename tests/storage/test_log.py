@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage import AcceptorLog, TrimError
+from repro.storage.log import AcceptorLog, TrimError
 
 
 def test_entry_created_on_demand():

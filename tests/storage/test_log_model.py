@@ -14,7 +14,7 @@ from typing import Any
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import AcceptorLog, InstanceSet, TrimError
+from repro.storage.log import AcceptorLog, InstanceSet, TrimError
 
 INSTANCES = 24
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim import Environment
-from repro.storage import CheckpointStore, StableStore
+from repro.sim.core import Environment
+from repro.storage.checkpoint import CheckpointStore
+from repro.storage.stable import StableStore
 
 
 def test_memory_store_is_instantaneous():

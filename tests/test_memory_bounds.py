@@ -14,13 +14,16 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
-from repro.multicast import StreamCursor, TokenLog
+from repro.multicast.merge import StreamCursor
+from repro.multicast.stream import TokenLog
 from repro.obs.metrics import Counter, Series
-from repro.paxos import CoordinatorActor, StreamConfig
+from repro.paxos.config import StreamConfig
+from repro.paxos.coordinator import CoordinatorActor
 from repro.paxos.messages import Decision
 from repro.paxos.types import AppValue, Batch
-from repro.sim import Environment, Network
-from repro.storage import AcceptorLog
+from repro.sim.core import Environment
+from repro.sim.network import Network
+from repro.storage.log import AcceptorLog
 
 ENTRIES = 100_000
 

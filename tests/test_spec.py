@@ -2,7 +2,7 @@
 
 Each case is a short history plus the set of properties it must raise.
 The same history is run through :class:`repro.spec.SafetySpec`
-directly, through :class:`repro.faults.InvariantSuite` over stub
+directly, through :class:`repro.faults.invariants.InvariantSuite` over stub
 replicas (in-process front-end) and through
 :class:`repro.obs.audit.SafetyCertifier` over synthesised trace events
 (trace front-end): one statement of the properties, so one verdict.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import InvariantSuite, InvariantViolation
+from repro.faults.invariants import InvariantSuite, InvariantViolation
 from repro.obs import audit
 from repro.obs.audit import SafetyCertifier
 from repro.spec import PROPERTIES, SafetySpec

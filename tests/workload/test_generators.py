@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.workload import KeyspaceWorkload, key_name, zipf_shares
+from repro.workload.generators import KeyspaceWorkload, key_name, zipf_shares
 
 
 def test_key_name_fixed_width_sorted():
