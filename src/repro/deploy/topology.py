@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from ..paxos.config import StreamConfig
-from ..paxos.skip import DEFAULT_LAMBDA
+from ..paxos.config import DEFAULT_LAMBDA
 
 __all__ = [
     "NodeSpec",

@@ -14,13 +14,14 @@ The whole run is deterministic: one ``(scenario, seed)`` pair yields a
 bit-identical delivery history, reported as a digest so regressions --
 and chaos-found bugs -- reproduce exactly.
 
-Flight recording: every run keeps the most recent protocol trace events
-in a bounded :class:`repro.obs.recorder.FlightRecorder` ring buffer.
-When an invariant fires, the buffer is dumped to
-``$REPRO_FLIGHT_DIR`` (default ``flight-recordings/``) as
-``<scenario>-seed<seed>.jsonl`` -- the violation's causal history ships
-with the failure -- and the exception carries the dump path in its
-``dump_path`` attribute.
+Flight recording on demand: a run traces nothing of its own.  When an
+invariant fires, the same run is rebuilt (constructor call and id
+counter) with a :class:`repro.obs.recorder.FlightRecorder` ring, run to
+the failure, and the ring dumped to ``$REPRO_FLIGHT_DIR`` (default
+``flight-recordings/``) as ``<scenario>-seed<seed>.jsonl``; the
+exception's ``dump_path`` names it.  A replay that fails otherwise is a
+determinism finding, and the message carries both verdicts.  Under an
+external tracer (the CLI's ``trace``) the ring rides along inline.
 
 :class:`CheckedRun` is the part of that a closed-loop elasticity run
 (:mod:`repro.elasticity.scenarios`) shares: it owns the recorder, the
@@ -38,6 +39,7 @@ from typing import Callable, Optional
 from ..harness.cluster import MulticastCluster
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import Tracer, current_tracer, installed
+from ..paxos import types
 from ..runtime.kernel import every
 from ..storage.checkpoint import CheckpointStore
 from ..storage.snapshot import structural_copy
@@ -50,7 +52,6 @@ __all__ = ["CheckedRun", "ScenarioResult", "ScenarioRunner"]
 
 FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 DEFAULT_FLIGHT_DIR = "flight-recordings"
-_FLIGHT_CAPACITY = 100_000   # trace events the flight recorder keeps
 _CHECK_INTERVAL = 0.25       # virtual seconds between invariant checks
 _CHECKPOINT_INTERVAL = 0.25  # virtual seconds between replica checkpoints
 
@@ -78,45 +79,36 @@ class ScenarioResult:
 class CheckedRun:
     """A simulated cluster run under the invariant suite (module
     docstring).  A subclass deploys its replicas in :meth:`_deploy` and
-    drives its own workload."""
+    drives its own workload from ``run()``, which a replay calls."""
 
-    def __init__(
-        self,
-        spec,
-        seed: int,
-        streams: tuple[str, ...],
-        schedule: Schedule,
-        metrics=None,
-    ):
+    def __new__(cls, *args, **kwargs):
+        run = super().__new__(cls)
+        # What a replay rebuilds the run from: the constructor call, and
+        # the id the process-global counter hands out next.
+        run._rebuild = (args, kwargs, types.next_value_id())
+        return run
+
+    def __init__(self, spec, seed: int, streams: tuple[str, ...],
+                 schedule: Schedule, metrics=None):
         self.spec = spec
         self.seed = seed
         self.schedule = schedule
-        # Flight recorder: ride along on an externally installed tracer
-        # (e.g. the CLI's trace command), or install a private one just
-        # for the cluster construction window -- the environment adopts
-        # it then and keeps emitting to it for the whole run.
-        self.recorder = FlightRecorder(capacity=_FLIGHT_CAPACITY)
-        external = current_tracer()
-        if external is not None:
-            external.add_sink(self.recorder)
-            self.tracer = external
-        else:
-            self.tracer = Tracer(sinks=[self.recorder])
-        with installed(
-            None if external is not None else self.tracer, metrics=metrics
-        ):
+        # A ring only on an installed tracer (the CLI's trace command,
+        # or a replay's), which the environment adopts at construction.
+        self.tracer = current_tracer()
+        self.recorder: Optional[FlightRecorder] = None
+        if self.tracer is not None:
+            self.recorder = FlightRecorder()
+            self.tracer.add_sink(self.recorder)
+        with installed(metrics=metrics):
             self.cluster = MulticastCluster(
-                streams=streams,
-                seed=seed,
-                link_latency=spec.link_latency,
-                lam=spec.lam,
-                delta_t=spec.delta_t,
+                streams=streams, seed=seed, link_latency=spec.link_latency,
+                lam=spec.lam, delta_t=spec.delta_t,
             )
         self._deploy()
         self.suite = InvariantSuite(self.cluster.replicas)
-        self.orchestrator = FaultOrchestrator(
-            self.cluster.env, self.cluster.network
-        )
+        self.orchestrator = FaultOrchestrator(self.cluster.env,
+                                              self.cluster.network)
 
     def _deploy(self) -> None:
         raise NotImplementedError
@@ -146,13 +138,32 @@ class CheckedRun:
         self.recorder.dump(path, header=header)
         return path
 
+    def _replay(self, violation: InvariantViolation) -> str:
+        """Rebuild this run with a ring, run it to the same failure and
+        dump that ring (module docstring); returns the path."""
+        args, kwargs, first_id = self._rebuild
+        resume = types.next_value_id()
+        types.rewind_value_ids(first_id)
+        with installed(Tracer()):
+            replay = type(self)(*args, **kwargs)
+        verdict, path = "no failure", None
+        try:
+            replay.run()
+        except Exception as failure:
+            verdict = f"t={replay.cluster.env.now:.6f}s: {failure}"
+            path = getattr(failure, "dump_path", None)
+        types.rewind_value_ids(resume)
+        self.recorder = replay.recorder
+        if verdict == f"t={self.cluster.env.now:.6f}s: {violation}":
+            return path
+        # A determinism finding: never hidden, both verdicts reported.
+        violation.args = (f"{violation}; its replay: {verdict}",)
+        return replay.dump_flight_recording(violation)
+
     # -- running --------------------------------------------------------
 
-    def _run_checked(
-        self,
-        duration: float,
-        arm: Optional[Callable[[], None]] = None,
-    ) -> None:
+    def _run_checked(self, duration: float,
+                     arm: Optional[Callable[[], None]] = None) -> None:
         """Arm the periodic check, then ``arm``, then the fault schedule;
         run to ``duration``, check once more and assert that the groups
         converged.  A violation dumps the flight recording and
@@ -167,17 +178,18 @@ class CheckedRun:
             self.suite.check()
             self.suite.assert_converged()
         except InvariantViolation as violation:
-            # Ship the causal history with the failure: dump the flight
-            # recorder's ring buffer next to the violation and re-raise.
-            violation.dump_path = self.dump_flight_recording(violation)
+            # Ship the causal history with the failure: dump the ring --
+            # this run's, or a replay's -- next to it and re-raise.
+            violation.dump_path = (
+                self._replay(violation) if self.recorder is None
+                else self.dump_flight_recording(violation)
+            )
             raise
 
     def delivered(self) -> dict[str, int]:
         """Deliveries per replica, by replica name."""
-        return {
-            name: self.suite.logs[name].delivered
-            for name in sorted(self.suite.logs)
-        }
+        logs = self.suite.logs
+        return {name: logs[name].delivered for name in sorted(logs)}
 
 
 class ScenarioRunner(CheckedRun):
@@ -206,9 +218,8 @@ class ScenarioRunner(CheckedRun):
         checkpoint's position is the replica's delivery-log mark."""
         for name, replica in self.cluster.replicas.items():
             if not replica.crashed:
-                self.checkpoints[name].save(
-                    self.suite.mark(name), replica.make_checkpoint()
-                )
+                self.checkpoints[name].save(self.suite.mark(name),
+                                            replica.make_checkpoint())
 
     def _recover_hook(self, name: str):
         def recover() -> None:
@@ -234,28 +245,15 @@ class ScenarioRunner(CheckedRun):
         share = self.spec.load_share
         # share is None on the legacy path: the constant interval keeps
         # pre-existing scenarios' digests byte-identical.
-        delay = (
-            interval if share is None
-            else interval / max(share(stream, env.now), 1e-9)
-        )
+        delay = interval if share is None else (
+            interval / max(share(stream, env.now), 1e-9))
         env.call_later(delay, self._load, stream, until, index + 1)
 
     def _arm_control(self) -> None:
-        env = self.cluster.env
         client = self.cluster.client
-        for op in self.spec.control:
-            if op.kind == "subscribe":
-                env.call_at(
-                    op.at, client.subscribe_msg, op.group, op.stream, op.via
-                )
-            elif op.kind == "prepare":
-                env.call_at(
-                    op.at, client.prepare_msg, op.group, op.stream, op.via
-                )
-            else:   # unsubscribe
-                env.call_at(
-                    op.at, client.unsubscribe_msg, op.group, op.stream, op.via
-                )
+        for op in self.spec.control:   # subscribe, prepare, unsubscribe
+            send = getattr(client, f"{op.kind}_msg")
+            self.cluster.env.call_at(op.at, send, op.group, op.stream, op.via)
 
     # -- running --------------------------------------------------------
 

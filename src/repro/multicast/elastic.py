@@ -216,7 +216,11 @@ class ElasticMerger:
         waited = self.now() - since
         if waited <= 0.0:
             return
-        self._emit("merge.head_of_line", stream=stream, waited=waited)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.emit("merge.head_of_line", self.env.now, (
+                self.owner, self.group, stream, waited,
+            ))
         if self._metrics is not None:
             self._metrics.histogram(self.owner, "merge_hol_wait_ms").record(
                 1000.0 * waited

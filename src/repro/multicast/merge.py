@@ -8,7 +8,7 @@ rule that :mod:`repro.multicast.elastic` extends.
 The merger consumes one stream *position* per round-robin turn.  Values
 are delivered; skip tokens and control messages are consumed silently.
 Because every stream is topped up to the virtual rate λ with skip
-tokens (:mod:`repro.paxos.skip`), delivery never stalls on an idle
+tokens (:mod:`repro.paxos.config`), delivery never stalls on an idle
 stream.
 """
 

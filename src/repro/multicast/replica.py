@@ -167,15 +167,11 @@ class MulticastReplica(Actor):
             _log.append_batch(batch, instance=instance)
             tracer = self._tracer
             if tracer is not None:
-                tracer.emit(
-                    "learner.learned", self.env.now, replica=self.name,
-                    stream=_stream, instance=instance,
-                    msg_ids=[
-                        t.msg_id for t in batch.tokens
-                        if isinstance(t, AppValue)
-                    ],
-                    positions=batch.positions(),
-                )
+                tracer.emit("learner.learned", self.env.now, (
+                    self.name, _stream, instance, batch.positions(),
+                    *[t.msg_id for t in batch.tokens
+                      if isinstance(t, AppValue)],
+                ))
             metrics = self._metrics
             if metrics is not None:
                 cursor = self.merger.positions().get(_stream)

@@ -135,6 +135,11 @@ class FixedShape(NamedTuple):
     run: bool = False
     counted: bool = False
     repeated: int = -1                  # index into ``fields``
+    # With ``listed`` (and no ``run``) the record stands for one event
+    # whose ``fields[repeated]`` is a list: the record carries every
+    # other field once, in order, then that list's items.  A record
+    # stays a flat tuple of scalars either way.
+    listed: bool = False
 
 
 # The kinds emitted once or more per delivered value.  Their call sites
@@ -154,12 +159,27 @@ class FixedShape(NamedTuple):
 # ``(coordinator, stream, "AppValue", msg_id, msg_id, ...)``; a token
 # without a ``msg_id`` (a skip, a control message and its
 # ``request_id``) is emitted by keyword.
+# ``coord.phase2`` and ``learner.learned`` are one event per instance
+# whose ``msg_ids`` is listed: ``(coordinator, stream, instance,
+# positions, msg_id, msg_id, ...)``.
 FIXED_SHAPE: dict[str, FixedShape] = {
     "client.submit": FixedShape(
         "client", ("client", "stream", "msg_id", "size"), run=True,
         repeated=2),
     "coord.propose": FixedShape(
         "coord", ("coordinator", "stream", "type", "msg_id"), run=True),
+    "coord.phase2": FixedShape(
+        "coord", ("coordinator", "stream", "instance", "msg_ids", "positions"),
+        repeated=3, listed=True),
+    "coord.decide": FixedShape(
+        "coord", ("coordinator", "stream", "instance", "positions",
+                  "closed_by"),
+        optional=frozenset({"closed_by"})),
+    "learner.learned": FixedShape(
+        "learner", ("replica", "stream", "instance", "msg_ids", "positions"),
+        repeated=3, listed=True),
+    "merge.head_of_line": FixedShape(
+        "merge", ("replica", "group", "stream", "waited")),
     "transport.queue_wait": FixedShape(
         "transport", ("dst", "msg_id", "wait")),
     "net.context": FixedShape(
@@ -175,11 +195,14 @@ def materialise(record: tuple, node: Optional[str] = None) -> list[dict]:
     tracer stamping ``node`` emits them: one, or one per value of a run."""
     ts, seq, kind = record[:3]
     shape = FIXED_SHAPE[kind]
-    if not shape.run:
+    if not (shape.run or shape.listed):
         return [_event(shape, ts, seq, kind, node, record[3:])]
     last = 2 + len(shape.fields)        # index of the first repeated value
     split = shape.repeated % len(shape.fields)
     before, after = record[3:3 + split], record[3 + split:last]
+    if shape.listed:
+        return [_event(shape, ts, seq, kind, node,
+                       before + (list(record[last:]),) + after)]
     if not shape.counted:
         return [
             _event(shape, ts, seq + offset, kind, node,

@@ -194,9 +194,11 @@ class Tracer:
         )
         # Fixed-shape kinds wanted -> payload fields less one: a record
         # of one of them stands for ``len(values)`` less that many
-        # events (one, unless the kind is a run).
+        # events (one, unless the kind is a run) -- or 0 for a listed
+        # kind, whose record is one event however long.
         self._fixed_kinds = {
-            kind: len(shape.fields) - 1 for kind, shape in FIXED_SHAPE.items()
+            kind: 0 if shape.listed else len(shape.fields) - 1
+            for kind, shape in FIXED_SHAPE.items()
             if shape.cat in self.categories
         }
         # Cached membership tests for the hottest guard sites.
@@ -241,7 +243,7 @@ class Tracer:
                 if kind not in FIXED_SHAPE:     # filtered out is fine
                     raise KeyError(f"no FIXED_SHAPE declared for {kind!r}")
                 return
-            count = len(values) - head
+            count = len(values) - head if head else 1
             self._seq = seq + count
             self.emitted += count
             # Flat, not nested: a tuple of scalars leaves the collector's

@@ -5,9 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .skip import DEFAULT_DELTA_T, DEFAULT_LAMBDA
+__all__ = ["DEFAULT_DELTA_T", "DEFAULT_LAMBDA", "StreamConfig"]
 
-__all__ = ["StreamConfig"]
+# The λ/Δt skip mechanism of Multi-Ring Paxos (§III-B, §VII-A): a merge
+# of several streams is gated by the slowest, so every Δt each
+# coordinator tops its stream up with skip tokens to the virtual rate λ
+# -- absolutely, to position λ·now (``CoordinatorActor._skip_tick``),
+# which pins every stream of a deployment to one virtual position clock.
+# The paper runs every experiment with λ = 4000 and Δt = 100 ms.
+DEFAULT_LAMBDA = 4000      # stream positions per second
+DEFAULT_DELTA_T = 0.100    # sampling interval in seconds
 
 
 @dataclass

@@ -4,7 +4,7 @@ The coordinator owns a ballot, runs Phase 1 once over an open-ended
 instance window, and then decides a pipeline of instances with single
 round trips.  It batches client tokens, tops the stream up with skip
 tokens every Δt so that the stream sustains the virtual rate λ
-(:mod:`repro.paxos.skip`), retransmits undecided instances, and hands
+(:mod:`repro.paxos.config`), retransmits undecided instances, and hands
 decisions to the registered learners.
 
 Dissemination modes
@@ -544,11 +544,10 @@ class CoordinatorActor(Actor):
         self.outstanding[instance]["acks"] = set()
         tracer = self._tracer
         if tracer is not None:
-            tracer.emit(
-                "coord.phase2", self.env._now, coordinator=self.name,
-                stream=self.stream, instance=instance,
-                msg_ids=_batch_msg_ids(batch), positions=batch.positions(),
-            )
+            tracer.emit("coord.phase2", self.env._now, (
+                self.name, self.stream, instance, batch.positions(),
+                *_batch_msg_ids(batch),
+            ))
         if self.config.ring_mode:
             message = RingAccept(
                 stream=self.stream,
@@ -613,15 +612,10 @@ class CoordinatorActor(Actor):
                 )
         tracer = self._tracer
         if tracer is not None:
-            fields = {
-                "coordinator": self.name,
-                "stream": self.stream,
-                "instance": instance,
-                "positions": batch.positions(),
-            }
-            if closed_by is not None:
-                fields["closed_by"] = closed_by
-            tracer.emit("coord.decide", self.env._now, **fields)
+            tracer.emit("coord.decide", self.env._now, (
+                self.name, self.stream, instance, batch.positions(),
+                closed_by,
+            ))
         self._pump_proposals()
 
     # -- skips ---------------------------------------------------------------

@@ -32,6 +32,8 @@ __all__ = [
     "UnsubscribeMsg",
     "WireBatch",
     "fresh_value_id",
+    "next_value_id",
+    "rewind_value_ids",
     "token_positions",
 ]
 
@@ -41,6 +43,21 @@ _ids = itertools.count(1)
 def fresh_value_id() -> int:
     """Globally unique id for values created in this process."""
     return next(_ids)
+
+
+def next_value_id() -> int:
+    """The id :func:`fresh_value_id` hands out next (consumes none)."""
+    global _ids
+    upcoming = next(_ids)
+    _ids = itertools.count(upcoming)
+    return upcoming
+
+
+def rewind_value_ids(upcoming: int) -> None:
+    """Make ``upcoming`` the next id: a deterministic replay of a run
+    mints the ids the run minted."""
+    global _ids
+    _ids = itertools.count(upcoming)
 
 
 class AppValue:

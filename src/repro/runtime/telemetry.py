@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 _UNSAFE = re.compile(r"[^a-zA-Z0-9_]")
-_FLIGHT_CAPACITY = 100_000   # trace events a node's flight recorder keeps
 
 
 def _prom_name(name: str) -> str:
@@ -298,7 +297,7 @@ class NodeTelemetry:
     ):
         self.node = node
         self.trace_path = trace_path
-        self.recorder = FlightRecorder(capacity=_FLIGHT_CAPACITY)
+        self.recorder = FlightRecorder()
         sinks: list[Any] = [self.recorder]
         self._jsonl: Optional[JsonlSink] = None
         if trace_path is not None:

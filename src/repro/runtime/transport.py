@@ -427,10 +427,16 @@ class TcpTransport:
         self._net_tracer = (
             tracer if tracer is not None and tracer.wants_net else None
         )
-        # Trace-context propagation rides on *any* installed tracer
-        # (not just the net firehose): the whole point is that another
-        # node can correlate the lifecycle.
-        self._propagate_context = tracer is not None
+        # Trace-context propagation (and ``net.context`` /
+        # ``transport.queue_wait``) rides on a node-stamped tracer, not
+        # just the net firehose: another node's trace can then correlate
+        # the lifecycle.  A tracer that stamps no node is one timeline
+        # for the whole process, which no trace-merge aligns -- its
+        # frames go out as version 1.
+        self._context_tracer = (
+            tracer if tracer is not None and tracer.node is not None
+            else None
+        )
         for name in _COUNTERS:
             setattr(self, name, 0)
         # Network has these too; TCP neither duplicates nor reorders.
@@ -462,7 +468,8 @@ class TcpTransport:
         # budget) needs the msg_id extracted even when context
         # propagation is off; only bother when someone is listening.
         self._track_queue_wait = (
-            tracer is not None or self._m_queue_wait is not None
+            self._context_tracer is not None
+            or self._m_queue_wait is not None
         )
 
     def _count_reconnect(self) -> None:
@@ -500,7 +507,7 @@ class TcpTransport:
         budget's queue-vs-wire split).  Only msg_id-bearing payloads, so
         the volume stays at value-message scale, like ``net.context``."""
         wait = self.env._now - since
-        tracer = self._tracer
+        tracer = self._context_tracer
         if tracer is not None:
             tracer.emit(
                 "transport.queue_wait", self.env._now, (dst, msg_id, wait)
@@ -846,7 +853,7 @@ class TcpTransport:
                         if hasattr(member, "msg_id")
                     ), None)
         context: Optional[dict] = None
-        if msg_id is not None and self._propagate_context:
+        if msg_id is not None and self._context_tracer is not None:
             context = {"origin": self.node or src, "ts": now, "msg_id": msg_id}
         return msg_id, context
 
@@ -907,7 +914,7 @@ class TcpTransport:
                 self.bytes_delivered += frame_bytes
                 msg_id = None if context is None else context.get("msg_id")
             now = self.env._now
-            if msg_id is not None and self._tracer is not None:
+            if msg_id is not None and self._context_tracer is not None:
                 # The propagated context names the *origin* node and the
                 # sender's node-local clock: the merge tool and the
                 # lifecycle index can tie this arrival back to the send
@@ -916,7 +923,7 @@ class TcpTransport:
                 # correlation the default categories exist for, and only
                 # for msg_id-bearing payloads so the volume stays at
                 # value-message scale.
-                self._tracer.emit(
+                self._context_tracer.emit(
                     "net.context", now,
                     (src, dst, context.get("origin"), msg_id,
                      context.get("ts")),

@@ -92,7 +92,7 @@ def test_peer_close_surfaces_as_control_error():
 def test_concurrent_calls_serialize_on_one_connection():
     async def main():
         async def handler(request):
-            await asyncio.sleep(0.02)
+            await asyncio.sleep(0.02)   # simulated work, not a wait
             return {"value": request["value"]}
 
         server = ControlServer(handler)

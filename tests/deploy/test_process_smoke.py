@@ -121,7 +121,7 @@ async def _checked_vs_delivered(config: DeployConfig) -> dict:
             )
             if folded or asyncio.get_running_loop().time() > deadline:
                 return tallies
-            await asyncio.sleep(0.05)
+            await asyncio.sleep(0.05)   # the poll of a wait on the effect
     finally:
         await sup.stop_all()
 

@@ -19,6 +19,7 @@ from repro.elasticity.scenarios import (
     run_scenario,
 )
 from repro.obs.schema import validate_event
+from repro.obs.trace import Tracer, installed
 
 _RESULTS: dict = {}
 _RUNNERS: dict = {}
@@ -27,7 +28,9 @@ _RUNNERS: dict = {}
 def _run(name: str, seed: int = 1):
     key = (name, seed)
     if key not in _RESULTS:
-        runner = ElasticityRunner(get_scenario(name), seed=seed)
+        # Traced, so the ring rides along: the trace tests read it.
+        with installed(Tracer()):
+            runner = ElasticityRunner(get_scenario(name), seed=seed)
         _RESULTS[key] = runner.run()
         _RUNNERS[key] = runner
     return _RESULTS[key]

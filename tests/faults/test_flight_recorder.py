@@ -1,7 +1,8 @@
 """Flight-recorder regression test: an invariant violation during a
 fault-injection run must write a JSONL dump containing the violating
-message's full causal history (submit -> propose -> Phase 2 -> learn ->
-deliver) plus a self-describing ``meta.violation`` header.
+message's full causal history (submit -> propose -> Phase 2 -> decide ->
+learn -> deliver) plus a self-describing ``meta.violation`` header.  The
+run itself traces nothing: the dump is a replay's ring.
 """
 
 import json
@@ -9,11 +10,14 @@ import os
 
 import pytest
 
+from repro.elasticity.scenarios import ElasticityRunner, get_scenario
 from repro.faults.invariants import InvariantViolation
 from repro.faults.runner import FLIGHT_DIR_ENV, ScenarioRunner
 from repro.faults.scenarios import ScenarioSpec
 from repro.faults.schedule import Schedule
 from repro.obs.schema import validate_file
+from repro.obs.trace import Tracer, installed
+from repro.paxos.types import next_value_id, rewind_value_ids
 
 
 def _quiet_spec() -> ScenarioSpec:
@@ -36,29 +40,48 @@ def _mentions(event: dict, msg_id: int) -> bool:
     )
 
 
-def test_violation_dump_contains_causal_history(tmp_path, monkeypatch):
-    monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
-    runner = ScenarioRunner(_quiet_spec(), seed=1)
-    env = runner.cluster.env
-    sabotaged: dict[str, int] = {}
+class _Sabotage:
+    """A run that re-delivers an already-delivered value at t = 1: its
+    position is no longer strictly increasing, so the next periodic
+    check raises ``duplicate-delivery`` against a *real* message whose
+    whole lifecycle a replay's ring holds.  Part of the run, so a
+    replay does it too."""
 
-    def sabotage():
-        # Replay an already-delivered value: its position is no longer
-        # strictly increasing, so the next periodic check raises
-        # ``duplicate-delivery`` against a *real* message whose
-        # whole lifecycle sits in the flight recorder.
-        log = runner.suite.logs["G1/r1"]
+    sabotaged: list = []
+
+    def run(self):
+        self.cluster.env.call_at(1.0, self._sabotage)
+        return super().run()
+
+    def _sabotage(self):
+        log = self.suite.logs[min(self.suite.logs)]
         assert log.runs, "no deliveries before the sabotage point"
         stream, first, values, _at = log.runs[0]
-        sabotaged["msg_id"] = values[0].msg_id
-        log.append(stream, first, values[:1], env.now)
+        self.sabotaged.append(values[0].msg_id)
+        log.append(stream, first, values[:1], self.cluster.env.now)
 
-    env.call_at(1.0, sabotage)
+
+class _Sabotaged(_Sabotage, ScenarioRunner):
+    pass
+
+
+class _SabotagedElasticity(_Sabotage, ElasticityRunner):
+    pass
+
+
+def test_violation_dump_contains_causal_history(tmp_path, monkeypatch):
+    monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
+    runner = _Sabotaged(_quiet_spec(), seed=1)
+    assert runner.recorder is None      # the run itself traces nothing
+    _Sabotaged.sabotaged = []
     with pytest.raises(InvariantViolation) as excinfo:
         runner.run()
     violation = excinfo.value
-    msg_id = sabotaged["msg_id"]
+    # The replay re-delivered the same message, ids and all.
+    msg_id, replayed = _Sabotaged.sabotaged
+    assert replayed == msg_id
     assert violation.msg_id == msg_id
+    assert "replay" not in str(violation)
 
     # The exception carries the dump path; the dump exists where
     # $REPRO_FLIGHT_DIR points and is named after (scenario, seed).
@@ -95,14 +118,64 @@ def test_violation_dump_contains_causal_history(tmp_path, monkeypatch):
     assert {e["kind"] for e in recorded} == history_kinds
 
 
+@pytest.mark.parametrize("build", [
+    lambda: _Sabotaged(_quiet_spec(), seed=1),
+    lambda: _SabotagedElasticity(get_scenario("ramp"), seed=1),
+], ids=["scenario", "elasticity"])
+def test_a_replayed_dump_is_the_inline_ring_byte_for_byte(
+    build, tmp_path, monkeypatch
+):
+    # The same run twice from the same id: once traced, its ring riding
+    # along inline, once untraced and replayed for the dump.
+    first = next_value_id()
+    dumps = []
+    for mode, tracer in (("inline", Tracer()), ("replayed", None)):
+        monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path / mode))
+        rewind_value_ids(first)
+        with installed(tracer):
+            runner = build()
+        assert (runner.recorder is None) == (tracer is None)
+        with pytest.raises(InvariantViolation) as excinfo:
+            runner.run()
+        with open(excinfo.value.dump_path, "rb") as dump:
+            dumps.append(dump.read())
+        assert "replay" not in str(excinfo.value)
+    assert dumps[0] == dumps[1]
+    assert dumps[0].count(b"\n") > 100
+
+
+def test_a_replay_that_fails_otherwise_is_reported_with_both_verdicts(
+    tmp_path, monkeypatch
+):
+    # Sabotaged the first time only: the replay runs clean -- a
+    # determinism finding, which the violation and the dump both carry.
+    monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
+
+    class _Once(_Sabotaged):
+        def _sabotage(self):
+            if not self.sabotaged:
+                super()._sabotage()
+
+    _Once.sabotaged = []
+    with pytest.raises(InvariantViolation) as excinfo:
+        _Once(_quiet_spec(), seed=1).run()
+    message = str(excinfo.value)
+    assert "strictly increasing" in message
+    assert message.endswith("; its replay: no failure")
+    with open(excinfo.value.dump_path, encoding="utf-8") as handle:
+        header = json.loads(handle.readline())
+    assert header["message"] == message
+    assert validate_file(excinfo.value.dump_path) > 100
+
+
 def test_clean_run_writes_no_dump(tmp_path, monkeypatch):
     monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
     runner = ScenarioRunner(_quiet_spec(), seed=1)
     runner.run()
     assert os.listdir(str(tmp_path)) == []
-    # The recorder still holds the run's history, bounded by capacity.
-    assert len(runner.recorder) > 0
-    assert len(runner.recorder) <= runner.recorder.capacity
+    # Nothing was traced: a ring is regenerated only for a failure.
+    assert runner.tracer is None and runner.recorder is None
+    assert runner.cluster.env.tracer is None
 
 
 def test_runner_rides_on_externally_installed_tracer(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.multicast.elastic import ElasticMerger, MergerState
 from repro.multicast.stream import TokenLog
+from repro.obs.trace import ListSink, Tracer
 from repro.paxos.types import (
     AppValue,
     PrepareMsg,
@@ -323,12 +324,13 @@ def test_stats_track_subscriptions():
     assert r.merger.stats.unsubscriptions == 1
 
 
-class _FakeTracer:
-    def __init__(self):
-        self.events = []
+class _FakeTracer(Tracer):
+    """A tracer whose events land in ``events``."""
 
-    def emit(self, kind, ts, **fields):
-        self.events.append({"kind": kind, "ts": ts, **fields})
+    def __init__(self):
+        sink = ListSink()
+        super().__init__(sinks=[sink])
+        self.events = sink.events
 
 
 class _FakeEnv:

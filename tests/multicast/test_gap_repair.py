@@ -10,6 +10,7 @@ rounds, not one round per hole.
 from repro.faults.runner import ScenarioRunner
 from repro.faults.scenarios import ScenarioSpec
 from repro.faults.schedule import LossWindow, Schedule
+from repro.obs.trace import Tracer, installed
 from repro.paxos.learner import _GAP_TIMEOUT
 from repro.runtime.kernel import every
 
@@ -39,7 +40,8 @@ def test_every_hole_of_a_loss_window_closes_within_two_repair_rounds():
         schedule=lambda _seed: schedule,
         load_rate=80.0,
     )
-    runner = ScenarioRunner(spec, seed=1)
+    with installed(Tracer()):   # the ring rides along: repairs are read off it
+        runner = ScenarioRunner(spec, seed=1)
     env = runner.cluster.env
     holes_seen = []   # probe times at which G1/r1's S1 learner had holes
 

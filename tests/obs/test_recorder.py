@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import FlightRecorder, charge
 from repro.obs.schema import validate_file
 
 
@@ -17,24 +17,49 @@ def _event(seq, kind="net.heal", **fields):
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        FlightRecorder(capacity=0)
+        FlightRecorder(max_bytes=0)
 
 
 def test_ring_bound_evicts_oldest():
-    recorder = FlightRecorder(capacity=3)
+    # The bound is in bytes: room for three of these events.
+    recorder = FlightRecorder(max_bytes=3 * charge(_event(0)))
     for seq in range(5):
         recorder.record(_event(seq))
     assert len(recorder) == 3
     assert recorder.recorded == 5
     assert recorder.dropped == 2
+    assert recorder.bytes == recorder.max_bytes
     assert [e["seq"] for e in recorder.events()] == [2, 3, 4]
 
 
+def test_the_byte_bound_charges_what_an_entry_holds():
+    # A record of 160 msg_ids costs what it holds: it pushes out the
+    # small events it needs room for, and an entry larger than the
+    # whole budget still stays, alone, as the newest.
+    small = _event(0)
+    run = (1.0, 1, "replica.deliver", "r1", "g1", "s1", 0) + tuple(
+        range(1000, 1160)
+    )
+    assert charge(run) > 20 * charge(small)
+    recorder = FlightRecorder(max_bytes=charge(run) + 2 * charge(small))
+    for seq in range(30):
+        recorder.record(_event(seq))
+    assert len(recorder) == recorder.max_bytes // charge(small)
+    recorder.record(run)
+    assert len(recorder) == 3 and recorder.dropped == 30 - 2
+    huge = FlightRecorder(max_bytes=charge(small))
+    huge.record(small)
+    huge.record(run)
+    assert len(huge) == 1 and huge.bytes == charge(run)
+    assert len(huge.events()) == 160
+
+
 def test_clear_empties_buffer():
-    recorder = FlightRecorder(capacity=3)
+    recorder = FlightRecorder(max_bytes=3 * charge(_event(0)))
     recorder.record(_event(0))
     recorder.clear()
     assert len(recorder) == 0
+    assert recorder.bytes == 0
     assert recorder.recorded == 1
 
 

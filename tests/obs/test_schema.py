@@ -136,7 +136,8 @@ def test_fixed_shape_declarations_match_the_schema():
     from repro.obs.schema import FIXED_SHAPE, materialise
 
     assert set(FIXED_SHAPE) == {
-        "client.submit", "coord.propose", "transport.queue_wait",
+        "client.submit", "coord.propose", "coord.phase2", "coord.decide",
+        "learner.learned", "merge.head_of_line", "transport.queue_wait",
         "net.context", "replica.deliver",
     }
     for kind, shape in FIXED_SHAPE.items():
@@ -145,6 +146,7 @@ def test_fixed_shape_declarations_match_the_schema():
         assert len(set(shape.fields)) == len(shape.fields), kind
         assert shape.optional <= set(shape.fields[len(required):]), kind
         assert shape.cat in ALL_CATEGORIES, kind
+        assert not (shape.run and shape.listed), kind
         # All optional fields absent is still a valid event.
         for event in materialise((0.0, 0, kind) + tuple(
             None if name in shape.optional else 1 for name in shape.fields

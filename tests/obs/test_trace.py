@@ -154,6 +154,8 @@ _SAMPLE = {
     "coordinator": "s1/coord", "type": "AppValue",
     "dst": "s1/a1", "wait": 0.00025, "src": "client", "origin": "n1",
     "origin_ts": 1.25, "replica": "r1", "group": "g1", "position": 41,
+    "instance": 12, "msg_ids": [7, 8, 9], "positions": 4,
+    "closed_by": "s1/a3", "waited": 0.0125,
 }
 
 
@@ -174,16 +176,18 @@ def _fixed_cases():
 def _record_values(shape, events):
     """The ``values`` of one record standing for ``events``, tuples in
     the order of ``shape.fields``: each once, and a run's repeated field
-    once per event at the end."""
+    once per event at the end -- or a listed field's items."""
     if not shape.run:
         (values,) = events
-        return values
+        if not shape.listed:
+            return values
     repeated = shape.repeated % len(shape.fields)
     values = events[0]
-    return (
-        values[:repeated] + values[repeated + 1:]
-        + tuple(event[repeated] for event in events)
+    tail = (
+        tuple(values[repeated]) if shape.listed
+        else tuple(event[repeated] for event in events)
     )
+    return values[:repeated] + values[repeated + 1:] + tail
 
 
 def _run_of(shape, values, length):
@@ -206,7 +210,8 @@ def test_fixed_shape_events_equal_what_the_keyword_path_builds():
     from repro.obs.schema import validate_event
 
     cases = list(_fixed_cases())
-    assert len(cases) == 5          # one per kind: no optional fields left
+    # One per kind, and coord.decide with and without closed_by.
+    assert len(cases) == 10
     # Every run kind also as a run of three events, whatever field it
     # repeats (client.submit repeats msg_id, which size follows).
     runs = [
@@ -306,17 +311,20 @@ def test_a_run_record_materialises_to_exactly_the_per_value_events():
 def test_the_flight_recorder_keeps_a_run_as_one_entry_and_reads_it_per_value(
     tmp_path,
 ):
-    from repro.obs.recorder import FlightRecorder
+    from repro.obs.recorder import FlightRecorder, charge
     from repro.obs.schema import validate_file
 
-    recorder, reference = FlightRecorder(capacity=3), ListSink()
+    # Room for three records: a submit of 7 fields, two runs of 10.
+    room = charge((0,) * 7) + 2 * charge((0,) * 10)
+    recorder, reference = FlightRecorder(max_bytes=room), ListSink()
     tracer = Tracer(sinks=[recorder, reference], node="n1")
     tracer.emit("client.submit", 0.5, ("client", "s1", 64, 8))
     tracer.emit("replica.deliver", 1.0, ("r1", "g1", "s1", 0, 7, 8, 9))
     tracer.emit("replica.deliver", 1.0, ("r2", "g1", "s1", 0, 7, 8, 9))
     assert tracer.emitted == 7
-    # The ring bound counts entries: three, of which two are runs.
+    # Three entries, of which two are runs, and the ring is full.
     assert len(recorder) == recorder.recorded == 3 and recorder.dropped == 0
+    assert recorder.bytes == room
     assert recorder.events() == reference.events
     assert recorder.causal_history(8) == [
         e for e in reference.events if e["msg_id"] == 8

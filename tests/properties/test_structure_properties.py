@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from repro.kvstore.partitioning import partition_index_of
 from repro.kvstore.store import InMemoryStore
 from repro.multicast.stream import TokenLog
-from repro.paxos.skip import SkipCalculator
 from repro.paxos.types import AppValue, SkipToken
 from repro.quantiles import percentile
 from repro.runtime.kernel import Envelope
@@ -58,24 +57,6 @@ def test_token_log_random_access_with_any_hint(tokens, positions):
                 assert token is expanded[position]
             else:
                 assert token is None
-
-
-@given(
-    lam=st.integers(1, 5000),
-    loads=st.lists(st.integers(0, 800), min_size=1, max_size=50),
-)
-@settings(max_examples=200, deadline=None)
-def test_skip_calculator_never_undershoots_virtual_rate(lam, loads):
-    """Over any load pattern, positions + skips >= λ·T (relative pacing)."""
-    calc = SkipCalculator(lam=lam, delta_t=0.1)
-    total = 0.0
-    for load in loads:
-        calc.record_positions(load)
-        skip = calc.skip_needed()
-        assert skip >= 0
-        total += load + skip
-    target = lam * 0.1 * len(loads)
-    assert total >= target - 1.0  # at most the fractional carry short
 
 
 @given(

@@ -17,9 +17,12 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=10))
 
 
-async def drain(kernel, seconds=0.0):
-    """Let the loop run for a bit of wall time."""
-    await asyncio.sleep(seconds if seconds > 0 else 0.01)
+async def until(predicate, timeout=5.0):
+    """Let the loop run until ``predicate()`` holds (or ``timeout``
+    wall seconds pass): a wait on the effect, not on the clock."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate() and asyncio.get_running_loop().time() < deadline:
+        await asyncio.sleep(0.01)   # the poll of a wait on the effect
 
 
 def test_kernel_satisfies_protocol():
@@ -37,7 +40,7 @@ def test_timeout_runs_its_callbacks_with_its_value():
         kernel = AsyncioKernel()
         got = []
         kernel.call_later(0.01, got.append, "tick")
-        await drain(kernel, 0.1)
+        await until(lambda: got)
         assert got == ["tick"]
         assert not kernel.failures
 
@@ -56,7 +59,7 @@ def test_unconsumed_failure_is_collected():
 
         mailbox = inbox.consume(receive, "n1")
         inbox.put_nowait(Envelope("n2", "n1", "unhandled", 0, 0.0, 0.0))
-        await drain(kernel)
+        await until(lambda: not mailbox.is_alive)
         assert not mailbox.is_alive
         kernel.fail(KeyError("direct"))
         assert [type(f) for f in kernel.failures] == [ValueError, KeyError]
@@ -75,7 +78,7 @@ def test_call_later_rejects_negative_delay():
         ran = []
         kernel.call_later(0.0, ran.append, "later")
         kernel.call_at(kernel.now + 0.01, ran.append, "at")
-        await drain(kernel, 0.1)
+        await until(lambda: len(ran) == 2)
         assert ran == ["later", "at"]
 
     run(main())
@@ -97,7 +100,7 @@ def test_server_and_stable_store_run_on_live_kernel():
             disk.write(64, done.append, "disk")
 
         server.request(1.0, store.write, 64, written)
-        await drain(kernel, 0.1)
+        await until(lambda: len(done) == 2)
         assert done == ["store", "disk"]
         assert server.completed == 1
         assert (store.writes, disk.writes) == (1, 1)
@@ -113,7 +116,7 @@ def test_bandwidth_and_latency_call_back_once_after_queue_plus_latency():
         queued_at = kernel.now
         done = []
         store.write(50, lambda: done.append(kernel.now - queued_at))
-        await drain(kernel, 0.2)
+        await until(lambda: done)
         # 5 ms on the device, then the 20 ms latency.
         assert len(done) == 1 and done[0] >= 0.025 - 1e-3
 

@@ -114,11 +114,11 @@ async def _order_values(dissemination: str, nodes: int):
         for start in range(0, VALUES, BURST):   # bursts: multi-value batches
             for index in range(start, start + BURST):
                 cluster.client.multicast("s1", f"v{index}", 64)
-            await asyncio.sleep(0.02)
+            await asyncio.sleep(0.02)   # pacing between bursts, not a wait
         deadline = asyncio.get_running_loop().time() + 30.0
         while (min(delivered[name] for name in cluster.replicas) < VALUES
                and asyncio.get_running_loop().time() < deadline):
-            await asyncio.sleep(0.01)
+            await asyncio.sleep(0.01)   # the poll of a wait on the effect
         assert await cluster.drain(30.0)
     finally:
         await cluster.stop()

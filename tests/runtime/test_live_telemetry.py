@@ -231,6 +231,67 @@ def test_untelemetried_cluster_still_carries_flight_recorder(tmp_path):
     asyncio.run(asyncio.wait_for(main(), timeout=15))
 
 
+def test_an_untelemetried_violation_dumps_the_whole_causal_history(tmp_path):
+    """The in-process cluster's ring keeps records and its frames carry
+    no trace context, yet a forced violation's dump still holds the
+    violating value's submit -> propose -> Phase 2 -> decide -> learn ->
+    deliver path (decide by the instance Phase 2 named)."""
+    from repro.faults.invariants import InvariantViolation
+
+    async def main():
+        metrics_out = str(tmp_path / "metrics.json")
+        cluster = LiveCluster(LiveConfig(
+            streams=1, replicas=2, metrics_out=metrics_out,
+        ))
+        try:
+            await cluster.start()
+            for i in range(20):
+                cluster.client_node.multicast("s1", f"m{i}", 64)
+            assert await cluster.drain(20.0)
+            while min(len(s) for s in cluster.sequences().values()) < 20:
+                await asyncio.sleep(0.01)   # the poll of a wait on the effect
+            # Deliver the first run once more: its positions no longer
+            # increase, which the next check proves against that value.
+            log = cluster.invariants.logs[min(cluster.invariants.logs)]
+            stream, first, values, _at = log.runs[0]
+            log.append(stream, first, values[:1], cluster.kernel._now)
+            with pytest.raises(InvariantViolation) as excinfo:
+                cluster.invariants.check()
+        finally:
+            await cluster.stop()
+        assert excinfo.value.msg_id == values[0].msg_id
+        return cluster.dump_flight_recordings(str(excinfo.value)), values[0]
+
+    (path,), value = asyncio.run(asyncio.wait_for(main(), timeout=60))
+    assert validate_file(path) > 20
+    with open(path, encoding="utf-8") as handle:
+        events = [json.loads(line) for line in handle]
+    history = [
+        e for e in events
+        if e.get("msg_id") == value.msg_id
+        or value.msg_id in e.get("msg_ids", ())
+    ]
+    kinds = [e["kind"] for e in history]
+    for kind in ("client.submit", "coord.propose", "coord.phase2",
+                 "learner.learned", "replica.deliver",
+                 "invariant.violation"):
+        assert kind in kinds, kind
+    assert not {"net.context", "transport.queue_wait"} & {
+        e["kind"] for e in events
+    }
+    (phase2,) = [e for e in history if e["kind"] == "coord.phase2"]
+    decides = [
+        e for e in events if e["kind"] == "coord.decide"
+        and (e["stream"], e["instance"])
+        == (phase2["stream"], phase2["instance"])
+    ]
+    assert len(decides) == 1 and decides[0]["seq"] > phase2["seq"]
+    learned = [e for e in history if e["kind"] == "learner.learned"]
+    assert len(learned) == 2 and all(
+        e["instance"] == phase2["instance"] for e in learned
+    )
+
+
 def test_flight_ring_of_records_reads_back_as_the_ring_of_dicts_did(tmp_path):
     """A recorded live run, read every way the ring is read: the ring
     holds the per-value kinds as records (a delivered run as one), and
@@ -262,7 +323,7 @@ def test_flight_ring_of_records_reads_back_as_the_ring_of_dicts_did(tmp_path):
             ]
             assert await cluster.drain(20.0)
             while min(len(s) for s in cluster.sequences().values()) < 40:
-                await asyncio.sleep(0.01)
+                await asyncio.sleep(0.01)   # the poll of a wait on the effect
         finally:
             await cluster.stop()
         assert (gc.get_threshold(), gc.get_freeze_count()) == found
@@ -279,10 +340,11 @@ def test_flight_ring_of_records_reads_back_as_the_ring_of_dicts_did(tmp_path):
         before.record(event)
 
     # Every per-value kind went into the ring as a record, nothing else;
-    # a proposal that is not a value (a skip, no msg_id) is a dict.
+    # a proposal that is not a value (a skip, no msg_id) is a dict.  The
+    # wire's two kinds are not traced at all: the tracer stamps no node.
     assert {
         entry[2] for entry in recorder._buffer if entry.__class__ is tuple
-    } == set(FIXED_SHAPE)
+    } == set(FIXED_SHAPE) - {"net.context", "transport.queue_wait"}
     assert not any(
         entry["kind"] in FIXED_SHAPE and "msg_id" in entry
         for entry in recorder._buffer if entry.__class__ is dict

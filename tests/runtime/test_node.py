@@ -48,7 +48,7 @@ async def _single_node() -> LiveNode:
 async def _delivered_everywhere(node: LiveNode, count: int) -> None:
     logs = node.invariants.logs.values()
     while min(len(log.records) for log in logs) < count:
-        await asyncio.sleep(0.01)
+        await asyncio.sleep(0.01)   # the poll of a wait on the effect
 
 
 def test_node_adds_what_it_hosts_and_resolves_the_rest_through_the_directory():
@@ -145,7 +145,7 @@ def test_workload_follows_active_streams_and_ramps_to_rate_end(monkeypatch):
 
     clock, delays, sent = Clock(), [], []
 
-    async def sleep(delay: float) -> None:
+    async def sleep(delay: float) -> None:   # a stub: no wall time passes
         delays.append(delay)
         clock.now += delay
 

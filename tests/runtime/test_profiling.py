@@ -42,7 +42,7 @@ def test_sampler_captures_all_threads_tagged_by_name():
         assert sampler.running
         deadline = time.monotonic() + 5.0
         while sampler.total < 10 and time.monotonic() < deadline:
-            time.sleep(0.01)
+            time.sleep(0.01)   # the poll of a wait on the effect
     finally:
         stop.set()
         total = sampler.stop()
@@ -115,10 +115,10 @@ def test_loop_lag_probe_records_windowed_histogram():
         probe.start()            # idempotent
         deadline = kernel.now + 5.0
         while probe.ticks < 3 and kernel.now < deadline:
-            await asyncio.sleep(0.01)
+            await asyncio.sleep(0.01)   # the poll of a wait on the effect
         probe.stop()
         ticks = probe.ticks
-        await asyncio.sleep(0.05)
+        await asyncio.sleep(0.05)   # a wait for an absence: no re-arm
         assert probe.ticks == ticks   # stopped probes stop re-arming
         return registry.dump()
 
@@ -160,7 +160,7 @@ def test_telemetry_profile_routes_and_stop_writes_stacks(tmp_path):
         deadline = asyncio.get_running_loop().time() + 5.0
         while (telemetry.profiler.total < 3
                and asyncio.get_running_loop().time() < deadline):
-            await asyncio.sleep(0.01)
+            await asyncio.sleep(0.01)   # the poll of a wait on the effect
 
         reader, writer = await asyncio.open_connection(host, port)
         writer.write(b"GET /profile HTTP/1.0\r\n\r\n")

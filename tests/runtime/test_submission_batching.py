@@ -58,7 +58,7 @@ async def delivered(cluster, count, timeout=30.0):
         sequences = cluster.sequences()
         if min(len(sequence) for sequence in sequences.values()) >= count:
             break
-        await asyncio.sleep(0.01)
+        await asyncio.sleep(0.01)   # the poll of a wait on the effect
     assert await cluster.drain(30.0)
     return {
         name: [msg_id for _stream, _position, msg_id in sequence]

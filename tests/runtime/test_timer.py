@@ -63,8 +63,8 @@ def test_runs_on_the_live_kernel():
         every(kernel, 0.01, lambda: fired.append(1) or len(fired) < 3)
         deadline = kernel.now + 5.0
         while len(fired) < 3 and kernel.now < deadline:
-            await asyncio.sleep(0.01)
-        await asyncio.sleep(0.05)   # no fourth firing
+            await asyncio.sleep(0.01)   # the poll of a wait on the effect
+        await asyncio.sleep(0.05)   # a wait for an absence: no fourth firing
         assert fired == [1, 1, 1]
 
     asyncio.run(asyncio.wait_for(main(), timeout=10))

@@ -433,7 +433,9 @@ def test_queue_wait_traced_and_measured_for_msg_id_payloads():
 
     async def main():
         sink = _ListSink()
-        tracer = Tracer(sinks=[sink], categories=frozenset({"transport"}))
+        tracer = Tracer(
+            sinks=[sink], categories=frozenset({"transport"}), node="n1"
+        )
         registry = MetricsRegistry()
         kernel = AsyncioKernel(tracer=tracer, metrics=registry)
         transport = TcpTransport(kernel, node="n1")
@@ -482,17 +484,17 @@ def test_no_queue_wait_tracking_untraced():
 
 def test_only_msg_id_frames_carry_a_trace_context():
     # A receiver reads the trace context of a frame with a msg_id only
-    # (net.context, transport.queue_wait): with a tracer installed the
-    # Propose carries {origin, ts, msg_id}, and the frames of the ring
-    # and the failure detector go out as version 1, context-free.
+    # (net.context, transport.queue_wait): with a node-stamped tracer
+    # installed the Propose carries {origin, ts, msg_id}, and the frames
+    # of the ring and the failure detector go out as version 1,
+    # context-free.
     from repro.obs.trace import ListSink, Tracer
     from repro.paxos.messages import Decision, Propose, RingAccept
     from repro.paxos.types import AppValue, Batch
     from repro.runtime import codec
-    from repro.runtime.transport import _LEN, _open_envelope
 
     async def main():
-        kernel = AsyncioKernel(tracer=Tracer(sinks=[ListSink()]))
+        kernel = AsyncioKernel(tracer=Tracer(sinks=[ListSink()], node="n1"))
         transport = TcpTransport(kernel, node="n1")
         value = AppValue(payload=b"x", size=16, msg_id=7, sender="c")
         batch = Batch((value,))
@@ -508,18 +510,7 @@ def test_only_msg_id_frames_carry_a_trace_context():
         for message in messages:
             transport.send("a", "b", message, 64)
         # "b" has no address: its frames wait, unwritten, in order.
-        pending = transport._routes["b"].pending
-        decoded = []
-        for _names, _at, _msg_id, frame in pending:
-            inner = memoryview(frame)[_LEN.size:]
-            sent_at, _src, _dst, pos = _open_envelope(inner)
-            body = inner[pos:]
-            payload, context = codec.decode_with_context(body)
-            if context is not None:
-                # The sender's clock at the send, as on the envelope.
-                assert context.pop("ts") == sent_at
-            decoded.append((type(payload).__name__, body[0], context))
-        assert decoded == [
+        assert _pending_frames(transport, "b") == [
             ("Propose", codec.CONTEXT_WIRE_VERSION,
              {"origin": "n1", "msg_id": 7}),
             ("Propose", codec.CONTEXT_WIRE_VERSION,
@@ -528,6 +519,71 @@ def test_only_msg_id_frames_carry_a_trace_context():
             ("Decision", codec.WIRE_VERSION, None),
             ("Heartbeat", codec.WIRE_VERSION, None),
         ]
+        await transport.stop()
+
+    run(main())
+
+
+def _pending_frames(transport, dst):
+    """(type, codec wire version, trace context less its ts) of every
+    frame waiting for ``dst``, in order."""
+    from repro.runtime import codec
+    from repro.runtime.transport import _LEN, _open_envelope
+
+    decoded = []
+    for _names, _at, _msg_id, frame in transport._routes[dst].pending:
+        inner = memoryview(frame)[_LEN.size:]
+        sent_at, _src, _dst, pos = _open_envelope(inner)
+        body = inner[pos:]
+        payload, context = codec.decode_with_context(body)
+        if context is not None:
+            # The sender's clock at the send, as on the envelope.
+            assert context.pop("ts") == sent_at
+        decoded.append((type(payload).__name__, body[0], context))
+    return decoded
+
+
+def test_a_tracer_that_stamps_no_node_sends_version_1_frames():
+    # One tracer for a whole process (an in-process cluster's) is one
+    # timeline no trace-merge aligns: no frame carries a trace context,
+    # no net.context or transport.queue_wait is traced -- and the
+    # queue_wait_ms histogram stays, since a registry listens.
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import ALL_CATEGORIES, ListSink, Tracer
+    from repro.paxos.messages import Propose
+    from repro.paxos.types import AppValue
+    from repro.runtime import codec
+
+    class Receiver(Actor):
+        def __init__(self, env, network, name):
+            super().__init__(env, network, name)
+            self.tokens = []
+
+        def on_propose(self, msg, src):
+            self.tokens.append(msg.token)
+
+    async def main():
+        sink, registry = ListSink(), MetricsRegistry()
+        tracer = Tracer(sinks=[sink], categories=ALL_CATEGORIES)
+        kernel = AsyncioKernel(tracer=tracer, metrics=registry)
+        transport = TcpTransport(kernel, node="n1")
+        value = AppValue(payload=b"x", size=16, msg_id=7, sender="c")
+        transport.send("a", "b", Propose(stream="S1", token=value), 64)
+        assert _pending_frames(transport, "b") == [
+            ("Propose", codec.WIRE_VERSION, None),
+        ]
+        receiver = Receiver(kernel, transport, "b")
+        await transport.start()
+        receiver.start()
+        assert await eventually(lambda: len(receiver.tokens) == 1)
+        kinds = {event["kind"] for event in sink.events}
+        assert "net.deliver" in kinds       # the tracer does listen
+        assert not kinds & {"net.context", "transport.queue_wait"}
+        (hist,) = [
+            h for h in registry.dump()["histograms"]
+            if h["name"] == "queue_wait_ms"
+        ]
+        assert hist["n"] == 1
         await transport.stop()
 
     run(main())

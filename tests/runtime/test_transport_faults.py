@@ -34,7 +34,7 @@ async def eventually(predicate, timeout=8.0, interval=0.01):
     while loop.time() < deadline:
         if predicate():
             return True
-        await asyncio.sleep(interval)
+        await asyncio.sleep(interval)   # the poll of a wait on the effect
     return predicate()
 
 
@@ -146,7 +146,7 @@ def test_partition_drops_outbound_and_inbound():
         assert left.partitioned_peers() == ["b"]
         pinger.send("b", Heartbeat(nonce=2))
         assert left.counters()["dropped_partition"] == 1
-        await asyncio.sleep(0.1)
+        await asyncio.sleep(0.1)   # a wait for an absence: not delivered
         assert 2 not in ponger.seen
 
         # Inbound: a one-sided cut on the receiver kills frames that
@@ -329,7 +329,7 @@ def test_malformed_frames_close_their_connection_only():
         reader, writer = await asyncio.open_connection(*right.address)
         writer.write(struct.pack("!I", transport_module._MAX_FRAME_BYTES))
         await writer.drain()
-        await asyncio.sleep(0.05)
+        await asyncio.sleep(0.05)   # a wait for an absence: not refused
         assert right.counters()["dropped_malformed"] == expected
         writer.close()
 

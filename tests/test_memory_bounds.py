@@ -2,8 +2,9 @@
 
 An acceptor keeps every decided instance until it is trimmed, a
 coordinator remembers which instances it decided, a replica's token
-log keeps what its merger has yet to read, and the harness's
-``Counter``/``Series`` keep a sample per event.  Each is measured with
+log keeps what its merger has yet to read, the harness's
+``Counter``/``Series`` keep a sample per event and a flight recorder
+keeps the most recent trace within its byte budget.  Each is measured with
 ``tracemalloc`` as the bytes it retains per entry, against the bounds
 in docs/RUNTIME.md ("Memory per entry").  The bounds leave headroom
 over what CPython 3.10-3.12 measure, not over a per-entry object.
@@ -17,6 +18,7 @@ import tracemalloc
 from repro.multicast.merge import StreamCursor
 from repro.multicast.stream import TokenLog
 from repro.obs.metrics import Counter, Series
+from repro.obs.recorder import DEFAULT_MAX_BYTES, FlightRecorder
 from repro.paxos.config import StreamConfig
 from repro.paxos.coordinator import CoordinatorActor
 from repro.paxos.messages import Decision
@@ -137,3 +139,29 @@ def test_counter_and_series_retain_at_most_48_bytes_per_sample_pair():
     (counter, series), retained = _retained(build)
     assert len(counter) == len(series) == ENTRIES
     assert retained / ENTRIES <= 48
+
+
+def test_flight_ring_retains_its_byte_budget_not_the_run():
+    # A saturated live run's records: client.submit / learner.learned
+    # carry ~160 msg_ids each.  Once a budget's worth went in, the ring
+    # holds at most its budget, and as much again adds nothing to it.
+    ids_per_record = 160
+    per_record = 40 * (7 + ids_per_record)     # ~what each one holds
+    fill = DEFAULT_MAX_BYTES // per_record
+
+    def build(records):
+        recorder = FlightRecorder()
+        for seq in range(records):
+            first = 10 ** 9 + seq * ids_per_record
+            recorder.record((float(seq), seq, "learner.learned", "r1", "s1",
+                             seq, 3) + tuple(range(first,
+                                                   first + ids_per_record)))
+        return recorder
+
+    ring, at_bound = _retained(lambda: build(fill))
+    assert ring.dropped < fill // 50
+    ring, twice = _retained(lambda: build(2 * fill))
+    assert ring.dropped >= fill
+    assert ring.bytes <= DEFAULT_MAX_BYTES
+    assert twice <= DEFAULT_MAX_BYTES
+    assert abs(twice - at_bound) <= DEFAULT_MAX_BYTES // 50
