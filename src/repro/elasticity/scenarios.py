@@ -407,7 +407,7 @@ class ElasticityRunner(CheckedRun):
             final_streams=self.source._committed_streams(),
             delivered=self.delivered(),
             checks_run=self.suite.checks_run,
-            digest=self.suite.digest(),
+            digest=self.digest(),
             max_gap=self._max_gap(load_until),
             gap_bound=spec.gap_bound,
             expected_kinds=spec.expected_kinds,

@@ -12,7 +12,11 @@ timer during the run plus once at the end.
 
 The whole run is deterministic: one ``(scenario, seed)`` pair yields a
 bit-identical delivery history, reported as a digest so regressions --
-and chaos-found bugs -- reproduce exactly.
+and chaos-found bugs -- reproduce exactly.  The digest is the runner's,
+not the suite's (whose logs keep ids, not payloads): a
+:class:`DeliveryDigest` per replica hashes the payloads as runs are
+delivered, and a checkpoint and a recovery copy and restore it as they
+mark and rewind the suite's log.
 
 Flight recording on demand: a run traces nothing of its own.  When an
 invariant fires, the same run is rebuilt (constructor call and id
@@ -32,6 +36,7 @@ paced load and the scripted control operations.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -48,7 +53,7 @@ from .orchestrator import FaultOrchestrator
 from .scenarios import ScenarioSpec
 from .schedule import Schedule
 
-__all__ = ["CheckedRun", "ScenarioResult", "ScenarioRunner"]
+__all__ = ["CheckedRun", "DeliveryDigest", "ScenarioResult", "ScenarioRunner"]
 
 FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 DEFAULT_FLIGHT_DIR = "flight-recordings"
@@ -74,6 +79,35 @@ class ScenarioResult:
 
     def report(self) -> str:
         return self.report_text
+
+
+class DeliveryDigest:
+    """A rolling sha256 over one replica's delivered values,
+    ``stream:position:payload!r;`` each, fed as runs arrive (``observe``
+    is a run observer).  ``mark()`` copies it, at a checkpoint;
+    ``rewind()`` restores that copy, when the replica recovers from the
+    checkpoint and the log rewinds to its mark."""
+
+    __slots__ = ("hasher", "_marked")
+
+    def __init__(self):
+        self.hasher = hashlib.sha256()
+        self._marked = self.hasher.copy()
+
+    def observe(self, stream: str, first: int, values) -> None:
+        self.hasher.update("".join([
+            f"{stream}:{position}:{value.payload!r};"
+            for position, value in enumerate(values, first)
+        ]).encode())
+
+    def mark(self) -> None:
+        self._marked = self.hasher.copy()
+
+    def rewind(self) -> None:
+        self.hasher = self._marked.copy()
+
+    def hexdigest(self) -> str:
+        return self.hasher.hexdigest()
 
 
 class CheckedRun:
@@ -107,6 +141,10 @@ class CheckedRun:
             )
         self._deploy()
         self.suite = InvariantSuite(self.cluster.replicas)
+        self.digests: dict[str, DeliveryDigest] = {}
+        for name in sorted(self.cluster.replicas):
+            digest = self.digests[name] = DeliveryDigest()
+            self.cluster.replicas[name].add_run_observer(digest.observe)
         self.orchestrator = FaultOrchestrator(self.cluster.env,
                                               self.cluster.network)
 
@@ -186,6 +224,14 @@ class CheckedRun:
             )
             raise
 
+    def digest(self) -> str:
+        """Stable hash over every replica's delivered payloads."""
+        hasher = hashlib.sha256()
+        for name in sorted(self.digests):
+            hasher.update(name.encode())
+            hasher.update(self.digests[name].hexdigest().encode())
+        return hasher.hexdigest()
+
     def delivered(self) -> dict[str, int]:
         """Deliveries per replica, by replica name."""
         logs = self.suite.logs
@@ -220,6 +266,7 @@ class ScenarioRunner(CheckedRun):
             if not replica.crashed:
                 self.checkpoints[name].save(self.suite.mark(name),
                                             replica.make_checkpoint())
+                self.digests[name].mark()
 
     def _recover_hook(self, name: str):
         def recover() -> None:
@@ -228,6 +275,7 @@ class ScenarioRunner(CheckedRun):
                 return
             checkpoint = self.checkpoints[name].latest()
             self.suite.rewind(name, checkpoint.position)
+            self.digests[name].rewind()
             replica.recover_from_checkpoint(structural_copy(checkpoint.state))
 
         return recover
@@ -275,7 +323,7 @@ class ScenarioRunner(CheckedRun):
             schedule=self.schedule,
             delivered=self.delivered(),
             checks_run=self.suite.checks_run,
-            digest=self.suite.digest(),
+            digest=self.digest(),
             timeline=list(self.orchestrator.events),
         )
         result.report_text = self._render_report(result)
@@ -294,6 +342,7 @@ class ScenarioRunner(CheckedRun):
                 f"  t={at:7.3f}s  {text}" for at, text in result.timeline
             )
         lines.append(self.suite.report())
+        lines.append(f"delivery digest      : {result.digest[:16]}")
         lines.append("converged            : yes (all replicas identical)")
         return "\n".join(lines)
 

@@ -46,11 +46,13 @@ bound it compacts itself: whenever a stream's position map or a group's
 canonical sequence exceeds 1.5 x ``bound`` entries the oldest are
 retired down to ``bound``.  Deliveries below a compaction floor are
 still checked for ``duplicate-delivery``, no longer value by value.
+A :meth:`~SafetySpec.recover` whose replay would start below a floor
+raises :class:`ReplayBelowFloor` instead of checking that replay less.
 """
 
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
-__all__ = ["PROPERTIES", "SafetySpec", "Violation"]
+__all__ = ["PROPERTIES", "ReplayBelowFloor", "SafetySpec", "Violation"]
 
 DUPLICATE_DELIVERY = "duplicate-delivery"
 STREAM_AGREEMENT = "stream-agreement"
@@ -77,10 +79,25 @@ class Violation(NamedTuple):
     observer: Optional[str] = None
 
 
-class _Observer:
-    __slots__ = ("index", "positions")
+class ReplayBelowFloor(ValueError):
+    """A recovery whose replay would start below a compaction floor:
+    what it replays there can no longer be compared with what was
+    delivered, so the spec refuses it rather than check less.
+    ``observer`` names the recovering observer, ``floor`` the retired
+    bound (a delivery index of its group, or a stream position; the
+    message says which)."""
 
-    def __init__(self) -> None:
+    def __init__(self, message: str, observer: str, floor: int):
+        super().__init__(message)
+        self.observer = observer
+        self.floor = floor
+
+
+class _Observer:
+    __slots__ = ("group", "index", "positions")
+
+    def __init__(self, group: str) -> None:
+        self.group = group
         self.index = 0                          # next index into the canon
         self.positions: Dict[str, int] = {}     # stream -> last position
 
@@ -132,7 +149,7 @@ class SafetySpec:
         order: sequences that start ``(stream, position, msg_id)``."""
         state = self.observers.get(observer)
         if state is None:
-            state = self.observers[observer] = _Observer()
+            state = self.observers[observer] = _Observer(group)
         grp = self.groups.get(group)
         if grp is None:
             grp = self.groups[group] = _Group()
@@ -238,13 +255,30 @@ class SafetySpec:
         """``observer`` was restored to the state it had after its first
         ``index`` deliveries (``positions``: its last position per
         stream then) and will deliver the rest again.  What it delivered
-        before stays remembered: the replay must reproduce it."""
+        before stays remembered: the replay must reproduce it -- which
+        is why a replay that would start below a compaction floor raises
+        :class:`ReplayBelowFloor`."""
         state = self.observers[observer]
         if index > state.index:
             raise ValueError(
                 f"{observer} recovers to delivery #{index} but only "
                 f"{state.index} were observed"
             )
+        base = self.groups[state.group].base
+        if index < base:
+            raise ReplayBelowFloor(
+                f"{observer} recovers to delivery #{index}, below group "
+                f"{state.group}'s compaction floor #{base}", observer, base,
+            )
+        for stream in state.positions:      # what a faithful replay redoes
+            stream_state = self.streams.get(stream)
+            resume = positions.get(stream, -1) + 1
+            if stream_state is not None and resume < stream_state.floor:
+                raise ReplayBelowFloor(
+                    f"{observer} replays {stream} from position {resume}, "
+                    f"below its compaction floor {stream_state.floor}",
+                    observer, stream_state.floor,
+                )
         state.index = index
         state.positions = dict(positions)
 

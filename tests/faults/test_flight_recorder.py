@@ -17,7 +17,7 @@ from repro.faults.scenarios import ScenarioSpec
 from repro.faults.schedule import Schedule
 from repro.obs.schema import validate_file
 from repro.obs.trace import Tracer, installed
-from repro.paxos.types import next_value_id, rewind_value_ids
+from repro.paxos.types import AppValue, next_value_id, rewind_value_ids
 
 
 def _quiet_spec() -> ScenarioSpec:
@@ -55,10 +55,11 @@ class _Sabotage:
 
     def _sabotage(self):
         log = self.suite.logs[min(self.suite.logs)]
-        assert log.runs, "no deliveries before the sabotage point"
-        stream, first, values, _at = log.runs[0]
-        self.sabotaged.append(values[0].msg_id)
-        log.append(stream, first, values[:1], self.cluster.env.now)
+        assert log.delivered, "no deliveries before the sabotage point"
+        stream, position, msg_id, _at = log.records[0]
+        self.sabotaged.append(msg_id)
+        log.append(stream, position, [AppValue(None, msg_id=msg_id)],
+                   self.cluster.env.now)
 
 
 class _Sabotaged(_Sabotage, ScenarioRunner):

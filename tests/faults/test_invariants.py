@@ -13,7 +13,11 @@ import types
 
 import pytest
 
-from repro.faults.invariants import InvariantSuite, InvariantViolation
+from repro.faults.invariants import (
+    DeliveryRecord,
+    InvariantSuite,
+    InvariantViolation,
+)
 
 
 class StubReplica:
@@ -176,7 +180,10 @@ def test_a_delivered_run_is_logged_and_folded_value_by_value():
     assert suite.logs["r1"].sequence() == suite.logs["r2"].sequence() == [
         ("S1", 4, 10), ("S1", 5, 11), ("S1", 6, 12),
     ]
-    assert [r.payload for r in suite.logs["r1"].records] == ["a", "b", "c"]
+    assert suite.logs["r1"].records == [
+        DeliveryRecord("S1", 4, 10, 0.0), DeliveryRecord("S1", 5, 11, 0.0),
+        DeliveryRecord("S1", 6, 12, 0.0),
+    ]
     assert suite.spec.folded == 6
     rs["r1"].deliver_run("S1", 7, [(13, 13), (13, 13)])   # one run, twice
     with pytest.raises(InvariantViolation, match="twice"):

@@ -237,6 +237,7 @@ def test_an_untelemetried_violation_dumps_the_whole_causal_history(tmp_path):
     violating value's submit -> propose -> Phase 2 -> decide -> learn ->
     deliver path (decide by the instance Phase 2 named)."""
     from repro.faults.invariants import InvariantViolation
+    from repro.paxos.types import AppValue
 
     async def main():
         metrics_out = str(tmp_path / "metrics.json")
@@ -253,23 +254,24 @@ def test_an_untelemetried_violation_dumps_the_whole_causal_history(tmp_path):
             # Deliver the first run once more: its positions no longer
             # increase, which the next check proves against that value.
             log = cluster.invariants.logs[min(cluster.invariants.logs)]
-            stream, first, values, _at = log.runs[0]
-            log.append(stream, first, values[:1], cluster.kernel._now)
+            stream, position, msg_id, _at = log.records[0]
+            log.append(stream, position, [AppValue(None, msg_id=msg_id)],
+                       cluster.kernel._now)
             with pytest.raises(InvariantViolation) as excinfo:
                 cluster.invariants.check()
         finally:
             await cluster.stop()
-        assert excinfo.value.msg_id == values[0].msg_id
-        return cluster.dump_flight_recordings(str(excinfo.value)), values[0]
+        assert excinfo.value.msg_id == msg_id
+        return cluster.dump_flight_recordings(str(excinfo.value)), msg_id
 
-    (path,), value = asyncio.run(asyncio.wait_for(main(), timeout=60))
+    (path,), msg_id = asyncio.run(asyncio.wait_for(main(), timeout=60))
     assert validate_file(path) > 20
     with open(path, encoding="utf-8") as handle:
         events = [json.loads(line) for line in handle]
     history = [
         e for e in events
-        if e.get("msg_id") == value.msg_id
-        or value.msg_id in e.get("msg_ids", ())
+        if e.get("msg_id") == msg_id
+        or msg_id in e.get("msg_ids", ())
     ]
     kinds = [e["kind"] for e in history]
     for kind in ("client.submit", "coord.propose", "coord.phase2",

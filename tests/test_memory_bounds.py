@@ -2,9 +2,11 @@
 
 An acceptor keeps every decided instance until it is trimmed, a
 coordinator remembers which instances it decided, a replica's token
-log keeps what its merger has yet to read, the harness's
-``Counter``/``Series`` keep a sample per event and a flight recorder
-keeps the most recent trace within its byte budget.  Each is measured with
+log keeps what its merger has yet to read, the invariant suite's
+delivery log keeps the ids of what a replica delivered (and its spec a
+bounded window of them), the harness's ``Counter``/``Series`` keep a
+sample per event and a flight recorder keeps the most recent trace
+within its byte budget.  Each is measured with
 ``tracemalloc`` as the bytes it retains per entry, against the bounds
 in docs/RUNTIME.md ("Memory per entry").  The bounds leave headroom
 over what CPython 3.10-3.12 measure, not over a per-entry object.
@@ -15,6 +17,9 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+from repro import spec
+from repro.faults import invariants
+from repro.faults.invariants import DeliveryLog, InvariantSuite
 from repro.multicast.merge import StreamCursor
 from repro.multicast.stream import TokenLog
 from repro.obs.metrics import Counter, Series
@@ -117,6 +122,75 @@ def test_token_log_retains_at_most_400_bytes_per_value_its_cursor_lags():
     assert log.frontier - cursor.position == lag
     assert log.instance_consumed_below(cursor.position) == ENTRIES - lag - 1
     assert retained <= 16 * 1024 + 400 * lag
+
+
+def _logged(run_length: int, budget: float) -> DeliveryLog:
+    """A delivery log fed ``ENTRIES`` values with 8 KiB payloads of
+    their own, in runs of ``run_length``; a log that keeps more than
+    ``budget`` bytes is stopped early, so a failing one never holds the
+    run's 800 MB of payloads."""
+    log = DeliveryLog("r1", "G1")
+    for first in range(0, ENTRIES, run_length):
+        values = [
+            AppValue(payload=bytes(8192), size=8192, msg_id=msg_id)
+            for msg_id in range(first, first + run_length)
+        ]
+        log.append("s1", first, values, float(first))
+        if tracemalloc.get_traced_memory()[0] > budget:
+            break
+    return log
+
+
+def test_delivery_log_retains_12_bytes_per_value_and_48_per_run_not_values():
+    for run_length in (1, 100):
+        runs = ENTRIES // run_length
+        budget = 12 * ENTRIES + 48 * runs
+        log, retained = _retained(lambda: _logged(run_length, 2 * budget))
+        assert log.delivered == ENTRIES and len(log.lengths) == runs
+        assert retained <= budget, (run_length, retained / ENTRIES)
+
+
+def _spec_bytes() -> int:
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, spec.__file__)]
+    )
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def test_the_suites_spec_holds_its_bytes_flat_per_delivered_run(monkeypatch):
+    from tests.faults.test_invariants import StubReplica
+
+    monkeypatch.setattr(invariants, "_SPEC_BOUND", 1_000)
+    replicas = {"r1": StubReplica("G1"), "r2": StubReplica("G1"),
+                "r3": StubReplica("G2")}
+    suite = InvariantSuite(replicas)
+    run_length = 10
+
+    def deliver(runs, start):
+        for first in range(start, start + runs * run_length, run_length):
+            values = [(msg_id, None) for msg_id in
+                      range(first, first + run_length)]
+            for replica in replicas.values():
+                replica.deliver_run("s1", first, values)
+            if first % (100 * run_length) == 0:
+                suite.check()
+        suite.check()
+
+    warm_up = ENTRIES // (5 * run_length)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        deliver(warm_up, 0)
+        gc.collect()
+        before = _spec_bytes()
+        deliver(4 * warm_up, warm_up * run_length)
+        gc.collect()
+        after = _spec_bytes()
+    finally:
+        tracemalloc.stop()
+    assert suite.spec.folded == 3 * ENTRIES
+    assert len(suite.spec.groups["G1"].canon) <= 1_500
+    assert after - before <= 4 * warm_up * 0.5, (before, after)
 
 
 class _Clock:

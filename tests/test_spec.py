@@ -24,10 +24,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import invariants
 from repro.faults.invariants import InvariantSuite, InvariantViolation
 from repro.obs import audit
 from repro.obs.audit import SafetyCertifier
-from repro.spec import PROPERTIES, SafetySpec
+from repro.spec import PROPERTIES, ReplayBelowFloor, SafetySpec
 
 from tests.faults.test_invariants import StubReplica
 
@@ -66,12 +67,16 @@ def through_core(history, bound=None):
     return {v.property for v in found}
 
 
-def through_suite(history, check_every=1):
+def through_suite(history, check_every=1, bound=None):
     """``check()`` after every ``check_every`` steps and at the end --
-    what it raises each time is collected, not terminal as in a run."""
+    what it raises each time is collected, not terminal as in a run.
+    ``bound`` replaces the suite's own spec bound."""
     groups = {step[1]: step[2] for step in history if step[0] != "recover"}
     replicas = {name: StubReplica(group) for name, group in groups.items()}
-    suite = InvariantSuite(replicas)
+    with pytest.MonkeyPatch.context() as patch:
+        if bound is not None:
+            patch.setattr(invariants, "_SPEC_BOUND", bound)
+        suite = InvariantSuite(replicas)
     found = set()
 
     def check():
@@ -261,9 +266,7 @@ CASES = {
     ], {"acyclic-order"}),
 }
 
-# Compaction (bound 50: retire down to 50 past 75 entries).  The
-# in-process suite never compacts -- its memory bound is the run's own
-# delivery logs -- so these run through the core and the certifier.
+# Compaction (bound 50: retire down to 50 past 75 entries).
 COMPACTED = {
     "a long clean history stays clean": (_LONG, set()),
     "below the floor values are no longer compared": (
@@ -300,12 +303,44 @@ def test_one_final_check_gives_the_same_verdict(name):
 
 
 @pytest.mark.parametrize("driver", [
-    through_core, through_certifier,
-], ids=["core", "certifier"])
+    through_core, through_suite, through_certifier,
+], ids=["core", "suite", "certifier"])
 @pytest.mark.parametrize("name", COMPACTED)
 def test_conformance_under_compaction(name, driver):
     history, expected = COMPACTED[name]
     assert driver(history, bound=50) == expected
+
+
+# Bound 2 retires down to 2 entries past 3: most cases compact, and the
+# suite still proves what each proves unbounded.
+@pytest.mark.parametrize("name", {**CASES, **COMPACTED})
+def test_the_suite_catches_every_case_at_a_small_bound(name):
+    history, expected = {**CASES, **COMPACTED}[name]
+    assert through_suite(history, bound=2) == expected
+
+
+def test_a_recovery_below_a_compaction_floor_is_refused_not_checked_less():
+    spec = SafetySpec(bound=50)
+    for step in _LONG:
+        spec.deliver(*step[1:])
+    base = spec.groups["g1"].base
+    with pytest.raises(ReplayBelowFloor, match=f"below group g1's "
+                       f"compaction floor #{base}") as info:
+        spec.recover(A, base - 1, {"s1": base - 2})
+    assert (info.value.observer, info.value.floor) == (A, base)
+    # Within the canon but below the stream's retired positions (the
+    # stream compacted through another group's observer).
+    spec = SafetySpec(bound=50)
+    for step in _LONG:
+        spec.deliver(B, "g2", *step[3:])
+    floor = spec.streams["s1"].floor
+    spec.deliver(A, "g1", "s1", 0, 0)
+    spec.deliver(A, "g1", "s1", floor, floor)
+    with pytest.raises(ReplayBelowFloor, match=f"replays s1 from position "
+                       f"1, below its compaction floor {floor}") as info:
+        spec.recover(A, 1, {"s1": 0})
+    assert info.value.floor == floor
+    spec.recover(A, 2, {"s1": floor})       # above both floors: fine
 
 
 def test_compaction_bounds_the_state():
@@ -413,6 +448,7 @@ def test_front_ends_agree_on_random_histories(history, cadence):
     expected = through_core(history)
     assert through_certifier(history) == expected
     assert through_suite(history) == expected
+    assert through_suite(history, bound=2) == through_core(history, bound=2)
     # Checking less often folds the logs one after the other instead of
     # in history order: another canon may be "first observed", the
     # verdict is the same.
