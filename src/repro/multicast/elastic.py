@@ -63,6 +63,8 @@ __all__ = ["ElasticMerger", "MergerState", "MergerStats", "PendingSubscription"]
 
 _SCANNING = "scanning"
 _ALIGNING = "aligning"
+# What the merger reports to ``on_request`` as it passes it.
+_REQUESTS = (SubscribeMsg, PrepareMsg)
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,14 @@ class ElasticMerger:
         self._handled_requests: set[int] = set()
         self._pumping = False
         self.stats = MergerStats()
+        # ``on_request(stream, position, request)``: set by the hosting
+        # replica; called for every subscribe or prepare request, of any
+        # group, the merger passes -- consumed, scanned past or
+        # discarded -- so the trim coordinator can hold the stream's
+        # horizon at it (multicast/trim.py).
+        self.on_request: Callable[[str, int, Token], None] = (
+            lambda stream, position, request: None
+        )
 
     def _emit(self, kind: str, **fields) -> None:
         tracer = self._tracer
@@ -373,12 +383,14 @@ class ElasticMerger:
                 self.deliver(stream, cursor.position - 1, (token,))
             return
         if isinstance(token, SubscribeMsg):
+            self.on_request(stream, cursor.position - 1, token)
             self._handle_subscribe(token)
             return
         if isinstance(token, UnsubscribeMsg):
             self._handle_unsubscribe(token)
             return
         if isinstance(token, PrepareMsg):
+            self.on_request(stream, cursor.position - 1, token)
             self._handle_prepare(token)
             return
 
@@ -416,6 +428,8 @@ class ElasticMerger:
         token = cursor.peek()
         if token is None:
             return False   # still recovering; notify() resumes the scan
+        if token.__class__ in _REQUESTS:
+            self.on_request(pending.stream, cursor.position, token)
         if (
             isinstance(token, SubscribeMsg)
             and token.request_id == pending.request_id
@@ -461,6 +475,8 @@ class ElasticMerger:
             if isinstance(token, SkipToken):
                 new_cursor.position = min(new_cursor.token_end(token), merge_ptr)
             else:
+                if token.__class__ in _REQUESTS:
+                    self.on_request(pending.stream, new_cursor.position, token)
                 new_cursor.position += 1
                 self.stats.discarded += 1
             new_progress = True

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from ..net.actor import Actor
 from ..paxos.learner import LearnerCore
 from ..paxos.messages import Decision, RecoverReply
-from ..paxos.types import AppValue, Batch
+from ..paxos.types import AppValue, Batch, Token
 from ..runtime.kernel import Kernel, Transport
 from .elastic import ElasticMerger, MergerState
 from .stream import StreamDeployment, TokenLog
@@ -24,6 +24,9 @@ __all__ = ["MulticastReplica"]
 
 # ``observer(stream, first_position, values)``: one delivered run.
 RunObserver = Callable[[str, int, Sequence[AppValue]], None]
+# ``observer(stream, instance, request)``: the merger passed a subscribe
+# or prepare request decided in ``instance`` of ``stream``.
+RequestObserver = Callable[[str, int, Token], None]
 
 
 class MulticastReplica(Actor):
@@ -65,13 +68,14 @@ class MulticastReplica(Actor):
         self._tracer = env.tracer
         self._metrics = env.metrics
         self._taps: list[RunObserver] = []
+        self._request_taps: list[RequestObserver] = []
         self.learners: dict[str, LearnerCore] = {}
         self.logs: dict[str, TokenLog] = {}
         self.merger = self._new_merger()
 
     def _new_merger(self) -> ElasticMerger:
         env = self.env
-        return ElasticMerger(
+        merger = ElasticMerger(
             group=self.group,
             deliver=self._deliver_run,
             stream_provider=self._provide_stream,
@@ -81,6 +85,8 @@ class MulticastReplica(Actor):
             owner=self.name,
             env=env,
         )
+        merger.on_request = self._request_passed
+        return merger
 
     # -- application hooks ---------------------------------------------------
 
@@ -133,6 +139,22 @@ class MulticastReplica(Actor):
                 first += 1
 
         self._taps.append(tap)
+
+    def add_request_observer(self, observer: RequestObserver) -> None:
+        """Attach ``observer(stream, instance, request)``, invoked when
+        the merger passes a subscribe or prepare request of *any* group
+        -- what :class:`~repro.multicast.trim.TrimCoordinator` guards.
+        Like run observers, it survives crash/recovery."""
+        self._request_taps.append(observer)
+
+    def _request_passed(
+        self, stream: str, position: int, request: Token
+    ) -> None:
+        if self._request_taps:
+            instance = self.logs[stream].instance_of(position)
+            if instance is not None:
+                for tap in self._request_taps:
+                    tap(stream, instance, request)
 
     def on_subscription_change(self, kind: str, stream: str) -> None:
         """Subclass hook: Σ changed ('subscribe'/'unsubscribe')."""

@@ -124,6 +124,13 @@ class TokenLog:
             return None
         return self._batch_ends[index][1]
 
+    def instance_of(self, position: int) -> Optional[int]:
+        """Instance whose batch holds ``position``, a position at or past
+        the reader's; None past the logged batches."""
+        ends = self._batch_ends
+        index = bisect.bisect_right(ends, (position, _INF))
+        return ends[index][1] if index < len(ends) else None
+
     def replay_point(self, position: int) -> tuple[int, int]:
         """Where a recovering replica must restart to cover ``position``.
 

@@ -90,9 +90,14 @@ class AcceptorCore:
             return []  # stale ballot: ignore (sender will retry higher)
         self.promised = msg.ballot
         log = self.log
+        # A trimmed instance is decided and gone: the scan starts at the
+        # trim horizon, not at instance 0.
         accepted = tuple(
             (instance, entry.vrnd, entry.value)
-            for instance in range(msg.from_instance, log.highest_instance + 1)
+            for instance in range(
+                max(msg.from_instance, log.trimmed_below),
+                log.highest_instance + 1,
+            )
             if (entry := log.get(instance)) is not None and entry.vrnd >= 0
         )
         reply = Phase1b(

@@ -12,9 +12,11 @@ has:
   .LiveNode` (a kernel clock domain and a listener socket each, placed
   by the same :func:`~repro.deploy.topology.build_topology` a deployment
   uses) sharing one stream directory, one invariant suite over every
-  replica and, without ``telemetry_dir``, one tracer and flight
-  recorder; every cross-node message is still codec-serialized and
-  travels socket to socket;
+  replica, one :class:`~repro.multicast.trim.TrimCoordinator` that
+  trims every stream's acceptor logs behind its slowest replica and,
+  without ``telemetry_dir``, one tracer and flight recorder; every
+  cross-node message is still codec-serialized and travels socket to
+  socket;
 * with ``telemetry_dir``: the ``endpoints.json`` file ``python -m repro
   top`` reads and the ``/health`` scrape loop that has every node's
   watchdog evaluate itself;
@@ -37,6 +39,7 @@ from typing import Optional
 from ..deploy.topology import build_topology, live_lambda
 from ..faults.invariants import InvariantSuite
 from ..multicast.replica import MulticastReplica
+from ..multicast.trim import TrimCoordinator
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import Tracer, current_metrics, current_tracer
 from .driver import Agreement, RunDriver, verdict
@@ -271,6 +274,9 @@ class LiveCluster:
         self.invariants = InvariantSuite(self.replicas)
         for node in self.nodes:
             node.invariants = self.invariants
+        # Every consumer is one of these replicas, so this process may
+        # trim the acceptor logs behind the slowest of them.
+        self.trimmer = TrimCoordinator(self.directory, self.replicas.values())
         self.client_node = next(
             node for node in self.nodes if node.client is not None
         )

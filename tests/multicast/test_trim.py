@@ -1,15 +1,18 @@
-"""Integration tests: trim coordination and post-trim recovery."""
+"""Integration tests: trimming behind the slowest consumer, the
+subscribe guard, and post-trim recovery (simulated backend)."""
 
-import pytest
-
+from repro.faults.invariants import InvariantSuite
 from repro.multicast.api import MulticastClient
 from repro.multicast.replica import MulticastReplica
 from repro.multicast.stream import StreamDeployment
-from repro.multicast.trim import TrimCoordinator
+from repro.multicast.trim import TRIM_EVERY_BYTES, TrimCoordinator
 from repro.paxos.config import StreamConfig
 from repro.sim.core import Environment
 from repro.sim.network import LinkSpec, Network
 from repro.sim.rng import RngRegistry
+
+# A value this large makes every eighth delivery a trim.
+LARGE = TRIM_EVERY_BYTES // 8
 
 
 def make_world(stream_names=("S1",), lam=500, delta_t=0.05):
@@ -38,42 +41,91 @@ def make_replica(env, net, directory, name, group, streams):
     return replica, delivered
 
 
+def feed(env, client, stream, start, stop, every=0.01, size=LARGE):
+    """One ``size``-byte value to ``stream`` every ``every`` s."""
+    count = round((stop - start) / every)
+    for index in range(count):
+        env.call_at(start + index * every, client.multicast, stream,
+                    (stream, index), size)
+
+
+def hold_back(replica, stream, until):
+    """``replica`` drops its ``stream`` decisions until ``until``; its
+    learner repairs the gap from the acceptors afterwards."""
+    core = replica.learners[stream]
+    learn = core.on_decision
+    core.on_decision = lambda msg, src: (
+        learn(msg, src) if replica.env.now >= until else None
+    )
+
+
 def acceptor_log_sizes(directory, stream):
     return [len(a.core.log) for a in directory[stream].acceptors]
 
 
+def test_trim_waits_for_its_bytes_of_deliveries():
+    env, net, directory = make_world()
+    replica, delivered = make_replica(env, net, directory, "r1", "G", ["S1"])
+    trimmer = TrimCoordinator(directory, [replica])
+    client = MulticastClient(env, net, "client", directory)
+    for index in range(3):
+        client.multicast("S1", index, TRIM_EVERY_BYTES // 4)
+    env.run(until=1.0)
+    assert len(delivered) == 3 and trimmer.horizons == {}
+    client.multicast("S1", 3, TRIM_EVERY_BYTES // 4)
+    env.run(until=2.0)
+    assert len(delivered) == 4
+    below = trimmer.horizons["S1"]
+    assert 0 < below <= replica.safe_trim_instance("S1") + 1
+    assert all(
+        a.core.log.trimmed_below == below for a in directory["S1"].acceptors
+    )
+
+
 def test_trim_bounds_acceptor_log_growth():
     env, net, directory = make_world()
-    replica, _d = make_replica(env, net, directory, "r1", "G", ["S1"])
-    coordinator = TrimCoordinator(
-        env, directory, [replica], interval=1.0, slack_instances=20
-    )
-    coordinator.start()
-    env.run(until=10.0)
-    # λ=500/Δt=0.05 => ~20 skip instances/s; after 10 s without trimming
-    # the log would hold ~200 instances; the trim keeps it near slack.
+    replica, delivered = make_replica(env, net, directory, "r1", "G", ["S1"])
+    trimmer = TrimCoordinator(directory, [replica])
+    client = MulticastClient(env, net, "client", directory)
+    feed(env, client, "S1", 0.1, 10.0)
+    env.run(until=10.5)
+    # ~990 values and ~200 skip instances: untrimmed, a log would hold
+    # them all; trimmed every eighth value, it holds what came since.
+    assert len(delivered) == 990
     sizes = acceptor_log_sizes(directory, "S1")
     assert all(size < 80 for size in sizes), sizes
-    assert coordinator.trims_issued
+    assert trimmer.horizons["S1"] > 900
 
 
 def test_trim_never_outpaces_slowest_consumer():
     env, net, directory = make_world()
-    r1, _ = make_replica(env, net, directory, "r1", "G1", ["S1"])
-    r2, _ = make_replica(env, net, directory, "r2", "G2", ["S1"])
-    coordinator = TrimCoordinator(
-        env, directory, [r1, r2], interval=1.0, slack_instances=10
-    )
-    coordinator.start()
-    env.run(until=5.0)
-    # Every issued horizon must lie at or below both replicas' consumed
-    # instance at the time of the trim; spot-check the invariant now.
+    r1, d1 = make_replica(env, net, directory, "r1", "G1", ["S1"])
+    r2, d2 = make_replica(env, net, directory, "r2", "G2", ["S1"])
+    hold_back(r2, "S1", until=3.0)
+    trimmer = TrimCoordinator(directory, [r1, r2])
+    coordinator = directory["S1"].coordinator
+    issued = []
+    trim = coordinator.trim
+
+    def checked(below):
+        # The horizon is the exact minimum over the consumers.
+        consumed = [r.safe_trim_instance("S1") for r in (r1, r2)]
+        issued.append((below, min(consumed) + 1, env.now))
+        trim(below)
+
+    coordinator.trim = checked
+    client = MulticastClient(env, net, "client", directory)
+    feed(env, client, "S1", 0.1, 5.0)
+    env.run(until=2.9)
+    held = r2.safe_trim_instance("S1")
+    assert len(d1) > 200 and len(d2) < 50
     for acceptor in directory["S1"].acceptors:
-        trimmed = acceptor.core.log.trimmed_below
-        for replica in (r1, r2):
-            consumed = replica.safe_trim_instance("S1")
-            assert consumed is not None
-            assert trimmed <= consumed + 1
+        assert acceptor.core.log.trimmed_below <= (held or 0) + 1
+    env.run(until=6.0)
+    assert d1 == d2 and len(d1) == 490
+    assert issued and all(below == exact for below, exact, _at in issued)
+    assert any(at > 3.0 for _b, _e, at in issued)
+    assert trimmer.horizons["S1"] == issued[-1][0]
 
 
 def test_subscription_after_trim_rebases_positions():
@@ -83,26 +135,23 @@ def test_subscription_after_trim_rebases_positions():
     r1, _ = make_replica(env, net, directory, "r1", "G1", ["S1"])
     # An S2-native consumer lets the trim coordinator trim S2.
     r2, _ = make_replica(env, net, directory, "r2", "G2", ["S2"])
-    coordinator = TrimCoordinator(
-        env, directory, [r1, r2], interval=0.5, slack_instances=10
-    )
-    coordinator.start()
+    trimmer = TrimCoordinator(directory, [r1, r2])
     client = MulticastClient(env, net, "client", directory)
+    feed(env, client, "S2", 0.1, 6.0)
     env.run(until=6.0)
-    assert any(stream == "S2" for _t, stream, _h in coordinator.trims_issued)
     trimmed_before = directory["S2"].acceptors[0].core.log.trimmed_below
-    assert trimmed_before > 0
+    assert trimmed_before > 0 and trimmer.horizons["S2"] == trimmed_before
+    base = directory["S2"].acceptors[0].core.positions_trimmed
 
     # Now G1 subscribes to the trimmed S2.
     client.subscribe_msg("G1", new_stream="S2", via_stream="S1")
     env.run(until=8.0)
     assert r1.subscriptions == ("S1", "S2")
+    assert r1.logs["S2"].base >= base > 0
     # And delivery from S2 works post-subscription.
     for i in range(5):
         env.call_at(8.0 + i * 0.01, client.multicast, "S2", ("post", i))
     env.run(until=9.0)
-    # r1 received the post-subscription S2 messages.
-    # (delivered payloads captured via r1's merger stats)
     assert r1.merger.stats.per_stream_delivered.get("S2", 0) >= 5
 
 
@@ -110,13 +159,42 @@ def test_trim_paused_while_subscription_pending():
     env, net, directory = make_world(("S1", "S2"))
     r1, _ = make_replica(env, net, directory, "r1", "G1", ["S1"])
     r2, _ = make_replica(env, net, directory, "r2", "G2", ["S2"])
-    coordinator = TrimCoordinator(env, directory, [r1, r2], slack_instances=0)
+    trimmer = TrimCoordinator(directory, [r1, r2])
+    client = MulticastClient(env, net, "client", directory)
+    feed(env, client, "S2", 0.1, 1.0)
+    env.run(until=1.5)
+    assert trimmer.horizon("S2") is not None
     # Force a pending subscription on r1 for S2.
     r1.merger._pending = type("P", (), {"stream": "S2"})()
-    assert coordinator.safe_horizon("S2") is None
+    assert trimmer.horizon("S2") is None
 
 
-def test_slack_validation():
-    env, net, directory = make_world()
-    with pytest.raises(ValueError):
-        TrimCoordinator(env, directory, [], slack_instances=-1)
+def test_subscribe_guard_holds_the_new_stream_for_a_replica_behind():
+    """Group H consumes SN while one replica of G is held back on S,
+    G's carrier.  H and G's other replica pass the subscribe request in
+    SN long before g2 even sees it in S; the guard keeps SN's acceptors
+    from trimming past the request until g2 has committed too."""
+    env, net, directory = make_world(("S", "SN"))
+    g1, _ = make_replica(env, net, directory, "g1", "G", ["S"])
+    g2, _ = make_replica(env, net, directory, "g2", "G", ["S"])
+    h1, _ = make_replica(env, net, directory, "h1", "H", ["SN"])
+    replicas = {"g1": g1, "g2": g2, "h1": h1}
+    suite = InvariantSuite(replicas)
+    trimmer = TrimCoordinator(directory, replicas.values())
+    hold_back(g2, "S", until=3.0)
+    client = MulticastClient(env, net, "client", directory)
+    feed(env, client, "SN", 0.1, 5.0)
+    feed(env, client, "S", 0.1, 5.0, every=0.05)
+    env.call_at(1.0, client.subscribe_msg, "G", "SN", "S")
+    env.run(until=2.9)
+    assert g1.subscriptions == ("S", "SN") and g2.subscriptions == ("S",)
+    assert trimmer.horizons["SN"] > 0       # trims go on up to the request
+    env.run(until=8.0)
+    assert g1.subscriptions == g2.subscriptions == ("S", "SN")
+    assert g1.merger.stats.merge_points == g2.merger.stats.merge_points
+    suite.check()
+    # Once G committed everywhere the guard is gone: SN trims to the
+    # exact minimum over its consumers again.
+    trimmer.trim()
+    consumed = [r.safe_trim_instance("SN") for r in replicas.values()]
+    assert trimmer.horizons["SN"] == min(consumed) + 1

@@ -220,6 +220,26 @@ def test_recovery_and_trim_read_a_page_not_the_log(monkeypatch):
     assert len(reads) <= 2 * PAGE + 1
 
 
+def test_phase1b_after_a_trim_scans_from_the_horizon(monkeypatch):
+    acceptor = make_acceptor()
+    for i in range(10_000):
+        acceptor.on_decision(Decision(stream="S1", instance=i, batch=batch(i)), "c")
+    open_ = batch("open")
+    acceptor.on_phase2a(Phase2a("S1", 4, 10_000, open_), "c")
+    acceptor.on_trim(Trim(stream="S1", below=9_990), "c")
+    reads = _count_log_reads(monkeypatch, acceptor.log)
+
+    (_dst, reply), = acceptor.on_phase1a(
+        Phase1a(stream="S1", ballot=7, from_instance=0), "c2"
+    )
+    assert [(i, vrnd) for i, vrnd, _b in reply.accepted] == (
+        [(i, 0) for i in range(9_990, 10_000)] + [(10_000, 4)]
+    )
+    assert reply.accepted[-1][2] is open_
+    # One probe per kept instance: the trimmed 9,990 are not walked.
+    assert reads == ["get"] * 11
+
+
 # -- wire-backed batches in the log (live backend) ----------------------
 #
 # On the live backend every batch an acceptor sees was decoded from a

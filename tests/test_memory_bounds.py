@@ -10,11 +10,20 @@ within its byte budget.  Each is measured with
 ``tracemalloc`` as the bytes it retains per entry, against the bounds
 in docs/RUNTIME.md ("Memory per entry").  The bounds leave headroom
 over what CPython 3.10-3.12 measure, not over a per-entry object.
+
+Two rows run an in-process live cluster instead, whose
+``TrimCoordinator`` trims the acceptor logs behind the slowest replica:
+its acceptor logs hold a bounded number of payload bytes however long
+it runs, and a soak of ``REPRO_SOAK_SECONDS`` (default 3; the nightly
+CI job runs 600) holds its RSS flat per delivered value.
 """
 
 from __future__ import annotations
 
+import asyncio
 import gc
+import os
+import statistics
 import tracemalloc
 
 from repro import spec
@@ -22,6 +31,7 @@ from repro.faults import invariants
 from repro.faults.invariants import DeliveryLog, InvariantSuite
 from repro.multicast.merge import StreamCursor
 from repro.multicast.stream import TokenLog
+from repro.multicast.trim import TRIM_EVERY_BYTES
 from repro.obs.metrics import Counter, Series
 from repro.obs.recorder import DEFAULT_MAX_BYTES, FlightRecorder
 from repro.paxos.config import StreamConfig
@@ -30,6 +40,7 @@ from repro.paxos.messages import Decision
 from repro.paxos.types import AppValue, Batch
 from repro.sim.core import Environment
 from repro.sim.network import Network
+from repro.runtime.supervisor import LiveCluster, LiveConfig
 from repro.storage.log import AcceptorLog
 
 ENTRIES = 100_000
@@ -239,3 +250,155 @@ def test_flight_ring_retains_its_byte_budget_not_the_run():
     assert ring.bytes <= DEFAULT_MAX_BYTES
     assert twice <= DEFAULT_MAX_BYTES
     assert abs(twice - at_bound) <= DEFAULT_MAX_BYTES // 50
+
+
+# -- an in-process live cluster: acceptor logs trimmed as it runs ------------
+
+PAYLOAD = 8192
+CALLERS = 64
+# What the acceptors of a stream may hold: each of three keeps what was
+# decided since the last trim (TRIM_EVERY_BYTES of deliveries, summed
+# over two replicas) plus what is in flight, with room for as much again.
+ACCEPTOR_BOUND = 3 * 2 * (TRIM_EVERY_BYTES + CALLERS * PAYLOAD)
+
+
+def _acceptor_log_bytes(cluster: LiveCluster) -> int:
+    """Payload bytes held by every acceptor log of the cluster."""
+    held = 0
+    for deployment in cluster.directory.values():
+        for acceptor in deployment.acceptors:
+            log = acceptor.core.log
+            for instance in range(log.trimmed_below, log.highest_instance + 1):
+                entry = log.get(instance)
+                if entry is not None and entry.value is not None:
+                    held += entry.value.payload_bytes
+    return held
+
+
+def _cluster() -> LiveCluster:
+    return LiveCluster(LiveConfig(
+        streams=1, replicas=2, rate=20000.0, payload_size=PAYLOAD,
+        drain_timeout=30.0,
+    ))
+
+
+async def _closed_loop(values: int) -> list[int]:
+    """``values`` 8 KiB values through a one-stream, two-replica
+    cluster, ``CALLERS`` outstanding, each refilled when both replicas
+    delivered it; the acceptor-log bytes after every ``CALLERS``
+    completions.  A loop whose logs pass twice the bound stops there."""
+    cluster = _cluster()
+    payload = bytes(PAYLOAD)
+    outstanding: dict[int, int] = {}
+    samples: list[int] = []
+    finished = asyncio.get_running_loop().create_future()
+    sent = 0
+
+    def submit() -> None:
+        nonlocal sent
+        value = cluster.client.multicast("s1", payload, PAYLOAD)
+        outstanding[value.msg_id] = len(cluster.replicas)
+        sent += 1
+
+    def delivered(value, _stream, _position) -> None:
+        left = outstanding.pop(value.msg_id) - 1
+        if left:
+            outstanding[value.msg_id] = left
+            return
+        if (sent - len(outstanding)) % CALLERS == 0:
+            samples.append(_acceptor_log_bytes(cluster))
+            if samples[-1] > 2 * ACCEPTOR_BOUND and not finished.done():
+                finished.set_result(None)
+        if sent < values:
+            submit()
+        elif not outstanding and not finished.done():
+            finished.set_result(None)
+
+    for replica in cluster.replicas.values():
+        replica.add_delivery_observer(delivered)
+    await cluster.start()
+    try:
+        for _ in range(CALLERS):
+            submit()
+        await asyncio.wait_for(finished, timeout=60.0)
+    finally:
+        await cluster.stop()
+    return samples
+
+
+def test_live_acceptor_logs_hold_flat_behind_the_slowest_replica():
+    samples = asyncio.run(_closed_loop(4_000))
+    after_warm_up = samples[len(samples) // 4:]
+    assert max(after_warm_up) <= ACCEPTOR_BOUND, (
+        max(after_warm_up), ACCEPTOR_BOUND
+    )
+    assert len(samples) == 4_000 // CALLERS, len(samples)
+
+
+SOAK_SECONDS = float(os.environ.get("REPRO_SOAK_SECONDS", "3"))
+SOAK_RATE = 2_000               # 8 KiB values a second, paced
+# RSS a delivered value may leave behind once warmed up, past a fixed
+# 4 MiB for the allocator's steps.  What still grows per value by
+# design: the coordinator's dedup set and the suite's delivery logs
+# (ids, ~100 B together), and the flight ring until it fills its byte
+# budget.  An untrimmed acceptor log keeps three 8 KiB copies (~25 KB).
+SOAK_SLOPE_BOUND = 256
+SOAK_SLACK = 4 << 20
+
+
+def _rss() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+async def _soak(seconds: float):
+    """A paced 8 KiB load for ``seconds``; (elapsed, delivered, RSS)
+    every half second, the run's outcome and the acceptor-log bytes
+    at their highest.  Acceptor logs past twice the bound end it."""
+    cluster = _cluster()
+    payload = bytes(PAYLOAD)
+    delivered = 0
+
+    def count(_stream, _first, values) -> None:
+        nonlocal delivered
+        delivered += len(values)
+
+    cluster.replicas["r1"].add_run_observer(count)
+    samples: list[tuple[float, int, int]] = []
+    held = 0
+    loop = asyncio.get_running_loop()
+    tick, burst = 0.01, SOAK_RATE // 100
+    await cluster.start()
+    try:
+        start = loop.time()
+        ticks = 0
+        while loop.time() < start + seconds and held <= 2 * ACCEPTOR_BOUND:
+            for _ in range(burst):
+                cluster.client.multicast("s1", payload, PAYLOAD)
+            ticks += 1
+            if ticks % 50 == 0:
+                samples.append((loop.time() - start, delivered, _rss()))
+                held = max(held, _acceptor_log_bytes(cluster))
+            await asyncio.sleep(max(0.0, start + ticks * tick - loop.time()))
+        outcome = await cluster.driver.collect(await cluster.drain(30.0))
+    finally:
+        await cluster.stop()
+    return samples, outcome, held
+
+
+def test_live_soak_holds_rss_flat_per_delivered_value():
+    samples, outcome, held = asyncio.run(_soak(SOAK_SECONDS))
+    assert outcome.ok, outcome.detail
+    assert held <= ACCEPTOR_BOUND, (held, ACCEPTOR_BOUND)
+    # After the first half: the ring and the allocator's arenas warmed.
+    settled = [s for s in samples if s[0] >= SOAK_SECONDS / 2]
+    assert len(settled) >= 3, samples
+    slope = statistics.linear_regression(
+        [delivered for _t, delivered, _rss in settled],
+        [rss for _t, _delivered, rss in settled],
+    ).slope
+    values = settled[-1][1] - settled[0][1]
+    print(f"soak: {samples[-1][1]} values, {slope:.0f} B of RSS a value")
+    assert slope * values <= SOAK_SLACK + SOAK_SLOPE_BOUND * values, (
+        slope, samples
+    )
