@@ -563,13 +563,13 @@ def _live(args) -> int:
 
 
 def _deploy(args) -> int:
-    from .deploy.chaos import SCENARIOS, run_deploy
-    from .deploy.supervisor import DeployConfig
+    from .deploy.chaos import SCENARIOS
+    from .deploy.supervisor import DeployConfig, run_deploy
 
     if args.list_scenarios:
         rows = [
-            (name, scenario.description)
-            for name, scenario in sorted(SCENARIOS.items())
+            (name, drill.description)
+            for name, drill in sorted(SCENARIOS.items())
         ]
         print(plain_table(("scenario", "what it does"), rows))
         return 0
@@ -577,8 +577,7 @@ def _deploy(args) -> int:
         print(f"unknown scenario {args.scenario!r}; "
               f"pick from {', '.join(sorted(SCENARIOS))}", file=sys.stderr)
         return 2
-    scenario = SCENARIOS[args.scenario]
-    spec = scenario.build_spec(
+    spec = SCENARIOS[args.scenario].topology(
         nodes=args.nodes,
         streams=args.streams,
         replicas=args.replicas,

@@ -7,10 +7,9 @@ worker process per node (``python -m repro worker``, see
 (:mod:`repro.runtime.driver`) one small length-prefixed control RPC
 connection per worker (:mod:`repro.deploy.control`) to wire / drive /
 drain / judge them over, and collects every node's trace, metrics and
-profile files into one run directory.  The chaos layer
-(:mod:`repro.deploy.chaos`) ports the PR 1 fault scenarios to this
-backend: ``kill -9`` with supervised restart, socket-level partitions,
-and clock-skew injection -- see docs/DEPLOY.md.
+profile files into one run directory.  The drills
+(:mod:`repro.deploy.chaos`) are fault schedules played on it -- see
+docs/DEPLOY.md.
 
 This ``__init__`` imports nothing: the wire codec
 (:mod:`repro.runtime.codec`) registers :mod:`repro.deploy.wire`'s

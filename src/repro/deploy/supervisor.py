@@ -9,9 +9,8 @@ connections to the run driver (:mod:`repro.runtime.driver`), which
 wires, drives, drains and judges the cluster exactly as it does an
 in-process one.  What stays here is what only processes have:
 
-* spawn / attach, ``kill -9``, supervised restart and reaping;
-* the socket-level partition and the clock-skew step of the chaos
-  scenarios (:mod:`repro.deploy.chaos`);
+* spawn / attach, ``kill -9``, supervised restart and reaping -- the
+  ``crash`` a drill (:mod:`repro.deploy.chaos`) is played with;
 * the online certifier tailing the workers' traces while they run;
 * the run directory: ``topology.json``, per-incarnation traces, worker
   logs, ``metrics.json``, and a ``manifest.json`` recording per-node
@@ -31,11 +30,13 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..runtime.driver import Outcome, RunDriver
+from .chaos import SCENARIOS
 from .control import ControlClient, ControlError
 from .topology import TopologySpec, load_address_file
 from .worker import trace_node_name
 
-__all__ = ["DeployConfig", "DeployReport", "DeploySupervisor", "WorkerHandle"]
+__all__ = ["DeployConfig", "DeployReport", "DeploySupervisor", "WorkerHandle",
+           "run_deploy"]
 
 MANIFEST_FORMAT = "repro-deploy-manifest/1"
 
@@ -80,7 +81,6 @@ class WorkerHandle:
         self.control: Optional[ControlClient] = None
         self.info: dict = {}              # latest hello
         self.incarnation = 0
-        self.restarts = 0
         self.pids: list[int] = []         # one per incarnation, in order
         self.trace_files: list[str] = []
         self.log_path: Optional[str] = None
@@ -210,7 +210,7 @@ class DeploySupervisor:
             for node in self.spec.nodes:
                 await self._spawn(node.name, incarnation=0)
 
-    # -- chaos primitives ---------------------------------------------
+    # -- what only processes have: the play's ``crash`` ----------------
 
     async def kill9(self, name: str) -> int:
         """SIGKILL the worker mid-flight; returns the dead PID."""
@@ -229,37 +229,18 @@ class DeploySupervisor:
         self.log(f"kill -9 worker {name} (pid {pid})")
         return pid
 
-    async def restart(self, name: str) -> WorkerHandle:
+    async def restart(self, name: str) -> int:
         """Respawn a killed worker as a fresh incarnation and have the
         driver wire it back in: new addresses everywhere (reviving
         parked peer links), a clock mark for its new trace, then
         ``start`` (the replica re-bootstraps and replays deliveries
-        from position 1)."""
+        from position 1).  Returns the new PID."""
         handle = self.workers[name]
-        handle.restarts += 1
         await self._spawn(name, incarnation=handle.incarnation + 1)
         await self.driver.wire()
         self.log(f"worker {name} restarted as incarnation "
                  f"{handle.incarnation} (pid {handle.pids[-1]})")
-        return handle
-
-    async def set_partition(self, victim: str, blocked: bool = True) -> None:
-        """Symmetric socket-level cut between ``victim`` and the rest."""
-        victim_hosts = list(self.spec.hosts_of(victim))
-        other_hosts = [
-            host
-            for node in self.spec.nodes if node.name != victim
-            for host in self.spec.hosts_of(node.name)
-        ]
-        for name, handle in self.driver.handles.items():
-            peers = other_hosts if name == victim else victim_hosts
-            await handle.call("partition", peers=peers, blocked=blocked)
-        self.log(f"partition {'up' if blocked else 'healed'}: "
-                 f"{victim} <-> rest")
-
-    async def skew(self, name: str, delta: float) -> None:
-        await self.workers[name].call("skew", delta=delta)
-        self.log(f"clock of {name} skewed by {delta:+.3f}s")
+        return handle.pids[-1]
 
     # -- online certification -----------------------------------------
 
@@ -328,10 +309,10 @@ class DeploySupervisor:
 
     # -- collection / teardown ----------------------------------------
 
-    def write_manifest(self, outcome: Outcome,
-                       extra: Optional[dict] = None) -> str:
+    def write_manifest(self, outcome: Outcome, timeline: list[dict]) -> str:
         """Metrics + manifest into the run directory; returns the
-        manifest path."""
+        manifest path.  The ``chaos`` block is the played ``timeline``,
+        and for a crash its victim and both of its PIDs."""
         if outcome.metrics is not None:
             with open(os.path.join(self.run_dir, "metrics.json"), "w",
                       encoding="utf-8") as fh:
@@ -345,7 +326,7 @@ class DeploySupervisor:
             "nodes": {
                 name: {
                     "pids": handle.pids,
-                    "restarts": handle.restarts,
+                    "restarts": len(handle.pids) - 1,
                     "remote": handle.remote,
                     "alive": name in self.driver.handles,
                     "trace_files": handle.trace_files,
@@ -370,8 +351,14 @@ class DeploySupervisor:
         }
         if self.audit_summary is not None:
             manifest["audit"] = self.audit_summary
-        if extra:
-            manifest.update(extra)
+        chaos = manifest["chaos"] = {
+            "fault": self.config.scenario, "timeline": timeline,
+        }
+        for step in timeline:
+            if step["op"] == "kill9":
+                chaos.update(victim=step["target"], killed_pid=step["pid"])
+            elif step["op"] == "restart":
+                chaos["restarted_pid"] = step["pid"]
         manifest_path = os.path.join(self.run_dir, "manifest.json")
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -395,3 +382,40 @@ class DeploySupervisor:
             if handle.proc.poll() is None:
                 handle.proc.kill()
                 handle.proc.wait()
+
+
+async def _run(config: DeployConfig) -> DeployReport:
+    schedule, control = SCENARIOS[config.scenario].build(config.spec)
+    sup = DeploySupervisor(config)
+    driver = sup.driver
+    try:
+        await sup.start_workers()
+        await driver.wire()
+        # Every scenario runs under live certification: the online
+        # auditor tails the traces while the chaos plays out.
+        sup.start_watch()
+        timeline = await driver.play(schedule, control, crash=sup)
+        agreement = await driver.drain()
+        outcome = await driver.collect(agreement, await sup.stop_watch())
+        manifest_path = sup.write_manifest(outcome, timeline)
+    finally:
+        await sup.stop_watch()
+        await sup.stop_all()
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    sup.log(f"scenario {config.scenario}: "
+            f"{'OK' if outcome.ok else 'FAILED'} -- {outcome.detail}")
+    if outcome.client_dropped_backpressure:
+        sup.log(f"client node DROPPED {outcome.client_dropped_backpressure} "
+                f"at its send queue")
+    sup.log(f"worker pids: "
+            f"{ {name: h.pids for name, h in sup.workers.items()} }")
+    sup.log(f"run directory: {config.run_dir}")
+    return DeployReport(outcome.ok, config.scenario, config.run_dir,
+                        manifest_path, manifest, sup.lines)
+
+
+def run_deploy(config: DeployConfig) -> DeployReport:
+    """Play one drill of :data:`repro.deploy.chaos.SCENARIOS` on a
+    deployment, end to end (blocking entry point)."""
+    return asyncio.run(_run(config))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 from ..paxos.config import StreamConfig
 from ..paxos.config import DEFAULT_LAMBDA
@@ -186,31 +185,18 @@ class TopologySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "TopologySpec":
+        """The inverse of :meth:`to_json`; a missing field takes its
+        dataclass default."""
         if data.get("format") not in (None, SPEC_FORMAT):
             raise ValueError(f"unknown spec format {data.get('format')!r}")
-        return cls(
-            nodes=tuple(
-                NodeSpec(
-                    name=n["name"],
-                    streams=tuple(n.get("streams", ())),
-                    replicas=tuple(n.get("replicas", ())),
-                    client=bool(n.get("client", False)),
-                    clock_offset=float(n.get("clock_offset", 0.0)),
-                )
-                for n in data["nodes"]
-            ),
-            streams=tuple(data["streams"]),
-            acceptors_per_stream=int(data.get("acceptors_per_stream", 3)),
-            group=data.get("group", "g1"),
-            initial_streams=tuple(data.get("initial_streams", ("s1",))),
-            dissemination=data.get("dissemination", "ring"),
-            adaptive_batching=bool(data.get("adaptive_batching", True)),
-            lam=int(data.get("lam", DEFAULT_LAMBDA)),
-            workload=WorkloadSpec(**data.get("workload", {})),
-            unreachable_after=int(data.get("unreachable_after", 6)),
-            profile=bool(data.get("profile", False)),
-            profile_interval=float(data.get("profile_interval", 0.02)),
-        )
+        def tuples(entries: dict) -> dict:    # JSON lists -> the tuples
+            return {key: tuple(value) if isinstance(value, list) else value
+                    for key, value in entries.items() if key != "format"}
+
+        fields = tuples(data)
+        fields["nodes"] = tuple(NodeSpec(**tuples(n)) for n in data["nodes"])
+        fields["workload"] = WorkloadSpec(**data.get("workload", {}))
+        return cls(**fields)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -230,7 +216,7 @@ def build_topology(
     duration: float = 4.0,
     rate: float = 200.0,
     burst: int = 1,
-    clock_offsets: Optional[dict[str, float]] = None,
+    clock_skew: float = 0.0,
     dedicate_stream_nodes: bool = False,
     **overrides,
 ) -> TopologySpec:
@@ -246,27 +232,25 @@ def build_topology(
     *after* the replica/client nodes -- the rolling-replace drill's
     shape, where the retired stream's node can be power-cycled without
     touching any replica.
+
+    Node ``n<i+1>``'s clock runs ``i * clock_skew`` seconds ahead of
+    ``n1``'s.
     """
     if nodes < 1:
         raise ValueError("need at least one node")
     stream_names = tuple(f"s{i + 1}" for i in range(streams))
     replica_names = tuple(f"r{i + 1}" for i in range(replicas))
-    offsets = clock_offsets or {}
-    if dedicate_stream_nodes:
-        plain = nodes
-        names = [f"n{i + 1}" for i in range(plain + streams)]
-        placement_streams: dict[str, list[str]] = {name: [] for name in names}
-        for index, stream in enumerate(stream_names):
-            placement_streams[names[plain + index]].append(stream)
-    else:
-        names = [f"n{i + 1}" for i in range(nodes)]
-        placement_streams = {name: [] for name in names}
-        for index, stream in enumerate(stream_names):
-            placement_streams[names[index % len(names)]].append(stream)
+    extra = streams if dedicate_stream_nodes else 0
+    names = [f"n{i + 1}" for i in range(nodes + extra)]
+    stream_nodes = names[nodes:] if dedicate_stream_nodes else names
+    placement_streams: dict[str, list[str]] = {name: [] for name in names}
+    for index, stream in enumerate(stream_names):
+        placement_streams[stream_nodes[index % len(stream_nodes)]].append(
+            stream
+        )
     placement_replicas: dict[str, list[str]] = {name: [] for name in names}
     for index, replica in enumerate(replica_names):
-        base = names[:nodes] if dedicate_stream_nodes else names
-        placement_replicas[base[index % len(base)]].append(replica)
+        placement_replicas[names[index % nodes]].append(replica)
     lam = overrides.pop("lam", live_lambda(rate))
     workload = WorkloadSpec(
         duration=duration, rate=rate, burst=burst,
@@ -279,9 +263,9 @@ def build_topology(
                 streams=tuple(placement_streams[name]),
                 replicas=tuple(placement_replicas[name]),
                 client=(name == names[0]),
-                clock_offset=offsets.get(name, 0.0),
+                clock_offset=index * clock_skew,
             )
-            for name in names
+            for index, name in enumerate(names)
         ),
         streams=stream_names,
         lam=lam,

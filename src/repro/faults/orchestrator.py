@@ -22,6 +22,7 @@ from typing import Callable
 from ..sim.core import Environment
 from ..sim.network import FaultRule, Network
 from .schedule import (
+    ClockStep,
     CrashAt,
     DelaySpike,
     DuplicateWindow,
@@ -30,6 +31,7 @@ from .schedule import (
     RecoverAt,
     ReorderWindow,
     Schedule,
+    UnsupportedAction,
 )
 
 __all__ = ["FaultOrchestrator"]
@@ -45,13 +47,17 @@ class FaultOrchestrator:
         # scenario runner fills it for the replicas it checkpoints.
         self.recover_hooks: dict[str, Callable[[], None]] = {}
         self.events: list[tuple[float, str]] = []
-        self.executed: list[Schedule] = []
 
     # -- driving --------------------------------------------------------
 
     def execute(self, schedule: Schedule) -> None:
-        """Arm every action of ``schedule`` on the event calendar."""
-        self.executed.append(schedule)
+        """Arm every action of ``schedule`` on the event calendar; a
+        clock step, which hosts sharing one clock cannot take, is
+        refused before anything is armed."""
+        for action in schedule.actions:
+            if isinstance(action, ClockStep):
+                raise UnsupportedAction(action, "simulator",
+                                        "its hosts share one clock")
         for action in schedule.actions:
             if isinstance(action, CrashAt):
                 self.env.call_at(action.at, self._crash, action)
@@ -131,10 +137,3 @@ class FaultOrchestrator:
     def _rule_end(self, action, rule: FaultRule) -> None:
         self.network.remove_fault(rule)
         self._note("end " + action.describe())
-
-    # -- reporting ------------------------------------------------------
-
-    def timeline(self) -> str:
-        return "\n".join(
-            f"  t={at:7.3f}s  {text}" for at, text in self.events
-        )

@@ -17,11 +17,12 @@ Run them from the command line::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..workload.generators import zipf_shares
 from .schedule import (
+    ControlOp,
     CrashAt,
     DelaySpike,
     DuplicateWindow,
@@ -32,24 +33,7 @@ from .schedule import (
     Schedule,
 )
 
-__all__ = ["SCENARIOS", "ControlOp", "ScenarioSpec", "get_scenario"]
-
-
-@dataclass(frozen=True)
-class ControlOp:
-    """One scripted dynamic-subscription operation."""
-
-    at: float
-    kind: str                      # "subscribe" | "unsubscribe" | "prepare"
-    group: str
-    stream: str
-    via: Optional[str] = None      # carrier stream (defaults per kind)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("subscribe", "unsubscribe", "prepare"):
-            raise ValueError(f"unknown control op kind {self.kind!r}")
-        if self.kind in ("subscribe", "prepare") and self.via is None:
-            raise ValueError(f"{self.kind} needs a carrier stream (via=...)")
+__all__ = ["SCENARIOS", "ScenarioSpec", "get_scenario"]
 
 
 _REPLICAS_PER_GROUP = 2

@@ -1,14 +1,17 @@
 """The fault-schedule DSL: declarative, seeded, reproducible.
 
 A :class:`Schedule` is a named, immutable list of fault actions pinned
-to absolute virtual times.  Point actions (:class:`CrashAt`,
-:class:`RecoverAt`) fire once; window actions
-(:class:`PartitionWindow`, :class:`LossWindow`, :class:`DelaySpike`,
-:class:`DuplicateWindow`, :class:`ReorderWindow`) install a fault at
-``start`` and lift it at ``end``.  Schedules carry no behaviour of
-their own -- :class:`repro.faults.orchestrator.FaultOrchestrator`
-compiles them onto the event calendar -- so the same schedule object
-can be rendered, compared and re-run bit-identically.
+to absolute times.  Point actions (:class:`CrashAt`, :class:`RecoverAt`,
+:class:`ClockStep`) fire once; window actions (:class:`PartitionWindow`,
+:class:`LossWindow`, :class:`DelaySpike`, :class:`DuplicateWindow`,
+:class:`ReorderWindow`) install a fault at ``start`` and lift it at
+``end``; a run's control ops (:class:`ControlOp`) script its subscribes.
+Schedules carry no behaviour of their own -- the simulator's
+:class:`repro.faults.orchestrator.FaultOrchestrator` and a live
+cluster's :meth:`repro.runtime.driver.RunDriver.play` (through
+:func:`live_steps`) run them, and refuse what they cannot do exactly
+with :class:`UnsupportedAction` -- so the same schedule object can be
+rendered, compared and re-run bit-identically.
 
 :class:`RandomChaos` derives a schedule from a seed: identical seed and
 topology yield the identical schedule, which (on the deterministic
@@ -24,6 +27,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 __all__ = [
+    "ClockStep",
+    "ControlOp",
     "CrashAt",
     "DelaySpike",
     "DuplicateWindow",
@@ -34,6 +39,8 @@ __all__ = [
     "RecoverAt",
     "ReorderWindow",
     "Schedule",
+    "UnsupportedAction",
+    "live_steps",
 ]
 
 
@@ -58,6 +65,40 @@ class RecoverAt:
 
     def describe(self) -> str:
         return f"recover {self.target}"
+
+
+@dataclass(frozen=True)
+class ClockStep:
+    """Step node ``target``'s clock by ``delta`` seconds at ``at``, like
+    NTP slamming a drifted host.  Live only: the simulator's hosts share
+    one clock."""
+
+    at: float
+    target: str
+    delta: float
+
+    def describe(self) -> str:
+        return f"clock step {self.target} {self.delta:+.3f}s"
+
+
+@dataclass(frozen=True)
+class ControlOp:
+    """One scripted dynamic-subscription operation."""
+
+    at: float
+    kind: str                      # "subscribe" | "unsubscribe" | "prepare"
+    group: str
+    stream: str
+    via: Optional[str] = None      # carrier stream (defaults per kind)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("subscribe", "unsubscribe", "prepare"):
+            raise ValueError(f"unknown control op kind {self.kind!r}")
+        if self.kind in ("subscribe", "prepare") and self.via is None:
+            raise ValueError(f"{self.kind} needs a carrier stream (via=...)")
+
+    def describe(self) -> str:
+        return f"{self.kind} {self.group} {self.stream}"
 
 
 @dataclass(frozen=True)
@@ -162,6 +203,7 @@ def _link_str(src, dst) -> str:
 FaultAction = Union[
     CrashAt,
     RecoverAt,
+    ClockStep,
     PartitionWindow,
     LossWindow,
     DelaySpike,
@@ -169,7 +211,7 @@ FaultAction = Union[
     ReorderWindow,
 ]
 
-_POINT_ACTIONS = (CrashAt, RecoverAt)
+_POINT_ACTIONS = (CrashAt, RecoverAt, ClockStep)
 
 
 @dataclass(frozen=True)
@@ -211,6 +253,74 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.actions)
+
+
+class UnsupportedAction(ValueError):
+    """``action`` asks for what ``shape`` (the simulator, or an
+    in-process or multi-process live cluster) cannot do exactly.  Raised
+    before the run starts: no backend approximates an action."""
+
+    def __init__(self, action, shape: str, why: str):
+        super().__init__(f"{action.describe()}: the {shape} cannot run it "
+                         f"({why})")
+        self.action = action
+        self.shape = shape
+
+
+def live_steps(schedule: Schedule, control: tuple[ControlOp, ...],
+               hosts: dict[str, tuple[str, ...]], group: str, shape: str,
+               crash: bool) -> list[tuple[float, str, str, tuple]]:
+    """``schedule`` and ``control`` as the steps a live cluster runs,
+    ``(at, op, target, args)``, in time order; at one instant a control
+    op first, as on the simulator (whose runner arms them first).
+    ``hosts``: each node's transport hosts; ``crash``: a supervisor
+    kills and restarts nodes."""
+
+    def refuse(action, why: str):
+        raise UnsupportedAction(action, shape, why)
+
+    owner = {host: node for node, names in hosts.items() for host in names}
+
+    def nodes_of(action, side: tuple[str, ...]) -> set[str]:
+        if not set(side) <= set(owner):
+            refuse(action, f"no node carries {sorted(set(side) - set(owner))}")
+        nodes = {owner[host] for host in side}
+        if set(side) != {host for node in nodes for host in hosts[node]}:
+            refuse(action, "it splits a node's hosts: a socket-level cut "
+                           "is between whole nodes")
+        return nodes
+
+    steps = []
+    for op in control:
+        if op.kind == "prepare":
+            refuse(op, "the live client sends no prepare_msg")
+        if op.group != group:
+            refuse(op, f"its one group is {group!r}")
+        steps.append((op.at, op.kind, op.stream, (op.via,)))
+    for action in schedule.actions:
+        if isinstance(action, PartitionWindow):
+            side_a = nodes_of(action, action.side_a)
+            side_b = nodes_of(action, action.side_b)
+            if side_a & side_b:
+                refuse(action, f"{sorted(side_a & side_b)} on both sides")
+            cut = {node: action.side_b for node in side_a}
+            cut.update({node: action.side_a for node in side_b})
+            name = f"{','.join(sorted(side_a))} | {','.join(sorted(side_b))}"
+            for at, blocked in ((action.start, True), (action.end, False)):
+                steps.append((at, "partition", name, (cut, blocked)))
+        elif not isinstance(action, _POINT_ACTIONS):
+            refuse(action, "a message-level fault needs the simulated network")
+        elif action.target not in hosts:
+            refuse(action, "a kill -9, a restart or a clock is a whole "
+                           "node's: name a node")
+        elif isinstance(action, ClockStep):
+            steps.append((action.at, "skew", action.target, (action.delta,)))
+        elif not crash:
+            refuse(action, "no supervisor kills and restarts its nodes")
+        else:
+            op = "kill9" if isinstance(action, CrashAt) else "restart"
+            steps.append((action.at, op, action.target, ()))
+    return sorted(steps, key=lambda step: step[0])
 
 
 # RandomChaos's draw: crash/recover pairs and partition windows per

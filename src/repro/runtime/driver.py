@@ -11,8 +11,10 @@ anything with ``await handle.call(op, timeout=..., **params) -> dict``:
 * a worker process serves the same table off its control socket, and the
   deploy supervisor hands the driver the client end of that socket.
 
-The driver owns, once: wiring (address map -> clock sync -> start), the
-scripted workload with its runtime subscribes, ``wait_subscribed``,
+The driver owns, once: wiring (address map -> clock sync -> start),
+playing a schedule under the workload (:meth:`RunDriver.play`: runtime
+subscribes, unsubscribes, partitions, clock steps and, through the
+deploy supervisor, kill -9 and restart), ``wait_subscribed``,
 drain-to-agreement, the collection of violations, kernel failures,
 flight dumps and metrics, and :func:`verdict` -- the one acceptance rule
 ``LiveReport.ok`` and the deploy manifest's ``ok`` both are.
@@ -83,10 +85,10 @@ def verdict(
     audit: Optional[dict] = None,
 ) -> tuple[bool, str]:
     """The acceptance rule of a live run, however its nodes are reached:
-    replica agreement, every requested subscribe committed, no invariant
-    violation, no kernel failure, and -- when an online certifier
-    watched -- a clean audit.  Returns ``(ok, detail)``; the detail line
-    names every reason a run failed."""
+    replica agreement, every requested (un)subscribe took effect, no
+    invariant violation, no kernel failure, and -- when an online
+    certifier watched -- a clean audit.  Returns ``(ok, detail)``; the
+    detail line names every reason a run failed."""
     reasons = []
     if subscribes_committed != subscribes_requested:
         reasons.append(
@@ -162,8 +164,10 @@ class RunDriver:
         self.info: dict[str, dict] = {}         # node -> its hello, as wired
         self.clock_offsets: dict[str, float] = {}
         self.active = list(spec.initial_streams)    # the client's streams
-        self.requested: list[str] = []          # runtime subscribes asked for
-        self.committed: list[str] = []          # ... and seen on every replica
+        # Runtime subscribes (``s2``) and unsubscribes (``-s1``) asked
+        # for, and those that took effect on every replica.
+        self.requested: list[str] = []
+        self.committed: list[str] = []
 
     @property
     def client(self) -> Any:
@@ -233,7 +237,7 @@ class RunDriver:
     async def start_workload(self, rate_end: Optional[float] = None) -> None:
         await self.client.call("workload", rate_end=rate_end)
 
-    async def wait_workload(self, timeout: Optional[float] = None) -> bool:
+    async def wait_workload(self, timeout: Optional[float] = None) -> None:
         workload = self.spec.workload
         if timeout is None:
             timeout = workload.duration + workload.drain_timeout
@@ -241,9 +245,8 @@ class RunDriver:
         deadline = loop.time() + timeout
         while loop.time() < deadline:
             if (await self.client.call("status"))["workload_done"]:
-                return True
+                return
             await asyncio.sleep(_POLL)
-        return False
 
     async def activate(self, streams: list[str]) -> None:
         """Route the client's traffic over exactly ``streams``."""
@@ -278,41 +281,78 @@ class RunDriver:
         """Runtime-subscribe the group to ``stream`` (ordered through
         ``via``, by default the first initial stream); True once every
         replica's dMerge has switched.  The verdict counts the request
-        either way."""
-        self.requested.append(stream)
-        await self.client.call(
-            "subscribe", stream=stream, via=via or self.spec.initial_streams[0]
+        either way (an unsubscribe's as ``-stream``)."""
+        return await self._reconfigure(
+            "subscribe", stream, via or self.spec.initial_streams[0], timeout
         )
-        committed = await self.wait_subscribed(stream, timeout)
-        if committed:
-            self.committed.append(stream)
-        return committed
 
-    async def unsubscribe(self, stream: str, via: Optional[str] = None) -> bool:
-        await self.client.call("unsubscribe", stream=stream, via=via)
-        return await self.wait_subscribed(stream, subscribed=False)
+    async def _reconfigure(self, op: str, stream: str, via: Optional[str],
+                           timeout: Optional[float] = None) -> bool:
+        request = stream if op == "subscribe" else f"-{stream}"
+        self.requested.append(request)
+        await self.client.call(op, stream=stream, via=via)
+        done = await self.wait_subscribed(stream, timeout,
+                                          subscribed=op == "subscribe")
+        if done:
+            self.committed.append(request)
+        return done
 
-    async def subscribe_spares(self, after: float) -> None:
-        """The scripted reconfiguration: ``after`` seconds into the
-        workload, subscribe the group to every stream it did not start
-        with, one by one, while the submissions keep flowing (the
-        paper's online reconfiguration); the client takes a stream into
-        its rotation once -- and only if -- the subscribe committed."""
-        await asyncio.sleep(after)
-        for stream in self.spec.streams:
-            if stream not in self.spec.initial_streams:
-                if await self.subscribe(stream):
-                    await self.activate(self.active + [stream])
+    async def play(
+        self, schedule: Any, control: tuple = (), crash: Any = None,
+        rate_end: Optional[float] = None,
+    ) -> list[dict]:
+        """Run the workload (ramping to ``rate_end``) and, ``at`` seconds
+        into it, each schedule action and control op in time order, none
+        before the last has taken effect; ``crash`` (the deploy
+        supervisor) kills and restarts nodes.  Returns what ran, when,
+        and what it did (docs/DEPLOY.md §3)."""
+        # Imported here: a live node never loads the schedule language.
+        from ..faults.schedule import live_steps
 
-    async def run_workload(self, rate_end: Optional[float] = None) -> None:
-        """The baseline script: workload, runtime subscribes partway
-        through, wait for the last submission."""
-        workload = self.spec.workload
+        hosts = {name: tuple(info["hosts"])
+                 for name, info in self.info.items()}
+        shape = "multi-process deployment" if crash else "in-process cluster"
+        steps = live_steps(schedule, control, hosts, self.spec.group, shape,
+                           crash is not None)
         await self.start_workload(rate_end)
-        await self.subscribe_spares(
-            workload.subscribe_after * workload.duration
-        )
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        timeline = []
+        for at, op, target, args in steps:
+            await asyncio.sleep(start + at - loop.time())
+            at = round(loop.time() - start, 3)
+            self.log(f"t+{at:.2f}s {op} {target}")
+            timeline.append({"at": at, "op": op, "target": target,
+                             **await self._step(op, target, args, crash)})
         await self.wait_workload()
+        return timeline
+
+    async def _step(self, op: str, target: str, args: tuple,
+                    crash: Any) -> dict:
+        if op == "subscribe":
+            # The client takes a stream into its rotation once -- and
+            # only if -- the subscribe committed.
+            committed = await self.subscribe(target, via=args[0])
+            if committed:
+                await self.activate(self.active + [target])
+            return {"committed": committed}
+        if op == "unsubscribe":
+            await self.activate([s for s in self.active if s != target])
+            return {"committed": await self._reconfigure(op, target, args[0])}
+        if op in ("kill9", "restart"):
+            return {"pid": await getattr(crash, op)(target)}
+        if op == "partition":
+            cut, blocked = args
+            for node, peers in cut.items():
+                await self.handles[node].call(
+                    "partition", peers=list(peers), blocked=blocked
+                )
+            return {"blocked": blocked}
+        # skew, then fresh offsets: each node's last ``meta.clock``,
+        # what trace alignment reads, is post-step.
+        await self.handles[target].call("skew", delta=args[0])
+        await self.sync_clocks()
+        return {"delta": args[0]}
 
     # -- agreement, collection, verdict -------------------------------
 
@@ -325,8 +365,9 @@ class RunDriver:
 
     async def drain(self, timeout: Optional[float] = None) -> Agreement:
         """Poll until every reachable replica reports the identical
-        non-empty delivery sequence (retransmission heals stragglers)
-        or the timeout lapses."""
+        non-empty delivery sequence (retransmission heals stragglers),
+        a node reports a kernel failure (the verdict has failed, and
+        waiting heals nothing) or the timeout lapses."""
         if timeout is None:
             timeout = self.spec.workload.drain_timeout
         loop = asyncio.get_running_loop()
@@ -335,6 +376,11 @@ class RunDriver:
             agreement = agree(await self.sequences())
             if agreement.ok:
                 self.log(f"drained: {agreement.detail}")
+                return agreement
+            statuses = (await self.each("status", tolerate=True)).items()
+            failed = sorted(name for name, s in statuses if s["kernel_failures"])
+            if failed:
+                self.log(f"drain stopped: kernel failures on {failed}")
                 return agreement
             if loop.time() >= deadline:
                 self.log(f"drain timed out after {timeout}s: "

@@ -2,10 +2,10 @@
 
 :func:`run_live` boots a multi-stream, multi-replica cluster on real
 localhost TCP sockets and has the run driver (:mod:`repro.runtime
-.driver`) wire it, drive a client workload with a *runtime*
-``subscribe_msg`` while traffic flows, drain it and judge it -- the
-same code, over in-loop calls, that ``repro deploy`` runs over the
-control RPC.  What this module owns is what only the single process
+.driver`) wire it, play the ``baseline`` drill (a client workload with
+a *runtime* ``subscribe_msg`` while traffic flows), drain it and judge
+it -- the same code, over in-loop calls, that ``repro deploy`` runs
+over the control RPC.  What this module owns is what only the single process
 has:
 
 * :class:`LiveCluster` -- ``nodes`` :class:`~repro.runtime.node
@@ -134,7 +134,6 @@ class LiveReport:
     sequences_identical: bool
     subscribes_completed: int
     subscribes_requested: int
-    invariant_checks: int
     violations: list[str]
     kernel_failures: list[str]
     throughput: float               # deliveries/s at one replica
@@ -144,7 +143,6 @@ class LiveReport:
     client_dropped_backpressure: int = 0
     nodes: int = 1
     node_traces: dict[str, str] = field(default_factory=dict)
-    endpoints: dict[str, str] = field(default_factory=dict)
     clock_offsets: dict[str, float] = field(default_factory=dict)
     flight_dumps: list[str] = field(default_factory=list)
     scrapes: int = 0
@@ -218,9 +216,8 @@ class LiveCluster:
                 shared_tracer = external
             else:
                 shared_tracer = Tracer(sinks=[self.recorder])
-        # The placement and workload `repro deploy` gives its workers:
-        # node i's clock runs ``i * clock_skew`` ahead, λ follows the
-        # peak offered rate.
+        # The placement and workload `repro deploy` gives its workers;
+        # λ follows the peak offered rate.
         self.spec = build_topology(
             nodes=config.nodes, streams=config.streams,
             replicas=config.replicas,
@@ -229,10 +226,7 @@ class LiveCluster:
                 "payload_size": config.payload_size,
                 "drain_timeout": config.drain_timeout,
             },
-            clock_offsets={
-                f"n{index + 1}": index * config.clock_skew
-                for index in range(config.nodes)
-            },
+            clock_skew=config.clock_skew,
             lam=config.effective_lam(),
             acceptors_per_stream=config.acceptors_per_stream,
             dissemination=config.dissemination,
@@ -508,17 +502,19 @@ async def _run(config: LiveConfig) -> LiveReport:
             ]
             driver.committed += [s for s in driver.requested if s in active]
         else:
-            await driver.run_workload(config.rate_ramp)
+            # Imported here: a live node never loads the schedule language.
+            from ..deploy.chaos import SCENARIOS
+
+            await driver.play(*SCENARIOS["baseline"].build(cluster.spec),
+                              rate_end=config.rate_ramp)
 
         outcome = await driver.collect(await driver.drain())
         flight_dumps = outcome.flight_dumps
         if not outcome.ok:
             flight_dumps += cluster.dump_flight_recordings(outcome.detail)
 
-        delivered = {
-            name: len(sequence_)
-            for name, sequence_ in cluster.sequences().items()
-        }
+        delivered = {name: log.delivered
+                     for name, log in cluster.invariants.logs.items()}
         transport_counters: dict[str, int] = {}
         for status in outcome.statuses.values():
             for name, value in status["transport"].items():
@@ -535,7 +531,6 @@ async def _run(config: LiveConfig) -> LiveReport:
             sequences_identical=outcome.agreement.ok,
             subscribes_completed=len(driver.committed),
             subscribes_requested=len(driver.requested),
-            invariant_checks=cluster.invariants.checks_run,
             violations=sum(outcome.violations.values(), []),
             kernel_failures=sum(outcome.kernel_failures.values(), []),
             throughput=min(delivered.values(), default=0) / config.duration,
@@ -547,10 +542,6 @@ async def _run(config: LiveConfig) -> LiveReport:
             node_traces={
                 name: info["trace"]
                 for name, info in driver.info.items() if info["trace"]
-            },
-            endpoints={
-                name: "{}:{}".format(*info["telemetry"])
-                for name, info in driver.info.items() if info["telemetry"]
             },
             clock_offsets=dict(driver.clock_offsets),
             flight_dumps=flight_dumps,

@@ -627,7 +627,7 @@ class TcpTransport:
 
         Symmetric at this node's boundary: outbound sends to a blocked
         peer and inbound frames from one are dropped and counted as
-        ``dropped_partition``.  The supervisor applies the same set on
+        ``dropped_partition``.  The run driver applies the same set on
         both sides of the cut."""
         for peer in peers:
             if blocked:

@@ -13,9 +13,9 @@ import asyncio
 import json
 import os
 
-from repro.deploy.chaos import SCENARIOS, run_deploy
-from repro.deploy.supervisor import DeployConfig, DeploySupervisor
-from repro.deploy.topology import build_topology
+from repro.deploy.chaos import SCENARIOS
+from repro.deploy.supervisor import DeployConfig, DeploySupervisor, run_deploy
+from repro.faults.schedule import live_steps
 from tests.runtime.test_driver import VERDICT_FIELDS
 
 
@@ -24,7 +24,7 @@ def _run(scenario: str, run_dir: str, **build_kwargs):
         nodes=3, streams=2, replicas=3, duration=1.5, rate=80.0, burst=1
     )
     defaults.update(build_kwargs)
-    spec = SCENARIOS[scenario].build_spec(**defaults)
+    spec = SCENARIOS[scenario].topology(**defaults)
     config = DeployConfig(spec=spec, run_dir=run_dir, scenario=scenario)
     return run_deploy(config)
 
@@ -102,7 +102,7 @@ async def _checked_vs_delivered(config: DeployConfig) -> dict:
     try:
         await sup.start_workers()
         await sup.driver.wire()
-        await SCENARIOS["baseline"].drive(sup)
+        await sup.driver.play(*SCENARIOS["baseline"].build(sup.spec))
         drained, detail = await sup.driver.drain()
         assert drained, detail
         deadline = asyncio.get_running_loop().time() + 10.0
@@ -130,7 +130,7 @@ def test_worker_checker_folds_each_delivery_exactly_once(tmp_path):
     # The in-worker invariant timer is incremental: however many times
     # it ran, every delivery went through the spec once -- a check costs
     # what was delivered since the last one, not the run so far.
-    spec = SCENARIOS["baseline"].build_spec(
+    spec = SCENARIOS["baseline"].topology(
         nodes=3, streams=2, replicas=3, duration=1.5, rate=80.0, burst=1
     )
     config = DeployConfig(spec=spec, run_dir=str(tmp_path / "run"),
@@ -174,10 +174,19 @@ def test_scenario_registry_is_complete():
     assert set(SCENARIOS) == {
         "baseline", "kill9", "partition", "clock-skew", "rolling-replace"
     }
-    for scenario in SCENARIOS.values():
-        assert scenario.description
-        spec = scenario.build_spec(
+    for drill in SCENARIOS.values():
+        assert drill.description
+        spec = drill.topology(
             nodes=3, streams=2, replicas=3,
             duration=1.0, rate=50.0, burst=1,
         )
-        assert spec.all_replicas()      # every scenario yields a valid spec
+        assert spec.all_replicas()      # every drill yields a valid spec
+        # ... and a plan a deployment plays as written: the live check
+        # raises UnsupportedAction for anything it would approximate.
+        schedule, control = drill.build(spec)
+        steps = live_steps(
+            schedule, control,
+            {node.name: spec.hosts_of(node.name) for node in spec.nodes},
+            spec.group, "multi-process deployment", crash=True,
+        )
+        assert len(steps) >= len(control) >= 1, drill.name

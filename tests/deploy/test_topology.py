@@ -65,7 +65,7 @@ def test_stream_config_identical_on_every_worker():
 
 def test_spec_round_trips_through_json(tmp_path):
     spec = build_topology(
-        clock_offsets={"n2": 0.25}, duration=2.5, rate=150.0, burst=4
+        clock_skew=0.25, duration=2.5, rate=150.0, burst=4
     )
     path = tmp_path / "topology.json"
     spec.save(str(path))

@@ -1,13 +1,17 @@
 """Unit tests for the fault orchestrator against a bare network."""
 
+import pytest
+
 from repro.faults.orchestrator import FaultOrchestrator
 from repro.faults.schedule import (
+    ClockStep,
     CrashAt,
     DuplicateWindow,
     LossWindow,
     PartitionWindow,
     RecoverAt,
     Schedule,
+    UnsupportedAction,
 )
 from repro.sim.core import Environment
 from repro.sim.network import LinkSpec, Network
@@ -100,3 +104,16 @@ def test_recover_hook_takes_precedence():
     env.run(until=0.3)
     assert calls == ["recover"]
     assert net.host("b").crashed   # the hook owned the transition
+
+
+def test_a_clock_step_is_refused_before_anything_is_armed():
+    env, net = make_net()
+    orch = FaultOrchestrator(env, net)
+    with pytest.raises(UnsupportedAction,
+                       match="simulator cannot run it .its hosts share"):
+        orch.execute(Schedule(name="t", actions=(
+            CrashAt(at=0.1, target="a"),
+            ClockStep(at=0.2, target="a", delta=0.5),
+        )))
+    env.run(until=0.3)
+    assert not net.host("a").crashed and orch.events == []

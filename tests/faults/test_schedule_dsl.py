@@ -3,7 +3,10 @@
 import pytest
 
 from repro.faults.schedule import (
+    ClockStep,
+    ControlOp,
     CrashAt,
+    DelaySpike,
     DuplicateWindow,
     LossWindow,
     PartitionWindow,
@@ -11,6 +14,8 @@ from repro.faults.schedule import (
     RecoverAt,
     ReorderWindow,
     Schedule,
+    UnsupportedAction,
+    live_steps,
 )
 from repro.faults import schedule as schedule_module
 
@@ -119,3 +124,84 @@ def test_random_chaos_without_targets_has_no_crashes_or_partitions():
         for a in schedule.actions
     )
     assert len(schedule) == 4   # loss + delay + duplicate + reorder
+
+
+# A live cluster as the live check sees it: each node's hosts.
+_HOSTS = {
+    "n1": ("s1/coordinator", "s1/acceptor-1", "r1", "client"),
+    "n2": ("s2/coordinator", "s2/acceptor-1", "r2"),
+    "n3": ("r3",),
+}
+
+
+def _live(actions=(), control=(), crash=True):
+    return live_steps(Schedule("t", actions), tuple(control), _HOSTS, "g1",
+                      "multi-process deployment" if crash
+                      else "in-process cluster", crash)
+
+
+def test_live_steps_run_in_time_order_control_first_at_a_tie():
+    steps = _live(
+        actions=(
+            RecoverAt(at=1.5, target="n3"),
+            CrashAt(at=1.0, target="n3"),
+            PartitionWindow(start=0.2, end=0.6, side_a=_HOSTS["n3"],
+                            side_b=_HOSTS["n1"] + _HOSTS["n2"]),
+            ClockStep(at=0.7, target="n2", delta=0.4),
+        ),
+        control=(
+            ControlOp(1.0, "subscribe", "g1", "s2", via="s1"),
+            ControlOp(1.0, "unsubscribe", "g1", "s1", via="s2"),
+        ),
+    )
+    assert [(at, op, target) for at, op, target, _args in steps] == [
+        (0.2, "partition", "n3 | n1,n2"),
+        (0.6, "partition", "n3 | n1,n2"),
+        (0.7, "skew", "n2"),
+        (1.0, "subscribe", "s2"),
+        (1.0, "unsubscribe", "s1"),
+        (1.0, "kill9", "n3"),
+        (1.5, "restart", "n3"),
+    ]
+    cut, blocked = steps[0][3]
+    assert blocked and not steps[1][3][1]
+    # Each side's nodes block the other side's hosts.
+    assert cut == {"n3": _HOSTS["n1"] + _HOSTS["n2"],
+                   "n1": _HOSTS["n3"], "n2": _HOSTS["n3"]}
+
+
+@pytest.mark.parametrize("action, why", [
+    (LossWindow(start=0.1, end=0.2, loss=0.1), "message-level"),
+    (DuplicateWindow(start=0.1, end=0.2, probability=0.3), "message-level"),
+    (ReorderWindow(start=0.1, end=0.2, probability=0.3), "message-level"),
+    (DelaySpike(start=0.1, end=0.2, extra_latency=0.01), "message-level"),
+    (PartitionWindow(start=0.1, end=0.2, side_a=("r1",), side_b=("r2",)),
+     "splits a node's hosts"),
+    (PartitionWindow(start=0.1, end=0.2, side_a=("r3",), side_b=("r9",)),
+     r"no node carries \['r9'\]"),
+    (CrashAt(at=0.1, target="r3"), "name a node"),
+    (ClockStep(at=0.1, target="r3", delta=0.1), "name a node"),
+])
+def test_the_live_check_refuses_what_it_would_approximate(action, why):
+    with pytest.raises(UnsupportedAction, match=why) as refused:
+        _live(actions=(action,))
+    assert refused.value.action == action
+    assert refused.value.shape == "multi-process deployment"
+    assert action.describe() in str(refused.value)
+
+
+def test_an_in_process_cluster_refuses_crash_and_recover():
+    for action in (CrashAt(at=0.1, target="n3"),
+                   RecoverAt(at=0.2, target="n3")):
+        with pytest.raises(UnsupportedAction,
+                           match="in-process cluster cannot run it"):
+            _live(actions=(action,), crash=False)
+    # A clock step and a cut need no supervisor.
+    assert len(_live(actions=(ClockStep(0.1, "n3", 0.2),), crash=False)) == 1
+
+
+def test_the_live_check_refuses_a_prepare_and_a_foreign_group():
+    with pytest.raises(UnsupportedAction, match="prepare_msg"):
+        _live(control=(ControlOp(0.1, "prepare", "g1", "s2", via="s1"),))
+    with pytest.raises(UnsupportedAction, match="one group is 'g1'"):
+        _live(control=(ControlOp(0.1, "subscribe", "G2", "s2", via="s1"),))

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.deploy.chaos import SCENARIOS
 from repro.deploy.topology import build_topology
+from repro.faults.schedule import ControlOp, Schedule
 from repro.runtime.driver import Agreement, RunDriver, agree, verdict
 from repro.runtime.supervisor import LiveCluster, LiveConfig
 
@@ -36,6 +38,7 @@ class StubNode:
         self.replicas = {r: {"subscriptions": ["s1"]} for r in replicas}
         self.now = now
         self.learns_subscribes = True
+        self.learns_unsubscribes = True
         self.kernel_failures: list[str] = []
         self.transport: dict[str, int] = {}
         self.sequence = [["s1", 1, 11], ["s1", 2, 12]]
@@ -74,6 +77,13 @@ class StubNode:
                 for state in peer.replicas.values():
                     state["subscriptions"].append(stream)
         return {"request_id": 1}
+
+    def op_unsubscribe(self, stream, via):
+        for peer in self.peers:
+            if peer.learns_unsubscribes:
+                for state in peer.replicas.values():
+                    state["subscriptions"].remove(stream)
+        return {"request_id": 2}
 
     def op_activate(self, streams):
         self.active = streams
@@ -118,7 +128,7 @@ def _stub_cluster(drain_timeout=0.2):
 
 
 async def _baseline(driver):
-    await driver.run_workload()
+    await driver.play(*SCENARIOS["baseline"].build(driver.spec))
     return await driver.collect(await driver.drain())
 
 
@@ -181,7 +191,7 @@ def test_what_the_clients_node_dropped_at_its_send_queue_is_reported():
     report = LiveReport(
         streams=1, replicas=2, duration=1.0, submitted=2,
         delivered_per_replica={"r1": 2, "r2": 2}, sequences_identical=True,
-        subscribes_completed=0, subscribes_requested=0, invariant_checks=1,
+        subscribes_completed=0, subscribes_requested=0,
         violations=[], kernel_failures=[], throughput=2.0,
         latency_p50_ms=None, latency_p99_ms=None,
     )
@@ -202,6 +212,44 @@ def test_a_subscribe_that_never_commits_fails_the_run():
     assert "0/1 subscribes committed" in outcome.detail
     # ... and the client was never pointed at the stream.
     assert nodes["n1"].active == []
+
+
+def test_an_unsubscribe_that_never_takes_effect_fails_the_run():
+    driver, nodes = _stub_cluster()
+    nodes["n2"].learns_unsubscribes = False     # r2 keeps listing s1
+    retire = (
+        ControlOp(0.0, "subscribe", "g1", "s2", via="s1"),
+        ControlOp(0.0, "unsubscribe", "g1", "s1", via="s2"),
+    )
+
+    async def main():
+        await driver.wire()
+        timeline = await driver.play(Schedule("retire"), retire)
+        return timeline, await driver.collect(await driver.drain())
+
+    timeline, outcome = run(main())
+    assert [(step["op"], step["committed"]) for step in timeline] == [
+        ("subscribe", True), ("unsubscribe", False),
+    ]
+    assert outcome.agreement.ok
+    assert outcome.ok is False
+    assert outcome.subscribes == {"requested": ["s2", "-s1"],
+                                  "committed": ["s2"]}
+    assert "1/2 subscribes committed" in outcome.detail
+    # The stream left the client's rotation before the request was sent.
+    assert nodes["n1"].active == ["s2"]
+
+
+def test_drain_stops_at_the_first_kernel_failure():
+    # Agreement that has not come yet is no reason to wait once the
+    # verdict has failed: one poll of the sequences, not the timeout's.
+    driver, nodes = _stub_cluster(drain_timeout=30.0)
+    nodes["n2"].sequence = [["s1", 1, 11]]          # behind r1
+    nodes["n2"].kernel_failures = ["RuntimeError('trimmed past')"]
+    agreement = run(driver.drain())
+    assert not agreement
+    polls = [op for op, _ in nodes["n1"].calls if op == "sequences"]
+    assert polls == ["sequences"]
 
 
 def test_divergence_is_reported_with_its_index():
