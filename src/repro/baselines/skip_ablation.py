@@ -9,7 +9,7 @@ at the pace of the slowest stream".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..harness.broadcast import BroadcastClient, BroadcastReplica
 from ..harness.cluster import MulticastCluster

@@ -198,11 +198,8 @@ def _faults(args) -> int:
         return 0
     try:
         spec = get_scenario(args.scenario)
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        return _usage_error(
-            f"unknown scenario {args.scenario!r} (known: {known})"
-        )
+    except KeyError as unknown:
+        return _usage_error(unknown.args[0])
     failures = 0
     for seed in range(args.seed, args.seed + args.seeds):
         print(section(f"faults: {spec.name} (seed {seed})"))

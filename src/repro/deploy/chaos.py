@@ -53,14 +53,15 @@ def _victim(spec: TopologySpec) -> str:
 
 def _subscribes(spec: TopologySpec, at: Optional[float] = None
                 ) -> tuple[ControlOp, ...]:
-    """Subscribe the group, one by one, to every stream it did not
+    """Subscribe each group, one by one, to every stream it did not
     start with, ``at`` (by default ``subscribe_after``) of the way into
     the workload."""
     at = spec.workload.subscribe_after if at is None else at
     return tuple(
-        ControlOp(at * spec.workload.duration, "subscribe", spec.group,
-                  stream, via=spec.initial_streams[0])
-        for stream in spec.streams if stream not in spec.initial_streams
+        ControlOp(at * spec.workload.duration, "subscribe", group, stream,
+                  via=initial[0])
+        for group, initial in spec.groups.items()
+        for stream in spec.streams if stream not in initial
     )
 
 
@@ -102,13 +103,14 @@ def _rolling_replace(spec: TopologySpec) -> Plan:
     """Acceptor replacement: move the workload to a new stream, retire the
     old one via the new, then power-cycle the old one's node."""
     at = spec.workload.subscribe_after * spec.workload.duration
-    old, new = spec.initial_streams[0], spec.streams[1]
+    (group, initial), = spec.groups.items()
+    old, new = initial[0], spec.streams[1]
     node = spec.owner_of(old)
     return Schedule("rolling-replace", (
         CrashAt(at, node), RecoverAt(at + 0.5, node),
     )), (
-        ControlOp(at, "subscribe", spec.group, new, via=old),
-        ControlOp(at, "unsubscribe", spec.group, old, via=new),
+        ControlOp(at, "subscribe", group, new, via=old),
+        ControlOp(at, "unsubscribe", group, old, via=new),
     )
 
 

@@ -1,13 +1,13 @@
-"""JSON topology spec: what runs where in a multi-process deployment.
+"""The topology spec: the one description of a cluster, on both backends.
 
-A :class:`TopologySpec` is the single source of truth both sides of a
-deployment hydrate from: the supervisor writes it to the run directory
-and passes its path to every worker (``python -m repro worker --spec
-...``); each worker reads it back, builds the *local* actors its
-:class:`NodeSpec` places on it, and reconstructs an identical
-:class:`~repro.paxos.config.StreamConfig` for every stream -- local or
-remote -- so coordinator/acceptor host names agree across processes
-without any runtime negotiation.
+A :class:`TopologySpec` states Figure 2's picture: streams (coordinator
+and acceptor ring, at one λ/Δt), groups of replicas that start on some
+of them and -- live -- which node hosts what.  The simulator's checked
+runs (:class:`repro.faults.runner.CheckedRun`) deploy it without
+placement; each live node (:meth:`repro.runtime.node.LiveNode.from_spec`)
+builds what its :class:`NodeSpec` places on it.  Every actor is named by
+the one rule of :mod:`repro.paxos.config`, so every worker derives the
+same names and configs without negotiation.
 
 The spec is pure data (JSON round-trippable); addresses are *not* part
 of it.  Listener ports are ephemeral and distributed at runtime over
@@ -20,8 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..paxos.config import StreamConfig
-from ..paxos.config import DEFAULT_LAMBDA
+from ..paxos.config import (
+    DEFAULT_DELTA_T,
+    DEFAULT_LAMBDA,
+    StreamConfig,
+    acceptor_name,
+    coordinator_name,
+    replica_name,
+)
 
 __all__ = [
     "NodeSpec",
@@ -33,7 +39,7 @@ __all__ = [
     "load_address_file",
 ]
 
-SPEC_FORMAT = "repro-deploy-spec/1"
+SPEC_FORMAT = "repro-deploy-spec/2"
 
 # λ per value/s of offered rate in live mode.  λ caps admission
 # (docs/PROTOCOL.md §3), and a live stream is meant never to meet that
@@ -80,29 +86,34 @@ class WorkloadSpec:
 
 @dataclass
 class TopologySpec:
-    """The whole deployment: nodes, streams, knobs, workload."""
+    """Streams, groups, their parameters and (live) their placement."""
 
-    nodes: tuple[NodeSpec, ...]
     streams: tuple[str, ...]
+    groups: dict[str, tuple[str, ...]]      # group -> initial streams
+    # Which node hosts what; empty on the simulator, which has no nodes.
+    nodes: tuple[NodeSpec, ...] = ()
+    replicas_per_group: int = 2
     acceptors_per_stream: int = 3
-    group: str = "g1"
-    initial_streams: tuple[str, ...] = ("s1",)
+    lam: int = DEFAULT_LAMBDA
+    delta_t: float = DEFAULT_DELTA_T
     dissemination: str = "ring"
     adaptive_batching: bool = True
-    lam: int = DEFAULT_LAMBDA
+    # Streams deployed with a standby coordinator (simulator only).
+    failover: tuple[str, ...] = ()
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    # Transport knob: consecutive failed connect attempts before a peer
-    # link parks as unreachable (docs/RUNTIME.md).  Deployments keep
-    # this low so a kill-9'd worker is surfaced quickly.
-    unreachable_after: int = 6
     profile: bool = False
-    profile_interval: float = 0.02
 
     def __post_init__(self):
-        if not self.nodes:
-            raise ValueError("topology needs at least one node")
         if not self.streams:
             raise ValueError("topology needs at least one stream")
+        if not self.groups or self.replicas_per_group < 1:
+            raise ValueError("topology needs at least one replica")
+        for group, initial in self.groups.items():
+            if not initial or not set(initial) <= set(self.streams):
+                raise ValueError(f"group {group!r} must start on streams "
+                                 f"of the topology, not {initial}")
+        if not self.nodes:
+            return      # a simulated cluster: nothing is placed
         names = [node.name for node in self.nodes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate node names in {names}")
@@ -112,18 +123,38 @@ class TopologySpec:
                 f"streams {sorted(self.streams)} must be placed on exactly "
                 f"one node each (placed: {sorted(placed_streams)})"
             )
-        replicas = [r for node in self.nodes for r in node.replicas]
-        if len(set(replicas)) != len(replicas):
-            raise ValueError(f"replica placed twice: {sorted(replicas)}")
-        if not replicas:
-            raise ValueError("topology needs at least one replica")
+        placed = [r for node in self.nodes for r in node.replicas]
+        if sorted(placed) != sorted(self.all_replicas()):
+            raise ValueError(
+                f"replicas {sorted(self.all_replicas())} must be placed on "
+                f"exactly one node each (placed: {sorted(placed)})"
+            )
+        # One client process: msg_ids are unique per process
+        # (repro.paxos.types.next_value_id), so a second would mint the
+        # same ones.
         if sum(1 for node in self.nodes if node.client) != 1:
             raise ValueError("exactly one node must host the client")
-        unknown = set(self.initial_streams) - set(self.streams)
-        if unknown:
-            raise ValueError(f"initial streams not in topology: {unknown}")
+        if self.failover:
+            raise ValueError("a standby coordinator is simulated only")
 
-    # -- lookups ------------------------------------------------------
+    # -- names --------------------------------------------------------
+
+    def acceptors(self, stream: str) -> tuple[str, ...]:
+        n = self.acceptors_per_stream
+        return tuple(acceptor_name(stream, i) for i in range(1, n + 1))
+
+    def replicas_of(self, group: str) -> tuple[str, ...]:
+        n = self.replicas_per_group
+        return tuple(replica_name(group, i) for i in range(1, n + 1))
+
+    def all_replicas(self) -> tuple[str, ...]:
+        """Every replica, group by group in name order."""
+        return tuple(r for g in sorted(self.groups) for r in self.replicas_of(g))
+
+    def group_of(self, replica: str) -> str:
+        return {r: g for g in self.groups for r in self.replicas_of(g)}[replica]
+
+    # -- placement ----------------------------------------------------
 
     def node(self, name: str) -> NodeSpec:
         for node in self.nodes:
@@ -141,10 +172,7 @@ class TopologySpec:
         for node in self.nodes:
             if node.client:
                 return node.name
-        raise AssertionError("validated spec always has a client node")
-
-    def all_replicas(self) -> tuple[str, ...]:
-        return tuple(r for node in self.nodes for r in node.replicas)
+        raise ValueError("no node hosts the client (a simulated topology)")
 
     def hosts_of(self, node_name: str) -> tuple[str, ...]:
         """Every transport host name placed on ``node_name`` -- what a
@@ -152,13 +180,18 @@ class TopologySpec:
         node = self.node(node_name)
         hosts = [agent_host(node.name)]
         for stream in node.streams:
-            config = self.stream_config(stream)
-            hosts.append(config.coordinator)
-            hosts.extend(config.acceptors)
+            hosts.append(coordinator_name(stream))
+            hosts.extend(self.acceptors(stream))
         hosts.extend(node.replicas)
         if node.client:
             hosts.append("client")
         return tuple(hosts)
+
+    def stream_knobs(self) -> dict:
+        """The :class:`StreamConfig` fields every stream shares."""
+        return {"lam": self.lam, "delta_t": self.delta_t,
+                "ring_mode": self.dissemination == "ring",
+                "adaptive_batching": self.adaptive_batching}
 
     def stream_config(self, stream: str) -> StreamConfig:
         """The stream's config, identical on every worker by
@@ -166,14 +199,8 @@ class TopologySpec:
         if stream not in self.streams:
             raise KeyError(f"unknown stream {stream!r}")
         return StreamConfig(
-            name=stream,
-            acceptors=tuple(
-                f"{stream}/acceptor-{j + 1}"
-                for j in range(self.acceptors_per_stream)
-            ),
-            ring_mode=(self.dissemination == "ring"),
-            adaptive_batching=self.adaptive_batching,
-            lam=self.lam,
+            name=stream, acceptors=self.acceptors(stream),
+            **self.stream_knobs(),
         )
 
     # -- serialisation ------------------------------------------------
@@ -186,15 +213,22 @@ class TopologySpec:
     @classmethod
     def from_json(cls, data: dict) -> "TopologySpec":
         """The inverse of :meth:`to_json`; a missing field takes its
-        dataclass default."""
-        if data.get("format") not in (None, SPEC_FORMAT):
-            raise ValueError(f"unknown spec format {data.get('format')!r}")
+        dataclass default.  A ``repro-deploy-spec/1`` document (one
+        ``group``, ``initial_streams``) is refused."""
+        found = data.get("format") or (
+            "repro-deploy-spec/1" if "group" in data else None)
+        if found not in (None, SPEC_FORMAT):
+            raise ValueError(f"spec format {found!r} is not {SPEC_FORMAT!r}"
+                             f" (rebuild it: 'groups' replaced 'group')")
         def tuples(entries: dict) -> dict:    # JSON lists -> the tuples
             return {key: tuple(value) if isinstance(value, list) else value
                     for key, value in entries.items() if key != "format"}
 
         fields = tuples(data)
-        fields["nodes"] = tuple(NodeSpec(**tuples(n)) for n in data["nodes"])
+        fields["groups"] = tuples(data["groups"])
+        fields["nodes"] = tuple(
+            NodeSpec(**tuples(n)) for n in data.get("nodes", ())
+        )
         fields["workload"] = WorkloadSpec(**data.get("workload", {}))
         return cls(**fields)
 
@@ -220,13 +254,15 @@ def build_topology(
     dedicate_stream_nodes: bool = False,
     **overrides,
 ) -> TopologySpec:
-    """The default deployment layout.
+    """The default deployment layout: streams ``s1``..``sN``, one group
+    ``g1`` of ``replicas`` replicas that starts on ``s1``.
 
     Streams, replicas and the client are placed round-robin across the
     nodes (:class:`repro.runtime.supervisor.LiveCluster` places its
-    in-process nodes with this same function): with the 3-node default, n1 hosts s1 + r1 + the client, n2 hosts
-    s2 + r2, and n3 hosts only r3 (the canonical kill-9 victim -- no
-    acceptor state dies with it).
+    in-process nodes with this same function): with the 3-node default,
+    n1 hosts s1 + g1/r1 + the client, n2 hosts s2 + g1/r2, and n3 hosts
+    only g1/r3 (the canonical kill-9 victim -- no acceptor state dies
+    with it).
 
     With ``dedicate_stream_nodes`` the streams get nodes of their own
     *after* the replica/client nodes -- the rolling-replace drill's
@@ -239,7 +275,6 @@ def build_topology(
     if nodes < 1:
         raise ValueError("need at least one node")
     stream_names = tuple(f"s{i + 1}" for i in range(streams))
-    replica_names = tuple(f"r{i + 1}" for i in range(replicas))
     extra = streams if dedicate_stream_nodes else 0
     names = [f"n{i + 1}" for i in range(nodes + extra)]
     stream_nodes = names[nodes:] if dedicate_stream_nodes else names
@@ -249,14 +284,18 @@ def build_topology(
             stream
         )
     placement_replicas: dict[str, list[str]] = {name: [] for name in names}
-    for index, replica in enumerate(replica_names):
-        placement_replicas[names[index % nodes]].append(replica)
+    for index in range(replicas):
+        placement_replicas[names[index % nodes]].append(
+            replica_name("g1", index + 1)
+        )
     lam = overrides.pop("lam", live_lambda(rate))
     workload = WorkloadSpec(
         duration=duration, rate=rate, burst=burst,
         **overrides.pop("workload", {}),
     )
     return TopologySpec(
+        streams=stream_names,
+        groups={"g1": stream_names[:1]},
         nodes=tuple(
             NodeSpec(
                 name=name,
@@ -267,7 +306,7 @@ def build_topology(
             )
             for index, name in enumerate(names)
         ),
-        streams=stream_names,
+        replicas_per_group=replicas,
         lam=lam,
         workload=workload,
         **overrides,

@@ -39,7 +39,9 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..deploy.topology import TopologySpec
 from ..faults.runner import CheckedRun
+from ..faults.scenarios import sim_topology
 from ..faults.schedule import DelaySpike, Schedule
 from ..obs.metrics import MetricsRegistry
 from ..workload.generators import zipf_shares
@@ -67,41 +69,33 @@ __all__ = [
 _N_SHARDS = 8             # workload shards the router maps onto streams
 _LOAD_UNTIL_FRAC = 0.8    # traffic stops at this fraction of the run
 _METRICS_WINDOW = 1.0     # retention window of the signal registry (s)
+_RAMP = (0.5, 2.5)        # the traffic ramp's window [start, end] (s)
+_ZIPF_S = 1.8             # the hot-key storm's Zipf exponent
+_WARMUP = 0.5             # the gap measurement starts here (s)
 
 
 @dataclass(frozen=True)
 class ElasticityScenario:
-    """One closed-loop acceptance scenario (workload + policy + oracle)."""
+    """One closed-loop acceptance scenario: a one-group topology, and a
+    workload, a policy and an oracle."""
 
     name: str
     description: str
     duration: float
+    topology: TopologySpec
     # -- workload shape -------------------------------------------------
-    initial_streams: tuple[str, ...] = ("S1",)
-    replicas: int = 2
-    group: str = "G1"
     base_rate: float = 60.0            # submitted messages/s at t=0
     peak_rate: Optional[float] = None  # ramp target (None: flat)
-    ramp: tuple[float, float] = (0.5, 2.5)   # ramp window [start, end]
     skew_window: Optional[tuple[float, float]] = None  # hot-key storm
-    zipf_s: float = 1.8
     # -- faults ---------------------------------------------------------
     schedule: Optional[Callable[["ElasticityScenario", int], Schedule]] = None
     # -- policy ---------------------------------------------------------
     rules: Callable[[], tuple] = field(default=tuple)
-    sustain: int = 2
     cooldown: float = 1.5
     max_streams: int = 4
-    interval: float = 0.25
-    retire_delay: float = 0.75
-    # -- cluster sizing (mirrors the fault scenarios' defaults) --------
-    lam: int = 500
-    delta_t: float = 0.05
-    link_latency: float = 0.001
     # -- acceptance oracle ---------------------------------------------
     expected_kinds: tuple[str, ...] = ("subscribe",)
     gap_bound: float = 0.5             # max inter-delivery gap allowed
-    warmup: float = 0.5                # gap measurement starts here
 
     # -- workload sampling ---------------------------------------------
 
@@ -109,7 +103,7 @@ class ElasticityScenario:
         """Submitted messages/s at virtual time ``now``."""
         if self.peak_rate is None:
             return self.base_rate
-        start, end = self.ramp
+        start, end = _RAMP
         if now <= start:
             return self.base_rate
         if now >= end:
@@ -126,11 +120,6 @@ class ElasticityScenario:
 
     def load_until(self) -> float:
         return self.duration * _LOAD_UNTIL_FRAC
-
-    def replica_names(self) -> tuple[str, ...]:
-        return tuple(
-            f"{self.group}/r{i + 1}" for i in range(self.replicas)
-        )
 
 
 @dataclass
@@ -195,7 +184,7 @@ def _slow_acceptor_schedule(
     spec: ElasticityScenario, seed: int
 ) -> Schedule:
     """One acceptor ring (S1's) turns slow for the rest of the run."""
-    slow = tuple(f"S1/a{i + 1}" for i in range(3))
+    slow = spec.topology.acceptors("S1")
     return Schedule(
         name="slow-ring",
         actions=(
@@ -216,10 +205,9 @@ SCENARIOS: dict[str, ElasticityScenario] = {
                 "controller must subscribe a new stream autonomously"
             ),
             duration=6.0,
-            initial_streams=("S1",),
+            topology=sim_topology(("S1",), {"G1": ("S1",)}),
             base_rate=60.0,
             peak_rate=360.0,
-            ramp=(0.5, 2.5),
             rules=_ramp_rules,
             max_streams=3,
             expected_kinds=("subscribe",),
@@ -231,10 +219,9 @@ SCENARIOS: dict[str, ElasticityScenario] = {
                 "the controller must split the hot shard's key range"
             ),
             duration=6.0,
-            initial_streams=("S1", "S2"),
+            topology=sim_topology(("S1", "S2"), {"G1": ("S1", "S2")}),
             base_rate=150.0,
             skew_window=(1.0, 4.0),
-            zipf_s=1.8,
             rules=_hot_shard_rules,
             max_streams=3,
             expected_kinds=("split",),
@@ -246,7 +233,7 @@ SCENARIOS: dict[str, ElasticityScenario] = {
                 "controller must retire it for a fresh stream"
             ),
             duration=7.0,
-            initial_streams=("S1", "S2"),
+            topology=sim_topology(("S1", "S2"), {"G1": ("S1", "S2")}),
             base_rate=120.0,
             schedule=_slow_acceptor_schedule,
             rules=_slow_acceptor_rules,
@@ -284,23 +271,18 @@ class ElasticityRunner(CheckedRun):
         super().__init__(
             spec,
             seed,
-            spec.initial_streams,
             spec.schedule(spec, seed) if spec.schedule is not None
             else Schedule(name="none"),
             metrics=self.registry,
         )
-        self.router = StreamRouter(
-            range(_N_SHARDS), spec.initial_streams
-        )
-        self.executor = SimExecutor(
-            self.cluster,
-            spec.group,
-            self.router,
-            retire_delay=spec.retire_delay,
-        )
+        self.router = StreamRouter(range(_N_SHARDS), spec.topology.streams)
+        # The controller, the engine and the executor keep their default
+        # interval, sustain and retirement delay; the controller grows
+        # the topology's one group.
+        (group,) = spec.topology.groups
+        self.executor = SimExecutor(self.cluster, group, self.router)
         self.engine = PolicyEngine(
             spec.rules(),
-            sustain=spec.sustain,
             cooldown=spec.cooldown,
             dry_run=dry_run,
             max_streams=spec.max_streams,
@@ -316,27 +298,20 @@ class ElasticityRunner(CheckedRun):
             self.engine,
             self.executor,
             env=self.cluster.env,
-            interval=spec.interval,
             router=self.router,
         )
         # Delivery gap accounting at the reference replica.
-        self._reference = spec.replica_names()[0]
+        self._reference = spec.topology.all_replicas()[0]
         self.delivery_times: list[float] = []
         self.cluster.replicas[self._reference].add_delivery_observer(
             self._observe_delivery
         )
         # Zipf CDF over the shards, hottest first (shard 0 is rank 0).
         cumulative, cdf = 0.0, []
-        for share in zipf_shares(_N_SHARDS, spec.zipf_s):
+        for share in zipf_shares(_N_SHARDS, _ZIPF_S):
             cumulative += share
             cdf.append(cumulative)
         self._zipf_cdf = cdf
-
-    def _deploy(self) -> None:
-        for name in self.spec.replica_names():
-            self.cluster.add_replica(
-                name, self.spec.group, list(self.spec.initial_streams)
-            )
 
     @property
     def label(self) -> str:
@@ -375,7 +350,7 @@ class ElasticityRunner(CheckedRun):
 
     def _max_gap(self, load_until: float) -> float:
         """Largest inter-delivery gap in the loaded, post-warmup window."""
-        lo, hi = self.spec.warmup, load_until
+        lo, hi = _WARMUP, load_until
         times = [t for t in self.delivery_times if lo <= t <= hi]
         if not times:
             return hi - lo

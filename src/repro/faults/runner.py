@@ -112,8 +112,8 @@ class DeliveryDigest:
 
 class CheckedRun:
     """A simulated cluster run under the invariant suite (module
-    docstring).  A subclass deploys its replicas in :meth:`_deploy` and
-    drives its own workload from ``run()``, which a replay calls."""
+    docstring), deployed from ``spec.topology``.  A subclass drives its
+    own workload from ``run()``, which a replay calls."""
 
     def __new__(cls, *args, **kwargs):
         run = super().__new__(cls)
@@ -122,8 +122,7 @@ class CheckedRun:
         run._rebuild = (args, kwargs, types.next_value_id())
         return run
 
-    def __init__(self, spec, seed: int, streams: tuple[str, ...],
-                 schedule: Schedule, metrics=None):
+    def __init__(self, spec, seed: int, schedule: Schedule, metrics=None):
         self.spec = spec
         self.seed = seed
         self.schedule = schedule
@@ -134,12 +133,19 @@ class CheckedRun:
         if self.tracer is not None:
             self.recorder = FlightRecorder()
             self.tracer.add_sink(self.recorder)
+        topology = spec.topology
         with installed(metrics=metrics):
             self.cluster = MulticastCluster(
-                streams=streams, seed=seed, link_latency=spec.link_latency,
-                lam=spec.lam, delta_t=spec.delta_t,
+                streams=topology.streams, seed=seed,
+                n_acceptors=topology.acceptors_per_stream,
+                **topology.stream_knobs(),
             )
-        self._deploy()
+        for stream in topology.failover:
+            self.cluster.directory[stream].enable_failover()
+        for group in sorted(topology.groups):
+            for name in topology.replicas_of(group):
+                self.cluster.add_replica(name, group,
+                                         list(topology.groups[group]))
         self.suite = InvariantSuite(self.cluster.replicas)
         self.digests: dict[str, DeliveryDigest] = {}
         for name in sorted(self.cluster.replicas):
@@ -147,9 +153,6 @@ class CheckedRun:
             self.cluster.replicas[name].add_run_observer(digest.observe)
         self.orchestrator = FaultOrchestrator(self.cluster.env,
                                               self.cluster.network)
-
-    def _deploy(self) -> None:
-        raise NotImplementedError
 
     @property
     def label(self) -> str:
@@ -242,20 +245,12 @@ class ScenarioRunner(CheckedRun):
     """Builds, runs and checks one fault scenario."""
 
     def __init__(self, spec: ScenarioSpec, seed: int = 1):
-        super().__init__(spec, seed, spec.streams, spec.schedule(seed))
+        super().__init__(spec, seed, spec.schedule(seed))
         self.checkpoints: dict[str, CheckpointStore] = {}
         for name in self.cluster.replicas:
             self.checkpoints[name] = CheckpointStore(keep=2)
             self.orchestrator.recover_hooks[name] = self._recover_hook(name)
         self._save_checkpoints()   # a recovery point exists from t=0
-
-    def _deploy(self) -> None:
-        spec = self.spec
-        for stream in spec.failover:
-            self.cluster.directory[stream].enable_failover()
-        for group, names in spec.replica_names().items():
-            for name in names:
-                self.cluster.add_replica(name, group, list(spec.groups[group]))
 
     # -- checkpointing (the crash-recovery model's stable storage) ------
 
@@ -308,11 +303,8 @@ class ScenarioRunner(CheckedRun):
     def run(self) -> ScenarioResult:
         spec = self.spec
         env = self.cluster.env
-        load_until = (
-            spec.load_until if spec.load_until is not None
-            else spec.duration * 0.65
-        )
-        for stream in spec.streams:
+        load_until = spec.load_until()
+        for stream in spec.topology.streams:
             env.call_later(0.0, self._load, stream, load_until)
         every(env, _CHECKPOINT_INTERVAL, self._save_checkpoints)
         self._run_checked(spec.duration, self._arm_control)

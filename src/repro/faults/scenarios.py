@@ -1,7 +1,7 @@
 """Named, reproducible fault scenarios.
 
-Each :class:`ScenarioSpec` pins a cluster topology (streams, groups,
-replicas), a paced workload, a script of dynamic-subscription control
+Each :class:`ScenarioSpec` is a topology (streams, groups, replicas)
+plus a run: a paced workload, a script of dynamic-subscription control
 operations, and a fault schedule -- either a hand-written, named
 :class:`~repro.faults.schedule.Schedule` or a seeded
 :class:`~repro.faults.schedule.RandomChaos` plan.  The
@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..deploy.topology import TopologySpec
+from ..paxos.config import coordinator_name
 from ..workload.generators import zipf_shares
 from .schedule import (
     ControlOp,
@@ -33,49 +35,39 @@ from .schedule import (
     Schedule,
 )
 
-__all__ = ["SCENARIOS", "ScenarioSpec", "get_scenario"]
+__all__ = ["SCENARIOS", "ScenarioSpec", "get_scenario", "sim_topology"]
 
 
-_REPLICAS_PER_GROUP = 2
+def sim_topology(streams: tuple[str, ...],
+                 groups: dict[str, tuple[str, ...]],
+                 **knobs) -> TopologySpec:
+    """A simulated cluster at the checked runs' parameters: λ = 500,
+    Δt = 50 ms, fixed-trigger batching, two replicas a group."""
+    return TopologySpec(streams=streams, groups=groups, lam=500,
+                        delta_t=0.05, adaptive_batching=False, **knobs)
 
 
 @dataclass
 class ScenarioSpec:
-    """Everything needed to reproduce one fault-injection run."""
+    """Everything needed to reproduce one fault-injection run: the
+    cluster, and what is done to it."""
 
     name: str
     description: str
-    streams: tuple[str, ...]
-    groups: dict[str, tuple[str, ...]]       # group -> initial subscriptions
+    topology: TopologySpec
     duration: float
     schedule: Callable[[int], Schedule]      # seed -> fault plan
     control: tuple[ControlOp, ...] = ()
-    lam: int = 500
-    delta_t: float = 0.05
-    link_latency: float = 0.001
     load_rate: float = 120.0                 # messages/second per stream
-    load_until: Optional[float] = None       # defaults to 65% of duration
     # Optional per-stream load multiplier ``(stream, now) -> factor``:
     # skewed-traffic scenarios (hot-shard) scale each stream's paced
     # rate over time.  None keeps the legacy fixed-interval load loop
     # byte-for-byte identical (the golden digests depend on it).
     load_share: Optional[Callable[[str, float], float]] = None
-    failover: tuple[str, ...] = ()           # streams deployed with a standby
 
-    def replica_names(self) -> dict[str, list[str]]:
-        """Replica host names per group (``<group>/r<i>``)."""
-        return {
-            group: [
-                f"{group}/r{i + 1}" for i in range(_REPLICAS_PER_GROUP)
-            ]
-            for group in sorted(self.groups)
-        }
-
-    def all_replicas(self) -> list[str]:
-        return [name for names in self.replica_names().values() for name in names]
-
-    def acceptors_of(self, stream: str, n: int = 3) -> tuple[str, ...]:
-        return tuple(f"{stream}/a{i + 1}" for i in range(n))
+    def load_until(self) -> float:
+        """The load stops at 65% of the run: the rest drains."""
+        return self.duration * 0.65
 
 
 def _fixed(schedule: Schedule) -> Callable[[int], Schedule]:
@@ -89,20 +81,20 @@ def _subscribe_mid_partition() -> ScenarioSpec:
     """G1 subscribes to S2 while cut off from S2's acceptors: the scan
     of the new stream stalls, then completes after the heal (§II: safety
     always, liveness after GST)."""
-    replicas = ("G1/r1", "G1/r2")
-    acceptors = ("S2/a1", "S2/a2", "S2/a3")
+    topology = sim_topology(("S1", "S2"), {"G1": ("S1",), "G2": ("S2",)})
     schedule = Schedule(
         name="subscribe-mid-partition",
         actions=(
-            PartitionWindow(start=0.3, end=1.3, side_a=replicas, side_b=acceptors),
+            PartitionWindow(start=0.3, end=1.3,
+                            side_a=topology.replicas_of("G1"),
+                            side_b=topology.acceptors("S2")),
         ),
     )
     return ScenarioSpec(
         name="subscribe-mid-partition",
         description="subscription issued while the group is partitioned "
                     "from the new stream's acceptors",
-        streams=("S1", "S2"),
-        groups={"G1": ("S1",), "G2": ("S2",)},
+        topology=topology,
         duration=4.0,
         schedule=_fixed(schedule),
         control=(
@@ -115,22 +107,22 @@ def _coordinator_crash_at_merge() -> ScenarioSpec:
     """S2's coordinator crashes right at the merge point of a
     subscription; the standby is promoted and the subscription still
     commits with a consistent merge point on every replica."""
+    topology = sim_topology(("S1", "S2"), {"G1": ("S1",), "G2": ("S2",)},
+                            failover=("S1", "S2"))
     schedule = Schedule(
         name="coordinator-crash-at-merge",
-        actions=(CrashAt(at=0.53, target="S2/coordinator"),),
+        actions=(CrashAt(at=0.53, target=coordinator_name("S2")),),
     )
     return ScenarioSpec(
         name="coordinator-crash-at-merge",
         description="coordinator of the new stream crashes at the merge "
                     "point; failover promotes the standby",
-        streams=("S1", "S2"),
-        groups={"G1": ("S1",), "G2": ("S2",)},
+        topology=topology,
         duration=5.0,
         schedule=_fixed(schedule),
         control=(
             ControlOp(at=0.5, kind="subscribe", group="G1", stream="S2", via="S1"),
         ),
-        failover=("S1", "S2"),
     )
 
 
@@ -139,18 +131,19 @@ def _learner_crash_during_prepare() -> ScenarioSpec:
     recovering the new stream in the background; after recovery from
     its checkpoint it replays the hint and the later subscription
     commits identically on both replicas."""
+    topology = sim_topology(("S1", "S2"), {"G1": ("S1",), "G2": ("S2",)})
+    victim = topology.replicas_of("G1")[0]
     schedule = Schedule(
         name="learner-crash-during-prepare",
         actions=(
-            CrashAt(at=0.45, target="G1/r1"),
-            RecoverAt(at=0.85, target="G1/r1"),
+            CrashAt(at=0.45, target=victim),
+            RecoverAt(at=0.85, target=victim),
         ),
     )
     return ScenarioSpec(
         name="learner-crash-during-prepare",
         description="replica crash during prepare_msg background recovery",
-        streams=("S1", "S2"),
-        groups={"G1": ("S1",), "G2": ("S2",)},
+        topology=topology,
         duration=4.0,
         schedule=_fixed(schedule),
         control=(
@@ -174,8 +167,8 @@ def _duplicate_storm() -> ScenarioSpec:
         name="duplicate-storm",
         description="40% message duplication across the whole network "
                     "through a dynamic subscription",
-        streams=("S1", "S2"),
-        groups={"G1": ("S1",), "G2": ("S1", "S2")},
+        topology=sim_topology(("S1", "S2"),
+                              {"G1": ("S1",), "G2": ("S1", "S2")}),
         duration=4.0,
         schedule=_fixed(schedule),
         control=(
@@ -198,8 +191,8 @@ def _reorder_storm() -> ScenarioSpec:
         name="reorder-storm",
         description="30% bounded message reordering across the whole "
                     "network through a dynamic subscription",
-        streams=("S1", "S2"),
-        groups={"G1": ("S1",), "G2": ("S1", "S2")},
+        topology=sim_topology(("S1", "S2"),
+                              {"G1": ("S1",), "G2": ("S1", "S2")}),
         duration=4.0,
         schedule=_fixed(schedule),
         control=(
@@ -226,12 +219,13 @@ def _hot_shard() -> ScenarioSpec:
             return 2.0 * shares[1]       # ~0.45x: the cold one
         return 1.0
 
+    topology = sim_topology(("S1", "S2", "S3"), {"G1": ("S1", "S2")})
     schedule = Schedule(
         name="hot-shard",
         actions=(
             DelaySpike(
                 start=1.4, end=2.6, extra_latency=0.004,
-                dst=("S1/a1", "S1/a2", "S1/a3"),
+                dst=topology.acceptors("S1"),
             ),
         ),
     )
@@ -239,8 +233,7 @@ def _hot_shard() -> ScenarioSpec:
         name="hot-shard",
         description="Zipfian skew burst overloads S1 under a delay "
                     "spike; a relief stream is subscribed mid-storm",
-        streams=("S1", "S2", "S3"),
-        groups={"G1": ("S1", "S2")},
+        topology=topology,
         duration=4.0,
         schedule=_fixed(schedule),
         control=(
@@ -255,14 +248,12 @@ def _chaos() -> ScenarioSpec:
     cluster: crashes with checkpoint recovery, partitions, loss, delay
     spikes, duplication and reordering, through a scripted subscribe,
     unsubscribe and a second subscribe."""
-    streams = ("S1", "S2", "S3")
-    groups = {"G1": ("S1", "S2"), "G2": ("S2", "S3")}
     spec = ScenarioSpec(
         name="chaos",
         description="seeded random crashes/partitions/loss/dup/reorder "
                     "over 2 groups x 3 streams with subscription churn",
-        streams=streams,
-        groups=groups,
+        topology=sim_topology(("S1", "S2", "S3"),
+                              {"G1": ("S1", "S2"), "G2": ("S2", "S3")}),
         duration=5.0,
         schedule=lambda seed: _chaos_schedule(spec, seed),
         control=(
@@ -276,13 +267,14 @@ def _chaos() -> ScenarioSpec:
 
 
 def _chaos_schedule(spec: ScenarioSpec, seed: int) -> Schedule:
-    replicas = spec.all_replicas()
+    topology = spec.topology
+    replicas = topology.all_replicas()
     cuts = []
-    for stream in spec.streams:
-        acceptors = spec.acceptors_of(stream)
+    for stream in topology.streams:
+        acceptors = topology.acceptors(stream)
         for replica in replicas:
             cuts.append(((replica,), acceptors))
-        cuts.append(((f"{stream}/coordinator",), acceptors))
+        cuts.append(((coordinator_name(stream),), acceptors))
     return RandomChaos(
         seed=seed,
         horizon=spec.duration,

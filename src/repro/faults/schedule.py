@@ -24,7 +24,9 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
+
+from ..deploy.topology import agent_host
 
 __all__ = [
     "ClockStep",
@@ -268,24 +270,28 @@ class UnsupportedAction(ValueError):
 
 
 def live_steps(schedule: Schedule, control: tuple[ControlOp, ...],
-               hosts: dict[str, tuple[str, ...]], group: str, shape: str,
-               crash: bool) -> list[tuple[float, str, str, tuple]]:
+               hosts: dict[str, tuple[str, ...]], groups: Iterable[str],
+               shape: str, crash: bool) -> list[tuple[float, str, str, tuple]]:
     """``schedule`` and ``control`` as the steps a live cluster runs,
     ``(at, op, target, args)``, in time order; at one instant a control
     op first, as on the simulator (whose runner arms them first).
-    ``hosts``: each node's transport hosts; ``crash``: a supervisor
-    kills and restarts nodes."""
+    ``hosts``: each node's transport hosts; ``groups``: the topology's;
+    ``crash``: a supervisor kills and restarts nodes."""
 
     def refuse(action, why: str):
         raise UnsupportedAction(action, shape, why)
 
     owner = {host: node for node, names in hosts.items() for host in names}
+    # A node's deploy agent goes with its node: a shape that runs none
+    # (the in-process cluster) cuts it from nothing.
+    absent = {agent_host(node) for node in hosts} - set(owner)
 
     def nodes_of(action, side: tuple[str, ...]) -> set[str]:
-        if not set(side) <= set(owner):
-            refuse(action, f"no node carries {sorted(set(side) - set(owner))}")
+        side = set(side) - absent
+        if not side <= set(owner):
+            refuse(action, f"no node carries {sorted(side - set(owner))}")
         nodes = {owner[host] for host in side}
-        if set(side) != {host for node in nodes for host in hosts[node]}:
+        if side != {host for node in nodes for host in hosts[node]}:
             refuse(action, "it splits a node's hosts: a socket-level cut "
                            "is between whole nodes")
         return nodes
@@ -294,9 +300,9 @@ def live_steps(schedule: Schedule, control: tuple[ControlOp, ...],
     for op in control:
         if op.kind == "prepare":
             refuse(op, "the live client sends no prepare_msg")
-        if op.group != group:
-            refuse(op, f"its one group is {group!r}")
-        steps.append((op.at, op.kind, op.stream, (op.via,)))
+        if op.group not in groups:
+            refuse(op, f"its groups are {sorted(groups)}")
+        steps.append((op.at, op.kind, op.stream, (op.via, op.group)))
     for action in schedule.actions:
         if isinstance(action, PartitionWindow):
             side_a = nodes_of(action, action.side_a)

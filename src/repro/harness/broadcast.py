@@ -10,13 +10,12 @@ value was ordered in -- exactly the per-stream series the figures plot.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
 from ..net.actor import Actor
-from ..net.messages import FastMessage, Message, WIRE_HEADER_BYTES
+from ..net.messages import FastMessage, WIRE_HEADER_BYTES
 from ..obs.metrics import Counter, Series
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue

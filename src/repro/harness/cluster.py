@@ -25,7 +25,7 @@ from ..kvstore.repartition import RepartitionOrchestrator
 from ..multicast.api import MulticastClient
 from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
-from ..paxos.config import StreamConfig
+from ..paxos.config import StreamConfig, acceptor_name
 from ..sim.core import Environment
 from ..sim.network import LinkSpec, Network
 from ..sim.rng import RngRegistry
@@ -60,10 +60,9 @@ class MulticastCluster:
         self.network = Network(
             self.env, rng=self.rng, default_link=LinkSpec(latency=link_latency)
         )
-        self.lam = lam
-        self.delta_t = delta_t
         self.n_acceptors = n_acceptors
-        self._config_overrides = config_overrides
+        self._config_overrides = {"lam": lam, "delta_t": delta_t,
+                                  **config_overrides}
         self.directory: dict[str, StreamDeployment] = {}
         self.replicas: dict[str, MulticastReplica] = {}
         self.delivered: dict[str, list] = {}
@@ -78,14 +77,12 @@ class MulticastCluster:
         """Deploy and start a stream (coordinator + acceptor ring)."""
         if name in self.directory:
             raise ValueError(f"stream {name!r} already deployed")
-        overrides = dict(self._config_overrides)
-        overrides.update(config_overrides)
-        overrides.setdefault("lam", self.lam)
-        overrides.setdefault("delta_t", self.delta_t)
         config = StreamConfig(
             name=name,
-            acceptors=tuple(f"{name}/a{i + 1}" for i in range(self.n_acceptors)),
-            **overrides,
+            acceptors=tuple(
+                acceptor_name(name, i + 1) for i in range(self.n_acceptors)
+            ),
+            **{**self._config_overrides, **config_overrides},
         )
         deployment = StreamDeployment(
             self.env, self.network, config,

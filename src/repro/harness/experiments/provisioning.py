@@ -9,7 +9,7 @@ scale-up request until the first value of the new stream is delivered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...cloud.openstack import AutoScalingGroup, CloudCompute
 from ...cloud.vm import DEFAULT_BOOT_TIME

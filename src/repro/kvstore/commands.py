@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from ..net.messages import Message, WIRE_HEADER_BYTES
 

@@ -23,11 +23,10 @@ from typing import Callable, Optional
 import dataclasses
 
 from ..paxos.acceptor import AcceptorActor
-from ..paxos.config import StreamConfig
+from ..paxos.config import StreamConfig, coordinator_name
 from ..paxos.coordinator import CoordinatorActor
 from ..paxos.ballot import quorum_size
 from ..paxos.failover import FailoverMonitor, RingWatchdog
-from ..paxos.learner import LearnerActor
 from ..paxos.types import Batch, Token
 from ..runtime.kernel import Kernel, Transport
 from ..storage.stable import StableStore
@@ -291,7 +290,7 @@ class StreamDeployment:
         if self.standby is not None:
             raise RuntimeError(f"stream {self.name} already has a standby")
         standby_config = dataclasses.replace(
-            self.config, coordinator=f"{self.name}/coordinator-standby"
+            self.config, coordinator=coordinator_name(self.name, standby=True)
         )
         self.standby = CoordinatorActor(
             self.env,
@@ -403,15 +402,3 @@ class StreamDeployment:
         """Inject a token at the coordinator (zero client latency)."""
         self.coordinator.propose(token)
 
-    def make_learner(
-        self,
-        name: str,
-        on_deliver: Callable[[int, Batch], None],
-    ) -> LearnerActor:
-        """Create (and start) a learner actor attached to this stream."""
-        learner = LearnerActor(
-            self.env, self.network, name, self.config, on_deliver
-        )
-        learner.start()
-        self.add_learner(name)
-        return learner

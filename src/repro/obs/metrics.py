@@ -433,34 +433,6 @@ class MetricsRegistry:
         names.update(actor for actor, _ in self._histograms)
         return sorted(names)
 
-    def summary_rows(self) -> list[tuple[str, str, str, str]]:
-        """``(actor, metric, kind, rendered value)`` rows, sorted.
-
-        Counters render their lifetime total, gauges their last/peak
-        samples, histograms mean and p95 of the retained samples.
-        """
-        rows: list[tuple[str, str, str, str]] = []
-        for (actor, name), counter in self._counters.items():
-            rows.append((actor, name, "counter", f"total={counter.total:g}"))
-        for (actor, name), gauge in self._gauges.items():
-            if gauge.value is None:
-                rendered = "(no samples)"
-            else:
-                rendered = f"last={gauge.value:g} peak={gauge.peak:g}"
-            rows.append((actor, name, "gauge", rendered))
-        for (actor, name), series in self._histograms.items():
-            if len(series) == 0:
-                rendered = "(no samples)"
-            else:
-                values = series.values
-                rendered = (
-                    f"n={len(values)} mean={sum(values) / len(values):.4g} "
-                    f"p95={percentile(values, 95):.4g}"
-                )
-            rows.append((actor, name, "histogram", rendered))
-        rows.sort()
-        return rows
-
     def dump(self) -> dict:
         """A JSON-serializable snapshot of every instrument.
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["DEFAULT_DELTA_T", "DEFAULT_LAMBDA", "StreamConfig"]
+__all__ = ["DEFAULT_DELTA_T", "DEFAULT_LAMBDA", "StreamConfig",
+           "acceptor_name", "coordinator_name", "replica_name"]
 
 # The λ/Δt skip mechanism of Multi-Ring Paxos (§III-B, §VII-A): a merge
 # of several streams is gated by the slowest, so every Δt each
@@ -15,6 +16,25 @@ __all__ = ["DEFAULT_DELTA_T", "DEFAULT_LAMBDA", "StreamConfig"]
 # The paper runs every experiment with λ = 4000 and Δt = 100 ms.
 DEFAULT_LAMBDA = 4000      # stream positions per second
 DEFAULT_DELTA_T = 0.100    # sampling interval in seconds
+
+
+# The one naming rule of the actors, on both backends.  Stream and
+# group names are a topology's data; the simulator's random streams are
+# seeded on these names, so changing a rule moves every golden digest.
+
+def coordinator_name(stream: str, standby: bool = False) -> str:
+    """``<stream>/coordinator``, or its failover standby's."""
+    return f"{stream}/coordinator{'-standby' if standby else ''}"
+
+
+def acceptor_name(stream: str, index: int) -> str:
+    """``<stream>/a<index>``, counted from 1."""
+    return f"{stream}/a{index}"
+
+
+def replica_name(group: str, index: int) -> str:
+    """``<group>/r<index>``, counted from 1."""
+    return f"{group}/r{index}"
 
 
 @dataclass
@@ -56,7 +76,7 @@ class StreamConfig:
         if not self.acceptors:
             raise ValueError(f"stream {self.name!r} needs at least one acceptor")
         if not self.coordinator:
-            self.coordinator = f"{self.name}/coordinator"
+            self.coordinator = coordinator_name(self.name)
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.batch_max_tokens < 1:

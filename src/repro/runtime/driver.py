@@ -163,7 +163,6 @@ class RunDriver:
         self.reference = spec.client_node()     # clock-sync anchor
         self.info: dict[str, dict] = {}         # node -> its hello, as wired
         self.clock_offsets: dict[str, float] = {}
-        self.active = list(spec.initial_streams)    # the client's streams
         # Runtime subscribes (``s2``) and unsubscribes (``-s1``) asked
         # for, and those that took effect on every replica.
         self.requested: list[str] = []
@@ -248,19 +247,23 @@ class RunDriver:
                 return
             await asyncio.sleep(_POLL)
 
-    async def activate(self, streams: list[str]) -> None:
-        """Route the client's traffic over exactly ``streams``."""
-        self.active = list(streams)
-        await self.client.call("activate", streams=self.active)
+    async def reroute(self, add: Optional[str] = None,
+                      remove: Optional[str] = None) -> None:
+        """Take ``add`` into the client's rotation, ``remove`` out."""
+        active = (await self.client.call("status"))["active_streams"]
+        await self.client.call("activate", streams=[
+            s for s in active if s != remove] + ([add] if add else []))
 
     async def wait_subscribed(
         self, stream: str, timeout: Optional[float] = None,
-        subscribed: bool = True,
+        subscribed: bool = True, group: Optional[str] = None,
     ) -> bool:
-        """Every reachable replica lists (or no longer lists) ``stream``
-        and has no subscription pending."""
+        """Every reachable replica of ``group`` (default: the first)
+        lists (or no longer lists) ``stream`` and has no subscription
+        pending."""
         if timeout is None:
             timeout = self.spec.workload.drain_timeout
+        group = group or next(iter(self.spec.groups))
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         while loop.time() < deadline:
@@ -268,7 +271,8 @@ class RunDriver:
                 (stream in state["subscriptions"]) == subscribed
                 and not state["pending_subscription"]
                 for status in (await self.each("status")).values()
-                for state in status["replicas"].values()
+                for name, state in status["replicas"].items()
+                if self.spec.group_of(name) == group
             ):
                 return True
             await asyncio.sleep(_COMMIT_POLL)
@@ -276,23 +280,24 @@ class RunDriver:
 
     async def subscribe(
         self, stream: str, timeout: Optional[float] = None,
-        via: Optional[str] = None,
+        via: Optional[str] = None, group: Optional[str] = None,
     ) -> bool:
-        """Runtime-subscribe the group to ``stream`` (ordered through
-        ``via``, by default the first initial stream); True once every
-        replica's dMerge has switched.  The verdict counts the request
-        either way (an unsubscribe's as ``-stream``)."""
-        return await self._reconfigure(
-            "subscribe", stream, via or self.spec.initial_streams[0], timeout
-        )
+        """Runtime-subscribe ``group`` (default: the first) to
+        ``stream``, ordered through ``via`` (default: the group's first
+        initial stream); True once every replica's dMerge has switched.
+        The verdict counts the request either way (an unsubscribe's as
+        ``-stream``)."""
+        return await self._reconfigure("subscribe", stream, via, group,
+                                       timeout)
 
     async def _reconfigure(self, op: str, stream: str, via: Optional[str],
+                           group: Optional[str],
                            timeout: Optional[float] = None) -> bool:
         request = stream if op == "subscribe" else f"-{stream}"
         self.requested.append(request)
-        await self.client.call(op, stream=stream, via=via)
+        await self.client.call(op, stream=stream, via=via, group=group)
         done = await self.wait_subscribed(stream, timeout,
-                                          subscribed=op == "subscribe")
+                                          op == "subscribe", group)
         if done:
             self.committed.append(request)
         return done
@@ -312,7 +317,7 @@ class RunDriver:
         hosts = {name: tuple(info["hosts"])
                  for name, info in self.info.items()}
         shape = "multi-process deployment" if crash else "in-process cluster"
-        steps = live_steps(schedule, control, hosts, self.spec.group, shape,
+        steps = live_steps(schedule, control, hosts, self.spec.groups, shape,
                            crash is not None)
         await self.start_workload(rate_end)
         loop = asyncio.get_running_loop()
@@ -332,13 +337,14 @@ class RunDriver:
         if op == "subscribe":
             # The client takes a stream into its rotation once -- and
             # only if -- the subscribe committed.
-            committed = await self.subscribe(target, via=args[0])
+            committed = await self.subscribe(target, via=args[0],
+                                             group=args[1])
             if committed:
-                await self.activate(self.active + [target])
+                await self.reroute(add=target)
             return {"committed": committed}
         if op == "unsubscribe":
-            await self.activate([s for s in self.active if s != target])
-            return {"committed": await self._reconfigure(op, target, args[0])}
+            await self.reroute(remove=target)
+            return {"committed": await self._reconfigure(op, target, *args)}
         if op in ("kill9", "restart"):
             return {"pid": await getattr(crash, op)(target)}
         if op == "partition":

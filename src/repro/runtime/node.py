@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import os
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from ..faults.invariants import InvariantViolation
 from ..multicast.api import MulticastClient
@@ -46,6 +46,11 @@ if TYPE_CHECKING:
     from ..deploy.topology import TopologySpec, WorkloadSpec
 
 __all__ = ["CollectorPolicy", "LiveNode", "NodeOps", "percentile"]
+
+# Consecutive failed connect attempts before a peer link parks as
+# unreachable (docs/RUNTIME.md): low, so a kill-9'd worker is surfaced
+# quickly.
+_UNREACHABLE_AFTER = 6
 
 
 class CollectorPolicy:
@@ -90,25 +95,23 @@ class LiveNode:
         name: str,
         directory: dict[str, Any],
         streams: Sequence[StreamConfig] = (),
-        replicas: Sequence[str] = (),
+        replicas: Mapping[str, str] = {},
         client: bool = False,
-        group: str = "g1",
-        initial_streams: Sequence[str] = ("s1",),
+        groups: Mapping[str, Sequence[str]] = {},
         clock_offset: float = 0.0,
-        unreachable_after: int = 30,
         bind_host: str = "127.0.0.1",
         trace_node: Optional[str] = None,
         tracer: Any = None,
         telemetry_dir: Optional[str] = None,
         profile_path: Optional[str] = None,
-        profile_interval: float = 0.02,
     ):
+        """``replicas`` maps each replica placed here to its group,
+        ``groups`` each group to the streams it starts on."""
         self.name = name
         # Tracer / transport identity: differs from the placement name
         # only for a restarted worker (one id per incarnation).
         self.trace_node = trace_node if trace_node is not None else name
-        self.group = group
-        self.initial_streams = tuple(initial_streams)
+        self.groups = dict(groups)
         self.telemetry: Optional[NodeTelemetry] = None
         # The stack sampler runs for the node's whole life when
         # ``profile_path`` is set; it is the telemetry plane's when
@@ -124,7 +127,6 @@ class LiveNode:
                 trace_path=os.path.join(
                     telemetry_dir, f"{self.trace_node}.trace.jsonl"
                 ),
-                profile_interval=profile_interval,
             )
             self.telemetry.profile_path = profile_path
             self.profiler = self.telemetry.profiler
@@ -133,14 +135,14 @@ class LiveNode:
                 "metrics": self.telemetry.registry,
             }
         elif profile_path is not None:
-            self.profiler = StackSampler(interval=profile_interval)
+            self.profiler = StackSampler()
         self.kernel = AsyncioKernel(clock_offset=clock_offset, **observers)
         self._loop = self.kernel._loop
         self.transport = TcpTransport(
             self.kernel,
             bind_host=bind_host,
             node=self.trace_node,
-            unreachable_after=unreachable_after,
+            unreachable_after=_UNREACHABLE_AFTER,
         )
         self.endpoint: Optional[tuple[str, int]] = None
         self.deployments: dict[str, StreamDeployment] = {}
@@ -149,7 +151,7 @@ class LiveNode:
                 StreamDeployment(self.kernel, self.transport, config)
             )
         self.replicas: dict[str, MulticastReplica] = {}
-        for replica_name in replicas:
+        for replica_name, group in replicas.items():
             replica = MulticastReplica(
                 self.kernel, self.transport, replica_name, group=group,
                 directory=directory,
@@ -164,7 +166,9 @@ class LiveNode:
         # The caller attaches the invariant suite watching these
         # replicas (one per process); /health reads deliveries off it.
         self.invariants: Any = None
-        self.active_streams: list[str] = list(self.initial_streams)
+        # The client multicasts to every group's initial streams.
+        self.active_streams: list[str] = list(dict.fromkeys(
+            s for initial in self.groups.values() for s in initial))
         self.submit_at: dict[int, float] = {}
         self.latencies_ms: list[float] = []
         self.submitted = 0
@@ -181,11 +185,9 @@ class LiveNode:
         return cls(
             name, directory,
             streams=[spec.stream_config(s) for s in placed.streams],
-            replicas=placed.replicas, client=placed.client,
-            group=spec.group, initial_streams=spec.initial_streams,
+            replicas={r: spec.group_of(r) for r in placed.replicas},
+            client=placed.client, groups=spec.groups,
             clock_offset=placed.clock_offset,
-            unreachable_after=spec.unreachable_after,
-            profile_interval=spec.profile_interval,
             **kwargs,
         )
 
@@ -218,7 +220,7 @@ class LiveNode:
         for deployment in self.deployments.values():
             deployment.start()
         for replica in self.replicas.values():
-            replica.bootstrap(list(self.initial_streams))
+            replica.bootstrap(list(self.groups[replica.group]))
         if self.client is not None:
             self.client.start()
 
@@ -324,12 +326,15 @@ class LiveNode:
         self.submitted += 1
         return value
 
-    def subscribe_msg(self, stream: str, via: Optional[str] = None) -> int:
-        """Ask the group to subscribe to ``stream`` at runtime, ordered
-        through ``via`` (default: the first initial stream); returns
-        the request id the ``control.subscribe`` trace event carries."""
+    def subscribe_msg(self, stream: str, via: Optional[str] = None,
+                      group: Optional[str] = None) -> int:
+        """Ask ``group`` (default: the first) to subscribe to ``stream``
+        at runtime, ordered through ``via`` (default: the group's first
+        initial stream); returns the request id the ``control.subscribe``
+        trace event carries."""
+        group = group or next(iter(self.groups))
         return self.require_client().subscribe_msg(
-            self.group, stream, via_stream=via or self.initial_streams[0]
+            group, stream, via_stream=via or self.groups[group][0]
         )
 
     async def workload(
@@ -466,12 +471,14 @@ class NodeOps:
         self.node.active_streams[:] = streams
         return {"active": list(streams)}
 
-    def op_subscribe(self, stream: str, via: Optional[str] = None) -> dict:
-        return {"request_id": self.node.subscribe_msg(stream, via=via)}
+    def op_subscribe(self, stream: str, via: Optional[str] = None,
+                     group: Optional[str] = None) -> dict:
+        return {"request_id": self.node.subscribe_msg(stream, via, group)}
 
-    def op_unsubscribe(self, stream: str, via: Optional[str] = None) -> dict:
+    def op_unsubscribe(self, stream: str, via: Optional[str] = None,
+                       group: Optional[str] = None) -> dict:
         return {"request_id": self.node.require_client().unsubscribe_msg(
-            self.node.group, stream, via_stream=via
+            group or next(iter(self.node.groups)), stream, via_stream=via
         )}
 
     # -- observation --------------------------------------------------

@@ -36,9 +36,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..deploy.topology import build_topology, live_lambda
+from ..deploy.topology import TopologySpec, build_topology, live_lambda
 from ..faults.invariants import InvariantSuite
-from ..multicast.replica import MulticastReplica
 from ..multicast.trim import TrimCoordinator
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import Tracer, current_metrics, current_tracer
@@ -88,13 +87,24 @@ class LiveConfig:
     burst: int = 1                  # client submissions per workload tick
     uvloop: bool = False            # prefer uvloop's event loop if present
 
-    def effective_lam(self) -> int:
-        """λ for each stream's skip pacing.  λ caps admission, so
-        unless pinned explicitly it scales to the peak offered rate
-        with room to spare (:func:`repro.deploy.topology.live_lambda`)."""
-        if self.lam is not None:
-            return self.lam
-        return live_lambda(max(self.rate, self.rate_ramp or 0.0))
+    def topology(self) -> TopologySpec:
+        """The placement and workload ``repro deploy`` gives its
+        workers, for this run.  λ caps admission, so unless pinned it
+        scales to the peak offered rate with room to spare
+        (:func:`repro.deploy.topology.live_lambda`)."""
+        return build_topology(
+            nodes=self.nodes, streams=self.streams, replicas=self.replicas,
+            duration=self.duration, rate=self.rate, burst=self.burst,
+            workload={
+                "payload_size": self.payload_size,
+                "drain_timeout": self.drain_timeout,
+            },
+            clock_skew=self.clock_skew,
+            lam=self.lam or live_lambda(max(self.rate, self.rate_ramp or 0)),
+            acceptors_per_stream=self.acceptors_per_stream,
+            dissemination=self.dissemination,
+            adaptive_batching=self.adaptive_batching,
+        )
 
     def __post_init__(self):
         if self.streams < 1:
@@ -216,22 +226,7 @@ class LiveCluster:
                 shared_tracer = external
             else:
                 shared_tracer = Tracer(sinks=[self.recorder])
-        # The placement and workload `repro deploy` gives its workers;
-        # λ follows the peak offered rate.
-        self.spec = build_topology(
-            nodes=config.nodes, streams=config.streams,
-            replicas=config.replicas,
-            duration=config.duration, rate=config.rate, burst=config.burst,
-            workload={
-                "payload_size": config.payload_size,
-                "drain_timeout": config.drain_timeout,
-            },
-            clock_skew=config.clock_skew,
-            lam=config.effective_lam(),
-            acceptors_per_stream=config.acceptors_per_stream,
-            dissemination=config.dissemination,
-            adaptive_batching=config.adaptive_batching,
-        )
+        self.spec = config.topology()
         # node -> collapsed-stacks file (empty unless profiling is on).
         self.profile_files: dict[str, str] = {}
         if config.profile_dir is not None:
@@ -256,13 +251,10 @@ class LiveCluster:
         ]
         self.kernel = self.nodes[0].kernel       # reference clock domain
         self._loop = self.kernel._loop
-        placed: dict[str, MulticastReplica] = {}
-        for node in self.nodes:
-            placed.update(node.replicas)
-        self.replicas = {
-            f"r{index + 1}": placed[f"r{index + 1}"]
-            for index in range(config.replicas)
-        }
+        placed = {name: replica for node in self.nodes
+                  for name, replica in node.replicas.items()}
+        self.replicas = {name: placed[name]
+                         for name in self.spec.all_replicas()}
         # One suite over every replica of the process: agreement is a
         # cross-replica property, and /health reads deliveries off it.
         self.invariants = InvariantSuite(self.replicas)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-from typing import Any, Awaitable, Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder

@@ -25,8 +25,10 @@ paper references is in docs/FAULTS.md) are:
 ``integrity``
     A group delivers a ``msg_id`` at most once.  Rests on ``msg_id``\\ s
     being unique per client *process*
-    (:func:`repro.paxos.types.fresh_value_id`): every shipped topology
-    has one client process and no fault scenario restarts it.
+    (:func:`repro.paxos.types.fresh_value_id`): a topology with a
+    second client node is refused (``TopologySpec``'s placement check,
+    ``tests/deploy/test_topology.py::test_a_second_client_node_is_refused``)
+    and no fault scenario restarts the one client.
 ``acyclic-order``
     The union of the groups' canonical sequences, read as
     msg-precedes-msg edges, is a DAG: two groups never deliver a shared

@@ -9,7 +9,7 @@ checkpoint, then replays the stream from the checkpoint position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .snapshot import structural_copy

@@ -88,7 +88,7 @@ def test_three_process_baseline_agrees(tmp_path):
         assert histograms[f"{node}/{node}", "loop_lag_ms"] > 0
     # The manifest embeds the exact spec the workers hydrated from.
     assert manifest["format"] == "repro-deploy-manifest/1"
-    assert manifest["spec"]["format"] == "repro-deploy-spec/1"
+    assert manifest["spec"]["format"] == "repro-deploy-spec/2"
     with open(os.path.join(report.run_dir, "topology.json")) as fh:
         assert json.load(fh) == manifest["spec"]
 
@@ -187,6 +187,6 @@ def test_scenario_registry_is_complete():
         steps = live_steps(
             schedule, control,
             {node.name: spec.hosts_of(node.name) for node in spec.nodes},
-            spec.group, "multi-process deployment", crash=True,
+            spec.groups, "multi-process deployment", crash=True,
         )
         assert len(steps) >= len(control) >= 1, drill.name

@@ -13,7 +13,7 @@ import pytest
 from repro.elasticity.scenarios import ElasticityRunner, get_scenario
 from repro.faults.invariants import InvariantViolation
 from repro.faults.runner import FLIGHT_DIR_ENV, ScenarioRunner
-from repro.faults.scenarios import ScenarioSpec
+from repro.faults.scenarios import ScenarioSpec, sim_topology
 from repro.faults.schedule import Schedule
 from repro.obs.schema import validate_file
 from repro.obs.trace import Tracer, installed
@@ -25,8 +25,7 @@ def _quiet_spec() -> ScenarioSpec:
     return ScenarioSpec(
         name="flight-regression",
         description="fault-free run used to exercise the flight recorder",
-        streams=("S1",),
-        groups={"G1": ("S1",)},
+        topology=sim_topology(("S1",), {"G1": ("S1",)}),
         duration=2.0,
         schedule=lambda _seed: Schedule(name="none", actions=()),
         load_rate=80.0,

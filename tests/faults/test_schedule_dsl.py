@@ -128,14 +128,14 @@ def test_random_chaos_without_targets_has_no_crashes_or_partitions():
 
 # A live cluster as the live check sees it: each node's hosts.
 _HOSTS = {
-    "n1": ("s1/coordinator", "s1/acceptor-1", "r1", "client"),
-    "n2": ("s2/coordinator", "s2/acceptor-1", "r2"),
-    "n3": ("r3",),
+    "n1": ("s1/coordinator", "s1/a1", "g1/r1", "client"),
+    "n2": ("s2/coordinator", "s2/a1", "g1/r2"),
+    "n3": ("g1/r3",),
 }
 
 
 def _live(actions=(), control=(), crash=True):
-    return live_steps(Schedule("t", actions), tuple(control), _HOSTS, "g1",
+    return live_steps(Schedule("t", actions), tuple(control), _HOSTS, ("g1",),
                       "multi-process deployment" if crash
                       else "in-process cluster", crash)
 
@@ -175,12 +175,14 @@ def test_live_steps_run_in_time_order_control_first_at_a_tie():
     (DuplicateWindow(start=0.1, end=0.2, probability=0.3), "message-level"),
     (ReorderWindow(start=0.1, end=0.2, probability=0.3), "message-level"),
     (DelaySpike(start=0.1, end=0.2, extra_latency=0.01), "message-level"),
-    (PartitionWindow(start=0.1, end=0.2, side_a=("r1",), side_b=("r2",)),
+    (PartitionWindow(start=0.1, end=0.2, side_a=("g1/r1",),
+                     side_b=("g1/r2",)),
      "splits a node's hosts"),
-    (PartitionWindow(start=0.1, end=0.2, side_a=("r3",), side_b=("r9",)),
+    (PartitionWindow(start=0.1, end=0.2, side_a=("g1/r3",),
+                     side_b=("r9",)),
      r"no node carries \['r9'\]"),
-    (CrashAt(at=0.1, target="r3"), "name a node"),
-    (ClockStep(at=0.1, target="r3", delta=0.1), "name a node"),
+    (CrashAt(at=0.1, target="g1/r3"), "name a node"),
+    (ClockStep(at=0.1, target="g1/r3", delta=0.1), "name a node"),
 ])
 def test_the_live_check_refuses_what_it_would_approximate(action, why):
     with pytest.raises(UnsupportedAction, match=why) as refused:
@@ -203,5 +205,5 @@ def test_an_in_process_cluster_refuses_crash_and_recover():
 def test_the_live_check_refuses_a_prepare_and_a_foreign_group():
     with pytest.raises(UnsupportedAction, match="prepare_msg"):
         _live(control=(ControlOp(0.1, "prepare", "g1", "s2", via="s1"),))
-    with pytest.raises(UnsupportedAction, match="one group is 'g1'"):
+    with pytest.raises(UnsupportedAction, match=r"its groups are \['g1'\]"):
         _live(control=(ControlOp(0.1, "subscribe", "G2", "s2", via="s1"),))

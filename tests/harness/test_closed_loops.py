@@ -126,9 +126,7 @@ def test_load_loop_stops_at_its_until():
     client.multicast = recording
     spec = runner.spec
     runner.run()
-    load_until = (
-        spec.load_until if spec.load_until is not None else spec.duration * 0.65
-    )
+    load_until = spec.load_until()
     assert sent and max(sent) < load_until
     per_stream = load_until * spec.load_rate
-    assert len(sent) <= len(spec.streams) * (per_stream + 1)
+    assert len(sent) <= len(spec.topology.streams) * (per_stream + 1)

@@ -1,7 +1,7 @@
 """Replica crash/recovery: checkpoint, replay, re-learned subscriptions."""
 
 from repro.faults.runner import ScenarioRunner
-from repro.faults.scenarios import ScenarioSpec
+from repro.faults.scenarios import ScenarioSpec, sim_topology
 from repro.faults.schedule import CrashAt, RecoverAt, Schedule
 from repro.harness.cluster import KvCluster
 from repro.kvstore.partitioning import Partition, PartitionMap
@@ -183,8 +183,7 @@ def test_checkpoint_right_after_a_recovery_keeps_the_replay_instance():
         name="crash-recover-twice",
         description="a checkpoint cut right after a recovery, then "
                     "recovered from",
-        streams=("S1", "S2"),
-        groups={"G1": ("S1", "S2")},
+        topology=sim_topology(("S1", "S2"), {"G1": ("S1", "S2")}),
         duration=3.0,
         schedule=lambda _seed: schedule,
         load_rate=80.0,
@@ -212,8 +211,7 @@ def test_recovery_from_a_checkpoint_cut_after_the_log_compacted():
         name="crash-after-compaction",
         description="a checkpoint cut after the token log compacted, "
                     "then recovered from",
-        streams=("S1",),
-        groups={"G1": ("S1",)},
+        topology=sim_topology(("S1",), {"G1": ("S1",)}),
         duration=3.0,
         schedule=lambda _seed: schedule,
     )

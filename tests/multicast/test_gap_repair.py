@@ -8,7 +8,7 @@ rounds, not one round per hole.
 """
 
 from repro.faults.runner import ScenarioRunner
-from repro.faults.scenarios import ScenarioSpec
+from repro.faults.scenarios import ScenarioSpec, sim_topology
 from repro.faults.schedule import LossWindow, Schedule
 from repro.obs.trace import Tracer, installed
 from repro.paxos.learner import _GAP_TIMEOUT
@@ -34,8 +34,7 @@ def test_every_hole_of_a_loss_window_closes_within_two_repair_rounds():
     spec = ScenarioSpec(
         name="decision-loss",
         description="half of S1's decisions to G1/r1 lost for a second",
-        streams=("S1",),
-        groups={"G1": ("S1",)},
+        topology=sim_topology(("S1",), {"G1": ("S1",)}),
         duration=3.0,
         schedule=lambda _seed: schedule,
         load_rate=80.0,

@@ -45,22 +45,6 @@ def test_instruments_are_keyed_and_reused():
     assert registry.actors() == ["G1/r1", "G1/r2"]
 
 
-def test_summary_rows_render_all_instrument_kinds():
-    registry = MetricsRegistry(env=Environment())
-    registry.counter("r1", "ops").record()
-    registry.counter("r1", "ops").record(weight=2)
-    registry.gauge("r1", "lag").record(5.0)
-    registry.histogram("r1", "bytes").record(100.0)
-    registry.histogram("r1", "bytes").record(300.0)
-    registry.gauge("r2", "lag")   # no samples yet
-    rows = {(actor, name): (kind, text)
-            for actor, name, kind, text in registry.summary_rows()}
-    assert rows[("r1", "ops")] == ("counter", "total=3")
-    assert rows[("r1", "lag")] == ("gauge", "last=5 peak=5")
-    assert "mean=200" in rows[("r1", "bytes")][1]
-    assert rows[("r2", "lag")] == ("gauge", "(no samples)")
-
-
 def test_registry_instruments_are_bounded():
     registry = MetricsRegistry(env=Environment(), max_samples=4)
     histogram = registry.histogram("r1", "bytes")

@@ -11,6 +11,8 @@ from repro.sim.core import Environment
 from repro.sim.network import LinkSpec, Network
 from repro.sim.rng import RngRegistry
 
+from ..helpers import make_learner
+
 
 def test_takeover_preserves_decided_prefix():
     """A second coordinator takes over and does not contradict the
@@ -25,7 +27,7 @@ def test_takeover_preserves_decided_prefix():
     )
     deployment = StreamDeployment(env, net, config)
     delivered = []
-    deployment.make_learner("learner", lambda i, b: delivered.append((i, b)))
+    make_learner(deployment, "learner", lambda i, b: delivered.append((i, b)))
     deployment.start()
     for i in range(10):
         deployment.propose(AppValue(payload=("old", i)))
@@ -81,7 +83,7 @@ def test_stale_coordinator_cannot_decide_after_takeover(monkeypatch):
     )
     deployment = StreamDeployment(env, net, config)
     delivered = []
-    deployment.make_learner("learner", lambda i, b: delivered.append((i, b)))
+    make_learner(deployment, "learner", lambda i, b: delivered.append((i, b)))
     deployment.start()
     env.run(until=0.2)
     old = deployment.coordinator
@@ -119,7 +121,7 @@ def _cut_off_deployment(ring_mode):
     )
     deployment = StreamDeployment(env, net, config)
     delivered = []
-    deployment.make_learner("learner", lambda i, b: delivered.append(b))
+    make_learner(deployment, "learner", lambda i, b: delivered.append(b))
     return env, net, deployment, delivered
 
 

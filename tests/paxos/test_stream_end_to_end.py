@@ -9,6 +9,8 @@ from repro.sim.core import Environment
 from repro.sim.network import LinkSpec, Network
 from repro.sim.rng import RngRegistry
 
+from ..helpers import make_learner
+
 
 def build(env, ring_mode=True, skip_enabled=False, loss=0.0, **config_kwargs):
     rng = RngRegistry(42)
@@ -30,7 +32,7 @@ def collect_learner(deployment, name="learner"):
     def on_deliver(instance, batch):
         delivered.append((instance, batch))
 
-    learner = deployment.make_learner(name, on_deliver)
+    learner = make_learner(deployment, name, on_deliver)
     return learner, delivered
 
 

@@ -44,7 +44,7 @@ class StubNode:
         self.sequence = [["s1", 1, 11], ["s1", 2, 12]]
         self.calls: list[tuple] = []
         self.marks: list[dict] = []
-        self.active: list[str] = []
+        self.active: list[str] = ["s1"]     # the client's rotation
 
     async def call(self, op, timeout=10.0, **params):
         self.calls.append((op, params))
@@ -71,14 +71,14 @@ class StubNode:
     def op_workload(self, rate_end=None):
         return {}
 
-    def op_subscribe(self, stream, via):
+    def op_subscribe(self, stream, via, group):
         for peer in self.peers:
             if peer.learns_subscribes:
                 for state in peer.replicas.values():
                     state["subscriptions"].append(stream)
         return {"request_id": 1}
 
-    def op_unsubscribe(self, stream, via):
+    def op_unsubscribe(self, stream, via, group):
         for peer in self.peers:
             if peer.learns_unsubscribes:
                 for state in peer.replicas.values():
@@ -95,6 +95,7 @@ class StubNode:
     def op_status(self):
         return {
             "submitted": 2, "workload_done": True,
+            "active_streams": list(self.active),
             "replicas": {
                 name: {**state, "pending_subscription": False}
                 for name, state in self.replicas.items()
@@ -119,8 +120,8 @@ def _stub_cluster(drain_timeout=0.2):
         workload={"drain_timeout": drain_timeout},
     )
     nodes = {
-        "n1": StubNode("n1", replicas=["r1"], now=10.0),
-        "n2": StubNode("n2", replicas=["r2"], now=10.25),
+        "n1": StubNode("n1", replicas=["g1/r1"], now=10.0),
+        "n2": StubNode("n2", replicas=["g1/r2"], now=10.25),
     }
     for node in nodes.values():
         node.peers = list(nodes.values())
@@ -150,8 +151,8 @@ def test_clean_stub_run_passes_and_is_wired_once_through_ops():
     for node in nodes.values():
         ops = [op for op, _ in node.calls]
         assert ops.index("register") < ops.index("clock_mark") < ops.index("start")
-        assert node.addresses == {"r1": ["127.0.0.1", 7001],
-                                  "r2": ["127.0.0.1", 7002]}
+        assert node.addresses == {"g1/r1": ["127.0.0.1", 7001],
+                                  "g1/r2": ["127.0.0.1", 7002]}
     assert nodes["n1"].marks == [{"ref": "n1", "offset": 0.0, "rtt": 0.0}]
     assert nodes["n2"].marks == [{"ref": "n1", "offset": 0.25, "rtt": 0.0}]
     assert driver.clock_offsets == {"n1": 0.0, "n2": 0.25}
@@ -211,7 +212,8 @@ def test_a_subscribe_that_never_commits_fails_the_run():
     assert outcome.subscribes == {"requested": ["s2"], "committed": []}
     assert "0/1 subscribes committed" in outcome.detail
     # ... and the client was never pointed at the stream.
-    assert nodes["n1"].active == []
+    assert nodes["n1"].active == ["s1"]
+    assert "activate" not in [op for op, _ in nodes["n1"].calls]
 
 
 def test_an_unsubscribe_that_never_takes_effect_fails_the_run():
@@ -258,7 +260,7 @@ def test_divergence_is_reported_with_its_index():
     agreement = run(driver.drain())
     assert not agreement
     assert agreement.detail == (
-        "r2 diverges from r1 at index 1 (3 vs 2 values)"
+        "g1/r2 diverges from g1/r1 at index 1 (3 vs 2 values)"
     )
     assert not agree({}) and not agree({"r1": [], "r2": []})
     assert agree({"r1": [("s1", 1, 11)], "r2": [("s1", 1, 11)]})

@@ -305,6 +305,48 @@ def test_property_names_are_spelled_in_one_module():
     assert not offenders, "\n".join(offenders)
 
 
+def _docstrings(tree) -> set[int]:
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+# An actor name, written out or formatted: ``S1/coordinator``,
+# ``f"{stream}/a{i}"``, ``"%s/r%d"``, ``"g1/r2"``.
+_ACTOR_NAME = re.compile(r"/(coordinator|acceptor)|/[ar](\{\}|%|\d+$)")
+
+
+def test_actor_names_are_formatted_in_one_module():
+    # One rule names every actor on both backends
+    # (repro.paxos.config.coordinator_name / acceptor_name /
+    # replica_name); any other module asks the rule or a topology.
+    offenders = []
+    for name, tree in _sources():
+        if name == "paxos/config.py":
+            continue
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(
+                    part.value if isinstance(part, ast.Constant) else "{}"
+                    for part in node.values
+                )
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                text = node.value
+            else:
+                continue
+            if _ACTOR_NAME.search(text):
+                offenders.append(f"{name}:{node.lineno} names {text!r}")
+    assert not offenders, "\n".join(offenders)
+
+
 def test_front_ends_state_no_property_of_their_own():
     # A front-end maps its input onto the spec's events; a
     # `_check_<property>` pass or a cycle search of its own would be a

@@ -103,7 +103,7 @@ async def _trim_past_a_consumer():
     cluster = LiveCluster(LiveConfig(
         streams=1, replicas=2, rate=200.0, drain_timeout=2.0,
     ))
-    lagging = cluster.replicas["r2"]
+    lagging = cluster.replicas["g1/r2"]
     held = False
     await cluster.start()
     try:

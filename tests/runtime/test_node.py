@@ -61,16 +61,16 @@ def test_node_adds_what_it_hosts_and_resolves_the_rest_through_the_directory():
             # n2 hosts s2 and r2: exactly s2 was added, s1 is untouched.
             assert list(node.deployments) == ["s2"]
             assert directory == {"s1": remote, "s2": node.deployments["s2"]}
-            assert list(node.replicas) == ["r2"] and node.client is None
+            assert list(node.replicas) == ["g1/r2"] and node.client is None
             # Group, initial streams and λ come from the spec.
-            assert node.replicas["r2"].group == spec.group
-            assert node.active_streams == list(spec.initial_streams)
+            assert node.replicas["g1/r2"].group == "g1"
+            assert node.active_streams == list(spec.groups["g1"])
             assert node.deployments["s2"].config == spec.stream_config("s2")
             await node.listen()
             node.start()
             # r2 bootstraps the initial stream s1, which lives elsewhere:
             # it registered as a learner through the caller's entry.
-            assert remote.learners == ["r2"]
+            assert remote.learners == ["g1/r2"]
             assert node.deployments["s2"].started
         finally:
             await node.close()
@@ -213,7 +213,7 @@ def test_in_process_placement_is_the_deployment_planes():
             assert set(node.transport.hosts()) == hosts
         # The surfaces the ledger and the tests read keep their order.
         assert list(cluster.directory) == ["s1", "s2"]
-        assert list(cluster.replicas) == ["r1", "r2", "r3"]
+        assert list(cluster.replicas) == ["g1/r1", "g1/r2", "g1/r3"]
         assert cluster.client is cluster.nodes[0].client
         # λ counts the ramp, which build_topology alone would not.
         ramped = LiveCluster(LiveConfig(rate=100.0, rate_ramp=5000.0))

@@ -14,6 +14,8 @@ from repro.sim.core import Environment
 from repro.sim.network import LinkSpec, Network
 from repro.sim.rng import RngRegistry
 
+from ..helpers import make_learner
+
 
 def test_fires_every_interval_until_tick_returns_false():
     env = Environment()
@@ -85,7 +87,7 @@ def test_a_coordinator_restarted_in_one_instant_paces_once_per_delta_t():
             name="S1", acceptors=("S1/a1", "S1/a2", "S1/a3"), delta_t=0.1,
         )
         deployment = StreamDeployment(env, net, config)
-        deployment.make_learner("learner", lambda i, b: None)
+        make_learner(deployment, "learner", lambda i, b: None)
         deployment.start()
         env.run(until=0.55)
         deployment.coordinator.crash()

@@ -363,7 +363,7 @@ async def _soak(seconds: float):
         nonlocal delivered
         delivered += len(values)
 
-    cluster.replicas["r1"].add_run_observer(count)
+    cluster.replicas["g1/r1"].add_run_observer(count)
     samples: list[tuple[float, int, int]] = []
     held = 0
     loop = asyncio.get_running_loop()
