@@ -127,6 +127,10 @@ class RemoteStreamDeployment:
     the learner registration calls, forwarded through the agent.
     """
 
+    # A deployment trims nothing: its consumers live in other processes
+    # (multicast/trim.py).
+    trimmer = None
+
     def __init__(self, config: StreamConfig, agent: DeployAgent,
                  owner_node: str):
         self.config = config

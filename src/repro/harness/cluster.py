@@ -25,6 +25,7 @@ from ..kvstore.repartition import RepartitionOrchestrator
 from ..multicast.api import MulticastClient
 from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
+from ..multicast.trim import TrimCoordinator
 from ..paxos.config import StreamConfig, acceptor_name
 from ..sim.core import Environment
 from ..sim.network import LinkSpec, Network
@@ -42,7 +43,10 @@ class MulticastCluster:
     plus any :class:`~repro.paxos.config.StreamConfig` overrides.
     Replicas added here record their delivered payloads in
     :attr:`delivered`; a driver with its own replica class builds it
-    from :attr:`env`, :attr:`network` and :attr:`directory`.
+    from :attr:`env`, :attr:`network` and :attr:`directory`.  Either
+    way a replica joins :attr:`trimmer` as it attaches to a stream,
+    and the acceptor logs are trimmed behind the lowest instance any
+    of them may still replay (:mod:`repro.multicast.trim`).
     """
 
     def __init__(
@@ -64,6 +68,7 @@ class MulticastCluster:
         self._config_overrides = {"lam": lam, "delta_t": delta_t,
                                   **config_overrides}
         self.directory: dict[str, StreamDeployment] = {}
+        self.trimmer = TrimCoordinator(self.directory)
         self.replicas: dict[str, MulticastReplica] = {}
         self.delivered: dict[str, list] = {}
         self._client: Optional[MulticastClient] = None
@@ -89,6 +94,7 @@ class MulticastCluster:
             recovery_instance_cost=recovery_instance_cost,
         )
         self.directory[name] = deployment
+        deployment.trimmer = self.trimmer
         deployment.start()
         return deployment
 

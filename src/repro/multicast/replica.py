@@ -71,6 +71,9 @@ class MulticastReplica(Actor):
         self._request_taps: list[RequestObserver] = []
         self.learners: dict[str, LearnerCore] = {}
         self.logs: dict[str, TokenLog] = {}
+        # stream -> the first instance the latest checkpoint replays;
+        # None until the replica takes one.
+        self.checkpointed: Optional[dict[str, int]] = None
         self.merger = self._new_merger()
 
     def _new_merger(self) -> ElasticMerger:
@@ -184,6 +187,9 @@ class MulticastReplica(Actor):
             return self.logs[stream]
         deployment = self.directory[stream]
         log = TokenLog(start_position=base_position, start_instance=start_instance)
+        trimmer = deployment.trimmer
+        if trimmer is not None:
+            trimmer.join(self, stream)
 
         def on_decided(instance: int, batch: Batch, _stream=stream, _log=log):
             _log.append_batch(batch, instance=instance)
@@ -202,6 +208,8 @@ class MulticastReplica(Actor):
                         _log.frontier - cursor
                     )
             self.merger.notify(_stream)
+            if trimmer is not None:
+                trimmer.learned(_stream, batch)
 
         def on_rebase(first_instance: int, base_position: int, _log=log):
             _log.rebase(base_position, first_instance)
@@ -245,10 +253,15 @@ class MulticastReplica(Actor):
 
     def make_checkpoint(self) -> dict:
         """Capture a recovery point, at any instant: the merger's state
-        (a :class:`MergerState`) and the application state."""
-        checkpoint = {
-            "merger": self.merger.state(),
-            "state": self.snapshot_state(),
+        (a :class:`MergerState`) and the application state.  The
+        replica recovers from the latest one it took, so from then on
+        it may replay each stream from that checkpoint's replay point
+        (:meth:`replay_floor`)."""
+        state = self.merger.state()
+        checkpoint = {"merger": state, "state": self.snapshot_state()}
+        self.checkpointed = {
+            stream: instance
+            for stream, (instance, _base) in state.replay_points
         }
         metrics = self._metrics
         if metrics is not None:
@@ -283,20 +296,22 @@ class MulticastReplica(Actor):
         for stream in logs:
             self.learners[stream].start_recovery()
 
-    def safe_trim_instance(self, stream: str) -> Optional[int]:
-        """Highest acceptor-log instance this replica no longer needs.
-
-        None when the replica subscribes to ``stream`` but cannot spare
-        anything yet.  Raises KeyError for streams it does not consume.
-        """
-        if stream not in self.logs:
-            raise KeyError(f"{self.name} has no learner for {stream!r}")
-        position = self.merger.positions().get(stream)
-        if position is None:
-            # Attached (prepare/pending) but not merging yet: the whole
-            # backlog is still needed.
-            return None
-        return self.logs[stream].instance_consumed_below(position)
+    def replay_floor(self, stream: str) -> Optional[int]:
+        """The lowest instance of ``stream`` this replica may still read:
+        the lower of its merge cursor's replay point and, once it has
+        checkpointed, its latest checkpoint's.  A stream attached but
+        not merged yet (a prepare) needs its whole log, from its seed.
+        None when the replica reads nothing of ``stream``."""
+        floor = None
+        log = self.logs.get(stream)
+        if log is not None:
+            position = self.merger.positions().get(stream, log.base)
+            floor = log.replay_point(position)[0]
+        if self.checkpointed is not None:
+            replay = self.checkpointed.get(stream)
+            if replay is not None and (floor is None or replay < floor):
+                floor = replay
+        return floor
 
     def _release_stream(self, stream: str) -> None:
         """Merger callback: Σ dropped a stream; stop its learner task."""

@@ -47,8 +47,8 @@ class TokenLog:
     it (:meth:`release`) what it will never read again; the log then
     drops those tokens, whole and in amortised batches, and keeps the
     last batch boundary at or below the reader, so :meth:`replay_point`
-    and :meth:`instance_consumed_below` answer for any position from
-    the reader's on exactly as a log that kept everything would.
+    answers for any position from the reader's on exactly as a log that
+    kept everything would.
     Token indices count from the oldest token kept.
     """
 
@@ -59,8 +59,8 @@ class TokenLog:
         self._base = start_position
         self._horizon = start_position        # first position still kept
         self._start_instance = start_instance   # whose tokens start at base
-        # (end_position, instance) per appended batch, for the trim
-        # coordinator: positions consumed map back to Paxos instances.
+        # (end_position, instance) per appended batch: a position maps
+        # back to the Paxos instance to replay it from.
         self._batch_ends: list[tuple[int, int]] = []
         self._has_reader = False
 
@@ -110,18 +110,6 @@ class TokenLog:
                 f"{self._horizon}"
             )
         return bisect.bisect_right(self._batch_ends, (position, _INF)) - 1
-
-    def instance_consumed_below(self, position: int) -> Optional[int]:
-        """Highest instance whose batch ends at or before ``position``.
-
-        Returns None when no full batch lies below ``position``.  Used
-        by the trim coordinator to translate a replica's merge cursor
-        back into a safe acceptor-log trim horizon.
-        """
-        index = self._boundary_below(position)
-        if index < 0:
-            return None
-        return self._batch_ends[index][1]
 
     def instance_of(self, position: int) -> Optional[int]:
         """Instance whose batch holds ``position``, a position at or past
@@ -253,6 +241,9 @@ class StreamDeployment:
         self._learners: list[str] = []
         self._sync_decision_targets()
         self.started = False
+        # The cluster's TrimCoordinator, when one process sees every
+        # consumer (multicast/trim.py); a replica joins it on attaching.
+        self.trimmer = None
 
     @property
     def name(self) -> str:

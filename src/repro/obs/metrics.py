@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..quantiles import percentile
 
@@ -262,13 +262,18 @@ class Series(_BoundedSamples):
 
 
 class UtilisationProbe:
-    """Integrates the busy time of a server to report CPU utilisation."""
+    """Integrates the busy time of a server to report CPU utilisation.
+
+    Busy episodes are two ``array('d')`` columns, their begins and their
+    ends, both in time order (a server is busy once at a time).
+    """
 
     def __init__(self, env: Environment, name: str = ""):
         self.env = env
         self.name = name
         self._busy_since: Optional[float] = None
-        self._episodes: list[tuple[float, float]] = []
+        self._begins = array("d")
+        self._ends = array("d")
 
     def busy(self) -> None:
         """Mark the server busy from now on (idempotent)."""
@@ -278,19 +283,26 @@ class UtilisationProbe:
     def idle(self) -> None:
         """Mark the server idle from now on (idempotent)."""
         if self._busy_since is not None:
-            self._episodes.append((self._busy_since, self.env._now))
+            self._begins.append(self._busy_since)
+            self._ends.append(self.env._now)
             self._busy_since = None
 
     def utilisation_between(self, start: float, end: float) -> float:
         """Fraction of ``[start, end)`` spent busy, in ``[0, 1]``."""
         if end <= start:
             raise ValueError("end must be after start")
-        episodes: Iterable[tuple[float, float]] = self._episodes
-        if self._busy_since is not None:
-            episodes = list(self._episodes) + [(self._busy_since, self.env.now)]
+        begins, ends = self._begins, self._ends
+        # An episode over by ``start`` or not begun by ``end`` adds 0.0:
+        # only the ones between are summed, in order.
         busy = 0.0
-        for b, e in episodes:
-            busy += max(0.0, min(e, end) - max(b, start))
+        for index in range(
+            bisect.bisect_right(ends, start), bisect.bisect_left(begins, end)
+        ):
+            busy += max(0.0, min(ends[index], end) - max(begins[index], start))
+        if self._busy_since is not None:
+            busy += max(
+                0.0, min(self.env.now, end) - max(self._busy_since, start)
+            )
         return busy / (end - start)
 
     def interval_utilisation(

@@ -188,13 +188,11 @@ class AcceptorCore:
     def on_trim(self, msg: Trim, src: str) -> list[tuple[str, object]]:
         # Only a decided prefix may go: trimming an undecided instance
         # could lose an accepted value a future quorum needs.
-        log = self.log
-        safe = log.trimmed_below
-        while safe < msg.below and log.is_decided(safe):
-            self.positions_trimmed += log.decided_value(safe).positions()
-            safe += 1
-        if safe > log.trimmed_below:
-            log.trim(safe)
+        dropped = self.log.trim_decided(msg.below)
+        if dropped:
+            self.positions_trimmed += sum(
+                [batch.positions() for batch in dropped]
+            )
         return []
 
 

@@ -164,7 +164,9 @@ class Batch:
 
     Hand-written for construction speed; ``token_count`` and
     ``payload_bytes`` are derived from ``tokens`` once here instead of
-    being recomputed on every wire-size computation.  Immutable by
+    being recomputed on every wire-size computation, and
+    ``positions()`` once on first use (the coordinator's decision; the
+    acceptors that trim the batch read it back).  Immutable by
     convention; equality, hash and repr go by ``tokens`` alone.
 
     ``_wire`` caches the serialised form (header + token body, see
@@ -173,7 +175,8 @@ class Batch:
     once.  It stays unset on the simulator, which never serialises.
     """
 
-    __slots__ = ("tokens", "token_count", "payload_bytes", "_wire")
+    __slots__ = ("tokens", "token_count", "payload_bytes", "_positions",
+                 "_wire")
 
     def __init__(self, tokens: tuple = (), payload_bytes: int = -1):
         self.tokens = tokens
@@ -183,9 +186,13 @@ class Batch:
                 t.size for t in tokens if isinstance(t, AppValue)
             )
         self.payload_bytes = payload_bytes
+        self._positions = -1
 
     def positions(self) -> int:
-        return token_positions(self.tokens)
+        positions = self._positions
+        if positions < 0:
+            positions = self._positions = token_positions(self.tokens)
+        return positions
 
     def is_pure_skip(self) -> bool:
         return all(isinstance(t, SkipToken) for t in self.tokens)
@@ -217,7 +224,7 @@ class WireBatch(Batch):
     the body and keeps the result in the base class's slot.
     """
 
-    __slots__ = ("_positions",)
+    __slots__ = ()
 
     def __init__(
         self, wire: bytes, token_count: int, payload_bytes: int,
@@ -240,9 +247,6 @@ class WireBatch(Batch):
             tokens = codec.decode_batch_tokens(self._wire, self.token_count)
             _tokens_slot.__set__(self, tokens)
             return tokens
-
-    def positions(self) -> int:
-        return self._positions
 
 
 def token_positions(tokens) -> int:

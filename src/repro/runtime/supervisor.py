@@ -261,8 +261,9 @@ class LiveCluster:
         for node in self.nodes:
             node.invariants = self.invariants
         # Every consumer is one of these replicas, so this process may
-        # trim the acceptor logs behind the slowest of them.
-        self.trimmer = TrimCoordinator(self.directory, self.replicas.values())
+        # trim the acceptor logs behind the slowest of them; each joins
+        # the trimmer as it attaches to a stream, at start.
+        self.trimmer = TrimCoordinator(self.directory)
         self.client_node = next(
             node for node in self.nodes if node.client is not None
         )

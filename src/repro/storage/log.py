@@ -196,11 +196,30 @@ class AcceptorLog:
                 f"cannot trim undecided instance {base + undecided} (< {below})"
             )
         dropped = cut - state.count(_ABSENT, 0, cut)
-        del self._vrnd[:cut], self._values[:cut], state[:cut]
+        self._drop(cut, below)
+        return dropped
+
+    def trim_decided(self, below: int) -> list[Any]:
+        """Discard the instances below ``below`` up to the first one not
+        decided here; returns their values, oldest first.  What an
+        acceptor may drop: only a decided prefix is safe to lose."""
+        state = self._state
+        cut = min(below - self._trimmed_below, len(state))
+        if cut <= 0:
+            return []
+        for stop in (state.find(_PRESENT, 0, cut), state.find(_ABSENT, 0, cut)):
+            if 0 <= stop < cut:
+                cut = stop
+        values = self._values[:cut]
+        if cut:
+            self._drop(cut, self._trimmed_below + cut)
+        return values
+
+    def _drop(self, cut: int, below: int) -> None:
+        del self._vrnd[:cut], self._values[:cut], self._state[:cut]
         self._trimmed_below = below
         if self._highest_decided < below:
             self._highest_decided = -1
-        return dropped
 
 
 class InstanceSet:

@@ -4,9 +4,8 @@ A replica's :class:`TokenLog` drops what its one reader, the merger's
 :class:`StreamCursor`, has read.  Over random sequences of appended
 batches, cursor advances and rebases, everything the merger reads --
 ``peek``, ``skip_run``, ``value_run``, ``token_end`` -- and what
-checkpoints and trimming read -- ``replay_point``,
-``instance_consumed_below`` -- must be what the unbounded reference
-answers, and a read below the released horizon must raise.
+checkpoints and trimming read -- ``replay_point`` -- must be what
+the unbounded reference answers, and a read below the released horizon must raise.
 """
 
 from unittest import mock
@@ -62,10 +61,6 @@ class ReferenceLog:
             run.append(token)
         return run
 
-    def instance_consumed_below(self, position: int):
-        below = [instance for end, instance in self.ends if end <= position]
-        return below[-1] if below else None
-
     def replay_point(self, position: int) -> tuple[int, int]:
         below = [(end, instance) for end, instance in self.ends if end <= position]
         if not below:
@@ -116,9 +111,6 @@ def check(cursor: StreamCursor, ref: ReferenceLog, position: int) -> None:
     )
     assert cursor.skip_run() == expected_skip
     assert log.replay_point(position) == ref.replay_point(position)
-    assert log.instance_consumed_below(position) == (
-        ref.instance_consumed_below(position)
-    )
     # Everything from the horizon on reads as the reference does...
     horizon = log.horizon
     assert ref.base <= horizon <= max(position, ref.base)
@@ -129,8 +121,7 @@ def check(cursor: StreamCursor, ref: ReferenceLog, position: int) -> None:
     # ... and nothing below it reads at all.
     for probe in {ref.base, (ref.base + horizon) // 2, horizon - 1}:
         if ref.base <= probe < horizon:
-            for read in (log.token_covering, log.replay_point,
-                         log.instance_consumed_below):
+            for read in (log.token_covering, log.replay_point):
                 with pytest.raises(ValueError, match=str(horizon)):
                     read(probe)
 

@@ -5,7 +5,9 @@ from repro.faults.invariants import InvariantSuite
 from repro.multicast.api import MulticastClient
 from repro.multicast.replica import MulticastReplica
 from repro.multicast.stream import StreamDeployment
-from repro.multicast.trim import TRIM_EVERY_BYTES, TrimCoordinator
+from repro.multicast.trim import (
+    TRIM_EVERY_BYTES, TRIM_EVERY_TOKENS, TrimCoordinator,
+)
 from repro.paxos.config import StreamConfig
 from repro.sim.core import Environment
 from repro.sim.network import LinkSpec, Network
@@ -16,6 +18,8 @@ LARGE = TRIM_EVERY_BYTES // 8
 
 
 def make_world(stream_names=("S1",), lam=500, delta_t=0.05):
+    """Streams and their trimmer, which each replica joins as it
+    attaches to one of them."""
     env = Environment()
     net = Network(env, rng=RngRegistry(21), default_link=LinkSpec(latency=0.001))
     directory = {}
@@ -28,7 +32,7 @@ def make_world(stream_names=("S1",), lam=500, delta_t=0.05):
         )
         directory[name] = StreamDeployment(env, net, config)
         directory[name].start()
-    return env, net, directory
+    return env, net, directory, TrimCoordinator(directory)
 
 
 def make_replica(env, net, directory, name, group, streams):
@@ -64,28 +68,41 @@ def acceptor_log_sizes(directory, stream):
 
 
 def test_trim_waits_for_its_bytes_of_deliveries():
-    env, net, directory = make_world()
+    env, net, directory, trimmer = make_world()
     replica, delivered = make_replica(env, net, directory, "r1", "G", ["S1"])
-    trimmer = TrimCoordinator(directory, [replica])
     client = MulticastClient(env, net, "client", directory)
     for index in range(3):
         client.multicast("S1", index, TRIM_EVERY_BYTES // 4)
-    env.run(until=1.0)
+    # Long enough for the skip instances to pass the token count.
+    env.run(until=5.0)
     assert len(delivered) == 3 and trimmer.horizons == {}
     client.multicast("S1", 3, TRIM_EVERY_BYTES // 4)
-    env.run(until=2.0)
+    env.run(until=6.0)
     assert len(delivered) == 4
     below = trimmer.horizons["S1"]
-    assert 0 < below <= replica.safe_trim_instance("S1") + 1
+    assert 0 < below <= replica.replay_floor("S1")
     assert all(
         a.core.log.trimmed_below == below for a in directory["S1"].acceptors
     )
 
 
-def test_trim_bounds_acceptor_log_growth():
-    env, net, directory = make_world()
+def test_trim_waits_for_its_tokens_too():
+    """A megabyte value alone does not trim: a trim is one message per
+    acceptor, spread over ``TRIM_EVERY_TOKENS`` learned tokens."""
+    env, net, directory, trimmer = make_world()
     replica, delivered = make_replica(env, net, directory, "r1", "G", ["S1"])
-    trimmer = TrimCoordinator(directory, [replica])
+    client = MulticastClient(env, net, "client", directory)
+    client.multicast("S1", 0, TRIM_EVERY_BYTES)
+    # Skip instances come every delta_t (50 ms), one token each.
+    env.run(until=0.05 * TRIM_EVERY_TOKENS / 2)
+    assert len(delivered) == 1 and trimmer.horizons == {}
+    env.run(until=0.05 * TRIM_EVERY_TOKENS * 2)
+    assert 0 < trimmer.horizons["S1"] <= replica.replay_floor("S1")
+
+
+def test_trim_bounds_acceptor_log_growth():
+    env, net, directory, trimmer = make_world()
+    replica, delivered = make_replica(env, net, directory, "r1", "G", ["S1"])
     client = MulticastClient(env, net, "client", directory)
     feed(env, client, "S1", 0.1, 10.0)
     env.run(until=10.5)
@@ -98,29 +115,28 @@ def test_trim_bounds_acceptor_log_growth():
 
 
 def test_trim_never_outpaces_slowest_consumer():
-    env, net, directory = make_world()
+    env, net, directory, trimmer = make_world()
     r1, d1 = make_replica(env, net, directory, "r1", "G1", ["S1"])
     r2, d2 = make_replica(env, net, directory, "r2", "G2", ["S1"])
     hold_back(r2, "S1", until=3.0)
-    trimmer = TrimCoordinator(directory, [r1, r2])
     coordinator = directory["S1"].coordinator
     issued = []
     trim = coordinator.trim
 
     def checked(below):
         # The horizon is the exact minimum over the consumers.
-        consumed = [r.safe_trim_instance("S1") for r in (r1, r2)]
-        issued.append((below, min(consumed) + 1, env.now))
+        floors = [r.replay_floor("S1") for r in (r1, r2)]
+        issued.append((below, min(floors), env.now))
         trim(below)
 
     coordinator.trim = checked
     client = MulticastClient(env, net, "client", directory)
     feed(env, client, "S1", 0.1, 5.0)
     env.run(until=2.9)
-    held = r2.safe_trim_instance("S1")
+    held = r2.replay_floor("S1")
     assert len(d1) > 200 and len(d2) < 50
     for acceptor in directory["S1"].acceptors:
-        assert acceptor.core.log.trimmed_below <= (held or 0) + 1
+        assert acceptor.core.log.trimmed_below <= held
     env.run(until=6.0)
     assert d1 == d2 and len(d1) == 490
     assert issued and all(below == exact for below, exact, _at in issued)
@@ -131,11 +147,10 @@ def test_trim_never_outpaces_slowest_consumer():
 def test_subscription_after_trim_rebases_positions():
     """A group subscribing to a long-trimmed stream still aligns: the
     learner seeds its token log at the trimmed prefix's position."""
-    env, net, directory = make_world(("S1", "S2"))
+    env, net, directory, trimmer = make_world(("S1", "S2"))
     r1, _ = make_replica(env, net, directory, "r1", "G1", ["S1"])
     # An S2-native consumer lets the trim coordinator trim S2.
     r2, _ = make_replica(env, net, directory, "r2", "G2", ["S2"])
-    trimmer = TrimCoordinator(directory, [r1, r2])
     client = MulticastClient(env, net, "client", directory)
     feed(env, client, "S2", 0.1, 6.0)
     env.run(until=6.0)
@@ -156,10 +171,9 @@ def test_subscription_after_trim_rebases_positions():
 
 
 def test_trim_paused_while_subscription_pending():
-    env, net, directory = make_world(("S1", "S2"))
+    env, net, directory, trimmer = make_world(("S1", "S2"))
     r1, _ = make_replica(env, net, directory, "r1", "G1", ["S1"])
     r2, _ = make_replica(env, net, directory, "r2", "G2", ["S2"])
-    trimmer = TrimCoordinator(directory, [r1, r2])
     client = MulticastClient(env, net, "client", directory)
     feed(env, client, "S2", 0.1, 1.0)
     env.run(until=1.5)
@@ -174,13 +188,12 @@ def test_subscribe_guard_holds_the_new_stream_for_a_replica_behind():
     G's carrier.  H and G's other replica pass the subscribe request in
     SN long before g2 even sees it in S; the guard keeps SN's acceptors
     from trimming past the request until g2 has committed too."""
-    env, net, directory = make_world(("S", "SN"))
+    env, net, directory, trimmer = make_world(("S", "SN"))
     g1, _ = make_replica(env, net, directory, "g1", "G", ["S"])
     g2, _ = make_replica(env, net, directory, "g2", "G", ["S"])
     h1, _ = make_replica(env, net, directory, "h1", "H", ["SN"])
     replicas = {"g1": g1, "g2": g2, "h1": h1}
     suite = InvariantSuite(replicas)
-    trimmer = TrimCoordinator(directory, replicas.values())
     hold_back(g2, "S", until=3.0)
     client = MulticastClient(env, net, "client", directory)
     feed(env, client, "SN", 0.1, 5.0)
@@ -196,5 +209,5 @@ def test_subscribe_guard_holds_the_new_stream_for_a_replica_behind():
     # Once G committed everywhere the guard is gone: SN trims to the
     # exact minimum over its consumers again.
     trimmer.trim()
-    consumed = [r.safe_trim_instance("SN") for r in replicas.values()]
-    assert trimmer.horizons["SN"] == min(consumed) + 1
+    floors = [r.replay_floor("SN") for r in replicas.values()]
+    assert trimmer.horizons["SN"] == min(floors)

@@ -27,6 +27,8 @@ def run(coro):
 class _RemoteStub:
     """What a worker puts in the directory for a stream hosted elsewhere."""
 
+    trimmer = None
+
     def __init__(self, config):
         self.config = config
         self.learners: list[str] = []

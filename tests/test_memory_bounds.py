@@ -31,7 +31,8 @@ from repro.faults import invariants
 from repro.faults.invariants import DeliveryLog, InvariantSuite
 from repro.multicast.merge import StreamCursor
 from repro.multicast.stream import TokenLog
-from repro.multicast.trim import TRIM_EVERY_BYTES
+from repro.harness.experiments import vertical
+from repro.multicast.trim import TRIM_EVERY_BYTES, TRIM_EVERY_TOKENS
 from repro.obs.metrics import Counter, Series
 from repro.obs.recorder import DEFAULT_MAX_BYTES, FlightRecorder
 from repro.paxos.config import StreamConfig
@@ -40,6 +41,7 @@ from repro.paxos.messages import Decision
 from repro.paxos.types import AppValue, Batch
 from repro.sim.core import Environment
 from repro.sim.network import Network
+from repro.runtime.kernel import every
 from repro.runtime.supervisor import LiveCluster, LiveConfig
 from repro.storage.log import AcceptorLog
 
@@ -131,7 +133,7 @@ def test_token_log_retains_at_most_400_bytes_per_value_its_cursor_lags():
     lag = 5_000
     (log, cursor), retained = _retained(lambda: _followed_log(lag))
     assert log.frontier - cursor.position == lag
-    assert log.instance_consumed_below(cursor.position) == ENTRIES - lag - 1
+    assert log.replay_point(cursor.position)[0] == ENTRIES - lag
     assert retained <= 16 * 1024 + 400 * lag
 
 
@@ -402,3 +404,58 @@ def test_live_soak_holds_rss_flat_per_delivered_value():
     assert slope * values <= SOAK_SLACK + SOAK_SLOPE_BOUND * values, (
         slope, samples
     )
+
+
+# -- the simulator: Figure 3's acceptor logs trimmed as it runs -------------
+
+# How far an acceptor's trim horizon may trail the slowest replica's
+# replay floor: a trim waits for TRIM_EVERY_TOKENS learned tokens over
+# two replicas (32 one-value instances each), and two trims' worth
+# leaves room for the Trim in flight.
+SIM_TRAIL_BOUND = 2 * TRIM_EVERY_TOKENS
+
+
+def test_sim_acceptor_logs_hold_flat_behind_the_slowest_replica(monkeypatch):
+    """A Figure 3-shaped run (four streams subscribed one after
+    another, 32 KiB values, two replicas): sampled every 100 ms, each
+    acceptor's trim horizon stays within ``SIM_TRAIL_BOUND`` instances
+    of the lowest replay point over the replicas merging its stream --
+    an untrimmed log trails by everything decided."""
+    clusters: list[vertical.MulticastCluster] = []
+    replicas: list[vertical.BroadcastReplica] = []
+    trails: list[int] = []
+
+    def sample(directory) -> None:
+        for name, deployment in directory.items():
+            floors = [
+                log.replay_point(position)[0] for replica in replicas
+                if (log := replica.logs.get(name)) is not None
+                and (position := replica.merger.positions().get(name))
+                is not None
+            ]
+            if floors and not any(
+                r.merger.pending_subscription == name for r in replicas
+            ):
+                trails.extend(min(floors) - a.core.log.trimmed_below
+                              for a in deployment.acceptors)
+
+    class Sampled(vertical.MulticastCluster):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            clusters.append(self)
+            every(self.env, 0.1, lambda: sample(self.directory))
+
+    class Listed(vertical.BroadcastReplica):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            replicas.append(self)
+
+    monkeypatch.setattr(vertical, "MulticastCluster", Sampled)
+    monkeypatch.setattr(vertical, "BroadcastReplica", Listed)
+    result = vertical.run_vertical(vertical.VerticalConfig(
+        duration=8.0, add_interval=2.0, seed=7,
+    ))
+    assert len(clusters) == 1 and len(replicas) == 2
+    assert result.scaling_factor > 2.0 and len(trails) > 200
+    print(f"sim trail: at most {max(trails)} instances")
+    assert max(trails) <= SIM_TRAIL_BOUND, (max(trails), SIM_TRAIL_BOUND)
