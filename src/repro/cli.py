@@ -257,7 +257,7 @@ def _trace_follow(args) -> int:
     certifier runs on, so torn tails and truncation are tolerated."""
     import time
 
-    from .obs.audit import IncrementalTraceReader
+    from .obs.read import IncrementalTraceReader
 
     path = args.experiment
     if not os.path.exists(path) and args.idle_timeout is None:
@@ -631,8 +631,6 @@ def _trace_merge(args) -> int:
 
 
 def _top(args) -> int:
-    import os
-
     from .runtime.console import run_top
 
     endpoints = args.endpoints
@@ -672,14 +670,7 @@ def _watch(args) -> int:
 
     target = args.target
     endpoints_mode = False
-    if os.path.isdir(target):
-        mode = f"certifying trace dir {target}"
-        watch = TraceWatch(
-            directory=target, out=args.out,
-            stall_after=args.stall_after,
-            reconfig_bound=args.reconfig_bound,
-        )
-    elif os.path.isfile(target) and target.endswith(".json"):
+    if os.path.isfile(target) and target.endswith(".json"):
         from .runtime.console import load_endpoints
 
         try:
@@ -692,10 +683,12 @@ def _watch(args) -> int:
             timeout=args.timeout,
         )
         endpoints_mode = True
-    elif os.path.isfile(target):
-        mode = f"certifying trace {target}"
+    elif os.path.isdir(target) or os.path.isfile(target):
+        directory = os.path.isdir(target)
+        mode = f"certifying trace {'dir ' if directory else ''}{target}"
         watch = TraceWatch(
-            paths=[target], out=args.out,
+            directory=target if directory else None,
+            paths=None if directory else [target], out=args.out,
             stall_after=args.stall_after,
             reconfig_bound=args.reconfig_bound,
         )
@@ -716,12 +709,8 @@ def _watch(args) -> int:
                 if endpoints_mode or not tick.get("events"):
                     time.sleep(args.interval)
         else:
-            # Post-hoc mode: drain the traces, then stop.
-            while True:
-                tick = watch.step()
+            for tick in watch.drain():
                 _watch_report(tick)
-                if not tick.get("events"):
-                    break
     except KeyboardInterrupt:
         pass
     summary = watch.close()

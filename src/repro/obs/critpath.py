@@ -146,7 +146,7 @@ class _EpisodeIndex:
 def extract_critical_paths(index: LifecycleIndex) -> list[CriticalPath]:
     """One :class:`CriticalPath` per *complete* lifecycle, by msg_id."""
     episodes = _EpisodeIndex(index)
-    offsets = index.clock_offsets
+    offsets = index.clock.offsets
     paths: list[CriticalPath] = []
     for msg_id in sorted(index.messages):
         m = index.messages[msg_id]

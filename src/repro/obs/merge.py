@@ -10,8 +10,11 @@ submitted.
 
 This module turns those per-node traces into a single causally
 consistent timeline that the existing tooling -- ``python -m repro
-stats`` / ``validate-trace`` and :class:`repro.obs.spans.LifecycleIndex`
--- consumes unchanged:
+stats`` / ``validate-trace`` / ``watch`` and
+:class:`repro.obs.spans.LifecycleIndex` -- consumes unchanged.  It is
+the reduce end of :mod:`repro.obs.read`, whose reader (salvaging: a
+kill -9'd node's torn last line is dropped), clock fold and message-id
+rule it uses:
 
 1. **Offset discovery.**  Each node's trace carries ``meta.clock``
    events the run driver had it write after an NTP-style handshake
@@ -33,20 +36,23 @@ stats`` / ``validate-trace`` and :class:`repro.obs.spans.LifecycleIndex`
    file passes the schema validator's monotonicity check.
 
 The merged timeline opens with a ``meta.merge`` header naming the
-nodes and the offsets that were applied.
+nodes and the offsets that were applied; a reader that meets it shifts
+nothing after it again.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Optional, Sequence
+
+from .read import ClockAlignment, msg_ids, read_trace
 
 __all__ = [
     "CAUSAL_STAGES",
     "cross_node_messages",
     "merge_events",
     "merge_files",
-    "read_trace",
     "trace_offsets",
     "write_trace",
 ]
@@ -62,38 +68,6 @@ CAUSAL_STAGES: dict[str, int] = {
     "replica.deliver": 5,
     "client.ack": 6,
 }
-
-
-def read_trace(
-    source: Union[str, TextIO, Iterable[str]],
-    skip_malformed: bool = False,
-) -> list[dict]:
-    """Load a JSONL trace into a list of event dicts.
-
-    With ``skip_malformed`` unparsable lines are dropped instead of
-    raising.  A trace from a kill -9'd worker legitimately ends in a
-    torn tail -- the sink's buffered write dies mid-line -- and the
-    merge tool must salvage every complete event before it, so
-    :func:`merge_files` reads with this on.  Non-dict lines (a bare
-    JSON number or string that happens to parse) are skipped too.
-    """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_trace(handle, skip_malformed=skip_malformed)
-    events = []
-    for line in source:
-        if not line.strip():
-            continue
-        if skip_malformed:
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-        else:
-            events.append(json.loads(line))
-    return events
 
 
 def write_trace(events: Iterable[dict], path: str) -> int:
@@ -116,19 +90,13 @@ def _node_of(events: Sequence[dict], fallback: str) -> str:
 
 
 def trace_offsets(traces: dict[str, list[dict]]) -> dict[str, float]:
-    """Clock offsets recorded in the traces' ``meta.clock`` events.
-
-    Returns ``node -> offset`` where ``offset`` is the node's clock
-    minus the reference node's clock; nodes without a recorded
-    handshake default to 0.0 (same clock domain as the reference).
-    The *last* handshake per node wins.
-    """
-    offsets = {node: 0.0 for node in traces}
-    for node, events in traces.items():
+    """``node -> offset`` by :class:`~repro.obs.read.ClockAlignment`:
+    0.0 without a handshake, or for a timeline merged before."""
+    clock = ClockAlignment()
+    for events in traces.values():
         for event in events:
-            if event.get("kind") == "meta.clock":
-                offsets[event.get("node", node)] = float(event["offset"])
-    return offsets
+            clock.observe(event)
+    return {node: clock.shift(node) for node in traces}
 
 
 def merge_events(
@@ -158,12 +126,6 @@ def merge_events(
             aligned_events.append(aligned)
         per_node[node] = aligned_events
 
-    def msg_ids_of(event: dict) -> tuple:
-        msg_id = event.get("msg_id")
-        if msg_id is not None:
-            return (msg_id,)
-        return tuple(event.get("msg_ids") or ())
-
     # Causal repair to fixpoint.  Clamping a too-early timestamp up to
     # its per-message stage floor can break the owning node's local
     # monotonicity and vice versa, so alternate the two passes until
@@ -177,7 +139,7 @@ def merge_events(
                 rank = CAUSAL_STAGES.get(event.get("kind"))
                 if rank is None:
                     continue
-                for msg_id in msg_ids_of(event):
+                for msg_id in msg_ids(event):
                     staged.setdefault(msg_id, []).append((rank, event))
         for entries in staged.values():
             entries.sort(key=lambda pair: (pair[0], pair[1]["ts"]))
@@ -202,24 +164,14 @@ def merge_events(
     # K-way merge: every queue is now time-monotone, so popping the
     # smallest head yields a globally sorted timeline.  Equal
     # timestamps (the signature of a clamp) tie-break on lifecycle
-    # stage rank so causal order holds in sequence too.
-    heads = {node: 0 for node in nodes}
-    merged: list[dict] = []
-    while True:
-        best_key = None
-        best_node = None
-        for node in nodes:
-            index = heads[node]
-            if index >= len(per_node[node]):
-                continue
-            event = per_node[node][index]
-            key = (event["ts"], CAUSAL_STAGES.get(event.get("kind"), -1), node)
-            if best_key is None or key < best_key:
-                best_key, best_node = key, node
-        if best_node is None:
-            break
-        merged.append(per_node[best_node][heads[best_node]])
-        heads[best_node] += 1
+    # stage rank so causal order holds in sequence too, then on node
+    # (``heapq.merge`` takes the earlier input first).
+    merged = list(heapq.merge(
+        *(per_node[node] for node in nodes),
+        key=lambda event: (
+            event["ts"], CAUSAL_STAGES.get(event.get("kind"), -1)
+        ),
+    ))
 
     if header:
         first_ts = merged[0]["ts"] if merged else 0.0
@@ -273,8 +225,6 @@ def cross_node_messages(events: Iterable[dict]) -> dict[object, set]:
         node = event.get("node")
         if node is None:
             continue
-        msg_id = event.get("msg_id")
-        ids = (msg_id,) if msg_id is not None else tuple(event.get("msg_ids") or ())
-        for mid in ids:
+        for mid in msg_ids(event):
             seen.setdefault(mid, set()).add(node)
     return {mid: nodes for mid, nodes in seen.items() if len(nodes) > 1}

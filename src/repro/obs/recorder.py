@@ -34,6 +34,7 @@ import json
 from collections import deque
 from typing import Optional, Union
 
+from .read import msg_ids
 from .schema import materialise
 
 __all__ = ["DEFAULT_MAX_BYTES", "FlightRecorder", "charge"]
@@ -113,16 +114,14 @@ class FlightRecorder:
 
     # -- causal filtering ------------------------------------------------
 
-    @staticmethod
-    def _mentions(event: dict, msg_id: int) -> bool:
-        if event.get("msg_id") == msg_id or event.get("request_id") == msg_id:
-            return True
-        ids = event.get("msg_ids")
-        return ids is not None and msg_id in ids
-
     def causal_history(self, msg_id: int) -> list[dict]:
-        """Every buffered event that mentions ``msg_id``, oldest first."""
-        return [e for e in self.events() if self._mentions(e, msg_id)]
+        """Every buffered event that mentions ``msg_id``, oldest first:
+        as one of its :func:`~repro.obs.read.msg_ids`, or as the
+        ``request_id`` of a control message."""
+        return [
+            event for event in self.events()
+            if msg_id in msg_ids(event) or event.get("request_id") == msg_id
+        ]
 
     # -- dumping ---------------------------------------------------------
 

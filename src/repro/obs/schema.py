@@ -14,7 +14,7 @@ smoke test runs against the output of ``python -m repro trace``.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Iterable, NamedTuple, Optional, TextIO, Union
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -45,6 +45,11 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     # the live transport's partition drill: ``peers`` blocked or
     # unblocked, and every peer blocked after the change
     "transport.partition": ("peers", "blocked", "now_blocked"),
+    # the live transport parked a peer as unreachable after its
+    # reconnect cap, ``dropped`` queued frames dying with the link, or
+    # revived it on a new address (``dropped`` is 0 then)
+    "transport.peer_unreachable": ("dst", "dropped"),
+    "transport.peer_revived": ("dst", "dropped"),
     # actor lifecycle / dispatch
     "actor.crash": ("name",),
     "actor.recover": ("name",),
@@ -265,7 +270,7 @@ def validate_file(source: Union[str, TextIO, Iterable[str]]) -> int:
             return validate_file(handle)
     count = 0
     last_seq = None
-    for lineno, line in enumerate(_lines(source), start=1):
+    for lineno, line in enumerate(source, start=1):
         if not line.strip():
             continue
         try:
@@ -287,7 +292,3 @@ def validate_file(source: Union[str, TextIO, Iterable[str]]) -> int:
         raise SchemaError("trace contains no events")
     return count
 
-
-def _lines(source: Union[TextIO, Iterable[str]]) -> Iterator[str]:
-    for line in source:
-        yield line

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .merge import read_trace
+from .read import ClockAlignment, read_trace
 from .recorder import FlightRecorder
 
 __all__ = ["LifecycleIndex", "MessageLifecycle", "SubscriptionTimeline", "STAGES"]
@@ -155,9 +155,9 @@ class LifecycleIndex:
         # critpath.py blames each message's merge wait on the episode
         # overlapping its learn->deliver window.
         self.hol_episodes: list[tuple[str, float, float, str]] = []
-        # node -> clock offset applied by trace-merge (meta.clock /
-        # meta.merge); used to align raw ``origin_ts`` sender clocks.
-        self.clock_offsets: dict[str, float] = {}
+        # The trace's clock offsets (meta.clock / meta.merge), which
+        # critpath.py aligns raw ``origin_ts`` sender clocks with.
+        self.clock = ClockAlignment()
 
     # -- construction ----------------------------------------------------
 
@@ -284,13 +284,8 @@ class LifecycleIndex:
                 m.context_arrivals.append(
                     (ts, event.get("origin"), event.get("origin_ts"))
                 )
-        elif kind == "meta.clock":
-            node = event.get("node")
-            if node is not None:
-                self.clock_offsets[node] = event.get("offset", 0.0)
-        elif kind == "meta.merge":
-            for node, offset in (event.get("offsets") or {}).items():
-                self.clock_offsets[node] = offset
+        elif kind in ("meta.clock", "meta.merge"):
+            self.clock.observe(event)
 
     # -- analysis --------------------------------------------------------
 

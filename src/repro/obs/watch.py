@@ -35,18 +35,18 @@ for any later dump).
 Front ends:
 
 :class:`TraceWatch`
-    Tails a run directory with the incremental reader, feeds the
-    certifier, samples it for the watchdog, and appends violations and
-    alert transitions to a JSONL alert log (schema-valid; see
-    ``audit.*`` / ``alert.*`` in :mod:`repro.obs.schema`).  This is
-    ``python -m repro watch <dir>`` and the deploy supervisor's live
-    certification task.
+    Tails a run directory (or one trace file) through the read side
+    (:mod:`repro.obs.read`), feeds the certifier, samples it for the
+    watchdog, and appends violations and alert transitions to a JSONL
+    alert log (schema-valid; see ``audit.*`` / ``alert.*`` in
+    :mod:`repro.obs.schema`).  This is ``python -m repro watch <dir>``
+    and the deploy supervisor's live certification task.
 
 :class:`EndpointsWatch`
     Scrapes a live cluster's ``/health`` endpoints concurrently (no
-    trace files needed) and runs the detectors each node runs over
-    itself, whose ``unreachable`` only fires here.  This is ``python -m
-    repro watch endpoints.json``.
+    trace files needed), as ``repro top`` does, and runs the detectors
+    each node runs over itself, whose ``unreachable`` only fires here.
+    This is ``python -m repro watch endpoints.json``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-from .audit import AuditViolation, SafetyCertifier, TraceDirectorySource
+from .audit import AuditViolation, SafetyCertifier
+from .read import TraceDirectorySource
 
 __all__ = [
     "Alert",
@@ -368,6 +369,17 @@ def default_node_detectors() -> list:
 
 # -- watchdog ----------------------------------------------------------
 
+def _emit_transitions(emit: Callable[..., None], raised: Iterable[Alert],
+                      cleared: Iterable[Alert], at: float) -> None:
+    """Write raise/clear transitions as ``alert.*`` events through
+    ``emit(kind, at, **fields)`` (a tracer's, or an alert log's)."""
+    for alert in raised:
+        emit("alert.raise", alert.at, detector=alert.detector,
+             severity=alert.severity, message=alert.message, key=alert.key)
+    for alert in cleared:
+        emit("alert.clear", at, detector=alert.detector, key=alert.key)
+
+
 class Watchdog:
     """Runs detectors over samples, diffs firing sets into raise/clear
     transitions, keeps the active set, scores health."""
@@ -395,22 +407,12 @@ class Watchdog:
         cleared = [
             alert for key, alert in self.active.items() if key not in firing
         ]
-        at = float(sample.get("at", 0.0))
         self.active = firing
         self.raised_total += len(raised)
         self.history.extend(raised)
         if self.tracer is not None:
-            for alert in raised:
-                self.tracer.emit(
-                    "alert.raise", alert.at, cat="alert",
-                    detector=alert.detector, severity=alert.severity,
-                    message=alert.message, key=alert.key,
-                )
-            for alert in cleared:
-                self.tracer.emit(
-                    "alert.clear", at, cat="alert",
-                    detector=alert.detector, key=alert.key,
-                )
+            _emit_transitions(self.tracer.emit, raised, cleared,
+                              float(sample.get("at", 0.0)))
         return raised, cleared
 
     def health_score(self) -> int:
@@ -523,19 +525,6 @@ class _Watch:
             self._out.write("\n")
             self._out.flush()
 
-    def _record_alerts(self, raised: list[Alert], cleared: list[Alert],
-                       at: float) -> None:
-        for alert in raised:
-            self._record(
-                "alert.raise", alert.at, detector=alert.detector,
-                severity=alert.severity, message=alert.message,
-                key=alert.key,
-            )
-        for alert in cleared:
-            self._record(
-                "alert.clear", at, detector=alert.detector, key=alert.key,
-            )
-
     def summary(self) -> dict:
         return {
             "alerts": [a.to_json() for a in self.watchdog.history],
@@ -598,9 +587,10 @@ class TraceWatch(_Watch):
 
         The watchdog samples at a fixed *trace-time* cadence
         (``_SAMPLE_INTERVAL``) inside the event loop, not once per poll:
-        replaying a finished run post-hoc therefore produces the same
+        replaying a finished trace post-hoc therefore produces the same
         sample sequence -- and the same staleness alerts -- a live tail
-        saw, no matter how the events were batched into polls.
+        saw, no matter how its events were batched into polls.  (A
+        directory's files are read one after another, not interleaved.)
         """
         events = self.source.poll()
         violations: list[AuditViolation] = []
@@ -628,7 +618,7 @@ class TraceWatch(_Watch):
             payload = violation.to_json()
             payload.pop("at", None)
             self._record("audit.violation", violation.at, **payload)
-        self._record_alerts(raised, cleared, sample["at"])
+        _emit_transitions(self._record, raised, cleared, sample["at"])
         return {
             "events": len(events),
             "violations": violations,
@@ -636,11 +626,15 @@ class TraceWatch(_Watch):
             "cleared": cleared,
         }
 
-    def drain(self, max_rounds: int = 1_000_000) -> None:
-        """Step until a poll returns no new events (post-hoc mode)."""
+    def drain(self, max_rounds: int = 1_000_000) -> list[dict]:
+        """Step until a poll returns no new events (post-hoc mode);
+        returns every step's tick, the last one empty."""
+        ticks: list[dict] = []
         for _ in range(max_rounds):
-            if not self.step()["events"]:
+            ticks.append(self.step())
+            if not ticks[-1]["events"]:
                 break
+        return ticks
 
     @property
     def violations(self) -> list[AuditViolation]:
@@ -687,8 +681,8 @@ class EndpointsWatch(_Watch):
         return self.clock()
 
     def step(self) -> dict:
-        # Deferred: the HTTP client stack costs every importer of
-        # repro.obs megabytes, and only this scrape needs it.
+        # Deferred: the scraper's module imports the telemetry plane,
+        # which imports this one.
         from ..runtime.console import fetch_all
 
         at = self.clock()
@@ -696,7 +690,7 @@ class EndpointsWatch(_Watch):
             fetch_all(self.endpoints, "/health", self.timeout), at=at
         )
         raised, cleared = self.watchdog.observe(sample)
-        self._record_alerts(raised, cleared, at)
+        _emit_transitions(self._record, raised, cleared, at)
         return {
             "unreachable": list(sample["unreachable"]),
             "raised": raised,

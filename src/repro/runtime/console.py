@@ -5,31 +5,32 @@ Reads the ``endpoints.json`` a live supervisor writes into its
 ``/metrics.json`` endpoints and renders a terminal dashboard:
 per-stream decide throughput, replica subscription/merge state, client
 latency quantiles, and transport backpressure.  Runs in a *separate*
-process from the cluster (plain blocking ``urllib`` -- no shared loop),
+process from the cluster (its own short-lived event loop per scrape),
 so it observes the run exactly the way an operator's Prometheus would.
 
 :func:`render` is pure (snapshots in, text out) so tests can assert on
 the dashboard without sockets; :func:`run_top` is the polling loop.
 
-Scrapes are concurrent with a short per-node timeout: one kill -9'd
-node must cost at most ``timeout`` per frame, never ``N x timeout``
-serial stalls -- the dead node renders as ``(unreachable)`` while the
-survivors keep updating.
+:func:`fetch_all` is the one scrape of a cluster's endpoints, shared
+with ``repro watch endpoints.json``
+(:class:`repro.obs.watch.EndpointsWatch`): every node at once through
+the one HTTP client, :func:`repro.runtime.telemetry.http_get_json`,
+each with the same short timeout.  One kill -9'd node costs at most
+``timeout`` per frame, never ``N x timeout`` serial stalls -- the dead
+node renders as ``(unreachable)`` while the survivors keep updating.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import sys
 import time
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, TextIO
 
-__all__ = [
-    "ANSI_CLEAR", "fetch_all", "fetch_json", "load_endpoints", "render",
-    "run_top",
-]
+from .telemetry import http_get_json
+
+__all__ = ["ANSI_CLEAR", "fetch_all", "load_endpoints", "render", "run_top"]
 
 ANSI_CLEAR = "\x1b[2J\x1b[H"
 
@@ -47,37 +48,30 @@ def load_endpoints(path: str) -> dict[str, tuple[str, int]]:
     }
 
 
-def fetch_json(
-    host: str, port: int, path: str, timeout: float = 2.0
-) -> Optional[dict]:
-    """GET a JSON endpoint; ``None`` if the node is unreachable."""
-    url = f"http://{host}:{port}{path}"
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except Exception:
-        return None
-
-
 def fetch_all(
     endpoints: dict[str, tuple[str, int]],
     path: str,
     timeout: float = 0.5,
 ) -> dict[str, Optional[dict]]:
-    """Scrape one path from every node concurrently.
+    """GET one JSON path from every node at once.
 
-    A dead endpoint contributes ``None`` after at most ``timeout``
-    seconds; it cannot stall the other nodes' scrapes (each node gets
-    its own worker thread).
+    A node that refuses, errs or stays silent contributes ``None`` after
+    at most ``timeout`` seconds, and cannot stall the other nodes'
+    scrapes: they all wait on one event loop.
     """
-    if not endpoints:
-        return {}
-    with ThreadPoolExecutor(max_workers=len(endpoints)) as pool:
-        futures = {
-            node: pool.submit(fetch_json, host, port, path, timeout)
-            for node, (host, port) in endpoints.items()
-        }
-        return {node: future.result() for node, future in futures.items()}
+
+    async def get(host: str, port: int) -> Optional[dict]:
+        try:
+            return await http_get_json(host, port, path, timeout)
+        except (OSError, asyncio.TimeoutError, RuntimeError, ValueError):
+            return None
+
+    async def scrape() -> list[Optional[dict]]:
+        return await asyncio.gather(
+            *(get(host, port) for host, port in endpoints.values())
+        )
+
+    return dict(zip(endpoints, asyncio.run(scrape())))
 
 
 # Stage-level histograms of the latency-attribution plane

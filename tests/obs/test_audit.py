@@ -15,11 +15,8 @@ import json
 import pytest
 
 from repro.obs import audit
-from repro.obs.audit import (
-    IncrementalTraceReader,
-    SafetyCertifier,
-    TraceDirectorySource,
-)
+from repro.obs.audit import SafetyCertifier
+from repro.obs.read import IncrementalTraceReader, TraceDirectorySource
 
 
 def _write(path, events, mode="w"):

@@ -144,7 +144,7 @@ def test_transport_split_uses_clock_offsets():
          dict(src="n1", dst="n0", origin="n1", msg_id=1, origin_ts=0.8)),
     ])
     index = LifecycleIndex().consume_all(events)
-    assert index.clock_offsets == {"n1": 0.5}
+    assert index.clock.offsets == {"n1": 0.5}
     (path,) = extract_critical_paths(index)
     assert path.queue_wait == pytest.approx(0.02)
     assert path.wire_wait == pytest.approx(0.03)

@@ -3,8 +3,9 @@
 ``validate-trace`` rejects a trace carrying a kind missing from
 :data:`repro.obs.schema.EVENT_SCHEMA`, so a new ``tracer.emit("x.y",
 ...)`` that is not registered breaks every trace that records it.  This
-walks ``src/`` and checks each string literal passed as the kind to an
-``.emit(`` call.
+walks ``src/`` and checks every string constant the kind argument of an
+``.emit(`` (or a component's own ``._emit(``) call can take: a bare
+literal, or either branch of a conditional expression.
 """
 
 from __future__ import annotations
@@ -16,19 +17,29 @@ import repro
 from repro.obs.schema import EVENT_SCHEMA
 
 
+def _constants(expr: ast.expr):
+    """The string constants ``expr`` can evaluate to, through
+    conditional expressions."""
+    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+        yield expr.value
+    elif isinstance(expr, ast.IfExp):
+        yield from _constants(expr.body)
+        yield from _constants(expr.orelse)
+
+
 def _emitted_kinds(root: pathlib.Path):
-    """``(path, line, kind)`` of each ``.emit("<kind>", ...)`` call."""
+    """``(path, line, kind)`` of each kind an ``.emit(<kind>, ...)``
+    call can pass."""
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "emit"
+                and node.func.attr in ("emit", "_emit")
                 and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
             ):
-                yield path.relative_to(root), node.lineno, node.args[0].value
+                for kind in _constants(node.args[0]):
+                    yield path.relative_to(root), node.lineno, kind
 
 
 def test_every_emitted_kind_is_in_the_schema():
@@ -42,3 +53,8 @@ def test_every_emitted_kind_is_in_the_schema():
     assert not unknown, "kinds missing from EVENT_SCHEMA:\n" + "\n".join(
         unknown
     )
+
+
+def test_both_branches_of_a_conditional_kind_are_seen():
+    call = ast.parse('t.emit("a.x" if parked else "a.y", 0.0)').body[0].value
+    assert list(_constants(call.args[0])) == ["a.x", "a.y"]

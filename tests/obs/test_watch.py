@@ -337,6 +337,66 @@ def test_trace_watch_raises_watermark_stall_then_summarises(tmp_path):
                for a in summary["alerts"])
 
 
+def _skewed_run(tmp_path, skew=5.0):
+    """Two per-node traces, n2's clock ``skew`` seconds ahead: n2
+    coordinates s1 (two decided instances) and s2 (a proposal that is
+    never decided), both nodes deliver s1, and n1 keeps submitting."""
+    def event(kind, ts, seq, node, **fields):
+        return {"ts": ts, "seq": seq, "kind": kind,
+                "cat": kind.split(".")[0], "node": node, **fields}
+
+    def coord(kind, ts, seq, stream, **fields):
+        return event(kind, skew + ts, seq, "n2",
+                     coordinator=f"{stream}/coord", stream=stream, **fields)
+
+    n1 = [event("meta.node", 0.0, 0, "n1", clock="wall"),
+          event("meta.clock", 0.0, 1, "n1", ref="n1", offset=0.0)]
+    n1 += [_deliver("n1", "r1", "s1", p, p, ts=1.5 + 0.1 * p)
+           for p in (1, 2, 3)]
+    n1 += [event("client.submit", 2.0 + 0.5 * i, 5 + i, "n1",
+                 client="client", stream="s2", msg_id=100 + i, size=64)
+           for i in range(5)]
+    n2 = [event("meta.node", skew, 0, "n2", clock="wall"),
+          event("meta.clock", skew, 1, "n2", ref="n1", offset=skew),
+          coord("coord.propose", 0.5, 2, "s1", type="AppValue"),
+          coord("coord.decide", 0.9, 3, "s1", instance=0, positions=2),
+          coord("coord.propose", 1.0, 4, "s1", type="AppValue"),
+          coord("coord.propose", 1.0, 5, "s2", type="AppValue"),
+          coord("coord.decide", 1.4, 6, "s1", instance=1, positions=1)]
+    n2 += [_deliver("n2", "r2", "s1", p, p, ts=skew + 1.5 + 0.1 * p)
+           for p in (1, 2, 3)]
+    paths = [str(tmp_path / f"{node}.trace.jsonl") for node in ("n1", "n2")]
+    _write(paths[0], n1)
+    _write(paths[1], n2)
+    return paths
+
+
+def test_a_merged_timeline_is_not_shifted_twice(tmp_path):
+    from repro.obs.merge import merge_files
+
+    paths = _skewed_run(tmp_path)
+    merged = str(tmp_path / "merged.trace.jsonl")
+    merge_files(paths, out=merged)
+    views = {}
+    for name, files in (("per-node", paths), ("merged", [merged])):
+        watch = TraceWatch(paths=files)
+        watch.drain()
+        summary = watch.close()
+        views[name] = (
+            {s: state.last_decide_at
+             for s, state in watch.certifier.streams.items()},
+            summary["watermarks"],
+            sorted((a["detector"], a["key"]) for a in summary["alerts"]),
+        )
+    decides, marks, alerts = views["per-node"]
+    # n2's last decide is at 1.4 s on n1's clock, however it is read.
+    assert decides["s1"] == pytest.approx(1.4)
+    assert marks["s1"] == {"low": 3, "high": 3}
+    assert alerts == [("quorum_stall", "s2")]
+    assert views["merged"][0] == pytest.approx(decides)
+    assert views["merged"][1:] == (marks, alerts)
+
+
 # -- the `repro watch` CLI ---------------------------------------------
 
 def test_cli_watch_exit_codes(tmp_path, capsys):

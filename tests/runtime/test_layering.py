@@ -77,11 +77,10 @@ def test_protocol_actors_spawn_no_process():
     # runs as handlers, deferred calls and timers
     # (``runtime.kernel.every``).  So nothing yields, spawns, waits on
     # or interrupts a process, and nothing builds or imports a waitable
-    # event.  Two generators are no processes and are allowed by name:
-    # a context manager and a line iterator.
+    # event.  One generator is no process and is allowed by name: a
+    # context manager.
     allowed_generators = {
         ("obs/trace.py", "installed"),
-        ("obs/schema.py", "_lines"),
     }
     waits = {"process", "timeout", "any_of", "all_of", "event"}
     engine = {"AnyOf", "AllOf", "Event", "Timeout", "Process"}

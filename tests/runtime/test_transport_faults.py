@@ -15,6 +15,7 @@ name: what is dropped, counted or killed is that name's message only.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import struct
 
@@ -123,6 +124,37 @@ def test_register_address_revives_parked_link():
         await receiver.stop()
 
     run(main())
+
+
+def test_parking_and_reviving_a_peer_writes_a_valid_trace(tmp_path):
+    from repro.obs.schema import validate_file
+    from repro.obs.trace import JsonlSink, Tracer
+
+    path = str(tmp_path / "n1.trace.jsonl")
+    tracer = Tracer(sinks=[JsonlSink(path)], node="n1", clock="wall")
+
+    async def main():
+        kernel = AsyncioKernel(tracer=tracer)
+        sender = TcpTransport(kernel, unreachable_after=1)
+        await sender.start()
+        port = dead_port()
+        sender.register_address("b", ("127.0.0.1", port))
+        sender.send("a", "b", Heartbeat(nonce=0), 56)
+        assert await eventually(lambda: sender.unreachable_peers() == ["b"])
+        # The peer comes back on the address it had: re-announcing it
+        # revives the parked link.
+        receiver = TcpTransport(AsyncioKernel(tracer=None), bind_port=port)
+        await receiver.start()
+        sender.register_address("b", ("127.0.0.1", port))
+        assert sender.unreachable_peers() == []
+        await sender.stop()
+        await receiver.stop()
+
+    run(main())
+    tracer.close()
+    kinds = [json.loads(line)["kind"] for line in open(path)]
+    assert kinds == ["transport.peer_unreachable", "transport.peer_revived"]
+    assert validate_file(path) == 2
 
 
 def test_partition_drops_outbound_and_inbound():
