@@ -67,8 +67,6 @@ import json
 import os
 import sys
 
-from .harness.report import comparison_table, plain_table, section, series_sparkline
-
 __all__ = ["main"]
 
 
@@ -83,6 +81,7 @@ _NO_ROUND_TRIP = "no value completed a round trip in {:g} s; run longer"
 
 def _fig3(args) -> int | None:
     from .harness.experiments.vertical import VerticalConfig, run_vertical
+    from .harness.report import comparison_table, section, series_sparkline
 
     try:
         config = VerticalConfig(
@@ -109,6 +108,7 @@ def _fig3(args) -> int | None:
 
 def _fig4(args) -> int | None:
     from .harness.experiments.horizontal import HorizontalConfig, run_horizontal
+    from .harness.report import comparison_table, section, series_sparkline
 
     try:
         config = HorizontalConfig(duration=args.duration, seed=args.seed)
@@ -139,6 +139,7 @@ def _fig4(args) -> int | None:
 
 def _fig5(args) -> int | None:
     from .harness.experiments.reconfig import ReconfigConfig, run_reconfig
+    from .harness.report import comparison_table, section, series_sparkline
 
     try:
         config = ReconfigConfig(
@@ -171,6 +172,7 @@ def _provisioning(args) -> None:
         ProvisioningConfig,
         run_provisioning,
     )
+    from .harness.report import comparison_table, section
 
     result = run_provisioning(ProvisioningConfig(seed=args.seed))
     print(section("§VI: adding a stream from freshly booted VMs"))
@@ -190,6 +192,7 @@ def _provisioning(args) -> None:
 def _faults(args) -> int:
     from .faults.runner import run_scenario
     from .faults.scenarios import SCENARIOS, get_scenario
+    from .harness.report import section
 
     if args.faults_command == "list":
         print(section("Fault-injection scenarios"))
@@ -218,6 +221,7 @@ def _faults(args) -> int:
 def _elasticity(args) -> int:
     from .elasticity.scenarios import SCENARIOS, run_scenario
     from .faults.invariants import InvariantViolation
+    from .harness.report import section
 
     if args.list:
         print(section("Elasticity scenarios"))
@@ -354,6 +358,7 @@ def _trace(args) -> int:
 
 
 def _stats_metrics_dump(path: str, data: dict) -> int:
+    from .harness.report import plain_table, section
     from .obs.metrics import rows_from_dump
 
     rows = rows_from_dump(data)
@@ -372,20 +377,29 @@ def _torn_trace(path: str, exc: ValueError) -> int:
 
 
 def _stats(args) -> int:
+    from .harness.report import plain_table, section
     from .obs.metrics import METRICS_DUMP_FORMAT
     from .obs.spans import STAGES, LifecycleIndex
     from .quantiles import percentile
 
     # `stats` reads both artifact kinds: a trace JSONL (from `trace`)
-    # and a JSON metrics dump (from `live --metrics-out`).  Sniff the
-    # format marker to tell them apart.
-    try:
-        with open(args.trace) as fh:
-            data = json.load(fh)
-    except (ValueError, UnicodeDecodeError):
-        data = None
-    if isinstance(data, dict) and data.get("format") == METRICS_DUMP_FORMAT:
-        return _stats_metrics_dump(args.trace, data)
+    # and a JSON metrics dump (from `live --metrics-out`).  A first line
+    # that is a whole event is a trace; only anything else is parsed
+    # whole, for the dump's format marker.
+    with open(args.trace, "rb") as fh:
+        try:
+            first = json.loads(fh.readline())
+        except ValueError:
+            first = None
+        if not (isinstance(first, dict) and "kind" in first):
+            fh.seek(0)
+            try:
+                data = json.load(fh)
+            except ValueError:
+                data = None
+            if (isinstance(data, dict)
+                    and data.get("format") == METRICS_DUMP_FORMAT):
+                return _stats_metrics_dump(args.trace, data)
 
     try:
         index = LifecycleIndex.from_jsonl(args.trace)
@@ -452,6 +466,7 @@ def _validate_trace(args) -> int:
 
 
 def _latency(args) -> int:
+    from .harness.report import section
     from .obs.spans import LifecycleIndex
     from .obs.critpath import (
         budget_lines,
@@ -485,6 +500,7 @@ def _latency(args) -> int:
 
 
 def _live(args) -> int:
+    from .harness.report import plain_table, section
     from .obs.metrics import MetricsRegistry
     from .obs.trace import installed
     from .runtime.supervisor import LiveConfig, run_live
@@ -562,6 +578,7 @@ def _live(args) -> int:
 def _deploy(args) -> int:
     from .deploy.chaos import SCENARIOS
     from .deploy.supervisor import DeployConfig, run_deploy
+    from .harness.report import plain_table, section
 
     if args.list_scenarios:
         rows = [
@@ -666,6 +683,7 @@ def _watch(args) -> int:
     """
     import time
 
+    from .harness.report import section
     from .obs.watch import EndpointsWatch, TraceWatch
 
     target = args.target
@@ -960,9 +978,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a JSON ready marker (control address, "
                              "pid) here once listening")
     worker.add_argument("--control-host", default="127.0.0.1",
-                        help="control RPC bind host (default 127.0.0.1)")
+                        help="node endpoint (ops + telemetry) bind host "
+                             "(default 127.0.0.1)")
     worker.add_argument("--control-port", type=int, default=0,
-                        help="control RPC bind port (default: ephemeral)")
+                        help="node endpoint bind port (default: ephemeral)")
     worker.add_argument("--transport-host", default="127.0.0.1",
                         help="data transport bind host (default 127.0.0.1)")
     worker.add_argument("--incarnation", type=int, default=0,

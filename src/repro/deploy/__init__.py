@@ -4,10 +4,10 @@
 processes**: a supervisor (:mod:`repro.deploy.supervisor`) spawns one
 worker process per node (``python -m repro worker``, see
 :mod:`repro.deploy.worker`), hands the run driver
-(:mod:`repro.runtime.driver`) one small length-prefixed control RPC
-connection per worker (:mod:`repro.deploy.control`) to wire / drive /
-drain / judge them over, and collects every node's trace, metrics and
-profile files into one run directory.  The drills
+(:mod:`repro.runtime.driver`) each worker's node endpoint -- the one
+HTTP listener that serves its op table and its telemetry -- to wire /
+drive / drain / judge them over, and collects every node's trace,
+metrics and profile files into one run directory.  The drills
 (:mod:`repro.deploy.chaos`) are fault schedules played on it -- see
 docs/DEPLOY.md.
 

@@ -3,11 +3,12 @@
 The supervisor is the only piece of the deployment plane that is *not*
 inside a worker.  It writes the :class:`~repro.deploy.topology
 .TopologySpec` to the run directory, spawns one ``python -m repro
-worker`` child per node (or, with ``--address-file``, connects to
-externally started workers on other machines) and hands the control
-connections to the run driver (:mod:`repro.runtime.driver`), which
-wires, drives, drains and judges the cluster exactly as it does an
-in-process one.  What stays here is what only processes have:
+worker`` child per node (or, with ``--address-file``, reaches
+externally started workers on other machines) and hands one handle per
+worker, the address of its node endpoint, to the run driver
+(:mod:`repro.runtime.driver`), which wires, drives, drains and judges
+the cluster exactly as it does an in-process one.  What stays here is
+what only processes have:
 
 * spawn / attach, ``kill -9``, supervised restart and reaping -- the
   ``crash`` a drill (:mod:`repro.deploy.chaos`) is played with;
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..runtime.driver import Outcome, RunDriver
+from ..runtime.telemetry import http_json
 from .chaos import SCENARIOS
-from .control import ControlClient, ControlError
 from .topology import TopologySpec, load_address_file
 from .worker import trace_node_name
 
@@ -72,13 +73,14 @@ class DeployReport:
 
 
 class WorkerHandle:
-    """One node's worker across its incarnations."""
+    """One node's worker across its incarnations, reached at
+    ``address``: its node endpoint, one HTTP request per op."""
 
     def __init__(self, name: str, remote: bool = False):
         self.name = name
         self.remote = remote
         self.proc: Optional[subprocess.Popen] = None
-        self.control: Optional[ControlClient] = None
+        self.address: Optional[tuple[str, int]] = None
         self.info: dict = {}              # latest hello
         self.incarnation = 0
         self.pids: list[int] = []         # one per incarnation, in order
@@ -86,9 +88,7 @@ class WorkerHandle:
         self.log_path: Optional[str] = None
 
     async def call(self, op: str, timeout: float = 10.0, **params: Any) -> dict:
-        if self.control is None:
-            raise ControlError(f"worker {self.name} has no control connection")
-        return await self.control.call(op, timeout=timeout, **params)
+        return await http_json(*self.address, f"/op/{op}", params, timeout)
 
 
 class DeploySupervisor:
@@ -184,10 +184,11 @@ class DeploySupervisor:
         self.log(f"worker {name} attached at {address[0]}:{address[1]}")
         return handle
 
-    async def _greet(self, handle: WorkerHandle, control: tuple) -> None:
-        """Connect, say ``hello``, and hand the worker to the driver."""
-        handle.control = ControlClient(*control)
-        await handle.control.connect()
+    async def _greet(self, handle: WorkerHandle, address: tuple) -> None:
+        """Say ``hello`` at ``address`` and hand the worker to the
+        driver: a spawned worker's from its ready file, a remote one's
+        from the address file."""
+        handle.address = tuple(address)
         handle.info = await handle.call("hello")
         handle.pids.append(int(handle.info["pid"]))
         if handle.info.get("trace"):
@@ -223,9 +224,6 @@ class DeploySupervisor:
         handle.proc.send_signal(signal.SIGKILL)
         handle.proc.wait()
         del self.driver.handles[name]
-        if handle.control is not None:
-            await handle.control.close()
-            handle.control = None
         self.log(f"kill -9 worker {name} (pid {pid})")
         return pid
 
@@ -368,10 +366,6 @@ class DeploySupervisor:
     async def stop_all(self) -> None:
         await self.driver.stop()
         self.driver.handles.clear()
-        for handle in self.workers.values():
-            if handle.control is not None:
-                await handle.control.close()
-                handle.control = None
         for handle in self.workers.values():
             if handle.proc is None or handle.proc.poll() is not None:
                 continue

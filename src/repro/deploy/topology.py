@@ -10,9 +10,9 @@ the one rule of :mod:`repro.paxos.config`, so every worker derives the
 same names and configs without negotiation.
 
 The spec is pure data (JSON round-trippable); addresses are *not* part
-of it.  Listener ports are ephemeral and distributed at runtime over
-the control RPC (``register``), which is also what lets a kill-9'd
-worker restart on a fresh port.
+of it.  Listener ports are ephemeral and distributed at runtime by
+the ``register`` op, which is also what lets a kill-9'd worker restart
+on a fresh port.
 """
 
 from __future__ import annotations

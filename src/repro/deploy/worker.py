@@ -2,9 +2,7 @@
 
 A worker is one :class:`~repro.runtime.node.LiveNode` -- the same
 assembly ``repro live`` runs N of in one process -- hydrated from *its*
-slice of the JSON topology spec (``--spec`` + ``--node``), serving the
-node's op table (:class:`~repro.runtime.node.NodeOps`, the very calls
-the in-process cluster makes directly) off a control socket, plus what
+slice of the JSON topology spec (``--spec`` + ``--node``), plus what
 only a process of its own needs: a
 :class:`~repro.deploy.agent.DeployAgent` and
 :class:`~repro.deploy.agent.RemoteStreamDeployment` stubs standing in
@@ -15,12 +13,15 @@ transport's ``register_address`` hook; the run driver distributes the
 address map (``register``), which is also how a restarted worker's
 fresh port propagates.
 
-Per-node telemetry is therefore the very plane ``repro live`` serves:
-a node-stamped JSONL trace in the run directory, a metrics registry
-(client latency and event-loop lag included), and the HTTP
-``/metrics`` / ``/health`` / ``/profile`` endpoints.  A violation dumps
-the flight-recorder ring next to the traces (and only then -- a clean
-kill-9 drill produces no dump).
+The process listens on two sockets: the transport and the node
+endpoint (``--control-host`` / ``--control-port``), the HTTP listener of
+:mod:`repro.runtime.telemetry`, which serves the node's op table
+(:class:`~repro.runtime.node.NodeOps`, the very calls the in-process
+cluster makes directly) at ``POST /op/<name>`` beside the telemetry
+``repro live`` serves (``/metrics``, ``/health``, ``/profile``): whoever
+reaches a worker's ops reaches its telemetry.  A violation dumps the
+flight-recorder ring next to the node's JSONL trace (and only then -- a
+clean kill-9 drill produces no dump).
 
 Restart semantics: a respawned worker is a *new incarnation* -- fresh
 kernel clock, fresh trace file (``<node>-r<k>.trace.jsonl``) and a
@@ -43,7 +44,6 @@ from ..faults.invariants import InvariantSuite
 from ..runtime.kernel import Timer, every
 from ..runtime.node import CollectorPolicy, LiveNode, NodeOps
 from .agent import DeployAgent, RemoteStreamDeployment
-from .control import ControlServer
 from .topology import TopologySpec
 
 __all__ = ["DeployWorker", "worker_main"]
@@ -57,8 +57,8 @@ def trace_node_name(node: str, incarnation: int) -> str:
 
 
 class DeployWorker(NodeOps):
-    """One :class:`LiveNode` as a process: its op table served over the
-    control RPC, ``start`` / ``stop`` / ``status`` extended with what
+    """One :class:`LiveNode` as a process: its op table served on the
+    node endpoint, ``start`` / ``stop`` / ``status`` extended with what
     the process runs besides the node."""
 
     def __init__(
@@ -105,8 +105,7 @@ class DeployWorker(NodeOps):
                 )
         if self.node.replicas:
             self.node.invariants = InvariantSuite(self.node.replicas)
-        self.control = ControlServer(self._handle, bind_host=control_host,
-                                     bind_port=control_port)
+        self._endpoint = (control_host, control_port)
         self._collector = CollectorPolicy()
         self._stop = asyncio.Event()
         self._invariant_timer: Optional[Timer] = None
@@ -114,10 +113,7 @@ class DeployWorker(NodeOps):
     def _health(self) -> dict:
         return {**self.node.health(), **self.identity}
 
-    # -- control ops: the node's, plus the process's ------------------
-
-    async def _handle(self, request: dict) -> dict:
-        return await self.call(**request)
+    # -- ops: the node's, plus the process's ---------------------------
 
     def op_start(self) -> dict:
         if self.started:
@@ -153,8 +149,8 @@ class DeployWorker(NodeOps):
     # -- lifecycle ----------------------------------------------------
 
     async def run(self, ready_file: Optional[str] = None) -> None:
-        await self.node.listen(health=self._health)
-        await self.control.start()
+        await self.node.listen(health=self._health, endpoint=self._endpoint,
+                               ops=self.op)
         if ready_file is not None:
             self._write_ready(ready_file)
         try:
@@ -167,7 +163,7 @@ class DeployWorker(NodeOps):
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump({
                 **self.op_hello(),
-                "control": list(self.control.address or ()),
+                "control": list(self.node.endpoint or ()),
             }, handle)
             handle.write("\n")
         os.replace(tmp, path)     # atomic: the supervisor polls for it
@@ -182,8 +178,7 @@ class DeployWorker(NodeOps):
             with contextlib.suppress(asyncio.CancelledError):
                 await task
         self.agent.stop()
-        await self.node.close()         # flushes the trace + profile
-        await self.control.stop()
+        await self.node.close()     # the endpoint, trace and profile too
 
 
 async def _amain(args: argparse.Namespace) -> int:
@@ -198,7 +193,7 @@ async def _amain(args: argparse.Namespace) -> int:
         transport_host=args.transport_host,
     )
     # A polite SIGTERM (supervisor stop path, CI teardown) drains like
-    # a control-plane stop; SIGKILL is, by design, un-catchable chaos.
+    # a ``stop`` op; SIGKILL is, by design, un-catchable chaos.
     loop = asyncio.get_running_loop()
     try:
         loop.add_signal_handler(signal.SIGTERM, worker._stop.set)

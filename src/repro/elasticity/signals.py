@@ -180,7 +180,7 @@ class HttpSignalSource:
         self._last_totals: dict[str, float] = {}
 
     async def sample(self) -> SignalSnapshot:
-        from ..runtime.telemetry import http_get_json
+        from ..runtime.telemetry import EndpointError, http_json
 
         now = self.clock()
         dt = None if self._last_at is None else now - self._last_at
@@ -191,9 +191,9 @@ class HttpSignalSource:
         provisioned: set[str] = set()
         for _node, (host, port) in sorted(self.endpoints.items()):
             try:
-                metrics = await http_get_json(host, port, "/metrics.json")
-                health = await http_get_json(host, port, "/health")
-            except Exception:
+                metrics = await http_json(host, port, "/metrics.json")
+                health = await http_json(host, port, "/health")
+            except EndpointError:
                 continue       # endpoint briefly busy; sample what we can
             for entry in metrics.get("counters", ()):
                 actor = entry.get("actor", "")

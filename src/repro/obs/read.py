@@ -25,6 +25,7 @@ messages an event is about.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 from typing import Iterable, Optional, Union
@@ -148,7 +149,11 @@ class TraceDirectorySource:
     restarted worker shows up as a fresh incarnation trace,
     ``n3-r1.trace.jsonl``, mid-run); ``merged.trace.jsonl`` is excluded
     because it duplicates the per-node events.  ``paths`` pins an
-    explicit file list instead of scanning a directory.
+    explicit file list instead of scanning a directory.  A poll
+    interleaves the files' new events by aligned timestamp (``clock``
+    folds their ``meta.clock`` marks), each file's own order kept, so a
+    post-hoc read follows the run's time across nodes as a live tail
+    does.
     """
 
     def __init__(
@@ -159,6 +164,7 @@ class TraceDirectorySource:
         self.directory = directory
         self.readers = {path: IncrementalTraceReader(path)
                         for path in paths or ()}
+        self.clock = ClockAlignment()
 
     def _discover(self) -> None:
         if self.directory is None:
@@ -175,10 +181,15 @@ class TraceDirectorySource:
 
     def poll(self) -> list[dict]:
         self._discover()
-        events: list[dict] = []
-        for path in sorted(self.readers):
-            events.extend(self.readers[path].poll())
-        return events
+        batches = [self.readers[path].poll() for path in sorted(self.readers)]
+        clock = self.clock
+        for events in batches:
+            for event in events:
+                clock.observe(event)
+        return list(heapq.merge(*batches, key=lambda event: (
+            float(event.get("ts", 0.0))
+            - clock.shift(str(event.get("node", "")))
+        )))
 
     @property
     def events_read(self) -> int:

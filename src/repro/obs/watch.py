@@ -589,8 +589,8 @@ class TraceWatch(_Watch):
         (``_SAMPLE_INTERVAL``) inside the event loop, not once per poll:
         replaying a finished trace post-hoc therefore produces the same
         sample sequence -- and the same staleness alerts -- a live tail
-        saw, no matter how its events were batched into polls.  (A
-        directory's files are read one after another, not interleaved.)
+        saw, no matter how its events were batched into polls (a
+        directory's files are interleaved by aligned timestamp).
         """
         events = self.source.poll()
         violations: list[AuditViolation] = []

@@ -14,7 +14,7 @@ the dashboard without sockets; :func:`run_top` is the polling loop.
 :func:`fetch_all` is the one scrape of a cluster's endpoints, shared
 with ``repro watch endpoints.json``
 (:class:`repro.obs.watch.EndpointsWatch`): every node at once through
-the one HTTP client, :func:`repro.runtime.telemetry.http_get_json`,
+the one HTTP client, :func:`repro.runtime.telemetry.http_json`,
 each with the same short timeout.  One kill -9'd node costs at most
 ``timeout`` per frame, never ``N x timeout`` serial stalls -- the dead
 node renders as ``(unreachable)`` while the survivors keep updating.
@@ -28,7 +28,7 @@ import sys
 import time
 from typing import Optional, TextIO
 
-from .telemetry import http_get_json
+from .telemetry import EndpointError, http_json
 
 __all__ = ["ANSI_CLEAR", "fetch_all", "load_endpoints", "render", "run_top"]
 
@@ -62,8 +62,8 @@ def fetch_all(
 
     async def get(host: str, port: int) -> Optional[dict]:
         try:
-            return await http_get_json(host, port, path, timeout)
-        except (OSError, asyncio.TimeoutError, RuntimeError, ValueError):
+            return await http_json(host, port, path, timeout=timeout)
+        except EndpointError:
             return None
 
     async def scrape() -> list[Optional[dict]]:

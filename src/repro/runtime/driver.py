@@ -8,8 +8,15 @@ anything with ``await handle.call(op, timeout=..., **params) -> dict``:
 
 * the in-process cluster hands the driver each node's op table itself
   (:class:`~repro.runtime.node.NodeOps`);
-* a worker process serves the same table off its control socket, and the
-  deploy supervisor hands the driver the client end of that socket.
+* a worker process serves the same table at ``POST /op/<name>`` on its
+  node endpoint, and the deploy supervisor hands the driver a handle
+  holding that endpoint's address (each call one HTTP request; a
+  refused or closed connection, a timeout or a failed op raises
+  :class:`~repro.runtime.telemetry.EndpointError`).
+
+The driver awaits each call before it makes the next -- :meth:`each`
+is a loop and :meth:`play` runs its steps in order -- so no node is
+ever asked two things at once.
 
 The driver owns, once: wiring (address map -> clock sync -> start),
 playing a schedule under the workload (:meth:`RunDriver.play`: runtime
@@ -27,9 +34,10 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
-from ..deploy.control import ControlError
 from ..deploy.topology import TopologySpec
-from .telemetry import CLOCK_SYNC_SAMPLES, aggregate_dumps, estimate_offset
+from .telemetry import (
+    CLOCK_SYNC_SAMPLES, EndpointError, aggregate_dumps, estimate_offset,
+)
 
 __all__ = ["Agreement", "Outcome", "RunDriver", "agree", "verdict"]
 
@@ -180,7 +188,7 @@ class RunDriver:
         for name, handle in list(self.handles.items()):
             try:
                 answers[name] = await handle.call(op, **params)
-            except ControlError:
+            except EndpointError:
                 if not tolerate:
                     raise
         return answers
@@ -223,7 +231,7 @@ class RunDriver:
                         t3 = (await reference.call("clock"))["now"]
                         samples.append((float(t0), float(remote), float(t3)))
                     offset, rtt = estimate_offset(samples)
-                except (ControlError, ValueError):
+                except (EndpointError, ValueError):
                     offset, rtt = 0.0, float("inf")
             self.clock_offsets[name] = offset
             await handle.call("clock_mark", ref=ref_node, offset=offset, rtt=rtt)

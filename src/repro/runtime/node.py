@@ -196,13 +196,20 @@ class LiveNode:
 
     # -- lifecycle ----------------------------------------------------
 
-    async def listen(self, health: Optional[Callable[[], dict]] = None) -> None:
+    async def listen(
+        self, health: Optional[Callable[[], dict]] = None,
+        endpoint: tuple[str, int] = ("127.0.0.1", 0),
+        ops: Optional[Callable[[str], Any]] = None,
+    ) -> None:
         """Open the listener socket and, with telemetry, the HTTP
-        endpoint (serving ``health`` -- by default :meth:`health`)."""
+        endpoint at ``endpoint`` (serving ``health`` -- by default
+        :meth:`health` -- and, given ``ops``, the op table)."""
         await self.transport.start()
         if self.telemetry is not None:
             self.telemetry.bind(self.kernel, health or self.health)
-            self.endpoint = await self.telemetry.start_server()
+            self.endpoint = await self.telemetry.start_server(
+                *endpoint, ops=ops
+            )
 
     def start(self) -> None:
         """Start the probes and every actor placed here; peers'
@@ -375,9 +382,9 @@ class NodeOps:
     (:mod:`repro.runtime.driver`) touches a node, as ``await
     ops.call(op, **params)`` returning a JSON-able dict.  The in-process
     cluster awaits it directly; a worker process serves the very same
-    calls off its control socket (extending ``start`` / ``stop`` /
-    ``status`` with what only a process of its own has).
-    docs/RUNTIME.md, "Run driver", tables the ops."""
+    calls at ``POST /op/<name>`` on its node endpoint (extending
+    ``start`` / ``stop`` / ``status`` with what only a process of its
+    own has).  docs/RUNTIME.md, "Run driver", tables the ops."""
 
     def __init__(
         self,
@@ -397,11 +404,15 @@ class NodeOps:
         self.violations: list[str] = []
         self._workload_task: Optional[asyncio.Task] = None
 
+    def op(self, name: str) -> Optional[Callable[..., dict]]:
+        """The handler of op ``name``; None for an unknown op."""
+        return getattr(self, f"op_{name.replace('-', '_')}", None)
+
     async def call(self, op: str, timeout: float = 10.0, **params: Any) -> dict:
         # ``timeout`` is the remote reach's; an in-loop call cannot hang.
-        handler = getattr(self, f"op_{op.replace('-', '_')}", None)
+        handler = self.op(op)
         if handler is None:
-            raise ValueError(f"unknown control op {op!r}")
+            raise ValueError(f"unknown op {op!r}")
         return handler(**params)
 
     # -- wiring -------------------------------------------------------

@@ -5,8 +5,8 @@ localhost TCP sockets and has the run driver (:mod:`repro.runtime
 .driver`) wire it, play the ``baseline`` drill (a client workload with
 a *runtime* ``subscribe_msg`` while traffic flows), drain it and judge
 it -- the same code, over in-loop calls, that ``repro deploy`` runs
-over the control RPC.  What this module owns is what only the single process
-has:
+over each worker's node endpoint.  What this module owns is what only
+the single process has:
 
 * :class:`LiveCluster` -- ``nodes`` :class:`~repro.runtime.node
   .LiveNode` (a kernel clock domain and a listener socket each, placed
@@ -43,7 +43,7 @@ from ..obs.recorder import FlightRecorder
 from ..obs.trace import Tracer, current_metrics, current_tracer
 from .driver import Agreement, RunDriver, verdict
 from .node import CollectorPolicy, LiveNode, NodeOps
-from .telemetry import http_get_json
+from .telemetry import EndpointError, http_json
 
 __all__ = ["LiveCluster", "LiveConfig", "LiveReport", "run_live"]
 
@@ -306,7 +306,7 @@ class LiveCluster:
         self._collector.restore()
         if self._scrape_task is not None:
             # Cancel until it sticks: before Python 3.12, wait_for (in
-            # http_get_json) swallows a cancellation that lands just as
+            # http_json) swallows a cancellation that lands just as
             # its fetch completes, and the loop would scrape on forever.
             while not self._scrape_task.done():
                 self._scrape_task.cancel()
@@ -347,9 +347,9 @@ class LiveCluster:
                 if node.endpoint is None:
                     continue
                 try:
-                    await http_get_json(*node.endpoint, "/health")
+                    await http_json(*node.endpoint, "/health")
                     self.scrape_count += 1
-                except Exception:
+                except EndpointError:
                     pass       # endpoint briefly busy; next tick retries
             await asyncio.sleep(_SCRAPE_INTERVAL)
 

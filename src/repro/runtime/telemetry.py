@@ -8,7 +8,8 @@ Every node of a live deployment (``python -m repro live --nodes N
   buffer, dumped on invariant violations);
 * a :class:`~repro.obs.metrics.MetricsRegistry` bound to the node's
   kernel clock;
-* a tiny HTTP/1.0 endpoint (:class:`TelemetryServer`) serving
+* a tiny HTTP/1.0 endpoint (:class:`TelemetryServer`), the node's one
+  request/response listener, serving
 
   ========================  ==========================================
   ``GET /metrics``          Prometheus text exposition
@@ -22,13 +23,20 @@ Every node of a live deployment (``python -m repro live --nodes N
   ``GET /profile``          flamegraph-collapsed stacks sampled so far
   ``GET /profile/start``    start the node's background stack sampler
   ``GET /profile/stop``     stop it (samples are kept for ``/profile``)
+  ``POST /op/<name>``       a deploy worker's op table
+                            (:class:`~repro.runtime.node.NodeOps`):
+                            the params as a JSON object body, the
+                            result as JSON
   ========================  ==========================================
 
-The in-process supervisor scrapes ``/health`` so every node's
-watchdog evaluates itself, and ``python -m repro top`` renders the same
-endpoints as a live console.  Clock alignment does not go through HTTP:
-the run driver (:mod:`repro.runtime.driver`) reads the node clocks over
-whatever reaches the node and feeds :func:`estimate_offset`.
+:func:`http_json` is the one client of it: the in-process supervisor
+scrapes ``/health`` so every node's watchdog evaluates itself, ``python
+-m repro top`` renders the same endpoints as a live console, and the
+deploy supervisor's worker handles call the ops.  Any failure -- a
+refused or closed connection, a timeout, a failed op -- raises
+:class:`EndpointError`.  Clock alignment reads the node clocks through
+the ``clock`` op (:mod:`repro.runtime.driver`), which feeds
+:func:`estimate_offset`.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+from http import HTTPStatus
 from typing import Any, Callable, Optional
 
 from ..obs.metrics import MetricsRegistry
@@ -46,11 +55,12 @@ from .profiling import StackSampler
 
 __all__ = [
     "CLOCK_SYNC_SAMPLES",
+    "EndpointError",
     "NodeTelemetry",
     "TelemetryServer",
     "aggregate_dumps",
     "estimate_offset",
-    "http_get_json",
+    "http_json",
     "prometheus_text",
 ]
 
@@ -139,23 +149,56 @@ def estimate_offset(
 
 # -- minimal HTTP ------------------------------------------------------
 
-_RESPONSE = (
-    "HTTP/1.0 {status} {reason}\r\n"
-    "Content-Type: {content_type}\r\n"
-    "Content-Length: {length}\r\n"
-    "Connection: close\r\n"
-    "\r\n"
-)
+# An op's params and result are small (status dumps, address maps); a
+# body claiming to be bigger than this is refused before it is read
+# (an op request's by the server, any answer by the client).
+MAX_BODY = 32 * 1024 * 1024
+
+_PLAIN = "text/plain; charset=utf-8"
 
 Route = Callable[[], "tuple[str, str]"]      # -> (content_type, body)
+# op name -> its handler (called with the params), None when unknown
+Ops = Callable[[str], Optional[Callable[..., dict]]]
+
+
+class EndpointError(RuntimeError):
+    """A node endpoint did not answer, or did not answer 200: a refused
+    or closed connection, a timeout, a malformed answer or a failed op
+    (whose message the error carries)."""
+
+
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> tuple[list[str], dict[str, str]]:
+    """The start line's words and the headers (names lower-cased) of
+    one HTTP message."""
+    start = (await reader.readline()).decode("latin-1").split()
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"", b"\r\n", b"\n"):
+            return start, headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
+def _content_length(headers: dict[str, str]) -> Optional[int]:
+    value = headers.get("content-length", "")
+    return int(value) if value.isascii() and value.isdigit() else None
 
 
 class TelemetryServer:
     """A deliberately tiny HTTP/1.0 endpoint (stdlib-only, in-loop).
 
-    Routes are sync callables returning ``(content_type, body)``;
-    unknown paths get 404.  One request per connection -- scrapers and
-    the `top` console poll, they do not stream.
+    Routes are sync callables returning ``(content_type, body)``, served
+    on ``GET``.  With ``ops``, ``POST /op/<name>`` calls the handler
+    ``ops(name)`` returns with the JSON object body as keyword params
+    and answers its result as JSON.  An unknown path or op gets 404, a
+    malformed op request 400 (not JSON, not an object), 411 (no
+    ``Content-Length``) or 413 (over :data:`MAX_BODY`, refused before it
+    is read), and a route or op that raises 500 with the exception's
+    text -- one bad request never stops the listener.  One request per
+    connection.
     """
 
     def __init__(
@@ -163,8 +206,10 @@ class TelemetryServer:
         routes: dict[str, Route],
         bind_host: str = "127.0.0.1",
         bind_port: int = 0,
+        ops: Optional[Ops] = None,
     ):
         self.routes = dict(routes)
+        self.ops = ops
         self._bind_host = bind_host
         self._bind_port = bind_port
         self._server: Optional[asyncio.AbstractServer] = None
@@ -191,66 +236,106 @@ class TelemetryServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await reader.readline()
-            parts = request.decode("latin-1", "replace").split()
-            path = parts[1] if len(parts) >= 2 else "/"
-            # Drain (and ignore) the request headers.
-            while True:
-                line = await reader.readline()
-                if line in (b"", b"\r\n", b"\n"):
-                    break
-            route = self.routes.get(path.partition("?")[0])
-            if route is None:
-                status, reason = 404, "Not Found"
-                content_type, body = "text/plain; charset=utf-8", "not found\n"
-            else:
-                status, reason = 200, "OK"
-                try:
-                    content_type, body = route()
-                except Exception as exc:   # surface, don't kill the loop
-                    status, reason = 500, "Internal Server Error"
-                    content_type = "text/plain; charset=utf-8"
-                    body = f"error: {exc!r}\n"
+            status, content_type, body = await self._answer(reader)
             raw = body.encode("utf-8")
-            writer.write(_RESPONSE.format(
-                status=status, reason=reason, content_type=content_type,
-                length=len(raw),
-            ).encode("latin-1"))
-            writer.write(raw)
+            writer.write((
+                f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(raw)}\r\n"
+                "Connection: close\r\n\r\n"
+            ).encode("latin-1") + raw)
             await writer.drain()
             self.requests_served += 1
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
+            pass        # a peer gone mid-request, or a header line too long
         finally:
             try:
                 writer.close()
             except RuntimeError:
                 pass
 
+    async def _answer(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[int, str, str]:
+        start, headers = await _read_head(reader)
+        method = start[0] if start else ""
+        path = (start[1] if len(start) >= 2 else "/").partition("?")[0]
+        if method == "POST" and path.startswith("/op/") and self.ops:
+            return await self._op(path[len("/op/"):], headers, reader)
+        route = self.routes.get(path) if method == "GET" else None
+        if route is None:
+            return 404, _PLAIN, "not found\n"
+        try:
+            content_type, body = route()
+        except Exception as exc:   # surface, don't kill the loop
+            return 500, _PLAIN, f"error: {exc!r}\n"
+        return 200, content_type, body
 
-async def http_get_json(
-    host: str, port: int, path: str, timeout: float = 2.0
+    async def _op(
+        self, name: str, headers: dict[str, str],
+        reader: asyncio.StreamReader,
+    ) -> tuple[int, str, str]:
+        length = _content_length(headers)
+        if length is None:
+            return 411, _PLAIN, "an op request needs a Content-Length\n"
+        if length > MAX_BODY:
+            return 413, _PLAIN, f"op body of {length} bytes refused\n"
+        try:
+            params = json.loads(await reader.readexactly(length))
+        except ValueError:
+            return 400, _PLAIN, "op body is not JSON\n"
+        if not isinstance(params, dict):
+            return 400, _PLAIN, "op body is not a JSON object\n"
+        handler = self.ops(name)
+        if handler is None:
+            return 404, _PLAIN, f"unknown op {name!r}\n"
+        try:
+            return 200, "application/json", json.dumps(handler(**params))
+        except Exception as exc:   # surface, don't kill the loop
+            return 500, _PLAIN, f"{name}: {exc!r}\n"
+
+
+async def http_json(
+    host: str, port: int, path: str, body: Optional[dict] = None,
+    timeout: float = 2.0,
 ) -> Any:
-    """In-loop GET returning the parsed JSON body (raises on non-200)."""
+    """In-loop ``GET path`` -- or, with ``body``, ``POST`` it as JSON --
+    returning the parsed JSON answer.  Every failure raises
+    :class:`EndpointError`, an answer over :data:`MAX_BODY` included."""
 
     async def _fetch() -> Any:
+        if body is None:
+            request, payload = f"GET {path} HTTP/1.0\r\n", b""
+        else:
+            payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
+            request = (f"POST {path} HTTP/1.0\r\n"
+                       "Content-Type: application/json\r\n"
+                       f"Content-Length: {len(payload)}\r\n")
         reader, writer = await asyncio.open_connection(host, port)
         try:
             writer.write(
-                f"GET {path} HTTP/1.0\r\nHost: {host}\r\n\r\n".encode("latin-1")
+                f"{request}Host: {host}\r\n\r\n".encode("latin-1") + payload
             )
             await writer.drain()
-            raw = await reader.read()
+            start, headers = await _read_head(reader)
+            length = _content_length(headers)
+            if length is None or length > MAX_BODY:
+                raise EndpointError(
+                    f"{path}: answer length {headers.get('content-length')!r} "
+                    f"refused"
+                )
+            raw = await reader.readexactly(length)
         finally:
             writer.close()
-        head, _, body = raw.partition(b"\r\n\r\n")
-        status_line = head.split(b"\r\n", 1)[0].decode("latin-1", "replace")
-        parts = status_line.split()
-        if len(parts) < 2 or parts[1] != "200":
-            raise RuntimeError(f"GET {path}: {status_line!r}")
-        return json.loads(body.decode("utf-8"))
+        if len(start) < 2 or start[1] != "200":
+            reason = raw.decode("utf-8", "replace").strip()
+            raise EndpointError(f"{path}: {' '.join(start[1:])}: {reason}")
+        return json.loads(raw)
 
-    return await asyncio.wait_for(_fetch(), timeout)
+    try:
+        return await asyncio.wait_for(_fetch(), timeout)
+    except (OSError, asyncio.TimeoutError, EOFError, ValueError) as exc:
+        raise EndpointError(f"{host}:{port}{path}: {exc!r}") from exc
 
 
 def aggregate_dumps(dumps: dict[str, dict]) -> dict:
@@ -292,7 +377,6 @@ class NodeTelemetry:
         node: str,
         trace_path: Optional[str] = None,
         categories: Optional[frozenset] = None,
-        bind_host: str = "127.0.0.1",
         profile_interval: float = 0.02,
     ):
         self.node = node
@@ -311,7 +395,6 @@ class NodeTelemetry:
         )
         self.registry = MetricsRegistry()
         self.server: Optional[TelemetryServer] = None
-        self._bind_host = bind_host
         self._health: Callable[[], dict] = lambda: {"node": node}
         # Continuous profiling: toggled via /profile/start|stop or run
         # for the whole deployment by `repro live --profile-dir` (the
@@ -397,7 +480,12 @@ class NodeTelemetry:
         self.profiler.stop()
         return self._profile_status()
 
-    async def start_server(self) -> tuple[str, int]:
+    async def start_server(
+        self, host: str = "127.0.0.1", port: int = 0,
+        ops: Optional[Ops] = None,
+    ) -> tuple[str, int]:
+        """Listen at ``host``:``port``; with ``ops``, serve the op table
+        at ``POST /op/<name>`` too (a deploy worker's one endpoint)."""
         self.server = TelemetryServer(
             {
                 "/metrics": self._route_metrics,
@@ -408,7 +496,7 @@ class NodeTelemetry:
                 "/profile/start": self._route_profile_start,
                 "/profile/stop": self._route_profile_stop,
             },
-            bind_host=self._bind_host,
+            bind_host=host, bind_port=port, ops=ops,
         )
         return await self.server.start()
 

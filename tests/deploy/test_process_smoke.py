@@ -1,7 +1,7 @@
 """Deployment smoke: the cluster as real OS processes.
 
 Each test here spawns actual ``python -m repro worker`` children and
-drives them over the control RPC -- the full tentpole path.  Wall
+drives them over their node endpoints -- the full deployment path.  Wall
 clocks on shared CI machines stall arbitrarily, so runs are short,
 drain timeouts generous, and each scenario retries once before
 failing (the same policy as the single-process live smoke).

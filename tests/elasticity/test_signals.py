@@ -42,7 +42,7 @@ def test_http_source_merges_node_endpoints(monkeypatch):
         return payloads[(host, port, path)]
 
     import repro.runtime.telemetry as telemetry
-    monkeypatch.setattr(telemetry, "http_get_json", fake_get)
+    monkeypatch.setattr(telemetry, "http_json", fake_get)
 
     now = iter((3.0, 5.0))
     source = HttpSignalSource(

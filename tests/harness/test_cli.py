@@ -126,6 +126,37 @@ def test_stats_reports_stage_table(tmp_path, capsys):
     assert "500.00" in out   # 0.5 s end-to-end rendered in ms
 
 
+def test_stats_tells_a_trace_by_its_first_line(tmp_path, capsys, monkeypatch):
+    # A trace is known by its first event: the whole-file parse a
+    # metrics dump needs (json.load) never reads a trace.
+    import json
+
+    from repro.cli import main
+    from repro.obs.metrics import METRICS_DUMP_FORMAT
+
+    loaded = []
+    whole = json.load
+
+    def spy(fh, **kwargs):
+        loaded.append(fh.name)
+        return whole(fh, **kwargs)
+
+    monkeypatch.setattr(json, "load", spy)
+    trace = tmp_path / "n1.trace.jsonl"
+    trace.write_text(json.dumps({"ts": 0.0, "seq": 0, "kind": "meta.node",
+                                 "cat": "meta", "node": "n1"}) + "\n")
+    assert main(["stats", str(trace)]) == 0
+    assert loaded == []
+    dump = tmp_path / "metrics.json"
+    dump.write_text(json.dumps({
+        "format": METRICS_DUMP_FORMAT, "gauges": [], "histograms": [],
+        "counters": [{"actor": "r1", "name": "delivered", "total": 3}],
+    }, indent=2))
+    assert main(["stats", str(dump)]) == 0
+    assert loaded == [str(dump)]
+    assert "Metrics dump" in capsys.readouterr().out
+
+
 # -- `all` routes through the real per-command parsers ------------------------
 
 

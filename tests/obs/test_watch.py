@@ -397,6 +397,44 @@ def test_a_merged_timeline_is_not_shifted_twice(tmp_path):
     assert views["merged"][1:] == (marks, alerts)
 
 
+
+def test_a_run_directory_is_read_in_time_order(tmp_path):
+    # n2's clock runs 100 s ahead of n1's; its replica stops at position
+    # 8 two seconds in while n1's goes on to 40.  Only events read in
+    # aligned time order show the low watermark stuck at 8: read one
+    # file after the other, the certifier meets n2's stop after n1's
+    # whole run, when trace time no longer moves.
+    from repro.obs.merge import merge_files
+
+    skew = 100.0
+
+    def clock(node, offset):
+        return {"ts": offset, "seq": 0, "kind": "meta.clock", "cat": "meta",
+                "node": node, "ref": "n1", "offset": offset}
+
+    paths = [str(tmp_path / f"{node}.trace.jsonl") for node in ("n1", "n2")]
+    _write(paths[0], [clock("n1", 0.0)] + [
+        _deliver("n1", "r1", "s1", p, p, ts=0.25 * p) for p in range(1, 41)
+    ])
+    _write(paths[1], [clock("n2", skew)] + [
+        _deliver("n2", "r2", "s1", p, p, ts=skew + 0.25 * p)
+        for p in range(1, 9)
+    ])
+    merged = str(tmp_path / "merged.trace.jsonl")
+    merge_files(paths, out=merged)
+    alerts = {}
+    for name, kwargs in (("directory", {"directory": str(tmp_path)}),
+                         ("merged", {"paths": [merged]})):
+        watch = TraceWatch(**kwargs)
+        watch.drain()
+        summary = watch.close()
+        assert summary["ok"], name
+        alerts[name] = sorted(
+            (a["detector"], a["key"]) for a in summary["alerts"]
+        )
+    assert ("watermark_stall", "s1") in alerts["merged"]
+    assert alerts["directory"] == alerts["merged"]
+
 # -- the `repro watch` CLI ---------------------------------------------
 
 def test_cli_watch_exit_codes(tmp_path, capsys):

@@ -180,6 +180,12 @@ def test_the_spec_imports_nothing_else():
     assert _loaded_after("repro.spec") == {"repro", "repro.spec"}
 
 
+def test_the_cli_loads_a_plane_only_for_its_command():
+    # `python -m repro worker` pays for the worker's modules, not for
+    # the figures' report helpers.
+    assert _loaded_after("repro.cli") == {"repro", "repro.cli"}
+
+
 def test_a_live_node_loads_the_protocol_not_the_planes():
     for modules, not_loaded in (
         (("repro.deploy.worker", "repro.runtime.codec"), _NOT_DEPLOYED),
@@ -191,7 +197,7 @@ def test_a_live_node_loads_the_protocol_not_the_planes():
             if any(m == p or m.startswith(p + ".") for p in not_loaded)
         )
         assert not planes, (modules, planes)
-        assert len(loaded) <= 56, (modules, len(loaded), sorted(loaded))
+        assert len(loaded) <= 55, (modules, len(loaded), sorted(loaded))
 
 
 def test_package_inits_are_docstrings():
@@ -422,7 +428,7 @@ def test_the_driver_does_not_ask_how_a_node_is_reached():
     }
     assert not names & {
         "NodeOps", "LiveNode", "LiveCluster", "DeployWorker",
-        "WorkerHandle", "ControlClient",
+        "WorkerHandle", "http_json",
     }
 
 

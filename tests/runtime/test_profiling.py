@@ -144,7 +144,7 @@ def test_telemetry_profile_routes_and_stop_writes_stacks(tmp_path):
     import json
 
     from repro.runtime.asyncio_kernel import AsyncioKernel
-    from repro.runtime.telemetry import NodeTelemetry, http_get_json
+    from repro.runtime.telemetry import NodeTelemetry, http_json
 
     async def main():
         telemetry = NodeTelemetry("n1", profile_interval=0.002)
@@ -155,7 +155,7 @@ def test_telemetry_profile_routes_and_stop_writes_stacks(tmp_path):
         telemetry.profile_path = str(tmp_path / "n1.stacks.txt")
         host, port = await telemetry.start_server()
 
-        status = await http_get_json(host, port, "/profile/start")
+        status = await http_json(host, port, "/profile/start")
         assert status["node"] == "n1" and status["running"]
         deadline = asyncio.get_running_loop().time() + 5.0
         while (telemetry.profiler.total < 3
@@ -170,7 +170,7 @@ def test_telemetry_profile_routes_and_stop_writes_stacks(tmp_path):
         assert b"200 OK" in raw
         assert b"MainThread;" in raw
 
-        status = await http_get_json(host, port, "/profile/stop")
+        status = await http_json(host, port, "/profile/stop")
         assert not status["running"]
         assert status["samples"] >= 3
         await telemetry.stop()

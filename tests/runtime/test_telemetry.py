@@ -13,7 +13,7 @@ from repro.runtime.telemetry import (
     TelemetryServer,
     aggregate_dumps,
     estimate_offset,
-    http_get_json,
+    http_json,
     prometheus_text,
 )
 
@@ -104,7 +104,7 @@ def test_aggregate_dumps_prefixes_actor_with_node():
     assert any(row[0] == "n1/client" for row in rows_from_dump(merged))
 
 
-# -- TelemetryServer / http_get_json -----------------------------------
+# -- TelemetryServer / http_json ---------------------------------------
 
 def test_server_routes_and_errors():
     async def main():
@@ -119,12 +119,12 @@ def test_server_routes_and_errors():
 
         server = TelemetryServer({"/ok": ok, "/boom": boom})
         host, port = await server.start()
-        assert await http_get_json(host, port, "/ok") == {"hello": "world"}
-        assert await http_get_json(host, port, "/ok?x=1") == {"hello": "world"}
+        assert await http_json(host, port, "/ok") == {"hello": "world"}
+        assert await http_json(host, port, "/ok?x=1") == {"hello": "world"}
         with pytest.raises(RuntimeError):
-            await http_get_json(host, port, "/missing")     # 404
+            await http_json(host, port, "/missing")     # 404
         with pytest.raises(RuntimeError):
-            await http_get_json(host, port, "/boom")        # 500
+            await http_json(host, port, "/boom")        # 500
         assert calls["n"] == 2
         assert server.requests_served >= 2
         await server.stop()
@@ -152,26 +152,26 @@ def test_node_telemetry_serves_alerts_and_health_score(tmp_path):
         telemetry.bind(kernel, lambda: dict(snapshot))
         host, port = await telemetry.start_server()
 
-        health = await http_get_json(host, port, "/health")
+        health = await http_json(host, port, "/health")
         assert health["health_score"] == 100 and health["alerts"] == []
-        alerts = await http_get_json(host, port, "/alerts")
+        alerts = await http_json(host, port, "/alerts")
         assert alerts == {"node": "n1", "health_score": 100,
                           "active": [], "raised_total": 0}
 
         # A send queue near capacity is an anomaly the node sees in
         # its own snapshot on the next scrape.
         snapshot["transport"]["queue_depths"] = {"peer": 1000}
-        health = await http_get_json(host, port, "/health")
+        health = await http_json(host, port, "/health")
         assert health["health_score"] < 100
         assert [a["detector"] for a in health["alerts"]] == [
             "backpressure"
         ]
-        alerts = await http_get_json(host, port, "/alerts")
+        alerts = await http_json(host, port, "/alerts")
         assert alerts["raised_total"] == 1
 
         # Recovery clears it: scores return to clean.
         snapshot["transport"]["queue_depths"] = {"peer": 0}
-        health = await http_get_json(host, port, "/health")
+        health = await http_json(host, port, "/health")
         assert health["health_score"] == 100 and health["alerts"] == []
 
         await telemetry.stop()
@@ -197,15 +197,15 @@ def test_node_telemetry_serves_metrics_health_clock(tmp_path):
         telemetry.registry.counter("r1", "delivered").record(5)
         host, port = await telemetry.start_server()
 
-        health = await http_get_json(host, port, "/health")
+        health = await http_json(host, port, "/health")
         assert health["node"] == "n1"
-        dump = await http_get_json(host, port, "/metrics.json")
+        dump = await http_json(host, port, "/metrics.json")
         assert dump["format"] == "repro-metrics/1"
         assert dump["counters"][0]["total"] == 5
         # No /clock route: clock sync reads the node clock through the
         # run driver's ``clock`` op, not over HTTP (test_driver.py).
         with pytest.raises(RuntimeError, match="404"):
-            await http_get_json(host, port, "/clock")
+            await http_json(host, port, "/clock")
 
         reader, writer = await asyncio.open_connection(host, port)
         writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
