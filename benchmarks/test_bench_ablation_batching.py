@@ -7,39 +7,26 @@ the batch size under a coordinator whose CPU charges per instance, the
 regime where batching matters.
 """
 
-from repro.harness.broadcast import BroadcastClient, BroadcastReplica
+from repro.harness.broadcast import BroadcastDeployment
+from repro.harness.cluster import MulticastCluster
 from repro.harness.report import comparison_table, section
-from repro.multicast.stream import StreamDeployment
-from repro.paxos.config import StreamConfig
-from repro.sim.core import Environment
-from repro.sim.network import LinkSpec, Network
-from repro.sim.rng import RngRegistry
 
 
 def run_batch(batch_max_tokens: int, duration: float = 8.0):
-    env = Environment()
-    rng = RngRegistry(37)
-    net = Network(env, rng=rng, default_link=LinkSpec(latency=0.0005))
-    config = StreamConfig(
-        name="S1",
-        acceptors=("S1/a1", "S1/a2", "S1/a3"),
+    cluster = MulticastCluster(
+        ("S1",), seed=37, link_latency=0.0005,
         lam=40_000,                     # keep λ above the sweep's reach
         delta_t=0.05,
         batch_max_tokens=batch_max_tokens,
         cpu_cost_per_batch=0.0005,      # 0.5 ms of coordinator CPU/instance
         window=8,                       # < thread count: pending queues form
     )
-    deployment = StreamDeployment(env, net, config)
-    deployment.start()
-    directory = {"S1": deployment}
-    replica = BroadcastReplica(env, net, "replica", "G", directory, cpu_rate=100_000)
-    replica.bootstrap(["S1"])
-    client = BroadcastClient(
-        env, net, "client", directory, value_size=512, rng=rng.stream("c")
+    deployment = BroadcastDeployment(
+        cluster, replicas=1, cpu_rate=100_000, value_size=512
     )
-    client.start_threads("S1", 64)
-    env.run(until=duration)
-    return replica.delivered_ops.rate_between(1.0, duration)
+    deployment.client.start_threads("S1", 64)
+    cluster.run(until=duration)
+    return deployment.rate_between(1.0, duration)
 
 
 def test_bench_ablation_batching(run_once):

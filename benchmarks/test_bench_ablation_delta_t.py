@@ -8,38 +8,23 @@ latency cost of coarse sampling -- the trade-off studied in
 paper's implementation builds on.
 """
 
-from repro.harness.broadcast import BroadcastClient, BroadcastReplica
+from repro.harness.broadcast import BroadcastDeployment
+from repro.harness.cluster import MulticastCluster
 from repro.harness.report import comparison_table, section
-from repro.multicast.stream import StreamDeployment
-from repro.paxos.config import StreamConfig
-from repro.sim.core import Environment
-from repro.sim.network import LinkSpec, Network
-from repro.sim.rng import RngRegistry
 
 
 def run_pair(delta_t: float, duration: float = 10.0):
     """One loaded stream merged with one idle stream; report p50 latency."""
-    env = Environment()
-    rng = RngRegistry(23)
-    net = Network(env, rng=rng, default_link=LinkSpec(latency=0.0005))
-    directory = {}
-    for name in ("S1", "S2"):
-        config = StreamConfig(
-            name=name,
-            acceptors=(f"{name}/a1", f"{name}/a2", f"{name}/a3"),
-            lam=4000,
-            delta_t=delta_t,
-        )
-        directory[name] = StreamDeployment(env, net, config)
-        directory[name].start()
-    replica = BroadcastReplica(env, net, "replica", "G", directory, cpu_rate=50_000)
-    replica.bootstrap(["S1", "S2"])
-    client = BroadcastClient(
-        env, net, "client", directory, value_size=1024,
-        timeout=duration, rng=rng.stream("c"),
+    cluster = MulticastCluster(
+        ("S1", "S2"), seed=23, link_latency=0.0005, lam=4000, delta_t=delta_t
     )
+    deployment = BroadcastDeployment(
+        cluster, replicas=1, streams=("S1", "S2"), cpu_rate=50_000,
+        value_size=1024, timeout=duration,
+    )
+    client = deployment.client
     client.start_threads("S1", 4)
-    env.run(until=duration)
+    cluster.run(until=duration)
     return client.latency.percentile(50) * 1000.0   # ms
 
 

@@ -7,41 +7,27 @@ ring sends far fewer messages per decision at the cost of serialized
 hops; this bench measures both modes under identical load.
 """
 
-from repro.harness.broadcast import BroadcastClient, BroadcastReplica
+from repro.harness.broadcast import BroadcastDeployment
+from repro.harness.cluster import MulticastCluster
 from repro.harness.report import comparison_table, section
-from repro.multicast.stream import StreamDeployment
-from repro.paxos.config import StreamConfig
-from repro.sim.core import Environment
-from repro.sim.network import LinkSpec, Network
-from repro.sim.rng import RngRegistry
 
 
 def run_mode(ring_mode: bool, duration: float = 10.0):
-    env = Environment()
-    rng = RngRegistry(29)
-    net = Network(env, rng=rng, default_link=LinkSpec(latency=0.0005))
-    config = StreamConfig(
-        name="S1",
-        acceptors=("S1/a1", "S1/a2", "S1/a3"),
+    cluster = MulticastCluster(
+        ("S1",), seed=29, link_latency=0.0005, lam=4000, delta_t=0.05,
         ring_mode=ring_mode,
-        lam=4000,
-        delta_t=0.05,
     )
-    deployment = StreamDeployment(env, net, config)
-    deployment.start()
-    directory = {"S1": deployment}
-    replica = BroadcastReplica(env, net, "replica", "G", directory, cpu_rate=50_000)
-    replica.bootstrap(["S1"])
-    client = BroadcastClient(
-        env, net, "client", directory, value_size=1024, rng=rng.stream("c")
+    deployment = BroadcastDeployment(
+        cluster, replicas=1, cpu_rate=50_000, value_size=1024
     )
+    client = deployment.client
     client.start_threads("S1", 8)
-    env.run(until=duration)
-    ops = replica.delivered_ops.total
+    cluster.run(until=duration)
+    ops = deployment.replicas[0].delivered_ops.total
     return {
-        "throughput": replica.delivered_ops.rate_between(1.0, duration),
+        "throughput": deployment.rate_between(1.0, duration),
         "latency_p95_ms": client.latency.percentile(95) * 1000.0,
-        "msgs_per_op": net.messages_sent / max(ops, 1),
+        "msgs_per_op": cluster.network.messages_sent / max(ops, 1),
     }
 
 

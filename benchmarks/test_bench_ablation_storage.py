@@ -8,20 +8,18 @@ shows the stream throughput pinned by fsync latency -- the very
 bottleneck that dynamically adding streams (Fig. 3) removes.
 """
 
-from repro.harness.broadcast import BroadcastClient, BroadcastReplica
+from repro.harness.broadcast import BroadcastDeployment
+from repro.harness.cluster import MulticastCluster
 from repro.harness.report import comparison_table, section
 from repro.multicast.stream import StreamDeployment
 from repro.paxos.config import StreamConfig
-from repro.sim.core import Environment
-from repro.sim.network import LinkSpec, Network
-from repro.sim.rng import RngRegistry
 from repro.storage.stable import StableStore
 
 
 def run_with_disk(write_latency: float, duration: float = 8.0):
-    env = Environment()
-    rng = RngRegistry(41)
-    net = Network(env, rng=rng, default_link=LinkSpec(latency=0.0003))
+    cluster = MulticastCluster(seed=41, link_latency=0.0003)
+    env = cluster.env
+    # The cluster deploys no acceptor storage: S1 is built on it here.
     config = StreamConfig(
         name="S1",
         acceptors=("S1/a1", "S1/a2", "S1/a3"),
@@ -30,25 +28,24 @@ def run_with_disk(write_latency: float, duration: float = 8.0):
         batch_max_tokens=1,     # isolate the per-write cost
         window=1,               # synchronous acceptors serialize anyway
     )
-    deployment = StreamDeployment(
+    stream = StreamDeployment(
         env,
-        net,
+        cluster.network,
         config,
         stable_store_factory=lambda name: StableStore(
             env, write_latency=write_latency, name=name
         ),
     )
-    deployment.start()
-    directory = {"S1": deployment}
-    replica = BroadcastReplica(env, net, "replica", "G", directory, cpu_rate=100_000)
-    replica.bootstrap(["S1"])
-    client = BroadcastClient(
-        env, net, "client", directory, value_size=1024,
-        timeout=duration, rng=rng.stream("c"),
+    stream.trimmer = cluster.trimmer
+    cluster.directory["S1"] = stream
+    stream.start()
+    deployment = BroadcastDeployment(
+        cluster, replicas=1, cpu_rate=100_000, value_size=1024,
+        timeout=duration,
     )
-    client.start_threads("S1", 16)
-    env.run(until=duration)
-    return replica.delivered_ops.rate_between(1.0, duration)
+    deployment.client.start_threads("S1", 16)
+    cluster.run(until=duration)
+    return deployment.rate_between(1.0, duration)
 
 
 def test_bench_ablation_acceptor_storage(run_once):

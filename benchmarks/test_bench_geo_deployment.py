@@ -15,38 +15,36 @@ The bench measures client-observed latency for a client co-located
 with its stream, under both layouts.
 """
 
-from repro.harness.broadcast import BroadcastClient, BroadcastReplica
+from repro.harness.broadcast import BroadcastDeployment
+from repro.harness.cluster import MulticastCluster
 from repro.harness.report import comparison_table, section
 from repro.multicast.stream import StreamDeployment
 from repro.paxos.config import StreamConfig
-from repro.sim.core import Environment
-from repro.sim.network import LinkSpec, Network
-from repro.sim.rng import RngRegistry
+from repro.sim.network import LinkSpec
 
 INTRA = 0.0005     # same-region one-way latency
 INTER = 0.040      # cross-region one-way latency
-REGIONS = ("eu", "us")
+# The EU side: its streams and acceptors, the client and the first
+# replica; everything else runs in the US.
+EU_HOSTS = ("eu-", "client", "replica-1")
 
 
 def region_of(host: str) -> str:
-    return "eu" if host.startswith("eu") or host == "client-eu" else "us"
+    return "eu" if host.startswith(EU_HOSTS) else "us"
 
 
-def wire_regions(net: Network, hosts: list[str]) -> None:
+def wire_regions(cluster: MulticastCluster) -> None:
+    hosts = cluster.network.hosts()
     for src in hosts:
         for dst in hosts:
             if src == dst:
                 continue
             latency = INTRA if region_of(src) == region_of(dst) else INTER
-            net.set_link(src, dst, LinkSpec(latency=latency))
+            cluster.network.set_link(src, dst, LinkSpec(latency=latency))
 
 
 def run_layout(per_region_streams: bool, duration: float = 12.0):
-    env = Environment()
-    rng = RngRegistry(53)
-    net = Network(env, rng=rng, default_link=LinkSpec(latency=INTRA))
-    directory = {}
-
+    cluster = MulticastCluster(seed=53, link_latency=INTRA)
     if per_region_streams:
         stream_specs = {
             "eu-S": ("eu-a1", "eu-a2", "eu-a3"),
@@ -56,40 +54,33 @@ def run_layout(per_region_streams: bool, duration: float = 12.0):
         # One global ring alternating regions (worst case for the ring).
         stream_specs = {"eu-S": ("eu-a1", "us-a1", "eu-a2")}
 
+    # Acceptors named by region, not by stream: built on the cluster
+    # here, and started once every link is wired.
     for name, acceptors in stream_specs.items():
         config = StreamConfig(
-            name=name, acceptors=acceptors, lam=2000, delta_t=0.02,
-            coordinator=f"{name}/coordinator",
+            name=name, acceptors=acceptors, lam=2000, delta_t=0.02
         )
-        directory[name] = StreamDeployment(env, net, config)
-
-    replicas = []
-    for region in REGIONS:
-        replica = BroadcastReplica(
-            env, net, f"{region}-replica", "replicas", directory, cpu_rate=50_000
-        )
-        replicas.append(replica)
-
-    client = BroadcastClient(
-        env, net, "client-eu", directory, value_size=1024,
-        timeout=2.0, rng=rng.stream("c"),
+        stream = StreamDeployment(cluster.env, cluster.network, config)
+        stream.trimmer = cluster.trimmer
+        cluster.directory[name] = stream
+    # One replica per region (replica-1 in the EU), both merging every
+    # stream.
+    deployment = BroadcastDeployment(
+        cluster, streams=list(stream_specs), cpu_rate=50_000,
+        value_size=1024,
     )
-
-    hosts = list(net.hosts())
-    wire_regions(net, hosts)
-    for deployment in directory.values():
-        deployment.start()
-    for replica in replicas:
-        replica.bootstrap(list(directory))
+    wire_regions(cluster)
+    for stream in cluster.directory.values():
+        stream.start()
 
     # The EU client submits to its local stream.
+    client = deployment.client
     client.start_threads("eu-S", 4)
-    env.run(until=duration)
-    eu = replicas[0]
+    cluster.run(until=duration)
     return {
         "p50_ms": client.latency.percentile(50) * 1000.0,
         "p95_ms": client.latency.percentile(95) * 1000.0,
-        "ops": eu.delivered_ops.rate_between(1.0, duration),
+        "ops": deployment.rate_between(1.0, duration),
     }
 
 

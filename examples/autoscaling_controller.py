@@ -18,15 +18,10 @@ from repro.cloud.openstack import CloudCompute, VmExecutor
 from repro.elasticity.controller import ElasticityController
 from repro.elasticity.policy import DecideRateCeiling, PolicyEngine
 from repro.elasticity.signals import SimSignalSource
-from repro.harness.broadcast import BroadcastClient, BroadcastReplica
-from repro.multicast.api import MulticastClient
-from repro.multicast.stream import StreamDeployment
+from repro.harness.broadcast import BroadcastDeployment
+from repro.harness.cluster import MulticastCluster
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import installed
-from repro.paxos.config import StreamConfig
-from repro.sim.core import Environment
-from repro.sim.network import LinkSpec, Network
-from repro.sim.rng import RngRegistry
 
 LAM = 1000
 PER_STREAM_CAPACITY = 300.0   # ops/s one stream sustains (throttled)
@@ -36,40 +31,21 @@ HIGH_WATERMARK = 0.8
 def main():
     registry = MetricsRegistry()   # the coordinators' decide counters
     with installed(metrics=registry):
-        env = Environment()
-    rng = RngRegistry(11)
-    network = Network(env, rng=rng, default_link=LinkSpec(latency=0.001))
-    compute = CloudCompute(env, boot_time=6.0, boot_jitter=1.0, rng=rng)
-
-    directory = {}
-
-    def deploy_stream(name):
-        config = StreamConfig(
-            name=name,
-            acceptors=(f"{name}/a1", f"{name}/a2", f"{name}/a3"),
-            lam=LAM,
-            delta_t=0.05,
-            value_rate_limit=PER_STREAM_CAPACITY,
+        cluster = MulticastCluster(
+            seed=11, lam=LAM, value_rate_limit=PER_STREAM_CAPACITY
         )
-        deployment = StreamDeployment(env, network, config)
-        directory[name] = deployment
-        deployment.start()
-        return deployment
+    env, directory = cluster.env, cluster.directory
+    compute = CloudCompute(env, boot_time=6.0, boot_jitter=1.0, rng=cluster.rng)
 
     # Initial stream on pre-existing VMs.
     for i in range(3):
         compute.create_server(f"S1-acc-{i}", anti_affinity_group="S1")
-    deploy_stream("S1")
+    cluster.add_stream("S1")
 
-    replica = BroadcastReplica(
-        env, network, "replica-1", "replicas", directory, cpu_rate=5000
+    deployment = BroadcastDeployment(
+        cluster, replicas=1, cpu_rate=5000, value_size=1024
     )
-    replica.bootstrap(["S1"])
-    control = MulticastClient(env, network, "control", directory)
-    client = BroadcastClient(
-        env, network, "client", directory, value_size=1024,
-        rng=rng.stream("client"),
-    )
+    [replica], client = deployment.replicas, deployment.client
     client.start_threads("S1", 8)   # demands more than one stream can give
 
     scale_events = []
@@ -78,13 +54,15 @@ def main():
         name = action.stream
         print(f"  t={env.now:5.1f}s  VMs {[vm.name for vm in vms]} ACTIVE; "
               f"deploying stream {name} and subscribing")
-        deploy_stream(name)   # self-aligns: skips pace against λ·now
-        control.subscribe_msg("replicas", name, via_stream=action.via)
+        cluster.add_stream(name)   # self-aligns: skips pace against λ·now
+        cluster.control.subscribe_msg(
+            deployment.group, name, via_stream=action.via
+        )
         client.start_threads(name, 8)
         scale_events.append((env.now, len(directory)))
 
     controller = ElasticityController(
-        SimSignalSource(env, registry, {"replica-1": replica}, directory),
+        SimSignalSource(env, registry, {replica.name: replica}, directory),
         PolicyEngine(
             (DecideRateCeiling(ceiling=HIGH_WATERMARK * PER_STREAM_CAPACITY),),
             sustain=1, cooldown=0.0, max_streams=3,

@@ -15,8 +15,9 @@ while transfers are in full flight.
 Run:  python examples/bank_transfers.py
 """
 
-from repro.harness.cluster import KvCluster
+from repro.harness.cluster import MulticastCluster
 from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.kvstore.repartition import KvCluster
 from repro.workload.generators import KeyspaceWorkload
 
 N_ACCOUNTS = 20
@@ -24,7 +25,10 @@ INITIAL_BALANCE = 1_000
 
 
 def main():
-    cluster = KvCluster(seed=17, lam=1000, delta_t=0.02)
+    cluster = MulticastCluster(
+        seed=17, link_latency=0.0005, lam=1000, delta_t=0.02
+    )
+    kv = KvCluster(cluster)
     for stream in ("S1", "S2", "SHARED"):
         cluster.add_stream(stream)
     pmap = PartitionMap(
@@ -35,10 +39,10 @@ def main():
         ),
         shared_stream="SHARED",
     )
-    cluster.add_replica("r1", "g1", ["S1", "SHARED"], pmap)
-    cluster.add_replica("r2", "g2", ["S2", "SHARED"], pmap)
-    cluster.publish_map(pmap)
-    client = cluster.add_client(
+    kv.add_replica("r1", "g1", ["S1", "SHARED"], pmap)
+    kv.add_replica("r2", "g2", ["S2", "SHARED"], pmap)
+    kv.publish_map(pmap)
+    client = kv.add_client(
         "bank", pmap, KeyspaceWorkload(n_keys=10), n_threads=0, timeout=1.0
     )
     env = cluster.env

@@ -9,13 +9,17 @@ storing) only half the keyspace.
 Run:  python examples/kvstore_repartition.py
 """
 
-from repro.harness.cluster import KvCluster
+from repro.harness.cluster import MulticastCluster
 from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.kvstore.repartition import KvCluster
 from repro.workload.generators import KeyspaceWorkload
 
 
 def main():
-    cluster = KvCluster(seed=7, lam=1000, delta_t=0.05)
+    cluster = MulticastCluster(
+        seed=7, link_latency=0.0005, lam=1000, delta_t=0.05
+    )
+    kv = KvCluster(cluster)
     cluster.add_stream("S1")
     cluster.add_stream("S2")
 
@@ -23,11 +27,11 @@ def main():
         version=0,
         partitions=(Partition(index=0, stream="S1", replicas=("r1", "r2")),),
     )
-    r1 = cluster.add_replica("r1", "shard-a", ["S1"], initial_map, cpu_rate=2000)
-    r2 = cluster.add_replica("r2", "shard-b", ["S1"], initial_map, cpu_rate=2000)
-    cluster.publish_map(initial_map)
+    r1 = kv.add_replica("r1", "shard-a", ["S1"], initial_map, cpu_rate=2000)
+    r2 = kv.add_replica("r2", "shard-b", ["S1"], initial_map, cpu_rate=2000)
+    kv.publish_map(initial_map)
 
-    client = cluster.add_client(
+    client = kv.add_client(
         "client",
         initial_map,
         KeyspaceWorkload(n_keys=5_000, value_size=1024),
@@ -43,7 +47,7 @@ def main():
 
     print("\nphase 2: split partition 0 -> (0: r1 on S1, 1: r2 on S2)")
     maps = []
-    cluster.orchestrator.split(
+    kv.orchestrator.split(
         old_map=initial_map,
         split_index=0,
         moving_group="shard-b",

@@ -10,13 +10,17 @@ messages, and assembled at the client.
 Run:  python examples/multi_partition_queries.py
 """
 
-from repro.harness.cluster import KvCluster
+from repro.harness.cluster import MulticastCluster
 from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.kvstore.repartition import KvCluster
 from repro.workload.generators import KeyspaceWorkload, key_name
 
 
 def main():
-    cluster = KvCluster(seed=5, lam=1000, delta_t=0.02)
+    cluster = MulticastCluster(
+        seed=5, link_latency=0.0005, lam=1000, delta_t=0.02
+    )
+    kv = KvCluster(cluster)
     for stream in ("S1", "S3", "SHARED"):
         cluster.add_stream(stream)
 
@@ -32,13 +36,13 @@ def main():
     for partition in pmap.partitions:
         for name in partition.replicas:
             group = name.split("-")[0]
-            replicas[name] = cluster.add_replica(
+            replicas[name] = kv.add_replica(
                 name, f"group-{name}", [partition.stream, "SHARED"], pmap
             )
-    cluster.publish_map(pmap)
+    kv.publish_map(pmap)
 
     print("phase 1: load 2000 keys through single-partition puts")
-    seeder = cluster.add_client(
+    seeder = kv.add_client(
         "seeder", pmap,
         KeyspaceWorkload(n_keys=2_000, value_size=256, put_fraction=1.0),
         n_threads=20,
@@ -50,7 +54,7 @@ def main():
               f"(shard {replica.partition_index})")
 
     print("\nphase 2: consistent getrange across both shards")
-    ranger = cluster.add_client(
+    ranger = kv.add_client(
         "ranger", pmap,
         KeyspaceWorkload(n_keys=2_000, put_fraction=0.0, range_fraction=1.0,
                          range_span=200),
@@ -64,7 +68,7 @@ def main():
           "(one merged delivery + signal exchange)")
 
     print("\nphase 3: mixed workload (70% put / 25% get / 5% range)")
-    mixed = cluster.add_client(
+    mixed = kv.add_client(
         "mixed", pmap,
         KeyspaceWorkload(n_keys=2_000, value_size=256, put_fraction=0.70,
                          range_fraction=0.05, range_span=50),

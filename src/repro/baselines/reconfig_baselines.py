@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..harness.broadcast import BroadcastClient, BroadcastReplica
+from ..harness.broadcast import BroadcastDeployment
 from ..harness.cluster import MulticastCluster
 from ..multicast.stream import StreamDeployment
 from ..paxos.acceptor import AcceptorActor
@@ -69,76 +69,48 @@ class BaselineReconfigResult:
     latency_p95_ms: Optional[float] = None   # None: no round trip
 
 
-def _measure(result, counter, client, config, switch_window=20.0):
-    result.throughput = counter.interval_rates(
-        config.measure_interval, 0.0, config.duration
+def _build_world(config: BaselineReconfigConfig, window: int = 16):
+    """Stream S1, the broadcast deployment and the Fig. 5 load on S1."""
+    cluster = MulticastCluster(
+        ("S1",), seed=config.seed, link_latency=config.link_latency,
+        lam=config.lam, delta_t=config.delta_t, window=window,
     )
-    result.steady_rate = counter.rate_between(
-        0.3 * config.reconfigure_at, config.reconfigure_at
+    deployment = BroadcastDeployment(
+        cluster, cpu_rate=config.replica_cpu_rate,
+        value_size=config.value_size, think_time=config.think_time,
     )
-    switch_rates = [
-        rate
-        for t, rate in result.throughput
-        if config.reconfigure_at - 1 <= t <= config.reconfigure_at + switch_window
-    ]
+    deployment.client.start_threads("S1", config.n_threads)
+    return cluster, deployment
+
+
+def _measure(result, deployment, config):
+    result.throughput = deployment.throughput(
+        config.measure_interval, config.duration
+    )
+    result.steady_rate, switch_rates = deployment.switch(
+        result.throughput, config.reconfigure_at, 20.0
+    )
     result.min_rate_during_switch = min(switch_rates) if switch_rates else 0.0
     result.downtime_seconds = sum(
         config.measure_interval
         for rate in switch_rates
         if rate < 0.05 * max(result.steady_rate, 1.0)
     )
-    result.latency_p95_ms = client.latency_p95_ms()
+    result.latency_p95_ms = deployment.client.latency_p95_ms()
     return result
-
-
-def _replicas(
-    cluster: MulticastCluster, config: BaselineReconfigConfig, suffix: str = ""
-) -> list[BroadcastReplica]:
-    """Two replicas subscribed to S1 (one service epoch's worth)."""
-    replicas = []
-    for index in range(2):
-        replica = BroadcastReplica(
-            cluster.env, cluster.network, f"replica-{index + 1}{suffix}",
-            f"replicas{suffix}", cluster.directory,
-            cpu_rate=config.replica_cpu_rate,
-        )
-        replica.bootstrap(["S1"])
-        replicas.append(replica)
-    return replicas
-
-
-def _build_world(config: BaselineReconfigConfig, window: int = 16):
-    """Stream S1, two replicas and the Fig. 5 client load on S1."""
-    cluster = MulticastCluster(
-        ("S1",), seed=config.seed, link_latency=config.link_latency,
-        lam=config.lam, delta_t=config.delta_t, window=window,
-    )
-    replicas = _replicas(cluster, config)
-    client = BroadcastClient(
-        cluster.env, cluster.network, "client", cluster.directory,
-        value_size=config.value_size, think_time=config.think_time,
-        timeout=2.0, rng=cluster.rng.stream("client"),
-    )
-    client.start_threads("S1", config.n_threads)
-    return cluster, replicas, client
 
 
 def run_stop_restart_reconfig(
     config: BaselineReconfigConfig = BaselineReconfigConfig(),
 ) -> BaselineReconfigResult:
     """Reconfigure by halting the whole stack and restarting it."""
-    cluster, replicas, client = _build_world(config)
-    env, deployment = cluster.env, cluster.directory["S1"]
-    # One counter per service epoch (before/after restart); combined
-    # for measurement.
-    measured_counters = [replicas[0].delivered_ops]
+    cluster, deployment = _build_world(config)
+    env, stream = cluster.env, cluster.directory["S1"]
 
     def stop_the_world() -> None:
         # Stop the world: clients, replicas, the stream itself.
-        client.stop_threads()
-        for replica in replicas:
-            replica.stop()
         deployment.stop()
+        stream.stop()
         env.call_later(config.restart_downtime, restart)
 
     def restart() -> None:
@@ -149,32 +121,16 @@ def run_stop_restart_reconfig(
             lam=config.lam,
             delta_t=config.delta_t,
         )
-        new_deployment = StreamDeployment(env, cluster.network, new_config)
-        cluster.directory["S1"] = new_deployment
-        new_deployment.start()
-        measured_counters.append(
-            _replicas(cluster, config, "-v2")[0].delivered_ops
-        )
-        client.start_threads("S1", config.n_threads)
+        new_stream = StreamDeployment(env, cluster.network, new_config)
+        cluster.directory["S1"] = new_stream
+        new_stream.start()
+        deployment.restart()
+        deployment.client.start_threads("S1", config.n_threads)
 
     env.call_at(config.reconfigure_at, stop_the_world)
     env.run(until=config.duration)
-
-    class _Combined:
-        """Presents the per-epoch counters as one counter."""
-
-        def interval_rates(self, interval, start, end):
-            series = [c.interval_rates(interval, start, end) for c in measured_counters]
-            return [
-                (points[0][0], sum(p[1] for p in points))
-                for points in zip(*series)
-            ]
-
-        def rate_between(self, start, end):
-            return sum(c.rate_between(start, end) for c in measured_counters)
-
     result = BaselineReconfigResult(config=config, strategy="stop-restart")
-    return _measure(result, _Combined(), client, config)
+    return _measure(result, deployment, config)
 
 
 def run_membership_command_reconfig(
@@ -186,9 +142,9 @@ def run_membership_command_reconfig(
     instance, so instances cannot be decided concurrently) and the
     switch drains the pipeline and re-runs Phase 1 on the new acceptors.
     """
-    cluster, replicas, client = _build_world(config, window=1)
-    env, deployment = cluster.env, cluster.directory["S1"]
-    coordinator = deployment.coordinator
+    cluster, deployment = _build_world(config, window=1)
+    env, stream = cluster.env, cluster.directory["S1"]
+    coordinator = stream.coordinator
 
     def order_membership_command() -> None:
         # The membership command is ordered like any value; once decided
@@ -206,11 +162,11 @@ def run_membership_command_reconfig(
         for acceptor in new_acceptors:
             acceptor.start()
         coordinator.config.acceptors = new_names
-        deployment.acceptors = new_acceptors
-        deployment._sync_decision_targets()
+        stream.acceptors = new_acceptors
+        stream._sync_decision_targets()
         coordinator.take_over()
 
     env.call_at(config.reconfigure_at, order_membership_command)
     env.run(until=config.duration)
     result = BaselineReconfigResult(config=config, strategy="membership-command")
-    return _measure(result, replicas[0].delivered_ops, client, config)
+    return _measure(result, deployment, config)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..harness.broadcast import BroadcastClient, BroadcastReplica
+from ..harness.broadcast import BroadcastDeployment
 from ..harness.cluster import MulticastCluster
 from ..paxos.types import AppValue
 from ..runtime.kernel import every
@@ -51,34 +51,26 @@ def run_skip_ablation(
         delta_t=config.delta_t,
         skip_enabled=config.skip_enabled,
     )
-    env, network, directory = cluster.env, cluster.network, cluster.directory
-
-    replica = BroadcastReplica(env, network, "replica-1", "replicas", directory)
-    replica.bootstrap(["S1", "S2"])
-    client = BroadcastClient(
-        env,
-        network,
-        "client",
-        directory,
+    deployment = BroadcastDeployment(
+        cluster, replicas=1, streams=("S1", "S2"),
         value_size=config.value_size,
         timeout=config.duration + 1,   # no retries: we measure starvation
-        rng=cluster.rng.stream("client"),
     )
+    client = deployment.client
     client.start_threads("S1", config.n_threads)
     if config.idle_stream_load > 0:
+        idle = cluster.directory["S2"]
         every(
-            env, 1.0 / config.idle_stream_load,
-            lambda: directory["S2"].propose(AppValue(payload=None, size=64)),
+            cluster.env, 1.0 / config.idle_stream_load,
+            lambda: idle.propose(AppValue(payload=None, size=64)),
             first=0.0,
         )
 
-    env.run(until=config.duration)
+    cluster.run(until=config.duration)
 
     result = SkipAblationResult(config=config)
     result.completed_ops = int(client.ops.total)
     if config.duration > 5.0:
-        result.delivered_rate = replica.delivered_ops.rate_between(
-            1.0, config.duration
-        )
+        result.delivered_rate = deployment.rate_between(1.0, config.duration)
     result.merge_blocked = result.delivered_rate < 1.0
     return result

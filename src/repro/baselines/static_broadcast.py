@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..harness.broadcast import BroadcastClient, BroadcastReplica
+from ..harness.broadcast import BroadcastDeployment
 from ..harness.cluster import MulticastCluster
 from ..runtime.kernel import every
 
@@ -59,29 +59,10 @@ def run_static_broadcast(
         delta_t=config.delta_t,
         value_rate_limit=config.stream_limit,
     )
-    env, network, directory = cluster.env, cluster.network, cluster.directory
-
-    replicas = []
-    for index in range(2):
-        replica = BroadcastReplica(
-            env,
-            network,
-            f"replica-{index + 1}",
-            "replicas",
-            directory,
-            cpu_rate=config.replica_cpu_rate,
-        )
-        replica.bootstrap(["S1"])
-        replicas.append(replica)
-
-    client = BroadcastClient(
-        env,
-        network,
-        "client",
-        directory,
-        value_size=config.value_size,
-        rng=cluster.rng.stream("client"),
+    deployment = BroadcastDeployment(
+        cluster, cpu_rate=config.replica_cpu_rate, value_size=config.value_size
     )
+    client = deployment.client
     client.start_threads("S1", config.threads_per_step)
 
     remaining = config.n_steps - 1
@@ -93,26 +74,16 @@ def run_static_broadcast(
         return remaining > 0
 
     if remaining > 0:
-        every(env, config.add_threads_interval, add_threads)
-    env.run(until=config.duration)
+        every(cluster.env, config.add_threads_interval, add_threads)
+    cluster.run(until=config.duration)
 
-    measured = replicas[0]
     result = StaticBroadcastResult(config=config)
-    result.throughput = measured.delivered_ops.interval_rates(
-        config.measure_interval, 0.0, config.duration
+    result.throughput = deployment.throughput(
+        config.measure_interval, config.duration
     )
-    boundaries = [
-        min(k * config.add_threads_interval, config.duration)
-        for k in range(config.n_steps)
-    ] + [config.duration]
-    for start, end in zip(boundaries, boundaries[1:]):
-        if end > start:
-            result.interval_averages.append(
-                measured.delivered_ops.rate_between(start, end)
-            )
+    result.interval_averages, result.scaling_factor = deployment.phases(
+        [k * config.add_threads_interval for k in range(config.n_steps)],
+        config.duration,
+    )
     result.latency_p95_ms = client.latency_p95_ms()
-    if result.interval_averages and result.interval_averages[0] > 0:
-        result.scaling_factor = (
-            result.interval_averages[-1] / result.interval_averages[0]
-        )
     return result

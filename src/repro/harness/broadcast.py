@@ -1,16 +1,24 @@
-"""Atomic-broadcast application used by the Fig. 3 and Fig. 5 setups.
+"""The paper's broadcast deployment: the Fig. 3 and Fig. 5 setups.
 
 The paper's vertical-scalability and reconfiguration experiments run a
 bare SMR service: client threads send 32 KiB values, replicas deliver
 them through the (elastic) merge and acknowledge back to the client.
 Throughput is measured at the replicas, attributed to the stream each
 value was ordered in -- exactly the per-stream series the figures plot.
+
+:class:`BroadcastDeployment` stands that service up on a
+:class:`~repro.harness.cluster.MulticastCluster` -- every evaluation
+driver, baseline, ablation bench and the autoscaling example deploy
+through it -- and folds the figures off it: the interval series, the
+per-stream series, the phase averages and their scaling factor, and
+the steady rate with the switch-window rates.  (The key/value store's
+counterpart is :class:`repro.kvstore.repartition.KvCluster`.)
 """
 
 from __future__ import annotations
 
 import random
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
@@ -24,7 +32,12 @@ from ..runtime.resources import Server
 from ..sim.core import Environment
 from ..sim.network import Network
 
-__all__ = ["BroadcastReplica", "BroadcastClient", "DeliveryAck"]
+if TYPE_CHECKING:
+    from .cluster import MulticastCluster
+
+__all__ = [
+    "BroadcastClient", "BroadcastDeployment", "BroadcastReplica", "DeliveryAck",
+]
 
 
 class DeliveryAck(FastMessage):
@@ -252,3 +265,116 @@ class BroadcastClient(Actor):
             env.call_later(self.think_time, self._next_value, thread)
         else:
             self._next_value(thread)
+
+
+class BroadcastDeployment:
+    """``replicas`` :class:`BroadcastReplica` s and one closed-loop
+    :class:`BroadcastClient` on a cluster, as the paper deploys them.
+
+    The replicas are ``replica-<i>`` in group :attr:`group`, each
+    merging ``streams`` (the cluster's first stream by default); the
+    client is ``client`` on the cluster's ``client`` RNG stream and
+    starts no thread of its own (``client.start_threads``).
+    ``client_options`` go to the client (``value_size``, ``timeout``,
+    ``think_time``).  The figures are read off the first replica of
+    every service epoch (:meth:`restart`) and the client.
+    """
+
+    def __init__(
+        self,
+        cluster: "MulticastCluster",
+        replicas: int = 2,
+        streams: Optional[Sequence[str]] = None,
+        cpu_rate: float = 2800.0,
+        **client_options,
+    ):
+        self.cluster = cluster
+        self._count = replicas
+        self._streams = list(streams or [next(iter(cluster.directory))])
+        self._cpu_rate = cpu_rate
+        self._epochs: list[BroadcastReplica] = []
+        self.group = ""
+        self.replicas: list[BroadcastReplica] = []
+        self._deploy_replicas("")
+        self.client = BroadcastClient(
+            cluster.env, cluster.network, "client", cluster.directory,
+            rng=cluster.rng.stream("client"), **client_options,
+        )
+
+    def _deploy_replicas(self, suffix: str) -> None:
+        cluster = self.cluster
+        self.group = f"replicas{suffix}"
+        self.replicas = []
+        for index in range(self._count):
+            replica = BroadcastReplica(
+                cluster.env, cluster.network, f"replica-{index + 1}{suffix}",
+                self.group, cluster.directory, cpu_rate=self._cpu_rate,
+            )
+            replica.bootstrap(self._streams)
+            cluster.replicas[replica.name] = replica
+            self.replicas.append(replica)
+        self._epochs.append(self.replicas[0])
+
+    def stop(self) -> None:
+        """Stop the client's threads, then every replica."""
+        self.client.stop_threads()
+        for replica in self.replicas:
+            replica.stop()
+
+    def restart(self) -> None:
+        """A new service epoch: fresh replicas ``replica-<i>-v<k>`` in
+        group ``replicas-v<k>``, bootstrapped as the first were; the
+        figures sum the epochs."""
+        self._deploy_replicas(f"-v{len(self._epochs) + 1}")
+
+    # -- the figures ---------------------------------------------------------
+
+    def rate_between(self, start: float, end: float) -> float:
+        """Values/s the first replica delivered over ``[start, end)``,
+        summed over the epochs."""
+        return sum(r.delivered_ops.rate_between(start, end) for r in self._epochs)
+
+    def throughput(self, interval: float, duration: float) -> list:
+        """``[(t, values/s)]`` over consecutive ``interval`` s of the run."""
+        series = [
+            r.delivered_ops.interval_rates(interval, 0.0, duration)
+            for r in self._epochs
+        ]
+        return [
+            (points[0][0], sum(rate for _t, rate in points))
+            for points in zip(*series)
+        ]
+
+    def per_stream(self, interval: float, duration: float) -> dict:
+        """``stream -> [(t, values/s)]``, of the first epoch."""
+        return {
+            stream: counter.interval_rates(interval, 0.0, duration)
+            for stream, counter in self._epochs[0].per_stream_ops.items()
+        }
+
+    def phases(
+        self, starts: Sequence[float], duration: float
+    ) -> tuple[list, float]:
+        """The average rate of each phase (phase ``k`` runs from
+        ``starts[k]`` to the next start, clipped to the run) and the
+        scaling factor: the last phase's over the first's, 0.0 when the
+        first delivered nothing."""
+        bounds = [min(start, duration) for start in starts] + [duration]
+        averages = [
+            self.rate_between(start, end)
+            for start, end in zip(bounds, bounds[1:]) if end > start
+        ]
+        factor = 0.0
+        if averages and averages[0] > 0:
+            factor = averages[-1] / averages[0]
+        return averages, factor
+
+    def switch(
+        self, throughput: list, at: float, window: float
+    ) -> tuple[float, list]:
+        """The steady rate over ``[0.3·at, at)`` and the ``throughput``
+        rates from one interval before ``at`` to ``window`` s after it."""
+        steady = self.rate_between(0.3 * at, at)
+        return steady, [
+            rate for t, rate in throughput if at - 1 <= t <= at + window
+        ]

@@ -4,24 +4,22 @@
 ring each), multicast replicas and control clients under one
 deterministic environment, network and RNG registry, mirroring how the
 paper's experiments are deployed on OpenStack.  Every evaluation
-driver (:mod:`repro.harness.experiments`, :mod:`repro.baselines`), the
-integration tests and the fault-injection scenario runner
-(:mod:`repro.faults`) build on it.
-
-:class:`KvCluster` is its key/value extension: the same cluster plus
-the coordination registry, key/value replicas, closed-loop clients and
-the re-partitioning orchestrator.
+driver (:mod:`repro.harness.experiments`, :mod:`repro.baselines`),
+every benchmark (``benchmarks/test_bench_*.py``), the integration
+tests and the fault-injection scenario runner (:mod:`repro.faults`)
+build on it; the paper's broadcast service on top is
+:class:`repro.harness.broadcast.BroadcastDeployment`, and the
+key/value store's is :class:`repro.kvstore.repartition.KvCluster`.
+A bench that needs a piece the cluster does not offer (acceptor
+storage, region-named acceptors) builds only that piece on its
+:attr:`~MulticastCluster.env`, :attr:`~MulticastCluster.network` and
+:attr:`~MulticastCluster.directory`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..coordination.registry import RegistryService
-from ..kvstore.client import PARTITION_MAP_KEY, KvClient
-from ..kvstore.partitioning import PartitionMap
-from ..kvstore.replica import KvReplica
-from ..kvstore.repartition import RepartitionOrchestrator
 from ..multicast.api import MulticastClient
 from ..multicast.replica import MulticastReplica
 from ..multicast.stream import StreamDeployment
@@ -30,9 +28,8 @@ from ..paxos.config import StreamConfig, acceptor_name
 from ..sim.core import Environment
 from ..sim.network import LinkSpec, Network
 from ..sim.rng import RngRegistry
-from ..workload.generators import KeyspaceWorkload
 
-__all__ = ["KvCluster", "MulticastCluster"]
+__all__ = ["MulticastCluster"]
 
 
 class MulticastCluster:
@@ -149,87 +146,3 @@ class MulticastCluster:
 
     def run(self, until: float) -> None:
         self.env.run(until=until)
-
-
-class KvCluster(MulticastCluster):
-    """A :class:`MulticastCluster` with the key/value store on top."""
-
-    def __init__(
-        self,
-        seed: int = 1,
-        link_latency: float = 0.0005,
-        lam: int = 4000,
-        delta_t: float = 0.100,
-    ):
-        super().__init__(
-            seed=seed, link_latency=link_latency, lam=lam, delta_t=delta_t
-        )
-        self.registry = RegistryService(self.env, self.network)
-        self.registry.start()
-        self.clients: dict[str, KvClient] = {}
-        self._orchestrator: Optional[RepartitionOrchestrator] = None
-
-    # -- replicas ------------------------------------------------------------
-
-    def add_replica(
-        self,
-        name: str,
-        group: str,
-        streams: list[str],
-        partition_map: PartitionMap,
-        cpu_rate: float = 5000.0,
-        **replica_kwargs,
-    ) -> KvReplica:
-        replica = KvReplica(
-            self.env,
-            self.network,
-            name,
-            group,
-            self.directory,
-            partition_map,
-            cpu_rate=cpu_rate,
-            **replica_kwargs,
-        )
-        replica.bootstrap(streams)
-        self.replicas[name] = replica
-        return replica
-
-    # -- clients ---------------------------------------------------------------
-
-    def add_client(
-        self,
-        name: str,
-        partition_map: PartitionMap,
-        workload: Optional[KeyspaceWorkload] = None,
-        n_threads: int = 10,
-        timeout: float = 1.0,
-        think_time: float = 0.0,
-    ) -> KvClient:
-        client = KvClient(
-            self.env,
-            self.network,
-            name,
-            self.directory,
-            partition_map,
-            workload or KeyspaceWorkload(),
-            n_threads=n_threads,
-            timeout=timeout,
-            think_time=think_time,
-            rng=self.rng.stream(f"client:{name}"),
-        )
-        client.start_workers()
-        self.clients[name] = client
-        return client
-
-    # -- control plane ------------------------------------------------------------
-
-    @property
-    def orchestrator(self) -> RepartitionOrchestrator:
-        if self._orchestrator is None:
-            self._orchestrator = RepartitionOrchestrator(
-                self.env, self.control, self.directory, registry=self.registry
-            )
-        return self._orchestrator
-
-    def publish_map(self, partition_map: PartitionMap) -> None:
-        self.registry.put_local(PARTITION_MAP_KEY, partition_map)

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...kvstore.partitioning import Partition, PartitionMap
+from ...kvstore.repartition import KvCluster
 from ...workload.generators import KeyspaceWorkload
-from ..cluster import KvCluster
+from ..cluster import MulticastCluster
 
 __all__ = ["HorizontalConfig", "HorizontalResult", "run_horizontal"]
 
@@ -63,12 +64,13 @@ class HorizontalResult:
 
 
 def run_horizontal(config: HorizontalConfig = HorizontalConfig()) -> HorizontalResult:
-    cluster = KvCluster(
+    cluster = MulticastCluster(
         seed=config.seed,
         link_latency=config.link_latency,
         lam=config.lam,
         delta_t=config.delta_t,
     )
+    kv = KvCluster(cluster)
     cluster.add_stream("S1")
     cluster.add_stream("S2")
 
@@ -76,13 +78,13 @@ def run_horizontal(config: HorizontalConfig = HorizontalConfig()) -> HorizontalR
         version=0,
         partitions=(Partition(index=0, stream="S1", replicas=("r1", "r2")),),
     )
-    r1 = cluster.add_replica(
+    r1 = kv.add_replica(
         "r1", "shard-a", ["S1"], initial_map, cpu_rate=config.replica_cpu_rate
     )
-    r2 = cluster.add_replica(
+    r2 = kv.add_replica(
         "r2", "shard-b", ["S1"], initial_map, cpu_rate=config.replica_cpu_rate
     )
-    cluster.publish_map(initial_map)
+    kv.publish_map(initial_map)
 
     # Closed-loop load at `load_fraction` of one replica's peak:
     # threads / (latency + think) = fraction * peak.
@@ -91,7 +93,7 @@ def run_horizontal(config: HorizontalConfig = HorizontalConfig()) -> HorizontalR
     workload = KeyspaceWorkload(
         n_keys=config.n_keys, value_size=config.value_size, put_fraction=1.0
     )
-    client = cluster.add_client(
+    client = kv.add_client(
         "client",
         initial_map,
         workload,
@@ -102,7 +104,7 @@ def run_horizontal(config: HorizontalConfig = HorizontalConfig()) -> HorizontalR
 
     cluster.env.call_at(
         config.split_at,
-        lambda: cluster.orchestrator.split(
+        lambda: kv.orchestrator.split(
             old_map=initial_map,
             split_index=0,
             moving_group="shard-b",

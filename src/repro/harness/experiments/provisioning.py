@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ...cloud.openstack import AutoScalingGroup, CloudCompute
 from ...cloud.vm import DEFAULT_BOOT_TIME
 from ...runtime.kernel import every
-from ..broadcast import BroadcastClient, BroadcastReplica
+from ..broadcast import BroadcastDeployment
 from ..cluster import MulticastCluster
 
 __all__ = ["ProvisioningConfig", "ProvisioningResult", "run_provisioning"]
@@ -55,7 +55,7 @@ def run_provisioning(
         delta_t=config.delta_t,
         n_acceptors=config.acceptors_per_stream,
     )
-    env, network, directory = cluster.env, cluster.network, cluster.directory
+    env = cluster.env
     compute = CloudCompute(
         env, boot_time=config.boot_time, boot_jitter=config.boot_jitter,
         rng=cluster.rng,
@@ -66,13 +66,8 @@ def run_provisioning(
         compute.create_server(f"S1-acc-{i}", anti_affinity_group="S1")
     cluster.add_stream("S1")
 
-    replica = BroadcastReplica(env, network, "replica-1", "replicas", directory)
-    replica.bootstrap(["S1"])
-    control = cluster.control
-    client = BroadcastClient(
-        env, network, "client", directory, value_size=1024,
-        rng=cluster.rng.stream("client"),
-    )
+    deployment = BroadcastDeployment(cluster, replicas=1, value_size=1024)
+    control, client = cluster.control, deployment.client
     client.start_threads("S1", 2)
 
     result = ProvisioningResult(config=config)
@@ -90,7 +85,7 @@ def run_provisioning(
         # against the global virtual position clock (λ·now), so the new
         # stream tops itself up to the ensemble's position on its first
         # Δt tick.
-        control.subscribe_msg("replicas", "S2", via_stream="S1")
+        control.subscribe_msg(deployment.group, "S2", via_stream="S1")
         result.subscribed_at = env.now
         client.start_threads("S2", 2)
 
@@ -98,7 +93,7 @@ def run_provisioning(
 
     # Detect the first delivery attributed to the new stream.
     def watch() -> bool:
-        counter = replica.per_stream_ops.get("S2")
+        counter = deployment.replicas[0].per_stream_ops.get("S2")
         if counter is not None and counter.total > 0:
             result.first_delivery_at = counter._times[0]
             return False

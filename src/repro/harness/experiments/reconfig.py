@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..broadcast import BroadcastClient, BroadcastReplica
+from ..broadcast import BroadcastDeployment
 from ..cluster import MulticastCluster
 
 __all__ = ["ReconfigConfig", "ReconfigResult", "run_reconfig"]
@@ -73,46 +73,27 @@ def run_reconfig(config: ReconfigConfig = ReconfigConfig()) -> ReconfigResult:
         cluster.add_stream(
             name, recovery_instance_cost=config.recovery_instance_cost
         )
-    env, network, directory = cluster.env, cluster.network, cluster.directory
-
-    replicas = []
-    for index in range(2):
-        replica = BroadcastReplica(
-            env,
-            network,
-            f"replica-{index + 1}",
-            "replicas",
-            directory,
-            cpu_rate=config.replica_cpu_rate,
-        )
-        replica.bootstrap(["S1"])
-        replicas.append(replica)
-
-    control = cluster.control
-    client = BroadcastClient(
-        env,
-        network,
-        "client",
-        directory,
-        value_size=config.value_size,
-        think_time=config.think_time,
-        rng=cluster.rng.stream("client"),
+    deployment = BroadcastDeployment(
+        cluster, cpu_rate=config.replica_cpu_rate,
+        value_size=config.value_size, think_time=config.think_time,
     )
+    env, control, client = cluster.env, cluster.control, deployment.client
+    group = deployment.group
     client.start_threads("S1", config.n_threads)
 
     def hint() -> None:
-        control.prepare_msg("replicas", "S2", via_stream="S1")
+        control.prepare_msg(group, "S2", via_stream="S1")
         env.call_later(config.subscribe_at - config.prepare_at, subscribe)
 
     def subscribe() -> None:
-        control.subscribe_msg("replicas", "S2", via_stream="S1")
+        control.subscribe_msg(group, "S2", via_stream="S1")
         # Operators point the clients at the new stream, then retire S1.
         env.call_later(0.05, retarget)
 
     def retarget() -> None:
         client.retarget("S1", "S2")
         env.call_later(
-            0.05, control.unsubscribe_msg, "replicas", "S1", "S1"
+            0.05, control.unsubscribe_msg, group, "S1", "S1"
         )
 
     if config.use_prepare:
@@ -121,27 +102,20 @@ def run_reconfig(config: ReconfigConfig = ReconfigConfig()) -> ReconfigResult:
         env.call_at(config.subscribe_at, subscribe)
     env.run(until=config.duration)
 
-    measured = replicas[0]
     result = ReconfigResult(config=config)
-    result.throughput = measured.delivered_ops.interval_rates(
-        config.measure_interval, 0.0, config.duration
+    result.throughput = deployment.throughput(
+        config.measure_interval, config.duration
     )
-    result.per_stream = {
-        stream: counter.interval_rates(config.measure_interval, 0.0, config.duration)
-        for stream, counter in measured.per_stream_ops.items()
-    }
+    result.per_stream = deployment.per_stream(
+        config.measure_interval, config.duration
+    )
     result.latency_p95_ms = client.latency_p95_ms()
-    result.steady_rate = measured.delivered_ops.rate_between(
-        0.3 * config.subscribe_at, config.subscribe_at
+    result.steady_rate, switch_rates = deployment.switch(
+        result.throughput, config.subscribe_at, 5.0
     )
     result.throughput_mbps = (
         result.steady_rate * config.value_size * 8 / 1_000_000
     )
-    switch_rates = [
-        rate
-        for t, rate in result.throughput
-        if config.subscribe_at - 1 <= t <= config.subscribe_at + 5
-    ]
     result.min_rate_during_switch = min(switch_rates) if switch_rates else 0.0
     if result.steady_rate > 0:
         result.overhead_ratio = 1.0 - result.min_rate_during_switch / result.steady_rate

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..broadcast import BroadcastClient, BroadcastReplica
+from ..broadcast import BroadcastDeployment
 from ..cluster import MulticastCluster
 
 __all__ = ["VerticalConfig", "VerticalResult", "run_vertical"]
@@ -78,30 +78,10 @@ def run_vertical(config: VerticalConfig = VerticalConfig()) -> VerticalResult:
         cluster.add_stream(
             name, recovery_instance_cost=config.recovery_instance_cost
         )
-    env, network, directory = cluster.env, cluster.network, cluster.directory
-
-    replicas = []
-    for index in range(2):
-        replica = BroadcastReplica(
-            env,
-            network,
-            f"replica-{index + 1}",
-            "replicas",
-            directory,
-            cpu_rate=config.replica_cpu_rate,
-        )
-        replica.bootstrap([streams[0]])
-        replicas.append(replica)
-
-    control = cluster.control
-    client = BroadcastClient(
-        env,
-        network,
-        "client",
-        directory,
-        value_size=config.value_size,
-        rng=cluster.rng.stream("client"),
+    deployment = BroadcastDeployment(
+        cluster, cpu_rate=config.replica_cpu_rate, value_size=config.value_size
     )
+    env, control, client = cluster.env, cluster.control, deployment.client
     client.start_threads(streams[0], config.threads_per_stream)
 
     subscribe_times: list[float] = []
@@ -109,14 +89,18 @@ def run_vertical(config: VerticalConfig = VerticalConfig()) -> VerticalResult:
     # Stream k is subscribed at k * add_interval (in both modes); with
     # prepare enabled its hint leads the subscribe by prepare_lead.
     def subscribe(k: int) -> None:
-        control.subscribe_msg("replicas", streams[k], via_stream=streams[0])
+        control.subscribe_msg(
+            deployment.group, streams[k], via_stream=streams[0]
+        )
         subscribe_times.append(env.now)
         client.start_threads(streams[k], config.threads_per_stream)
         if k + 1 < config.n_streams:
             schedule(k + 1)
 
     def hint(k: int) -> None:
-        control.prepare_msg("replicas", streams[k], via_stream=streams[0])
+        control.prepare_msg(
+            deployment.group, streams[k], via_stream=streams[0]
+        )
         env.call_at(k * config.add_interval, subscribe, k)
 
     def schedule(k: int) -> None:
@@ -130,28 +114,16 @@ def run_vertical(config: VerticalConfig = VerticalConfig()) -> VerticalResult:
         schedule(1)
     env.run(until=config.duration)
 
-    measured = replicas[0]
     result = VerticalResult(config=config, subscribe_times=subscribe_times)
-    result.throughput = measured.delivered_ops.interval_rates(
-        config.measure_interval, 0.0, config.duration
+    result.throughput = deployment.throughput(
+        config.measure_interval, config.duration
     )
-    result.per_stream = {
-        stream: counter.interval_rates(config.measure_interval, 0.0, config.duration)
-        for stream, counter in measured.per_stream_ops.items()
-    }
-    boundaries = [
-        min(k * config.add_interval, config.duration)
-        for k in range(config.n_streams)
-    ]
-    boundaries.append(config.duration)
-    for start, end in zip(boundaries, boundaries[1:]):
-        if end > start:
-            result.interval_averages.append(
-                measured.delivered_ops.rate_between(start, end)
-            )
+    result.per_stream = deployment.per_stream(
+        config.measure_interval, config.duration
+    )
+    result.interval_averages, result.scaling_factor = deployment.phases(
+        [k * config.add_interval for k in range(config.n_streams)],
+        config.duration,
+    )
     result.latency_p95_ms = client.latency_p95_ms()
-    if result.interval_averages[0] > 0:
-        result.scaling_factor = (
-            result.interval_averages[-1] / result.interval_averages[0]
-        )
     return result

@@ -14,11 +14,15 @@ The split of one shard into two follows the paper's timeline:
 A merge (scale-in) runs the inverse: the absorbing group subscribes to
 the doomed partition's stream, the map change removes the partition,
 and the doomed stream is unsubscribed.
+
+:class:`KvCluster` puts the store on a simulated
+:class:`~repro.harness.cluster.MulticastCluster`: the coordination
+registry, key/value replicas and clients, and this orchestrator.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ..coordination.registry import RegistryService
 from ..multicast.api import MulticastClient
@@ -26,11 +30,16 @@ from ..multicast.stream import StreamDeployment
 from ..paxos.messages import Propose
 from ..paxos.types import AppValue
 from ..runtime.kernel import Kernel
-from .client import PARTITION_MAP_KEY
+from ..workload.generators import KeyspaceWorkload
+from .client import PARTITION_MAP_KEY, KvClient
 from .commands import MapChangeCmd
 from .partitioning import Partition, PartitionMap
+from .replica import KvReplica
 
-__all__ = ["RepartitionOrchestrator"]
+if TYPE_CHECKING:
+    from ..harness.cluster import MulticastCluster
+
+__all__ = ["KvCluster", "RepartitionOrchestrator"]
 
 
 class RepartitionOrchestrator:
@@ -214,3 +223,69 @@ class RepartitionOrchestrator:
                 on_done(new_map)
 
         env.call_later(0.0, subscribe)
+
+
+class KvCluster:
+    """The key/value store on a :class:`MulticastCluster`.
+
+    It starts the coordination registry on the cluster at once (build
+    it before the streams, as the store's runs do) and adds key/value
+    replicas -- into the cluster's ``replicas`` -- and closed-loop
+    clients; the streams, the clock and the run stay the cluster's.
+    """
+
+    def __init__(self, cluster: "MulticastCluster"):
+        self.cluster = cluster
+        self.registry = RegistryService(cluster.env, cluster.network)
+        self.registry.start()
+        self._orchestrator: Optional[RepartitionOrchestrator] = None
+
+    def add_replica(
+        self,
+        name: str,
+        group: str,
+        streams: list[str],
+        partition_map: PartitionMap,
+        cpu_rate: float = 5000.0,
+        **replica_kwargs,
+    ) -> KvReplica:
+        cluster = self.cluster
+        replica = KvReplica(
+            cluster.env, cluster.network, name, group, cluster.directory,
+            partition_map, cpu_rate=cpu_rate, **replica_kwargs,
+        )
+        replica.bootstrap(streams)
+        cluster.replicas[name] = replica
+        return replica
+
+    def add_client(
+        self,
+        name: str,
+        partition_map: PartitionMap,
+        workload: Optional[KeyspaceWorkload] = None,
+        n_threads: int = 10,
+        timeout: float = 1.0,
+        think_time: float = 0.0,
+    ) -> KvClient:
+        cluster = self.cluster
+        client = KvClient(
+            cluster.env, cluster.network, name, cluster.directory,
+            partition_map, workload or KeyspaceWorkload(),
+            n_threads=n_threads, timeout=timeout, think_time=think_time,
+            rng=cluster.rng.stream(f"client:{name}"),
+        )
+        client.start_workers()
+        return client
+
+    @property
+    def orchestrator(self) -> RepartitionOrchestrator:
+        if self._orchestrator is None:
+            cluster = self.cluster
+            self._orchestrator = RepartitionOrchestrator(
+                cluster.env, cluster.control, cluster.directory,
+                registry=self.registry,
+            )
+        return self._orchestrator
+
+    def publish_map(self, partition_map: PartitionMap) -> None:
+        self.registry.put_local(PARTITION_MAP_KEY, partition_map)

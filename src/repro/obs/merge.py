@@ -29,8 +29,9 @@ rule it uses:
    therefore enforces two kinds of edges while interleaving: events of
    one node keep their local order, and the per-message lifecycle
    stages (submit -> propose -> phase2 -> decide -> learn -> deliver ->
-   ack) stay non-decreasing in time, clamping a too-early timestamp up
-   to the stage floor.
+   ack) stay non-decreasing in time: an event is clamped up to the
+   latest of the earlier stages' *earliest* events, so one late copy of
+   a stage (a restarted node's replay) raises nothing else.
 4. **Renumbering.**  ``seq`` is reassigned globally monotone (the
    original per-node value survives as ``node_seq``), so the merged
    file passes the schema validator's monotonicity check.
@@ -44,6 +45,8 @@ from __future__ import annotations
 
 import heapq
 import json
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .read import ClockAlignment, msg_ids, read_trace
@@ -141,15 +144,19 @@ def merge_events(
                     continue
                 for msg_id in msg_ids(event):
                     staged.setdefault(msg_id, []).append((rank, event))
+        # A stage floors the stages after it at its *earliest* event: a
+        # restarted incarnation replaying a message (a late learn) must
+        # not raise another node's earlier delivery of it.
         for entries in staged.values():
             entries.sort(key=lambda pair: (pair[0], pair[1]["ts"]))
             floor = float("-inf")
-            for _rank, event in entries:
-                if event["ts"] < floor:
-                    event["ts"] = floor
-                    changed = True
-                else:
-                    floor = event["ts"]
+            for _rank, stage in groupby(entries, key=itemgetter(0)):
+                events = [event for _rank, event in stage]
+                for event in events:
+                    if event["ts"] < floor:
+                        event["ts"] = floor
+                        changed = True
+                floor = events[0]["ts"]
         for node in nodes:
             floor = float("-inf")
             for event in per_node[node]:

@@ -9,8 +9,9 @@ import itertools
 
 import pytest
 
-from repro.harness.cluster import KvCluster
+from repro.harness.cluster import MulticastCluster
 from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.kvstore.repartition import KvCluster
 from repro.multicast.api import MulticastClient
 from repro.multicast.replica import MulticastReplica
 from repro.multicast.stream import StreamDeployment
@@ -97,20 +98,23 @@ def test_kvstore_soak_split_then_merge_back():
         version=0,
         partitions=(Partition(index=0, stream="S1", replicas=("r1", "r2")),),
     )
-    cluster = KvCluster(seed=73, lam=500, delta_t=0.05)
+    cluster = MulticastCluster(
+        seed=73, link_latency=0.0005, lam=500, delta_t=0.05
+    )
+    kv = KvCluster(cluster)
     cluster.add_stream("S1")
     cluster.add_stream("S2")
-    r1 = cluster.add_replica("r1", "shard-a", ["S1"], pmap)
-    r2 = cluster.add_replica("r2", "shard-b", ["S1"], pmap)
-    cluster.publish_map(pmap)
-    client = cluster.add_client(
+    r1 = kv.add_replica("r1", "shard-a", ["S1"], pmap)
+    r2 = kv.add_replica("r2", "shard-b", ["S1"], pmap)
+    kv.publish_map(pmap)
+    client = kv.add_client(
         "c1", pmap, KeyspaceWorkload(n_keys=300, value_size=64),
         n_threads=8, timeout=0.5,
     )
     cluster.run(until=1.5)
 
     maps = []
-    cluster.orchestrator.split(
+    kv.orchestrator.split(
         old_map=pmap, split_index=0, moving_group="shard-b",
         moving_replicas=("r2",), new_stream="S2", settle_delay=0.5,
         on_done=maps.append,
@@ -121,7 +125,7 @@ def test_kvstore_soak_split_then_merge_back():
     # Disjoint ownership during the split phase.
     assert not (set(r1.store.keys()) & set(r2.store.keys()))
 
-    cluster.orchestrator.merge(
+    kv.orchestrator.merge(
         old_map=split_map, doomed_index=1, into_index=0,
         absorbing_group="shard-a", settle_delay=0.5, on_done=maps.append,
     )

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.harness.cluster import KvCluster
+from repro.harness.cluster import MulticastCluster
 from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.kvstore.repartition import KvCluster
 from repro.workload.generators import KeyspaceWorkload, key_name
 
 
@@ -16,19 +17,22 @@ def single_partition_map(replicas=("r1", "r2"), shared=None):
 
 
 def small_cluster(pmap, lam=500, delta_t=0.05, seed=5):
-    cluster = KvCluster(seed=seed, lam=lam, delta_t=delta_t)
+    cluster = MulticastCluster(
+        seed=seed, link_latency=0.0005, lam=lam, delta_t=delta_t
+    )
+    kv = KvCluster(cluster)
     cluster.add_stream("S1")
-    return cluster
+    return cluster, kv
 
 
 def test_put_then_get_linearizable():
     pmap = single_partition_map()
-    cluster = small_cluster(pmap)
+    cluster, kv = small_cluster(pmap)
     for name in ("r1", "r2"):
-        cluster.add_replica(name, f"g-{name}", ["S1"], pmap)
-    cluster.publish_map(pmap)
+        kv.add_replica(name, f"g-{name}", ["S1"], pmap)
+    kv.publish_map(pmap)
     workload = KeyspaceWorkload(n_keys=50, value_size=64, put_fraction=0.5)
-    client = cluster.add_client("c1", pmap, workload, n_threads=4)
+    client = kv.add_client("c1", pmap, workload, n_threads=4)
     cluster.run(until=2.0)
     assert client.completed > 50
     assert client.timeouts == 0
@@ -39,10 +43,10 @@ def test_put_then_get_linearizable():
 
 def test_client_latency_recorded():
     pmap = single_partition_map()
-    cluster = small_cluster(pmap)
-    cluster.add_replica("r1", "g1", ["S1"], pmap)
-    cluster.add_replica("r2", "g2", ["S1"], pmap)
-    client = cluster.add_client(
+    cluster, kv = small_cluster(pmap)
+    kv.add_replica("r1", "g1", ["S1"], pmap)
+    kv.add_replica("r2", "g2", ["S1"], pmap)
+    client = kv.add_client(
         "c1", pmap, KeyspaceWorkload(n_keys=10, value_size=64), n_threads=2
     )
     cluster.run(until=1.0)
@@ -52,9 +56,9 @@ def test_client_latency_recorded():
 
 def test_replica_cpu_capacity_limits_throughput():
     pmap = single_partition_map(replicas=("r1",))
-    cluster = small_cluster(pmap)
-    cluster.add_replica("r1", "g1", ["S1"], pmap, cpu_rate=100.0)
-    client = cluster.add_client(
+    cluster, kv = small_cluster(pmap)
+    kv.add_replica("r1", "g1", ["S1"], pmap, cpu_rate=100.0)
+    client = kv.add_client(
         "c1", pmap, KeyspaceWorkload(n_keys=100, value_size=64), n_threads=20
     )
     cluster.run(until=3.0)
@@ -71,19 +75,22 @@ def test_getrange_spans_partitions_consistently():
         ),
         shared_stream="SHARED",
     )
-    cluster = KvCluster(seed=9, lam=500, delta_t=0.05)
+    cluster = MulticastCluster(
+        seed=9, link_latency=0.0005, lam=500, delta_t=0.05
+    )
+    kv = KvCluster(cluster)
     for stream in ("S1", "S2", "SHARED"):
         cluster.add_stream(stream)
-    cluster.add_replica("r1", "g1", ["S1", "SHARED"], pmap)
-    cluster.add_replica("r2", "g2", ["S2", "SHARED"], pmap)
-    cluster.publish_map(pmap)
+    kv.add_replica("r1", "g1", ["S1", "SHARED"], pmap)
+    kv.add_replica("r2", "g2", ["S2", "SHARED"], pmap)
+    kv.publish_map(pmap)
     # Seed some keys, then issue ranges.
     seed_workload = KeyspaceWorkload(n_keys=30, value_size=64, put_fraction=1.0)
-    client = cluster.add_client("seeder", pmap, seed_workload, n_threads=5)
+    client = kv.add_client("seeder", pmap, seed_workload, n_threads=5)
     cluster.run(until=2.0)
     client.stop_workers()
 
-    range_client = cluster.add_client(
+    range_client = kv.add_client(
         "ranger",
         pmap,
         KeyspaceWorkload(n_keys=30, put_fraction=0.0, range_fraction=1.0,
@@ -98,17 +105,17 @@ def test_getrange_spans_partitions_consistently():
 def test_split_repartitions_without_interruption():
     """The Fig. 4 scenario at test scale."""
     pmap = single_partition_map(replicas=("r1", "r2"))
-    cluster = small_cluster(pmap)
+    cluster, kv = small_cluster(pmap)
     cluster.add_stream("S2")
-    r1 = cluster.add_replica("r1", "shard-a", ["S1"], pmap)
-    r2 = cluster.add_replica("r2", "shard-b", ["S1"], pmap)
-    cluster.publish_map(pmap)
+    r1 = kv.add_replica("r1", "shard-a", ["S1"], pmap)
+    r2 = kv.add_replica("r2", "shard-b", ["S1"], pmap)
+    kv.publish_map(pmap)
     workload = KeyspaceWorkload(n_keys=200, value_size=64)
-    client = cluster.add_client("c1", pmap, workload, n_threads=10, timeout=0.5)
+    client = kv.add_client("c1", pmap, workload, n_threads=10, timeout=0.5)
     cluster.run(until=1.0)
 
     maps = []
-    cluster.orchestrator.split(
+    kv.orchestrator.split(
         old_map=pmap,
         split_index=0,
         moving_group="shard-b",
@@ -144,13 +151,16 @@ def test_merge_transfers_state_back():
             Partition(index=1, stream="S2", replicas=("r2",)),
         ),
     )
-    cluster = KvCluster(seed=11, lam=500, delta_t=0.05)
+    cluster = MulticastCluster(
+        seed=11, link_latency=0.0005, lam=500, delta_t=0.05
+    )
+    kv = KvCluster(cluster)
     cluster.add_stream("S1")
     cluster.add_stream("S2")
-    r1 = cluster.add_replica("r1", "shard-a", ["S1"], pmap)
-    r2 = cluster.add_replica("r2", "shard-b", ["S2"], pmap)
-    cluster.publish_map(pmap)
-    client = cluster.add_client(
+    r1 = kv.add_replica("r1", "shard-a", ["S1"], pmap)
+    r2 = kv.add_replica("r2", "shard-b", ["S2"], pmap)
+    kv.publish_map(pmap)
+    client = kv.add_client(
         "c1", pmap, KeyspaceWorkload(n_keys=100, value_size=64), n_threads=5,
         timeout=0.5,
     )
@@ -159,7 +169,7 @@ def test_merge_transfers_state_back():
     keys_before = set(r1.store.keys()) | set(r2.store.keys())
 
     maps = []
-    cluster.orchestrator.merge(
+    kv.orchestrator.merge(
         old_map=pmap,
         doomed_index=1,
         into_index=0,
@@ -178,12 +188,12 @@ def test_merge_transfers_state_back():
 
 def test_misdirected_commands_are_discarded_and_retried():
     pmap = single_partition_map(replicas=("r1",))
-    cluster = small_cluster(pmap)
-    cluster.add_replica("r1", "g1", ["S1"], pmap)
+    cluster, kv = small_cluster(pmap)
+    kv.add_replica("r1", "g1", ["S1"], pmap)
     # Client believes in a stale 2-partition map routing some keys to a
     # stream whose replica does not own them.
     cluster.add_stream("S2")
-    cluster.add_replica("r2", "g2", ["S2"], pmap)  # owns nothing extra
+    kv.add_replica("r2", "g2", ["S2"], pmap)  # owns nothing extra
     stale_map = PartitionMap(
         version=99,
         partitions=(
@@ -191,7 +201,7 @@ def test_misdirected_commands_are_discarded_and_retried():
             Partition(index=1, stream="S2", replicas=("r2",)),
         ),
     )
-    client = cluster.add_client(
+    client = kv.add_client(
         "c1",
         stale_map,
         KeyspaceWorkload(n_keys=40, value_size=64),
@@ -199,7 +209,7 @@ def test_misdirected_commands_are_discarded_and_retried():
         timeout=0.3,
     )
     # Publish the true map so the watch corrects the client.
-    cluster.publish_map(pmap)
+    kv.publish_map(pmap)
     cluster.run(until=3.0)
     # After the watch update all commands route to S1 and complete.
     assert client.completed > 0

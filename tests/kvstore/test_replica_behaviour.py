@@ -3,7 +3,8 @@ round trip where possible."""
 
 import pytest
 
-from repro.harness.cluster import KvCluster
+from repro.harness.cluster import MulticastCluster
+from repro.kvstore.repartition import KvCluster
 from repro.kvstore.commands import (
     DeleteCmd,
     GetCmd,
@@ -26,11 +27,14 @@ def one_partition_map(replicas=("r1",)):
 
 
 def make_replica(pmap, name="r1", group="g1", streams=("S1",)):
-    cluster = KvCluster(seed=51, lam=500, delta_t=0.05)
+    cluster = MulticastCluster(
+        seed=51, link_latency=0.0005, lam=500, delta_t=0.05
+    )
+    kv = KvCluster(cluster)
     for stream in {p.stream for p in pmap.partitions} | set(streams):
         if stream not in cluster.directory:
             cluster.add_stream(stream)
-    replica = cluster.add_replica(name, group, list(streams), pmap)
+    replica = kv.add_replica(name, group, list(streams), pmap)
     # Targets the replica replies/signals to in these unit tests.
     for host in ("c", "r2", "r9", "other"):
         cluster.network.add_host(host)

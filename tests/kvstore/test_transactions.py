@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.harness.cluster import KvCluster
+from repro.harness.cluster import MulticastCluster
 from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.kvstore.repartition import KvCluster
 from repro.workload.generators import KeyspaceWorkload, key_name
 
 
@@ -16,13 +17,16 @@ def two_shard_world(seed=91):
         ),
         shared_stream="SH",
     )
-    cluster = KvCluster(seed=seed, lam=1000, delta_t=0.02)
+    cluster = MulticastCluster(
+        seed=seed, link_latency=0.0005, lam=1000, delta_t=0.02
+    )
+    kv = KvCluster(cluster)
     for stream in ("S1", "S2", "SH"):
         cluster.add_stream(stream)
-    r1 = cluster.add_replica("r1", "g1", ["S1", "SH"], pmap)
-    r2 = cluster.add_replica("r2", "g2", ["S2", "SH"], pmap)
-    cluster.publish_map(pmap)
-    client = cluster.add_client(
+    r1 = kv.add_replica("r1", "g1", ["S1", "SH"], pmap)
+    r2 = kv.add_replica("r2", "g2", ["S2", "SH"], pmap)
+    kv.publish_map(pmap)
+    client = kv.add_client(
         "c1", pmap, KeyspaceWorkload(n_keys=100), n_threads=0, timeout=1.0
     )
     return cluster, pmap, r1, r2, client

@@ -3,8 +3,9 @@
 from repro.faults.runner import ScenarioRunner
 from repro.faults.scenarios import ScenarioSpec, sim_topology
 from repro.faults.schedule import CrashAt, RecoverAt, Schedule
-from repro.harness.cluster import KvCluster
+from repro.harness.cluster import MulticastCluster
 from repro.kvstore.partitioning import Partition, PartitionMap
+from repro.kvstore.repartition import KvCluster
 from repro.storage.checkpoint import CheckpointStore
 from repro.workload.generators import KeyspaceWorkload
 
@@ -140,12 +141,15 @@ def test_kv_replica_recovery_preserves_store():
         version=0,
         partitions=(Partition(index=0, stream="S1", replicas=("r1", "r2")),),
     )
-    cluster = KvCluster(seed=33, lam=500, delta_t=0.05)
+    cluster = MulticastCluster(
+        seed=33, link_latency=0.0005, lam=500, delta_t=0.05
+    )
+    kv = KvCluster(cluster)
     cluster.add_stream("S1")
-    r1 = cluster.add_replica("r1", "g1", ["S1"], pmap)
-    r2 = cluster.add_replica("r2", "g2", ["S1"], pmap)
-    cluster.publish_map(pmap)
-    client = cluster.add_client(
+    r1 = kv.add_replica("r1", "g1", ["S1"], pmap)
+    r2 = kv.add_replica("r2", "g2", ["S1"], pmap)
+    kv.publish_map(pmap)
+    client = kv.add_client(
         "c1", pmap, KeyspaceWorkload(n_keys=100, value_size=64), n_threads=5
     )
     cluster.run(until=1.0)

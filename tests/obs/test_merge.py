@@ -154,3 +154,24 @@ def test_merge_without_recorded_offsets_defaults_to_zero():
     merged = merge_events(traces)
     assert merged[0]["kind"] == "meta.merge"
     assert [e["ts"] for e in merged[1:]] == [2.0, 3.0]
+
+
+def test_a_replayed_learn_raises_no_other_nodes_earlier_delivery():
+    # n1 learns and delivers msg 1 by 1.046; a restarted incarnation
+    # n3-r1 re-learns it at 4.173.  The learn stage's earliest event
+    # floors the delivery, so n1's deliveries keep their times.
+    n1 = [
+        _event("learner.learned", 1.0, 0, "n1", replica="r1", stream="s1",
+               instance=0, msg_ids=[1], positions=[0]),
+        _event("replica.deliver", 1.046, 1, "n1", replica="r1", group="g",
+               stream="s1", position=0, msg_id=1),
+        _event("replica.deliver", 2.0, 2, "n1", replica="r1", group="g",
+               stream="s1", position=1, msg_id=2),
+    ]
+    n3 = [
+        _event("learner.learned", 4.173, 0, "n3-r1", replica="r3",
+               stream="s1", instance=0, msg_ids=[1], positions=[0]),
+    ]
+    merged = merge_events({"n1": n1, "n3-r1": n3}, offsets={})
+    delivered = [e["ts"] for e in merged if e["kind"] == "replica.deliver"]
+    assert delivered == [1.046, 2.0]

@@ -200,6 +200,21 @@ def test_a_live_node_loads_the_protocol_not_the_planes():
         assert len(loaded) <= 55, (modules, len(loaded), sorted(loaded))
 
 
+def test_the_sim_drivers_load_no_key_value_store():
+    # The key/value store's cluster lives beside the store
+    # (kvstore/repartition.py): the figures and the scenario runner
+    # build a MulticastCluster and pay for no store, registry or
+    # keyspace workload.
+    for module in ("repro.harness.experiments.vertical",
+                   "repro.faults.runner"):
+        loaded = _loaded_after(module)
+        stores = sorted(
+            m for m in loaded
+            if m.startswith(("repro.kvstore", "repro.coordination"))
+        )
+        assert not stores, (module, stores)
+
+
 def test_package_inits_are_docstrings():
     # One way to import a name: from the module that defines it.  A
     # package ``__init__`` that re-exported would load every plane it

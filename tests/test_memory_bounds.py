@@ -31,6 +31,7 @@ from repro.faults import invariants
 from repro.faults.invariants import DeliveryLog, InvariantSuite
 from repro.multicast.merge import StreamCursor
 from repro.multicast.stream import TokenLog
+from repro.harness import broadcast
 from repro.harness.experiments import vertical
 from repro.multicast.trim import TRIM_EVERY_BYTES, TRIM_EVERY_TOKENS
 from repro.obs.metrics import Counter, Series
@@ -422,7 +423,7 @@ def test_sim_acceptor_logs_hold_flat_behind_the_slowest_replica(monkeypatch):
     of the lowest replay point over the replicas merging its stream --
     an untrimmed log trails by everything decided."""
     clusters: list[vertical.MulticastCluster] = []
-    replicas: list[vertical.BroadcastReplica] = []
+    replicas: list[broadcast.BroadcastReplica] = []
     trails: list[int] = []
 
     def sample(directory) -> None:
@@ -445,13 +446,13 @@ def test_sim_acceptor_logs_hold_flat_behind_the_slowest_replica(monkeypatch):
             clusters.append(self)
             every(self.env, 0.1, lambda: sample(self.directory))
 
-    class Listed(vertical.BroadcastReplica):
+    class Listed(broadcast.BroadcastReplica):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             replicas.append(self)
 
     monkeypatch.setattr(vertical, "MulticastCluster", Sampled)
-    monkeypatch.setattr(vertical, "BroadcastReplica", Listed)
+    monkeypatch.setattr(broadcast, "BroadcastReplica", Listed)
     result = vertical.run_vertical(vertical.VerticalConfig(
         duration=8.0, add_interval=2.0, seed=7,
     ))
